@@ -76,7 +76,7 @@ def photo_resolver(
         raise QueryError("photo() cost estimation requires a PTZ camera")
     current = HeadPosition(pan=status["pan"], tilt=status["tilt"],
                            zoom=status["zoom"])
-    aimed = device.aim_for(args["target"])
+    aimed = device.aim_memoized(args["target"])
     quantities = {
         "pan_degrees": abs(aimed.pan - current.pan),
         "tilt_degrees": abs(aimed.tilt - current.tilt),
@@ -106,7 +106,7 @@ class PhotoBlockResolver:
         tilts = []
         zooms = []
         for args in args_list:
-            aimed = device.aim_for(args["target"])
+            aimed = device.aim_memoized(args["target"])
             pans.append(aimed.pan)
             tilts.append(aimed.tilt)
             zooms.append(aimed.zoom)

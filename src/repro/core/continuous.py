@@ -19,10 +19,15 @@ lifecycle, per-query stats, edge-trigger memory):
   Matches are emitted query-major in registration order, so traces,
   counters and request ids are byte-identical to the scan-all path
   (golden-gated).
+
+Either way a detected event's candidate devices come from
+:meth:`ContinuousQueryExecutor._candidates`, which keeps the answers of
+predicates over static state across polls (DESIGN.md decision 16).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import (
@@ -36,7 +41,8 @@ from repro.comm.layer import CommunicationLayer
 from repro.comm.scan import ScanOperator
 from repro.comm.tuples import DeviceTuple
 from repro.plan.planner import ContinuousPlan
-from repro.query.ast import Expression
+from repro.devices.base import Device
+from repro.query.ast import ColumnRef, Expression
 from repro.query.bands import compile_event_predicate
 from repro.query.expressions import (
     LOCATION_PSEUDO_COLUMN,
@@ -52,9 +58,30 @@ from repro.core.dispatcher import Dispatcher
 
 __all__ = ["ContinuousQueryExecutor", "RegisteredQuery"]
 
-#: Memo key of one candidate-set computation within a single poll:
-#: (device table, device alias, candidate predicate, event device).
-_CandidateKey = Tuple[str, str, Optional[Expression], str]
+#: Key of one cached candidate set within its device table: (device
+#: alias, candidate predicate, values of the event-side columns the
+#: predicate reads). Two queries with the same predicate share it.
+_CandidateKey = Tuple[str, Expression, Tuple[Any, ...]]
+
+
+#: Candidate sets one device table keeps before starting over.
+_CANDIDATE_SETS_LIMIT = 4096
+
+
+@dataclass
+class _CandidateSets:
+    """One device table's candidate sets and the state they hold for.
+
+    ``devices`` is the table's membership when the entry was built (a
+    join or leave discards the entry); ``static`` is every member's
+    static row and mount geometry when ``sets`` was last emptied. A
+    set is served only while both still describe the registry.
+    """
+
+    devices: List[Device]
+    static: List[Tuple[Dict[str, Any], Tuple[Any, ...]]] = field(
+        default_factory=list)
+    sets: Dict[_CandidateKey, Tuple[str, ...]] = field(default_factory=dict)
 
 
 class ContinuousQueryExecutor:
@@ -79,6 +106,12 @@ class ContinuousQueryExecutor:
         #: ``config.predicate_index`` is on).
         self._indexes: Dict[str, PredicateIndex] = {}
         self._scans: Dict[str, ScanOperator] = {}
+        #: Device table -> cached candidate sets (DESIGN.md decision
+        #: 16). Any membership change empties it: ``coverage()`` answers
+        #: for whichever registered device its argument names.
+        self._candidate_sets: Dict[str, _CandidateSets] = {}
+        comm.registry.subscribe(
+            lambda event, device: self._candidate_sets.clear())
         self._running = False
         self.polls = 0
 
@@ -186,6 +219,33 @@ class ContinuousQueryExecutor:
                     f"sensory attribute {ref.name!r}; device status is "
                     f"obtained by probing, not by candidate predicates"
                 )
+
+    def _event_refs(self, plan: ContinuousPlan, predicate: Expression
+                    ) -> Optional[Tuple[ColumnRef, ...]]:
+        """The event-side columns a cacheable candidate predicate reads.
+
+        ``None`` when the candidate set must be evaluated afresh for
+        every event: a function not registered as stable over static
+        state may answer differently next time, a sensory reading of
+        the event device is a new input nearly every time, and an
+        unqualified column cannot be assigned to either side ahead of
+        binding.
+        """
+        if not all(self.functions.is_stable(name)
+                   for name in predicate.function_names()):
+            return None
+        refs = predicate.column_refs()
+        if not all(ref.qualifier for ref in refs):
+            return None
+        event_refs = sorted(
+            (ref for ref in refs if ref.qualifier != plan.device_alias),
+            key=lambda ref: (ref.qualifier, ref.name))
+        catalog = self.comm.catalog(plan.event_table)
+        if any(ref.name != LOCATION_PSEUDO_COLUMN
+               and catalog.attribute(ref.name).sensory
+               for ref in event_refs):
+            return None
+        return tuple(event_refs)
 
     def _index_for(self, table: str) -> PredicateIndex:
         if table not in self._indexes:
@@ -324,17 +384,16 @@ class ContinuousQueryExecutor:
         ordered = sorted(active.values(), key=lambda query: query.seq)
 
         emitted = 0
-        memo: Dict[_CandidateKey, List[str]] = {}
         for query in ordered:
             if not query.enabled:
                 continue
             emitted += self._emit_matched(
-                query, matched.get(query.name, []), seen, memo)
+                query, matched.get(query.name, []), seen)
         return emitted
 
     def _emit_matched(self, query: RegisteredQuery,
-                      matched_rows: List[DeviceTuple], seen: Set[str],
-                      memo: Dict[_CandidateKey, List[str]]) -> int:
+                      matched_rows: List[DeviceTuple],
+                      seen: Set[str]) -> int:
         """Replay one query's matches in row order; prune stale edges."""
         plan = query.plan
         emitted = 0
@@ -352,7 +411,7 @@ class ContinuousQueryExecutor:
                 self.env.now, "event_detected", query=query.name,
                 sensor=row.device_id)
             context.tuples[plan.event_alias] = row
-            if self._emit_request(query, row, context, memo=memo):
+            if self._emit_request(query, row, context):
                 emitted += 1
         self.catalog.prune_edges(query, seen, matched_ids)
         return emitted
@@ -361,17 +420,13 @@ class ContinuousQueryExecutor:
     # Request emission
     # ------------------------------------------------------------------
     def _emit_request(self, query: RegisteredQuery, event_row: DeviceTuple,
-                      context: EvaluationContext,
-                      memo: Optional[Dict[_CandidateKey,
-                                          List[str]]] = None) -> bool:
+                      context: EvaluationContext) -> bool:
         plan = query.plan
         arguments = {
             name: evaluate(expression, context)
             for name, expression in plan.argument_expressions.items()
         }
-        candidates = self._candidates(plan, context,
-                                      event_device=event_row.device_id,
-                                      memo=memo)
+        candidates = self._candidates(query, context)
         if not candidates:
             query.uncovered_events += 1
             self.obs.inc("continuous.uncovered_events",
@@ -410,7 +465,7 @@ class ContinuousQueryExecutor:
                 arguments=arguments,
                 query_id=plan.query_name,
                 created_at=self.env.now,
-                candidates=tuple(candidates),
+                candidates=candidates,
                 priority=query.priority,
                 deadline=deadline,
             )
@@ -423,11 +478,8 @@ class ContinuousQueryExecutor:
                 query.requests_rejected += 1
         return emitted_any
 
-    def _candidates(self, plan: ContinuousPlan,
-                    event_context: EvaluationContext, *,
-                    event_device: str = "",
-                    memo: Optional[Dict[_CandidateKey,
-                                        List[str]]] = None) -> List[str]:
+    def _candidates(self, query: RegisteredQuery,
+                    event_context: EvaluationContext) -> Tuple[str, ...]:
         """Device IDs satisfying the candidate predicate for this event.
 
         Membership, not liveness, is checked here: devices "may join,
@@ -435,32 +487,48 @@ class ContinuousQueryExecutor:
         unpredictable to the system" (Section 4), so unavailability is
         discovered by the dispatcher's probe, not assumed here.
 
-        ``memo`` (indexed path only) caches the result per (device
-        table, alias, predicate, event device) within one detection
-        pass — queries sharing a candidate shape reuse one evaluation,
-        the shared-operator merge's candidate half.
+        A predicate over static state only (``query.candidate_event_refs``
+        is set) is evaluated once per distinct event-side input and
+        served from the table's cache until a member's static state or
+        the registry's membership changes; a repeated event from one
+        mote then costs one comparison per member instead of one
+        interpreted predicate.
         """
+        plan = query.plan
+        table = self._candidate_sets.get(plan.device_table)
+        if table is None:
+            table = self._candidate_sets[plan.device_table] = _CandidateSets(
+                self.comm.registry.of_type(plan.device_table))
+        predicate = plan.candidate_predicate
+        if predicate is None:
+            return tuple(device.device_id for device in table.devices)
+        static = [(device.static_attributes(), device.static_geometry())
+                  for device in table.devices]
+        if static != table.static:
+            table.static = static
+            table.sets.clear()
+        if not query.candidate_analysed:
+            query.candidate_event_refs = self._event_refs(plan, predicate)
+            query.candidate_analysed = True
         key: Optional[_CandidateKey] = None
-        if memo is not None:
-            key = (plan.device_table, plan.device_alias,
-                   plan.candidate_predicate, event_device)
-            cached = memo.get(key)
+        if query.candidate_event_refs is not None:
+            key = (plan.device_alias, predicate,
+                   tuple(evaluate(ref, event_context)
+                         for ref in query.candidate_event_refs))
+            cached = table.sets.get(key)
             if cached is not None:
-                return list(cached)
-        candidates = []
-        for device in self.comm.registry.of_type(plan.device_table):
-            if plan.candidate_predicate is None:
-                candidates.append(device.device_id)
-                continue
-            device_row = DeviceTuple(
-                device_type=device.device_type,
-                device_id=device.device_id,
-                values=device.static_attributes(),
-                acquired_at=self.env.now,
-            )
-            context = event_context.bind(plan.device_alias, device_row)
-            if evaluate(plan.candidate_predicate, context):
-                candidates.append(device.device_id)
-        if memo is not None and key is not None:
-            memo[key] = list(candidates)
+                return cached
+        now = self.env.now
+        candidates = tuple(
+            device.device_id
+            for device, (row, _geometry) in zip(table.devices, static)
+            if evaluate(predicate, event_context.bind(
+                plan.device_alias,
+                DeviceTuple(device_type=device.device_type,
+                            device_id=device.device_id,
+                            values=row, acquired_at=now))))
+        if key is not None:
+            if len(table.sets) >= _CANDIDATE_SETS_LIMIT:
+                table.sets.clear()  # e.g. event devices that keep moving
+            table.sets[key] = candidates
         return candidates

@@ -192,7 +192,9 @@ class DispatchReport:
     batch_started_at: float
     batch_finished_at: float
     #: Hit/miss counters of the scheduler's memoizing cost oracle for
-    #: this batch (None when caching was off or nothing was scheduled).
+    #: this batch alone, also on the incremental path (None when
+    #: caching was off or nothing was scheduled); lifetime totals are
+    #: ``Dispatcher.incremental_stats``' ``cache_hits``/``cache_misses``.
     cache_stats: Optional[Dict[str, float]] = None
     #: Fault-tolerance accounting (all zero with the default policy).
     #: Execution attempts made for this batch's requests.

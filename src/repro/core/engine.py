@@ -99,7 +99,8 @@ class AortaEngine:
 
         self.functions = FunctionRegistry()
         install_standard_functions(self.functions)
-        self.functions.register("coverage", self._coverage, arity=2)
+        self.functions.register("coverage", self._coverage, arity=2,
+                                stable=True)
 
         from repro.core.tracing import EngineTracer
         from repro.obs import Observability

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Generator
+from typing import Any, Dict, Generator, Tuple
 
 from repro.errors import DeviceDownError, DeviceError
 from repro.geometry import Point
@@ -122,6 +122,17 @@ class Device:
         """Non-sensory column values for this device's table row."""
         return {"id": self.device_id, "loc_x": self.location.x,
                 "loc_y": self.location.y}
+
+    def static_geometry(self) -> Tuple[Any, ...]:
+        """Mount geometry beyond the static row, compared by value.
+
+        Whatever functions over static state (``coverage()``) read off
+        the device that is no table column. Together with
+        :meth:`static_attributes` this is the device's *static state*:
+        it changes only when someone re-mounts or re-addresses the
+        device, never by executing actions or by time passing.
+        """
+        return ()
 
     def read_sensory(self, name: str) -> Any:
         """Acquire one sensory attribute from live device state.

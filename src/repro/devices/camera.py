@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ActionFailedError, DeviceDownError, DeviceError
 from repro.geometry import Point, ViewSector, angle_difference, normalize_angle
@@ -30,6 +30,9 @@ from repro.runtime import Runtime
 
 #: Photo sizes supported by the capture operations.
 PHOTO_SIZES = ("small", "medium", "large")
+
+#: Distinct targets one camera's aim memo holds before starting over.
+_AIM_MEMO_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -205,6 +208,9 @@ class PanTiltZoomCamera(Device):
         self._rng = rng or random.Random(0)
         #: Every photo ever taken, newest last (the simulated photo store).
         self.photo_log: List[Photo] = []
+        #: Target (x, y) -> aimed pose, valid for ``_aim_mount`` only.
+        self._aim_memo: Dict[Tuple[float, float], HeadPosition] = {}
+        self._aim_mount: Tuple[Any, ...] = ()
 
     # ------------------------------------------------------------------
     # Geometry and aiming
@@ -231,6 +237,29 @@ class PanTiltZoomCamera(Device):
         zoom = self._clamp(1.0 + distance / 5.0, self.calibration.zoom_min,
                            self.calibration.zoom_max)
         return HeadPosition(pan=pan, tilt=tilt, zoom=zoom)
+
+    def aim_memoized(self, target: Point) -> HeadPosition:
+        """:meth:`aim_for`, computed once per target and mount.
+
+        The aimed pose depends on the target and the mount (location,
+        view, height, calibration) only, and the cost oracle asks for
+        the same few targets on every batch. A changed mount drops the
+        memo; ``_AIM_MEMO_LIMIT`` bounds it under ever-new targets.
+        """
+        mount = (self.location,) + self.static_geometry()
+        if mount != self._aim_mount:
+            self._aim_mount = mount
+            self._aim_memo = {}
+        key = (target.x, target.y)
+        aimed = self._aim_memo.get(key)
+        if aimed is None:
+            if len(self._aim_memo) >= _AIM_MEMO_LIMIT:
+                self._aim_memo.clear()
+            aimed = self._aim_memo[key] = self.aim_for(target)
+        return aimed
+
+    def static_geometry(self) -> Tuple[Any, ...]:
+        return (self.view, self.mount_height, self.calibration)
 
     @staticmethod
     def _clamp(value: float, low: float, high: float) -> float:

@@ -21,6 +21,10 @@ class Expression(Node):
         """All table aliases referenced in this subtree."""
         return {ref.qualifier for ref in self.column_refs() if ref.qualifier}
 
+    def function_names(self) -> Set[str]:
+        """Names of all functions called in this subtree."""
+        return set()
+
 
 @dataclass(frozen=True)
 class Literal(Expression):
@@ -61,6 +65,12 @@ class FunctionCall(Expression):
             refs |= arg.column_refs()
         return refs
 
+    def function_names(self) -> Set[str]:
+        names = {self.name}
+        for arg in self.args:
+            names |= arg.function_names()
+        return names
+
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
@@ -76,6 +86,9 @@ class Arithmetic(Expression):
     def column_refs(self) -> Set[ColumnRef]:
         return self.left.column_refs() | self.right.column_refs()
 
+    def function_names(self) -> Set[str]:
+        return self.left.function_names() | self.right.function_names()
+
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
@@ -88,6 +101,9 @@ class Negate(Expression):
 
     def column_refs(self) -> Set[ColumnRef]:
         return self.operand.column_refs()
+
+    def function_names(self) -> Set[str]:
+        return self.operand.function_names()
 
     def __str__(self) -> str:
         return f"(-{self.operand})"
@@ -103,6 +119,9 @@ class Comparison(Expression):
 
     def column_refs(self) -> Set[ColumnRef]:
         return self.left.column_refs() | self.right.column_refs()
+
+    def function_names(self) -> Set[str]:
+        return self.left.function_names() | self.right.function_names()
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -121,6 +140,12 @@ class BooleanOp(Expression):
             refs |= operand.column_refs()
         return refs
 
+    def function_names(self) -> Set[str]:
+        names: Set[str] = set()
+        for operand in self.operands:
+            names |= operand.function_names()
+        return names
+
     def __str__(self) -> str:
         joined = f" {self.op} ".join(str(o) for o in self.operands)
         return f"({joined})"
@@ -134,6 +159,9 @@ class Not(Expression):
 
     def column_refs(self) -> Set[ColumnRef]:
         return self.operand.column_refs()
+
+    def function_names(self) -> Set[str]:
+        return self.operand.function_names()
 
     def __str__(self) -> str:
         return f"(NOT {self.operand})"

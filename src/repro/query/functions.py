@@ -9,7 +9,7 @@ context-free built-ins.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.errors import BindingError, QueryError, RegistrationError
 from repro.geometry import Point
@@ -24,10 +24,21 @@ class FunctionRegistry:
     def __init__(self) -> None:
         self._functions: Dict[str, FunctionImpl] = {}
         self._arity: Dict[str, Optional[int]] = {}
+        self._stable: Set[str] = set()
 
     def register(self, name: str, implementation: FunctionImpl,
-                 arity: Optional[int] = None) -> None:
-        """Register a function; ``arity=None`` means variadic."""
+                 arity: Optional[int] = None, *,
+                 stable: bool = False) -> None:
+        """Register a function; ``arity=None`` means variadic.
+
+        ``stable=True`` is the implementer's promise that a call's
+        result is fixed by its arguments and the static state of the
+        registered devices (static rows and mount geometry) — never by
+        time, sensor readings or head positions. Only predicates made
+        of stable functions have their candidate sets cached across
+        polls; the default keeps an unknown function evaluated afresh
+        for every event.
+        """
         if not name.isidentifier():
             raise RegistrationError(
                 f"function name {name!r} is not an identifier")
@@ -35,9 +46,15 @@ class FunctionRegistry:
             raise RegistrationError(f"function {name!r} already registered")
         self._functions[name] = implementation
         self._arity[name] = arity
+        if stable:
+            self._stable.add(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._functions
+
+    def is_stable(self, name: str) -> bool:
+        """Whether ``name`` was registered as stable over static state."""
+        return name in self._stable
 
     def names(self) -> List[str]:
         """Sorted names of all registered functions."""
@@ -63,7 +80,7 @@ def distance(a: Any, b: Any) -> float:
 
 def install_standard_functions(registry: FunctionRegistry) -> None:
     """Register the context-free standard functions."""
-    registry.register("distance", distance, arity=2)
-    registry.register("abs", lambda value: abs(value), arity=1)
-    registry.register("min", lambda *values: min(values))
-    registry.register("max", lambda *values: max(values))
+    registry.register("distance", distance, arity=2, stable=True)
+    registry.register("abs", lambda value: abs(value), arity=1, stable=True)
+    registry.register("min", lambda *values: min(values), stable=True)
+    registry.register("max", lambda *values: max(values), stable=True)

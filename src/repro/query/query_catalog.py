@@ -15,12 +15,22 @@ non-matches — so membership is identical however detection ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.query.bands import BandForm
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.plan.planner import ContinuousPlan
+    from repro.query.ast import ColumnRef
 
 
 @dataclass
@@ -46,6 +56,14 @@ class RegisteredQuery:
     #: The normalized band form of the event predicate; compiled only
     #: when the engine's predicate index is on.
     band_form: Optional[BandForm] = None
+    #: Event-side columns the candidate predicate reads, when its
+    #: candidate sets may be cached across polls (every function in it
+    #: is registered stable); ``None`` = evaluate per event. Worked out
+    #: by the executor at the query's first detected event
+    #: (``candidate_analysed``), so that registering thousands of AQs
+    #: pays nothing for it.
+    candidate_event_refs: Optional[Tuple["ColumnRef", ...]] = None
+    candidate_analysed: bool = False
     #: Registration sequence number, catalog-assigned and monotone —
     #: sorting by seq recovers registration order.
     seq: int = -1

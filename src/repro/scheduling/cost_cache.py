@@ -207,6 +207,25 @@ class CachingCostModel(SchedulingCostModel):
             self._estimates.pop(key, None)
             self._actuals.pop(key, None)
 
+    def retain_requests(self, request_ids: Set[str]) -> None:
+        """Drop every entry of a request outside ``request_ids``.
+
+        What bounds a cache that outlives its batch: the incremental
+        scheduler keeps only the batch it just placed, since a request
+        that left the batch is never estimated again. Status pins go
+        with the entries whose post-status they froze.
+        """
+        for table in (self._estimates, self._actuals):
+            for key in [key for key in table if key[0] not in request_ids]:
+                del table[key]
+                if self._by_device is not None:
+                    self._by_device[key[1]].discard(key)
+        live = {id(entry[2]) for table in (self._estimates, self._actuals)
+                for entry in table.values()}
+        self._frozen_by_id = {
+            status_id: pin for status_id, pin in self._frozen_by_id.items()
+            if status_id in live}
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

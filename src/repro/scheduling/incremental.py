@@ -28,10 +28,11 @@ algorithms' completion-time bookkeeping expects.
 
 Identity guarantees (property-tested):
 
-* the first batch, a batch whose device set changed, and a batch where
-  *every* device is dirty are solved by a plain full run of the inner
-  algorithm (with its rng reseeded), so they equal a fresh scheduler's
-  output exactly;
+* the first batch, a batch whose device set changed, and any batch
+  with nothing to splice (every device dirty, or every request new)
+  are solved by running the inner algorithm on the problem as given
+  (with its rng reseeded), so they equal a fresh scheduler's output
+  exactly;
 * an unchanged problem — under ANY dirty signals — re-places nothing
   and returns the previous schedule, which equals a full re-run
   bit-for-bit (deterministic cost model + reseeded rng);
@@ -49,6 +50,12 @@ recurring batches of the same logical work carry disjoint ids. The
 default fingerprint is ``(request_id, candidates, frozen payload)``
 (standalone problems have stable ids); the dispatcher supplies a
 content-based fingerprint instead.
+
+A warm batch costs what a plain one does: the warm sub-problem hands a
+vectorizing inner algorithm the same column kernel the original
+problem would (and the splice itself is walked through it), and the
+shared cost memo is cut back to the batch just placed, so neither the
+scalar oracle nor memory grows with the number of batches.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ from repro.scheduling.problem import (
     SchedRequest,
     SchedulingCostModel,
 )
+from repro.scheduling.vector_cost import ColumnKernel, build_kernel
 
 Fingerprint = Callable[[SchedRequest], Hashable]
 
@@ -101,6 +109,10 @@ class IncrementalStats:
     replaced_requests: int = 0
     dirty_devices: int = 0
     signaled_devices: int = 0
+    #: Shared cost-oracle lookups over all batches (the per-batch
+    #: deltas are each schedule's ``last_cache_stats``).
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -110,6 +122,8 @@ class IncrementalStats:
             "replaced_requests": self.replaced_requests,
             "dirty_devices": self.dirty_devices,
             "signaled_devices": self.signaled_devices,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
         }
 
 
@@ -148,6 +162,16 @@ class _WarmStartModel(SchedulingCostModel):
     def actual(self, request: SchedRequest, device_id: str,
                status: Any) -> Tuple[float, Any]:
         return self._inner.actual(request, device_id, status)
+
+    def make_column_kernel(self, problem: Problem) -> Optional[ColumnKernel]:
+        """The inner model's kernel for the warm sub-problem.
+
+        A kernel answers from the statuses it is handed, never from the
+        model's initial ones, so the unwrapped model's kernel is exact
+        here; without this hook a vectorizing scheduler would silently
+        take the scalar walk on every warm batch.
+        """
+        return build_kernel(replace(problem, cost_model=self._inner))
 
 
 @dataclass
@@ -211,6 +235,9 @@ class IncrementalScheduler(Scheduler):
         self._signaled = set()
         self.stats.batches += 1
         self.stats.signaled_devices += len(signaled)
+        cache = self.shared_cache
+        hits_before, misses_before = ((cache.hits, cache.misses)
+                                      if cache is not None else (0, 0))
 
         problem = self._with_shared_cache(problem)
         model = problem.cost_model
@@ -258,8 +285,21 @@ class IncrementalScheduler(Scheduler):
             )
         else:
             self._previous = None
-        if self.shared_cache is not None:
-            self.last_cache_stats = self.shared_cache.stats()
+        if cache is not None:
+            # Request ids never recur in the engine, so entries of any
+            # other batch can only be dead weight.
+            cache.retain_requests(
+                {request.request_id for request in problem.requests})
+            hits = cache.hits - hits_before
+            misses = cache.misses - misses_before
+            self.stats.cache_hits += hits
+            self.stats.cache_misses += misses
+            self.last_cache_stats = {
+                "hits": hits,
+                "misses": misses,
+                "entries": cache.entries,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            }
         else:
             self.last_cache_stats = self.inner.last_cache_stats
         return schedule
@@ -323,26 +363,20 @@ class IncrementalScheduler(Scheduler):
         assignments: Dict[str, List[str]] = {
             device_id: [request.request_id for request in queue]
             for device_id, queue in kept.items()}
-        if replaced_keys:
-            model = problem.cost_model
-            statuses: Dict[str, Any] = {}
-            workloads: Dict[str, float] = {}
-            for device_id in problem.device_ids:
-                status = model.initial_status(device_id)
-                elapsed = model.initial_workload(device_id)
-                for request in kept[device_id]:
-                    seconds, status = model.estimate(request, device_id,
-                                                     status)
-                    elapsed += seconds
-                statuses[device_id] = status
-                workloads[device_id] = elapsed
+        if replaced_keys and not any(kept.values()):
+            # Nothing to splice behind: the warm sub-problem would be
+            # the original problem, so solve that.
+            assignments = self._run_inner(problem).assignments
+        elif replaced_keys:
+            statuses, workloads = self._splice_end_state(problem, kept)
             sub_problem = Problem(
                 requests=tuple(
                     request for fingerprint, request
                     in zip(fingerprints, problem.requests)
                     if fingerprint in replaced_keys),
                 device_ids=problem.device_ids,
-                cost_model=_WarmStartModel(model, statuses, workloads),
+                cost_model=_WarmStartModel(problem.cost_model, statuses,
+                                           workloads),
                 label=f"{problem.label}+warm" if problem.label else "warm",
             )
             sub_schedule = self._run_inner(sub_problem)
@@ -352,3 +386,36 @@ class IncrementalScheduler(Scheduler):
         schedule = Schedule(algorithm=self.name, assignments=assignments)
         schedule.validate(problem)
         return schedule
+
+    def _splice_end_state(
+        self, problem: Problem, kept: Dict[str, List[SchedRequest]],
+    ) -> Tuple[Dict[str, Any], Dict[str, float]]:
+        """Each device's status and completion time after its kept queue.
+
+        Walks through the column kernel when the inner algorithm
+        vectorizes (bit-equal to the scalar walk by the kernel
+        contract), so a vectorized batch makes no scalar estimates.
+        """
+        model = problem.cost_model
+        kernel = build_kernel(problem) if self.inner.vectorize else None
+        index_of = ({request.request_id: index
+                     for index, request in enumerate(problem.requests)}
+                    if kernel is not None else {})
+        statuses: Dict[str, Any] = {}
+        workloads: Dict[str, float] = {}
+        for device_id in problem.device_ids:
+            status = model.initial_status(device_id)
+            elapsed = model.initial_workload(device_id)
+            for request in kept[device_id]:
+                if kernel is not None:
+                    index = index_of[request.request_id]
+                    seconds = float(
+                        kernel.column(device_id, status, [index])[0])
+                    status = kernel.post_status(index, device_id)
+                else:
+                    seconds, status = model.estimate(request, device_id,
+                                                     status)
+                elapsed += seconds
+            statuses[device_id] = status
+            workloads[device_id] = elapsed
+        return statuses, workloads

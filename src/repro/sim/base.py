@@ -83,11 +83,10 @@ class BaseRuntime:
 
     def step(self) -> None:
         """Process the single next event in the queue."""
-        item = self._queue.pop()
-        self._pace(item.time)
-        self._clock.advance_to(item.time)
+        timestamp, _priority, _seq, event = self._queue.pop()
+        self._pace(timestamp)
+        self._clock.advance_to(timestamp)
         self._events_processed += 1
-        event = item.event
         event._processed = True
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from repro.errors import SimulationError
 
@@ -103,31 +102,36 @@ class Timeout(Event):
         self._scheduled = True
 
 
-@dataclass(order=True)
-class ScheduledItem:
-    """Heap entry: (time, priority, seq) gives deterministic ordering."""
+class ScheduledItem(NamedTuple):
+    """A queue entry as diagnostics see it: firing order is field order."""
 
     time: float
     priority: int
     seq: int
-    event: Event = field(compare=False)
+    event: Event
 
 
 class EventQueue:
-    """A stable priority queue of scheduled events."""
+    """A stable priority queue of scheduled events.
+
+    Entries are plain ``(time, priority, seq, event)`` tuples, so every
+    heap sift is a C-level tuple comparison; ``seq`` is unique, which
+    decides any tie before the event itself would be compared.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledItem] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def push(self, time: float, priority: int, event: Event) -> None:
-        heapq.heappush(self._heap, ScheduledItem(time, priority, self._seq, event))
+        heapq.heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
 
-    def pop(self) -> ScheduledItem:
+    def pop(self) -> tuple[float, int, int, Event]:
+        """Remove and return the next ``(time, priority, seq, event)``."""
         if not self._heap:
             raise SimulationError("pop from an empty event queue")
         return heapq.heappop(self._heap)
@@ -136,11 +140,12 @@ class EventQueue:
         """Timestamp of the next event without removing it."""
         if not self._heap:
             raise SimulationError("peek on an empty event queue")
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def peek_items(self, limit: int) -> list[ScheduledItem]:
         """Up to ``limit`` next items in firing order, without removal.
 
         Diagnostic helper for the run-budget error path; O(k log n).
         """
-        return heapq.nsmallest(max(limit, 0), self._heap)
+        return [ScheduledItem(*entry)
+                for entry in heapq.nsmallest(max(limit, 0), self._heap)]

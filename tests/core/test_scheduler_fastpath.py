@@ -15,25 +15,44 @@ from repro.scheduling import IncrementalScheduler
 from repro.scheduling.vector_cost import HAVE_NUMPY
 
 from tests.core.test_fastpath import build_fast_lab, drive, submit_photo
+from tests.obs.golden import diff_dumps, dump_engine
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
                                  reason="numpy not installed")
 
 
-def run_rounds(config, rounds=3, per_round=6):
-    """Drive several recurring photo batches; returns (engine, trace)."""
+def run_batches(config, batches):
+    """Drive one photo batch per list of target x's.
+
+    Returns (engine, trace); ``engine.scalar_estimates`` counts the
+    cost model's per-(request, device) ``estimate`` calls.
+    """
     engine = build_fast_lab(config, n_cameras=4)
+    engine.scalar_estimates = 0
+    estimate = engine.cost_model.estimate
+
+    def counted(*args, **kwargs):
+        engine.scalar_estimates += 1
+        return estimate(*args, **kwargs)
+
+    engine.cost_model.estimate = counted
     candidates = ("cam1", "cam2", "cam3", "cam4")
     n = 0
-    for round_index in range(rounds):
-        for j in range(per_round):
+    for round_index, xs in enumerate(batches):
+        for x in xs:
             n += 1
-            submit_photo(engine, candidates, request_id=f"r{n}",
-                         x=10.0 + 3.0 * j + 1.5 * round_index)
+            submit_photo(engine, candidates, request_id=f"r{n}", x=x)
         drive(engine, until=300.0 * (round_index + 1))
     trace = [(record.at, record.kind, dict(record.fields))
              for record in engine.dispatcher.tracer]
     return engine, trace
+
+
+def run_rounds(config, rounds=3, per_round=6):
+    """Recurring batches, every round's targets shifted: no reuse."""
+    return run_batches(config, [
+        [10.0 + 3.0 * j + 1.5 * round_index for j in range(per_round)]
+        for round_index in range(rounds)])
 
 
 class TestVectorizeKnob:
@@ -96,6 +115,52 @@ class TestIncrementalKnob:
                                             vectorize=True), rounds=3)
         assert engine.dispatcher.serviced_total == 18
         assert engine.dispatcher.failed_total == 0
+
+    @needs_numpy
+    @pytest.mark.parametrize("extra", [{}, {"status_cache": True}],
+                             ids=["probed", "status-cache"])
+    def test_vectorize_keeps_the_kernel_on_every_warm_batch(self, extra):
+        # New targets (zero reuse), the same targets again after every
+        # head moved (all dirty), then a mix of old and new.
+        first = [10.0 + 3.0 * j for j in range(6)]
+        batches = [first, [x + 1.5 for x in first], first,
+                   first[:3] + [40.0, 43.0]]
+        scalar, scalar_trace = run_batches(
+            EngineConfig(incremental=True, **extra), batches)
+        vector, vector_trace = run_batches(
+            EngineConfig(incremental=True, vectorize=True, **extra),
+            batches)
+        assert scalar.scalar_estimates > 0
+        assert vector.scalar_estimates == 0
+        assert vector_trace == scalar_trace
+
+        def dump(engine):
+            dumped = dump_engine(engine)
+            # The shared oracle's counters count scalar estimates: the
+            # one thing the two paths are meant to differ in.
+            for key in ("incremental_cache_hits", "incremental_cache_misses"):
+                dumped["statistics"].pop(key)
+            return dumped
+
+        assert not diff_dumps(dump(scalar), dump(vector))
+        assert scalar.statistics()["incremental_cache_misses"] > 0
+        assert vector.statistics()["incremental_cache_misses"] == 0
+        assert vector.statistics()["incremental_full_runs"] == 1
+
+    def test_reports_carry_per_batch_cache_counters(self):
+        engine, _ = run_rounds(EngineConfig(incremental=True), rounds=4)
+        reports = engine.dispatcher.reports
+        stats = engine.statistics()
+        # Summing the reports gives the lifetime totals — not, as when
+        # each report repeated the running totals, a quadratic figure.
+        assert sum(r.cache_stats["misses"] for r in reports) == \
+            stats["incremental_cache_misses"]
+        assert sum(r.cache_stats["hits"] for r in reports) == \
+            stats["incremental_cache_hits"]
+        assert all(r.cache_stats["misses"] > 0 for r in reports)
+        # And the memo holds the last batch only.
+        cache = engine.dispatcher._incremental["photo"].cache
+        assert cache.entries <= reports[-1].cache_stats["misses"]
 
     def test_outcomes_match_the_default_path(self):
         plain, _ = run_rounds(EngineConfig(), rounds=3)

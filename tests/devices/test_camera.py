@@ -1,6 +1,8 @@
 """Unit tests for the calibrated PTZ camera simulator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ActionFailedError, DeviceError
 from repro.geometry import Point
@@ -140,6 +142,39 @@ def test_aim_tilt_looks_down_more_when_close():
     near = camera.aim_for(Point(1, 0))
     far = camera.aim_for(Point(40, 0))
     assert near.tilt < far.tilt < 0
+
+
+COORDINATE = st.floats(-200.0, 200.0, allow_nan=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(targets=st.lists(st.tuples(COORDINATE, COORDINATE), min_size=1,
+                        max_size=12),
+       height=st.floats(0.5, 12.0))
+def test_aim_memo_returns_exactly_what_aim_for_computes(targets, height):
+    camera = make_camera(Environment(), location=Point(3.0, -2.0),
+                         mount_height=height)
+    # Asked twice, so the second round is served from the memo.
+    for x, y in targets * 2:
+        memoized = camera.aim_memoized(Point(x, y))
+        assert memoized == camera.aim_for(Point(x, y))  # ==, not approx
+    assert len(camera._aim_memo) <= len(set(targets))
+
+
+@pytest.mark.parametrize("remount", [
+    lambda camera: setattr(camera, "location", Point(40.0, 25.0)),
+    lambda camera: setattr(camera, "mount_height", 9.0),
+    lambda camera: setattr(camera, "calibration",
+                           CameraCalibration(tilt_min=-10.0, zoom_max=2.0)),
+], ids=["location", "mount_height", "calibration"])
+def test_aim_memo_is_dropped_when_the_mount_changes(remount):
+    camera = make_camera(Environment())
+    target = Point(6.0, 2.0)
+    before = camera.aim_memoized(target)
+    remount(camera)
+    assert camera.aim_for(target) != before  # the change matters ...
+    assert camera.aim_memoized(target) == camera.aim_for(target)
+    assert len(camera._aim_memo) == 1        # ... and nothing stale stays
 
 
 def test_coverage_respects_range():

@@ -29,6 +29,12 @@ from repro.scheduling import (
     default_fingerprint,
     uniform_camera_workload,
 )
+from repro.devices.camera import HeadPosition
+from repro.scheduling.vector_cost import HAVE_NUMPY
+from repro.scheduling.workload import CameraStatusCostModel
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
+                                 reason="numpy not installed")
 
 
 class LineModel(SchedulingCostModel):
@@ -232,7 +238,13 @@ def test_shared_cache_carries_hits_across_batches():
                          candidates=problem.device_ids, payload=-25.0),))
     warm.schedule(grown)
     assert cache.hits > 0
-    assert warm.last_cache_stats == cache.stats()
+    # The report is this batch's lookups, not the cache's lifetime ...
+    assert warm.last_cache_stats["hits"] == cache.hits
+    assert warm.last_cache_stats["misses"] == cache.misses - primed
+    assert warm.last_cache_stats["entries"] == cache.entries
+    # ... which the scheduler's own counters keep.
+    assert warm.stats.cache_hits == cache.hits
+    assert warm.stats.cache_misses == cache.misses
 
 
 def test_shared_cache_must_wrap_the_problems_model():
@@ -251,6 +263,131 @@ def test_invalidate_device_keeps_the_shared_cache_honest():
     before = cache.entries
     cache.invalidate_device("d1")
     assert cache.entries < before
+
+
+def test_shared_cache_is_bounded_by_the_last_batch():
+    cache = CachingCostModel(LineModel(HEADS), track_devices=True)
+    warm = IncrementalScheduler(SrfaeScheduler(0), cost_cache=cache)
+    for batch in range(50):
+        # Disjoint ids every batch, as the engine issues them.
+        problem = Problem(
+            requests=tuple(
+                SchedRequest(request_id=f"b{batch}r{i}",
+                             candidates=tuple(HEADS), payload=target)
+                for i, target in enumerate(TARGETS)),
+            device_ids=tuple(HEADS), cost_model=cache.inner)
+        warm.schedule(problem)
+        ids = {request.request_id for request in problem.requests}
+        assert {key[0] for key in cache._estimates} <= ids
+        # Every (request, device) pair from every status one device
+        # can pass through: its initial one plus one per request.
+        assert cache.entries <= len(TARGETS) * len(HEADS) * (len(TARGETS) + 1)
+        assert len(cache._frozen_by_id) <= cache.entries
+    assert warm.stats.cache_misses == cache.misses  # nothing was lost
+
+
+# ----------------------------------------------------------------------
+# The column kernel under warm start
+# ----------------------------------------------------------------------
+class CountingCameraModel(CameraStatusCostModel):
+    """The analytic camera oracle, counting its scalar estimates."""
+
+    scalar_estimates = 0
+
+    def estimate(self, request, device_id, status):
+        self.scalar_estimates += 1
+        return super().estimate(request, device_id, status)
+
+
+def camera_batches(seed, moved, fresh):
+    """Three batches of (initial heads, requests) over one fleet.
+
+    The second moves the heads of the devices indexed by ``moved`` and
+    swaps the first ``fresh`` requests for new ones, so the draw makes
+    it a partial-reuse, a zero-reuse (every request new) or an
+    all-dirty (every head moved) batch; the third moves every head and
+    replaces every request.
+    """
+    base = uniform_camera_workload(12, 4, seed=seed)
+    rng = random.Random(seed + 1)
+    calibration = base.cost_model.calibration
+
+    def head():
+        return HeadPosition(
+            pan=rng.uniform(calibration.pan_min, calibration.pan_max),
+            tilt=rng.uniform(calibration.tilt_min, calibration.tilt_max),
+            zoom=rng.uniform(calibration.zoom_min, calibration.zoom_max))
+
+    heads = {device_id: base.cost_model.initial_status(device_id)
+             for device_id in base.device_ids}
+    second_heads = {device_id: (head() if index in moved else pose)
+                    for index, (device_id, pose) in enumerate(heads.items())}
+    second_requests = base.requests[fresh:] + tuple(
+        SchedRequest(request_id=f"new{i}", candidates=base.device_ids,
+                     payload=head()) for i in range(fresh))
+    third_requests = tuple(
+        SchedRequest(request_id=f"last{i}", candidates=base.device_ids,
+                     payload=head()) for i in range(9))
+    return [
+        (heads, base.requests),
+        (second_heads, second_requests),
+        ({device_id: head() for device_id in heads}, third_requests),
+    ]
+
+
+def run_camera_batches(algorithm, vectorize, batches):
+    """(per-batch assignments, scalar estimates made, scheduler stats)."""
+    warm = IncrementalScheduler(algorithm(0, vectorize=vectorize))
+    assignments, estimates = [], 0
+    for heads, requests in batches:
+        model = CountingCameraModel(heads)
+        assignments.append(warm.schedule(Problem(
+            requests=requests, device_ids=tuple(heads),
+            cost_model=model)).assignments)
+        estimates += model.scalar_estimates
+    return assignments, estimates, warm.stats
+
+
+@needs_numpy
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 500),
+       moved=st.sets(st.integers(0, 3), max_size=4),
+       fresh=st.integers(0, 12),
+       algorithm=st.sampled_from((SrfaeScheduler, LerfaSrfeScheduler)))
+def test_vectorized_warm_runs_make_no_scalar_estimates(
+        seed, moved, fresh, algorithm):
+    batches = camera_batches(seed, moved, fresh)
+    scalar, scalar_estimates, scalar_stats = run_camera_batches(
+        algorithm, False, batches)
+    vector, vector_estimates, vector_stats = run_camera_batches(
+        algorithm, True, batches)
+    assert scalar_estimates > 0
+    assert vector_estimates == 0
+    assert vector == scalar
+    assert vector_stats == scalar_stats
+
+
+@needs_numpy
+@pytest.mark.parametrize("moved, fresh, reused", [
+    ({1}, 3, True),            # partial reuse: a splice plus a remainder
+    (set(), 12, False),        # zero reuse: every request is new
+    ({0, 1, 2, 3}, 0, False),  # all dirty: same requests, every head moved
+], ids=["partial-reuse", "zero-reuse", "all-dirty"])
+def test_each_kind_of_warm_batch_keeps_the_kernel(moved, fresh, reused):
+    batches = camera_batches(11, moved, fresh)[:2]
+    scalar, _, _ = run_camera_batches(SrfaeScheduler, False, batches)
+    vector, estimates, stats = run_camera_batches(SrfaeScheduler, True,
+                                                  batches)
+    assert estimates == 0
+    assert vector == scalar
+    assert stats.full_runs == 1  # the second batch went the warm way
+    assert (stats.reused_requests > 0) == reused
+    if not reused:
+        # Nothing to splice behind: exactly a cold run of that batch.
+        heads, requests = batches[1]
+        assert vector[1] == SrfaeScheduler(0).schedule(Problem(
+            requests=requests, device_ids=tuple(heads),
+            cost_model=CameraStatusCostModel(heads))).assignments
 
 
 # ----------------------------------------------------------------------

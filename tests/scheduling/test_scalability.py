@@ -6,6 +6,8 @@ proposed algorithms' scheduling time at instance sizes well beyond the
 paper's 30-request maximum.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.scheduling import (
@@ -38,11 +40,33 @@ def test_makespan_quality_holds_at_scale():
     assert srfae < ls
 
 
-@pytest.mark.slow
+class _CountingModel:
+    """Delegates to a cost model, counting the oracle's estimates."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.estimates = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def estimate(self, request, device_id, status):
+        self.estimates += 1
+        return self._inner.estimate(request, device_id, status)
+
+
+def _srfae_estimates(n_requests):
+    problem = uniform_camera_workload(n_requests, 10, seed=2)
+    model = _CountingModel(problem.cost_model)
+    SrfaeScheduler(0).schedule(replace(problem, cost_model=model))
+    return model.estimates
+
+
 def test_srfae_scheduling_grows_manageably():
-    """Doubling n should not blow scheduling time up more than ~8x
-    (the algorithm is O(n^2 m) worst case with cheap constants)."""
-    small = SrfaeScheduler(0).schedule(uniform_camera_workload(50, 10, seed=2))
-    large = SrfaeScheduler(0).schedule(uniform_camera_workload(100, 10, seed=2))
-    assert large.scheduling_seconds < 10 * max(small.scheduling_seconds,
-                                               1e-3)
+    """Doubling n at most quadruples the work (O(n^2) re-keys, with
+    slack for the n*m initial fill) — counted in cost-oracle calls, the
+    unit scheduling time is made of, so the host's load cannot fail it.
+    """
+    small, large = _srfae_estimates(50), _srfae_estimates(100)
+    assert small >= 50 * 10  # every pair is keyed at least once
+    assert large < 5 * small

@@ -108,9 +108,9 @@ def test_event_queue_orders_by_time_then_priority_then_seq():
     queue.push(2.0, 1, first)
     queue.push(1.0, 1, second)
     queue.push(1.0, 0, third)  # urgent at the same time wins
-    assert queue.pop().event is third
-    assert queue.pop().event is second
-    assert queue.pop().event is first
+    assert queue.pop()[-1] is third
+    assert queue.pop()[-1] is second
+    assert queue.pop()[-1] is first
 
 
 def test_schedule_into_past_rejected():
