@@ -352,35 +352,36 @@ class ContinuousQueryExecutor:
         index = self._indexes.get(table)
         if index is None:
             return 0
-        catalog = self.catalog
+        queries = self.catalog.queries
 
         def admit(name: str) -> bool:
-            query = catalog.get(name)
+            query = queries.get(name)
             return query is not None and query.enabled
+
+        # One context per detection pass, rebound per residual call
+        # (queries of one table may use different event aliases).
+        context = EvaluationContext(tuples={}, functions=self.functions)
+        bound = context.tuples
+        row: DeviceTuple
+
+        def test(alias: str, residual: Expression) -> bool:
+            bound.clear()
+            bound[alias] = row
+            return bool(evaluate(residual, context))
 
         matched: Dict[str, List[DeviceTuple]] = {}
         seen: Set[str] = set()
         for row in rows:
             seen.add(row.device_id)
-
-            def test(alias: str, residual: Expression,
-                     row: DeviceTuple = row) -> bool:
-                context = EvaluationContext(tuples={alias: row},
-                                            functions=self.functions)
-                return bool(evaluate(residual, context))
-
             for _seq, name in index.match(row, test, admit=admit):
                 matched.setdefault(name, []).append(row)
 
         # Queries to visit: everyone matched this poll, plus everyone
         # holding edge memory that a scanned non-match must clear.
         active = {query.name: query
-                  for query in catalog.held_queries(table)}
+                  for query in self.catalog.held_queries(table)}
         for name in matched:
-            if name not in active:
-                query = catalog.get(name)
-                if query is not None:
-                    active[name] = query
+            active[name] = queries[name]
         ordered = sorted(active.values(), key=lambda query: query.seq)
 
         emitted = 0

@@ -5,13 +5,19 @@ indexable part of that conjunction is a set of *bands* — per-attribute
 interval or point constraints of the shape ``s.attr op literal``.
 :func:`compile_event_predicate` splits a predicate into
 
-* one :class:`Band` per constrained attribute (same-attribute
-  constraints intersect at compile time, so ``x > 3 AND x < 9`` is one
-  band and ``x > 5 AND x < 3`` is recognized as unsatisfiable), and
+* one or more *disjuncts*, each holding one :class:`Band` per
+  constrained attribute (same-attribute constraints intersect at
+  compile time, so ``x > 3 AND x < 9`` is one band and ``x > 5 AND
+  x < 3`` is recognized as unsatisfiable). A conjunctive predicate has
+  one disjunct; a conjunct that is an OR of band-able arms is
+  distributed over the other bands, so ``t > 1 AND (x < 3 OR y = 2)``
+  has the disjuncts ``{t > 1, x < 3}`` and ``{t > 1, y = 2}`` — a
+  bounded DNF of at most :data:`MAX_DISJUNCTS` disjuncts; and
 * a *residual* expression holding every conjunct the band form cannot
-  express (ORs, NOT, function calls, cross-column comparisons, string
-  ordering) — evaluated per candidate tuple exactly like the scan-all
-  executor would.
+  express (NOT, function calls, cross-column comparisons, string
+  ordering, and any OR with such an arm) — shared by all disjuncts and
+  evaluated per candidate tuple exactly like the scan-all executor
+  would.
 
 The band form is the unit the predicate index routes on; its
 ``matches`` method is the exact (non-superset) membership test, reusing
@@ -47,6 +53,10 @@ _INF = float("inf")
 _FLIPPED_OPS = {">": "<", "<": ">", ">=": "<=", "<=": ">=", "=": "="}
 
 _NUMERIC_TYPES = (int, float)
+
+#: Most disjuncts one predicate's ORs may multiply out to; past it the
+#: ORs stay in the residual, as every OR did before they were routed.
+MAX_DISJUNCTS = 16
 
 
 @dataclass(frozen=True)
@@ -133,34 +143,40 @@ class BandForm:
     band form cannot express, or ``None``. An empty form (no bands, no
     residual) matches every tuple — the shape of a WHERE-less AQ. An
     ``unsatisfiable`` form matches nothing.
+
+    A predicate with a routed OR is a disjunction of band sets under
+    the one shared residual: ``bands`` is its first disjunct and
+    ``alternatives`` the others, each with at least one band. The
+    index lookup routes on each disjunct's first band.
     """
 
     bands: Tuple[Band, ...] = ()
     residual: Optional[Expression] = None
     unsatisfiable: bool = False
+    alternatives: Tuple[Tuple[Band, ...], ...] = ()
+
+    @property
+    def disjuncts(self) -> Tuple[Tuple[Band, ...], ...]:
+        """Every band set of the form: ``bands``, then the alternatives."""
+        return (self.bands,) + self.alternatives
 
     @property
     def indexable(self) -> bool:
         """Whether at least one band exists to route index lookups on."""
         return bool(self.bands)
 
-    @property
-    def primary(self) -> Optional[Band]:
-        """The band index lookups route on (first constrained attribute)."""
-        return self.bands[0] if self.bands else None
-
     def matches(self, row: DeviceTuple,
                 context: EvaluationContext) -> bool:
-        """Exact membership: every band admits, the residual holds.
+        """Exact membership: some disjunct admits, the residual holds.
 
         ``context`` must already have the event alias bound to ``row``
         for residual evaluation.
         """
         if self.unsatisfiable:
             return False
-        for band in self.bands:
-            if not band.admits(row[band.attribute]):
-                return False
+        if not any(all(band.admits(row[band.attribute]) for band in bands)
+                   for bands in self.disjuncts):
+            return False
         if self.residual is not None:
             return bool(evaluate(self.residual, context))
         return True
@@ -230,30 +246,89 @@ def _band_of(conjunct: Expression, event_alias: str,
     return Band(ref.name, high=bound)
 
 
+def _merged(bands: Dict[str, Band],
+            more: Dict[str, Band]) -> Optional[Dict[str, Band]]:
+    """``bands`` AND ``more`` per attribute; None when contradictory."""
+    merged = dict(bands)
+    for attribute, band in more.items():
+        existing = merged.get(attribute)
+        if existing is not None:
+            band = existing.intersect(band)
+            if band is None:
+                return None
+        merged[attribute] = band
+    return merged
+
+
+def _arms_of(conjunct: Expression, event_alias: str,
+             catalog: DeviceCatalog) -> Optional[List[Dict[str, Band]]]:
+    """The band sets of an OR whose every arm is a band conjunction.
+
+    ``None`` for anything else (not an OR, or an arm holding a conjunct
+    :func:`_band_of` refuses — that OR stays residual). Arms that
+    contradict themselves are dropped, so the list may be empty.
+    """
+    if not isinstance(conjunct, BooleanOp) or conjunct.op != "OR":
+        return None
+    arms: List[Dict[str, Band]] = []
+    for operand in conjunct.operands:
+        arm: Optional[Dict[str, Band]] = {}
+        for part in conjuncts_of(operand):
+            band = _band_of(part, event_alias, catalog)
+            if band is None:
+                return None
+            if arm is not None:
+                arm = _merged(arm, {band.attribute: band})
+        if arm is not None:
+            arms.append(arm)
+    return arms
+
+
 def compile_event_predicate(predicate: Optional[Expression],
                             event_alias: str,
                             catalog: DeviceCatalog) -> BandForm:
-    """Split an event predicate into bands plus a residual.
+    """Split an event predicate into band disjuncts plus a residual.
 
     Top-level conjuncts of the shape ``alias.attr op literal`` (either
     orientation; the alias may be implicit) become bands; same-attribute
     bands intersect, and a contradictory intersection yields an
-    unsatisfiable form. Everything else is re-conjoined into the
-    residual in its original order, preserving the evaluator's AND
-    short-circuit behaviour among residual conjuncts.
+    unsatisfiable form. A top-level conjunct that is an OR of
+    conjunctions of such comparisons is distributed over those bands:
+    one disjunct per arm (per combination of arms when there are
+    several ORs), contradictory disjuncts dropped. Everything else is
+    re-conjoined into the residual in its original order, preserving
+    the evaluator's AND short-circuit behaviour among residual
+    conjuncts. ORs that would multiply out to more than
+    :data:`MAX_DISJUNCTS` disjuncts all stay residual.
     """
     if predicate is None:
         return BandForm()
-    bands: Dict[str, Band] = {}
-    residual: List[Expression] = []
+    common: Dict[str, Band] = {}
+    #: Non-band conjuncts in source order, with the arms of routable ORs.
+    others: List[Tuple[Expression, Optional[List[Dict[str, Band]]]]] = []
     for conjunct in conjuncts_of(predicate):
         band = _band_of(conjunct, event_alias, catalog)
         if band is None:
-            residual.append(conjunct)
+            others.append(
+                (conjunct, _arms_of(conjunct, event_alias, catalog)))
             continue
-        existing = bands.get(band.attribute)
-        merged = band if existing is None else existing.intersect(band)
+        merged = _merged(common, {band.attribute: band})
         if merged is None:
             return BandForm(unsatisfiable=True)
-        bands[band.attribute] = merged
-    return BandForm(tuple(bands.values()), conjoin(residual))
+        common = merged
+    disjuncts = [common]
+    for _conjunct, arms in others:
+        if arms is None:
+            continue
+        disjuncts = [both for bands in disjuncts for arm in arms
+                     if (both := _merged(bands, arm)) is not None]
+        if len(disjuncts) > MAX_DISJUNCTS:
+            return BandForm(tuple(common.values()),
+                            conjoin([conjunct for conjunct, _ in others]))
+    if not disjuncts:
+        return BandForm(unsatisfiable=True)
+    first, *rest = (tuple(bands.values()) for bands in disjuncts)
+    return BandForm(
+        first,
+        conjoin([conjunct for conjunct, arms in others if arms is None]),
+        alternatives=tuple(rest))

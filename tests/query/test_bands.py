@@ -1,6 +1,8 @@
 """Band-form compilation: predicates -> per-attribute bands + residual."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm.tuples import DeviceTuple
 from repro.errors import QueryError
@@ -14,6 +16,9 @@ from repro.query import (
     evaluate,
     parse_expression,
 )
+from repro.query.bands import MAX_DISJUNCTS
+
+from tests.query import strategies
 
 INF = float("inf")
 
@@ -67,8 +72,9 @@ class TestCompile:
 
     def test_residual_preserves_non_band_conjuncts(self):
         form = compile_sql(
-            "s.temperature > 10 AND (s.accel_x > 1 OR s.accel_y > 1)")
+            "s.temperature > 10 AND (s.accel_x > 1 OR s.accel_y <> 1)")
         assert len(form.bands) == 1
+        assert form.alternatives == ()
         assert form.residual is not None
         sample = row(temperature=20.0, accel_x=5.0)
         assert evaluate(form.residual, context_for(sample)) is True
@@ -115,6 +121,105 @@ class TestCompile:
         assert form.matches(sample, context_for(sample))
 
 
+class TestDisjuncts:
+    """ORs of band-able arms are distributed; anything else is not."""
+
+    def test_or_of_comparisons_is_one_disjunct_per_arm(self):
+        form = compile_sql("s.accel_x > 1 OR s.accel_y > 2")
+        assert form.residual is None
+        assert form.disjuncts == (
+            (Band("accel_x", low=1.0, low_strict=True),),
+            (Band("accel_y", low=2.0, low_strict=True),))
+
+    def test_the_match_heavy_residual_shape(self):
+        form = compile_sql("((s.accel_x > 600.0 AND s.accel_x < 601.0) "
+                           "OR s.accel_y > 50000.0)")
+        assert form.residual is None
+        assert form.disjuncts == (
+            (Band("accel_x", low=600.0, high=601.0, low_strict=True,
+                  high_strict=True),),
+            (Band("accel_y", low=50000.0, low_strict=True),))
+
+    def test_or_distributes_over_the_other_bands(self):
+        form = compile_sql("s.temperature > 10 AND "
+                           "(s.accel_x > 1 OR s.light = 100) AND "
+                           "s.temperature < 30")
+        hot = Band("temperature", low=10.0, high=30.0, low_strict=True,
+                   high_strict=True)
+        assert form.disjuncts == (
+            (hot, Band("accel_x", low=1.0, low_strict=True)),
+            (hot, Band("light", point=100, has_point=True)))
+        assert form.residual is None
+
+    def test_same_attribute_bands_intersect_per_disjunct(self):
+        form = compile_sql("s.temperature > 10 AND "
+                           "(s.temperature < 20 OR s.temperature > 30 "
+                           "OR s.temperature < 5)")
+        # The third arm contradicts the common band and is dropped.
+        assert form.disjuncts == (
+            (Band("temperature", low=10.0, high=20.0, low_strict=True,
+                  high_strict=True),),
+            (Band("temperature", low=30.0, low_strict=True),))
+
+    def test_contradictory_arm_is_dropped(self):
+        form = compile_sql("(s.light > 5 AND s.light < 3) OR s.battery > 9")
+        assert form.disjuncts == (
+            (Band("battery", low=9.0, low_strict=True),),)
+
+    def test_all_arms_contradictory_is_unsatisfiable(self):
+        form = compile_sql("s.light > 50 AND (s.light < 3 OR s.light = 7)")
+        assert form.unsatisfiable
+
+    def test_residual_conjuncts_are_shared_in_source_order(self):
+        form = compile_sql(
+            "s.accel_y <> 3 AND (s.accel_x > 1 OR s.light > 2) "
+            "AND abs(s.accel_y) < 9")
+        assert len(form.disjuncts) == 2
+        assert form.residual == parse_expression(
+            "s.accel_y <> 3 AND abs(s.accel_y) < 9")
+
+    @pytest.mark.parametrize("arm", [
+        "abs(s.accel_y) > 1",          # function call
+        "s.accel_y <> 1",              # no band for <>
+        "NOT s.accel_y > 1",
+        "s.accel_y > s.accel_x",       # cross-column
+        's.id > "a"',                  # string ordering
+        "(s.accel_y > 1 OR s.light > 2) AND s.battery > 3",
+    ])
+    def test_or_with_an_unbandable_arm_stays_residual(self, arm):
+        text = f"s.temperature > 10 AND (s.accel_x > 1 OR {arm})"
+        form = compile_sql(text)
+        assert form.disjuncts == (
+            (Band("temperature", low=10.0, low_strict=True),),)
+        assert form.residual == parse_expression(
+            f"s.accel_x > 1 OR {arm}")
+
+    def test_only_the_unbandable_or_stays_residual(self):
+        form = compile_sql("(s.accel_x > 1 OR s.light > 2) AND "
+                           "(s.battery > 3 OR s.accel_y <> 4)")
+        assert len(form.disjuncts) == 2
+        assert form.residual == parse_expression(
+            "s.battery > 3 OR s.accel_y <> 4")
+
+    def test_product_at_the_cap_is_distributed(self):
+        four = "(s.{0} < 1 OR s.{0} = 2 OR s.{0} = 3 OR s.{0} > 4)"
+        form = compile_sql(
+            four.format("light") + " AND " + four.format("battery"))
+        assert len(form.disjuncts) == MAX_DISJUNCTS
+        assert form.residual is None
+
+    def test_product_past_the_cap_keeps_the_single_form(self):
+        four = "(s.{0} < 1 OR s.{0} = 2 OR s.{0} = 3 OR s.{0} > 4)"
+        text = ("s.temperature > 10 AND " + four.format("light") + " AND "
+                + four.format("battery")
+                + " AND (s.accel_x > 1 OR s.accel_y > 1)")
+        form = compile_sql(text)
+        assert form.disjuncts == (
+            (Band("temperature", low=10.0, low_strict=True),),)
+        assert form.residual == parse_expression(
+            text.partition(" AND ")[2])
+
+
 class TestBand:
     def test_admits_respects_strictness(self):
         band = Band("temperature", low=10.0, high=20.0, low_strict=True)
@@ -157,6 +262,8 @@ class TestMatchesEquivalence:
         's.id = "m1" AND s.temperature < 25',
         "s.accel_x > 1 OR s.accel_y > 1",
         "s.temperature > 10 AND (s.accel_x > 1 OR s.light = 100)",
+        "(s.temperature < 12 AND s.light = 99) OR s.accel_y >= 3",
+        "s.battery <= 60 AND (s.accel_x > 1 OR s.accel_y <> 3)",
     ]
 
     ROWS = [
@@ -175,3 +282,30 @@ class TestMatchesEquivalence:
         context = context_for(sample)
         assert form.matches(sample, context) == bool(
             evaluate(predicate, context))
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategies.predicates(),
+       st.one_of(strategies.clean_rows, strategies.dirty_rows))
+def test_compiled_form_is_the_predicate(predicate, sample):
+    """Bounded DNF + shared residual == ``evaluate``, row by row.
+
+    On a well-typed row neither side raises. On an ill-typed or
+    incomplete one either side may (bands are checked before the
+    residual, and a disjunct may be tried that ``evaluate``'s OR
+    short-circuit skipped), but two clean verdicts never differ.
+    """
+    form = compile_event_predicate(predicate, "s", sensor_catalog())
+    assert all(bands for bands in form.alternatives)
+    assert len(form.disjuncts) <= MAX_DISJUNCTS
+    expected = strategies.holds(predicate, sample)
+    context = EvaluationContext(tuples={"s": sample},
+                                functions=strategies.FUNCTIONS)
+    try:
+        verdict = form.matches(sample, context)
+    except QueryError:
+        verdict = None
+    if strategies.is_clean(sample):
+        assert expected is not None and verdict is not None
+    if expected is not None and verdict is not None:
+        assert verdict == expected

@@ -2,8 +2,9 @@
 
 "The computational cost of our scheduling algorithm must be small even
 if the given input size is large" (Section 5.1). These tests pin the
-proposed algorithms' scheduling time at instance sizes well beyond the
-paper's 30-request maximum.
+proposed algorithms' scheduling work — counted in cost-oracle calls,
+the unit scheduling time is made of — at instance sizes well beyond
+the paper's 30-request maximum.
 """
 
 from dataclasses import replace
@@ -20,19 +21,6 @@ from repro.scheduling import (
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("factory", [
-    LerfaSrfeScheduler, SrfaeScheduler, ListScheduler,
-], ids=lambda f: f.name)
-def test_greedy_algorithms_fast_at_200_requests(factory):
-    problem = uniform_camera_workload(200, 50, seed=0)
-    schedule = factory(0).schedule(problem)
-    schedule.validate(problem)
-    # A few seconds of computation at most for 200 requests on 50
-    # devices (generous so a loaded CI machine does not flake).
-    assert schedule.scheduling_seconds < 3.0
-
-
-@pytest.mark.slow
 def test_makespan_quality_holds_at_scale():
     problem = uniform_camera_workload(200, 50, seed=1)
     srfae = service_makespan(problem, SrfaeScheduler(1).schedule(problem))
@@ -41,7 +29,7 @@ def test_makespan_quality_holds_at_scale():
 
 
 class _CountingModel:
-    """Delegates to a cost model, counting the oracle's estimates."""
+    """Delegates to a cost model, counting the oracle's answers."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -53,6 +41,29 @@ class _CountingModel:
     def estimate(self, request, device_id, status):
         self.estimates += 1
         return self._inner.estimate(request, device_id, status)
+
+    def actual(self, request, device_id, status):
+        self.estimates += 1
+        return self._inner.actual(request, device_id, status)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("factory", [
+    LerfaSrfeScheduler, SrfaeScheduler, ListScheduler,
+], ids=lambda f: f.name)
+def test_greedy_algorithms_fast_at_200_requests(factory):
+    """At most one oracle call per (request, device) pair plus one
+    re-key per request per placement: n * (m + n) calls for n requests
+    on m devices (measured: LS 200, LERFA+SRFE 10513, SRFAE 29900 of
+    50000) — a count, so a loaded host cannot fail it.
+    """
+    n_requests, n_devices = 200, 50
+    problem = uniform_camera_workload(n_requests, n_devices, seed=0)
+    model = _CountingModel(problem.cost_model)
+    schedule = factory(0).schedule(replace(problem, cost_model=model))
+    schedule.validate(problem)
+    assert n_requests <= model.estimates \
+        <= n_requests * (n_devices + n_requests)
 
 
 def _srfae_estimates(n_requests):
