@@ -59,6 +59,10 @@ def write_result(json_path: str, payload: Mapping[str, object],
     is written with stable formatting (indent 2, trailing newline), and
     the return value is the process exit code — 0 on pass, 1 on any
     gate miss — so ``raise SystemExit(main())`` fails CI on a miss.
+
+    A ``--smoke`` run (``payload["smoke"]``) is gated the same way but
+    writes nothing: the committed artifact holds a full run's numbers,
+    which a seconds-long smoke run must not overwrite.
     """
     coerced: Dict[str, bool] = {name: bool(value)
                                 for name, value in gates.items()}
@@ -66,9 +70,10 @@ def write_result(json_path: str, payload: Mapping[str, object],
     finalized = dict(payload)
     finalized["gates"] = coerced
     finalized["pass"] = gate_pass
-    with open(json_path, "w") as handle:
-        json.dump(finalized, handle, indent=2)
-        handle.write("\n")
+    if not payload.get("smoke"):
+        with open(json_path, "w") as handle:
+            json.dump(finalized, handle, indent=2)
+            handle.write("\n")
     return 0 if gate_pass else 1
 
 

@@ -182,7 +182,7 @@ def test_a3_structure_ablation(structure_rows, benchmark):
            table)
     problem = uniform_camera_workload(60, 10, seed=1)
     benchmark.pedantic(
-        lambda: SrfaeScheduler(1, use_avl=True).schedule(problem),
+        lambda: SrfaeScheduler(1, structure="avl").schedule(problem),
         rounds=3, iterations=1)
 
 

@@ -2,15 +2,16 @@
 
 Registers a large population of AQs over one sensor fleet — the
 pervasive-computing regime where thousands of applications watch the
-same few physical tables — and drives synthetic scan rows through both
-matching paths of the continuous executor:
+same few physical tables — and drives synthetic scan rows through the
+continuous executor's matcher and through a reference walk:
 
-* **scan-all** (``predicate_index=False``): every poll evaluates every
-  query's event predicate against every row, O(queries x rows).
-* **indexed** (``predicate_index=True``): each row is routed through
-  the per-(table, attribute) interval/point index to exactly the
-  queries whose bands admit it; only non-indexable residuals fall back
-  to evaluation.
+* **indexed** (the engine): each row is routed through the
+  per-(table, attribute) interval/point index to exactly the queries
+  whose bands admit it; only non-indexable residuals fall back to
+  evaluation.
+* **brute force** (bench-local, the reference the tests use):
+  ``evaluate()`` of every query's event predicate against every row,
+  O(queries x rows), with the same edge-trigger memory.
 
 The query mix exercises every band shape: 93% narrow intervals on
 ``temperature``, 3% point predicates on ``light``, 3% open-ended
@@ -19,8 +20,9 @@ the index files as one disjunct per arm.
 
 Gates, written to ``BENCH_multiquery.json``:
 
-* **identity** — both paths detect the same events and emit the same
-  requests (per-query counters and the trace sequence are equal).
+* **identity** — the engine detects exactly the (query, sensor) events
+  the brute-force walk does, in the same order, and emits one request
+  per detection.
 * **deterministic** — rebuilding the indexed engine and repeating the
   detection epoch reproduces the summary exactly.
 * **examined_per_match** — the index post-filters at most 2 candidate
@@ -58,6 +60,7 @@ from repro import (  # noqa: E402
 from repro.comm.tuples import DeviceTuple  # noqa: E402
 from repro.plan.planner import ContinuousPlan  # noqa: E402
 from repro.query import BooleanOp, ColumnRef, Comparison, Literal  # noqa: E402
+from repro.query.expressions import EvaluationContext, evaluate  # noqa: E402
 
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..",
                          "BENCH_multiquery.json")
@@ -83,7 +86,7 @@ MAX_EXAMINED_PER_MATCH = 2.0
 #: Point predicates quantize light to this many distinct levels.
 LIGHT_LEVELS = 41
 
-#: Trace kinds compared between the two paths.
+#: Trace kinds compared between an engine build and its rebuild.
 DETECTION_KINDS = ("event_detected", "request_emitted")
 
 
@@ -136,7 +139,11 @@ def make_rows(n_sensors: int):
     return rows
 
 
-def build_engine(indexed: bool, n_queries: int):
+def query_name(i: int) -> str:
+    return f"aq{i:06d}"
+
+
+def build_engine(n_queries: int):
     """An engine with two cameras and ``n_queries`` registered AQs.
 
     Plans are constructed directly (no SQL parse) so registration time
@@ -144,8 +151,7 @@ def build_engine(indexed: bool, n_queries: int):
     driven synchronously on synthetic rows.
     """
     env = Environment()
-    config = EngineConfig(predicate_index=indexed, probing=False)
-    engine = AortaEngine(env, config=config)
+    engine = AortaEngine(env, config=EngineConfig(probing=False))
     engine.add_device(PanTiltZoomCamera(env, "cam1", Point(0.0, 0.0),
                                         ip_address="10.0.0.1"))
     engine.add_device(PanTiltZoomCamera(env, "cam2", Point(50.0, 0.0),
@@ -154,7 +160,7 @@ def build_engine(indexed: bool, n_queries: int):
     started = time.perf_counter()
     for i in range(n_queries):
         engine.continuous.register(ContinuousPlan(
-            query_name=f"aq{i:06d}",
+            query_name=query_name(i),
             action=photo,
             event_alias="s",
             event_table="sensor",
@@ -171,20 +177,29 @@ def build_engine(indexed: bool, n_queries: int):
     return engine, register_s
 
 
-def detect(engine, rows) -> int:
-    """One detection pass over ``rows`` on the engine's configured path."""
-    continuous = engine.continuous
-    if engine.config.predicate_index:
-        return continuous._detect_indexed("sensor", rows)
-    emitted = 0
-    for query in list(continuous.catalog.readers("sensor")):
-        if query.enabled:
-            emitted += continuous._detect_events(query, rows)
-    return emitted
+def brute_force(predicates, rows, held) -> list:
+    """One reference pass: every predicate evaluated over every row.
+
+    Query-major in registration order; ``held`` is the edge-trigger
+    memory, carried from pass to pass. Returns the (query, sensor)
+    events detected.
+    """
+    detected = []
+    context = EvaluationContext(tuples={})
+    for name, predicate in predicates:
+        for row in rows:
+            context.tuples["s"] = row
+            key = (name, row.device_id)
+            if not evaluate(predicate, context):
+                held.discard(key)
+            elif key not in held:
+                held.add(key)
+                detected.append(key)
+    return detected
 
 
 def summarize(engine):
-    """The behavioural fingerprint compared across paths and repeats."""
+    """The behavioural fingerprint compared across rebuilds."""
     counters = {}
     for name, query in sorted(engine.continuous.queries.items()):
         values = (query.events_detected, query.requests_emitted,
@@ -194,41 +209,63 @@ def summarize(engine):
     trace = [(rec.kind, tuple(sorted(rec.fields.items())))
              for rec in engine.tracer.records
              if rec.kind in DETECTION_KINDS]
-    return {"counters": counters, "trace": trace}
+    detections = [(rec["query"], rec["sensor"])
+                  for rec in engine.tracer.of_kind("event_detected")]
+    return {"counters": counters, "trace": trace, "detections": detections}
 
 
-def run_path(indexed: bool, n_queries: int, rows, epochs: int):
-    """Build, verify one identity epoch, then time edge-suppressed epochs.
-
-    The first epoch emits requests and fills the edge-trigger memory;
-    the timed epochs re-scan the same rows, so every match is
-    suppressed by the edge and the measurement is pure matching cost.
-    """
-    engine, register_s = build_engine(indexed, n_queries)
-    detect(engine, rows)  # identity epoch: detections + emissions
-    summary = summarize(engine)
+def timed_epochs(one_pass, rows, epochs: int) -> dict:
+    """Time edge-suppressed passes: pure matching cost, rows/sec."""
     started = time.perf_counter()
     for _ in range(epochs):
-        detect(engine, rows)
+        one_pass()
     elapsed = time.perf_counter() - started
     scanned = epochs * len(rows)
-    result = {
-        "path": "indexed" if indexed else "scan-all",
-        "queries": n_queries,
-        "register_s": round(register_s, 4),
+    return {
         "epochs": epochs,
         "rows_scanned": scanned,
         "match_s": round(elapsed, 4),
         "rows_per_s": round(scanned / elapsed, 2) if elapsed > 0
         else float("inf"),
-        "events_detected": sum(v[0] for v in summary["counters"].values()),
-        "requests_emitted": sum(v[1] for v in summary["counters"].values()),
     }
-    if indexed:
-        stats = result["index"] = engine.continuous.index_stats()
-        result["examined_per_match"] = round(
-            stats["candidates_examined"] / stats["matches"], 3) \
-            if stats["matches"] else float("inf")
+
+
+def run_brute_force(n_queries: int, rows, epochs: int):
+    """The reference walk: one identity pass, then timed passes."""
+    predicates = [(query_name(i), event_predicate(i))
+                  for i in range(n_queries)]
+    held: set = set()
+    detections = brute_force(predicates, rows, held)
+    result = timed_epochs(lambda: brute_force(predicates, rows, held),
+                          rows, epochs)
+    result.update(path="brute-force", queries=n_queries, register_s=0.0,
+                  events_detected=len(detections))
+    return result, detections
+
+
+def run_indexed(n_queries: int, rows, epochs: int):
+    """Build, run one identity epoch, then time edge-suppressed epochs.
+
+    The first epoch emits requests and fills the edge-trigger memory;
+    the timed epochs re-scan the same rows, so every match is
+    suppressed by the edge and the measurement is pure matching cost.
+    """
+    engine, register_s = build_engine(n_queries)
+    continuous = engine.continuous
+    continuous._detect_indexed("sensor", rows)
+    summary = summarize(engine)
+    result = timed_epochs(
+        lambda: continuous._detect_indexed("sensor", rows), rows, epochs)
+    stats = continuous.index_stats()
+    result.update(
+        path="indexed", queries=n_queries,
+        register_s=round(register_s, 4),
+        events_detected=sum(v[0] for v in summary["counters"].values()),
+        requests_emitted=sum(v[1] for v in summary["counters"].values()),
+        index=stats,
+        examined_per_match=round(
+            stats["candidates_examined"] / stats["matches"], 3)
+        if stats["matches"] else float("inf"))
     return result, summary
 
 
@@ -249,17 +286,17 @@ def main(argv=None) -> int:
         else FULL_INDEXED_EPOCHS
     rows = make_rows(n_sensors)
 
-    print(f"scan-all walk: {n_queries} AQs x {n_sensors} sensors ...",
+    print(f"brute-force walk: {n_queries} AQs x {n_sensors} sensors ...",
           flush=True)
-    linear, linear_summary = run_path(False, n_queries, rows, linear_epochs)
+    linear, detections = run_brute_force(n_queries, rows, linear_epochs)
     print(f"indexed matching: {n_queries} AQs x {n_sensors} sensors ...",
           flush=True)
-    indexed, indexed_summary = run_path(True, n_queries, rows,
-                                        indexed_epochs)
+    indexed, indexed_summary = run_indexed(n_queries, rows, indexed_epochs)
     print("indexed repeat (determinism) ...", flush=True)
-    repeat, repeat_summary = run_path(True, n_queries, rows, 1)
+    repeat, repeat_summary = run_indexed(n_queries, rows, 1)
 
-    identity = linear_summary == indexed_summary
+    identity = indexed_summary["detections"] == detections \
+        and indexed["requests_emitted"] == len(detections)
     deterministic = indexed_summary == repeat_summary \
         and indexed["events_detected"] == repeat["events_detected"]
     speedup = (indexed["rows_per_s"] / linear["rows_per_s"]
@@ -309,7 +346,7 @@ def main(argv=None) -> int:
         f"candidates examined per match: "
         f"{indexed['examined_per_match']} "
         f"(at most {MAX_EXAMINED_PER_MATCH:.0f})\n"
-        f"identical detections/emissions across paths: {identity}\n"
+        f"detections identical to the brute-force walk: {identity}\n"
         f"deterministic rebuild: {deterministic}\n"
         f"verdict: {verdict}\n"
         f"JSON: {os.path.relpath(JSON_PATH)}")

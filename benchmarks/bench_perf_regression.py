@@ -1,6 +1,6 @@
-"""Scheduling-time regression benchmark: oracle, vector, incremental.
+"""Scheduling-time regression benchmark: oracle and vector.
 
-Three sections, one machine-readable ``BENCH_scheduling.json``.
+Two sections, one machine-readable ``BENCH_scheduling.json``.
 
 **Oracle** times all five algorithms on *engine-oracle* problems — the
 scheduling cost model is the dispatcher's :class:`_ActionCostAdapter`
@@ -20,19 +20,13 @@ dispatched batch pays per estimate — in three modes:
 **Vector** times the numpy column kernel (``vectorize=True``) against
 the scalar walk on the calibrated camera workload at 400x100 and
 4000x1000, asserting byte-identical assignments. Skipped when numpy is
-not installed (the scalar path is the shipped default).
-
-**Incremental** times a warm-start re-schedule
-(:class:`IncrementalScheduler`) of a recurring engine-oracle batch in
-which 10% of the devices moved, against the full re-schedule the
-dispatcher would otherwise run, and checks the warm-start identity
-(an unchanged batch equals a full run bit-for-bit).
+not installed (the scalar walk is then the only path).
 
 The acceptance gate is a real boolean in every mode: equivalence checks
-(cache transparency, vector identity, incremental identity) always
-count; the speedup floors (warm oracle >= 3x at 400x100, vectorized
-SRFAE >= 5x / LERFA+SRFE >= 3x at 4000x1000, incremental >= 3x at 10%
-dirt) are evaluated on full runs only. A gate miss fails the process.
+(cache transparency, vector identity) always count; the speedup floors
+(warm oracle >= 3x at 400x100, vectorized SRFAE >= 5x / LERFA+SRFE >=
+3x at 4000x1000) are evaluated on full runs only. A gate miss fails
+the process.
 
 Usage::
 
@@ -60,7 +54,6 @@ from repro.geometry import Point  # noqa: E402
 from repro.scheduling import (  # noqa: E402
     HAVE_NUMPY,
     CachingCostModel,
-    IncrementalScheduler,
     LerfaSrfeScheduler,
     ListScheduler,
     Problem,
@@ -93,12 +86,6 @@ VECTOR_SMOKE_SIZES = ((20, 5),)
 #: keys every (request, device) pair so it vectorizes hardest; LERFA's
 #: scalar loop is already light, so its floor is lower.
 VECTOR_TARGETS = {"SRFAE": 5.0, "LERFA+SRFE": 3.0}
-
-#: Incremental section: engine-oracle size, dirty fraction and floor.
-INCREMENTAL_SIZE = (400, 100)
-INCREMENTAL_SMOKE_SIZE = (20, 5)
-DIRTY_FRACTION = 0.10
-INCREMENTAL_TARGET = 3.0
 
 
 def engine_oracle_problem(n: int, m: int, seed: int = 0) -> Problem:
@@ -261,86 +248,6 @@ def bench_vector(name: str, n: int, m: int, repeats: int) -> dict:
     }
 
 
-def bench_incremental(n: int, m: int, repeats: int) -> dict:
-    """Warm-start re-schedule vs full re-schedule, 10% of devices dirty.
-
-    Mirrors the dispatcher's steady state: one adapter + shared memo
-    cache persist across batches; between batches 10% of the devices
-    moved (their statuses perturbed, their cache entries invalidated),
-    the rest are exactly where the previous schedule left them.
-    """
-    problem = engine_oracle_problem(n, m, seed=0)
-    adapter = problem.cost_model
-    devices = adapter._devices
-    base = {device_id: dict(adapter.initial_status(device_id))
-            for device_id in problem.device_ids}
-    rng = random.Random(1)
-    dirty = rng.sample(list(problem.device_ids),
-                       max(1, int(m * DIRTY_FRACTION)))
-
-    def statuses(perturbed: bool) -> dict:
-        out = {device_id: dict(status)
-               for device_id, status in base.items()}
-        if perturbed:
-            for device_id in dirty:
-                out[device_id]["pan"] = out[device_id].get("pan", 0.0) + 17.0
-        return out
-
-    # Identity: an unchanged recurring batch must equal a full run
-    # bit-for-bit (this is the correctness half of the gate).
-    adapter.rebind(devices, statuses(False))
-    warm = IncrementalScheduler(SrfaeScheduler(0))
-    first = warm.schedule(problem)
-    second = warm.schedule(problem)
-    reference = SrfaeScheduler(0).schedule(problem)
-    unchanged_identical = (
-        first.assignments == reference.assignments
-        and second.assignments == reference.assignments)
-
-    # Baseline: the full re-schedule the dispatcher would otherwise run
-    # on the perturbed batch (default per-schedule cold cache).
-    adapter.rebind(devices, statuses(True))
-    full_s = float("inf")
-    for _ in range(repeats):
-        schedule = SrfaeScheduler(0).schedule(problem)
-        full_s = min(full_s, schedule.scheduling_seconds)
-
-    # Incremental: prime on the base statuses, perturb + signal the
-    # dirty devices, re-schedule warm. Re-primed per repeat so every
-    # timing sees the same previous-batch state.
-    incremental_s = float("inf")
-    for _ in range(repeats):
-        cache = CachingCostModel(adapter, track_devices=True)
-        warm = IncrementalScheduler(SrfaeScheduler(0), cost_cache=cache)
-        adapter.rebind(devices, statuses(False))
-        warm.schedule(problem)
-        adapter.rebind(devices, statuses(True))
-        for device_id in dirty:
-            warm.mark_dirty(device_id)
-            cache.invalidate_device(device_id)
-        schedule = warm.schedule(problem)
-        incremental_s = min(incremental_s, schedule.scheduling_seconds)
-    schedule.validate(problem)
-
-    return {
-        "n": n,
-        "m": m,
-        "algorithm": "SRFAE",
-        "dirty_devices": len(dirty),
-        "dirty_fraction": DIRTY_FRACTION,
-        "full_s": full_s,
-        "incremental_s": incremental_s,
-        "speedup": (full_s / incremental_s if incremental_s > 0
-                    else float("inf")),
-        "unchanged_identical": unchanged_identical,
-        "last_batch": {
-            "reused": warm.stats.reused_requests,
-            # Minus the priming full run's n re-placements.
-            "replaced": warm.stats.replaced_requests - n,
-        },
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -370,7 +277,7 @@ def main(argv=None) -> int:
                   f"  ({cell['speedup_warm']:.1f}x)", flush=True)
 
     # ------------------------------------------------------------------
-    # Vector section (skipped without numpy: the scalar default ships)
+    # Vector section (skipped without numpy)
     # ------------------------------------------------------------------
     vector_results: dict = {}
     vector_identical = None
@@ -391,18 +298,6 @@ def main(argv=None) -> int:
         print("  vector section skipped: numpy not installed", flush=True)
 
     # ------------------------------------------------------------------
-    # Incremental section
-    # ------------------------------------------------------------------
-    inc_n, inc_m = INCREMENTAL_SMOKE_SIZE if args.smoke else INCREMENTAL_SIZE
-    incremental_cell = bench_incremental(inc_n, inc_m, repeats)
-    print(f"  incremental {inc_n}x{inc_m} "
-          f"({incremental_cell['dirty_devices']} dirty): "
-          f"full {incremental_cell['full_s']:.3f}s"
-          f"  warm {incremental_cell['incremental_s']:.4f}s"
-          f"  ({incremental_cell['speedup']:.1f}x, identical="
-          f"{incremental_cell['unchanged_identical']})", flush=True)
-
-    # ------------------------------------------------------------------
     # The gate: equivalence always counts; speedup floors on full runs
     # ------------------------------------------------------------------
     gate_size = "x".join(map(str, sizes[-1]))
@@ -416,14 +311,12 @@ def main(argv=None) -> int:
         # reaching this point proves transparency for every cell.
         "cache_transparent": True,
         "vector_identical": vector_identical,
-        "incremental_identity": incremental_cell["unchanged_identical"],
     }
     # None-valued equivalence checks (e.g. vector identity without
     # numpy) are skipped, not silently passed or failed.
     gates = {name: value for name, value in equivalence.items()
              if value is not None}
     vector_acceptance = None
-    incremental_acceptance = None
     if not args.smoke:
         gates["oracle_speedup"] = all(
             results[name][gate_size]["speedup_warm"] >= TARGET_SPEEDUP
@@ -437,11 +330,6 @@ def main(argv=None) -> int:
             gates["vector_speedup"] = all(
                 vector_results[name][vector_size]["speedup"] >= floor
                 for name, floor in VECTOR_TARGETS.items())
-        incremental_acceptance = {
-            f"SRFAE@{inc_n}x{inc_m}": round(incremental_cell["speedup"], 2),
-            "target": INCREMENTAL_TARGET}
-        gates["incremental_speedup"] = \
-            incremental_cell["speedup"] >= INCREMENTAL_TARGET
 
     payload = {
         "benchmark": "bench_perf_regression",
@@ -455,24 +343,18 @@ def main(argv=None) -> int:
                      "of the recurring batch (steady-state dispatch)"),
             "vector": ("vectorize=True numpy column kernel vs the scalar "
                        "walk, calibrated camera workload"),
-            "incremental": ("IncrementalScheduler warm re-schedule vs full "
-                            f"re-schedule, {DIRTY_FRACTION:.0%} of devices "
-                            "dirty, engine-oracle workload"),
         },
         "smoke": args.smoke,
         "numpy": HAVE_NUMPY,
         "timing": f"best of {repeats} repeat(s), scheduling_seconds",
         "target_speedup": TARGET_SPEEDUP,
         "vector_targets": VECTOR_TARGETS,
-        "incremental_target": INCREMENTAL_TARGET,
         "gate": {"size": gate_size, "algorithms": list(GATED_ALGORITHMS),
                  "speedups": acceptance,
                  "vector": vector_acceptance,
-                 "incremental": incremental_acceptance,
                  "equivalence": equivalence},
         "results": results,
         "vector_results": vector_results,
-        "incremental_result": incremental_cell,
     }
     exit_code = write_result(JSON_PATH, payload, gates)
 
@@ -483,10 +365,9 @@ def main(argv=None) -> int:
              else "equivalence + speedup floors")
     verdict = (f"gate [{scope}]: {'PASS' if exit_code == 0 else 'FAIL'} "
                f"oracle={acceptance} vector={vector_acceptance} "
-               f"incremental={incremental_acceptance} "
                f"equivalence={equivalence}")
     record("perf_regression",
-           "Scheduling-time regression: oracle, vector, incremental",
+           "Scheduling-time regression: oracle and vector",
            table + "\n\n" + verdict +
            f"\nJSON: {os.path.relpath(JSON_PATH)}")
     return exit_code

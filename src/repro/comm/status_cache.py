@@ -32,7 +32,7 @@ coverage churns on its own, so its snapshot goes stale fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import CommunicationError
 from repro.devices.base import Device
@@ -87,12 +87,6 @@ class DeviceStatusCache:
         self.env = env
         self.obs = obs
         self._entries: Dict[str, _CacheEntry] = {}
-        #: Called on every explicit invalidation with (device_id,
-        #: reason) — whether or not an entry was cached, because the
-        #: *cause* (execution, probe failure, quarantine) says the
-        #: device's state changed regardless of cache occupancy. The
-        #: incremental dispatch path hooks this to seed its dirty set.
-        self.invalidation_listeners: List[Callable[[str, str], None]] = []
         #: Lifetime counters (always on; statistics/benchmarks read
         #: them whether or not observability is enabled).
         self.hits = 0
@@ -151,9 +145,7 @@ class DeviceStatusCache:
     # Invalidation
     # ------------------------------------------------------------------
     def invalidate(self, device_id: str, reason: str = "") -> None:
-        """Drop the device's entry (listeners fire even when absent)."""
-        for listener in self.invalidation_listeners:
-            listener(device_id, reason)
+        """Drop the device's entry, if one is cached."""
         if self._entries.pop(device_id, None) is None:
             return
         self.invalidations += 1

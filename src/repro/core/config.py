@@ -93,6 +93,13 @@ class EngineConfig:
     ``synchronization`` switches the Section 4 mechanisms (device
     locking + probing) on or off — off reproduces the unsynchronized
     failure study of Section 6.2.
+
+    Every boolean here changes what the engine does (a policy), not how
+    fast it does the same thing. Event matching and the scheduler's
+    cost kernel have one path each and no flag: every AQ is filed in
+    the predicate index, and the numpy column kernel is used when numpy
+    is installed and the batch is long enough to pay for it
+    (DESIGN.md decision 18).
     """
 
     #: Seconds between event-scan polls of the continuous executor.
@@ -161,17 +168,6 @@ class EngineConfig:
     #: process so independent actions' probe/schedule/execute pipelines
     #: overlap instead of draining serially. Off by default.
     concurrent_dispatch: bool = False
-    #: Scheduler fast path, knob 1: evaluate cost columns through the
-    #: numpy block kernel instead of per-pair Python calls. Requires
-    #: numpy (the ``repro[fast]`` extra); byte-identical schedules.
-    #: Off by default.
-    vectorize: bool = False
-    #: Scheduler fast path, knob 2: warm-start recurring batches from
-    #: the previous schedule, re-placing only requests touching dirty
-    #: devices (health transitions, status-cache invalidations,
-    #: executions) and sharing one memoizing cost oracle per action
-    #: across batches. Off by default.
-    incremental: bool = False
     #: Overload-control plane (repro.overload): admission control at
     #: AQ registration and request ingestion, bounded pending queues
     #: with backpressure, and priority load-shedding with deadlines.
@@ -206,14 +202,6 @@ class EngineConfig:
     #: speedup). Both replay identical construction commands, so dumps
     #: are byte-identical across backends.
     parallel_backend: str = "process"
-    #: Predicate-indexed multi-query matching: compile each AQ's event
-    #: predicate into a normalized band form at registration and route
-    #: each scanned tuple through a per-(table, attribute)
-    #: interval/point index, touching only the queries whose bands
-    #: admit it instead of walking every registered query. Off by
-    #: default: the off path is the scan-all executor and the on path
-    #: is behaviorally identical to it (golden-gated).
-    predicate_index: bool = False
 
     def __post_init__(self) -> None:
         if self.poll_interval <= 0:

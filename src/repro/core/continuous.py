@@ -7,20 +7,17 @@ event, a pre-defined action on some type of devices is triggered."
 one shared scan per table regardless of how many queries read it —
 and matches each scanned tuple against the registered queries.
 
-Two matching paths share one :class:`~repro.query.QueryCatalog` (query
-lifecycle, per-query stats, edge-trigger memory):
+Each query's event predicate is compiled to a
+:class:`~repro.query.bands.BandForm` at registration and filed in a
+per-table :class:`~repro.query.PredicateIndex`; each scanned row is
+routed to exactly the queries whose bands admit it, instead of being
+evaluated against every registered query. Matches are emitted
+query-major in registration order — the order a walk over every
+(query, row) pair produces, which is the reference the tests compare
+against. Query lifecycle, per-query stats and edge-trigger memory live
+in one :class:`~repro.query.QueryCatalog`.
 
-* **scan-all** (default): every enabled query's event predicate is
-  evaluated against every scanned row — O(queries x devices) per poll.
-* **indexed** (``config.predicate_index``): each query's predicate is
-  compiled to a :class:`~repro.query.bands.BandForm` at registration
-  and filed in a per-table :class:`~repro.query.PredicateIndex`; each
-  scanned row is routed to exactly the queries whose bands admit it.
-  Matches are emitted query-major in registration order, so traces,
-  counters and request ids are byte-identical to the scan-all path
-  (golden-gated).
-
-Either way a detected event's candidate devices come from
+A detected event's candidate devices come from
 :meth:`ContinuousQueryExecutor._candidates`, which keeps the answers of
 predicates over static state across polls (DESIGN.md decision 16).
 """
@@ -102,8 +99,7 @@ class ContinuousQueryExecutor:
         self.config = config
         #: Query lifecycle, per-table reader lists and edge memory.
         self.catalog = QueryCatalog()
-        #: Per-event-table predicate indexes (only populated when
-        #: ``config.predicate_index`` is on).
+        #: Per-event-table predicate indexes.
         self._indexes: Dict[str, PredicateIndex] = {}
         self._scans: Dict[str, ScanOperator] = {}
         #: Device table -> cached candidate sets (DESIGN.md decision
@@ -161,18 +157,15 @@ class ContinuousQueryExecutor:
                 raise AdmissionError(
                     f"registration of {plan.query_name!r} refused: "
                     f"{reason}")
+        band_form = compile_event_predicate(
+            plan.event_predicate, plan.event_alias,
+            self.comm.catalog(plan.event_table))
         query = RegisteredQuery(plan=plan, priority=priority,
                                 deadline_seconds=deadline_seconds)
-        if self.config.predicate_index:
-            query.band_form = compile_event_predicate(
-                plan.event_predicate, plan.event_alias,
-                self.comm.catalog(plan.event_table))
         self.dispatcher.operator_for(plan.action).attach(plan.query_name)
         self.catalog.register(query)
-        if self.config.predicate_index:
-            assert query.band_form is not None
-            self._index_for(plan.event_table).add(
-                query.name, query.seq, plan.event_alias, query.band_form)
+        self._index_for(plan.event_table).add(
+            query.name, query.seq, plan.event_alias, band_form)
         self.dispatcher.tracer.record(
             self.env.now, "query_registered", query=plan.query_name,
             action=plan.action.name)
@@ -189,11 +182,9 @@ class ContinuousQueryExecutor:
             # idle table stops polling (and costs nothing until a new
             # reader registers).
             self._scans.pop(table, None)
-            self._indexes.pop(table, None)
+            del self._indexes[table]
         else:
-            index = self._indexes.get(table)
-            if index is not None:
-                index.remove(name)
+            self._indexes[table].remove(name)
         self.dispatcher.operator_for(query.plan.action).detach(name)
         self.dispatcher.tracer.record(self.env.now, "query_dropped",
                                       query=name)
@@ -294,14 +285,7 @@ class ContinuousQueryExecutor:
                     continue
                 scan = self._scan_for(table)
                 rows = yield from scan.scan()
-                # Re-read the index after the scan: queries may have been
-                # registered or dropped while the acquisition was in flight.
-                if self.config.predicate_index:
-                    emitted += self._detect_indexed(table, rows)
-                else:
-                    for query in list(self.catalog.readers(table)):
-                        if query.enabled:
-                            emitted += self._detect_events(query, rows)
+                emitted += self._detect_indexed(table, rows)
         return emitted
 
     def _scan_for(self, table: str) -> ScanOperator:
@@ -310,48 +294,22 @@ class ContinuousQueryExecutor:
         return self._scans[table]
 
     # ------------------------------------------------------------------
-    # Event detection: the scan-all path
-    # ------------------------------------------------------------------
-    def _detect_events(self, query: RegisteredQuery,
-                       rows: List[DeviceTuple]) -> int:
-        plan = query.plan
-        emitted = 0
-        # One context per detection pass, rebound per row — evaluate()
-        # never retains it, so reuse avoids an allocation per device row.
-        context = EvaluationContext(tuples={}, functions=self.functions)
-        for row in rows:
-            context.tuples[plan.event_alias] = row
-            holds = (True if plan.event_predicate is None
-                     else bool(evaluate(plan.event_predicate, context)))
-            previously = self.catalog.edge_state(query.name, row.device_id)
-            self.catalog.set_edge(query, row.device_id, holds)
-            if not holds:
-                continue
-            if self.config.edge_triggered and previously:
-                continue  # still the same event, no re-trigger
-            query.events_detected += 1
-            self.obs.inc("continuous.events_detected", query=query.name)
-            self.dispatcher.tracer.record(
-                self.env.now, "event_detected", query=query.name,
-                sensor=row.device_id)
-            if self._emit_request(query, row, context):
-                emitted += 1
-        return emitted
-
-    # ------------------------------------------------------------------
-    # Event detection: the indexed path
+    # Event detection
     # ------------------------------------------------------------------
     def _detect_indexed(self, table: str,
                         rows: List[DeviceTuple]) -> int:
         """Route each row through the table's predicate index.
 
         Matching is event-at-a-time, but emission replays query-major
-        in registration order — the exact order the scan-all walk
-        produces — so traces and request ids stay identical.
+        in registration order — the order of a walk over every
+        (query, row) pair — so traces and request ids do not depend on
+        how the index is laid out. The index is read after the scan:
+        queries may have been registered or dropped while the
+        acquisition was in flight.
         """
         index = self._indexes.get(table)
         if index is None:
-            return 0
+            return 0  # last reader dropped mid-scan
         queries = self.catalog.queries
 
         def admit(name: str) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (
     ActionFailedError,
@@ -21,7 +21,6 @@ from repro.errors import (
     DeviceError,
     QueryError,
     QueueFullError,
-    SchedulingError,
     is_transient,
 )
 from repro.actions.action import ActionDefinition
@@ -35,8 +34,6 @@ from repro.plan.action_op import SharedActionOperator
 from repro.scheduling import (
     HAVE_NUMPY,
     BlockModelKernel,
-    CachingCostModel,
-    IncrementalScheduler,
     LerfaSrfeScheduler,
     ListScheduler,
     Problem,
@@ -46,7 +43,6 @@ from repro.scheduling import (
     SchedulingCostModel,
     SimulatedAnnealingScheduler,
     SrfaeScheduler,
-    freeze_status,
 )
 from repro.obs.spans import NULL_OBS, Observability, SpanContext
 from repro.overload.plane import OverloadControlPlane
@@ -65,6 +61,22 @@ SCHEDULER_FACTORIES = {
     "SA": SimulatedAnnealingScheduler,
     "RANDOM": RandomScheduler,
 }
+
+
+#: Smallest batch the numpy column kernel is used for; shorter batches
+#: take the scalar walk. The kernel pays one numpy call per device
+#: column whatever the column's length, so it only wins once a column
+#: holds enough requests. Measured with SRFAE on
+#: ``bench_perf_regression.engine_oracle_problem(n, m)`` (this adapter,
+#: min of 5-15 runs, schedules equal), scalar time / kernel time:
+#:
+#:   n requests     1     2     3     4     8     12    24
+#:   m = 40       0.40  0.65  0.89  1.26  1.94  3.04  3.89
+#:   m = 200      0.31  1.00  0.53  1.22  2.24  3.05  2.98
+#:
+#: Both sides are exercised by ``benchmarks/e2e``: ``mixed_faulty``
+#: schedules batches of mean size 1.7, ``dispatch_heavy`` of 10.5.
+KERNEL_MIN_REQUESTS = 4
 
 
 class _ActionCostAdapter(SchedulingCostModel):
@@ -100,17 +112,6 @@ class _ActionCostAdapter(SchedulingCostModel):
     def initial_status(self, device_id: str) -> Dict[str, float]:
         return self._initial[device_id]
 
-    def rebind(self, devices: Dict[str, Device],
-               initial_statuses: Dict[str, Dict[str, float]]) -> None:
-        """Point the adapter at the current batch's probed world.
-
-        The incremental dispatch path keeps one adapter (and one
-        memoizing cache wrapping it) alive across recurring batches;
-        each batch swaps in its own device table and probed statuses.
-        """
-        self._devices = devices
-        self._initial = initial_statuses
-
     def estimate(self, request: SchedRequest, device_id: str,
                  status: Any) -> Tuple[float, Any]:
         action_request: ActionRequest = request.payload
@@ -123,10 +124,11 @@ class _ActionCostAdapter(SchedulingCostModel):
             BlockModelKernel]:
         """A vectorized kernel over the engine cost model's block path.
 
-        Declines (scalar fallback) without numpy or when any device in
-        the problem lacks a registered block resolver for this action.
+        Declines (scalar fallback) without numpy, for a batch below
+        :data:`KERNEL_MIN_REQUESTS`, or when any device in the problem
+        lacks a registered block resolver for this action.
         """
-        if not HAVE_NUMPY:
+        if not HAVE_NUMPY or len(problem.requests) < KERNEL_MIN_REQUESTS:
             return None
         device_types = {self._devices[device_id].device_type
                         for device_id in problem.device_ids}
@@ -151,33 +153,6 @@ def _service_order(request: ActionRequest) -> Tuple[int, float, float]:
     return (-request.priority, deadline, request.created_at)
 
 
-def _request_fingerprint(request: SchedRequest) -> Hashable:
-    """Cross-batch identity of an engine action request.
-
-    The engine allocates a fresh ``request_id`` for every emission, so
-    recurring batches of the same logical work carry disjoint ids; the
-    warm-start scheduler matches them by content instead: action name,
-    candidate set and frozen arguments. Unfreezable argument values
-    degrade to payload identity (never matches across batches — a full
-    run, not a wrong splice).
-    """
-    action_request: ActionRequest = request.payload
-    try:
-        args_key: Hashable = freeze_status(action_request.arguments)
-    except SchedulingError:
-        args_key = id(action_request)
-    return (action_request.action_name, request.candidates, args_key)
-
-
-@dataclass
-class _IncrementalActionState:
-    """Warm-start machinery kept alive across one action's batches."""
-
-    adapter: _ActionCostAdapter
-    cache: CachingCostModel
-    scheduler: IncrementalScheduler
-
-
 @dataclass
 class DispatchReport:
     """Outcome of dispatching one batch of one action's requests."""
@@ -192,9 +167,8 @@ class DispatchReport:
     batch_started_at: float
     batch_finished_at: float
     #: Hit/miss counters of the scheduler's memoizing cost oracle for
-    #: this batch alone, also on the incremental path (None when
-    #: caching was off or nothing was scheduled); lifetime totals are
-    #: ``Dispatcher.incremental_stats``' ``cache_hits``/``cache_misses``.
+    #: this batch alone (None when caching was off or nothing was
+    #: scheduled).
     cache_stats: Optional[Dict[str, float]] = None
     #: Fault-tolerance accounting (all zero with the default policy).
     #: Execution attempts made for this batch's requests.
@@ -248,23 +222,8 @@ class Dispatcher:
         self.tracer = tracer if tracer is not None else EngineTracer()
         if scheduler is None:
             factory = SCHEDULER_FACTORIES[config.scheduler]
-            scheduler = factory(config.scheduler_seed,
-                                vectorize=config.vectorize)
+            scheduler = factory(config.scheduler_seed, vectorize=HAVE_NUMPY)
         self.scheduler = scheduler
-        #: Per-action warm-start state (adapter + shared cost cache +
-        #: incremental scheduler), built lazily when config.incremental.
-        self._incremental: Dict[str, _IncrementalActionState] = {}
-        if config.incremental:
-            # Dirty-set signals the engine already emits: breaker
-            # transitions and status-cache invalidations both mean the
-            # device's last-known state is untrustworthy, so its cached
-            # cost estimates and previous placements are stale too.
-            if health is not None:
-                health.transition_listeners.append(
-                    lambda device_id, state: self._mark_dirty(device_id))
-            if status_cache is not None:
-                status_cache.invalidation_listeners.append(
-                    lambda device_id, reason: self._mark_dirty(device_id))
         self._operators: Dict[str, SharedActionOperator] = {}
         #: The overload-control plane (None = overload control off, the
         #: pre-overload behaviour: unbounded queues, no admission, no
@@ -293,40 +252,6 @@ class Dispatcher:
         self.failovers_total = 0
         #: Overload counter (stays zero with overload control off).
         self.shed_total = 0
-
-    # ------------------------------------------------------------------
-    # Incremental warm-start state
-    # ------------------------------------------------------------------
-    def _mark_dirty(self, device_id: str) -> None:
-        """Propagate a dirty-device signal to every action's warm state."""
-        for state in self._incremental.values():
-            state.scheduler.mark_dirty(device_id)
-            state.cache.invalidate_device(device_id)
-
-    def _incremental_state(
-            self, action: ActionDefinition) -> _IncrementalActionState:
-        state = self._incremental.get(action.name)
-        if state is None:
-            adapter = _ActionCostAdapter(self.cost_model, action, {}, {})
-            cache = CachingCostModel(adapter, track_devices=True)
-            state = _IncrementalActionState(
-                adapter=adapter,
-                cache=cache,
-                scheduler=IncrementalScheduler(
-                    self.scheduler, cost_cache=cache,
-                    fingerprint=_request_fingerprint),
-            )
-            self._incremental[action.name] = state
-        return state
-
-    @property
-    def incremental_stats(self) -> Dict[str, float]:
-        """Warm-start counters summed over actions (engine statistics)."""
-        totals: Dict[str, float] = {}
-        for state in self._incremental.values():
-            for key, value in state.scheduler.stats.as_dict().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
     # ------------------------------------------------------------------
     # Shared action operators
@@ -571,17 +496,6 @@ class Dispatcher:
         serviced = failed = 0
         scheduler = self.scheduler
         if schedulable:
-            if self.config.incremental:
-                # Warm-start path: one adapter + memoizing cache +
-                # incremental scheduler persist across this action's
-                # batches; only the probed world is swapped in.
-                state = self._incremental_state(action)
-                state.adapter.rebind(devices, statuses)
-                cost_model: SchedulingCostModel = state.adapter
-                scheduler = state.scheduler
-            else:
-                cost_model = _ActionCostAdapter(self.cost_model, action,
-                                                devices, statuses)
             problem = Problem(
                 requests=tuple(
                     SchedRequest(request_id=r.request_id,
@@ -592,7 +506,8 @@ class Dispatcher:
                     for r in schedulable),
                 device_ids=tuple(device_id for device_id in devices
                                  if device_id in available),
-                cost_model=cost_model,
+                cost_model=_ActionCostAdapter(self.cost_model, action,
+                                              devices, statuses),
                 label=f"batch:{action.name}@{batch_started}",
             )
             with self.obs.span(
@@ -635,14 +550,6 @@ class Dispatcher:
                                 by_id[request_id], batch_span)).defuse())
             for execution in executions:
                 yield execution
-            if self.config.incremental:
-                # Executing moved every serviced device's head: its
-                # previous placements and cached estimates are stale.
-                # (The status cache, when on, also signals this via its
-                # invalidation listener; marking is idempotent.)
-                for device_id, queue in schedule.assignments.items():
-                    if queue:
-                        self._mark_dirty(device_id)
             for request in schedulable:
                 if request.state is RequestState.SERVICED:
                     serviced += 1

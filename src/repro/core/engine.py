@@ -465,8 +465,10 @@ class AortaEngine:
     def statistics(self) -> Dict[str, Any]:
         """A status snapshot for monitoring and tests.
 
-        O(1): outcome totals are maintained by the dispatcher as
-        requests complete, not recounted from the completion log.
+        Independent of how many requests completed: outcome totals are
+        maintained by the dispatcher, not recounted from the completion
+        log. The ``predicate_index_*`` block counts populations per
+        registered query.
         """
         serviced = self.dispatcher.serviced_total
         failed = self.dispatcher.failed_total
@@ -501,14 +503,8 @@ class AortaEngine:
         if self.status_cache is not None:
             for key, value in self.status_cache.stats().items():
                 stats[f"status_cache_{key}"] = value
-        if self.config.incremental:
-            for key, value in self.dispatcher.incremental_stats.items():
-                stats[f"incremental_{key}"] = value
-        # Predicate-index keys appear only when the index is on, so
-        # index-off snapshots stay identical to scan-all ones.
-        if self.config.predicate_index:
-            for key, value in self.continuous.index_stats().items():
-                stats[f"predicate_index_{key}"] = value
+        for key, value in self.continuous.index_stats().items():
+            stats[f"predicate_index_{key}"] = value
         # Overload keys appear only when the plane is on, so
         # overload-off snapshots stay identical to pre-overload ones.
         if self.overload is not None:

@@ -6,10 +6,9 @@ the event-edge memory — so the executor, engine facade, sharded
 coordinator and CLI all read one structure instead of ad-hoc dicts.
 
 Edge-trigger memory lives here as (query, device) keys: per query, the
-set of event devices whose predicate held at the last poll. Both
-detection paths share it — the scan-all executor writes one entry per
-scanned row, the indexed path writes matches and prunes the scanned
-non-matches — so membership is identical however detection ran.
+set of event devices whose predicate held at the last poll. The
+executor writes the poll's matches and prunes the scanned non-matches,
+which leaves the membership a walk over every (query, row) pair would.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from typing import (
     Set,
     Tuple,
 )
-
-from repro.query.bands import BandForm
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.plan.planner import ContinuousPlan
@@ -53,9 +50,6 @@ class RegisteredQuery:
     #: Requests refused by admission control or queue backpressure
     #: (stays zero with overload control off).
     requests_rejected: int = 0
-    #: The normalized band form of the event predicate; compiled only
-    #: when the engine's predicate index is on.
-    band_form: Optional[BandForm] = None
     #: Event-side columns the candidate predicate reads, when its
     #: candidate sets may be cached across polls (every function in it
     #: is registered stable); ``None`` = evaluate per event. Worked out
@@ -180,8 +174,7 @@ class QueryCatalog:
         """Forget held devices that were scanned but no longer match.
 
         Devices outside ``seen`` keep their edge state — an unscanned
-        device carries no new information, matching the scan-all path
-        which only updates state for rows the scan returned.
+        device carries no new information.
         """
         held = self._edge.get(query.name)
         if not held:

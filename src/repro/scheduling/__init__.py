@@ -20,11 +20,6 @@ stand-in for the paper's optimal MIP discussion).
 
 from repro.scheduling.base import Schedule, Scheduler
 from repro.scheduling.cost_cache import CachingCostModel, freeze_status
-from repro.scheduling.incremental import (
-    IncrementalScheduler,
-    IncrementalStats,
-    default_fingerprint,
-)
 from repro.scheduling.lerfa_srfe import LerfaSrfeScheduler
 from repro.scheduling.list_scheduling import ListScheduler
 from repro.scheduling.executor import ExecutionResult, execute_schedule
@@ -72,8 +67,6 @@ __all__ = [
     "ColumnKernel",
     "ExecutionResult",
     "HAVE_NUMPY",
-    "IncrementalScheduler",
-    "IncrementalStats",
     "LerfaSrfeScheduler",
     "ListScheduler",
     "MakespanBreakdown",
@@ -89,7 +82,6 @@ __all__ = [
     "StaticCostModel",
     "breakdown",
     "build_kernel",
-    "default_fingerprint",
     "device_completion_times",
     "device_utilization",
     "execute_schedule",

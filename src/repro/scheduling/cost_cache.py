@@ -22,7 +22,7 @@ would freeze its first draw and silently change the experiment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Tuple
 
 from repro.errors import SchedulingError
 from repro.scheduling.problem import SchedRequest, SchedulingCostModel
@@ -80,8 +80,7 @@ class CachingCostModel(SchedulingCostModel):
 
     deterministic = True
 
-    def __init__(self, inner: SchedulingCostModel, *,
-                 track_devices: bool = False) -> None:
+    def __init__(self, inner: SchedulingCostModel) -> None:
         if isinstance(inner, CachingCostModel):
             raise SchedulingError("refusing to cache a cache")
         if not getattr(inner, "deterministic", True):
@@ -90,11 +89,6 @@ class CachingCostModel(SchedulingCostModel):
                 "caching would freeze its first draw"
             )
         self._inner = inner
-        #: device_id -> cache keys, for selective invalidation. Only
-        #: maintained when ``track_devices`` is on (the incremental
-        #: dispatcher path), so the default hot path pays nothing.
-        self._by_device: Optional[Dict[str, Set[Tuple[str, str, Hashable]]]]
-        self._by_device = {} if track_devices else None
         self._estimates: Dict[Tuple[str, str, Hashable],
                               Tuple[Any, float, Any]] = {}
         self._actuals: Dict[Tuple[str, str, Hashable],
@@ -115,9 +109,6 @@ class CachingCostModel(SchedulingCostModel):
 
     def initial_status(self, device_id: str) -> Any:
         return self._inner.initial_status(device_id)
-
-    def initial_workload(self, device_id: str) -> float:
-        return self._inner.initial_workload(device_id)
 
     def _freeze(self, status: Any) -> Hashable:
         if type(status) is dict:
@@ -145,8 +136,6 @@ class CachingCostModel(SchedulingCostModel):
         self.misses += 1
         seconds, post_status = compute(request, device_id, status)
         table[key] = (request.payload, seconds, post_status)
-        if self._by_device is not None:
-            self._by_device.setdefault(device_id, set()).add(key)
         return seconds, post_status
 
     def estimate(
@@ -173,8 +162,6 @@ class CachingCostModel(SchedulingCostModel):
         seconds, post_status = self._inner.estimate(request, device_id,
                                                     status)
         self._estimates[key] = (request.payload, seconds, post_status)
-        if self._by_device is not None:
-            self._by_device.setdefault(device_id, set()).add(key)
         return seconds, post_status
 
     def estimate_column(
@@ -189,42 +176,6 @@ class CachingCostModel(SchedulingCostModel):
     ) -> Tuple[float, Any]:
         return self._lookup(self._actuals, self._inner.actual,
                             request, device_id, status)
-
-    def invalidate_device(self, device_id: str) -> None:
-        """Drop every cached entry computed for one device.
-
-        The incremental dispatcher calls this on dirty-set signals
-        (health transitions, status-cache invalidations, executions), so
-        a persistent cross-batch cache never serves estimates computed
-        from a stale device status. Requires ``track_devices=True``.
-        """
-        if self._by_device is None:
-            raise SchedulingError(
-                "invalidate_device needs CachingCostModel("
-                "track_devices=True)"
-            )
-        for key in self._by_device.pop(device_id, ()):
-            self._estimates.pop(key, None)
-            self._actuals.pop(key, None)
-
-    def retain_requests(self, request_ids: Set[str]) -> None:
-        """Drop every entry of a request outside ``request_ids``.
-
-        What bounds a cache that outlives its batch: the incremental
-        scheduler keeps only the batch it just placed, since a request
-        that left the batch is never estimated again. Status pins go
-        with the entries whose post-status they froze.
-        """
-        for table in (self._estimates, self._actuals):
-            for key in [key for key in table if key[0] not in request_ids]:
-                del table[key]
-                if self._by_device is not None:
-                    self._by_device[key[1]].discard(key)
-        live = {id(entry[2]) for table in (self._estimates, self._actuals)
-                for entry in table.values()}
-        self._frozen_by_id = {
-            status_id: pin for status_id, pin in self._frozen_by_id.items()
-            if status_id in live}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -248,7 +199,5 @@ class CachingCostModel(SchedulingCostModel):
         self._estimates.clear()
         self._actuals.clear()
         self._frozen_by_id.clear()
-        if self._by_device is not None:
-            self._by_device.clear()
         self.hits = 0
         self.misses = 0

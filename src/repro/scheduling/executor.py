@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 from repro.errors import SchedulingError
 from repro.runtime import Runtime, create_runtime
 from repro.scheduling.base import Schedule
-from repro.scheduling.cost_cache import CachingCostModel
 from repro.scheduling.problem import Problem
 from repro.sync.locks import DeviceLockManager, LockToken
 
@@ -37,7 +36,6 @@ def execute_schedule(problem: Problem, schedule: Schedule,
                      *, use_actual: bool = True,
                      obs: Optional["Observability"] = None,
                      runtime: Optional[Runtime] = None,
-                     cost_cache: Optional["CachingCostModel"] = None,
                      ) -> ExecutionResult:
     """Run a schedule on a fresh runtime; returns measured timings.
 
@@ -46,23 +44,11 @@ def execute_schedule(problem: Problem, schedule: Schedule,
     timestamps would be meaningless there while counts and virtual-time
     durations remain well-defined. ``runtime`` injects a backend (it
     must be idle and at t=0); the default is a fresh virtual one.
-    ``cost_cache`` routes cost lookups through a shared memoizing
-    oracle (it must wrap this problem's cost model) so recurring
-    batches re-execute from warm state — the incremental dispatch path.
     """
     schedule.validate(problem)
     env = runtime if runtime is not None else create_runtime("virtual")
     locks = DeviceLockManager(env)
     cost_model = problem.cost_model
-    if cost_cache is not None and not isinstance(cost_model,
-                                                 CachingCostModel):
-        if cost_cache.inner is not cost_model:
-            raise SchedulingError(
-                "shared cost cache wraps a different cost model than the "
-                "problem's; build the cache from problem.cost_model"
-            )
-        if getattr(cost_model, "deterministic", True):
-            cost_model = cost_cache
     cost = (cost_model.actual if use_actual else cost_model.estimate)
     result = ExecutionResult(makespan=0.0)
 

@@ -50,8 +50,7 @@ class LerfaSrfeScheduler(Scheduler):
     def _lerfa_assign(
         self, problem: Problem
     ) -> Dict[str, List[SchedRequest]]:
-        workloads = {device_id: problem.cost_model.initial_workload(device_id)
-                     for device_id in problem.device_ids}
+        workloads = {device_id: 0.0 for device_id in problem.device_ids}
         statuses = problem.initial_statuses()
         assigned: Dict[str, List[SchedRequest]] = {
             device_id: [] for device_id in problem.device_ids}
@@ -107,13 +106,10 @@ class LerfaSrfeScheduler(Scheduler):
         request_index = {request.request_id: i
                          for i, request in enumerate(problem.requests)}
         statuses = problem.initial_statuses()
-        initial_workload = problem.cost_model.initial_workload
         matrix = numpy.stack([
             kernel.column(device_id, statuses[device_id])
             for device_id in device_ids])
-        workloads = numpy.array(
-            [initial_workload(device_id) for device_id in device_ids],
-            dtype=numpy.float64)
+        workloads = numpy.zeros(len(device_ids), dtype=numpy.float64)
         assigned: Dict[str, List[SchedRequest]] = {
             device_id: [] for device_id in device_ids}
         #: Candidate tuples are widely shared between requests (the

@@ -27,10 +27,8 @@ class ListScheduler(Scheduler):
         assignments: Dict[str, List[str]] = {
             device_id: [] for device_id in problem.device_ids}
         remaining = list(problem.requests)
-        # (free_time, tiebreak index, device): devices idle from their
-        # initial workload (0 on a cold start).
-        initial_workload = problem.cost_model.initial_workload
-        idle_heap = [(initial_workload(device_id), index, device_id)
+        # (free_time, tiebreak index, device): every device starts idle.
+        idle_heap = [(0.0, index, device_id)
                      for index, device_id in enumerate(problem.device_ids)]
         heapq.heapify(idle_heap)
 

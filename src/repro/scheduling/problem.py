@@ -61,17 +61,6 @@ class SchedulingCostModel:
         """The device's physical status before any request is serviced."""
         raise NotImplementedError
 
-    def initial_workload(self, device_id: str) -> float:
-        """Seconds of work already committed to a device at batch start.
-
-        The schedulers add this offset to every device's completion
-        time, which is what lets a warm-start re-run place only the
-        *changed* requests behind the spliced-in remainder of a prior
-        schedule. The default of ``0.0`` is the classic cold-start
-        problem and leaves every algorithm's output untouched.
-        """
-        return 0.0
-
     def estimate(
         self, request: SchedRequest, device_id: str, status: Any
     ) -> Tuple[float, Any]:

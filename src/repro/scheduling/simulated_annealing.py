@@ -79,15 +79,12 @@ class IncrementalMakespan:
         self._problem = problem
         self._solution = solution
         self._prefix: Dict[str, List[Tuple[float, Any]]] = {
-            device_id: self._walk(device_id,
-                                  problem.cost_model.initial_workload(
-                                      device_id),
+            device_id: self._walk(device_id, 0.0,
                                   problem.cost_model.initial_status(device_id),
                                   solution[device_id])
             for device_id in problem.device_ids}
         self.completions: Dict[str, float] = {
-            device_id: (prefix[-1][0] if prefix
-                        else problem.cost_model.initial_workload(device_id))
+            device_id: (prefix[-1][0] if prefix else 0.0)
             for device_id, prefix in self._prefix.items()}
         self.makespan = max(self.completions.values())
         self._argmax = max(self.completions, key=self.completions.get)
@@ -117,7 +114,7 @@ class IncrementalMakespan:
             prefix = self._prefix[device_id]
             first_changed = min(first_changed, len(prefix))
             if first_changed == 0:
-                elapsed = self._problem.cost_model.initial_workload(device_id)
+                elapsed = 0.0
                 status = self._problem.cost_model.initial_status(device_id)
             else:
                 elapsed, status = prefix[first_changed - 1]
@@ -145,9 +142,7 @@ class IncrementalMakespan:
         for device_id, (first_changed, tail) in tails.items():
             prefix = self._prefix[device_id]
             prefix[first_changed:] = tail
-            self.completions[device_id] = (
-                prefix[-1][0] if prefix
-                else self._problem.cost_model.initial_workload(device_id))
+            self.completions[device_id] = prefix[-1][0] if prefix else 0.0
         self.makespan = new_makespan
         if (self._argmax in tails
                 or self.completions[self._argmax] != new_makespan):
@@ -176,7 +171,7 @@ class SimulatedAnnealingScheduler(Scheduler):
         """Full-walk completion time; the incremental evaluator's
         reference implementation (kept for tests and ablations)."""
         status = problem.cost_model.initial_status(device_id)
-        elapsed = problem.cost_model.initial_workload(device_id)
+        elapsed = 0.0
         for request in queue:
             seconds, status = problem.cost_model.estimate(
                 request, device_id, status)

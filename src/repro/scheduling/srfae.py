@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import SchedulingError
 from repro.scheduling.avl import AVLTree
@@ -179,19 +179,15 @@ class SrfaeScheduler(Scheduler):
     """The paper's Algorithm 2 over a pluggable pair structure.
 
     ``structure`` selects the priority structure (``"heap"``, ``"avl"``
-    or ``"scan"``; see the module docstring). The legacy ``use_avl``
-    flag maps ``True`` -> ``"avl"`` and ``False`` -> ``"scan"``.
+    or ``"scan"``; see the module docstring).
     """
 
     name = "SRFAE"
     category = CATEGORY_CAP
 
     def __init__(self, seed: int = 0, *, structure: str = "heap",
-                 use_avl: Optional[bool] = None, cost_cache="auto",
-                 vectorize: bool = False) -> None:
+                 cost_cache="auto", vectorize: bool = False) -> None:
         super().__init__(seed, cost_cache=cost_cache, vectorize=vectorize)
-        if use_avl is not None:
-            structure = "avl" if use_avl else "scan"
         if structure not in _STRUCTURES:
             raise SchedulingError(
                 f"unknown SRFAE structure {structure!r}; "
@@ -206,8 +202,6 @@ class SrfaeScheduler(Scheduler):
                 return self._solve_vectorized(problem, kernel)
         serial = itertools.count().__next__
         estimate = problem.cost_model.estimate
-        offsets = {device_id: problem.cost_model.initial_workload(device_id)
-                   for device_id in problem.device_ids}
         tree = _STRUCTURES[self.structure]()
         #: device_id -> request_id -> (current tree key, post-servicing
         #: status, request). Storing the post-status alongside the key
@@ -228,7 +222,7 @@ class SrfaeScheduler(Scheduler):
             for device_id in request.candidates:
                 cost, post_status = estimate(
                     request, device_id, statuses[device_id])
-                key = (cost + offsets[device_id], serial())
+                key = (cost, serial())
                 initial.append((key, (request.request_id, device_id)))
                 entries[device_id][request.request_id] = (
                     key, post_status, request)
@@ -319,10 +313,9 @@ class SrfaeScheduler(Scheduler):
         positions = [numpy.array(idxs, dtype=numpy.intp)
                      for idxs in position_lists]
 
-        # Current keys: cost column from the device's status, plus the
-        # device's accumulated completion time (initial workload at
-        # start) — the same ``cost + w`` the scalar re-key computes.
-        initial_workload = problem.cost_model.initial_workload
+        # Current keys: cost column from the device's status, plus (past
+        # the first assignment) the device's accumulated completion
+        # time — the same ``cost + w`` the scalar re-key computes.
         columns: List[Any] = [None] * len(device_ids)
         taken = numpy.zeros(n, dtype=bool)
         generations = [0] * len(device_ids)
@@ -330,9 +323,8 @@ class SrfaeScheduler(Scheduler):
         for k, device_id in enumerate(device_ids):
             if not len(eligible[k]):
                 continue
-            columns[k] = (kernel.column(device_id, statuses[device_id],
-                                        eligible[k])
-                          + initial_workload(device_id))
+            columns[k] = kernel.column(device_id, statuses[device_id],
+                                       eligible[k])
             best = int(columns[k].argmin())
             heap.append((float(columns[k][best]), 0,
                          int(eligible[k][best]), int(positions[k][best]),

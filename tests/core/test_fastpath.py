@@ -83,6 +83,12 @@ class TestConfigValidation:
         assert EngineConfig(status_cache=True).comm_fastpath
         assert EngineConfig(concurrent_dispatch=True).comm_fastpath
 
+    @pytest.mark.parametrize(
+        "flag", ["predicate_index", "vectorize", "incremental"])
+    def test_transparent_paths_have_no_flag(self, flag):
+        with pytest.raises(TypeError):
+            EngineConfig(**{flag: True})
+
     def test_pool_knobs_validated(self):
         with pytest.raises(AortaError, match="pool_capacity"):
             EngineConfig(pool_capacity=0)

@@ -4,7 +4,9 @@
 fault-tolerance scenario *before* any instrumentation existed in the
 source tree. Replaying the same scenario with the observability knob
 absent or off through the instrumented code must reproduce that dump
-byte for byte — proving the default-off path is inert.
+byte for byte — proving the default-off path is inert. (The capture
+has since gained one key, ``statistics.predicate_index_tables``, which
+every engine reports.)
 """
 
 from repro import AortaEngine, EngineConfig, Environment

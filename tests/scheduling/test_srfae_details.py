@@ -77,9 +77,7 @@ def test_all_structures_produce_identical_schedules():
         assert avl.assignments == flat.assignments
 
 
-def test_use_avl_legacy_flag_maps_to_structures():
-    assert SrfaeScheduler(0, use_avl=True).structure == "avl"
-    assert SrfaeScheduler(0, use_avl=False).structure == "scan"
+def test_unknown_structure_is_refused():
     with pytest.raises(SchedulingError):
         SrfaeScheduler(0, structure="btree")
 

@@ -280,7 +280,7 @@ def test_unregistered_block_resolver_is_a_profile_error(photo_lab):
 
 
 # ----------------------------------------------------------------------
-# CachingCostModel: columns and per-device invalidation
+# CachingCostModel: columns
 # ----------------------------------------------------------------------
 def test_estimate_column_fills_and_hits_the_memo():
     problem = uniform_camera_workload(8, 2, seed=1)
@@ -297,34 +297,3 @@ def test_estimate_column_fills_and_hits_the_memo():
     for pair, request in zip(column, problem.requests):
         assert pair == problem.cost_model.estimate(request, device_id,
                                                    status)
-
-
-def test_invalidate_device_requires_tracking():
-    problem = uniform_camera_workload(4, 2, seed=0)
-    cache = CachingCostModel(problem.cost_model)
-    with pytest.raises(SchedulingError, match="track_devices"):
-        cache.invalidate_device(problem.device_ids[0])
-
-
-def test_invalidate_device_drops_only_that_device():
-    problem = uniform_camera_workload(6, 2, seed=2)
-    cache = CachingCostModel(problem.cost_model, track_devices=True)
-    d1, d2 = problem.device_ids
-    for device_id in (d1, d2):
-        cache.estimate_column(list(problem.requests), device_id,
-                              cache.initial_status(device_id))
-    assert cache.entries == 12
-    cache.invalidate_device(d1)
-    assert cache.entries == 6
-    cache.estimate_column(list(problem.requests), d2,
-                          cache.initial_status(d2))
-    assert cache.hits == 6  # d2's entries survived
-    cache.invalidate_device("never-seen")  # absent device: no-op
-
-
-def test_cache_forwards_initial_workload():
-    problem = uniform_camera_workload(4, 2, seed=0)
-    cache = CachingCostModel(problem.cost_model)
-    device_id = problem.device_ids[0]
-    assert cache.initial_workload(device_id) == \
-        problem.cost_model.initial_workload(device_id)
