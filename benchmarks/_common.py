@@ -38,13 +38,19 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def record(name: str, title: str, body: str) -> str:
-    """Print a result block and persist it under bench_results/."""
+def record(name: str, title: str, body: str, *,
+           smoke: bool = False) -> str:
+    """Print a result block and persist it under bench_results/.
+
+    A ``--smoke`` run prints but persists nothing, for the reason
+    :func:`write_result` gives: the committed table is a full run's.
+    """
     text = f"== {title} ==\n{body}\n"
     print("\n" + text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
-        handle.write(text)
+    if not smoke:
+        os.makedirs(RESULTS_DIR, exist_ok=True)
+        with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
+            handle.write(text)
     return text
 
 

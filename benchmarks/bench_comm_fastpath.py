@@ -285,7 +285,8 @@ def main(argv=None) -> int:
     record("comm_fastpath",
            "Comm fast path: probe/connect amortization and batch latency",
            table + "\n\n" + verdict +
-           f"\nJSON: {os.path.relpath(JSON_PATH)}")
+           f"\nJSON: {os.path.relpath(JSON_PATH)}",
+           smoke=args.smoke)
     return exit_code
 
 

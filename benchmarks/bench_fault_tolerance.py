@@ -231,7 +231,8 @@ def main(argv=None) -> int:
     record("fault_tolerance",
            "Fault tolerance: serviced fraction under random outages",
            table + "\n\n" + verdict +
-           f"\nJSON: {os.path.relpath(JSON_PATH)}")
+           f"\nJSON: {os.path.relpath(JSON_PATH)}",
+           smoke=args.smoke)
     return exit_code
 
 

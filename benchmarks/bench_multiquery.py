@@ -350,7 +350,8 @@ def main(argv=None) -> int:
         f"deterministic rebuild: {deterministic}\n"
         f"verdict: {verdict}\n"
         f"JSON: {os.path.relpath(JSON_PATH)}")
-    record("multiquery", "Predicate-indexed multi-query matching", body)
+    record("multiquery", "Predicate-indexed multi-query matching", body,
+           smoke=args.smoke)
     return exit_code
 
 

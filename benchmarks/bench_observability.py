@@ -168,7 +168,8 @@ def main(argv=None) -> int:
         f"{', not gated in smoke' if args.smoke else ''})\n"
         f"verdict: {verdict}\n"
         f"JSON: {os.path.relpath(JSON_PATH)}")
-    record("observability", "Observability overhead and invariance", body)
+    record("observability", "Observability overhead and invariance", body,
+           smoke=args.smoke)
     return exit_code
 
 

@@ -285,7 +285,8 @@ def main(argv=None) -> int:
         f"deterministic: {deterministic}\n"
         f"verdict: {verdict}\n"
         f"JSON: {os.path.relpath(JSON_PATH)}")
-    record("overload", "Overload control under a request storm", body)
+    record("overload", "Overload control under a request storm", body,
+           smoke=args.smoke)
     return exit_code
 
 

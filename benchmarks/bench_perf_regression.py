@@ -369,7 +369,8 @@ def main(argv=None) -> int:
     record("perf_regression",
            "Scheduling-time regression: oracle and vector",
            table + "\n\n" + verdict +
-           f"\nJSON: {os.path.relpath(JSON_PATH)}")
+           f"\nJSON: {os.path.relpath(JSON_PATH)}",
+           smoke=args.smoke)
     return exit_code
 
 

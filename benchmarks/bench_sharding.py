@@ -364,7 +364,8 @@ def main(argv=None) -> int:
         f"{parallel_lines}"
         f"verdict: {verdict}\n"
         f"JSON: {os.path.relpath(JSON_PATH)}")
-    record("sharding", "Sharded coordinator: band-storm scaling", body)
+    record("sharding", "Sharded coordinator: band-storm scaling", body,
+           smoke=args.smoke)
     return exit_code
 
 

@@ -193,8 +193,8 @@ class EngineConfig:
     #: sequentially on the coordinator thread. Only
     #: :class:`~repro.shard.ShardedEngine` honours it, and only with
     #: ``shards > 1`` (a 1-shard fleet stays the in-process
-    #: pass-through). Off by default: the off path is byte-identical
-    #: to the serial lockstep coordinator (benchmark-gated).
+    #: pass-through). Off by default; a worker fleet's per-shard dumps
+    #: are byte-identical to the in-process fleet's (benchmark-gated).
     parallel: bool = False
     #: Worker backend for ``parallel=True``: "process" (spawned
     #: interpreters — the wall-clock speedup path) or "thread" (same

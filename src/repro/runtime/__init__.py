@@ -26,8 +26,8 @@ from repro.runtime.fleet import (
     RoundBudgetError,
     RoundPeer,
     RoundResult,
+    RuntimePeer,
     run_lockstep,
-    run_parallel_rounds,
 )
 from repro.runtime.protocol import Runtime
 from repro.sim import Environment, RealtimeRuntime
@@ -70,6 +70,6 @@ __all__ = [
     "RoundBudgetError",
     "RoundPeer",
     "RoundResult",
+    "RuntimePeer",
     "run_lockstep",
-    "run_parallel_rounds",
 ]

@@ -4,40 +4,45 @@ A sharded fleet runs one runtime per shard. The shards own disjoint
 device sets, so their event streams never interact directly — but
 fleet-level state (the shared capacity ledger, merged statistics read
 mid-run) is sampled across shard clocks, and letting one shard race
-hours ahead of another would make those reads meaningless. The
-round-barrier loops here bound the skew: every runtime advances in
-rounds of at most ``quantum`` runtime seconds, so no shard's clock is
-ever more than one quantum ahead of the slowest.
+hours ahead of another would make those reads meaningless.
+:func:`run_lockstep` bounds the skew: every shard advances in rounds
+of at most ``quantum`` runtime seconds, so no shard's clock is ever
+more than one quantum ahead of the slowest. It is the one place that
+bound is defined, for every kind of fleet.
 
-Two loops share the round semantics:
-
-* :func:`run_lockstep` steps local runtimes sequentially on the
-  calling thread (the serial coordinator path);
-* :func:`run_parallel_rounds` drives :class:`RoundPeer` workers —
-  remote engines that run their rounds concurrently — with an explicit
-  barrier per round: broadcast the deadline, then collect every
-  worker's result *in peer order* before opening the next round, so
-  completion merges never depend on arrival order.
+The loop drives :class:`RoundPeer` objects and does not know where a
+peer's runtime lives: each round it broadcasts the deadline to every
+peer, then collects every result *in peer order* before opening the
+next round, so nothing downstream of the barrier depends on arrival
+order. :class:`RuntimePeer` is the peer over a runtime in this
+process — ``begin_round`` records the round, ``finish_round`` computes
+it, so local peers step one after another in peer order. A peer whose
+runtime lives in a worker (:class:`~repro.shard.parallel.ShardWorker`)
+sends the round down its pipe in ``begin_round`` and the worker
+computes it with the same :class:`RuntimePeer` body, so those rounds
+overlap between barriers.
 
 ``max_events`` is a **fleet-wide cumulative budget**: the events every
 shard consumes in every round count against one shared allowance, and
 exhausting it raises :class:`~repro.errors.SimulationError` carrying
-per-shard queue diagnostics instead of stalling silently. (It used to
-be a per-call watchdog, which let a fleet process ``rounds x shards x
-max_events`` events before firing.) The budget only fires when due
-work remains: a run that consumes exactly its allowance and quiesces
-is not an error. In the parallel loop every worker of one round is
-handed the full remaining budget — concurrent rounds cannot thread a
-sequentially decremented allowance — so a runaway fleet may overshoot
-by up to ``(shards - 1) x remaining`` events before the barrier
-notices; it is a watchdog bound, not an exact meter.
+per-shard queue diagnostics instead of stalling silently. The budget
+only fires when due work remains: a run that consumes exactly its
+allowance and quiesces is not an error. Every peer of one round is
+handed the full remaining allowance and the decrement happens once per
+round — rounds that overlap cannot thread a sequentially decremented
+allowance, and one rule for every fleet beats an exact meter for some —
+so a runaway fleet may overshoot by up to ``(shards - 1) x remaining``
+events before the barrier notices; it is a watchdog bound, not a
+meter.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Any, Callable, List, Optional, Protocol, Sequence, Tuple,
+)
 
 from repro.errors import SimulationError
 from repro.runtime.protocol import Runtime
@@ -75,7 +80,7 @@ class RoundBudgetError(SimulationError):
 
 
 class RoundPeer(Protocol):
-    """A shard the parallel barrier loop can drive through rounds.
+    """A shard the barrier loop can drive through rounds.
 
     ``begin_round`` must only *submit* the round (non-blocking), so the
     loop can start every peer before waiting on any; ``finish_round``
@@ -98,18 +103,48 @@ class RoundPeer(Protocol):
         ...
 
 
-def _validate(quantum: float, count: int, until: float,
-              floor: float) -> None:
-    if quantum <= 0:
-        raise SimulationError(f"lockstep quantum must be positive, "
-                              f"got {quantum}")
-    if not count:
-        raise SimulationError("a lockstep fleet needs at least one "
-                              "runtime")
-    if until < floor:
-        raise SimulationError(
-            f"cannot run lockstep to t={until}: a runtime is already "
-            f"at t={floor}")
+class RuntimePeer:
+    """A runtime in this process as a :class:`RoundPeer`.
+
+    The one definition of what a shard does in a round: run to the
+    deadline unless already past it (a previous coordinated run may
+    have advanced this runtime further — ``run`` with a non-decreasing
+    deadline is the only call ever issued), and turn the runtime's
+    watchdog error into :class:`RoundBudgetError` when the round's
+    allowance is what ran out.
+    """
+
+    def __init__(self, runtime: Runtime) -> None:
+        self.runtime = runtime
+        self._round: Tuple[float, Optional[int]] = (runtime.now, None)
+
+    def now(self) -> float:
+        return self.runtime.now
+
+    def begin_round(self, deadline: float,
+                    max_events: Optional[int]) -> None:
+        self._round = (deadline, max_events)
+
+    def finish_round(self) -> RoundResult:
+        deadline, max_events = self._round
+        runtime = self.runtime
+        started = time.perf_counter()
+        before = runtime.events_processed
+        try:
+            if runtime.now <= deadline:
+                runtime.run(until=deadline, max_events=max_events)
+        except SimulationError as error:
+            used = runtime.events_processed - before
+            if max_events is not None and used >= max_events:
+                raise RoundBudgetError(
+                    str(error), now=runtime.now, events=used,
+                    pending=runtime.pending_events) from error
+            raise
+        return RoundResult(
+            now=runtime.now,
+            events=runtime.events_processed - before,
+            busy_seconds=time.perf_counter() - started,
+            pending=runtime.pending_events)
 
 
 def _budget_exhausted(
@@ -127,57 +162,14 @@ def _budget_exhausted(
         f"them")
 
 
-def run_lockstep(
-    runtimes: Sequence[Runtime],
-    until: float,
-    *,
-    quantum: float = 1.0,
-    max_events: Optional[int] = None,
-) -> float:
-    """Advance every runtime to ``until`` in bounded-skew rounds.
-
-    Runtimes are stepped in sequence order within each round, so the
-    schedule is deterministic. A runtime already past the round's
-    deadline (because a previous coordinated run advanced it further)
-    is skipped for that round — ``run`` with a non-decreasing deadline
-    is the only call ever issued. ``max_events`` is the fleet-wide
-    cumulative budget described in the module docstring. Returns
-    ``until``.
-    """
-    _validate(quantum, len(runtimes), until,
-              min(runtime.now for runtime in runtimes)
-              if runtimes else until)
-    deadline = min(runtime.now for runtime in runtimes)
-    remaining = max_events
-    while deadline < until:
-        deadline = min(deadline + quantum, until)
-        for runtime in runtimes:
-            if runtime.now > deadline:
-                continue
-            before = runtime.events_processed
-            try:
-                runtime.run(until=deadline, max_events=remaining)
-            except SimulationError as error:
-                used = runtime.events_processed - before
-                if remaining is not None and used >= remaining:
-                    assert max_events is not None
-                    raise _budget_exhausted(
-                        max_events,
-                        [(peer.now, peer.pending_events)
-                         for peer in runtimes]) from error
-                raise
-            if remaining is not None:
-                remaining -= runtime.events_processed - before
-    return until
-
-
-#: Observer invoked after each successful parallel round with
-#: ``(deadline, wall_seconds, results)`` — the hook the coordinator
-#: uses for per-round wall-clock metrics and barrier-wait accounting.
+#: Observer invoked after each successful round with ``(deadline,
+#: wall_seconds, results)`` — the hook the coordinator of a worker
+#: fleet uses for per-round wall-clock metrics and barrier-wait
+#: accounting.
 RoundObserver = Callable[[float, float, List[RoundResult]], None]
 
 
-def run_parallel_rounds(
+def run_lockstep(
     peers: Sequence[RoundPeer],
     until: float,
     *,
@@ -187,54 +179,58 @@ def run_parallel_rounds(
 ) -> float:
     """Advance every peer to ``until``, one barriered round at a time.
 
-    Mirrors :func:`run_lockstep` exactly — same floor, same
-    ``min(deadline + quantum, until)`` round deadlines, same
-    skip-if-ahead rule (peers self-gate), same cumulative
-    ``max_events`` budget — except that the peers compute their rounds
-    concurrently. Determinism rule: results are collected in **peer
-    order**, never arrival order, so everything downstream of the
-    barrier (budget accounting, completion merges, metrics) is
-    independent of scheduling noise.
+    Round deadlines are ``min(deadline + quantum, until)`` from the
+    slowest peer's clock; peers already past a deadline skip that
+    round themselves. ``max_events`` is the fleet-wide cumulative
+    budget described in the module docstring. Determinism rule:
+    results are collected in **peer order**, never arrival order, so
+    everything downstream of the barrier (budget accounting,
+    completion merges, metrics) is independent of scheduling noise.
 
     If any peer fails mid-round, the loop still drains every other
-    peer's reply (keeping the pipes in lockstep for teardown), then
+    peer's reply (keeping worker pipes in lockstep for teardown), then
     raises for the lowest-indexed failure; budget exhaustion aggregates
     all peers into one fleet-wide diagnostic. Returns ``until``.
     """
-    _validate(quantum, len(peers), until,
-              min(peer.now() for peer in peers) if peers else until)
+    if quantum <= 0:
+        raise SimulationError(f"lockstep quantum must be positive, "
+                              f"got {quantum}")
+    if not peers:
+        raise SimulationError("a lockstep fleet needs at least one "
+                              "runtime")
     deadline = min(peer.now() for peer in peers)
+    if until < deadline:
+        raise SimulationError(
+            f"cannot run lockstep to t={until}: a runtime is already "
+            f"at t={deadline}")
     remaining = max_events
     while deadline < until:
         deadline = min(deadline + quantum, until)
         started = time.perf_counter()
         for peer in peers:
             peer.begin_round(deadline, remaining)
-        results: List[Optional[RoundResult]] = []
-        failures: List[Tuple[int, BaseException]] = []
-        for index, peer in enumerate(peers):
+        #: Per peer, its RoundResult or what finish_round raised.
+        outcomes: List[Any] = []
+        for peer in peers:
             try:
-                results.append(peer.finish_round())
+                outcomes.append(peer.finish_round())
             except BaseException as error:  # noqa: BLE001 - re-raised below
-                results.append(None)
-                failures.append((index, error))
+                outcomes.append(error)
         wall_seconds = time.perf_counter() - started
+        failures = [outcome for outcome in outcomes
+                    if isinstance(outcome, BaseException)]
         if failures:
-            exhausted = {index: error for index, error in failures
-                         if isinstance(error, RoundBudgetError)}
-            if len(exhausted) == len(failures) and max_events is not None:
-                states = [
-                    (result.now, result.pending) if result is not None
-                    else (exhausted[index].now, exhausted[index].pending)
-                    for index, result in enumerate(results)
-                ]
-                raise _budget_exhausted(max_events, states)
-            failures.sort(key=lambda pair: pair[0])
-            raise failures[0][1]
-        done = [result for result in results if result is not None]
+            if max_events is not None and all(
+                    isinstance(error, RoundBudgetError)
+                    for error in failures):
+                # A result and a budget error both carry the shard's
+                # clock and queue depth.
+                raise _budget_exhausted(max_events, [
+                    (outcome.now, outcome.pending) for outcome in outcomes])
+            raise failures[0]
         if remaining is not None:
-            remaining = max(0, remaining
-                            - sum(result.events for result in done))
+            remaining = max(0, remaining - sum(
+                result.events for result in outcomes))
         if on_round is not None:
-            on_round(deadline, wall_seconds, done)
+            on_round(deadline, wall_seconds, outcomes)
     return until

@@ -13,14 +13,16 @@ Enable with ``EngineConfig(shards=N)``::
 
     fleet = ShardedEngine(config=EngineConfig(shards=8), seed=0)
 
-True parallel execution (``EngineConfig(parallel=True)``) moves each
-shard into its own worker process or thread — see
-:mod:`repro.shard.parallel`; device factories must then be picklable,
-which :class:`DeviceSpec` makes easy.
+The coordinator reaches every shard through one :class:`ShardHandle`
+(:mod:`repro.shard.parallel`): the shard itself when it is hosted
+in-process, a :class:`ShardWorker` — the shard in its own worker
+process or thread, for true parallel execution — with
+``EngineConfig(parallel=True)``; device factories must then be
+picklable, which :class:`DeviceSpec` makes easy.
 """
 
 from repro.shard.coordinator import DeviceFactory, ShardedEngine
-from repro.shard.parallel import DeviceSpec, ParallelFleet, ShardWorker
+from repro.shard.parallel import DeviceSpec, ShardHandle, ShardWorker
 from repro.shard.placement import (
     HashPlacement,
     PlacementPolicy,
@@ -31,9 +33,9 @@ __all__ = [
     "DeviceFactory",
     "DeviceSpec",
     "HashPlacement",
-    "ParallelFleet",
     "PlacementPolicy",
     "RegionPlacement",
+    "ShardHandle",
     "ShardWorker",
     "ShardedEngine",
 ]

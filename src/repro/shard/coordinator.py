@@ -34,21 +34,22 @@ the single inner engine, whose construction is byte-identical to a
 plain ``AortaEngine`` (same raw seed, same config) — the equivalence
 suite in ``tests/shard`` pins this with golden traces.
 
-**Parallel execution** (``EngineConfig(parallel=True)`` or
-``ShardedEngine(..., parallel=True)``): each shard's engine moves into
-its own worker (:mod:`repro.shard.parallel`) and lockstep rounds run
-concurrently between deterministic barriers. The facade is unchanged —
-routing, placement and aggregation still live here — but per-shard
-*objects* (``fleet.shard(i)``, ``fleet.device(...)``) are unreachable
-from the coordinator process; per-shard *data* flows through
-``shard_statistics()`` / ``shard_dumps()`` / ``metrics()`` instead.
-Parallel mode is opt-in, forced off on 1-shard fleets, and the off
-path is byte-identical to serial lockstep (benchmark-gated).
+**One handle per shard.** Every method below reaches a shard through
+its :class:`~repro.shard.parallel.ShardHandle` and never asks where the
+shard is hosted: in this process by default (the handle is the shard
+itself), in its own worker with ``EngineConfig(parallel=True)``
+(:mod:`repro.shard.parallel`), where lockstep rounds run concurrently
+between deterministic barriers. What differs is what a handle can hand
+back: per-shard *objects* (``fleet.shard(i)``, ``fleet.device(...)``,
+registration handles) are process-local, so a worker's handle refuses
+or returns ``None`` for them; per-shard *data* flows through
+``shard_statistics()`` / ``shard_dumps()`` / ``metrics()`` on every
+fleet. Workers are opt-in, forced off on 1-shard fleets, and
+byte-identical to in-process lockstep (benchmark-gated).
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -58,9 +59,17 @@ from repro.core.config import EngineConfig
 from repro.core.engine import AortaEngine
 from repro.devices.base import Device
 from repro.obs.metrics import MetricsRegistry
+from repro.overload import CapacityLedger, OverloadPolicy
+from repro.query.ast import ExplainStatement, SelectQuery
+from repro.query.parser import parse
 from repro.runtime import Runtime
-from repro.runtime.fleet import run_lockstep
-from repro.shard.parallel import ParallelFleet
+from repro.runtime.fleet import RoundResult, run_lockstep
+from repro.shard.parallel import (
+    LedgerService,
+    ShardHandle,
+    ShardHost,
+    ShardWorker,
+)
 from repro.shard.placement import HashPlacement, PlacementPolicy
 from repro.sim.rng import derive_seed
 
@@ -88,12 +97,9 @@ def _aggregate_statistics(snapshots: List[Dict[str, Any]],
                           shards: int) -> Dict[str, Any]:
     """Fold per-shard statistics snapshots into one fleet dict.
 
-    Shared by the serial and parallel paths (parallel snapshots arrive
-    over worker pipes, serial ones from the inner engines — the
-    arithmetic must not care). Numeric values sum, except clocks/levels
-    (max) and ``mean_*`` keys (unweighted mean); booleans OR; dict
-    values merge per entry (sum, except peak depths which take the
-    max).
+    Numeric values sum, except clocks/levels (max) and ``mean_*`` keys
+    (unweighted mean); booleans OR; dict values merge per entry (sum,
+    except peak depths which take the max).
     """
     fleet: Dict[str, Any] = {"shards": shards}
     counts: Dict[str, int] = {}
@@ -166,16 +172,8 @@ class ShardedEngine:
         config: Optional[EngineConfig] = None,
         placement: Optional[PlacementPolicy] = None,
         seed: int = 0,
-        parallel: Optional[bool] = None,
-        parallel_backend: Optional[str] = None,
     ) -> None:
         self.config = config or EngineConfig()
-        if parallel is not None and parallel != self.config.parallel:
-            self.config = replace(self.config, parallel=parallel)
-        if parallel_backend is not None \
-                and parallel_backend != self.config.parallel_backend:
-            self.config = replace(self.config,
-                                  parallel_backend=parallel_backend)
         n = self.config.shards
         self.placement: PlacementPolicy = (
             placement if placement is not None else HashPlacement(n))
@@ -184,46 +182,72 @@ class ShardedEngine:
                 f"placement covers {self.placement.n_shards} shard(s) "
                 f"but config.shards is {n}")
         self.seed = seed
-        #: Whether this fleet runs shards in parallel workers. Forced
-        #: off on 1-shard fleets: the pass-through path must stay
+        #: Whether this fleet hosts its shards in workers. Forced off
+        #: on 1-shard fleets: the pass-through path must stay
         #: byte-identical to a plain engine, and one shard has nothing
         #: to parallelize.
         self.parallel: bool = self.config.parallel and n > 1
-        #: The worker fleet when parallel, else ``None`` — every facade
-        #: method branches on it.
-        self._fleet: Optional[ParallelFleet] = None
-        #: The inner engines, one per shard (serial mode; empty when
-        #: parallel — the engines live inside the workers). The 1-shard
-        #: fleet reuses the raw master seed so it is byte-identical to
-        #: a plain engine; a multi-shard fleet gives each shard an
-        #: independent derived substream.
-        self.shards: List[AortaEngine] = []
-        if self.parallel:
-            self._fleet = ParallelFleet(config=self.config, seed=seed)
-        else:
-            shard_config = replace(self.config, shards=1, parallel=False)
-            self.shards = [
-                AortaEngine(
-                    config=shard_config,
-                    seed=seed if n == 1
-                    else derive_seed(seed, f"shard:{i}"))
-                for i in range(n)
-            ]
-            if self.config.overload and n > 1:
-                self._share_capacity_ledger()
+        #: Devices admitted through the facade — the fleet size the
+        #: shared capacity ledger budgets against.
+        self._devices = 0
+        #: ``shard.round.*`` wall-clock series of a worker fleet (kept
+        #: out of shard registries: dumps stay transport-agnostic).
+        self.round_registry = MetricsRegistry()
+        self.ledger_service: Optional[LedgerService] = None
+        #: One handle per shard, in shard order.
+        self.handles: List[ShardHandle] = []
+        ledger = None
+        channels: List[Any] = [None] * n
+        if self.config.overload and n > 1:
+            ledger = CapacityLedger(
+                self.config.overload_policy or OverloadPolicy(),
+                fleet_size=lambda: self._devices)
+            if self.parallel:
+                self.ledger_service = LedgerService(ledger)
+                channels = [self.ledger_service.channel()
+                            for _ in range(n)]
+                self.ledger_service.start()
+        shard_config = replace(self.config, shards=1, parallel=False)
+        try:
+            for index in range(n):
+                # The 1-shard fleet reuses the raw master seed so it is
+                # byte-identical to a plain engine; a multi-shard fleet
+                # gives each shard an independent derived substream.
+                shard_seed = seed if n == 1 \
+                    else derive_seed(seed, f"shard:{index}")
+                if self.parallel:
+                    self.handles.append(ShardWorker(
+                        index, shard_config, shard_seed,
+                        self.config.parallel_backend, channels[index]))
+                else:
+                    self.handles.append(
+                        ShardHost(shard_config, shard_seed, ledger))
+        except BaseException:
+            self.close()
+            raise
+        #: The engines hosted in this process, in shard order (empty on
+        #: a worker fleet — those engines live inside the workers).
+        self.shards: List[AortaEngine] = [] if self.parallel else [
+            handle.engine for handle in self.handles]
         self._started = False
 
-    def _share_capacity_ledger(self) -> None:
-        """Point every shard's admission at one fleet-wide ledger."""
-        from repro.overload import CapacityLedger, OverloadPolicy
-        policy = self.config.overload_policy or OverloadPolicy()
-        ledger = CapacityLedger(
-            policy,
-            fleet_size=lambda: sum(len(shard.comm.registry)
-                                   for shard in self.shards))
-        for shard in self.shards:
-            assert shard.overload is not None
-            shard.overload.admission.capacity = ledger
+    # ------------------------------------------------------------------
+    # Reaching shards
+    # ------------------------------------------------------------------
+    def _call(self, index: int, op: str, *args: Any) -> Any:
+        handle = self.handles[index]
+        try:
+            return handle.call(op, *args)
+        except ShardingError:
+            if handle.dead:
+                # A dead handle strands a partition: reap the rest so a
+                # failed fleet never leaks workers.
+                self.close()
+            raise
+
+    def _call_all(self, op: str, *args: Any) -> List[Any]:
+        return [self._call(index, op, *args)
+                for index in range(len(self.handles))]
 
     # ------------------------------------------------------------------
     # Topology
@@ -233,18 +257,12 @@ class ShardedEngine:
         return self.config.shards
 
     def shard(self, index: int) -> AortaEngine:
-        """The shard at ``index``, bounds-checked (serial mode only)."""
-        if self._fleet is not None:
-            raise ShardingError(
-                f"shard {index} runs in a "
-                f"{self.config.parallel_backend} worker on a parallel "
-                f"fleet; use shard_statistics()/shard_dumps()/metrics() "
-                f"for per-shard data")
-        if not 0 <= index < len(self.shards):
+        """The engine of shard ``index`` (a worker's handle refuses)."""
+        if not 0 <= index < self.n_shards:
             raise ShardingError(
                 f"no shard {index}; the fleet has shards "
-                f"0..{len(self.shards) - 1}")
-        return self.shards[index]
+                f"0..{self.n_shards - 1}")
+        return self.handles[index].engine
 
     def shard_of(self, device_id: str) -> int:
         """Index of the shard owning ``device_id`` (placement lookup)."""
@@ -260,48 +278,25 @@ class ShardedEngine:
         The factory receives the owning shard's runtime and must build
         a device with exactly ``device_id`` — a mismatch would strand
         the device on a shard routing will never look at, so it is
-        refused loudly. On a parallel fleet the factory is replayed
+        refused loudly. On a worker fleet the factory is replayed
         inside the owning worker (it must pickle — see
         :class:`~repro.shard.parallel.DeviceSpec`) and the built device
         stays there: the return value is ``None``.
         """
-        index = self.placement.shard_of(device_id)
-        if self._fleet is not None:
-            self._fleet.add_device(index, device_id, factory)
-            return None
-        shard = self.shards[index]
-        device = factory(shard.env)
-        if device.device_id != device_id:
-            raise ShardingError(
-                f"factory for {device_id!r} built device "
-                f"{device.device_id!r}; placement and routing key on "
-                f"the declared id")
-        shard.add_device(device)
+        device = self._call(self.placement.shard_of(device_id),
+                            "add_device", device_id, factory)
+        self._devices += 1
         return device
 
     def device(self, device_id: str) -> Device:
         """Look up an admitted device on its owning shard."""
-        if self._fleet is not None:
-            raise ShardingError(
-                f"device {device_id!r} lives inside shard "
-                f"{self.placement.shard_of(device_id)}'s worker on a "
-                f"parallel fleet; interact through inject()/submit()")
-        shard = self.shards[self.placement.shard_of(device_id)]
+        shard = self.shard(self.placement.shard_of(device_id))
         return shard.comm.registry.get(device_id)
 
     def inject(self, device_id: str, stimulus: Any) -> None:
         """Deliver a sensor stimulus to its owning shard's device."""
-        if self._fleet is not None:
-            self._fleet.inject(self.placement.shard_of(device_id),
-                               device_id, stimulus)
-            return
-        device = self.device(device_id)
-        inject = getattr(device, "inject", None)
-        if inject is None:
-            raise ShardingError(
-                f"device {device_id!r} ({device.device_type}) does not "
-                f"accept injected stimuli")
-        inject(stimulus)
+        self._call(self.placement.shard_of(device_id), "inject",
+                   device_id, stimulus)
 
     # ------------------------------------------------------------------
     # The declarative interface
@@ -311,15 +306,14 @@ class ShardedEngine:
 
         CREATE ACTION / CREATE AQ / DROP AQ fan out to every shard
         (returning the per-shard results as a list for the CREATE
-        forms); EXPLAIN describes shard 0's plan (all shards plan
+        forms, or ``None`` where the registration handles stay inside
+        workers); EXPLAIN describes shard 0's plan (all shards plan
         identically). A snapshot SELECT needs one engine to own the
         whole candidate space, so it is only legal on a 1-shard fleet —
         on larger fleets, run it against a specific ``fleet.shard(i)``.
         """
         if self.n_shards == 1:
             return self.shards[0].execute(sql)
-        from repro.query.ast import ExplainStatement, SelectQuery
-        from repro.query.parser import parse
         statement = parse(sql)
         if isinstance(statement, SelectQuery):
             raise ShardingError(
@@ -327,16 +321,8 @@ class ShardedEngine:
                 f"{self.n_shards}-shard fleet run it against a single "
                 "shard (fleet.shard(i).execute(...))")
         if isinstance(statement, ExplainStatement):
-            if self._fleet is not None:
-                return self._fleet.execute_one(0, sql)
-            return self.shards[0].execute_statement(statement)
-        if self._fleet is not None:
-            # Registration handles are worker-local and unpicklable;
-            # the fan-out forms return None on a parallel fleet.
-            self._fleet.execute_all(sql)
-            return None
-        results = [shard.execute_statement(statement)
-                   for shard in self.shards]
+            return self._call(0, "execute", sql)
+        results = self._call_all("execute", sql)
         return None if all(result is None for result in results) else results
 
     def create_aq(self, sql: str, *, priority: int = 1,
@@ -346,53 +332,41 @@ class ShardedEngine:
         All-or-nothing: if any shard's admission control refuses the
         registration, the query is dropped from the shards that already
         accepted it before the error propagates — a standing query
-        either watches the whole fleet or none of it.
+        either watches the whole fleet or none of it. Returns the
+        per-shard registrations (``None`` where they stay inside
+        workers).
         """
         if self.n_shards == 1:
             return self.shards[0].create_aq(
                 sql, priority=priority, deadline_seconds=deadline_seconds)
-        if self._fleet is not None:
-            # Workers apply the same all-or-nothing rollback; the
-            # registration handles stay worker-local (returns None).
-            self._fleet.create_aq(sql, priority=priority,
-                                  deadline_seconds=deadline_seconds)
-            return None
-        registered = []
+        registered: List[Any] = []
         try:
-            for shard in self.shards:
-                registered.append(shard.create_aq(
-                    sql, priority=priority,
-                    deadline_seconds=deadline_seconds))
+            for index in range(self.n_shards):
+                registered.append(self._call(
+                    index, "create_aq", sql, priority, deadline_seconds))
         except Exception:
-            for shard, query in zip(self.shards, registered):
-                shard.continuous.drop(query.plan.query_name)
+            # Shard 0 took the statement, so it parses as a CREATE AQ.
+            for index in range(len(registered)):
+                self._call(index, "drop_aq", parse(sql).name)
             raise
-        return registered
+        return None if all(query is None for query in registered) \
+            else registered
 
     def install_action_code(self, library_path: str,
                             implementation: Any) -> None:
         """Install a CREATE ACTION executable on every shard.
 
-        On a parallel fleet the implementation crosses worker pipes, so
+        On a worker fleet the implementation crosses worker pipes, so
         it must be a picklable callable (a module-level function, not a
         closure).
         """
-        if self._fleet is not None:
-            self._fleet.install_action_code(library_path, implementation)
-            return
-        for shard in self.shards:
-            shard.install_action_code(library_path, implementation)
+        self._call_all("install_code", library_path, implementation)
 
     def install_action_profile(self, profile_path: str, profile: Any,
                                resolver: Any, **kwargs: Any) -> None:
         """Install a CREATE ACTION profile on every shard."""
-        if self._fleet is not None:
-            self._fleet.install_action_profile(profile_path, profile,
-                                               resolver, kwargs)
-            return
-        for shard in self.shards:
-            shard.install_action_profile(profile_path, profile, resolver,
-                                         **kwargs)
+        self._call_all("install_profile", profile_path, profile,
+                       resolver, kwargs)
 
     # ------------------------------------------------------------------
     # Request routing (cross-shard batch splitting)
@@ -424,20 +398,13 @@ class ShardedEngine:
         devices before submission (a shard cannot schedule onto devices
         it does not own). Returns the shard index the request landed
         on; with overload control on, the shard's admission may still
-        mark it REJECTED (same contract as ``Dispatcher.submit``).
+        mark it REJECTED (same contract as ``Dispatcher.submit``). A
+        worker receives a pickled copy — the caller's object stays
+        inert and completions flow back through ``completed_requests``.
         """
         index, owned = self.route(request)
         request.candidates = owned
-        if self._fleet is not None:
-            # The request is pickled into the worker; this process's
-            # copy stays inert and completions flow back through
-            # completed_requests.
-            self._fleet.submit(index, request)
-            return index
-        shard = self.shards[index]
-        operator = shard.dispatcher.operator_for(
-            shard.actions.get(request.action_name))
-        shard.dispatcher.submit(operator, request)
+        self._call(index, "submit", request)
         return index
 
     def submit_batch(self,
@@ -457,11 +424,7 @@ class ShardedEngine:
         if self._started:
             raise ShardingError("fleet already started")
         self._started = True
-        if self._fleet is not None:
-            self._fleet.start_all()
-            return
-        for shard in self.shards:
-            shard.start()
+        self._call_all("start")
 
     def run(self, until: float,
             max_events: Optional[int] = None) -> float:
@@ -471,25 +434,76 @@ class ShardedEngine:
         call pattern to a plain engine, keeping traces byte-identical).
         Multiple shards advance in lockstep rounds of
         ``config.shard_quantum`` runtime seconds — concurrently across
-        workers when parallel, sequentially on this thread when not —
-        with per-shard ``engine.run`` spans wrapping the whole
-        coordinated run and ``max_events`` as one fleet-wide cumulative
-        event budget across all rounds and shards.
+        workers, one after another in this process — with per-shard
+        ``engine.run`` spans wrapping the whole coordinated run and
+        ``max_events`` as one fleet-wide cumulative event budget across
+        all rounds and shards. As on a plain engine, the spans close on
+        every path out and ``engine.runs`` counts completed runs only.
         """
         if self.n_shards == 1:
             return self.shards[0].run(until, max_events)
-        if self._fleet is not None:
-            return self._fleet.run(until, max_events,
-                                   quantum=self.config.shard_quantum)
-        with ExitStack() as stack:
-            for shard in self.shards:
-                stack.enter_context(shard.obs.span("engine.run"))
+        self._call_all("run_begin")
+        completed = False
+        try:
             stopped = run_lockstep(
-                [shard.env for shard in self.shards], until,
-                quantum=self.config.shard_quantum, max_events=max_events)
-        for shard in self.shards:
-            shard.obs.inc("engine.runs")
+                self.handles, until, quantum=self.config.shard_quantum,
+                max_events=max_events,
+                on_round=self._record_round if self.parallel else None)
+            completed = True
+        except ShardingError:
+            if any(handle.dead for handle in self.handles):
+                self.close()
+            raise
+        finally:
+            for index, handle in enumerate(self.handles):
+                if not handle.dead:
+                    self._call(index, "run_end", completed)
         return stopped
+
+    def _record_round(self, deadline: float, wall_seconds: float,
+                      results: List[RoundResult]) -> None:
+        registry = self.round_registry
+        registry.counter("shard.round.count").inc()
+        registry.counter("shard.round.wallclock_seconds").inc(
+            wall_seconds)
+        registry.gauge("shard.round.last_wallclock_seconds").set(
+            wall_seconds)
+        for index, result in enumerate(results):
+            registry.counter("shard.round.busy_wallclock_seconds",
+                             shard=index).inc(result.busy_seconds)
+            registry.counter(
+                "shard.round.barrier_wait_wallclock_seconds",
+                shard=index).inc(
+                    max(0.0, wall_seconds - result.busy_seconds))
+
+    def round_breakdown(self) -> Optional[Dict[str, Any]]:
+        """Per-shard busy/barrier-wait wall-clock totals, or ``None``.
+
+        Only a worker fleet has barriers to wait at; an in-process
+        fleet returns ``None``. ``barrier_wait_s`` — wall-clock a
+        shard's worker sat idle at the barrier while slower shards
+        finished their rounds — is the scaling diagnostic: a balanced
+        fleet waits near zero, a skewed one serializes on its slowest
+        shard.
+        """
+        if not self.parallel:
+            return None
+        total = self.round_registry.counter
+        return {
+            "rounds": int(total("shard.round.count").value),
+            "wall_s": round(
+                total("shard.round.wallclock_seconds").value, 4),
+            "per_shard": [
+                {"shard": index,
+                 "busy_s": round(total(
+                     "shard.round.busy_wallclock_seconds",
+                     shard=index).value, 4),
+                 "barrier_wait_s": round(total(
+                     "shard.round.barrier_wait_wallclock_seconds",
+                     shard=index).value, 4)}
+                for index in range(self.n_shards)
+            ],
+        }
 
     # ------------------------------------------------------------------
     # 1-shard pass-through surface (golden-dump compatibility)
@@ -522,43 +536,27 @@ class ShardedEngine:
         """Every completed request fleet-wide, merged deterministically.
 
         One shard returns the engine's own completion log (same list
-        object). Multiple shards merge by completion time, breaking
-        ties by request id, so the order is independent of shard
-        enumeration order. On a parallel fleet the requests are copies
-        shipped back from the workers, with the owning shard index as a
-        final tiebreak (worker-local auto ids can collide across
-        shards).
+        object). Multiple shards merge by completion time, then request
+        id, then owning shard (shard-local auto ids can collide across
+        shards), so the order is independent of shard enumeration
+        order. From a worker the requests are copies shipped back over
+        its pipe.
         """
         if self.n_shards == 1:
             return self.shards[0].completed_requests
-        merged: List[ActionRequest] = []
-        if self._fleet is not None:
-            keys: Dict[int, Tuple[Any, ...]] = {}
-            for index, batch in enumerate(self._fleet.completed_all()):
-                for request in batch:
-                    keys[id(request)] = (
-                        request.completed_at
-                        if request.completed_at is not None
-                        else float("inf"), request.request_id, index)
-                merged.extend(batch)
-            merged.sort(key=lambda request: keys[id(request)])
-            return merged
-        for shard in self.shards:
-            merged.extend(shard.completed_requests)
-        merged.sort(key=lambda request: (
-            request.completed_at if request.completed_at is not None
-            else float("inf"), request.request_id))
-        return merged
+        keyed = [
+            ((request.completed_at if request.completed_at is not None
+              else float("inf"), request.request_id, index), request)
+            for index, batch in enumerate(self._call_all("completed"))
+            for request in batch]
+        keyed.sort(key=lambda pair: pair[0])
+        return [request for _key, request in keyed]
 
     def device_report(self) -> Dict[str, Dict[str, Any]]:
         """Per-device utilization across the fleet (disjoint union)."""
         report: Dict[str, Dict[str, Any]] = {}
-        if self._fleet is not None:
-            for shard_report in self._fleet.device_reports():
-                report.update(shard_report)
-            return report
-        for shard in self.shards:
-            report.update(shard.device_report())
+        for shard_report in self._call_all("device_report"):
+            report.update(shard_report)
         return report
 
     def statistics(self) -> Dict[str, Any]:
@@ -579,9 +577,7 @@ class ShardedEngine:
 
     def shard_statistics(self) -> List[Dict[str, Any]]:
         """Each shard's own statistics dict, in shard order."""
-        if self._fleet is not None:
-            return self._fleet.statistics_all()
-        return [shard.statistics() for shard in self.shards]
+        return self._call_all("statistics")
 
     def query_report(self) -> List[Dict[str, Any]]:
         """Fleet-wide per-query catalog listing.
@@ -596,32 +592,29 @@ class ShardedEngine:
         """
         if self.n_shards == 1:
             return self.shards[0].query_report()
-        if self._fleet is not None:
-            return _merge_query_reports(self._fleet.query_reports())
-        return _merge_query_reports(
-            [shard.query_report() for shard in self.shards])
+        return _merge_query_reports(self._call_all("query_report"))
+
+    def _merged_metrics(self, labeled: bool) -> Dict[str, Any]:
+        merged = MetricsRegistry()
+        for index, registry in enumerate(self._call_all("metrics")):
+            merged.merge(registry.relabeled(shard=index) if labeled
+                         else registry)
+        merged.merge(self.round_registry)
+        return merged.snapshot()
 
     def metrics(self) -> Dict[str, Any]:
         """The fleet metric snapshot, merged without shard labels.
 
         Equals the plain engine's snapshot on a 1-shard fleet; on
         larger fleets, equal-name series from different shards fold
-        together (counters/histograms add, gauges max). A parallel
-        fleet additionally folds in the coordinator's ``shard.round.*``
+        together (counters/histograms add, gauges max). A worker fleet
+        additionally folds in the coordinator's ``shard.round.*``
         wall-clock series (round count, per-round and per-shard
         busy/barrier-wait time).
         """
         if self.n_shards == 1:
             return self.shards[0].metrics()
-        merged = MetricsRegistry()
-        if self._fleet is not None:
-            for registry in self._fleet.registries():
-                merged.merge(registry)
-            merged.merge(self._fleet.round_registry)
-            return merged.snapshot()
-        for shard in self.shards:
-            merged.merge(shard.obs.registry)
-        return merged.snapshot()
+        return self._merged_metrics(labeled=False)
 
     def shard_labeled_metrics(self) -> Dict[str, Any]:
         """The fleet metric snapshot with ``shard=<i>`` on every series.
@@ -629,42 +622,20 @@ class ShardedEngine:
         Per-shard registries stay unlabeled (pinning 1-shard golden
         identity); labels are stamped onto copies at render time, so
         the merged snapshot keeps one distinct series per shard. The
-        parallel round registry merges as-is — its per-shard series
-        already carry shard labels.
+        round registry merges as-is — its per-shard series already
+        carry shard labels.
         """
-        merged = MetricsRegistry()
-        if self._fleet is not None:
-            for index, registry in enumerate(self._fleet.registries()):
-                merged.merge(registry.relabeled(shard=index))
-            merged.merge(self._fleet.round_registry)
-            return merged.snapshot()
-        for index, shard in enumerate(self.shards):
-            merged.merge(shard.obs.registry.relabeled(shard=index))
-        return merged.snapshot()
+        return self._merged_metrics(labeled=True)
 
     def shard_dumps(self) -> List[Dict[str, Any]]:
         """Normalized per-shard dumps, in shard order.
 
-        The reproducibility surface shared by both execution modes: a
-        serial fleet dumps its inner engines here, a parallel fleet
-        fans the ``dump`` command out to its workers (each dumps its
-        own engine in-process). The sharding benchmark gates
-        ``parallel == serial`` on exactly this value.
+        The reproducibility surface of every fleet: each shard's host
+        dumps its own engine where it lives. The sharding benchmark
+        gates ``worker fleet == in-process fleet`` on exactly this
+        value.
         """
-        from repro.obs.dump import dump_engine
-        if self._fleet is not None:
-            return self._fleet.dumps()
-        return [dump_engine(shard) for shard in self.shards]
-
-    def round_breakdown(self) -> Optional[Dict[str, Any]]:
-        """Per-shard busy/barrier-wait wall-clock totals, or ``None``.
-
-        Only a parallel fleet has barriers to account for; the serial
-        coordinator returns ``None``.
-        """
-        if self._fleet is None:
-            return None
-        return self._fleet.round_breakdown()
+        return self._call_all("dump")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -672,13 +643,16 @@ class ShardedEngine:
     def close(self) -> None:
         """Release worker processes and the ledger service.
 
-        A no-op on serial fleets (and safe to call repeatedly):
-        everything lives in this process and the garbage collector owns
-        it. Parallel fleets must be closed — or used as a context
-        manager — so worker processes never outlive the run.
+        Idempotent, and a no-op on in-process fleets: everything lives
+        in this process and the garbage collector owns it. Worker
+        fleets must be closed — or used as a context manager — so
+        worker processes never outlive the run.
         """
-        if self._fleet is not None:
-            self._fleet.close()
+        for handle in self.handles:
+            handle.close()
+        if self.ledger_service is not None:
+            self.ledger_service.stop()
+            self.ledger_service = None
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -1,28 +1,33 @@
-"""True parallel shard execution: worker processes behind pipes.
+"""Shard hosts and the handles that reach them.
 
-The serial coordinator steps every shard sequentially on one thread,
-so adding shards buys no wall-clock speedup — the fleet is bounded by
-a single core no matter how many engines it owns. This module moves
-each shard's engine into its own **worker** (a spawned interpreter by
-default, a thread as the portable fallback) and drives the fleet
-through the same bounded-skew rounds as serial lockstep, now computed
+A shard is one :class:`ShardHost` — an engine plus the operations a
+fleet asks of it — and the coordinator reaches it through a
+:class:`ShardHandle`: ``call(op, *args)``, the round methods of a
+:class:`~repro.runtime.fleet.RoundPeer`, ``close()``, ``dead`` and
+``engine``. Where the host lives is the handle's business, not the
+coordinator's. Hosted in the coordinator's process, a
+:class:`ShardHost` is its own handle and its methods are called
+directly. :class:`ShardWorker` moves it into a **worker** (a spawned
+interpreter by default, a thread as the portable fallback) and sends
+the same operation names down a pipe — which is what buys wall-clock
+speedup from added shards: an in-process fleet steps every shard on
+one thread, a worker fleet computes each bounded-skew round
 concurrently between barriers.
 
-Three design rules keep the parallel path byte-identical to serial
-lockstep (``benchmarks/bench_sharding.py`` gates it):
+Three design rules keep a worker fleet byte-identical to an
+in-process one (``benchmarks/bench_sharding.py`` gates it):
 
 * **Replayed construction, not pickled engines.** An engine is a web
   of generators, open spans and runtime-bound devices — none of it
   picklable, all of it a pure function of its construction commands.
-  So a worker builds its :class:`~repro.core.engine.AortaEngine`
-  in-process from ``(config, derived seed, shard index)`` and replays
-  the coordinator's construction commands (:class:`DeviceSpec`
-  factories, AQ registrations) in order. Same commands, same seeds,
-  same engine.
-* **Deterministic barriers.** :func:`~repro.runtime.fleet.
-  run_parallel_rounds` collects round replies in shard-index order,
-  never arrival order, so everything downstream of a barrier is
-  independent of scheduling noise.
+  So a worker builds its :class:`ShardHost` in-process from ``(config,
+  derived seed)`` and replays the coordinator's construction commands
+  (:class:`DeviceSpec` factories, AQ registrations) in order. Same
+  commands, same seeds, same engine.
+* **Deterministic barriers.** :func:`~repro.runtime.fleet.run_lockstep`
+  collects round replies in shard-index order, never arrival order, so
+  everything downstream of a barrier is independent of scheduling
+  noise.
 * **Coordinator-hosted capacity ledger.** With overload control on,
   the fleet-wide :class:`~repro.overload.admission.CapacityLedger`
   stays in the coordinator; workers forward ``available``/``commit``
@@ -31,15 +36,13 @@ lockstep (``benchmarks/bench_sharding.py`` gates it):
   arithmetic (DESIGN.md decision 13) makes the final accounting exact
   under any within-round interleaving.
 
-The command protocol is a plain ``(op, args)`` tuple stream over a
-duplex pipe, one synchronous reply per command: ``add_device``,
-``inject``, ``execute``, ``create_aq``, ``drop_aq``, ``install_code``,
-``install_profile``, ``submit``, ``start``, ``now``, ``run_begin``,
-``run_round``, ``run_end``, ``statistics``, ``device_report``,
-``query_report``, ``completed``, ``metrics``, ``dump``, ``shutdown``.
-Everything crossing the pipe must pickle — which is exactly why device
-factories are :class:`DeviceSpec` values (an importable callable plus
-its arguments) instead of closures.
+The worker protocol is a plain ``(op, args)`` tuple stream over a
+duplex pipe, one synchronous reply per command: the ``op_*`` methods
+of :class:`ShardHost` by name, plus ``shutdown``. Everything crossing
+the pipe must pickle — which is exactly why device factories are
+:class:`DeviceSpec` values (an importable callable plus its arguments)
+instead of closures, and why a worker replies ``None`` where the host
+returned an object bound to its runtime.
 """
 
 from __future__ import annotations
@@ -48,23 +51,23 @@ import multiprocessing
 import multiprocessing.connection
 import pickle
 import threading
-import time
-from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, List, Optional, Protocol, Tuple, Union,
+)
 
 import repro.errors as _errors
-from repro.errors import AortaError, ShardingError, SimulationError
+from repro.errors import AortaError, ShardingError
 from repro.core.config import EngineConfig
+from repro.core.engine import AortaEngine
+from repro.devices.base import Device
+from repro.obs.dump import dump_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.fleet import (
     RoundBudgetError,
+    RoundPeer,
     RoundResult,
-    run_parallel_rounds,
+    RuntimePeer,
 )
-from repro.sim.rng import derive_seed
-
-#: One command on the wire: (operation name, positional payload).
-Command = Tuple[str, Tuple[Any, ...]]
 
 #: Seconds the coordinator waits for a worker's ready handshake
 #: (spawn + engine construction) before declaring it dead.
@@ -78,16 +81,16 @@ SHUTDOWN_TIMEOUT = 10.0
 class DeviceSpec:
     """A picklable device factory: ``factory(env, *args, **kwargs)``.
 
-    The parallel fleet replays device construction inside worker
-    processes, so factories must survive pickling — which closures and
+    A worker fleet replays device construction inside its workers, so
+    factories must survive pickling — which closures and
     lambdas do not. A spec names an importable callable (usually the
     device class itself) plus the arguments after ``env``::
 
         fleet.add_device("cam1", DeviceSpec(
             PanTiltZoomCamera, "cam1", Point(0, 0), facing=180.0))
 
-    Specs are ordinary callables, so they work identically on the
-    serial path — one scenario builder can feed both modes.
+    Specs are ordinary callables, so they work identically on an
+    in-process fleet — one scenario builder can feed both kinds.
     """
 
     __slots__ = ("factory", "args", "kwargs")
@@ -122,8 +125,8 @@ class RemoteCapacityLedger:
 
     Each call is one synchronous round trip on the worker's dedicated
     ledger pipe — admission inside a worker blocks until the
-    coordinator has applied the operation, exactly like the serial
-    path's direct method call. Duck-types the two methods
+    coordinator has applied the operation, exactly like an in-process
+    shard's direct method call. Duck-types the two methods
     :class:`~repro.overload.admission.AdmissionController` uses.
     """
 
@@ -214,35 +217,78 @@ class LedgerService:
 
 
 # ----------------------------------------------------------------------
-# The worker side
+# The shard, and how the coordinator reaches it
 # ----------------------------------------------------------------------
-class _WorkerHost:
-    """One shard engine plus its command handlers, inside the worker."""
+class ShardHandle(RoundPeer, Protocol):
+    """How the coordinator reaches one shard, wherever it is hosted.
+
+    ``call`` runs one :class:`ShardHost` operation and returns its
+    result — or, from a worker, what of it survives the pipe. The
+    :class:`~repro.runtime.fleet.RoundPeer` methods let
+    :func:`~repro.runtime.fleet.run_lockstep` drive the shard's clock.
+    """
+
+    #: Set once the shard can no longer be reached; a fleet with a dead
+    #: handle has lost a partition and is torn down.
+    dead: bool
+
+    @property
+    def engine(self) -> AortaEngine:
+        """The shard's engine, where this process can reach it."""
+        ...
+
+    def call(self, op: str, *args: Any) -> Any:
+        """Run operation ``op`` on the shard and return its result."""
+        ...
+
+    def close(self) -> None:
+        """Release whatever hosts the shard; idempotent."""
+        ...
+
+
+class ShardHost(RuntimePeer):
+    """One shard: an engine plus the operations a fleet asks of it.
+
+    The one implementation behind every handle. Hosted in the
+    coordinator's process it *is* the handle — ``call`` is a method
+    lookup, results are the live objects (the built ``Device``, the
+    registration handles) and rounds run on the calling thread. Hosted
+    in a worker, :func:`_serve` feeds it the commands a
+    :class:`ShardWorker` sends. ``ledger`` is the fleet's capacity
+    ledger — the real one in-process, a :class:`RemoteCapacityLedger`
+    inside a worker, ``None`` when the engine keeps its own.
+    """
+
+    dead = False
 
     def __init__(self, config: EngineConfig, seed: int,
-                 shard_index: int,
-                 ledger_conn: Optional[
-                     multiprocessing.connection.Connection]) -> None:
-        from repro.core.engine import AortaEngine
-        self.shard_index = shard_index
+                 ledger: Any = None) -> None:
         self.engine = AortaEngine(config=config, seed=seed)
-        if self.engine.overload is not None and ledger_conn is not None:
-            # Fleet capacity lives at the coordinator; admission's
-            # rate buckets and queue limits stay shard-local.
-            self.engine.overload.admission.capacity = \
-                RemoteCapacityLedger(ledger_conn)
+        super().__init__(self.engine.env)
+        if ledger is not None:
+            # Fleet capacity is shared; admission's rate buckets and
+            # queue limits stay shard-local.
+            assert self.engine.overload is not None
+            self.engine.overload.admission.capacity = ledger
         self._run_span: Any = None
 
-    # Each handler is one protocol op; the serve loop dispatches by
-    # name, so adding an op is adding a method.
-    def op_add_device(self, device_id: str, spec: Any) -> None:
-        device = spec(self.engine.env)
+    def call(self, op: str, *args: Any) -> Any:
+        return getattr(self, f"op_{op}")(*args)
+
+    def close(self) -> None:
+        """Nothing to release: the garbage collector owns the engine."""
+
+    # Each handler is one operation of call(), looked up by name, so
+    # adding an operation is adding a method.
+    def op_add_device(self, device_id: str, factory: Any) -> Device:
+        device = factory(self.engine.env)
         if device.device_id != device_id:
             raise ShardingError(
                 f"factory for {device_id!r} built device "
                 f"{device.device_id!r}; placement and routing key on "
                 f"the declared id")
         self.engine.add_device(device)
+        return device
 
     def op_inject(self, device_id: str, stimulus: Any) -> None:
         device = self.engine.comm.registry.get(device_id)
@@ -253,18 +299,13 @@ class _WorkerHost:
                 f"accept injected stimuli")
         inject(stimulus)
 
-    def op_execute(self, sql: str) -> Optional[str]:
-        result = self.engine.execute(sql)
-        # Registration handles (RegisteredQuery, ActionDefinition) are
-        # bound to this worker's runtime and cannot cross the pipe;
-        # EXPLAIN's rendered plan is the only portable result.
-        return result if isinstance(result, str) else None
+    def op_execute(self, sql: str) -> Any:
+        return self.engine.execute(sql)
 
     def op_create_aq(self, sql: str, priority: int,
-                     deadline_seconds: Optional[float]) -> str:
-        query = self.engine.create_aq(
+                     deadline_seconds: Optional[float]) -> Any:
+        return self.engine.create_aq(
             sql, priority=priority, deadline_seconds=deadline_seconds)
-        return query.plan.query_name
 
     def op_drop_aq(self, name: str) -> None:
         self.engine.continuous.drop(name)
@@ -287,41 +328,25 @@ class _WorkerHost:
         self.engine.start()
 
     def op_now(self) -> float:
-        return self.engine.env.now
+        return self.now()
 
     def op_run_begin(self) -> None:
-        # Mirrors the serial coordinator: one engine.run span wraps the
-        # whole coordinated run, entered before the first round.
+        # One engine.run span wraps the whole coordinated run, entered
+        # before the first round.
         self._run_span = self.engine.obs.span("engine.run")
         self._run_span.__enter__()
 
     def op_run_round(self, deadline: float,
-                     max_events: Optional[int]) -> Dict[str, Any]:
-        env = self.engine.env
-        started = time.perf_counter()
-        before = env.events_processed
-        try:
-            if env.now <= deadline:
-                env.run(until=deadline, max_events=max_events)
-        except SimulationError as error:
-            used = env.events_processed - before
-            if max_events is not None and used >= max_events:
-                raise RoundBudgetError(
-                    str(error), now=env.now, events=used,
-                    pending=env.pending_events) from error
-            raise
-        return {
-            "now": env.now,
-            "events": env.events_processed - before,
-            "busy_seconds": time.perf_counter() - started,
-            "pending": env.pending_events,
-        }
+                     max_events: Optional[int]) -> RoundResult:
+        self.begin_round(deadline, max_events)
+        return self.finish_round()
 
-    def op_run_end(self) -> None:
-        if self._run_span is not None:
-            self._run_span.__exit__(None, None, None)
-            self._run_span = None
-        self.engine.obs.inc("engine.runs")
+    def op_run_end(self, completed: bool) -> None:
+        # AortaEngine.run's rule: the span closes on every path out,
+        # engine.runs counts the runs that reached their deadline.
+        self._run_span.__exit__(None, None, None)
+        if completed:
+            self.engine.obs.inc("engine.runs")
 
     def op_statistics(self) -> Dict[str, Any]:
         return self.engine.statistics()
@@ -339,25 +364,37 @@ class _WorkerHost:
         return self.engine.obs.registry
 
     def op_dump(self) -> Dict[str, Any]:
-        from repro.obs.dump import dump_engine
         return dump_engine(self.engine)
+
+
+# ----------------------------------------------------------------------
+# The worker side
+# ----------------------------------------------------------------------
+#: Operations whose result is bound to the host's runtime (the built
+#: Device, RegisteredQuery / ActionDefinition handles) and cannot cross
+#: a pipe: a worker replies ``None`` for them, except EXPLAIN's
+#: rendered plan, which is a string.
+_PROCESS_LOCAL_RESULTS = frozenset({"add_device", "execute", "create_aq"})
 
 
 def _serve(conn: multiprocessing.connection.Connection,
            ledger_conn: Optional[multiprocessing.connection.Connection],
-           config: EngineConfig, seed: int, shard_index: int) -> None:
-    """The worker main loop: build the engine, then serve commands.
+           config: EngineConfig, seed: int) -> None:
+    """The worker main loop: build the shard, then serve commands.
 
     Runs as the target of a spawned process or a daemon thread. Every
     command gets exactly one reply: ``("ok", value)``, ``("budget",
     payload)`` for an exhausted round allowance, or ``("error",
     (type_name, message))`` for a handler failure — handler failures
     do *not* kill the worker, so admission refusals and lookup errors
-    propagate to the coordinator exactly like serial exceptions.
+    propagate to the coordinator exactly like in-process exceptions.
     """
     try:
         try:
-            host = _WorkerHost(config, seed, shard_index, ledger_conn)
+            host = ShardHost(
+                config, seed,
+                None if ledger_conn is None
+                else RemoteCapacityLedger(ledger_conn))
         except BaseException as error:  # noqa: BLE001 - reported, then exit
             conn.send(("error", (type(error).__name__, str(error))))
             return
@@ -370,13 +407,12 @@ def _serve(conn: multiprocessing.connection.Connection,
             if op == "shutdown":
                 conn.send(("ok", None))
                 return
-            handler = getattr(host, f"op_{op}", None)
-            if handler is None:
-                conn.send(("error",
-                           ("ShardingError", f"unknown command {op!r}")))
-                continue
             try:
-                conn.send(("ok", handler(*args)))
+                value = host.call(op, *args)
+                if op in _PROCESS_LOCAL_RESULTS \
+                        and not isinstance(value, str):
+                    value = None
+                conn.send(("ok", value))
             except RoundBudgetError as error:
                 conn.send(("budget", {
                     "message": str(error), "now": error.now,
@@ -397,8 +433,8 @@ def _rehydrate(index: int, name: str, message: str) -> AortaError:
 
     Known :mod:`repro.errors` types come back as themselves, so e.g. an
     ``AdmissionError`` from a worker's registration gate is caught by
-    the same ``except`` clauses as on the serial path; anything else
-    degrades to :class:`ShardingError` naming the shard.
+    the same ``except`` clauses as in-process; anything else degrades
+    to :class:`ShardingError` naming the shard.
     """
     kind = getattr(_errors, name, None)
     if isinstance(kind, type) and issubclass(kind, AortaError):
@@ -407,14 +443,14 @@ def _rehydrate(index: int, name: str, message: str) -> AortaError:
 
 
 class ShardWorker:
-    """The coordinator's handle on one shard worker.
+    """The handle on a shard hosted in a worker process or thread.
 
-    Owns the worker's process (or thread) and its command pipe,
-    exposes synchronous :meth:`call` plus the split-phase
-    :meth:`begin_round`/:meth:`finish_round` pair the barrier loop
-    needs, and converts transport failures — a dead process, a broken
-    pipe — into :class:`ShardingError` naming the shard instead of
-    hanging the barrier.
+    Owns the worker and its command pipe: :meth:`call` is one
+    synchronous round trip, the split-phase :meth:`begin_round` /
+    :meth:`finish_round` pair lets the barrier loop start every worker
+    before waiting on any, and transport failures — a dead process, a
+    broken pipe — become :class:`ShardingError` naming the shard
+    instead of hanging the barrier.
     """
 
     def __init__(self, index: int, config: EngineConfig, seed: int,
@@ -426,29 +462,38 @@ class ShardWorker:
         self.backend = backend
         self.dead = False
         self._conn, child = multiprocessing.Pipe()
-        self._process: Optional[multiprocessing.process.BaseProcess] = None
-        self._thread: Optional[threading.Thread] = None
+        args = (child, ledger_channel, config, seed)
+        #: What serves the shard; a process and a thread share the
+        #: start / is_alive / join surface used here.
+        self._worker: Union[multiprocessing.process.BaseProcess,
+                            threading.Thread]
         if backend == "process":
-            context = multiprocessing.get_context("spawn")
-            self._process = context.Process(
-                target=_serve,
-                args=(child, ledger_channel, config, seed, index),
-                name=f"repro-shard-{index}", daemon=True)
-            self._process.start()
+            self._worker = multiprocessing.get_context("spawn").Process(
+                target=_serve, args=args, name=f"repro-shard-{index}",
+                daemon=True)
+            self._worker.start()
             # The parent's copies of the child-held ends must close so
             # a dead worker surfaces as EOF instead of a hang.
             child.close()
             if ledger_channel is not None:
                 ledger_channel.close()
         else:
-            self._thread = threading.Thread(
-                target=_serve,
-                args=(child, ledger_channel, config, seed, index),
-                name=f"repro-shard-{index}", daemon=True)
-            self._thread.start()
+            self._worker = threading.Thread(
+                target=_serve, args=args, name=f"repro-shard-{index}",
+                daemon=True)
+            self._worker.start()
         if not self._conn.poll(READY_TIMEOUT):
             self._fail("handshake")
         self._recv("handshake")
+
+    @property
+    def engine(self) -> AortaEngine:
+        raise ShardingError(
+            f"shard {self.index} lives in a {self.backend} worker: its "
+            f"engine and devices cannot be reached from the coordinator "
+            f"process; interact through inject()/submit() and read "
+            f"per-shard data from shard_statistics()/shard_dumps()/"
+            f"metrics()")
 
     # -- transport ------------------------------------------------------
     def _fail(self, op: str) -> "ShardingError":
@@ -467,7 +512,7 @@ class ShardWorker:
             # failure leaves the pipe clean and the worker alive.
             raise ShardingError(
                 f"command {op!r} for shard {self.index} is not "
-                f"picklable ({error}); parallel fleets need importable "
+                f"picklable ({error}); worker fleets need importable "
                 f"payloads — use DeviceSpec or module-level callables "
                 f"instead of closures") from error
         except (BrokenPipeError, ConnectionResetError, EOFError,
@@ -503,16 +548,12 @@ class ShardWorker:
         self._send("run_round", (deadline, max_events))
 
     def finish_round(self) -> RoundResult:
-        return RoundResult(**self._recv("run_round"))
+        return self._recv("run_round")
 
     # -- lifecycle ------------------------------------------------------
     @property
     def alive(self) -> bool:
-        if self._process is not None:
-            return self._process.is_alive()
-        if self._thread is not None:
-            return self._thread.is_alive()
-        return False  # pragma: no cover - constructor always sets one
+        return self._worker.is_alive()
 
     def close(self) -> None:
         """Shut the worker down; escalate if it does not cooperate."""
@@ -522,208 +563,14 @@ class ShardWorker:
             except (BrokenPipeError, ConnectionResetError, OSError,
                     pickle.PicklingError):
                 pass
-        if self._process is not None:
-            self._process.join(timeout=SHUTDOWN_TIMEOUT)
-            if self._process.is_alive():  # pragma: no cover - stuck worker
-                self._process.terminate()
-                self._process.join(timeout=SHUTDOWN_TIMEOUT)
-                if self._process.is_alive():
-                    self._process.kill()
-                    self._process.join(timeout=SHUTDOWN_TIMEOUT)
-        elif self._thread is not None:
-            self._thread.join(timeout=SHUTDOWN_TIMEOUT)
+        worker = self._worker
+        worker.join(timeout=SHUTDOWN_TIMEOUT)
+        if isinstance(worker, multiprocessing.process.BaseProcess) \
+                and worker.is_alive():  # pragma: no cover - stuck worker
+            worker.terminate()
+            worker.join(timeout=SHUTDOWN_TIMEOUT)
+            if worker.is_alive():
+                worker.kill()
+                worker.join(timeout=SHUTDOWN_TIMEOUT)
         self.dead = True
         self._conn.close()
-
-
-class ParallelFleet:
-    """Every per-shard concern of a parallel ``ShardedEngine``.
-
-    The coordinator keeps placement, routing and aggregation; this
-    object owns the workers, the ledger service, the barrier loop and
-    the per-round wall-clock accounting. One instance per parallel
-    fleet, built eagerly so construction commands stream to workers as
-    the caller issues them.
-    """
-
-    def __init__(self, *, config: EngineConfig, seed: int) -> None:
-        n = config.shards
-        self.config = config
-        worker_config = replace(config, shards=1, parallel=False)
-        self._device_counts = [0] * n
-        self.ledger_service: Optional[LedgerService] = None
-        channels: List[Optional[
-            multiprocessing.connection.Connection]] = [None] * n
-        if config.overload and n > 1:
-            from repro.overload import CapacityLedger, OverloadPolicy
-            policy = config.overload_policy or OverloadPolicy()
-            ledger = CapacityLedger(
-                policy, fleet_size=lambda: sum(self._device_counts))
-            self.ledger_service = LedgerService(ledger)
-            channels = [self.ledger_service.channel() for _ in range(n)]
-            self.ledger_service.start()
-        self.workers: List[ShardWorker] = []
-        try:
-            for index in range(n):
-                self.workers.append(ShardWorker(
-                    index, worker_config,
-                    seed if n == 1 else derive_seed(seed, f"shard:{index}"),
-                    config.parallel_backend, channels[index]))
-        except BaseException:
-            self.close()
-            raise
-        #: Coordinator-level round metrics (never merged into worker
-        #: registries, so per-shard dumps stay backend-agnostic).
-        self.round_registry = MetricsRegistry()
-        self._rounds = 0
-        self._round_wall = 0.0
-        self._busy = [0.0] * n
-        self._barrier_wait = [0.0] * n
-
-    # -- fan-out helpers ------------------------------------------------
-    def _call(self, index: int, op: str, *args: Any) -> Any:
-        try:
-            return self.workers[index].call(op, *args)
-        except ShardingError:
-            if self.workers[index].dead:
-                # Worker death strands a partition: reap the rest so a
-                # failed fleet never leaks processes.
-                self.close()
-            raise
-
-    def _call_all(self, op: str, *args: Any) -> List[Any]:
-        return [self._call(index, op, *args)
-                for index in range(len(self.workers))]
-
-    # -- construction and routing ---------------------------------------
-    def add_device(self, index: int, device_id: str,
-                   factory: Any) -> None:
-        self._call(index, "add_device", device_id, factory)
-        self._device_counts[index] += 1
-
-    def inject(self, index: int, device_id: str, stimulus: Any) -> None:
-        self._call(index, "inject", device_id, stimulus)
-
-    def execute_one(self, index: int, sql: str) -> Optional[str]:
-        return self._call(index, "execute", sql)
-
-    def execute_all(self, sql: str) -> None:
-        self._call_all("execute", sql)
-
-    def create_aq(self, sql: str, *, priority: int,
-                  deadline_seconds: Optional[float]) -> None:
-        """All-or-nothing AQ fan-out, mirroring the serial rollback."""
-        registered: List[Tuple[int, str]] = []
-        try:
-            for index in range(len(self.workers)):
-                name = self._call(index, "create_aq", sql, priority,
-                                  deadline_seconds)
-                registered.append((index, name))
-        except Exception:
-            for index, name in registered:
-                self._call(index, "drop_aq", name)
-            raise
-
-    def install_action_code(self, library_path: str,
-                            implementation: Any) -> None:
-        self._call_all("install_code", library_path, implementation)
-
-    def install_action_profile(self, profile_path: str, profile: Any,
-                               resolver: Any,
-                               kwargs: Dict[str, Any]) -> None:
-        self._call_all("install_profile", profile_path, profile,
-                       resolver, kwargs)
-
-    def submit(self, index: int, request: Any) -> None:
-        self._call(index, "submit", request)
-
-    def start_all(self) -> None:
-        self._call_all("start")
-
-    # -- running --------------------------------------------------------
-    def run(self, until: float, max_events: Optional[int],
-            *, quantum: float) -> float:
-        self._call_all("run_begin")
-        try:
-            stopped = run_parallel_rounds(
-                self.workers, until, quantum=quantum,
-                max_events=max_events, on_round=self._record_round)
-        except ShardingError:
-            if any(worker.dead for worker in self.workers):
-                self.close()
-            raise
-        finally:
-            for worker in self.workers:
-                if not worker.dead:
-                    try:
-                        worker.call("run_end")
-                    except ShardingError:  # pragma: no cover - teardown
-                        pass
-        return stopped
-
-    def _record_round(self, deadline: float, wall_seconds: float,
-                      results: List[RoundResult]) -> None:
-        self._rounds += 1
-        self._round_wall += wall_seconds
-        registry = self.round_registry
-        registry.counter("shard.round.count").inc()
-        registry.counter("shard.round.wallclock_seconds").inc(
-            wall_seconds)
-        registry.gauge("shard.round.last_wallclock_seconds").set(
-            wall_seconds)
-        for index, result in enumerate(results):
-            wait = max(0.0, wall_seconds - result.busy_seconds)
-            self._busy[index] += result.busy_seconds
-            self._barrier_wait[index] += wait
-            registry.counter("shard.round.busy_wallclock_seconds",
-                             shard=index).inc(result.busy_seconds)
-            registry.counter(
-                "shard.round.barrier_wait_wallclock_seconds",
-                shard=index).inc(wait)
-
-    def round_breakdown(self) -> Dict[str, Any]:
-        """Cumulative per-shard round accounting for the benchmark.
-
-        ``barrier_wait_s`` — wall-clock a shard's worker sat idle at
-        the barrier while slower shards finished their rounds — is the
-        scaling diagnostic: a balanced fleet waits near zero, a skewed
-        one serializes on its slowest shard.
-        """
-        return {
-            "rounds": self._rounds,
-            "wall_s": round(self._round_wall, 4),
-            "per_shard": [
-                {"shard": index,
-                 "busy_s": round(self._busy[index], 4),
-                 "barrier_wait_s": round(self._barrier_wait[index], 4)}
-                for index in range(len(self.workers))
-            ],
-        }
-
-    # -- aggregation feeds ----------------------------------------------
-    def statistics_all(self) -> List[Dict[str, Any]]:
-        return self._call_all("statistics")
-
-    def device_reports(self) -> List[Dict[str, Dict[str, Any]]]:
-        return self._call_all("device_report")
-
-    def query_reports(self) -> List[List[Dict[str, Any]]]:
-        return self._call_all("query_report")
-
-    def completed_all(self) -> List[List[Any]]:
-        return self._call_all("completed")
-
-    def registries(self) -> List[MetricsRegistry]:
-        return self._call_all("metrics")
-
-    def dumps(self) -> List[Dict[str, Any]]:
-        return self._call_all("dump")
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        """Stop every worker and the ledger service; idempotent."""
-        for worker in getattr(self, "workers", []):
-            worker.close()
-        if self.ledger_service is not None:
-            self.ledger_service.stop()
-            self.ledger_service = None

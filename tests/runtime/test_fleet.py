@@ -1,10 +1,11 @@
-"""The round loops: cumulative budgets and the parallel barrier.
+"""The round loop: cumulative budgets and the barrier.
 
 ``run_lockstep``'s fleet-wide ``max_events`` semantics are pinned here
-(it used to be a per-call watchdog, letting a runaway fleet process
-``rounds x shards x max_events`` events before firing), alongside
-fake-peer tests of ``run_parallel_rounds``: peer-order result
-collection, budget threading, failure aggregation and propagation.
+over real runtimes behind :class:`RuntimePeer` (it used to be a
+per-call watchdog, letting a runaway fleet process ``rounds x shards x
+max_events`` events before firing), alongside fake-peer tests of the
+barrier — peer-order result collection, budget threading, failure
+aggregation and propagation — and unit tests of the per-round body.
 """
 
 from typing import List, Optional
@@ -15,9 +16,9 @@ from repro.errors import SimulationError
 from repro.runtime import (
     RoundBudgetError,
     RoundResult,
+    RuntimePeer,
     VirtualRuntime,
     run_lockstep,
-    run_parallel_rounds,
 )
 
 
@@ -46,21 +47,24 @@ def test_lockstep_budget_is_cumulative_across_rounds():
     runtime = ticking_runtime(period=1.0)
     with pytest.raises(SimulationError,
                        match="fleet event budget exhausted"):
-        run_lockstep([runtime], 10.0, quantum=1.0, max_events=5)
+        run_lockstep([RuntimePeer(runtime)], 10.0, quantum=1.0,
+                     max_events=5)
 
 
 def test_lockstep_budget_is_shared_across_shards():
     # Two shards ticking in step: the fleet consumes 2 events per
     # round, so a budget of 7 dies mid-flight even though each shard
     # alone would fit.
-    fleet = [ticking_runtime(period=1.0), ticking_runtime(period=1.0)]
+    fleet = [RuntimePeer(ticking_runtime(period=1.0)),
+             RuntimePeer(ticking_runtime(period=1.0))]
     with pytest.raises(SimulationError,
                        match="fleet event budget exhausted"):
         run_lockstep(fleet, 10.0, quantum=1.0, max_events=7)
 
 
 def test_lockstep_budget_error_carries_per_shard_diagnostics():
-    fleet = [ticking_runtime(period=1.0), ticking_runtime(period=0.5)]
+    fleet = [RuntimePeer(ticking_runtime(period=1.0)),
+             RuntimePeer(ticking_runtime(period=0.5))]
     with pytest.raises(SimulationError) as excinfo:
         run_lockstep(fleet, 10.0, quantum=1.0, max_events=4)
     message = str(excinfo.value)
@@ -74,22 +78,23 @@ def test_lockstep_exact_budget_with_quiescent_fleet_succeeds():
     # many: the budget only fires when due work remains, so consuming
     # the full allowance and quiescing is not an error.
     probe = ticking_runtime(period=1.0, ticks=3)
-    run_lockstep([probe], 10.0, quantum=2.0)
+    run_lockstep([RuntimePeer(probe)], 10.0, quantum=2.0)
     total = probe.events_processed
 
     exact = ticking_runtime(period=1.0, ticks=3)
-    assert run_lockstep([exact], 10.0, quantum=2.0,
+    assert run_lockstep([RuntimePeer(exact)], 10.0, quantum=2.0,
                         max_events=total) == 10.0
     assert exact.events_processed == total
 
     starved = ticking_runtime(period=1.0, ticks=3)
     with pytest.raises(SimulationError,
                        match="fleet event budget exhausted"):
-        run_lockstep([starved], 10.0, quantum=2.0, max_events=total - 1)
+        run_lockstep([RuntimePeer(starved)], 10.0, quantum=2.0,
+                     max_events=total - 1)
 
 
 # ----------------------------------------------------------------------
-# run_parallel_rounds: fake peers
+# The barrier: fake peers
 # ----------------------------------------------------------------------
 class FakePeer:
     """A scripted RoundPeer advancing ``events_per_round`` per round."""
@@ -130,7 +135,7 @@ class FakePeer:
 def test_parallel_rounds_broadcast_then_collect_in_peer_order():
     log: List[str] = []
     peers = [FakePeer(i, log) for i in range(3)]
-    assert run_parallel_rounds(peers, 2.0, quantum=1.0) == 2.0
+    assert run_lockstep(peers, 2.0, quantum=1.0) == 2.0
     # Every round submits to all peers before collecting from any, and
     # collection order is peer order regardless of completion order.
     assert log == ["begin0", "begin1", "begin2",
@@ -141,7 +146,7 @@ def test_parallel_rounds_broadcast_then_collect_in_peer_order():
 def test_parallel_rounds_thread_the_remaining_budget():
     log: List[str] = []
     peers = [FakePeer(i, log, events_per_round=3) for i in range(2)]
-    run_parallel_rounds(peers, 3.0, quantum=1.0, max_events=100)
+    run_lockstep(peers, 3.0, quantum=1.0, max_events=100)
     # Each round consumes 6 fleet-wide; every peer of a round is handed
     # the full remaining allowance (concurrent rounds cannot thread a
     # sequentially decremented budget).
@@ -158,7 +163,7 @@ def test_parallel_rounds_aggregate_budget_exhaustion():
     ]
     with pytest.raises(SimulationError,
                        match="fleet event budget exhausted") as excinfo:
-        run_parallel_rounds(peers, 5.0, quantum=1.0, max_events=7)
+        run_lockstep(peers, 5.0, quantum=1.0, max_events=7)
     message = str(excinfo.value)
     # The diagnostic covers both the exhausted shard and the healthy
     # one that finished its round.
@@ -173,7 +178,7 @@ def test_parallel_rounds_propagate_the_lowest_indexed_failure():
              FakePeer(1, log, fail_with=first),
              FakePeer(2, log, fail_with=second)]
     with pytest.raises(ValueError, match="shard 1 broke"):
-        run_parallel_rounds(peers, 5.0, quantum=1.0)
+        run_lockstep(peers, 5.0, quantum=1.0)
     # The barrier still drained every peer's reply before raising.
     assert log.count("finish2") == 1
 
@@ -185,14 +190,14 @@ def test_parallel_rounds_mixed_failures_prefer_the_real_error():
     peers = [FakePeer(0, log, fail_with=ValueError("broken")),
              FakePeer(1, log, fail_with=RoundBudgetError("budget"))]
     with pytest.raises(ValueError, match="broken"):
-        run_parallel_rounds(peers, 5.0, quantum=1.0, max_events=10)
+        run_lockstep(peers, 5.0, quantum=1.0, max_events=10)
 
 
 def test_parallel_rounds_invoke_the_round_observer():
     observed: List[tuple] = []
     log: List[str] = []
     peers = [FakePeer(i, log, events_per_round=2) for i in range(2)]
-    run_parallel_rounds(
+    run_lockstep(
         peers, 2.0, quantum=1.0,
         on_round=lambda deadline, wall, results:
         observed.append((deadline, len(results),
@@ -203,10 +208,72 @@ def test_parallel_rounds_invoke_the_round_observer():
 def test_parallel_rounds_validate_like_lockstep():
     log: List[str] = []
     with pytest.raises(SimulationError, match="quantum"):
-        run_parallel_rounds([FakePeer(0, log)], 10.0, quantum=0.0)
+        run_lockstep([FakePeer(0, log)], 10.0, quantum=0.0)
     with pytest.raises(SimulationError, match="at least one"):
-        run_parallel_rounds([], 10.0)
+        run_lockstep([], 10.0)
     ahead = FakePeer(0, log)
     ahead._now = 5.0
     with pytest.raises(SimulationError, match="already at"):
-        run_parallel_rounds([ahead], 1.0)
+        run_lockstep([ahead], 1.0)
+
+
+# ----------------------------------------------------------------------
+# RuntimePeer: the per-round body
+# ----------------------------------------------------------------------
+def test_runtime_peer_skips_a_round_it_is_already_past():
+    runtime = ticking_runtime(period=1.0)
+    runtime.run(until=5.0)
+    before = runtime.events_processed
+    peer = RuntimePeer(runtime)
+    peer.begin_round(3.0, None)
+    result = peer.finish_round()
+    assert runtime.now == 5.0
+    assert (result.now, result.events) == (5.0, 0)
+    assert runtime.events_processed == before
+
+
+def test_runtime_peer_raises_round_budget_error_with_shard_state():
+    runtime = ticking_runtime(period=1.0)
+    peer = RuntimePeer(runtime)
+    peer.begin_round(10.0, 3)
+    with pytest.raises(RoundBudgetError) as excinfo:
+        peer.finish_round()
+    error = excinfo.value
+    assert error.events == 3
+    assert error.now == runtime.now
+    assert error.pending == runtime.pending_events > 0
+
+
+def test_runtime_peer_lets_other_simulation_errors_through():
+    class Broken(VirtualRuntime):
+        def run(self, until=None, max_events=None):
+            raise SimulationError("kernel fault")
+
+    peer = RuntimePeer(Broken())
+    peer.begin_round(1.0, 5)
+    with pytest.raises(SimulationError, match="kernel fault") as excinfo:
+        peer.finish_round()
+    assert not isinstance(excinfo.value, RoundBudgetError)
+
+
+def test_lockstep_drives_runtime_peers_and_fake_peers_together():
+    log: List[str] = []
+    first, second = ticking_runtime(period=1.0), ticking_runtime(period=0.5)
+    fake = FakePeer(1, log, events_per_round=2)
+    rounds: List[tuple] = []
+    assert run_lockstep(
+        [RuntimePeer(first), fake, RuntimePeer(second)], 3.0,
+        quantum=1.0, max_events=100,
+        on_round=lambda deadline, wall, results: rounds.append(
+            (deadline, [result.now for result in results],
+             sum(result.events for result in results)))) == 3.0
+    assert first.now == second.now == fake.now() == 3.0
+    assert [(deadline, clocks) for deadline, clocks, _ in rounds] == [
+        (float(t), [float(t)] * 3) for t in (1, 2, 3)]
+    # One allowance for the whole fleet, whatever the peers are: each
+    # round every peer is handed what the rounds before it left.
+    spent = [events for _, _, events in rounds]
+    assert fake.budgets == [100, 100 - spent[0],
+                            100 - spent[0] - spent[1]]
+    assert sum(spent) == (first.events_processed
+                          + second.events_processed + 3 * 2)

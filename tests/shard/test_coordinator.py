@@ -1,4 +1,11 @@
-"""Coordinator behaviour: routing, lifecycle, errors, fleet capacity."""
+"""Coordinator behaviour: routing, lifecycle, errors, fleet capacity.
+
+The tests that touch only the facade take the ``build_fleet`` fixture
+and run twice: here on an in-process fleet, and again from
+:class:`TestOnThreadWorkers` at the end of the module on a
+thread-worker fleet. Tests that look inside a shard's engine use
+:func:`two_shard_fleet` directly and are in-process by nature.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +13,14 @@ import pytest
 
 from repro import (
     AortaEngine,
+    DeviceSpec,
     EngineConfig,
     HashPlacement,
     PanTiltZoomCamera,
     Point,
     RegionPlacement,
     SensorMote,
+    SensorStimulus,
     ShardedEngine,
 )
 from repro.actions.request import ActionRequest
@@ -22,30 +31,66 @@ from repro.errors import (
     SimulationError,
 )
 from repro.overload import OverloadPolicy
-from repro.runtime import VirtualRuntime, run_lockstep
+from repro.runtime import RuntimePeer, VirtualRuntime, run_lockstep
 from tests.shard.scenarios import FIGURE_1_AQ, region_layout
 
 TWO_REGIONS = RegionPlacement.from_regions(region_layout(2))
 
 
-def two_shard_fleet(**config_kwargs) -> ShardedEngine:
+IN_PROCESS: dict = {}
+THREAD_WORKERS = {"parallel": True, "parallel_backend": "thread"}
+
+
+def two_shard_fleet(populate: bool = True,
+                    **config_kwargs) -> ShardedEngine:
+    """Two regions of (two cameras + one mote), one region per shard.
+
+    Devices are :class:`DeviceSpec` values so the same builder serves
+    a worker fleet (``**THREAD_WORKERS``).
+    """
     config = EngineConfig(shards=2, **config_kwargs)
     fleet = ShardedEngine(config=config, placement=TWO_REGIONS, seed=0)
-    for index in range(2):
+    for index in range(2 if populate else 0):
         tag = f"{index:02d}"
         offset = 1000.0 * index
-        fleet.add_device(f"cam{tag}a", lambda env, tag=tag, offset=offset:
-                         PanTiltZoomCamera(env, f"cam{tag}a",
-                                           Point(offset, 0)))
-        fleet.add_device(f"cam{tag}b", lambda env, tag=tag, offset=offset:
-                         PanTiltZoomCamera(env, f"cam{tag}b",
-                                           Point(offset + 20, 0),
-                                           facing=180.0))
-        fleet.add_device(f"mote{tag}", lambda env, tag=tag, offset=offset:
-                         SensorMote(env, f"mote{tag}",
-                                    Point(offset + 5, 3),
-                                    noise_amplitude=0.0))
+        fleet.add_device(f"cam{tag}a", DeviceSpec(
+            PanTiltZoomCamera, f"cam{tag}a", Point(offset, 0)))
+        fleet.add_device(f"cam{tag}b", DeviceSpec(
+            PanTiltZoomCamera, f"cam{tag}b", Point(offset + 20, 0),
+            facing=180.0))
+        fleet.add_device(f"mote{tag}", DeviceSpec(
+            SensorMote, f"mote{tag}", Point(offset + 5, 3),
+            noise_amplitude=0.0))
     return fleet
+
+
+@pytest.fixture
+def transport() -> dict:
+    """Where the fleets of ``build_fleet`` host their shards."""
+    return IN_PROCESS
+
+
+@pytest.fixture
+def build_fleet(transport):
+    """:func:`two_shard_fleet` on the transport under test.
+
+    Closes every fleet it built, so worker threads never outlive the
+    test.
+    """
+    built = []
+
+    def build(**kwargs) -> ShardedEngine:
+        fleet = two_shard_fleet(**transport, **kwargs)
+        built.append(fleet)
+        return fleet
+
+    yield build
+    for fleet in built:
+        fleet.close()
+
+
+def queries_per_shard(fleet: ShardedEngine) -> list:
+    return [stats["queries"] for stats in fleet.shard_statistics()]
 
 
 # ----------------------------------------------------------------------
@@ -88,25 +133,24 @@ def test_devices_land_on_their_placed_shard():
     assert fleet.device("mote01").device_id == "mote01"
 
 
-def test_factory_id_mismatch_is_refused():
-    fleet = ShardedEngine(config=EngineConfig(shards=2),
-                          placement=TWO_REGIONS, seed=0)
+def test_factory_id_mismatch_is_refused(build_fleet):
+    fleet = build_fleet(populate=False)
     with pytest.raises(ShardingError, match="declared id"):
-        fleet.add_device("cam00a", lambda env: PanTiltZoomCamera(
-            env, "other", Point(0, 0)))
+        fleet.add_device("cam00a", DeviceSpec(
+            PanTiltZoomCamera, "other", Point(0, 0)))
 
 
-def test_unplaced_device_is_refused_loudly():
-    fleet = two_shard_fleet()
+def test_unplaced_device_is_refused_loudly(build_fleet):
+    fleet = build_fleet()
     with pytest.raises(ShardingError, match="ghost"):
-        fleet.add_device("ghost", lambda env: SensorMote(
-            env, "ghost", Point(0, 0)))
+        fleet.add_device("ghost", DeviceSpec(
+            SensorMote, "ghost", Point(0, 0)))
     with pytest.raises(ShardingError, match="ghost"):
         fleet.inject("ghost", None)
 
 
-def test_inject_refuses_devices_without_stimulus_support():
-    fleet = two_shard_fleet()
+def test_inject_refuses_devices_without_stimulus_support(build_fleet):
+    fleet = build_fleet()
     with pytest.raises(ShardingError, match="stimuli"):
         fleet.inject("cam00a", None)
 
@@ -122,36 +166,45 @@ def test_create_aq_registers_on_every_shard():
         assert "snapshot" in shard.continuous.queries
 
 
-def test_drop_aq_fans_out_and_returns_none():
-    fleet = two_shard_fleet()
+def test_drop_aq_fans_out_and_returns_none(build_fleet):
+    fleet = build_fleet()
     fleet.execute(FIGURE_1_AQ)
+    assert queries_per_shard(fleet) == [1, 1]
     assert fleet.execute("DROP AQ snapshot") is None
-    for shard in fleet.shards:
-        assert "snapshot" not in shard.continuous.queries
+    assert queries_per_shard(fleet) == [0, 0]
 
 
-def test_snapshot_select_needs_a_single_shard():
-    fleet = two_shard_fleet()
+def test_snapshot_select_needs_a_single_shard(build_fleet):
+    fleet = build_fleet()
     with pytest.raises(ShardingError, match="single shard"):
         fleet.execute("SELECT s.accel_x FROM sensor s")
 
 
-def test_explain_describes_the_plan_without_registering():
-    fleet = two_shard_fleet()
+def test_explain_describes_the_plan_without_registering(build_fleet):
+    fleet = build_fleet()
     description = fleet.execute(f"EXPLAIN {FIGURE_1_AQ}")
-    assert "photo" in description
-    for shard in fleet.shards:
-        assert not shard.continuous.queries
+    assert isinstance(description, str) and "photo" in description
+    assert queries_per_shard(fleet) == [0, 0]
 
 
-def test_create_aq_admission_failure_rolls_back_earlier_shards(
-        monkeypatch):
+class RefusingShard:
+    """A handle whose shard refuses every AQ registration."""
+
+    dead = False
+
+    def __init__(self, shard) -> None:
+        self.shard = shard
+
+    def call(self, op, *args):
+        if op == "create_aq":
+            raise AdmissionError("tier rate exhausted")
+        return self.shard.call(op, *args)
+
+
+def test_create_aq_admission_failure_rolls_back_earlier_shards():
     fleet = two_shard_fleet()
-
-    def refuse(sql, **kwargs):
-        raise AdmissionError("tier rate exhausted")
-
-    monkeypatch.setattr(fleet.shards[1], "create_aq", refuse)
+    # The handle list is the seam: no engine method is patched.
+    fleet.handles[1] = RefusingShard(fleet.handles[1])
     with pytest.raises(AdmissionError):
         fleet.create_aq(FIGURE_1_AQ, priority=1)
     # The shard that had already accepted must not keep a half-fleet
@@ -191,8 +244,9 @@ def test_route_refuses_requests_without_candidates():
         fleet.route(_request([]))
 
 
-def test_submit_batch_splits_across_shards_and_merges_completions():
-    fleet = two_shard_fleet()
+def test_submit_batch_splits_across_shards_and_merges_completions(
+        build_fleet):
+    fleet = build_fleet()
     fleet.start()
     routed = fleet.submit_batch([
         _request(["cam00a", "cam00b"], "b1"),
@@ -215,19 +269,22 @@ def test_submit_batch_splits_across_shards_and_merges_completions():
 # ----------------------------------------------------------------------
 # Lifecycle and the lockstep run loop
 # ----------------------------------------------------------------------
-def test_start_is_once_and_run_advances_every_shard_clock():
-    fleet = two_shard_fleet()
+def test_start_is_once_and_run_advances_every_shard_clock(build_fleet):
+    fleet = build_fleet()
     fleet.start()
     with pytest.raises(ShardingError, match="already started"):
         fleet.start()
+
+    def clocks():
+        return [stats["virtual_time"]
+                for stats in fleet.shard_statistics()]
+
     fleet.run(until=12.5)
-    for shard in fleet.shards:
-        assert shard.env.now == 12.5
+    assert clocks() == [12.5, 12.5]
     # A second run with a later deadline continues from where the
     # lockstep left off.
     fleet.run(until=20.0)
-    for shard in fleet.shards:
-        assert shard.env.now == 20.0
+    assert clocks() == [20.0, 20.0]
 
 
 def test_per_shard_state_is_refused_on_multi_shard_fleets():
@@ -239,19 +296,20 @@ def test_per_shard_state_is_refused_on_multi_shard_fleets():
 
 def test_run_lockstep_validates_its_inputs():
     with pytest.raises(SimulationError, match="quantum"):
-        run_lockstep([VirtualRuntime()], 10.0, quantum=0.0)
+        run_lockstep([RuntimePeer(VirtualRuntime())], 10.0, quantum=0.0)
     with pytest.raises(SimulationError, match="at least one"):
         run_lockstep([], 10.0)
     runtime = VirtualRuntime()
     runtime.run(until=5.0)
     with pytest.raises(SimulationError, match="already at"):
-        run_lockstep([runtime], 1.0)
+        run_lockstep([RuntimePeer(runtime)], 1.0)
 
 
 def test_run_lockstep_tolerates_runtimes_ahead_of_the_floor():
     ahead, behind = VirtualRuntime(), VirtualRuntime()
     ahead.run(until=7.0)
-    assert run_lockstep([ahead, behind], 10.0, quantum=2.0) == 10.0
+    assert run_lockstep([RuntimePeer(ahead), RuntimePeer(behind)], 10.0,
+                        quantum=2.0) == 10.0
     assert ahead.now == 10.0
     assert behind.now == 10.0
 
@@ -303,10 +361,9 @@ def test_single_shard_fleet_keeps_per_engine_ledgers():
 # ----------------------------------------------------------------------
 # Aggregated reporting
 # ----------------------------------------------------------------------
-def test_fleet_statistics_aggregate_sum_max_and_width():
-    fleet = two_shard_fleet()
+def test_fleet_statistics_aggregate_sum_max_and_width(build_fleet):
+    fleet = build_fleet()
     fleet.execute(FIGURE_1_AQ)
-    from repro import SensorStimulus
     for index in range(2):
         fleet.inject(f"mote{index:02d}",
                      SensorStimulus("accel_x", start=2.0 + index,
@@ -324,10 +381,41 @@ def test_fleet_statistics_aggregate_sum_max_and_width():
     assert stats["queries"] == 2
 
 
-def test_device_report_is_the_disjoint_union():
-    fleet = two_shard_fleet()
+def test_device_report_is_the_disjoint_union(build_fleet):
+    fleet = build_fleet()
     report = fleet.device_report()
     assert len(report) == 6
     assert set(report) == {f"cam{i:02d}{side}" for i in range(2)
                            for side in "ab"} \
         | {"mote00", "mote01"}
+
+
+# ----------------------------------------------------------------------
+# The same facade contract on a worker fleet
+# ----------------------------------------------------------------------
+class TestOnThreadWorkers:
+    """Every facade-only test above, again over worker pipes.
+
+    The thread backend exercises the whole worker path — pickled
+    commands, replayed construction, rehydrated errors — without
+    paying a process spawn per shard.
+    """
+
+    @pytest.fixture
+    def transport(self) -> dict:
+        return THREAD_WORKERS
+
+
+for _contract in (
+        test_factory_id_mismatch_is_refused,
+        test_unplaced_device_is_refused_loudly,
+        test_inject_refuses_devices_without_stimulus_support,
+        test_drop_aq_fans_out_and_returns_none,
+        test_snapshot_select_needs_a_single_shard,
+        test_explain_describes_the_plan_without_registering,
+        test_submit_batch_splits_across_shards_and_merges_completions,
+        test_start_is_once_and_run_advances_every_shard_clock,
+        test_fleet_statistics_aggregate_sum_max_and_width,
+        test_device_report_is_the_disjoint_union):
+    setattr(TestOnThreadWorkers, _contract.__name__,
+            staticmethod(_contract))

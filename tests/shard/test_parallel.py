@@ -1,8 +1,7 @@
-"""Parallel fleet execution: identity, failure handling, teardown.
+"""Worker fleet execution: identity, failure handling, teardown.
 
-The load-bearing property is byte-identity: a parallel fleet's
-normalized per-shard dumps must equal the serial lockstep
-coordinator's, across backends, shard counts, observability and
+The load-bearing property is byte-identity: a worker fleet's
+normalized per-shard dumps must equal the in-process fleet's, across backends, shard counts, observability and
 overload control — pinned here with a hypothesis sweep on the thread
 backend (cheap) and a single process-backend spot check (spawn costs
 ~1s per worker). The rest is the unhappy path: worker death must
@@ -146,6 +145,37 @@ def test_parallel_budget_exhaustion_is_fleet_wide():
         fleet.close()
 
 
+@pytest.mark.parametrize("transport", [
+    {}, {"parallel": True, "parallel_backend": "thread"},
+], ids=["in-process", "thread"])
+def test_engine_runs_counts_completed_runs_only(transport):
+    # One rule for every transport, the plain engine's: a run() that
+    # raises still closes its engine.run span but is not counted.
+    fleet = region_fleet_scenario(2, run_until=0.5, observability=True,
+                                  **transport)
+    try:
+        with pytest.raises(SimulationError,
+                           match="fleet event budget exhausted"):
+            fleet.run(until=40.0, max_events=3)
+        assert fleet.metrics()["counters"]["engine.runs"] == 2.0
+        for dump in fleet.shard_dumps():
+            assert dump["metrics"]["counters"]["engine.runs"] == 1.0
+            run_spans = [record for record in dump["trace"]
+                         if record["kind"] == "span"
+                         and record["fields"]["name"] == "engine.run"]
+            assert len(run_spans) == 2
+    finally:
+        fleet.close()
+
+
+def test_transport_knobs_live_on_the_config_only():
+    with pytest.raises(TypeError):
+        ShardedEngine(config=EngineConfig(shards=2), parallel=True)
+    with pytest.raises(TypeError):
+        ShardedEngine(config=EngineConfig(shards=2),
+                      parallel_backend="thread")
+
+
 def test_round_breakdown_accounts_every_shard():
     fleet = region_fleet_scenario(3, parallel=True,
                                   parallel_backend="thread")
@@ -172,10 +202,10 @@ def test_round_breakdown_accounts_every_shard():
 def test_worker_crash_raises_naming_the_shard():
     fleet = region_fleet_scenario(2, run_until=1.0, parallel=True,
                                   parallel_backend="process")
-    workers = fleet._fleet.workers
+    workers = fleet.handles
     try:
-        workers[1]._process.kill()
-        workers[1]._process.join(timeout=10.0)
+        workers[1]._worker.kill()
+        workers[1]._worker.join(timeout=10.0)
         with pytest.raises(ShardingError, match="shard 1"):
             fleet.run(until=40.0)
         # The failed fleet reaped every worker, not just the dead one.
@@ -191,7 +221,7 @@ def test_context_manager_exit_leaves_no_workers(backend):
     with region_fleet_scenario(2, run_until=2.0, parallel=True,
                                parallel_backend=backend) as fleet:
         assert fleet.parallel
-        workers = fleet._fleet.workers
+        workers = fleet.handles
         assert all(worker.alive for worker in workers)
     assert not any(worker.alive for worker in workers)
     if backend == "thread":
