@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Mapping, Sequence
+import platform
+import subprocess
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "bench_results")
 
@@ -54,14 +56,42 @@ def record(name: str, title: str, body: str, *,
     return text
 
 
+def host_fingerprint() -> Dict[str, Optional[object]]:
+    """Where and on what a recorded number was measured.
+
+    ``git_commit`` ends in ``-dirty`` when the tree had uncommitted
+    changes, i.e. the numbers belong to the commit after the named one.
+    """
+    try:
+        import numpy
+        numpy_version: Optional[str] = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    try:
+        commit: Optional[str] = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(__file__), capture_output=True,
+            text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "platform": platform.platform(),
+        "git_commit": commit,
+    }
+
+
 def write_result(json_path: str, payload: Mapping[str, object],
                  gates: Mapping[str, object]) -> int:
     """Finalize one benchmark's JSON artifact with boolean gating.
 
     The single exit door for every gated bench: each gate value is
     coerced to a real ``bool`` (a truthy string or count can never
-    masquerade as a passing gate in the artifact), ``gates`` and the
-    derived top-level ``pass`` are stamped onto the payload, the JSON
+    masquerade as a passing gate in the artifact), ``gates``, the
+    derived top-level ``pass`` and the :func:`host_fingerprint` of the
+    measuring host are stamped onto the payload, the JSON
     is written with stable formatting (indent 2, trailing newline), and
     the return value is the process exit code — 0 on pass, 1 on any
     gate miss — so ``raise SystemExit(main())`` fails CI on a miss.
@@ -76,6 +106,7 @@ def write_result(json_path: str, payload: Mapping[str, object],
     finalized = dict(payload)
     finalized["gates"] = coerced
     finalized["pass"] = gate_pass
+    finalized["host"] = host_fingerprint()
     if not payload.get("smoke"):
         with open(json_path, "w") as handle:
             json.dump(finalized, handle, indent=2)

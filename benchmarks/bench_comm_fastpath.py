@@ -1,14 +1,15 @@
-"""Comm fast-path benchmark: probe/connect traffic and batch latency.
+"""Status-cache benchmark: probe traffic and batch latency over the
+one comm path.
 
 Drives a continuous multi-query workload — 50 registered AQs over a
 54-device fleet (40 PTZ cameras, 8 sensor motes, 6 phones) — and
-compares two otherwise identical engines:
+compares two engines that differ in ``status_cache`` only (pooled
+channels and per-action dispatch are how both talk to devices):
 
-* ``fastpath_off`` — the pre-fastpath engine: every batch pays a full
-  probe exchange per candidate and every exchange pays the connection
-  handshake.
-* ``fastpath_on`` — keep-alive connection pool + TTL device-status
-  cache + concurrent multi-action dispatch.
+* ``fastpath_off`` — Section 4 as written: every batch pays a full
+  probe exchange per candidate.
+* ``fastpath_on`` — the TTL device-status cache answers for candidates
+  probed within their type's freshness window.
 
 The queries are band predicates over ``accel_x`` (40 photo bands, 10
 sendphoto bands), so each stimulus fires exactly one query. That makes
@@ -17,9 +18,15 @@ probes/costs the full 40-camera candidate set, while execution touches
 (and therefore invalidates) only the one device that serviced it.
 
 Writes a machine-readable ``BENCH_comm_fastpath.json`` at the repo
-root. The acceptance gate: with the fast path on, probe exchanges AND
-connect handshakes both drop by >= 2x, mean batch makespan improves,
-the serviced set is unchanged, and a repeat run is bit-identical.
+root. The acceptance gate: with the cache on, probe exchanges drop by
+>= 2x and mean batch makespan is no worse (within 2 %: candidates are
+probed in parallel, so skipping most of them saves exchanges, not
+batch latency — the latency the old gate credited to the fast path was
+the pool's, which both runs now have); in each run at least half of
+all channel checkouts are pool hits (the old off-vs-on handshake ratio
+of >= 2x, restated for a single run now that there is no un-pooled
+engine to compare against); the serviced set is unchanged, and a
+repeat run is bit-identical.
 
 Usage::
 
@@ -79,7 +86,8 @@ STATUS_TTLS = {"camera": 30.0, "sensor": 3.0, "phone": 15.0}
 
 #: Acceptance thresholds.
 TARGET_PROBE_RATIO = 2.0
-TARGET_CONNECT_RATIO = 2.0
+TARGET_POOL_HIT_RATE = 0.5
+MAX_MAKESPAN_RATIO = 1.02
 
 
 def photo_band(k: int) -> tuple[float, float]:
@@ -110,13 +118,10 @@ def install_sendphoto(engine: AortaEngine) -> None:
         PROFILE "profiles/users/sendphoto.xml"''')
 
 
-def build_engine(fastpath: bool) -> AortaEngine:
+def build_engine(status_cache: bool) -> AortaEngine:
     config = EngineConfig(
-        connection_pool=fastpath,
-        pool_capacity=64,
-        status_cache=fastpath,
-        status_ttls=STATUS_TTLS if fastpath else None,
-        concurrent_dispatch=fastpath,
+        status_cache=status_cache,
+        status_ttls=STATUS_TTLS if status_cache else None,
     )
     env = Environment()
     engine = AortaEngine(env, config=config, seed=0)
@@ -173,8 +178,8 @@ def inject_stimuli(engine: AortaEngine, n_events: int) -> None:
                                    magnitude=magnitude))
 
 
-def run_engine(fastpath: bool, n_events: int) -> dict:
-    engine = build_engine(fastpath)
+def run_engine(status_cache: bool, n_events: int) -> dict:
+    engine = build_engine(status_cache)
     inject_stimuli(engine, n_events)
     engine.start()
     engine.run(until=4.0 + EVENT_PERIOD * n_events + DRAIN)
@@ -183,8 +188,8 @@ def run_engine(fastpath: bool, n_events: int) -> dict:
     reports = engine.dispatcher.reports
     makespans = [r.makespan_seconds for r in reports]
     # Auto request ids come from a process-global counter and exact
-    # submission timestamps shift when the fast path shortens scan
-    # polls, so identify a request by the band event that produced it:
+    # submission timestamps shift when the cache shortens batches,
+    # so identify a request by the band event that produced it:
     # event i fires at 4 + EVENT_PERIOD*i, the detecting poll lands
     # well inside the period, and one band event fires exactly one
     # query. (Candidate sets are not compared — dispatch narrows them
@@ -205,9 +210,9 @@ def run_engine(fastpath: bool, n_events: int) -> dict:
         "max_makespan_seconds": max(makespans, default=0.0),
         "virtual_time": stats["virtual_time"],
         "serviced_ids": serviced_ids,
+        "pool": engine.pool.stats(),
     }
-    if fastpath:
-        result["pool"] = engine.pool.stats()
+    if status_cache:
         result["status_cache"] = engine.status_cache.stats()
     return result
 
@@ -225,16 +230,16 @@ def main(argv=None) -> int:
 
     probe_ratio = (off["probes_sent"] / on["probes_sent"]
                    if on["probes_sent"] else float("inf"))
-    connect_ratio = (off["connects_attempted"] / on["connects_attempted"]
-                     if on["connects_attempted"] else float("inf"))
+    pool_hit_rate = min(off["pool"]["hit_rate"], on["pool"]["hit_rate"])
     deterministic = on == repeat
     serviced_unchanged = off["serviced_ids"] == on["serviced_ids"]
-    latency_improved = (on["mean_makespan_seconds"]
-                        < off["mean_makespan_seconds"])
+    latency_not_worse = (
+        on["mean_makespan_seconds"]
+        <= MAX_MAKESPAN_RATIO * off["mean_makespan_seconds"])
     gates = {
         "probe_amortized": probe_ratio >= TARGET_PROBE_RATIO,
-        "connect_amortized": connect_ratio >= TARGET_CONNECT_RATIO,
-        "latency_improved": latency_improved,
+        "pool_hit_rate": pool_hit_rate >= TARGET_POOL_HIT_RATE,
+        "latency_not_worse": latency_not_worse,
         "deterministic": deterministic,
         "serviced_unchanged": serviced_unchanged,
     }
@@ -255,9 +260,10 @@ def main(argv=None) -> int:
         "fastpath_on": on,
         "gate": {
             "target_probe_ratio": TARGET_PROBE_RATIO,
-            "target_connect_ratio": TARGET_CONNECT_RATIO,
+            "target_pool_hit_rate": TARGET_POOL_HIT_RATE,
+            "max_makespan_ratio": MAX_MAKESPAN_RATIO,
             "probe_ratio": round(probe_ratio, 3),
-            "connect_ratio": round(connect_ratio, 3),
+            "pool_hit_rate": round(pool_hit_rate, 3),
             "mean_makespan_off": round(off["mean_makespan_seconds"], 6),
             "mean_makespan_on": round(on["mean_makespan_seconds"], 6),
         },
@@ -276,14 +282,15 @@ def main(argv=None) -> int:
         ("config", "batches", "serviced", "probes", "connects",
          "mean_makespan_s"), rows)
     verdict = (
-        f"gate (probes >= {TARGET_PROBE_RATIO:.0f}x, connects >= "
-        f"{TARGET_CONNECT_RATIO:.0f}x, latency down, deterministic, "
+        f"gate (probes >= {TARGET_PROBE_RATIO:.0f}x, pool hit rate >= "
+        f"{TARGET_POOL_HIT_RATE:.0%}, latency not worse, deterministic, "
         f"serviced unchanged): {'PASS' if exit_code == 0 else 'FAIL'} "
-        f"(probes {probe_ratio:.1f}x, connects {connect_ratio:.1f}x, "
+        f"(probes {probe_ratio:.1f}x, pool hit rate {pool_hit_rate:.0%}, "
         f"makespan {off['mean_makespan_seconds']:.3f}s -> "
         f"{on['mean_makespan_seconds']:.3f}s)")
     record("comm_fastpath",
-           "Comm fast path: probe/connect amortization and batch latency",
+           "Status cache over the one comm path: probe amortization, "
+           "pool hit rate and batch latency",
            table + "\n\n" + verdict +
            f"\nJSON: {os.path.relpath(JSON_PATH)}",
            smoke=args.smoke)

@@ -48,8 +48,9 @@ def _demo_engine(*, observability: bool = False,
     ``runtime="realtime"`` paces the same scenario against the wall
     clock: ``time_scale=1.0`` replays its 30 runtime seconds in 30 real
     seconds; ``time_scale=0`` fires timers immediately, reproducing the
-    virtual run exactly. ``fastpath`` switches on the comm fast path
-    (connection pool + status cache + concurrent dispatch).
+    virtual run exactly. ``fastpath`` switches on the status cache, the
+    one opt-in policy of the comm layer (pooled channels and per-action
+    dispatch are always how the engine talks to devices).
     ``overload`` switches on the overload-control plane and additionally
     injects a deterministic request storm so the admission, bounded
     queue and shedding counters have something to report.
@@ -63,9 +64,7 @@ def _demo_engine(*, observability: bool = False,
             shed_high_watermark=6, shed_low_watermark=2)
     config = EngineConfig(observability=observability,
                           runtime=runtime, time_scale=time_scale,
-                          connection_pool=fastpath,
                           status_cache=fastpath,
-                          concurrent_dispatch=fastpath,
                           overload=overload, overload_policy=policy)
     engine = AortaEngine(config=config)
     env = engine.env
@@ -245,10 +244,11 @@ def run_metrics(*, as_json: bool = False, spans: bool = False,
                 queries: bool = False) -> int:
     """Run the demo with observability on; export what it measured.
 
-    With ``fastpath`` the comm fast path is enabled, so the snapshot
-    additionally carries the ``comm.pool.*`` and ``probe.cache.*``
-    counter families, and the text form appends a one-line summary of
-    each (JSON output stays pure metrics). With ``overload`` the
+    The text form always appends a one-line summary of the connection
+    pool (JSON output stays pure metrics). With ``fastpath`` the status
+    cache is enabled, so the snapshot additionally carries the
+    ``probe.cache.*`` counter family and the text form a one-line
+    summary of it. With ``overload`` the
     overload-control plane is enabled against an injected request
     storm, and the text form appends admitted/rejected/shed counts per
     priority tier plus the peak pending-queue depth per operator. With
@@ -265,12 +265,11 @@ def run_metrics(*, as_json: bool = False, spans: bool = False,
         if queries:
             print()
             _print_query_listing(engine.query_report())
-        if engine.pool is not None:
-            pool = engine.pool.stats()
-            print(f"\nconnection pool: {pool['hits']:.0f} hits / "
-                  f"{pool['misses']:.0f} misses "
-                  f"(hit rate {pool['hit_rate']:.0%}), "
-                  f"{pool['idle']:.0f} idle")
+        pool = engine.pool.stats()
+        print(f"\nconnection pool: {pool['hits']:.0f} hits / "
+              f"{pool['misses']:.0f} misses "
+              f"(hit rate {pool['hit_rate']:.0%}), "
+              f"{pool['idle']:.0f} idle")
         if engine.status_cache is not None:
             cache = engine.status_cache.stats()
             print(f"status cache: {cache['hits']:.0f} hits / "
@@ -345,9 +344,10 @@ def main(argv: list[str] | None = None) -> int:
     metrics.add_argument("--spans", action="store_true",
                          help="also print the virtual-time span tree")
     metrics.add_argument("--fastpath", action="store_true",
-                         help="enable the comm fast path (connection "
-                              "pool + status cache + concurrent "
-                              "dispatch) and report its counters")
+                         help="enable the status cache (the comm "
+                              "layer's one opt-in policy; pooling and "
+                              "per-action dispatch are always on) and "
+                              "report its counters")
     metrics.add_argument("--overload", action="store_true",
                          help="enable the overload-control plane, "
                               "inject a request storm, and report "

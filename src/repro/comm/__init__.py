@@ -13,11 +13,11 @@ components, per the paper:
 The probing mechanism of Section 4 also lives here
 (:class:`Prober`), since a probe is a communication-layer exchange.
 
-The comm fast path adds two amortization layers on top (see DESIGN.md
-decision 10): :class:`ConnectionPool` reuses keep-alive connections
-across probes and executions, and :class:`DeviceStatusCache` lets the
-dispatcher skip probe exchanges for recently-seen devices under a
-per-type freshness TTL.
+Two amortization layers sit on top (see DESIGN.md decision 10): the
+transport's :class:`ConnectionPool` reuses keep-alive connections
+across scans, probes and executions, and the opt-in
+:class:`DeviceStatusCache` lets the dispatcher skip probe exchanges for
+recently-seen devices under a per-type freshness TTL.
 """
 
 from repro.comm.adapters import (

@@ -50,9 +50,9 @@ class BaseCommunicator:
     def connect(self) -> Generator[Any, Any, None]:
         """Open the control channel (no-op when already open).
 
-        Checkout goes through :meth:`Transport.open`, so when the comm
-        fast path installs a keep-alive pool, reconnecting to a
-        recently-used device skips the handshake.
+        Checkout goes through :meth:`Transport.open`, so reconnecting
+        to a recently-used device takes its parked keep-alive channel
+        and skips the handshake.
         """
         if self._connection is not None and not self._connection.closed:
             return
@@ -62,10 +62,10 @@ class BaseCommunicator:
     def close(self) -> None:
         """Release the control channel and drop in-flight exchanges.
 
-        With a pool installed the healthy channel is parked for reuse
-        rather than torn down; without one this closes it, exactly as
-        before. A channel abandoned with exchanges still in flight is
-        never pooled — the next holder must not inherit them.
+        The healthy channel is parked in the transport's pool for reuse
+        rather than torn down. A channel abandoned with exchanges still
+        in flight is never pooled — the next holder must not inherit
+        them.
         """
         if self._connection is not None:
             if self._in_flight:
@@ -99,7 +99,7 @@ class BaseCommunicator:
             response = yield exchange
         except CommunicationError:
             # The channel failed mid-exchange: it must never be pooled
-            # for reuse. (Without a pool this just closes it early.)
+            # for reuse.
             if self._connection is not None:
                 self.transport.discard(self._connection)
                 self._connection = None

@@ -59,10 +59,14 @@ class CommunicationLayer:
         registry: Optional[DeviceRegistry] = None,
         links: Optional[Dict[str, LinkModel]] = None,
         rng: Optional[random.Random] = None,
+        pool_capacity: int = 64,
+        pool_idle_seconds: float = 30.0,
     ) -> None:
         self.env = env
         self.registry = registry or DeviceRegistry()
-        self.transport = Transport(env, links=links, rng=rng)
+        self.transport = Transport(env, links=links, rng=rng,
+                                   pool_capacity=pool_capacity,
+                                   pool_idle_seconds=pool_idle_seconds)
         self._types: Dict[str, DeviceTypeRegistration] = {}
         self.prober = Prober(env, self.transport, timeouts={})
 
@@ -171,7 +175,7 @@ class CommunicationLayer:
     def execute(
         self, device: Device, operation: str, **params: Any
     ) -> Generator[Any, Any, OperationOutcome]:
-        """Run one atomic operation over a fresh connection."""
+        """Run one atomic operation over the device's pooled channel."""
         communicator = self.communicator(device)
         yield from communicator.connect()
         try:

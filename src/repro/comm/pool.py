@@ -1,4 +1,4 @@
-"""Keep-alive connection pooling for the comm fast path.
+"""Keep-alive connection pooling: how the transport reuses channels.
 
 The paper's cost tables price the connection handshake as a first-class
 line item (Section 3), and every probe exchange of Section 4 pays it
@@ -16,9 +16,10 @@ the same device, skipping the handshake entirely. The pool is bounded:
 * **LRU capacity cap** — at most ``capacity`` idle connections are
   retained; inserting beyond that closes the least-recently-released
   one;
-* **invalidation** — a communication failure mid-exchange or a health
-  breaker opening discards the device's channel, so a dead device never
-  serves a stale socket to the next probe.
+* **invalidation** — a communication failure mid-exchange, a health
+  breaker transition or the device leaving the registry discards the
+  device's channel, so a dead or departed device never serves a stale
+  socket to the next probe.
 
 The pool never owns checkout bookkeeping races: a connection is either
 idle (inside the pool) or checked out (held by exactly one caller, who
@@ -34,16 +35,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator
+from typing import Any, Dict, Generator
 
 from repro.errors import CommunicationError
 from repro.devices.base import Device
 from repro.network.transport import Connection, Transport
-from repro.obs.spans import NULL_OBS
 from repro.runtime import Runtime
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.obs.spans import Observability
 
 
 @dataclass
@@ -64,7 +61,6 @@ class ConnectionPool:
         *,
         capacity: int = 64,
         idle_seconds: float = 30.0,
-        obs: "Observability" = NULL_OBS,
     ) -> None:
         if capacity < 1:
             raise CommunicationError(
@@ -76,7 +72,6 @@ class ConnectionPool:
         self.transport = transport
         self.capacity = capacity
         self.idle_seconds = idle_seconds
-        self.obs = obs
         #: Idle connections, least-recently-released first.
         self._idle: "OrderedDict[str, _IdleEntry]" = OrderedDict()
         #: Lifetime counters (cheap, always on — statistics/benchmarks
@@ -91,6 +86,11 @@ class ConnectionPool:
     def __len__(self) -> int:
         """Idle connections currently parked."""
         return len(self._idle)
+
+    @property
+    def obs(self):
+        """The owning transport's metrics sink."""
+        return self.transport.obs
 
     # ------------------------------------------------------------------
     # Checkout / checkin
@@ -107,6 +107,7 @@ class ConnectionPool:
         entry = self._idle.pop(device.device_id, None)
         if entry is not None:
             stale = (entry.connection.closed
+                     or entry.connection.device is not device
                      or self.env.now - entry.idle_since > self.idle_seconds)
             if stale:
                 entry.connection.close()
@@ -161,9 +162,10 @@ class ConnectionPool:
     def invalidate(self, device_id: str, reason: str = "") -> None:
         """Drop the device's idle channel (if any) and close it.
 
-        Called on communication failure and when the device's health
-        breaker opens: a quarantined device must not hand its stale
-        socket to the probation probe that later readmits it.
+        Called on health-breaker transitions and when the device leaves
+        the registry: a quarantined device must not hand its stale
+        socket to the probation probe that later readmits it, nor a
+        departed one to whoever joins under its id.
         """
         entry = self._idle.pop(device_id, None)
         if entry is None:

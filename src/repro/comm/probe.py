@@ -108,8 +108,8 @@ class Prober:
         with self.obs.span("probe", parent=parent_span, detached=True,
                            device=device.device_id):
             try:
-                # Checkout via Transport.open: a keep-alive pool, when
-                # installed, serves the channel without a handshake.
+                # Checkout via Transport.open: a parked keep-alive
+                # channel is served without a handshake.
                 connection = yield from self.transport.open(device,
                                                             timeout)
                 try:
@@ -127,8 +127,8 @@ class Prober:
                         raise CommunicationError(
                             f"status failed: {status.error}")
                 except BaseException:
-                    # A failed exchange poisons the channel: never pool
-                    # it (without a pool this is exactly close()).
+                    # A failed exchange poisons the channel: never
+                    # pool it.
                     self.transport.discard(connection)
                     raise
                 else:

@@ -1,4 +1,4 @@
-"""TTL-bounded device-status cache for the comm fast path.
+"""TTL-bounded device-status cache: the comm layer's opt-in policy.
 
 Section 4 makes every batch pay a full probe exchange (connect + ping +
 status) per candidate before device-selection optimization. When many
@@ -21,6 +21,8 @@ dropped:
   be assumed);
 * on **quarantine transitions** of the health breaker (an OPEN or
   probation device must be re-examined, never served from cache);
+* when the device **leaves the registry** (whoever joins under its id
+  is a different device);
 * on **TTL expiry**, bounding how long an untouched device's drift
   (battery, coverage, ambient readings) can skew cost estimation.
 

@@ -95,11 +95,13 @@ class EngineConfig:
     failure study of Section 6.2.
 
     Every boolean here changes what the engine does (a policy), not how
-    fast it does the same thing. Event matching and the scheduler's
-    cost kernel have one path each and no flag: every AQ is filed in
-    the predicate index, and the numpy column kernel is used when numpy
-    is installed and the batch is long enough to pay for it
-    (DESIGN.md decision 18).
+    fast it does the same thing. Event matching, the scheduler's cost
+    kernel and device communication have one path each and no flag:
+    every AQ is filed in the predicate index, the numpy column kernel
+    is used when numpy is installed and the batch is long enough to pay
+    for it (DESIGN.md decision 18), every exchange rides a pooled
+    keep-alive channel and every action's batch is dispatched as its
+    own process (decision 10).
     """
 
     #: Seconds between event-scan polls of the continuous executor.
@@ -142,21 +144,20 @@ class EngineConfig:
     #: virtual backend); 1.0 runs in real seconds. Ignored by the
     #: virtual backend.
     time_scale: float = 1.0
-    #: Comm fast path, knob 1: keep-alive connection pooling. Probes,
-    #: scans and operation executions reuse open control channels
-    #: instead of paying the handshake per exchange. Off by default:
-    #: the off path is byte-identical to a pre-fastpath engine.
-    connection_pool: bool = False
-    #: Most idle keep-alive connections retained (LRU-evicted beyond).
+    #: Most idle keep-alive control channels the transport's pool
+    #: retains, one per device (LRU-evicted beyond). Scans, probes and
+    #: operation executions all check their channel out of it.
     pool_capacity: int = 64
     #: Idle expiry: a pooled connection unused this long (virtual
     #: seconds) is closed on its next checkout attempt.
     pool_idle_seconds: float = 30.0
-    #: Comm fast path, knob 2: TTL device-status cache. The dispatcher
-    #: skips the probe exchange for devices probed within their type's
-    #: freshness TTL, costing from the cached status; entries are
-    #: invalidated after any execution on the device, on probe failure
-    #: and on health-breaker transitions. Off by default.
+    #: TTL device-status cache — a policy, not a speed switch: the
+    #: dispatcher skips the probe exchange for devices probed within
+    #: their type's freshness TTL and costs from the cached status,
+    #: trading Section 4's probe-before-every-optimization for
+    #: throughput. Entries are invalidated after any execution on the
+    #: device, on probe failure, on health-breaker transitions and when
+    #: the device leaves. Off by default.
     status_cache: bool = False
     #: Fallback freshness TTL (virtual seconds) for device types
     #: without an entry in ``status_ttls``.
@@ -164,10 +165,6 @@ class EngineConfig:
     #: Per-type freshness TTL overrides; ``None`` uses the built-in
     #: defaults (:data:`repro.comm.status_cache.DEFAULT_STATUS_TTLS`).
     status_ttls: Optional[Dict[str, float]] = None
-    #: Comm fast path, knob 3: run each action's batch as its own sim
-    #: process so independent actions' probe/schedule/execute pipelines
-    #: overlap instead of draining serially. Off by default.
-    concurrent_dispatch: bool = False
     #: Overload-control plane (repro.overload): admission control at
     #: AQ registration and request ingestion, bounded pending queues
     #: with backpressure, and priority load-shedding with deadlines.
@@ -248,12 +245,6 @@ class EngineConfig:
     def synchronization(self) -> bool:
         """Whether both Section 4 mechanisms are active."""
         return self.locking and self.probing
-
-    @property
-    def comm_fastpath(self) -> bool:
-        """Whether any comm fast-path mechanism is switched on."""
-        return (self.connection_pool or self.status_cache
-                or self.concurrent_dispatch)
 
     @property
     def fault_tolerance(self) -> bool:

@@ -215,7 +215,7 @@ class Dispatcher:
         #: Per-device circuit breakers (None = health tracking off).
         self.health = health
         #: TTL device-status cache (None = every batch probes every
-        #: candidate, the pre-fastpath behaviour).
+        #: candidate, as Section 4 prescribes).
         self.status_cache = status_cache
         # Note: an empty tracer is falsy (it has __len__), so test
         # identity, not truthiness.
@@ -333,42 +333,25 @@ class Dispatcher:
         callers (tests, benchmarks) may drive this directly instead of
         running the loop.
 
-        Iterates a snapshot of the operator table: dispatching a batch
-        can create operators mid-drain (failover re-dispatch registers
-        the shared operator lazily), which must not mutate the dict
-        under this loop. With ``config.concurrent_dispatch`` each
-        action's batch runs as its own sim process, so independent
-        actions' probe/schedule/execute pipelines overlap; reports come
-        back in operator order either way.
+        Every operator is drained before anything is dispatched, from a
+        snapshot of the operator table: dispatching a batch can create
+        operators mid-drain (failover re-dispatch registers the shared
+        operator lazily), which must not mutate the dict under this
+        loop. A lone batch runs inline; several run as sibling sim
+        processes, so independent actions' probe/schedule/execute
+        pipelines overlap. Reports come back in operator order.
         """
-        operators = list(self._operators.values())
-        if self.config.concurrent_dispatch:
-            batches = [(operator, batch) for operator in operators
-                       for batch in [operator.drain()] if batch]
-            if len(batches) > 1:
-                dispatches = [
-                    self.env.process(
-                        self.dispatch_batch(operator.action, batch)
-                    ).defuse()
-                    for operator, batch in batches]
-                reports = []
-                for dispatch in dispatches:
-                    report = yield dispatch
-                    reports.append(report)
-                return reports
-            reports = []
-            for operator, batch in batches:
-                report = yield from self.dispatch_batch(operator.action,
-                                                        batch)
-                reports.append(report)
-            return reports
+        batches = [(operator.action, batch)
+                   for operator in list(self._operators.values())
+                   for batch in [operator.drain()] if batch]
+        if len(batches) == 1:
+            return [(yield from self.dispatch_batch(*batches[0]))]
+        dispatches = [
+            self.env.process(self.dispatch_batch(action, batch)).defuse()
+            for action, batch in batches]
         reports = []
-        for operator in operators:
-            batch = operator.drain()
-            if batch:
-                report = yield from self.dispatch_batch(operator.action,
-                                                        batch)
-                reports.append(report)
+        for dispatch in dispatches:
+            reports.append((yield dispatch))
         return reports
 
     # ------------------------------------------------------------------

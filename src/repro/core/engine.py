@@ -15,7 +15,6 @@ from repro.actions.builtins import install_builtin_actions
 from repro.actions.registry import ActionRegistry
 from repro.actions.request import ActionRequest
 from repro.comm.layer import CommunicationLayer
-from repro.comm.pool import ConnectionPool
 from repro.comm.status_cache import DeviceStatusCache
 from repro.cost.model import CostModel, QuantityResolver
 from repro.devices.base import Device
@@ -84,7 +83,9 @@ class AortaEngine:
         self.seed = seed
         self.comm = CommunicationLayer(
             self.env, links=links,
-            rng=random.Random(component_seed(seed, "comm:transport")))
+            rng=random.Random(component_seed(seed, "comm:transport")),
+            pool_capacity=self.config.pool_capacity,
+            pool_idle_seconds=self.config.pool_idle_seconds)
         register_builtin_types(self.comm)
 
         self.schema = SchemaCatalog()
@@ -111,17 +112,10 @@ class AortaEngine:
                                  enabled=self.config.observability)
         self.comm.transport.obs = self.obs
         self.comm.prober.obs = self.obs
-        #: Comm fast path (DESIGN.md decision 10). Both pieces are None
-        #: unless their config knob is on, and the off path is
-        #: byte-identical to a pre-fastpath engine.
-        self.pool: Optional[ConnectionPool] = None
-        if self.config.connection_pool:
-            self.pool = ConnectionPool(
-                self.env, self.comm.transport,
-                capacity=self.config.pool_capacity,
-                idle_seconds=self.config.pool_idle_seconds,
-                obs=self.obs)
-            self.comm.transport.pool = self.pool
+        #: The transport's keep-alive connection pool (DESIGN.md
+        #: decision 10).
+        self.pool = self.comm.transport.pool
+        #: TTL device-status cache; None unless config.status_cache.
         self.status_cache: Optional[DeviceStatusCache] = None
         if self.config.status_cache:
             self.status_cache = DeviceStatusCache(
@@ -139,12 +133,9 @@ class AortaEngine:
                                               tracer=self.tracer,
                                               obs=self.obs)
             self.comm.prober.health = self.health
-            if self.pool is not None or self.status_cache is not None:
-                # Breaker transitions make a device's last-known state
-                # untrustworthy: drop its pooled channel and cached
-                # status so nothing is reused across a quarantine edge.
-                self.health.transition_listeners.append(
-                    self._on_breaker_transition)
+            self.health.transition_listeners.append(
+                self._on_breaker_transition)
+        self.comm.registry.subscribe(self._on_membership)
         #: Overload-control plane (DESIGN.md decision 12); None unless
         #: config.overload, and the off path is byte-identical to a
         #: pre-overload engine.
@@ -189,14 +180,26 @@ class AortaEngine:
         for device in devices:
             self.add_device(device)
 
-    def _on_breaker_transition(self, device_id: str,
-                               state: "BreakerState") -> None:
-        """Invalidate fast-path state on any circuit-breaker edge."""
-        reason = f"breaker-{state.value}"
-        if self.pool is not None:
-            self.pool.invalidate(device_id, reason=reason)
+    def _forget_comm_state(self, device_id: str, reason: str) -> None:
+        """Drop a device's pooled channel and cached status.
+
+        Its last-known state became untrustworthy, so nothing of it may
+        be reused by the next probe, scan or execution.
+        """
+        self.comm.transport.invalidate(device_id, reason=reason)
         if self.status_cache is not None:
             self.status_cache.invalidate(device_id, reason=reason)
+
+    def _on_breaker_transition(self, device_id: str,
+                               state: "BreakerState") -> None:
+        """Nothing is reused across a quarantine edge."""
+        self._forget_comm_state(device_id, f"breaker-{state.value}")
+
+    def _on_membership(self, event: str, device: Device) -> None:
+        """A departed device's state must not greet whoever joins next
+        under its id."""
+        if event == "leave":
+            self._forget_comm_state(device.device_id, "device-left")
 
     # ------------------------------------------------------------------
     # Built-in function needing engine context
@@ -495,11 +498,9 @@ class AortaEngine:
             stats["devices_readmitted"] = health["recoveries"]
             stats["currently_quarantined"] = health["currently_quarantined"]
             stats["mean_recovery_seconds"] = health["mean_recovery_seconds"]
-        # Fast-path keys appear only when their mechanism is on, so
-        # fastpath-off snapshots stay identical to pre-fastpath ones.
-        if self.pool is not None:
-            for key, value in self.pool.stats().items():
-                stats[f"pool_{key}"] = value
+        for key, value in self.pool.stats().items():
+            stats[f"pool_{key}"] = value
+        # Status-cache keys appear only when the cache is on.
         if self.status_cache is not None:
             for key, value in self.status_cache.stats().items():
                 stats[f"status_cache_{key}"] = value

@@ -102,7 +102,7 @@ class DeviceHealthTracker:
         self.obs = obs if obs is not None else NULL_OBS
         self._devices: Dict[str, _DeviceHealth] = {}
         #: Called on every breaker transition with (device_id, new
-        #: state). The comm fast path hooks this to drop pooled
+        #: state). The engine hooks this to drop pooled
         #: connections and cached statuses of devices entering or
         #: leaving quarantine — their last-known state is untrustworthy.
         self.transition_listeners: List[

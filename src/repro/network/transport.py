@@ -10,7 +10,7 @@ behaviours the probing mechanism of Section 4 must detect and contain.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.errors import (
     CommunicationError,
@@ -22,9 +22,6 @@ from repro.network.link import DEFAULT_LINKS, LinkModel
 from repro.network.message import Message, Response
 from repro.obs.spans import NULL_OBS
 from repro.runtime import Runtime
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.comm.pool import ConnectionPool
 
 
 class Connection:
@@ -101,7 +98,13 @@ class Connection:
 
 
 class Transport:
-    """Factory of connections over per-type link models."""
+    """Factory of connections over per-type link models.
+
+    :meth:`connect` is the raw handshake; everything above the network
+    layer checks channels out of the transport's keep-alive pool with
+    :meth:`open` and hands them back with :meth:`release` (healthy) or
+    :meth:`discard` (failed mid-exchange).
+    """
 
     def __init__(
         self,
@@ -109,16 +112,19 @@ class Transport:
         *,
         links: Optional[Dict[str, LinkModel]] = None,
         rng: Optional[random.Random] = None,
+        pool_capacity: int = 64,
+        pool_idle_seconds: float = 30.0,
     ) -> None:
+        # Deferred: repro.comm imports this module.
+        from repro.comm.pool import ConnectionPool
         self.env = env
         self.links = dict(DEFAULT_LINKS if links is None else links)
         self.rng = rng or random.Random(0)
         #: Metrics sink (the engine replaces this with its own).
         self.obs = NULL_OBS
-        #: Optional keep-alive pool (installed by the engine when the
-        #: comm fast path is on); ``None`` means every :meth:`open` is
-        #: a fresh handshake and every release a close.
-        self.pool: Optional["ConnectionPool"] = None
+        #: Keep-alive pool of idle control channels, one per device.
+        self.pool = ConnectionPool(env, self, capacity=pool_capacity,
+                                   idle_seconds=pool_idle_seconds)
         #: Lifetime handshake-attempt counter (always on, so benchmarks
         #: can measure connect traffic without observability enabled).
         self.connects_attempted = 0
@@ -164,36 +170,27 @@ class Transport:
         return Connection(self, device, link)
 
     # ------------------------------------------------------------------
-    # Checkout surface: the comm fast path routes through these so a
-    # keep-alive pool, when installed, transparently absorbs the
-    # handshake cost. Without a pool they are exactly connect()/close().
+    # Checkout surface: probes, scans and action executions take their
+    # channels from the keep-alive pool, so the handshake is paid once
+    # per device per idle window, not once per exchange.
     # ------------------------------------------------------------------
     def open(
         self, device: Device, timeout: float
     ) -> Generator[Any, Any, Connection]:
-        """Check out a control channel: pooled keep-alive or fresh."""
-        if self.pool is not None:
-            return (yield from self.pool.acquire(device, timeout))
-        return (yield from self.connect(device, timeout))
+        """Check out a control channel: the parked one, or a handshake."""
+        return (yield from self.pool.acquire(device, timeout))
 
     def release(self, connection: Connection) -> None:
         """Return a healthy channel obtained via :meth:`open`."""
-        if self.pool is not None:
-            self.pool.release(connection)
-        else:
-            connection.close()
+        self.pool.release(connection)
 
     def discard(self, connection: Connection) -> None:
         """Dispose of a channel that failed mid-exchange."""
-        if self.pool is not None:
-            self.pool.discard(connection)
-        else:
-            connection.close()
+        self.pool.discard(connection)
 
     def invalidate(self, device_id: str, reason: str = "") -> None:
-        """Drop any pooled channel to the device (no-op without a pool)."""
-        if self.pool is not None:
-            self.pool.invalidate(device_id, reason=reason)
+        """Close the device's parked channel, if it has one."""
+        self.pool.invalidate(device_id, reason=reason)
 
     def _handle(
         self, device: Device, message: Message

@@ -97,9 +97,10 @@ def _aggregate_statistics(snapshots: List[Dict[str, Any]],
                           shards: int) -> Dict[str, Any]:
     """Fold per-shard statistics snapshots into one fleet dict.
 
-    Numeric values sum, except clocks/levels (max) and ``mean_*`` keys
-    (unweighted mean); booleans OR; dict values merge per entry (sum,
-    except peak depths which take the max).
+    Numeric values sum, except clocks/levels (max), ``mean_*`` keys
+    (unweighted mean) and ``*_hit_rate`` keys (recomputed from the
+    summed ``*_hits`` / ``*_misses``); booleans OR; dict values merge
+    per entry (sum, except peak depths which take the max).
     """
     fleet: Dict[str, Any] = {"shards": shards}
     counts: Dict[str, int] = {}
@@ -122,6 +123,11 @@ def _aggregate_statistics(snapshots: List[Dict[str, Any]],
     for key in _MEAN_KEYS:
         if key in fleet:
             fleet[key] = fleet[key] / counts[key]
+    for key in fleet:
+        if key.endswith("_hit_rate"):
+            stem = key[:-len("hit_rate")]
+            lookups = fleet[stem + "hits"] + fleet[stem + "misses"]
+            fleet[key] = fleet[stem + "hits"] / lookups if lookups else 0.0
     return fleet
 
 
@@ -564,8 +570,9 @@ class ShardedEngine:
 
         One shard returns the engine's own dict unchanged. Multiple
         shards aggregate per-shard snapshots: numeric values sum,
-        except clocks/levels (max) and ``mean_*`` keys (unweighted
-        mean); booleans OR; dict values merge per entry (sum, except
+        except clocks/levels (max), ``mean_*`` keys (unweighted mean)
+        and ``*_hit_rate`` keys (recomputed from the summed counts);
+        booleans OR; dict values merge per entry (sum, except
         peak depths which take the max). A ``shards`` key records the
         fleet width. Per-shard snapshots stay available through
         ``shard_statistics()``.

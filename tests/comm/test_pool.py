@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import PanTiltZoomCamera, Point
 from repro.errors import CommunicationError
 from repro.comm.pool import ConnectionPool
 from repro.network.message import Message
@@ -145,3 +146,16 @@ class TestStats:
 
     def test_empty_pool_hit_rate_is_zero(self, pool):
         assert pool.hit_rate == 0.0
+
+
+def test_channel_to_a_departed_object_is_not_reused(env, layer, lab, pool):
+    """A holder that releases after its device left parks a channel to
+    the departed object; whoever joins under the id must not get it."""
+    connection = checkout(env, layer.transport, lab["cam1"])
+    layer.remove_device("cam1")
+    layer.transport.release(connection)
+    newcomer = PanTiltZoomCamera(env, "cam1", Point(0, 0))
+    layer.add_device(newcomer)
+    fresh = checkout(env, layer.transport, newcomer)
+    assert fresh is not connection and fresh.device is newcomer
+    assert connection.closed and pool.expired == 1

@@ -1,12 +1,15 @@
-"""The comm fast path end to end: pooling, status caching, concurrency.
+"""The comm layer end to end: pooling, per-action dispatch, status cache.
 
-Two families of guarantees are pinned here. First, correctness of the
-fast path itself: cache invalidation forces a re-probe after any
-execution, breaker transitions drop fast-path state, concurrent
-dispatch overlaps independent actions without changing outcomes.
-Second, the off switch: with every knob off the engine must be
-byte-identical to the pre-fastpath engine, which the checked-in obs
-goldens pin on both runtime backends.
+Pooled channels and per-action dispatch are how every engine talks to
+devices; the status cache is the one opt-in policy on top. Two families
+of guarantees are pinned here. First, correctness of each mechanism:
+cache invalidation forces a re-probe after any execution, breaker
+transitions and departures drop a device's pooled channel and cached
+status, independent actions' batches overlap without changing outcomes,
+and every connection the transport opens ends up closed or parked.
+Second, the status cache's off switch: ``status_cache=False`` is the
+engine the checked-in obs goldens pin on both runtime backends, and
+switching it on never changes which requests are serviced.
 """
 
 import pytest
@@ -18,26 +21,22 @@ from repro import (
     HealthPolicy,
     PanTiltZoomCamera,
     Point,
+    RetryPolicy,
     SensorMote,
     SensorStimulus,
 )
 from repro.errors import AortaError
 from repro.actions.request import ActionRequest
+from repro.devices.failures import FailureInjector, OutageSpec
 from repro.devices.health import BreakerState
 from repro.runtime import RealtimeRuntime, VirtualRuntime
 
-from tests.core.conftest import LOSSLESS
-from tests.obs.golden import (
-    assert_golden,
-    diff_dumps,
-    dump_engine,
-    render_diff,
-)
+from tests.core.conftest import FIGURE_1, LOSSLESS
+from tests.obs.golden import assert_golden, dump_engine
 from tests.obs.scenarios import continuous_outage_scenario, snapshot_scenario
 
-FASTPATH_OFF = dict(connection_pool=False, status_cache=False,
-                    concurrent_dispatch=False)
-FASTPATH_ON = dict(connection_pool=True, status_cache=True)
+FASTPATH_OFF = dict(status_cache=False)
+FASTPATH_ON = dict(status_cache=True)
 
 
 def build_fast_lab(config, n_cameras=3):
@@ -77,14 +76,9 @@ def drive(engine, until):
 
 
 class TestConfigValidation:
-    def test_fastpath_property(self):
-        assert not EngineConfig().comm_fastpath
-        assert EngineConfig(connection_pool=True).comm_fastpath
-        assert EngineConfig(status_cache=True).comm_fastpath
-        assert EngineConfig(concurrent_dispatch=True).comm_fastpath
-
     @pytest.mark.parametrize(
-        "flag", ["predicate_index", "vectorize", "incremental"])
+        "flag", ["predicate_index", "vectorize", "incremental",
+                 "connection_pool", "concurrent_dispatch"])
     def test_transparent_paths_have_no_flag(self, flag):
         with pytest.raises(TypeError):
             EngineConfig(**{flag: True})
@@ -102,11 +96,14 @@ class TestConfigValidation:
             EngineConfig(status_ttls={"camera": 0.0})
 
     def test_engine_builds_fastpath_only_when_asked(self):
-        plain = build_fast_lab(EngineConfig())
-        assert plain.pool is None and plain.status_cache is None
-        assert plain.comm.transport.pool is None
+        """The pool is every engine's; the status cache is opt-in."""
+        plain = build_fast_lab(EngineConfig(pool_capacity=7,
+                                            pool_idle_seconds=11.0))
+        assert plain.status_cache is None
+        assert plain.pool is plain.comm.transport.pool
+        assert (plain.pool.capacity, plain.pool.idle_seconds) == (7, 11.0)
         fast = build_fast_lab(EngineConfig(**FASTPATH_ON))
-        assert fast.pool is not None and fast.status_cache is not None
+        assert fast.status_cache is not None
         assert fast.comm.transport.pool is fast.pool
 
 
@@ -157,7 +154,7 @@ class TestStatusCacheIntegration:
             return engine
 
         slow = run(EngineConfig(**FASTPATH_OFF))
-        fast = run(EngineConfig(status_cache=True, connection_pool=True,
+        fast = run(EngineConfig(status_cache=True,
                                 status_ttls={"camera": 120.0}))
         serviced = lambda e: sorted(
             r.request_id for r in e.completed_requests
@@ -165,8 +162,9 @@ class TestStatusCacheIntegration:
         assert serviced(slow) == serviced(fast)
         assert fast.comm.prober.probes_sent \
             < slow.comm.prober.probes_sent
+        # Both engines pool: a handshake per camera, not per probe.
         assert fast.comm.transport.connects_attempted \
-            < slow.comm.transport.connects_attempted
+            == slow.comm.transport.connects_attempted == 3
 
     def test_probe_failure_invalidates_cache(self):
         engine = build_fast_lab(EngineConfig(status_cache=True,
@@ -186,7 +184,7 @@ class TestStatusCacheIntegration:
 
 class TestPoolIntegration:
     def test_pool_reuses_channels_across_batches(self):
-        engine = build_fast_lab(EngineConfig(connection_pool=True))
+        engine = build_fast_lab(EngineConfig())
         candidates = ("cam1", "cam2", "cam3")
         for round_no in range(3):
             submit_photo(engine, candidates, x=10.0 + round_no)
@@ -198,7 +196,7 @@ class TestPoolIntegration:
 
     def test_breaker_transition_drops_pool_and_cache_state(self):
         engine = build_fast_lab(EngineConfig(
-            connection_pool=True, status_cache=True,
+            status_cache=True,
             health=HealthPolicy(failure_threshold=1,
                                 quarantine_seconds=30.0)))
         cam1 = engine.comm.registry.get("cam1")
@@ -210,10 +208,102 @@ class TestPoolIntegration:
         assert engine.pool.invalidations + engine.status_cache.invalidations \
             >= 1
 
+    def test_readded_device_pays_a_handshake_and_a_probe(self):
+        """A device that left takes its pooled channel and cached
+        status with it: whoever joins under its id is a stranger."""
+        engine = build_fast_lab(EngineConfig(
+            status_cache=True, status_ttls={"camera": 600.0}), n_cameras=2)
+        candidates = ("cam1", "cam2")
+        submit_photo(engine, candidates, x=10.0)
+        drive(engine, until=5.0)
+        engine.comm.remove_device("cam2")
+        newcomer = engine.add_device(PanTiltZoomCamera(
+            engine.env, "cam2", Point(20.0, 0.0),
+            facing=0.0, view_half_angle=170.0, view_range=1000.0))
+        connects = engine.comm.transport.connects_attempted
+        probes = engine.comm.prober.probes_sent
+
+        checked_out = []
+
+        def checkout(env):
+            connection = yield from engine.comm.transport.open(newcomer,
+                                                               1.0)
+            checked_out.append(connection)
+            engine.comm.transport.release(connection)
+
+        engine.env.process(checkout(engine.env))
+        engine.env.run(until=6.0)
+        assert checked_out[0].device is newcomer
+        assert engine.comm.transport.connects_attempted == connects + 1
+        # And the next batch probes the newcomer instead of costing it
+        # from the departed camera's snapshot.
+        engine.status_cache.invalidate("cam1")
+        submit_photo(engine, candidates, x=11.0)
+        drive(engine, until=20.0)
+        assert engine.comm.prober.probes_sent == probes + 2
+        # Both halves were dropped at departure, by the membership hook.
+        assert engine.pool.invalidations == 1
+        assert engine.status_cache.invalidations >= 2
+
+    def test_every_open_connection_is_parked_at_quiescence(self):
+        """Conservation under faults: after outages, retries, breaker
+        transitions and a quiesce, each connection the transport ever
+        opened is closed or idle in the pool, within its capacity."""
+        env = Environment()
+        engine = AortaEngine(env, seed=3, config=EngineConfig(
+            pool_capacity=4, status_cache=True,
+            retry=RetryPolicy(max_attempts=2, failover=True),
+            health=HealthPolicy(failure_threshold=1,
+                                quarantine_seconds=5.0)))
+        cameras = [engine.add_device(PanTiltZoomCamera(
+            env, f"cam{i + 1}", Point(20.0 * i, 0.0), facing=0.0,
+            view_half_angle=170.0, view_range=1000.0)) for i in range(4)]
+        motes = [engine.add_device(SensorMote(
+            env, f"mote{i + 1}", Point(5.0 + i, 3.0),
+            noise_amplitude=0.0)) for i in range(3)]
+        engine.execute(FIGURE_1)
+        for tick in range(12):
+            motes[tick % 3].inject(SensorStimulus(
+                "accel_x", start=2.0 + 5.0 * tick, duration=2.5,
+                magnitude=850.0))
+        injector = FailureInjector(env)
+        injector.schedule_outage(cameras[0], OutageSpec(
+            device_id="cam1", start=6.0, duration=20.0, kind="offline"))
+        injector.schedule_outage(cameras[1], OutageSpec(
+            device_id="cam2", start=15.0, duration=10.0, kind="crash"))
+        injector.schedule_outage(motes[0], OutageSpec(
+            device_id="mote1", start=10.0, duration=15.0, kind="offline"))
+
+        opened = []
+        transport = engine.comm.transport
+        connect = transport.connect
+
+        def recording_connect(device, timeout):
+            connection = yield from connect(device, timeout)
+            opened.append(connection)
+            return connection
+
+        transport.connect = recording_connect
+        engine.start()
+        engine.run(until=70.0)
+        engine.disable_query("snapshot")
+        engine.run(until=130.0)
+
+        stats = engine.statistics()
+        assert stats["devices_quarantined"] > 0
+        assert stats["pool_discards"] > 0 and stats["pool_evictions"] > 0
+        assert stats["requests_serviced"] > 0
+        parked = {id(entry.connection)
+                  for entry in engine.pool._idle.values()}
+        still_open = [c for c in opened if not c.closed]
+        assert still_open
+        assert {id(c) for c in still_open} == parked
+        assert len(engine.pool) <= engine.config.pool_capacity
+
 
 class TestConcurrentDispatch:
-    def _two_action_engine(self, config):
-        engine = build_fast_lab(config, n_cameras=2)
+    def _two_action_engine(self):
+        engine = build_fast_lab(EngineConfig(), n_cameras=2)
         photo = engine.dispatcher.operator_for(engine.actions.get("photo"))
         beep = engine.dispatcher.operator_for(engine.actions.get("beep"))
         photo.submit(ActionRequest(
@@ -226,42 +316,44 @@ class TestConcurrentDispatch:
         return engine
 
     def test_concurrent_batches_overlap(self):
-        serial = self._two_action_engine(EngineConfig())
-        serial_reports = drive(serial, until=60.0)
-        overlapped = self._two_action_engine(
-            EngineConfig(concurrent_dispatch=True))
-        concurrent_reports = drive(overlapped, until=60.0)
-
-        assert len(serial_reports) == len(concurrent_reports) == 2
-        # Serial: the second batch starts after the first finishes.
-        assert serial_reports[1].batch_started_at \
-            >= serial_reports[0].batch_finished_at
-        # Concurrent: both start at the same instant.
-        starts = {r.batch_started_at for r in concurrent_reports}
-        assert len(starts) == 1
-        # And the whole drain finishes sooner.
-        serial_makespan = max(r.batch_finished_at for r in serial_reports)
-        concurrent_makespan = max(r.batch_finished_at
-                                  for r in concurrent_reports)
-        assert concurrent_makespan < serial_makespan
+        engine = self._two_action_engine()
+        first, second = drive(engine, until=60.0)
+        assert (first.action_name, second.action_name) == ("photo", "beep")
+        # Both start at the same instant, so the second action's batch
+        # is under way before the first one's is over.
+        assert first.batch_started_at == second.batch_started_at
+        assert second.batch_started_at < first.batch_finished_at
+        assert sorted(r.request_id for r in engine.completed_requests
+                      if r.state.value == "serviced") == ["cb1", "cp1"]
 
     def test_concurrent_dispatch_services_the_same_requests(self):
-        outcomes = {}
-        for label, config in (("serial", EngineConfig()),
-                              ("concurrent",
-                               EngineConfig(concurrent_dispatch=True))):
-            engine = self._two_action_engine(config)
-            drive(engine, until=60.0)
-            outcomes[label] = sorted(
-                r.request_id for r in engine.completed_requests
-                if r.state.value == "serviced")
-        assert outcomes["serial"] == outcomes["concurrent"]
+        """Overlapping the batches services what dispatching them one
+        after the other (by hand, in operator order) services."""
+        serviced = lambda e: sorted(
+            r.request_id for r in e.completed_requests
+            if r.state.value == "serviced")
+        overlapped = self._two_action_engine()
+        drive(overlapped, until=60.0)
+
+        serial = self._two_action_engine()
+        finished = []
+
+        def one_by_one(env):
+            dispatcher = serial.dispatcher
+            for operator in list(dispatcher._operators.values()):
+                report = yield from dispatcher.dispatch_batch(
+                    operator.action, operator.drain())
+                finished.append(report)
+
+        serial.env.process(one_by_one(serial.env))
+        serial.env.run(until=60.0)
+        assert finished[1].batch_started_at >= finished[0].batch_finished_at
+        assert serviced(serial) == serviced(overlapped) == ["cb1", "cp1"]
 
     def test_dispatch_pending_iterates_a_snapshot(self):
         """Operators created while a batch dispatches (failover does
         this lazily) must not blow up the drain loop."""
-        engine = build_fast_lab(EngineConfig(concurrent_dispatch=True),
-                                n_cameras=1)
+        engine = build_fast_lab(EngineConfig(), n_cameras=1)
         submit_photo(engine, ("cam1",), request_id="snap1")
         dispatcher = engine.dispatcher
         original = dispatcher.dispatch_batch
@@ -279,8 +371,8 @@ class TestConcurrentDispatch:
 
 
 class TestFastpathOffIdentity:
-    """All knobs off must be byte-identical to the pre-fastpath engine,
-    pinned by the checked-in goldens on both runtime backends."""
+    """``status_cache=False`` spelled out is the default engine, pinned
+    by the checked-in goldens on both runtime backends."""
 
     def test_snapshot_golden_with_explicit_fastpath_off(self):
         engine = snapshot_scenario(observability=True, **FASTPATH_OFF)
@@ -301,8 +393,8 @@ class TestFastpathOffIdentity:
         assert_golden("snapshot_obs", dump_engine(engine))
 
     def test_fastpath_on_differs_only_in_comm_traffic(self):
-        """Sanity: the fast path changes probe/connect traffic and adds
-        its own statistics keys, but the serviced set is untouched."""
+        """Sanity: the status cache changes probe traffic and adds its
+        own statistics keys, but the serviced set is untouched."""
         off = dump_engine(snapshot_scenario(observability=None,
                                             **FASTPATH_OFF))
         on = dump_engine(snapshot_scenario(observability=None,
@@ -310,12 +402,14 @@ class TestFastpathOffIdentity:
         assert on["serviced"] == off["serviced"]
         assert on["statistics"]["requests_serviced"] \
             == off["statistics"]["requests_serviced"]
+        assert "status_cache_hits" in on["statistics"]
+        assert "status_cache_hits" not in off["statistics"]
         assert "pool_hits" in on["statistics"]
-        assert "pool_hits" not in off["statistics"]
+        assert "pool_hits" in off["statistics"]
 
 
 # ----------------------------------------------------------------------
-# Property test: the serviced set is invariant under the fast path.
+# Property test: the serviced set is invariant under the status cache.
 # ----------------------------------------------------------------------
 try:
     from hypothesis import HealthCheck, given, settings
@@ -347,7 +441,7 @@ class TestServicedSetInvariance:
                           if r.state.value == "serviced")
 
         off = run(EngineConfig(**FASTPATH_OFF))
-        on = run(EngineConfig(connection_pool=True, status_cache=True,
+        on = run(EngineConfig(status_cache=True,
                               status_ttl_seconds=ttl,
                               status_ttls={"camera": ttl}))
         assert off == on

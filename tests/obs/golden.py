@@ -8,7 +8,11 @@ re-exports of the primitives for the existing test/benchmark imports.
 
 Regenerating goldens after an intentional behaviour change::
 
-    UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/obs -q
+    UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
+        tests/obs/test_golden.py -q -k matches_golden
+
+(not over all of ``tests/obs``: that would also record the deliberately
+broken dump of ``test_perturbation_produces_readable_delta``).
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ def snapshot_scenario(observability: Optional[bool] = None,
     Two ceiling cameras cover a sensor mote; an acceleration spike at
     t=2s triggers the registered AQ once, and the cost-optimal camera
     takes the photo. Runs 30 virtual seconds. Extra keyword arguments
-    pass through to :class:`EngineConfig` (e.g. the comm fast-path
-    knobs, for identity tests against the fastpath-off golden).
+    pass through to :class:`EngineConfig` (e.g. ``status_cache``,
+    for identity tests against the cache-off golden).
     """
     env = env if env is not None else Environment()
     engine = AortaEngine(env, config=_config(observability,

@@ -379,6 +379,10 @@ def test_fleet_statistics_aggregate_sum_max_and_width(build_fleet):
     assert stats["virtual_time"] == max(
         s["virtual_time"] for s in per_shard) == 30.0
     assert stats["queries"] == 2
+    # A ratio is recomputed from the summed counts, never summed.
+    assert 0.0 < stats["pool_hit_rate"] <= 1.0
+    assert stats["pool_hit_rate"] == stats["pool_hits"] / (
+        stats["pool_hits"] + stats["pool_misses"])
 
 
 def test_device_report_is_the_disjoint_union(build_fleet):
