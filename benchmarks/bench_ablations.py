@@ -150,8 +150,8 @@ def run_structure_ablation():
     for n in SIZES:
         problem = uniform_camera_workload(n, 10, seed=1)
         schedules = {
-            structure: SrfaeScheduler(1, structure=structure,
-                                      cost_cache=False).schedule(problem)
+            structure: SrfaeScheduler(
+                1, structure=structure).schedule(problem)
             for structure in STRUCTURES}
         reference = schedules["heap"].assignments
         for structure in STRUCTURES:  # same algorithm, same output

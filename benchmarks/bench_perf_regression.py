@@ -1,32 +1,35 @@
-"""Scheduling-time regression benchmark: oracle and vector.
+"""Scheduling-time regression benchmark: memo and vector.
 
 Two sections, one machine-readable ``BENCH_scheduling.json``.
 
-**Oracle** times all five algorithms on *engine-oracle* problems — the
+**Memo** times all five algorithms on *engine-oracle* problems — the
 scheduling cost model is the dispatcher's :class:`_ActionCostAdapter`
 over the real :class:`~repro.cost.model.CostModel` photo() pipeline
 (quantity resolution + profile interpolation), exactly what a
-dispatched batch pays per estimate — in three modes:
+dispatched batch pays per estimate — in two modes:
 
-* ``uncached`` — ``cost_cache=False``, the pre-oracle behaviour: every
-  ``(request, device, status)`` estimate re-runs the cost pipeline.
-* ``cold`` — a fresh per-schedule :class:`CachingCostModel` (the
-  scheduler default), hits only from repeats inside one run.
-* ``warm`` — a shared persistent cache across schedules of the same
-  recurring batch: the steady-state dispatcher scenario, where a
-  periodic event re-emits the same action workload every poll and the
-  oracle already holds every triple.
+* ``bare`` — every ``(request, device, status)`` estimate runs the cost
+  pipeline (the model's ``cache_by_default`` hint is switched off).
+* ``memo`` — the problem is handed over already wrapped in a fresh
+  :class:`CachingCostModel`, which any algorithm then uses.
+
+The schedulers have no option for this: an algorithm memoizes when it
+declares ``memoizes`` (only SA does) and the model keeps its hint. The
+table is the evidence for that rule (DESIGN.md decision 6) — SA's
+suffix re-walks hit, the greedy algorithms' advancing statuses do not.
 
 **Vector** times the numpy column kernel (``vectorize=True``) against
 the scalar walk on the calibrated camera workload at 400x100 and
 4000x1000, asserting byte-identical assignments. Skipped when numpy is
 not installed (the scalar walk is then the only path).
 
-The acceptance gate is a real boolean in every mode: equivalence checks
-(cache transparency, vector identity) always count; the speedup floors
-(warm oracle >= 3x at 400x100, vectorized SRFAE >= 5x / LERFA+SRFE >=
-3x at 4000x1000) are evaluated on full runs only. A gate miss fails
-the process.
+The acceptance gate is a real boolean in every mode. Counts that repeat
+exactly always apply: the memo changes no schedule, the greedy
+algorithms run the engine's model bare (``last_cache_stats is None``),
+SA memoizes it with a hit rate >= 0.5 at 20x5, and the kernel's
+schedules equal the scalar walk's. The wall-clock floors (vectorized
+SRFAE >= 5x / LERFA+SRFE >= 3x at 4000x1000) are evaluated on full runs
+only. A gate miss fails the process.
 
 Usage::
 
@@ -36,10 +39,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import random
 import sys
-import time
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
@@ -73,10 +77,10 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), "..",
 SIZES = ((20, 5), (100, 25), (400, 100))
 SMOKE_SIZES = ((20, 5),)
 
-#: The acceptance gate of the perf work: warm-oracle speedup floor for
-#: the paper's algorithms at the largest size.
-TARGET_SPEEDUP = 3.0
-GATED_ALGORITHMS = ("SRFAE", "LERFA+SRFE")
+#: Where SA's memo is gated, and the hit rate it must reach there
+#: (0.81 measured; the count repeats exactly for a fixed seed).
+SA_GATE_SIZE = (20, 5)
+SA_HIT_RATE_FLOOR = 0.5
 
 #: Vector section: calibrated-camera workload sizes; the second is the
 #: 10x-the-paper scale the vectorized kernel exists for.
@@ -139,11 +143,11 @@ def engine_oracle_problem(n: int, m: int, seed: int = 0) -> Problem:
 
 
 def scheduler_factory(name: str, n: int):
-    """Factory taking ``cost_cache`` so each mode builds fresh state.
+    """Zero-argument factory, so every timed run builds fresh state.
 
     SA gets a reduced annealing schedule at the larger sizes so the
-    benchmark completes in minutes; the relative cached/uncached shape
-    is unaffected (the same moves are evaluated in every mode).
+    benchmark completes in minutes; the relative bare/memo shape is
+    unaffected (the same moves are evaluated in both modes).
     """
     if name == "SA":
         if n > 100:
@@ -155,71 +159,60 @@ def scheduler_factory(name: str, n: int):
         else:
             parameters = SAParameters(moves_per_temperature_per_request=4,
                                       max_evaluations=2_000)
-        return lambda cache: SimulatedAnnealingScheduler(
-            0, parameters=parameters, cost_cache=cache)
+        return lambda: SimulatedAnnealingScheduler(0, parameters=parameters)
     factory = {
         "LERFA+SRFE": LerfaSrfeScheduler,
         "SRFAE": SrfaeScheduler,
         "LS": ListScheduler,
         "RANDOM": RandomScheduler,
     }[name]
-    return lambda cache: factory(0, cost_cache=cache)
+    return lambda: factory(0)
 
 
-def _time_schedule(make_scheduler, problem: Problem, cache, repeats: int):
-    """Best-of-``repeats`` scheduling seconds plus last cache stats."""
+def _time_schedule(make_scheduler, make_problem, repeats: int):
+    """Best-of-``repeats`` scheduling seconds, the last run's memo
+    stats and its assignments."""
     best = float("inf")
-    stats = None
     for _ in range(repeats):
-        scheduler = make_scheduler(cache)
-        schedule = scheduler.schedule(problem)
+        scheduler = make_scheduler()
+        schedule = scheduler.schedule(make_problem())
         best = min(best, schedule.scheduling_seconds)
-        stats = scheduler.last_cache_stats
-    return best, stats, schedule.assignments
+    return best, scheduler.last_cache_stats, schedule.assignments
 
 
 def bench_one(name: str, n: int, m: int, repeats: int) -> dict:
     problem = engine_oracle_problem(n, m, seed=0)
     make = scheduler_factory(name, n)
 
-    uncached_s, _, reference = _time_schedule(make, problem, False, repeats)
-    cold_s, cold_stats, cold_asg = _time_schedule(make, problem, True,
-                                                  repeats)
+    # What the engine gets: the adapter with its hint, no wrapping.
+    as_dispatched = make()
+    as_dispatched.schedule(problem)
+    engine_stats = as_dispatched.last_cache_stats
 
-    # Warm: one priming run fills the shared oracle, then the recurring
-    # batch is re-scheduled against it (steady-state dispatch).
-    shared = CachingCostModel(problem.cost_model)
-    make(shared).schedule(problem)
-    primed = shared.stats()
-    warm_s, warm_stats, warm_asg = _time_schedule(make, problem, shared,
-                                                  repeats)
-    # last_cache_stats is cumulative over the shared cache's lifetime;
-    # report the warm runs' own hit rate by diffing out the priming run.
-    if warm_stats is not None:
-        hits = warm_stats["hits"] - primed["hits"]
-        misses = warm_stats["misses"] - primed["misses"]
-        lookups = hits + misses
-        warm_stats = {
-            "hits": hits,
-            "misses": misses,
-            "entries": warm_stats["entries"],
-            "hit_rate": hits / lookups if lookups else 0.0,
-        }
-
-    if cold_asg != reference or warm_asg != reference:
+    unhinted = copy.copy(problem.cost_model)
+    unhinted.cache_by_default = False
+    bare = replace(problem, cost_model=unhinted)
+    bare_s, bare_stats, reference = _time_schedule(
+        make, lambda: bare, repeats)
+    memo_s, memo_stats, memo_asg = _time_schedule(
+        make,
+        lambda: replace(problem,
+                        cost_model=CachingCostModel(problem.cost_model)),
+        repeats)
+    if bare_stats is not None or memo_stats is None:
+        raise AssertionError(f"{name} n={n}: modes are not bare / memo")
+    if memo_asg != reference:
         raise AssertionError(
-            f"{name} n={n}: cached schedule differs from uncached")
+            f"{name} n={n}: memoized schedule differs from the bare one")
 
     return {
         "n": n,
         "m": m,
-        "uncached_s": uncached_s,
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "speedup_cold": uncached_s / cold_s if cold_s > 0 else float("inf"),
-        "speedup_warm": uncached_s / warm_s if warm_s > 0 else float("inf"),
-        "cold_cache": cold_stats,
-        "warm_cache": warm_stats,
+        "bare_s": bare_s,
+        "memo_s": memo_s,
+        "speedup_memo": bare_s / memo_s if memo_s > 0 else float("inf"),
+        "memo_cache": memo_stats,
+        "engine_cache": engine_stats,
     }
 
 
@@ -267,14 +260,16 @@ def main(argv=None) -> int:
         for name in ALGORITHM_ORDER:
             cell = bench_one(name, n, m, repeats)
             results.setdefault(name, {})[f"{n}x{m}"] = cell
-            hit_rate = (cell["warm_cache"] or {}).get("hit_rate", 0.0)
             rows.append((name, f"{n}x{m}",
-                         cell["uncached_s"] * 1e3, cell["cold_s"] * 1e3,
-                         cell["warm_s"] * 1e3, cell["speedup_warm"],
-                         hit_rate))
-            print(f"  {name:>10} {n}x{m}: uncached {cell['uncached_s']:.3f}s"
-                  f"  warm {cell['warm_s']:.3f}s"
-                  f"  ({cell['speedup_warm']:.1f}x)", flush=True)
+                         cell["bare_s"] * 1e3, cell["memo_s"] * 1e3,
+                         cell["speedup_memo"],
+                         cell["memo_cache"]["hit_rate"],
+                         "bare" if cell["engine_cache"] is None
+                         else "memo"))
+            print(f"  {name:>10} {n}x{m}: bare {cell['bare_s']:.3f}s"
+                  f"  memo {cell['memo_s']:.3f}s"
+                  f"  ({cell['speedup_memo']:.2f}x, hit rate "
+                  f"{cell['memo_cache']['hit_rate']:.2f})", flush=True)
 
     # ------------------------------------------------------------------
     # Vector section (skipped without numpy)
@@ -298,38 +293,38 @@ def main(argv=None) -> int:
         print("  vector section skipped: numpy not installed", flush=True)
 
     # ------------------------------------------------------------------
-    # The gate: equivalence always counts; speedup floors on full runs
+    # The gate: exact counts always; wall-clock floors on full runs
     # ------------------------------------------------------------------
-    gate_size = "x".join(map(str, sizes[-1]))
-    acceptance = {
-        f"{name}@{gate_size}": round(
-            results[name][gate_size]["speedup_warm"], 2)
-        for name in GATED_ALGORITHMS
-    }
+    sa_size = "x".join(map(str, SA_GATE_SIZE))
+    sa_stats = results["SA"][sa_size]["engine_cache"]
+    who_memoizes = {
+        name: any(cell["engine_cache"] is not None
+                  for cell in cells.values())
+        for name, cells in results.items()}
     equivalence = {
-        # bench_one raises on any cached-vs-uncached mismatch, so
-        # reaching this point proves transparency for every cell.
-        "cache_transparent": True,
+        # bench_one raises on any memo-vs-bare mismatch, so reaching
+        # this point proves transparency for every cell.
+        "memo_transparent": True,
         "vector_identical": vector_identical,
     }
     # None-valued equivalence checks (e.g. vector identity without
     # numpy) are skipped, not silently passed or failed.
     gates = {name: value for name, value in equivalence.items()
              if value is not None}
+    gates["only_sa_memoizes"] = who_memoizes == {
+        name: name == "SA" for name in ALGORITHM_ORDER}
+    gates["sa_memo_hits"] = (sa_stats is not None and
+                             sa_stats["hit_rate"] >= SA_HIT_RATE_FLOOR)
     vector_acceptance = None
-    if not args.smoke:
-        gates["oracle_speedup"] = all(
-            results[name][gate_size]["speedup_warm"] >= TARGET_SPEEDUP
-            for name in GATED_ALGORITHMS)
+    if not args.smoke and HAVE_NUMPY:
         vector_size = "x".join(map(str, VECTOR_SIZES[-1]))
-        if HAVE_NUMPY:
-            vector_acceptance = {
-                f"{name}@{vector_size}": round(
-                    vector_results[name][vector_size]["speedup"], 2)
-                for name in VECTOR_TARGETS}
-            gates["vector_speedup"] = all(
-                vector_results[name][vector_size]["speedup"] >= floor
-                for name, floor in VECTOR_TARGETS.items())
+        vector_acceptance = {
+            f"{name}@{vector_size}": round(
+                vector_results[name][vector_size]["speedup"], 2)
+            for name in VECTOR_TARGETS}
+        gates["vector_speedup"] = all(
+            vector_results[name][vector_size]["speedup"] >= floor
+            for name, floor in VECTOR_TARGETS.items())
 
     payload = {
         "benchmark": "bench_perf_regression",
@@ -337,20 +332,22 @@ def main(argv=None) -> int:
                      "_ActionCostAdapter (resolver + profile estimation "
                      "per call)"),
         "modes": {
-            "uncached": "cost_cache=False (pre-oracle behaviour)",
-            "cold": "fresh per-schedule CachingCostModel",
-            "warm": ("shared persistent CachingCostModel across schedules "
-                     "of the recurring batch (steady-state dispatch)"),
+            "bare": "the adapter without its cache_by_default hint",
+            "memo": ("the problem handed over already wrapped in a fresh "
+                     "CachingCostModel"),
+            "engine": ("the adapter as the dispatcher builds it: "
+                       "memoized by an algorithm that sets memoizes"),
             "vector": ("vectorize=True numpy column kernel vs the scalar "
                        "walk, calibrated camera workload"),
         },
         "smoke": args.smoke,
         "numpy": HAVE_NUMPY,
         "timing": f"best of {repeats} repeat(s), scheduling_seconds",
-        "target_speedup": TARGET_SPEEDUP,
+        "sa_hit_rate_floor": SA_HIT_RATE_FLOOR,
         "vector_targets": VECTOR_TARGETS,
-        "gate": {"size": gate_size, "algorithms": list(GATED_ALGORITHMS),
-                 "speedups": acceptance,
+        "gate": {"sa_size": sa_size,
+                 "sa_engine_cache": sa_stats,
+                 "memoizes": who_memoizes,
                  "vector": vector_acceptance,
                  "equivalence": equivalence},
         "results": results,
@@ -359,15 +356,15 @@ def main(argv=None) -> int:
     exit_code = write_result(JSON_PATH, payload, gates)
 
     table = format_table(
-        ("algorithm", "size", "uncached ms", "cold ms", "warm ms",
-         "warm speedup", "warm hit rate"), rows)
-    scope = ("equivalence only (smoke)" if args.smoke
-             else "equivalence + speedup floors")
+        ("algorithm", "size", "bare ms", "memo ms", "bare / memo",
+         "memo hit rate", "engine runs it"), rows)
+    scope = ("exact counts (smoke)" if args.smoke
+             else "exact counts + vector speedup floors")
     verdict = (f"gate [{scope}]: {'PASS' if exit_code == 0 else 'FAIL'} "
-               f"oracle={acceptance} vector={vector_acceptance} "
-               f"equivalence={equivalence}")
+               f"memoizes={who_memoizes} sa_engine_cache={sa_stats} "
+               f"vector={vector_acceptance} equivalence={equivalence}")
     record("perf_regression",
-           "Scheduling-time regression: oracle and vector",
+           "Scheduling-time regression: memo and vector",
            table + "\n\n" + verdict +
            f"\nJSON: {os.path.relpath(JSON_PATH)}",
            smoke=args.smoke)

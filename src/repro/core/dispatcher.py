@@ -83,18 +83,17 @@ class _ActionCostAdapter(SchedulingCostModel):
     """Bridges the engine cost model into a scheduling problem.
 
     Request payloads are the :class:`ActionRequest` objects; statuses
-    are physical-status dicts from probing. The adapter is
-    deterministic (profile interpolation has no noise), so schedulers
-    route it through their memoizing cost oracle — repeated
-    ``(request, device, status)`` triples inside one batch hit the
-    cache instead of re-running quantity resolution and profile
-    estimation.
+    are physical-status dicts from probing. One adapter is built per
+    batch.
     """
 
+    #: Profile interpolation has no noise.
     deterministic = True
     #: An estimate runs quantity resolution + profile interpolation —
-    #: roughly an order of magnitude over a memo probe — so the
-    #: schedulers' "auto" policy caches this model.
+    #: several times the cost of a memo probe — so an algorithm that
+    #: revisits its estimates (SA) memoizes this model. The greedy
+    #: algorithms, the default among them, never ask twice and run it
+    #: bare.
     cache_by_default = True
 
     def __init__(
@@ -166,9 +165,9 @@ class DispatchReport:
     scheduling_seconds: float
     batch_started_at: float
     batch_finished_at: float
-    #: Hit/miss counters of the scheduler's memoizing cost oracle for
-    #: this batch alone (None when caching was off or nothing was
-    #: scheduled).
+    #: Hit/miss counters of the scheduler's cost memo for this batch
+    #: alone (None unless the algorithm memoizes — SA — and something
+    #: was scheduled).
     cache_stats: Optional[Dict[str, float]] = None
     #: Fault-tolerance accounting (all zero with the default policy).
     #: Execution attempts made for this batch's requests.
@@ -473,10 +472,9 @@ class Dispatcher:
                 self.failed_total += 1
                 unschedulable += 1
 
-        attempts_before = self.attempts_total
-        retries_before = self.retries_total
         scheduling_seconds = 0.0
-        serviced = failed = 0
+        cache_stats = None
+        serviced = failed = attempts = retries = 0
         scheduler = self.scheduler
         if schedulable:
             problem = Problem(
@@ -501,6 +499,11 @@ class Dispatcher:
                     size=len(schedulable)):
                 schedule = scheduler.schedule(problem)
             scheduling_seconds = schedule.scheduling_seconds
+            # Read now, and count attempts from this batch's own
+            # requests: another action's batch may schedule and execute
+            # while this one waits on its executions below.
+            cache_stats = scheduler.last_cache_stats
+            attempts_before = [request.attempts for request in schedulable]
             for request in schedulable:
                 request.mark_assigned(schedule.device_of(request.request_id))
 
@@ -533,6 +536,12 @@ class Dispatcher:
                                 by_id[request_id], batch_span)).defuse())
             for execution in executions:
                 yield execution
+            # A request executes at most once per batch, so each attempt
+            # past its first here was a retry.
+            made = [request.attempts - before for request, before
+                    in zip(schedulable, attempts_before)]
+            attempts = sum(made)
+            retries = attempts - sum(1 for count in made if count)
             for request in schedulable:
                 if request.state is RequestState.SERVICED:
                     serviced += 1
@@ -559,10 +568,9 @@ class Dispatcher:
             scheduling_seconds=scheduling_seconds,
             batch_started_at=batch_started,
             batch_finished_at=self.env.now,
-            cache_stats=(scheduler.last_cache_stats
-                         if schedulable else None),
-            attempts=self.attempts_total - attempts_before,
-            retries=self.retries_total - retries_before,
+            cache_stats=cache_stats,
+            attempts=attempts,
+            retries=retries,
             failed_over=failed_over,
             quarantined_skipped=quarantined_skipped,
         )

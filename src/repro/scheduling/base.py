@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.errors import SchedulingError
 from repro.scheduling.cost_cache import CachingCostModel
@@ -99,25 +99,12 @@ class Scheduler:
     wall-clock timing and feasibility validation. Schedulers that use
     randomness draw from ``self.rng`` so runs are reproducible.
 
-    ``cost_cache`` controls the memoizing cost oracle every algorithm
-    estimates through:
-
-    * ``"auto"`` (default) — a fresh :class:`CachingCostModel` per
-      ``schedule`` call, but only for cost models that declare
-      ``cache_by_default`` (the expensive engine oracle); cheap analytic
-      models run bare, so the paper's scheduling-time figures are not
-      perturbed by cache bookkeeping;
-    * ``True`` — force a fresh per-schedule cache regardless of the
-      model's hint;
-    * a :class:`CachingCostModel` instance — shared/persistent cache,
-      for recurring batches of the same problem (steady-state dispatch);
-    * ``False``/``None`` — no caching (the ablation baseline).
-
-    Caching is skipped automatically for non-deterministic cost models
-    (it would freeze their noise draws) and is observationally
-    transparent otherwise: schedules are identical with it on and off.
-    ``last_cache_stats`` exposes the oracle's hit/miss counters of the
-    most recent run.
+    An algorithm that revisits ``(request, device, status)`` triples by
+    construction sets ``memoizes``; its estimates then go through a
+    per-``schedule`` :class:`CachingCostModel` whenever the problem's
+    cost model is deterministic and declares ``cache_by_default``.
+    ``last_cache_stats`` holds that memo's hit/miss counters after a
+    run, and is ``None`` when the run had no memo.
 
     ``vectorize`` opts into the numpy column-kernel fast path (see
     :mod:`repro.scheduling.vector_cost`) for algorithms that support it;
@@ -130,14 +117,15 @@ class Scheduler:
     name: str = "scheduler"
     #: SAP or CAP (Section 5.2 taxonomy).
     category: str = CATEGORY_SAP
+    #: Whether the algorithm asks for the same estimate again often
+    #: enough for a memo to pay. Measured (DESIGN.md decision 6): only
+    #: SA's suffix re-walks do; the greedy algorithms hit 0-2.4 % and
+    #: run up to 1.5x slower behind one.
+    memoizes: bool = False
 
-    def __init__(self, seed: int = 0,
-                 cost_cache: Union[bool, str, CachingCostModel] = "auto",
-                 *, vectorize: bool = False,
-                 ) -> None:
+    def __init__(self, seed: int = 0, *, vectorize: bool = False) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
-        self.cost_cache = cost_cache
         self.vectorize = vectorize
         if vectorize:
             from repro.scheduling.vector_cost import require_numpy
@@ -149,33 +137,18 @@ class Scheduler:
         raise NotImplementedError
 
     def _cached_problem(self, problem: Problem) -> Problem:
-        """Route the problem's cost oracle through the memo cache.
+        """``problem`` with its cost model behind a fresh memo, when this
+        algorithm memoizes and the model opts in; else unchanged.
 
-        Returns ``problem`` unchanged when caching is off, the model is
-        non-deterministic, the caller already wrapped it, or the policy
-        is ``"auto"`` and the model does not opt in.
+        A model the caller already wrapped does not opt in (the wrapper
+        leaves ``cache_by_default`` off), so it is never wrapped twice.
         """
         cost_model = problem.cost_model
-        if not self.cost_cache:
-            return problem
-        if isinstance(cost_model, CachingCostModel):
-            return problem
-        if not getattr(cost_model, "deterministic", True):
-            return problem
-        if isinstance(self.cost_cache, CachingCostModel):
-            if self.cost_cache.inner is not cost_model:
-                raise SchedulingError(
-                    "shared cost cache wraps a different cost model than "
-                    "the problem's; build the cache from problem.cost_model"
-                )
-            cache = self.cost_cache
-        elif self.cost_cache == "auto":
-            if not getattr(cost_model, "cache_by_default", False):
-                return problem
-            cache = CachingCostModel(cost_model)
-        else:
-            cache = CachingCostModel(cost_model)
-        return replace(problem, cost_model=cache)
+        if (self.memoizes and cost_model.cache_by_default
+                and cost_model.deterministic):
+            return replace(problem,
+                           cost_model=CachingCostModel(cost_model))
+        return problem
 
     def schedule(self, problem: Problem) -> Schedule:
         """Solve ``problem``, returning a validated, timed schedule."""

@@ -47,11 +47,14 @@ class SchedulingCostModel:
     :class:`~repro.scheduling.cost_cache.CachingCostModel`. Models that
     draw noise must override it to ``False``.
 
-    ``cache_by_default`` opts the model into the schedulers' default
-    (``"auto"``) caching policy. Leave it ``False`` for cheap analytic
-    models — a memo lookup costs about as much as their estimate — and
-    set it ``True`` when an estimate is expensive enough to dwarf a
-    dict probe (the engine's resolver + profile pipeline).
+    ``cache_by_default`` asks an algorithm that memoizes (simulated
+    annealing, which re-walks queue suffixes) to put this model behind
+    a per-schedule memo. Leave it ``False`` for cheap analytic models —
+    a memo probe costs about as much as their estimate, and SA runs
+    0.7x as fast with one on the Figure 4-6 camera model — and set it
+    ``True`` when an estimate dwarfs a dict probe (the engine's
+    resolver + profile pipeline). Algorithms that do not revisit their
+    estimates ignore it.
     """
 
     deterministic: bool = True
@@ -66,19 +69,6 @@ class SchedulingCostModel:
     ) -> Tuple[float, Any]:
         """Estimated ``(seconds, post_status)`` for one servicing."""
         raise NotImplementedError
-
-    def estimate_column(
-        self, requests: List[SchedRequest], device_id: str, status: Any
-    ) -> List[Tuple[float, Any]]:
-        """Batch :meth:`estimate` of many requests on one device.
-
-        All estimates are taken from the *same* starting status (one
-        column of the request x device cost matrix). The base
-        implementation is a scalar loop; memoizing or vectorizing
-        subclasses override it.
-        """
-        return [self.estimate(request, device_id, status)
-                for request in requests]
 
     def actual(
         self, request: SchedRequest, device_id: str, status: Any

@@ -154,11 +154,14 @@ class SimulatedAnnealingScheduler(Scheduler):
 
     name = "SA"
     category = CATEGORY_SAP
+    #: Every previewed move re-walks a queue suffix most of whose
+    #: (request, device, status) triples an earlier move already costed.
+    memoizes = True
 
     def __init__(self, seed: int = 0,
                  parameters: SAParameters | None = None,
-                 cost_cache="auto", *, vectorize: bool = False) -> None:
-        super().__init__(seed, cost_cache=cost_cache, vectorize=vectorize)
+                 *, vectorize: bool = False) -> None:
+        super().__init__(seed, vectorize=vectorize)
         self.parameters = parameters or SAParameters()
         #: Move-evaluation count of the last run, for reporting.
         self.evaluations = 0

@@ -186,8 +186,8 @@ class SrfaeScheduler(Scheduler):
     category = CATEGORY_CAP
 
     def __init__(self, seed: int = 0, *, structure: str = "heap",
-                 cost_cache="auto", vectorize: bool = False) -> None:
-        super().__init__(seed, cost_cache=cost_cache, vectorize=vectorize)
+                 vectorize: bool = False) -> None:
+        super().__init__(seed, vectorize=vectorize)
         if structure not in _STRUCTURES:
             raise SchedulingError(
                 f"unknown SRFAE structure {structure!r}; "

@@ -13,6 +13,7 @@ from repro import EngineConfig, HealthPolicy, Point, RetryPolicy
 from repro.actions.request import ActionRequest, RequestState
 from repro.devices.health import BreakerState
 from tests.core.conftest import build_lab
+from tests.core.test_fastpath import drive as dispatch_pending_until
 
 
 def make_request(engine, target, candidates=("cam1", "cam2")):
@@ -104,6 +105,62 @@ def test_retry_bridges_a_transient_outage():
     assert reports[0].serviced == 1
     assert reports[0].retries == 2
     assert len(engine.tracer.of_kind("request_retry")) == 2
+
+
+def overlapping_photo_and_beep(config):
+    """One ``dispatch_pending`` over two actions: sibling batches.
+
+    cam1 is offline until t=2.5, so the photo batch is still retrying
+    long after the beep batch has scheduled, executed and reported.
+    """
+    engine = build_lab(config=config)
+    engine.comm.registry.get("cam1").go_offline()
+
+    def recovery(env):
+        yield env.timeout(2.5)
+        engine.comm.registry.get("cam1").go_online()
+
+    engine.env.process(recovery(engine.env))
+    dispatcher = engine.dispatcher
+    photo_operator = dispatcher.operator_for(engine.actions.get("photo"))
+    for target in (Point(4, 3), Point(8, 3)):
+        photo_operator.submit(
+            make_request(engine, target, candidates=("cam1",)))
+    dispatcher.operator_for(engine.actions.get("beep")).submit(
+        ActionRequest(action_name="beep", arguments={},
+                      created_at=engine.env.now, candidates=("mote1",)))
+    photo, beep = dispatch_pending_until(engine, until=60.0)
+    assert (photo.action_name, beep.action_name) == ("photo", "beep")
+    assert beep.batch_finished_at < photo.batch_finished_at
+    assert (photo.serviced, beep.serviced) == (2, 1)
+    return engine, photo, beep
+
+
+RETRY_THROUGH_OUTAGE = RetryPolicy(max_attempts=4, backoff_base=1.0,
+                                   backoff_factor=2.0, jitter=0.0)
+
+
+def test_overlapping_batches_report_their_own_attempts():
+    engine, photo, beep = overlapping_photo_and_beep(EngineConfig(
+        probing=False, retry=RETRY_THROUGH_OUTAGE))
+    # The first photo bridges the outage (t=0, 1, 3); the second, queued
+    # behind it on cam1, then succeeds at once.
+    assert (photo.attempts, photo.retries) == (4, 2)
+    assert (beep.attempts, beep.retries) == (1, 0)
+    dispatcher = engine.dispatcher
+    assert photo.attempts + beep.attempts == dispatcher.attempts_total
+    assert photo.retries + beep.retries == dispatcher.retries_total
+
+
+def test_overlapping_batches_report_their_own_cache_stats():
+    """Under SA both batches have a memo; each report holds its own."""
+    _, photo, beep = overlapping_photo_and_beep(EngineConfig(
+        probing=False, scheduler="SA", retry=RETRY_THROUGH_OUTAGE))
+    # One beep on one mote is one distinct estimate; two photos on one
+    # camera are four (either first, the other from where it leaves
+    # the head).
+    assert beep.cache_stats["misses"] == 1
+    assert photo.cache_stats["misses"] == 4
 
 
 def test_permanent_failures_are_not_retried():

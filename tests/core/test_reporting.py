@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import SensorStimulus
-from tests.core.conftest import FIGURE_1
+from repro import EngineConfig, SensorStimulus
+from tests.core.conftest import FIGURE_1, build_lab
 
 
 def test_device_report_before_any_work(engine):
@@ -77,15 +77,20 @@ def test_statistics_counters_match_completion_log(engine):
 
 
 def test_dispatch_reports_expose_cache_stats(engine):
-    """Batches scheduled through the engine oracle report cache stats."""
-    engine.execute(FIGURE_1)
-    engine.comm.registry.get("mote1").inject(
-        SensorStimulus("accel_x", start=2.0, duration=2.0,
-                       magnitude=900.0))
-    engine.start()
-    engine.run(until=30.0)
-    reports = [r for r in engine.dispatcher.reports if r.scheduled]
-    assert reports
-    for report in reports:
-        assert report.cache_stats is not None
+    """A batch reports the memo of an algorithm that memoizes, else None."""
+    def scheduled_reports(engine):
+        engine.execute(FIGURE_1)
+        engine.comm.registry.get("mote1").inject(
+            SensorStimulus("accel_x", start=2.0, duration=2.0,
+                           magnitude=900.0))
+        engine.start()
+        engine.run(until=30.0)
+        reports = [r for r in engine.dispatcher.reports if r.scheduled]
+        assert reports
+        return reports
+
+    for report in scheduled_reports(engine):  # SRFAE, the default
+        assert report.cache_stats is None
+    annealed = build_lab(EngineConfig(scheduler="SA"))
+    for report in scheduled_reports(annealed):
         assert report.cache_stats["misses"] > 0

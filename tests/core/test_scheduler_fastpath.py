@@ -87,11 +87,12 @@ class TestKernelSelection:
         assert scalar.cost_calls["estimate_block"] == 0
         assert picked_trace == scalar_trace
         assert not diff_dumps(dump_engine(scalar), dump_engine(picked))
-        # Under the kernel the scheduler's memo sees no scalar estimate.
-        misses = [report.cache_stats["misses"]
-                  for report in picked.dispatcher.reports]
-        assert all(count > 0 for count in misses[:3])
-        assert misses[3:] == [0] * 5
+        # Every scalar estimate of the picked run was made by the three
+        # batches under the kernel's floor; the five above it made none.
+        below_floor, _ = run_batches(EngineConfig(), batches[:3])
+        assert below_floor.cost_calls["estimate_block"] == 0
+        assert (picked.cost_calls["estimate"]
+                == below_floor.cost_calls["estimate"] > 0)
 
 
 class TestVectorizeKnob:

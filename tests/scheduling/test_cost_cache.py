@@ -1,11 +1,15 @@
-"""The memoizing cost oracle: keying, transparency, incremental SA.
+"""The memoizing cost oracle: keying, who gets one, transparency,
+incremental SA.
 
 The load-bearing property here is *observational transparency*: with a
 deterministic inner model, every scheduler must produce byte-identical
-schedules with the cache on and off, and SA's incremental evaluator
+schedules with and without the memo, and SA's incremental evaluator
 must agree bit-for-bit with a full re-walk — otherwise the perf work
 would silently change the paper's reproduced figures.
 """
+
+import copy
+import dataclasses
 
 import random
 
@@ -34,13 +38,25 @@ TINY_SA = SAParameters(moves_per_temperature_per_request=4,
                        max_evaluations=400)
 
 SCHEDULER_FACTORIES = (
-    lambda cache: LerfaSrfeScheduler(0, cost_cache=cache),
-    lambda cache: SrfaeScheduler(0, cost_cache=cache),
-    lambda cache: ListScheduler(0, cost_cache=cache),
-    lambda cache: SimulatedAnnealingScheduler(0, parameters=TINY_SA,
-                                              cost_cache=cache),
-    lambda cache: RandomScheduler(0, cost_cache=cache),
+    lambda: LerfaSrfeScheduler(0),
+    lambda: SrfaeScheduler(0),
+    lambda: ListScheduler(0),
+    lambda: SimulatedAnnealingScheduler(0, parameters=TINY_SA),
+    lambda: RandomScheduler(0),
 )
+
+
+def opted_in(problem):
+    """``problem`` over a copy of its model that asks for the memo."""
+    model = copy.copy(problem.cost_model)
+    model.cache_by_default = True
+    return dataclasses.replace(problem, cost_model=model)
+
+
+def prewrapped(problem):
+    """``problem`` with the memo already in place: any algorithm uses it."""
+    return dataclasses.replace(
+        problem, cost_model=CachingCostModel(problem.cost_model))
 
 
 # ----------------------------------------------------------------------
@@ -100,12 +116,8 @@ def test_cache_counts_hits_and_misses():
     second = cache.estimate(request, "d1", status)
     assert first == second
     assert (cache.hits, cache.misses) == (1, 1)
-    assert cache.entries == 1
-    stats = cache.stats()
-    assert stats["hit_rate"] == pytest.approx(0.5)
-    cache.clear()
-    assert cache.entries == 0
-    assert cache.stats()["hits"] == 0
+    assert cache.stats() == {"hits": 1, "misses": 1,
+                             "hit_rate": pytest.approx(0.5)}
 
 
 def test_cache_accepts_dict_statuses():
@@ -115,19 +127,6 @@ def test_cache_accepts_dict_statuses():
     cache.estimate(request, "d1", {"pan": 0.0, "tilt": 1.0})
     cache.estimate(request, "d1", {"tilt": 1.0, "pan": 0.0})
     assert (cache.hits, cache.misses) == (1, 1)
-
-
-def test_cache_payload_identity_guard():
-    """Same request id, different payload object: a miss, not a lie."""
-    problem = _static_problem()
-    cache = CachingCostModel(problem.cost_model)
-    status = cache.initial_status("d1")
-    cache.estimate(SchedRequest("r1", ("d1",), payload=("batch", 1)),
-                   "d1", status)
-    cache.estimate(SchedRequest("r1", ("d1",), payload=("batch", 2)),
-                   "d1", status)
-    assert cache.hits == 0
-    assert cache.misses == 2
 
 
 def test_cache_refuses_nesting_and_nondeterminism():
@@ -142,68 +141,79 @@ def test_cache_refuses_nesting_and_nondeterminism():
 
 
 def test_auto_policy_follows_the_models_hint():
-    """"auto" caches only models that opt in via cache_by_default."""
+    """A memo needs an algorithm that revisits and a model that opts in."""
     cheap = uniform_camera_workload(6, 2, seed=0)
     assert not cheap.cost_model.cache_by_default
-    scheduler = LerfaSrfeScheduler(0)  # default cost_cache="auto"
-    scheduler.schedule(cheap)
-    assert scheduler.last_cache_stats is None
+    annealer = SimulatedAnnealingScheduler(0, parameters=TINY_SA)
+    assert annealer.memoizes
 
-    class OptIn(StaticCostModel):
-        cache_by_default = True
+    annealer.schedule(opted_in(cheap))
+    stats = annealer.last_cache_stats
+    assert stats is not None and stats["hits"] > 0
 
-    costs = {("r1", "d1"): 2.0, ("r2", "d1"): 1.0}
-    problem = Problem(
-        requests=(SchedRequest("r1", ("d1",)), SchedRequest("r2", ("d1",))),
-        device_ids=("d1",), cost_model=OptIn(costs))
-    scheduler = LerfaSrfeScheduler(0)
-    scheduler.schedule(problem)
-    assert scheduler.last_cache_stats is not None
+    annealer.schedule(cheap)  # analytic model: no hint, no memo
+    assert annealer.last_cache_stats is None
 
-    forced = LerfaSrfeScheduler(0, cost_cache=True)
-    forced.schedule(cheap)
-    assert forced.last_cache_stats is not None
+    for greedy in (LerfaSrfeScheduler(0), SrfaeScheduler(0),
+                   ListScheduler(0), RandomScheduler(0)):
+        assert not greedy.memoizes
+        greedy.schedule(opted_in(cheap))
+        assert greedy.last_cache_stats is None
 
 
 def test_schedulers_skip_caching_noisy_models():
     noisy = uniform_camera_workload(6, 2, seed=0, estimate_noise=0.1)
-    scheduler = LerfaSrfeScheduler(0, cost_cache=True)
-    scheduler.schedule(noisy)
+    scheduler = SimulatedAnnealingScheduler(0, parameters=TINY_SA)
+    scheduler.schedule(opted_in(noisy))
     assert scheduler.last_cache_stats is None
 
 
-def test_shared_cache_must_wrap_the_problems_model():
-    problem = _static_problem()
-    other = _static_problem()
-    shared = CachingCostModel(other.cost_model)
-    with pytest.raises(SchedulingError):
-        LerfaSrfeScheduler(0, cost_cache=shared).schedule(problem)
+def test_prewrapped_problem_keeps_its_memo():
+    """How a test or bench gives a greedy algorithm a memo: wrap first."""
+    problem = prewrapped(uniform_camera_workload(6, 2, seed=0))
+    scheduler = SrfaeScheduler(0)
+    scheduler.schedule(problem)
+    assert scheduler.last_cache_stats == problem.cost_model.stats()
+    assert scheduler.last_cache_stats["misses"] > 0
 
 
-def test_shared_cache_warm_run_hits_everything():
-    problem = uniform_camera_workload(12, 4, seed=3)
-    shared = CachingCostModel(problem.cost_model)
-    SrfaeScheduler(0, cost_cache=shared).schedule(problem)
-    primed = shared.stats()
-    scheduler = SrfaeScheduler(0, cost_cache=shared)
-    warm = scheduler.schedule(problem)
-    assert shared.misses == primed["misses"]  # zero new misses
-    reference = SrfaeScheduler(0, cost_cache=False).schedule(problem)
-    assert warm.assignments == reference.assignments
+def test_memo_passes_actual_through_to_the_inner_model():
+    """LS consumes ``actual``; the memo must not answer it from
+    ``estimate``."""
+    class Optimist(StaticCostModel):
+        def actual(self, request, device_id, status):
+            seconds, post = self.estimate(request, device_id, status)
+            return 2 * seconds, post
+
+    cache = CachingCostModel(Optimist({("r1", "d1"): 2.0}))
+    request = SchedRequest("r1", ("d1",))
+    assert cache.estimate(request, "d1", None) == (2.0, None)
+    assert cache.actual(request, "d1", None) == (4.0, None)
+
+
+def test_cost_cache_option_is_gone():
+    for scheduler_class in (LerfaSrfeScheduler, SrfaeScheduler,
+                            ListScheduler, SimulatedAnnealingScheduler,
+                            RandomScheduler):
+        with pytest.raises(TypeError, match="cost_cache"):
+            scheduler_class(0, cost_cache=True)
 
 
 # ----------------------------------------------------------------------
-# Observational transparency: cache on == cache off, all five
+# Observational transparency: memo == no memo, all five
 # ----------------------------------------------------------------------
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 14), m=st.integers(1, 5),
        seed=st.integers(0, 1000))
 def test_all_schedulers_identical_with_cache_on_and_off(n, m, seed):
+    """The model's hint is the only input that differs; the pre-wrapped
+    leg puts the four algorithms the hint does not reach behind a memo
+    too."""
     problem = uniform_camera_workload(n, m, seed=seed)
     for factory in SCHEDULER_FACTORIES:
-        cached = factory(True).schedule(problem)
-        uncached = factory(False).schedule(problem)
-        assert cached.assignments == uncached.assignments
+        plain = factory().schedule(problem).assignments
+        assert factory().schedule(opted_in(problem)).assignments == plain
+        assert factory().schedule(prewrapped(problem)).assignments == plain
 
 
 # ----------------------------------------------------------------------

@@ -277,23 +277,3 @@ def test_unregistered_block_resolver_is_a_profile_error(photo_lab):
     device = next(iter(cameras.values()))
     with pytest.raises(ProfileError, match="block resolver"):
         cost_model.prepare_block("no-such-action", device, [])
-
-
-# ----------------------------------------------------------------------
-# CachingCostModel: columns
-# ----------------------------------------------------------------------
-def test_estimate_column_fills_and_hits_the_memo():
-    problem = uniform_camera_workload(8, 2, seed=1)
-    cache = CachingCostModel(problem.cost_model)
-    device_id = problem.device_ids[0]
-    status = cache.initial_status(device_id)
-    column = cache.estimate_column(list(problem.requests), device_id,
-                                   status)
-    assert (cache.hits, cache.misses) == (0, 8)
-    again = cache.estimate_column(list(problem.requests), device_id,
-                                  status)
-    assert again == column
-    assert (cache.hits, cache.misses) == (8, 8)
-    for pair, request in zip(column, problem.requests):
-        assert pair == problem.cost_model.estimate(request, device_id,
-                                                   status)
