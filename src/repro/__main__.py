@@ -132,7 +132,7 @@ def run_sharded_demo(shards: int, *, parallel: bool = False,
     fleet = _demo_fleet(shards, parallel=parallel,
                         parallel_backend=parallel_backend)
     mode = (f"{parallel_backend} workers" if fleet.parallel
-            else "serial lockstep")
+            else "in-process")
     print(f"Fleet of {fleet.n_shards} shards "
           f"(region placement, one region per shard, {mode})")
     for index, stats in enumerate(fleet.shard_statistics()):
@@ -150,7 +150,9 @@ def run_sharded_demo(shards: int, *, parallel: bool = False,
         waits = ", ".join(
             f"s{entry['shard']}={entry['barrier_wait_s']:.2f}s"
             for entry in breakdown["per_shard"])
-        print(f"{breakdown['rounds']} lockstep rounds in "
+        # One round per run(): the demo fleet shares no ledger.
+        rounds = breakdown["rounds"]
+        print(f"{rounds} round{'' if rounds == 1 else 's'} in "
               f"{breakdown['wall_s']:.2f}s wall; barrier waits: {waits}")
     fleet.close()
     return 0
@@ -324,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
                              "engine)")
     parser.add_argument("--parallel", action="store_true",
                         help="run each demo shard in its own worker "
-                             "(true parallel lockstep; needs "
+                             "(shards compute concurrently; needs "
                              "--shards >= 2)")
     parser.add_argument("--parallel-backend", choices=PARALLEL_BACKENDS,
                         default="process",

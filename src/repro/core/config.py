@@ -181,9 +181,13 @@ class EngineConfig:
     #: partition and refuses a multi-shard config so a sharded config
     #: can never silently run unsharded.
     shards: int = 1
-    #: Lockstep bound for multi-shard runs: no shard's clock may lead
-    #: the slowest by more than this many runtime seconds. Ignored when
-    #: ``shards == 1`` (a single shard runs in one uninterrupted call).
+    #: Lockstep bound of a ledger-coupled fleet (``overload`` on and
+    #: ``shards > 1``): no shard's clock may lead the slowest by more
+    #: than this many runtime seconds, which bounds how far apart the
+    #: clocks are at which shards sample the shared capacity ledger.
+    #: Read by no other fleet: shards that share no ledger have nothing
+    #: to agree on and run to ``until`` in one round, a single shard in
+    #: one uninterrupted call.
     shard_quantum: float = 1.0
     #: True parallel shard execution: run each shard's lockstep round
     #: concurrently in its own worker instead of stepping shards

@@ -1,14 +1,21 @@
 """Coordinated advancement of a fleet of runtimes.
 
 A sharded fleet runs one runtime per shard. The shards own disjoint
-device sets, so their event streams never interact directly — but
-fleet-level state (the shared capacity ledger, merged statistics read
-mid-run) is sampled across shard clocks, and letting one shard race
-hours ahead of another would make those reads meaningless.
-:func:`run_lockstep` bounds the skew: every shard advances in rounds
-of at most ``quantum`` runtime seconds, so no shard's clock is ever
-more than one quantum ahead of the slowest. It is the one place that
-bound is defined, for every kind of fleet.
+device sets, so their event streams never interact: a query over one
+shard's devices is a *local* predicate and needs no clock agreement
+with any other shard. What rounds are for is the one thing shards can
+share while a run is in progress — the fleet capacity ledger, which
+every shard's admission samples at its own clock. Letting one shard
+race hours ahead of another would let it spend capacity windows the
+others have not reached, so a ledger-coupled fleet advances through
+:func:`run_lockstep` in rounds of at most ``quantum`` runtime seconds:
+no shard's clock is ever more than one quantum ahead of the slowest.
+A fleet that shares nothing passes ``quantum=None`` and gets one round
+straight to ``until``. Nothing else can observe the skew: merged
+statistics cannot be read mid-run, because the thread that would read
+them is the one inside ``run()``, and it returns only after every peer
+has arrived. The loop is the one place the bound is defined, for every
+kind of fleet.
 
 The loop drives :class:`RoundPeer` objects and does not know where a
 peer's runtime lives: each round it broadcasts the deadline to every
@@ -33,7 +40,7 @@ round — rounds that overlap cannot thread a sequentially decremented
 allowance, and one rule for every fleet beats an exact meter for some —
 so a runaway fleet may overshoot by up to ``(shards - 1) x remaining``
 events before the barrier notices; it is a watchdog bound, not a
-meter.
+meter, and the same bound whether the run is one round or many.
 """
 
 from __future__ import annotations
@@ -173,16 +180,18 @@ def run_lockstep(
     peers: Sequence[RoundPeer],
     until: float,
     *,
-    quantum: float = 1.0,
+    quantum: Optional[float] = 1.0,
     max_events: Optional[int] = None,
     on_round: Optional[RoundObserver] = None,
 ) -> float:
     """Advance every peer to ``until``, one barriered round at a time.
 
     Round deadlines are ``min(deadline + quantum, until)`` from the
-    slowest peer's clock; peers already past a deadline skip that
-    round themselves. ``max_events`` is the fleet-wide cumulative
-    budget described in the module docstring. Determinism rule:
+    slowest peer's clock — or ``until`` itself, one round, when
+    ``quantum`` is ``None`` (peers that share nothing have no skew to
+    bound); peers already past a deadline skip that round themselves.
+    ``max_events`` is the fleet-wide cumulative budget described in
+    the module docstring. Determinism rule:
     results are collected in **peer order**, never arrival order, so
     everything downstream of the barrier (budget accounting,
     completion merges, metrics) is independent of scheduling noise.
@@ -192,7 +201,7 @@ def run_lockstep(
     raises for the lowest-indexed failure; budget exhaustion aggregates
     all peers into one fleet-wide diagnostic. Returns ``until``.
     """
-    if quantum <= 0:
+    if quantum is not None and quantum <= 0:
         raise SimulationError(f"lockstep quantum must be positive, "
                               f"got {quantum}")
     if not peers:
@@ -205,7 +214,8 @@ def run_lockstep(
             f"at t={deadline}")
     remaining = max_events
     while deadline < until:
-        deadline = min(deadline + quantum, until)
+        deadline = until if quantum is None \
+            else min(deadline + quantum, until)
         started = time.perf_counter()
         for peer in peers:
             peer.begin_round(deadline, remaining)

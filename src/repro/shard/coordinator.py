@@ -38,14 +38,14 @@ suite in ``tests/shard`` pins this with golden traces.
 its :class:`~repro.shard.parallel.ShardHandle` and never asks where the
 shard is hosted: in this process by default (the handle is the shard
 itself), in its own worker with ``EngineConfig(parallel=True)``
-(:mod:`repro.shard.parallel`), where lockstep rounds run concurrently
-between deterministic barriers. What differs is what a handle can hand
-back: per-shard *objects* (``fleet.shard(i)``, ``fleet.device(...)``,
-registration handles) are process-local, so a worker's handle refuses
-or returns ``None`` for them; per-shard *data* flows through
-``shard_statistics()`` / ``shard_dumps()`` / ``metrics()`` on every
-fleet. Workers are opt-in, forced off on 1-shard fleets, and
-byte-identical to in-process lockstep (benchmark-gated).
+(:mod:`repro.shard.parallel`), where the shards of a round compute
+concurrently between deterministic barriers. What differs is what a
+handle can hand back: per-shard *objects* (``fleet.shard(i)``,
+``fleet.device(...)``, registration handles) are process-local, so a
+worker's handle refuses or returns ``None`` for them; per-shard *data*
+flows through ``shard_statistics()`` / ``shard_dumps()`` /
+``metrics()`` on every fleet. Workers are opt-in, forced off on 1-shard
+fleets, and byte-identical to the in-process fleet (benchmark-gated).
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class ShardedEngine:
             env, "cam1", Point(0, 0)))
         fleet.execute(CREATE_AQ_SQL)     # registers on every shard
         fleet.start()
-        fleet.run(until=600.0)           # lockstep across shard clocks
+        fleet.run(until=600.0)           # every shard's clock to 600
         fleet.statistics()               # fleet-wide aggregate
     """
 
@@ -202,14 +202,18 @@ class ShardedEngine:
         self.ledger_service: Optional[LedgerService] = None
         #: One handle per shard, in shard order.
         self.handles: List[ShardHandle] = []
-        ledger = None
+        #: The capacity ledger every shard's admission shares — the one
+        #: thing that couples shards while ``run()`` is in progress, so
+        #: its presence is what makes ``run()`` step in rounds. ``None``
+        #: with overload control off or a single shard.
+        self.ledger: Optional[CapacityLedger] = None
         channels: List[Any] = [None] * n
         if self.config.overload and n > 1:
-            ledger = CapacityLedger(
+            self.ledger = CapacityLedger(
                 self.config.overload_policy or OverloadPolicy(),
                 fleet_size=lambda: self._devices)
             if self.parallel:
-                self.ledger_service = LedgerService(ledger)
+                self.ledger_service = LedgerService(self.ledger)
                 channels = [self.ledger_service.channel()
                             for _ in range(n)]
                 self.ledger_service.start()
@@ -227,7 +231,12 @@ class ShardedEngine:
                         self.config.parallel_backend, channels[index]))
                 else:
                     self.handles.append(
-                        ShardHost(shard_config, shard_seed, ledger))
+                        ShardHost(shard_config, shard_seed, self.ledger))
+            # Every worker is already spawning and importing; wait only
+            # now, so start-up costs one worker's, not their sum.
+            for handle in self.handles:
+                if isinstance(handle, ShardWorker):
+                    handle.await_ready()
         except BaseException:
             self.close()
             raise
@@ -438,13 +447,17 @@ class ShardedEngine:
 
         One shard delegates to the inner engine's ``run`` (identical
         call pattern to a plain engine, keeping traces byte-identical).
-        Multiple shards advance in lockstep rounds of
-        ``config.shard_quantum`` runtime seconds — concurrently across
-        workers, one after another in this process — with per-shard
-        ``engine.run`` spans wrapping the whole coordinated run and
-        ``max_events`` as one fleet-wide cumulative event budget across
-        all rounds and shards. As on a plain engine, the spans close on
-        every path out and ``engine.runs`` counts completed runs only.
+        Multiple shards that share nothing — no fleet ledger — run one
+        round: every shard straight to ``until``, concurrently across
+        workers, one after another in this process. Shards coupled by
+        the ledger advance in lockstep rounds of
+        ``config.shard_quantum`` runtime seconds instead, so capacity
+        admission never sees clocks further apart than that. Either
+        way per-shard ``engine.run`` spans wrap the whole coordinated
+        run and ``max_events`` is one fleet-wide cumulative event budget
+        across all rounds and shards. As on a plain engine, the spans
+        close on every path out and ``engine.runs`` counts completed
+        runs only.
         """
         if self.n_shards == 1:
             return self.shards[0].run(until, max_events)
@@ -452,7 +465,9 @@ class ShardedEngine:
         completed = False
         try:
             stopped = run_lockstep(
-                self.handles, until, quantum=self.config.shard_quantum,
+                self.handles, until,
+                quantum=None if self.ledger is None
+                else self.config.shard_quantum,
                 max_events=max_events,
                 on_round=self._record_round if self.parallel else None)
             completed = True

@@ -450,7 +450,10 @@ class ShardWorker:
     :meth:`finish_round` pair lets the barrier loop start every worker
     before waiting on any, and transport failures — a dead process, a
     broken pipe — become :class:`ShardingError` naming the shard
-    instead of hanging the barrier.
+    instead of hanging the barrier. Construction is split-phase for
+    the same reason: the constructor only starts the worker, and
+    :meth:`await_ready` — required before the first command — blocks
+    on its ready handshake, so a fleet's spawn + import costs overlap.
     """
 
     def __init__(self, index: int, config: EngineConfig, seed: int,
@@ -482,6 +485,9 @@ class ShardWorker:
                 target=_serve, args=args, name=f"repro-shard-{index}",
                 daemon=True)
             self._worker.start()
+
+    def await_ready(self) -> None:
+        """Block until the worker has built its shard (or failed to)."""
         if not self._conn.poll(READY_TIMEOUT):
             self._fail("handshake")
         self._recv("handshake")

@@ -218,6 +218,61 @@ def test_parallel_rounds_validate_like_lockstep():
 
 
 # ----------------------------------------------------------------------
+# One round: quantum=None runs every peer straight to ``until``
+# ----------------------------------------------------------------------
+def test_one_round_hands_every_peer_the_whole_budget_in_peer_order():
+    log: List[str] = []
+    observed: List[tuple] = []
+    peers = [FakePeer(i, log, events_per_round=3) for i in range(3)]
+    assert run_lockstep(
+        peers, 7.5, quantum=None, max_events=100,
+        on_round=lambda deadline, wall, results:
+        observed.append((deadline, len(results)))) == 7.5
+    assert log == ["begin0", "begin1", "begin2",
+                   "finish0", "finish1", "finish2"]
+    assert [peer.budgets for peer in peers] == [[100]] * 3
+    assert all(peer.now() == 7.5 for peer in peers)
+    assert observed == [(7.5, 3)]
+
+
+def test_one_round_drains_every_peer_before_raising_the_first_failure():
+    log: List[str] = []
+    first, second = ValueError("shard 1 broke"), ValueError("shard 2 broke")
+    peers = [FakePeer(0, log),
+             FakePeer(1, log, fail_with=first),
+             FakePeer(2, log, fail_with=second)]
+    with pytest.raises(ValueError, match="shard 1 broke"):
+        run_lockstep(peers, 5.0, quantum=None)
+    assert log == ["begin0", "begin1", "begin2",
+                   "finish0", "finish1", "finish2"]
+
+
+def test_one_round_aggregates_budget_exhaustion_fleet_wide():
+    log: List[str] = []
+    peers = [
+        FakePeer(0, log, fail_with=RoundBudgetError(
+            "budget", now=0.5, events=7, pending=4)),
+        FakePeer(1, log),
+    ]
+    with pytest.raises(SimulationError,
+                       match="fleet event budget exhausted") as excinfo:
+        run_lockstep(peers, 5.0, quantum=None, max_events=7)
+    message = str(excinfo.value)
+    assert "shard 0: t=0.500000 pending=4" in message
+    assert "shard 1: t=5.000000 pending=1" in message
+
+
+def test_one_round_lets_a_peer_already_past_until_skip():
+    ahead, behind = ticking_runtime(period=1.0), ticking_runtime(period=1.0)
+    ahead.run(until=7.0)
+    before = ahead.events_processed
+    assert run_lockstep([RuntimePeer(ahead), RuntimePeer(behind)], 5.0,
+                        quantum=None) == 5.0
+    assert (ahead.now, ahead.events_processed) == (7.0, before)
+    assert behind.now == 5.0
+
+
+# ----------------------------------------------------------------------
 # RuntimePeer: the per-round body
 # ----------------------------------------------------------------------
 def test_runtime_peer_skips_a_round_it_is_already_past():

@@ -130,6 +130,29 @@ def sharded_continuous_outage_scenario(
     return fleet
 
 
+class RoundTap:
+    """A handle that reports the rounds submitted to its shard.
+
+    Substituted at ``fleet.handles[i]``: it counts ``begin_round``
+    calls and invokes ``on_begin`` after each one went out; everything
+    else reaches the wrapped handle untouched.
+    """
+
+    def __init__(self, shard, on_begin=None) -> None:
+        self.shard = shard
+        self.rounds = 0
+        self.on_begin = on_begin
+
+    def begin_round(self, deadline, max_events) -> None:
+        self.rounds += 1
+        self.shard.begin_round(deadline, max_events)
+        if self.on_begin is not None:
+            self.on_begin()
+
+    def __getattr__(self, name):
+        return getattr(self.shard, name)
+
+
 # ----------------------------------------------------------------------
 # The genuinely sharded workload
 # ----------------------------------------------------------------------

@@ -9,6 +9,9 @@ thread-worker fleet. Tests that look inside a shard's engine use
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro import (
@@ -32,7 +35,12 @@ from repro.errors import (
 )
 from repro.overload import OverloadPolicy
 from repro.runtime import RuntimePeer, VirtualRuntime, run_lockstep
-from tests.shard.scenarios import FIGURE_1_AQ, region_layout
+from tests.shard.scenarios import (
+    FIGURE_1_AQ,
+    RoundTap,
+    region_fleet_scenario,
+    region_layout,
+)
 
 TWO_REGIONS = RegionPlacement.from_regions(region_layout(2))
 
@@ -315,6 +323,46 @@ def test_run_lockstep_tolerates_runtimes_ahead_of_the_floor():
 
 
 # ----------------------------------------------------------------------
+# What couples shards decides the rounds
+# ----------------------------------------------------------------------
+def test_overload_off_shards_are_independent_of_the_round_size():
+    # The licence for running a ledger-free fleet in one round: its
+    # shards share nothing, so how often they meet at a barrier cannot
+    # show in any shard's dump. run_lockstep is driven directly, so the
+    # property is the engine's, whatever quantum the facade picks.
+    dumps = []
+    for quantum in (0.1, 1.0, None):
+        fleet = region_fleet_scenario(3, observability=True,
+                                      run_until=0.0)
+        assert fleet.ledger is None
+        run_lockstep(fleet.handles, 33.0, quantum=quantum)
+        assert fleet.statistics()["requests_serviced"] == 3
+        dumps.append([json.dumps(dump, sort_keys=True)
+                      for dump in fleet.shard_dumps()])
+    assert dumps[0] == dumps[1] == dumps[2]
+
+
+def test_ledger_free_fleet_takes_one_round_per_run(build_fleet):
+    fleet = build_fleet()
+    assert fleet.ledger is None
+    counter = fleet.handles[0] = RoundTap(fleet.handles[0])
+    fleet.start()
+    fleet.run(until=12.5)
+    fleet.run(until=20.0)
+    assert counter.rounds == 2
+
+
+def test_ledger_coupled_fleet_still_steps_by_the_quantum(build_fleet):
+    for quantum in (1.0, 0.5):
+        fleet = build_fleet(overload=True, shard_quantum=quantum)
+        assert fleet.ledger is not None
+        counter = fleet.handles[0] = RoundTap(fleet.handles[0])
+        fleet.start()
+        fleet.run(until=12.5)
+        assert counter.rounds == math.ceil(12.5 / quantum)
+
+
+# ----------------------------------------------------------------------
 # Fleet-wide capacity accounting
 # ----------------------------------------------------------------------
 def test_shards_share_one_capacity_ledger_under_overload():
@@ -419,6 +467,8 @@ for _contract in (
         test_explain_describes_the_plan_without_registering,
         test_submit_batch_splits_across_shards_and_merges_completions,
         test_start_is_once_and_run_advances_every_shard_clock,
+        test_ledger_free_fleet_takes_one_round_per_run,
+        test_ledger_coupled_fleet_still_steps_by_the_quantum,
         test_fleet_statistics_aggregate_sum_max_and_width,
         test_device_report_is_the_disjoint_union):
     setattr(TestOnThreadWorkers, _contract.__name__,

@@ -20,7 +20,7 @@ from repro.errors import AortaError, ParseError, ShardingError, \
     SimulationError
 from repro.obs.dump import diff_dumps
 from repro.shard import DeviceSpec, ShardedEngine
-from tests.shard.scenarios import region_fleet_scenario
+from tests.shard.scenarios import RoundTap, region_fleet_scenario
 
 BACKENDS = ("thread", "process")
 
@@ -196,6 +196,22 @@ def test_round_breakdown_accounts_every_shard():
     assert serial.round_breakdown() is None
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_ledger_free_worker_fleet_counts_one_round_per_run(backend):
+    # Overload off: the shards share no ledger, so every run() is one
+    # round however far it advances the clocks.
+    fleet = region_fleet_scenario(2, parallel=True,
+                                  parallel_backend=backend)
+    try:
+        assert fleet.round_breakdown()["rounds"] == 1
+        fleet.run(until=50.0)
+        fleet.run(until=75.5)
+        assert fleet.round_breakdown()["rounds"] == 3
+        assert fleet.metrics()["counters"]["shard.round.count"] == 3.0
+    finally:
+        fleet.close()
+
+
 # ----------------------------------------------------------------------
 # Worker death and teardown
 # ----------------------------------------------------------------------
@@ -210,6 +226,38 @@ def test_worker_crash_raises_naming_the_shard():
             fleet.run(until=40.0)
         # The failed fleet reaped every worker, not just the dead one.
         assert all(worker.dead for worker in workers)
+        assert not any(worker.alive for worker in workers)
+    finally:
+        fleet.close()
+
+
+def test_worker_killed_inside_the_one_long_round_fails_closed():
+    # One round per run() widens the window a worker can die in, and
+    # the coordinator notices only once the lower-indexed peers have
+    # finished their round. It must still raise and reap, not hang.
+    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True,
+                                  parallel_backend="process")
+    workers = list(fleet.handles)
+    submitted = threading.Event()
+    # Worker 1 is the last peer to be started: once its round is down
+    # the pipe, the whole fleet is mid-round.
+    fleet.handles[1] = RoundTap(workers[1], on_begin=submitted.set)
+
+    def kill_mid_round():
+        assert submitted.wait(timeout=30.0)
+        workers[1]._worker.kill()
+
+    killer = threading.Thread(target=kill_mid_round, daemon=True)
+    killer.start()
+    try:
+        with pytest.raises(ShardingError,
+                           match="shard 1 .* died during 'run_round'"):
+            fleet.run(until=5000.0)
+        killer.join(timeout=30.0)
+        assert not killer.is_alive()
+        assert all(worker.dead for worker in workers)
+        for worker in workers:
+            worker._worker.join(timeout=10.0)
         assert not any(worker.alive for worker in workers)
     finally:
         fleet.close()
