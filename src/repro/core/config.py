@@ -145,8 +145,9 @@ class EngineConfig:
     #: virtual backend.
     time_scale: float = 1.0
     #: Most idle keep-alive control channels the transport's pool
-    #: retains, one per device (LRU-evicted beyond). Scans, probes and
-    #: operation executions all check their channel out of it.
+    #: retains, one per device (LRU-evicted beyond). Scans and probes
+    #: check their channel out of it; action executions call the device
+    #: model directly and send nothing over the transport.
     pool_capacity: int = 64
     #: Idle expiry: a pooled connection unused this long (virtual
     #: seconds) is closed on its next checkout attempt.

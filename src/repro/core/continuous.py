@@ -397,34 +397,18 @@ class ContinuousQueryExecutor:
             action=plan.action.name, candidates=len(candidates))
         deadline = (None if query.deadline_seconds is None
                     else self.env.now + query.deadline_seconds)
+        # select_all fans out: one single-candidate request per device,
+        # so the action runs on every candidate (extension semantics).
+        candidate_sets = ([(device_id,) for device_id in candidates]
+                          if plan.action.select_all else [candidates])
         emitted_any = False
-        if plan.action.select_all:
-            # Fan out: one single-candidate request per device, so the
-            # action runs on every candidate (extension semantics).
-            for device_id in candidates:
-                request = ActionRequest(
-                    action_name=plan.action.name,
-                    arguments=dict(arguments),
-                    query_id=plan.query_name,
-                    created_at=self.env.now,
-                    candidates=(device_id,),
-                    priority=query.priority,
-                    deadline=deadline,
-                )
-                if self.dispatcher.submit(operator, request):
-                    emitted_any = True
-                    query.requests_emitted += 1
-                    self.obs.inc("continuous.requests_emitted",
-                                 query=plan.query_name)
-                else:
-                    query.requests_rejected += 1
-        else:
+        for request_candidates in candidate_sets:
             request = ActionRequest(
                 action_name=plan.action.name,
-                arguments=arguments,
+                arguments=dict(arguments),
                 query_id=plan.query_name,
                 created_at=self.env.now,
-                candidates=candidates,
+                candidates=request_candidates,
                 priority=query.priority,
                 deadline=deadline,
             )

@@ -6,12 +6,16 @@ short time interval" are drained as one batch, candidates are probed
 (unavailable devices excluded), costs estimated from probed status, the
 configured scheduling algorithm assigns requests to devices, and
 per-device executors service their queues under device locks.
+
+One batch is one :class:`_Batch` record handed down a fixed line of
+step methods (:meth:`Dispatcher.dispatch_batch`); a request ends in
+exactly one of three exits (``shed_request``, ``_fail``, ``_succeed``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (
@@ -24,7 +28,7 @@ from repro.errors import (
     is_transient,
 )
 from repro.actions.action import ActionDefinition
-from repro.actions.request import ActionRequest, RequestState
+from repro.actions.request import ActionRequest
 from repro.comm.layer import CommunicationLayer
 from repro.comm.status_cache import DeviceStatusCache
 from repro.cost.model import CostModel
@@ -44,14 +48,14 @@ from repro.scheduling import (
     SimulatedAnnealingScheduler,
     SrfaeScheduler,
 )
-from repro.obs.spans import NULL_OBS, Observability, SpanContext
+from repro.obs.spans import NULL_OBS, Observability
 from repro.overload.plane import OverloadControlPlane
 from repro.overload.shedding import REASON_DEADLINE
 from repro.runtime import Runtime
 from repro.sim import Event
 from repro.sim.rng import component_seed
 from repro.sync.locks import DeviceLockManager, LockToken
-from repro.core.config import EngineConfig, RetryPolicy
+from repro.core.config import EngineConfig
 
 #: Factories of the five evaluated algorithms, keyed by config name.
 SCHEDULER_FACTORIES = {
@@ -169,10 +173,11 @@ class DispatchReport:
     #: alone (None unless the algorithm memoizes — SA — and something
     #: was scheduled).
     cache_stats: Optional[Dict[str, float]] = None
-    #: Fault-tolerance accounting (all zero with the default policy).
-    #: Execution attempts made for this batch's requests.
+    #: Execution attempts made for this batch's requests (one per
+    #: executed request with the default policy).
     attempts: int = 0
-    #: Same-device retries after transient failures.
+    #: Fault-tolerance accounting from here on (all zero with the
+    #: default policy). Same-device retries after transient failures.
     retries: int = 0
     #: Requests re-queued for failover re-dispatch in a later batch
     #: (alive, so counted in neither ``serviced`` nor ``failed``).
@@ -184,6 +189,40 @@ class DispatchReport:
     def makespan_seconds(self) -> float:
         """Batch appearance to last completion, the Section 5 makespan."""
         return self.batch_finished_at - self.batch_started_at
+
+
+@dataclass
+class _Batch:
+    """What the steps of one batch share, filled in paper order."""
+
+    action: ActionDefinition
+    #: The batch's live requests (admission sheds the expired).
+    requests: List[ActionRequest]
+    started_at: float
+    #: The ``dispatch.batch`` span, parent of the batch's other spans
+    #: (None: they take the innermost open span).
+    span: Any = None
+    #: Candidate devices of the batch, quarantined ones excluded.
+    devices: Dict[str, Device] = field(default_factory=dict)
+    #: Physical status of every candidate that answered its probe; a
+    #: device is available to this batch iff it has an entry.
+    statuses: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: Each request with an available candidate, paired with those
+    #: candidates (the request itself is the payload).
+    schedulable: List[SchedRequest] = field(default_factory=list)
+    #: The schedule: device id -> its requests in service order.
+    queues: Dict[str, List[ActionRequest]] = field(default_factory=dict)
+    #: The tallies: every step counts what it decided for this batch's
+    #: own requests here, so overlapping batches never mix numbers
+    #: (sizes and the finish time are filled in by ``_report``).
+    report: DispatchReport = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.report = DispatchReport(
+            action_name=self.action.name, batch_size=0, scheduled=0,
+            unschedulable=0, serviced=0, failed=0,
+            scheduling_seconds=0.0, batch_started_at=self.started_at,
+            batch_finished_at=self.started_at)
 
 
 class Dispatcher:
@@ -224,14 +263,12 @@ class Dispatcher:
             scheduler = factory(config.scheduler_seed, vectorize=HAVE_NUMPY)
         self.scheduler = scheduler
         self._operators: Dict[str, SharedActionOperator] = {}
-        #: The overload-control plane (None = overload control off, the
-        #: pre-overload behaviour: unbounded queues, no admission, no
-        #: shedding).
+        #: The overload-control plane (None = off, the pre-overload
+        #: behaviour: unbounded queues, no admission, no shedding).
         self.overload = overload
         if overload is not None:
-            overload.bind(
-                operators=lambda: list(self._operators.values()),
-                shed=self.shed_request)
+            overload.bind(shed=self.shed_request,
+                          operators=lambda: list(self._operators.values()))
         self._wakeup: Optional[Event] = None
         self._running = False
         #: Deterministic jitter stream for retry backoff, derived from
@@ -241,16 +278,16 @@ class Dispatcher:
         #: All requests that went through dispatch, in completion order.
         self.completed: List[ActionRequest] = []
         self.reports: List[DispatchReport] = []
-        #: Running outcome counters, so statistics() is O(1) instead of
-        #: rescanning `completed` on every call.
+        #: Running totals of the three exits, so statistics() is O(1)
+        #: instead of rescanning `completed` (shed needs overload on).
         self.serviced_total = 0
         self.failed_total = 0
-        #: Fault-tolerance counters (all stay zero with retries off).
+        self.shed_total = 0
+        #: Execution attempts (one per executed request with retries off).
         self.attempts_total = 0
+        #: Fault-tolerance counters (both stay zero with retries off).
         self.retries_total = 0
         self.failovers_total = 0
-        #: Overload counter (stays zero with overload control off).
-        self.shed_total = 0
 
     # ------------------------------------------------------------------
     # Shared action operators
@@ -284,6 +321,10 @@ class Dispatcher:
             return True
         return self.overload.offer(operator, request)
 
+    # ------------------------------------------------------------------
+    # The three exits: a request ends in exactly one of them, at the
+    # moment it ends — marked, logged, counted and traced together.
+    # ------------------------------------------------------------------
     def shed_request(self, request: ActionRequest, reason: str) -> None:
         """Uniform shed accounting for every drop path.
 
@@ -293,14 +334,35 @@ class Dispatcher:
         counted once — no path leaks dropped work into pending counts.
         """
         request.mark_shed(self.env.now, reason)
-        self.completed.append(request)
         self.shed_total += 1
-        self.tracer.record(
-            self.env.now, "request_shed", request=request.request_id,
-            action=request.action_name, query=request.query_id,
-            priority=request.priority, reason=reason)
+        self._complete(request, "request_shed",
+                       priority=request.priority, reason=reason)
         if self.overload is not None:
             self.overload.note_shed(request, reason)
+
+    def _fail(self, request: ActionRequest, device_id: Optional[str],
+              reason: str) -> None:
+        """The exit of every FAILED request (``device_id`` None: no
+        candidate answered, it never reached a device)."""
+        request.mark_failed(self.env.now, reason)
+        self.failed_total += 1
+        self._complete(request, "request_failed",
+                       device=device_id, reason=reason)
+
+    def _succeed(self, request: ActionRequest, device_id: str,
+                 result: Any) -> None:
+        """The exit of every SERVICED request."""
+        request.mark_serviced(self.env.now, result)
+        self.serviced_total += 1
+        self._complete(request, "request_serviced",
+                       device=device_id, reason=request.failure_reason)
+
+    def _complete(self, request: ActionRequest, kind: str,
+                  **detail: Any) -> None:
+        self.completed.append(request)
+        self.tracer.record(
+            self.env.now, kind, request=request.request_id,
+            action=request.action_name, query=request.query_id, **detail)
 
     @property
     def pending_requests(self) -> int:
@@ -354,340 +416,255 @@ class Dispatcher:
         return reports
 
     # ------------------------------------------------------------------
-    # One batch: probe -> schedule -> execute
+    # One batch: admit -> probe -> partition -> schedule -> service
+    # -> report
     # ------------------------------------------------------------------
     def dispatch_batch(
-        self, action: ActionDefinition, batch: List[ActionRequest]
+        self, action: ActionDefinition, requests: List[ActionRequest]
     ) -> Generator[Any, Any, DispatchReport]:
+        """The Section 4–5 pipeline over one batch record, in paper
+        order. Each step reads what the steps before it left on the
+        record, and is the only one to consult the feature objects it
+        owns; a request that ends does so through one of the three
+        exits above, whichever step it is in."""
         # Detached: the batch runs as its own sim process, interleaved
         # with continuous polls — dynamic nesting would misparent them.
-        batch_span = self.obs.span("dispatch.batch", detached=True,
-                                   action=action.name, size=len(batch))
-        with batch_span:
-            report = yield from self._dispatch_batch(action, batch,
-                                                     batch_span)
-        return report
+        span = self.obs.span("dispatch.batch", detached=True,
+                             action=action.name, size=len(requests))
+        with span:
+            batch = _Batch(action, requests, self.env.now, span)
+            self._admit(batch)
+            yield from self._probe(batch)
+            self._partition(batch)
+            self._schedule(batch)
+            yield from self._service(batch)
+            return self._report(batch)
 
-    def _dispatch_batch(
-        self, action: ActionDefinition, batch: List[ActionRequest],
-        batch_span: Any,
-    ) -> Generator[Any, Any, DispatchReport]:
-        batch_started = self.env.now
-        policy = self.config.retry
-        if self.overload is not None:
-            # Shed already-expired requests before spending probe and
-            # scheduling work on them — a late answer has no value.
-            alive: List[ActionRequest] = []
-            for request in batch:
-                if request.deadline_expired(batch_started):
-                    self.shed_request(request, REASON_DEADLINE)
-                else:
-                    alive.append(request)
-            batch = alive
-        if policy.failover:
-            # Failover re-dispatch re-enters through the shared
-            # operator, so make sure it exists even for direct callers.
-            self.operator_for(action)
-        devices = self._candidate_devices(batch)
+    def _shed_if_expired(self, request: ActionRequest) -> bool:
+        """Under overload control, shed a request whose deadline has
+        passed — a late answer has no value. True when it was shed."""
+        if self.overload is None or \
+                not request.deadline_expired(self.env.now):
+            return False
+        self.shed_request(request, REASON_DEADLINE)
+        return True
 
-        # Quarantine gate: a device with an open circuit breaker is
-        # excluded before probing — it gets no traffic at all until its
-        # backoff window expires and a probation probe readmits it.
-        quarantined_skipped = 0
+    def _admit(self, batch: _Batch) -> None:
+        """Shed the expired, look up the candidates, drop the quarantined.
+
+        Expired requests go before any probe or scheduling work is
+        spent on them. Quarantine gate: a device with an open circuit
+        breaker is excluded before probing — it gets no traffic at all
+        until its backoff window expires and a probation probe readmits
+        it.
+        """
+        batch.requests = [request for request in batch.requests
+                          if not self._shed_if_expired(request)]
+        devices, registry = batch.devices, self.comm.registry
+        for request in batch.requests:
+            for device_id in request.candidates:
+                if device_id not in devices:
+                    devices[device_id] = registry.get(device_id)
         if self.health is not None:
             for device_id in list(devices):
                 if not self.health.allow_candidate(device_id):
                     del devices[device_id]
-                    quarantined_skipped += 1
+                    batch.report.quarantined_skipped += 1
 
-        statuses: Dict[str, Dict[str, float]] = {}
-        available: set[str] = set()
-        if self.config.probing:
-            device_list = list(devices.values())
-            to_probe = device_list
-            if self.status_cache is not None:
-                # Fresh cache entries stand in for the probe exchange:
-                # the device was seen within its type's TTL, so cost it
-                # from that status and skip the wire round-trips.
-                to_probe = []
-                for device in device_list:
-                    cached = self.status_cache.lookup(device)
-                    if cached is not None:
-                        available.add(device.device_id)
-                        statuses[device.device_id] = cached
-                    else:
-                        to_probe.append(device)
-            results = yield from self.comm.prober.probe_all(
-                to_probe, parent_span=batch_span)
-            for device, result in zip(to_probe, results):
-                if result.available:
-                    available.add(device.device_id)
-                    statuses[device.device_id] = result.status
-                    if self.status_cache is not None:
-                        self.status_cache.store(device, result.status)
-                else:
-                    if self.status_cache is not None:
-                        self.status_cache.invalidate(
-                            device.device_id, reason="probe-failure")
-                    self.tracer.record(
-                        self.env.now, "probe_failed",
-                        device=device.device_id, error=result.error)
-        else:
+    def _probe(self, batch: _Batch) -> Generator[Any, Any, None]:
+        """Fill ``batch.statuses`` with every candidate that answers."""
+        if not self.config.probing:
             # Probing disabled: the optimizer has no availability
             # information, so every candidate is assumed reachable and
             # costed from its last-known status; execution on a dead
             # device then fails (the Section 4 ablation).
-            for device_id, device in devices.items():
-                available.add(device_id)
-                statuses[device_id] = device.physical_status()
+            for device_id, device in batch.devices.items():
+                batch.statuses[device_id] = device.physical_status()
+            return
+        cache = self.status_cache
+        to_probe = list(batch.devices.values())
+        if cache is not None:
+            # Fresh cache entries stand in for the probe exchange: the
+            # device was seen within its type's TTL, so cost it from
+            # that status and skip the wire round-trips.
+            to_probe = []
+            for device in batch.devices.values():
+                cached = cache.lookup(device)
+                if cached is not None:
+                    batch.statuses[device.device_id] = cached
+                else:
+                    to_probe.append(device)
+        results = yield from self.comm.prober.probe_all(
+            to_probe, parent_span=batch.span)
+        for device, result in zip(to_probe, results):
+            if result.available:
+                batch.statuses[device.device_id] = result.status
+                if cache is not None:
+                    cache.store(device, result.status)
+            else:
+                if cache is not None:
+                    cache.invalidate(device.device_id,
+                                     reason="probe-failure")
+                self.tracer.record(
+                    self.env.now, "probe_failed",
+                    device=device.device_id, error=result.error)
 
-        schedulable: List[ActionRequest] = []
-        usable: Dict[str, Tuple[str, ...]] = {}
-        unschedulable = 0
-        failed_over = 0
-        for request in batch:
+    def _partition(self, batch: _Batch) -> None:
+        """Split the batch: schedulable, failed over, or failed."""
+        reason, available = "no available candidate", batch.statuses
+        for request in batch.requests:
             request.dispatches += 1
-            candidates = tuple(
-                device_id for device_id in request.candidates
-                if device_id in available)
+            candidates = tuple(device_id for device_id in request.candidates
+                               if device_id in available)
             if candidates:
-                if policy.failover:
-                    # Keep the full candidate set on the request: a
+                if not self.config.retry.failover:
+                    # With failover the request keeps its full set: a
                     # device that is merely down this batch may service
-                    # the request after a failover re-dispatch.
-                    usable[request.request_id] = candidates
-                else:
+                    # it after a failover re-dispatch.
                     request.candidates = candidates
-                schedulable.append(request)
-            elif self._requeue_for_failover(request, None,
-                                            "no available candidate"):
-                # Backpressure on the re-queue sheds instead (handled
-                # inside _requeue_for_failover); only a still-pending
-                # request counts as failed over.
-                if request.state is RequestState.PENDING:
-                    failed_over += 1
-            else:
-                request.mark_failed(self.env.now, "no available candidate")
-                self.completed.append(request)
-                self.failed_total += 1
-                unschedulable += 1
+                batch.schedulable.append(SchedRequest(
+                    request.request_id, candidates, payload=request))
+            elif not self._requeue_for_failover(batch, request, None, reason):
+                batch.report.unschedulable += 1
+                self._fail(request, None, reason)
 
-        scheduling_seconds = 0.0
-        cache_stats = None
-        serviced = failed = attempts = retries = 0
-        scheduler = self.scheduler
-        if schedulable:
-            problem = Problem(
-                requests=tuple(
-                    SchedRequest(request_id=r.request_id,
-                                 candidates=(usable[r.request_id]
-                                             if policy.failover
-                                             else r.candidates),
-                                 payload=r)
-                    for r in schedulable),
-                device_ids=tuple(device_id for device_id in devices
-                                 if device_id in available),
-                cost_model=_ActionCostAdapter(self.cost_model, action,
-                                              devices, statuses),
-                label=f"batch:{action.name}@{batch_started}",
-            )
-            with self.obs.span(
-                    "dispatch.schedule",
-                    parent=batch_span if isinstance(batch_span, SpanContext)
-                    else None,
-                    algorithm=scheduler.name,
-                    size=len(schedulable)):
-                schedule = scheduler.schedule(problem)
-            scheduling_seconds = schedule.scheduling_seconds
-            # Read now, and count attempts from this batch's own
-            # requests: another action's batch may schedule and execute
-            # while this one waits on its executions below.
-            cache_stats = scheduler.last_cache_stats
-            attempts_before = [request.attempts for request in schedulable]
-            for request in schedulable:
-                request.mark_assigned(schedule.device_of(request.request_id))
-
-            by_id = {r.request_id: r for r in schedulable}
-            executions = []
-            if self.config.locking:
-                for device_id, queue in schedule.assignments.items():
-                    if not queue:
-                        continue
-                    requests = [by_id[request_id] for request_id in queue]
-                    if self.overload is not None:
-                        # Service high tiers first within each device
-                        # queue (stable, so the scheduler's order is
-                        # kept within a tier) — under pressure the
-                        # work most worth doing completes first.
-                        requests.sort(key=_service_order)
-                    executions.append(self.env.process(
-                        self._service_queue(
-                            action, devices[device_id], requests,
-                            batch_span)
-                    ).defuse())
-            else:
-                # Unsynchronized: every request fires immediately and
-                # concurrently — the Section 6.2 interference mode.
-                for device_id, queue in schedule.assignments.items():
-                    for request_id in queue:
-                        executions.append(self.env.process(
-                            self._service_unlocked(
-                                action, devices[device_id],
-                                by_id[request_id], batch_span)).defuse())
-            for execution in executions:
-                yield execution
-            # A request executes at most once per batch, so each attempt
-            # past its first here was a retry.
-            made = [request.attempts - before for request, before
-                    in zip(schedulable, attempts_before)]
-            attempts = sum(made)
-            retries = attempts - sum(1 for count in made if count)
-            for request in schedulable:
-                if request.state is RequestState.SERVICED:
-                    serviced += 1
-                elif request.state is RequestState.PENDING:
-                    # Requeued for failover: alive, completes later.
-                    failed_over += 1
-                    continue
-                elif request.state is RequestState.SHED:
-                    # shed_request already completed and counted it.
-                    continue
-                else:
-                    failed += 1
-                self.completed.append(request)
-            self.serviced_total += serviced
-            self.failed_total += failed
-
-        report = DispatchReport(
-            action_name=action.name,
-            batch_size=len(batch),
-            scheduled=len(schedulable),
-            unschedulable=unschedulable,
-            serviced=serviced,
-            failed=failed,
-            scheduling_seconds=scheduling_seconds,
-            batch_started_at=batch_started,
-            batch_finished_at=self.env.now,
-            cache_stats=cache_stats,
-            attempts=attempts,
-            retries=retries,
-            failed_over=failed_over,
-            quarantined_skipped=quarantined_skipped,
+    def _schedule(self, batch: _Batch) -> None:
+        """Run the configured algorithm; fill ``batch.queues``."""
+        if not batch.schedulable:
+            return
+        problem = Problem(
+            requests=tuple(batch.schedulable),
+            device_ids=tuple(device_id for device_id in batch.devices
+                             if device_id in batch.statuses),
+            cost_model=_ActionCostAdapter(self.cost_model, batch.action,
+                                          batch.devices, batch.statuses),
+            label=f"batch:{batch.action.name}@{batch.started_at}",
         )
-        self.reports.append(report)
-        obs = self.obs
-        if obs.enabled:
-            obs.inc("dispatch.batches", action=action.name)
-            obs.observe("dispatch.batch_size", len(batch),
-                        action=action.name)
-            obs.inc("dispatch.requests_serviced", serviced)
-            obs.inc("dispatch.requests_failed", failed + unschedulable)
-            obs.inc("dispatch.requests_failed_over", failed_over)
-            obs.inc("dispatch.quarantined_skipped", quarantined_skipped)
-            obs.observe("dispatch.makespan_seconds",
-                        report.makespan_seconds)
-            obs.observe("dispatch.scheduling_wallclock_seconds",
-                        scheduling_seconds,
-                        algorithm=scheduler.name)
-        self.tracer.record(
-            self.env.now, "batch_dispatched", action=action.name,
-            size=len(batch), serviced=serviced,
-            failed=failed + unschedulable)
-        return report
+        with self.obs.span("dispatch.schedule", parent=batch.span,
+                           algorithm=self.scheduler.name,
+                           size=len(batch.schedulable)):
+            schedule = self.scheduler.schedule(problem)
+        batch.report.scheduling_seconds = schedule.scheduling_seconds
+        # Read now: another action's batch may schedule while this one
+        # waits on its executions.
+        batch.report.cache_stats = self.scheduler.last_cache_stats
+        by_id = {entry.request_id: entry.payload
+                 for entry in batch.schedulable}
+        for device_id, queue in schedule.assignments.items():
+            if queue:
+                batch.queues[device_id] = [by_id[request_id]
+                                       for request_id in queue]
+                for request in batch.queues[device_id]:
+                    request.mark_assigned(device_id)
 
-    def _candidate_devices(
-        self, batch: List[ActionRequest]
-    ) -> Dict[str, Device]:
-        devices: Dict[str, Device] = {}
-        for request in batch:
-            for device_id in request.candidates:
-                if device_id not in devices:
-                    devices[device_id] = self.comm.registry.get(device_id)
-        return devices
+    def _service(self, batch: _Batch) -> Generator[Any, Any, None]:
+        """Execute ``batch.queues`` and wait for the slowest device."""
+        if self.config.locking:
+            bodies = [
+                self._service_queue(batch.action, batch.devices[device_id],
+                                    queue, batch)
+                for device_id, queue in batch.queues.items()]
+        else:
+            # Unsynchronized: every request fires immediately and
+            # concurrently — the Section 6.2 interference mode.
+            bodies = [
+                self._execute_one(batch, batch.devices[device_id], request)
+                for device_id, queue in batch.queues.items()
+                for request in queue]
+        executions = [self.env.process(body).defuse() for body in bodies]
+        for execution in executions:
+            yield execution
+
+    def _report(self, batch: _Batch) -> DispatchReport:
+        """Close the batch's report; count and trace the batch."""
+        report = batch.report
+        report.batch_size = len(batch.requests)
+        report.scheduled = len(batch.schedulable)
+        report.batch_finished_at = self.env.now
+        self.reports.append(report)
+        obs, name = self.obs, batch.action.name
+        obs.inc("dispatch.batches", action=name)
+        obs.observe("dispatch.batch_size", report.batch_size, action=name)
+        obs.inc("dispatch.requests_serviced", report.serviced)
+        obs.inc("dispatch.requests_failed",
+                report.failed + report.unschedulable)
+        obs.inc("dispatch.requests_failed_over", report.failed_over)
+        obs.inc("dispatch.quarantined_skipped", report.quarantined_skipped)
+        obs.observe("dispatch.makespan_seconds", report.makespan_seconds)
+        obs.observe("dispatch.scheduling_wallclock_seconds",
+                    report.scheduling_seconds,
+                    algorithm=self.scheduler.name)
+        self.tracer.record(
+            self.env.now, "batch_dispatched", action=name,
+            size=report.batch_size, serviced=report.serviced,
+            failed=report.failed + report.unschedulable)
+        return report
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _service_queue(
         self, action: ActionDefinition, device: Device,
-        queue: List[ActionRequest], batch_span: Any = None,
+        queue: List[ActionRequest], batch: Optional[_Batch] = None,
     ) -> Generator[Any, Any, None]:
-        """Service one device's queue in order, under its lock."""
+        """Service one device's queue in order, under its lock.
+
+        Under overload control the order is high tiers first (stable,
+        so the scheduler's order is kept within a tier): under pressure
+        the work most worth doing completes first. ``batch`` is the batch
+        the queue belongs to; a direct caller gets one of its own.
+        """
+        if batch is None:
+            batch = _Batch(action, queue, self.env.now)
+        if self.overload is not None:
+            queue = sorted(queue, key=_service_order)
         lease = self.config.lock_lease_seconds
         for index, request in enumerate(queue):
-            if self.overload is not None and \
-                    request.deadline_expired(self.env.now):
-                # Earlier work on this device already blew the deadline:
-                # shed instead of executing a worthless late action.
-                self.shed_request(request, REASON_DEADLINE)
+            if self._shed_if_expired(request):
+                # Earlier work on this device already blew the deadline.
                 continue
             token = LockToken(request.request_id)
             yield from self.locks.acquire(device.device_id, token,
                                           lease_seconds=lease)
             try:
-                yield from self._execute_one(action, device, request,
-                                             batch_span)
+                yield from self._execute_one(batch, device, request)
             finally:
                 self.locks.release(device.device_id, token)
             if self.config.retry.failover and not device.reachable:
                 # The device died: drain the rest of its queue back to
                 # the dispatcher for reassignment instead of grinding
-                # through attempts that are doomed to the same fate.
+                # through attempts that are doomed to the same fate. A
+                # request that expired while queued behind the dead
+                # device is shed, not failed or leaked back to pending.
                 for waiting in queue[index + 1:]:
-                    if self.overload is not None and \
-                            waiting.deadline_expired(self.env.now):
-                        # The drain runs the same shed accounting as
-                        # deadline eviction: a request that expired
-                        # while queued behind the dead device is shed,
-                        # not failed or leaked back into pending.
-                        self.shed_request(waiting, REASON_DEADLINE)
-                        continue
-                    if not self._requeue_for_failover(
+                    if not self._shed_if_expired(waiting) and \
+                            not self._requeue_for_failover(
+                                batch, waiting, device.device_id,
+                                "queue drained after device failure"):
+                        batch.report.failed += 1
+                        self._fail(
                             waiting, device.device_id,
-                            "queue drained after device failure"):
-                        waiting.mark_failed(
-                            self.env.now,
                             f"device {device.device_id!r} failed while "
                             f"request was queued")
-                        self.tracer.record(
-                            self.env.now, "request_failed",
-                            request=waiting.request_id,
-                            action=waiting.action_name,
-                            device=device.device_id,
-                            query=waiting.query_id,
-                            reason=waiting.failure_reason)
                 break
 
-    def _service_unlocked(
-        self, action: ActionDefinition, device: Device,
-        request: ActionRequest, batch_span: Any = None,
-    ) -> Generator[Any, Any, None]:
-        yield from self._execute_one(action, device, request, batch_span)
-
     def _execute_one(
-        self, action: ActionDefinition, device: Device,
-        request: ActionRequest, batch_span: Any = None,
+        self, batch: _Batch, device: Device, request: ActionRequest,
     ) -> Generator[Any, Any, None]:
-        """Run one request, retrying transient failures per the policy.
+        """Run one request on its assigned device and end it.
 
-        With the default policy this is a single attempt and behaves
-        exactly like the pre-fault-tolerance dispatcher. On a transient
-        failure with attempts left, the request retries on its assigned
-        device after an exponential, deterministically jittered backoff;
-        once attempts are exhausted, failover (if enabled) re-queues the
-        request for the next batch minus the failed device.
+        The attempts run inside the ``dispatch.execute`` span; the
+        request leaves through its exit once the span has closed. No
+        outcome means the request did not end here: it was requeued for
+        failover (the batch that finally services or fails it ends it)
+        or the re-queue hit backpressure and ``shed_request`` ended it.
         """
-        policy = self.config.retry
-        execute_span = self.obs.span(
-            "dispatch.execute",
-            parent=batch_span if isinstance(batch_span, SpanContext)
-            else None,
-            detached=True,
-            request=request.request_id, device=device.device_id)
-        with execute_span:
+        with self.obs.span("dispatch.execute", parent=batch.span,
+                           detached=True, request=request.request_id,
+                           device=device.device_id):
             try:
-                yield from self._execute_attempts(action, device, request,
-                                                  policy)
+                outcome = yield from self._execute_attempts(batch, device,
+                                                            request)
             finally:
                 if self.status_cache is not None:
                     # Executing on the device changed its physical
@@ -696,71 +673,72 @@ class Dispatcher:
                     # whatever the outcome.
                     self.status_cache.invalidate(device.device_id,
                                                  reason="execution")
-        if request.state in (RequestState.PENDING, RequestState.SHED):
-            # PENDING: requeued for failover — completion is traced by
-            # the batch that finally services (or fails) it. SHED: the
-            # failover re-queue hit backpressure and shed_request
-            # already traced and completed it.
+        if outcome is None:
             return
-        kind = ("request_serviced" if request.state is RequestState.SERVICED
-                else "request_failed")
-        self.tracer.record(
-            self.env.now, kind, request=request.request_id,
-            action=request.action_name, device=device.device_id,
-            query=request.query_id, reason=request.failure_reason)
+        serviced, detail = outcome
+        if serviced:
+            batch.report.serviced += 1
+            self._succeed(request, device.device_id, detail)
+        else:
+            batch.report.failed += 1
+            self._fail(request, device.device_id, detail)
 
     def _execute_attempts(
-        self, action: ActionDefinition, device: Device,
-        request: ActionRequest, policy: RetryPolicy,
-    ) -> Generator[Any, Any, None]:
-        """The attempt/retry/failover loop of one request execution."""
+        self, batch: _Batch, device: Device, request: ActionRequest,
+    ) -> Generator[Any, Any, Optional[Tuple[bool, Any]]]:
+        """The attempt/retry/failover loop of one request execution.
+
+        With the default policy this is a single attempt. On a
+        transient failure with attempts left, the request retries on
+        its assigned device after an exponential, deterministically
+        jittered backoff; once attempts are exhausted, failover (if
+        enabled) re-queues the request for the next batch minus the
+        failed device. Returns ``(True, result)``, ``(False, reason)``
+        or None when the request was handed on.
+        """
+        policy = self.config.retry
         attempt = 0
         while True:
             attempt += 1
             request.attempts += 1
+            batch.report.attempts += 1
             self.attempts_total += 1
             self.obs.inc("dispatch.attempts", device=device.device_id)
             try:
-                result = yield from action.execute(device,
-                                                   request.arguments)
+                result = yield from batch.action.execute(device,
+                                                     request.arguments)
             except ActionFailedError as exc:
                 transient = is_transient(exc)
-                mark_reason = exc.reason
+                reason = exc.reason
             except (DeviceError, CommunicationError, QueryError) as exc:
                 transient = is_transient(exc)
-                mark_reason = str(exc)
+                reason = str(exc)
             else:
                 if self.health is not None:
                     self.health.record_success(device.device_id)
-                request.mark_serviced(self.env.now, result)
-                return
+                return True, result
             if transient and self.health is not None:
-                self.health.record_failure(device.device_id,
-                                           reason=mark_reason)
+                self.health.record_failure(device.device_id, reason=reason)
             if transient and attempt < policy.max_attempts:
+                batch.report.retries += 1
                 self.retries_total += 1
-                self.obs.inc("dispatch.retries",
-                             device=device.device_id)
-                backoff = policy.backoff_seconds(attempt,
-                                                 self._retry_rng)
+                self.obs.inc("dispatch.retries", device=device.device_id)
+                backoff = policy.backoff_seconds(attempt, self._retry_rng)
                 self.tracer.record(
                     self.env.now, "request_retry",
-                    request=request.request_id,
-                    device=device.device_id,
-                    attempt=attempt, backoff=backoff,
-                    reason=mark_reason)
+                    request=request.request_id, device=device.device_id,
+                    attempt=attempt, backoff=backoff, reason=reason)
                 if backoff > 0:
                     yield self.env.timeout(backoff)
                 continue
             if transient and self._requeue_for_failover(
-                    request, device.device_id, mark_reason):
-                return
-            request.mark_failed(self.env.now, mark_reason)
-            return
+                    batch, request, device.device_id, reason):
+                return None
+            return False, reason
 
     def _requeue_for_failover(
-        self, request: ActionRequest, failed_device: Optional[str],
-        reason: str,
+        self, batch: _Batch, request: ActionRequest,
+        failed_device: Optional[str], reason: str,
     ) -> bool:
         """Re-enter ``request`` into its operator for the next batch.
 
@@ -778,12 +756,11 @@ class Dispatcher:
                           if device_id != failed_device)
         if not surviving:
             return False
-        operator = self._operators.get(request.action_name)
-        if operator is None:  # pragma: no cover - defensive
-            return False
         request.mark_requeued(failed_device)
         try:
-            operator.submit(request)
+            # Created lazily: a direct dispatch_batch caller never
+            # submitted through the shared operator.
+            self.operator_for(batch.action).submit(request)
         except QueueFullError:
             # Bounded queue refused the re-entry: the request was
             # already admitted once, so this is a shed (accounted,
@@ -791,6 +768,7 @@ class Dispatcher:
             # the caller the request needs no further handling.
             self.shed_request(request, "queue-full")
             return True
+        batch.report.failed_over += 1
         self.failovers_total += 1
         self.obs.inc("dispatch.failovers")
         self.tracer.record(

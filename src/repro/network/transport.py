@@ -170,9 +170,10 @@ class Transport:
         return Connection(self, device, link)
 
     # ------------------------------------------------------------------
-    # Checkout surface: probes, scans and action executions take their
-    # channels from the keep-alive pool, so the handshake is paid once
-    # per device per idle window, not once per exchange.
+    # Checkout surface: probes and scans take their channels from the
+    # keep-alive pool, so the handshake is paid once per device per
+    # idle window, not once per exchange. (Action executions call the
+    # device model directly; none crosses the transport.)
     # ------------------------------------------------------------------
     def open(
         self, device: Device, timeout: float

@@ -1,0 +1,311 @@
+"""The dispatcher's batch pipeline: one record, named steps, one exit.
+
+Two families. The conservation property drives ``dispatch_batch`` on a
+real lab engine over drawn batches, dead-device subsets and feature
+combinations, and checks what the three exits (``shed_request``,
+``_fail``, ``_succeed``) guarantee by construction: every request ends
+exactly once, logged, counted and traced together. The step tests hand
+``_partition`` and ``_service`` a hand-built ``_Batch`` on a bare
+``Dispatcher`` — no ``AortaEngine``, stand-in action and devices.
+"""
+
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    EngineConfig,
+    Environment,
+    HealthPolicy,
+    Point,
+    RetryPolicy,
+)
+from repro.actions.request import ActionRequest, RequestState
+from repro.core.dispatcher import Dispatcher, _Batch
+from repro.errors import DeviceUnavailableError
+from repro.overload import OverloadPolicy
+from repro.sync.locks import DeviceLockManager
+from tests.core.conftest import build_lab
+
+CAMERAS = ("cam1", "cam2")
+TERMINAL_KIND = {
+    RequestState.SERVICED: "request_serviced",
+    RequestState.FAILED: "request_failed",
+    RequestState.SHED: "request_shed",
+}
+
+
+# ----------------------------------------------------------------------
+# Bugfix: the one terminal transition that left no trace record
+# ----------------------------------------------------------------------
+def test_unschedulable_request_is_traced_like_every_other_failure(engine):
+    engine.comm.registry.get("cam1").go_offline()
+    request = ActionRequest(
+        action_name="photo",
+        arguments={"target": Point(4, 3), "directory": "photos"},
+        candidates=("cam1",))
+    engine.env.process(engine.dispatcher.dispatch_batch(
+        engine.actions.get("photo"), [request]))
+    engine.env.run()
+
+    assert engine.statistics()["requests_failed"] == 1
+    [record] = engine.tracer.of_kind("request_failed")
+    assert record["request"] == request.request_id
+    assert record["device"] is None
+    assert record["reason"] == "no available candidate"
+    [batch] = engine.tracer.of_kind("batch_dispatched")
+    assert batch["failed"] == 1
+
+
+# ----------------------------------------------------------------------
+# Conservation at the exit
+# ----------------------------------------------------------------------
+request_draws = st.lists(
+    st.tuples(
+        st.sets(st.sampled_from(CAMERAS), min_size=1),   # candidates
+        st.sampled_from([None, -1.0, 0.5, 4.0, 60.0]),   # absolute deadline
+        st.integers(min_value=1, max_value=3)),          # priority
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(draws=request_draws,
+       dead=st.sets(st.sampled_from(CAMERAS)),
+       probing=st.booleans(), locking=st.booleans(),
+       failover=st.booleans(),
+       max_attempts=st.integers(min_value=1, max_value=2),
+       overload=st.booleans(),
+       queue_limit=st.sampled_from([None, 1]),
+       health=st.booleans())
+def test_every_request_ends_exactly_once(
+        draws, dead, probing, locking, failover, max_attempts, overload,
+        queue_limit, health):
+    engine = build_lab(config=EngineConfig(
+        probing=probing, locking=locking,
+        retry=RetryPolicy(max_attempts=max_attempts, failover=failover,
+                          backoff_base=0.25, max_dispatches=3),
+        overload=overload,
+        overload_policy=OverloadPolicy(queue_limit=queue_limit),
+        health=HealthPolicy(failure_threshold=1) if health else None))
+    for camera in dead:
+        engine.comm.registry.get(camera).go_offline()
+    requests = [
+        ActionRequest(
+            action_name="photo",
+            arguments={"target": Point(3.0 + 3 * index, 3.0),
+                       "directory": "photos"},
+            candidates=tuple(sorted(candidates)), priority=priority,
+            deadline=deadline)
+        for index, (candidates, deadline, priority) in enumerate(draws)]
+    dispatcher = engine.dispatcher
+    action = engine.actions.get("photo")
+    reports = []
+
+    def one_batch(env):
+        reports.append((yield from dispatcher.dispatch_batch(
+            action, list(requests))))
+
+    engine.env.process(one_batch(engine.env))
+    engine.env.run()
+    check_conservation(engine, requests)
+    [report] = reports
+    if queue_limit is None or not overload:
+        # (A bounded queue may evict — shed — a request this batch
+        # already counted as failed over.)
+        assert (report.serviced + report.failed + report.unschedulable
+                + report.failed_over + dispatcher.shed_total
+                == len(requests))
+
+    def drain(env):
+        while dispatcher.pending_requests:
+            yield from dispatcher.dispatch_pending()
+
+    engine.env.process(drain(engine.env))
+    engine.env.run()
+    check_conservation(engine, requests)
+    assert dispatcher.pending_requests == 0
+    assert len(dispatcher.completed) == len(requests)
+
+
+def check_conservation(engine, requests):
+    dispatcher = engine.dispatcher
+    pending = [request for operator in dispatcher._operators.values()
+               for request in operator.pending_snapshot()]
+    assert (dispatcher.serviced_total + dispatcher.failed_total
+            + dispatcher.shed_total == len(dispatcher.completed))
+    for request in requests:
+        ended = sum(1 for done in dispatcher.completed if done is request)
+        queued = sum(1 for waiting in pending if waiting is request)
+        assert ended + queued == 1, (request, ended, queued)
+        if queued:
+            assert request.state is RequestState.PENDING
+        for state, kind in TERMINAL_KIND.items():
+            records = [record for record in engine.tracer.of_kind(kind)
+                       if record["request"] == request.request_id]
+            expected = 1 if ended and request.state is state else 0
+            assert len(records) == expected, (request, kind, records)
+    by_state = {state: sum(1 for done in dispatcher.completed
+                           if done.state is state)
+                for state in TERMINAL_KIND}
+    assert by_state == {RequestState.SERVICED: dispatcher.serviced_total,
+                        RequestState.FAILED: dispatcher.failed_total,
+                        RequestState.SHED: dispatcher.shed_total}
+    assert not any(engine.locks.is_locked(camera) for camera in CAMERAS)
+
+
+# ----------------------------------------------------------------------
+# Steps on a hand-built batch record, no engine
+# ----------------------------------------------------------------------
+class StubAction:
+    """Stands in for an ActionDefinition: one second per execution,
+    unreachable devices refuse (a transient device error)."""
+
+    name = "snap"
+
+    def __init__(self, env):
+        self.env = env
+
+    def execute(self, device, arguments):
+        yield self.env.timeout(1.0)
+        if not device.reachable:
+            raise DeviceUnavailableError(f"{device.device_id} is down")
+        return f"{device.device_id}:{arguments['n']}"
+
+
+def bare_dispatcher(**config):
+    env = Environment()
+    dispatcher = Dispatcher(env, comm=None, cost_model=None,
+                            locks=DeviceLockManager(env),
+                            config=EngineConfig(**config))
+    return env, dispatcher, StubAction(env)
+
+
+def stub_device(device_id, reachable=True):
+    return SimpleNamespace(device_id=device_id, reachable=reachable)
+
+
+def snap(n, *candidates):
+    return ActionRequest(action_name="snap", arguments={"n": n},
+                         candidates=candidates)
+
+
+def test_partition_splits_schedulable_from_failed():
+    env, dispatcher, action = bare_dispatcher()
+    reachable, both, stranded = snap(1, "d1"), snap(2, "d1", "d2"), \
+        snap(3, "d2")
+    batch = _Batch(action, [reachable, both, stranded], env.now)
+    batch.statuses = {"d1": {}}  # only d1 answered its probe
+
+    dispatcher._partition(batch)
+
+    assert [(entry.payload, entry.candidates)
+            for entry in batch.schedulable] \
+        == [(reachable, ("d1",)), (both, ("d1",))]
+    # Without failover the request is narrowed to who answered.
+    assert both.candidates == ("d1",)
+    assert stranded.state is RequestState.FAILED
+    assert dispatcher.completed == [stranded]
+    assert dispatcher.failed_total == 1
+    assert (batch.report.unschedulable, batch.report.failed,
+            batch.report.failed_over) == (1, 0, 0)
+    assert all(request.dispatches == 1 for request in batch.requests)
+
+
+def test_partition_with_failover_requeues_and_keeps_the_full_set():
+    env, dispatcher, action = bare_dispatcher(
+        retry=RetryPolicy(failover=True, max_dispatches=2))
+    both, stranded, spent = snap(1, "d1", "d2"), snap(2, "d2"), \
+        snap(3, "d2")
+    spent.dispatches = 1  # this batch is its second and last dispatch
+    batch = _Batch(action, [both, stranded, spent], env.now)
+    batch.statuses = {"d1": {}}
+
+    dispatcher._partition(batch)
+
+    [entry] = batch.schedulable
+    assert (entry.payload, entry.candidates) == (both, ("d1",))
+    # d2 is merely down this batch: it may service `both` after a
+    # failover re-dispatch, so the request keeps it.
+    assert both.candidates == ("d1", "d2")
+    assert stranded.state is RequestState.PENDING
+    assert dispatcher.operator_for(action).pending_snapshot() == [stranded]
+    assert spent.state is RequestState.FAILED
+    assert dispatcher.completed == [spent]
+    assert (batch.report.unschedulable, batch.report.failed_over) == (1, 1)
+    assert [record["request"] for record
+            in dispatcher.tracer.of_kind("request_failed_over")] \
+        == [stranded.request_id]
+
+
+def run_service(env, dispatcher, batch):
+    env.process(dispatcher._service(batch))
+    env.run()
+
+
+def test_service_ends_each_request_when_it_completes():
+    env, dispatcher, action = bare_dispatcher()
+    first, second, other = snap(1, "d1"), snap(2, "d1"), snap(3, "d2")
+    batch = _Batch(action, [first, second, other], env.now)
+    batch.devices = {"d1": stub_device("d1"), "d2": stub_device("d2")}
+    batch.queues = {"d1": [first, second], "d2": [other]}
+
+    run_service(env, dispatcher, batch)
+
+    # d1's queue is serial under its lock; d2 runs beside it. Requests
+    # enter the completion log as they end, not when the batch does.
+    assert [(request.completed_at, request.result)
+            for request in dispatcher.completed] \
+        == [(1.0, "d1:1"), (1.0, "d2:3"), (2.0, "d1:2")]
+    assert dispatcher.serviced_total == 3
+    assert (batch.report.serviced, batch.report.failed,
+            batch.report.attempts, batch.report.retries) == (3, 0, 3, 0)
+    assert [record.at for record
+            in dispatcher.tracer.of_kind("request_serviced")] \
+        == [1.0, 1.0, 2.0]
+    assert dispatcher.locks.acquisitions == 3
+    assert not dispatcher.locks.is_locked("d1")
+    assert not dispatcher.locks.is_locked("d2")
+
+
+def test_service_unlocked_fires_every_request_at_once():
+    env, dispatcher, action = bare_dispatcher(locking=False)
+    first, second = snap(1, "d1"), snap(2, "d1")
+    batch = _Batch(action, [first, second], env.now)
+    batch.devices = {"d1": stub_device("d1")}
+    batch.queues = {"d1": [first, second]}
+
+    run_service(env, dispatcher, batch)
+
+    assert [request.completed_at for request in dispatcher.completed] \
+        == [1.0, 1.0]
+    assert batch.report.serviced == 2
+    assert dispatcher.locks.acquisitions == 0
+
+
+def test_service_drains_a_dead_devices_queue():
+    env, dispatcher, action = bare_dispatcher(
+        retry=RetryPolicy(failover=True))
+    running, movable, stuck = snap(1, "d1", "d2"), snap(2, "d1", "d2"), \
+        snap(3, "d1")
+    for request in (running, movable, stuck):
+        request.dispatches = 1
+    batch = _Batch(action, [running, movable, stuck], env.now)
+    batch.devices = {"d1": stub_device("d1", reachable=False)}
+    batch.queues = {"d1": [running, movable, stuck]}
+
+    run_service(env, dispatcher, batch)
+
+    # The first request found out the hard way and failed over; the
+    # rest never executed: one moves to d2, one has nowhere to go.
+    assert (running.attempts, movable.attempts, stuck.attempts) == (1, 0, 0)
+    assert dispatcher.operator_for(action).pending_snapshot() \
+        == [running, movable]
+    assert movable.candidates == ("d2",)
+    assert dispatcher.completed == [stuck]
+    [record] = dispatcher.tracer.of_kind("request_failed")
+    assert record["device"] == "d1"
+    assert "failed while request was queued" in record["reason"]
+    assert (batch.report.serviced, batch.report.failed,
+            batch.report.failed_over, batch.report.attempts) == (0, 1, 2, 1)
+    assert not dispatcher.locks.is_locked("d1")
