@@ -331,8 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parallel-backend", choices=PARALLEL_BACKENDS,
                         default="process",
                         help="worker backend for --parallel: process "
-                             "(spawned interpreters) or thread "
-                             "(portable fallback)")
+                             "(spawned interpreters); thread is the "
+                             "in-process test transport, same "
+                             "protocol, no speedup")
     parser.add_argument("--version", action="store_true",
                         help="print the version and exit")
     subcommands = parser.add_subparsers(dest="command")
@@ -368,7 +369,9 @@ def main(argv: list[str] | None = None) -> int:
                               "parallel workers (needs --shards >= 2)")
     metrics.add_argument("--parallel-backend",
                          choices=PARALLEL_BACKENDS, default="process",
-                         help="worker backend for --parallel")
+                         help="worker backend for --parallel "
+                              "(thread: in-process test transport, "
+                              "no speedup)")
     args = parser.parse_args(argv)
     if args.version:
         print(repro.__version__)

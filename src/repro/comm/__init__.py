@@ -8,24 +8,23 @@ components, per the paper:
    :meth:`CommunicationLayer.register_device_type`;
 2. scan operators over virtual device tables — :class:`ScanOperator`;
 3. basic communication methods (``connect/close/send/receive``) —
-   :class:`BaseCommunicator` and its per-type adapters.
+   the transport's checkout idiom, the same for every device type:
+   ``Transport.open`` (connect), ``Connection.request`` (send +
+   receive), ``Transport.release`` / ``discard`` (close). What differs
+   per type is data, not code: its ``LinkModel``, probe TIMEOUT and
+   catalog.
 
 The probing mechanism of Section 4 also lives here
 (:class:`Prober`), since a probe is a communication-layer exchange.
 
 Two amortization layers sit on top (see DESIGN.md decision 10): the
 transport's :class:`ConnectionPool` reuses keep-alive connections
-across scans, probes and executions, and the opt-in
+across scans and probes (action executions run on the device model and
+never cross the transport), and the opt-in
 :class:`DeviceStatusCache` lets the dispatcher skip probe exchanges for
 recently-seen devices under a per-type freshness TTL.
 """
 
-from repro.comm.adapters import (
-    BaseCommunicator,
-    CameraCommunicator,
-    PhoneCommunicator,
-    SensorCommunicator,
-)
 from repro.comm.layer import CommunicationLayer, DeviceTypeRegistration
 from repro.comm.pool import ConnectionPool
 from repro.comm.probe import DEFAULT_TIMEOUTS, Prober, ProbeResult
@@ -34,8 +33,6 @@ from repro.comm.status_cache import DEFAULT_STATUS_TTLS, DeviceStatusCache
 from repro.comm.tuples import DeviceTuple
 
 __all__ = [
-    "BaseCommunicator",
-    "CameraCommunicator",
     "CommunicationLayer",
     "ConnectionPool",
     "DEFAULT_STATUS_TTLS",
@@ -43,9 +40,7 @@ __all__ = [
     "DeviceStatusCache",
     "DeviceTuple",
     "DeviceTypeRegistration",
-    "PhoneCommunicator",
     "Prober",
     "ProbeResult",
     "ScanOperator",
-    "SensorCommunicator",
 ]

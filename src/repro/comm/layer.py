@@ -15,10 +15,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.errors import ProfileError, RegistrationError
-from repro.devices.base import Device, OperationOutcome
+from repro.devices.base import Device
 from repro.devices.registry import DeviceRegistry
-from repro.comm.adapters import ADAPTER_CLASSES, BaseCommunicator
-from repro.comm.probe import DEFAULT_TIMEOUTS, Prober, ProbeResult
+from repro.comm.probe import (
+    DEFAULT_TIMEOUTS,
+    FALLBACK_TIMEOUT,
+    Prober,
+    ProbeResult,
+)
 from repro.comm.scan import ScanOperator
 from repro.network.link import LinkModel
 from repro.network.transport import Transport
@@ -87,7 +91,7 @@ class CommunicationLayer:
                 f"device type {device_type!r} is already registered"
             )
         timeout = probe_timeout if probe_timeout is not None else (
-            DEFAULT_TIMEOUTS.get(device_type, 1.0))
+            DEFAULT_TIMEOUTS.get(device_type, FALLBACK_TIMEOUT))
         registration = DeviceTypeRegistration(
             catalog=catalog, cost_table=cost_table, probe_timeout=timeout)
         self._types[device_type] = registration
@@ -131,10 +135,6 @@ class CommunicationLayer:
         """Remove a device that left the network."""
         return self.registry.remove(device_id)
 
-    def devices_of_type(self, device_type: str) -> List[Device]:
-        """Online devices of a type (the current virtual-table extent)."""
-        return self.registry.online_of_type(device_type)
-
     # ------------------------------------------------------------------
     # Scan operators
     # ------------------------------------------------------------------
@@ -151,35 +151,3 @@ class CommunicationLayer:
     def probe(self, device: Device) -> Generator[Any, Any, ProbeResult]:
         """Probe one device (availability + physical status)."""
         return (yield from self.prober.probe(device))
-
-    def probe_candidates(
-        self, devices: List[Device]
-    ) -> Generator[Any, Any, List[tuple[Device, ProbeResult]]]:
-        """Probe candidates in parallel, returning the available ones."""
-        return (yield from self.prober.available_devices(devices))
-
-    # ------------------------------------------------------------------
-    # Operation execution
-    # ------------------------------------------------------------------
-    def communicator(self, device: Device) -> BaseCommunicator:
-        """The type-specific protocol adapter for one device."""
-        if device.device_type not in self._types:
-            raise ProfileError(
-                f"device type {device.device_type!r} is not registered"
-            )
-        adapter_class = ADAPTER_CLASSES.get(device.device_type,
-                                            BaseCommunicator)
-        timeout = self._types[device.device_type].probe_timeout
-        return adapter_class(self.env, self.transport, device, timeout)
-
-    def execute(
-        self, device: Device, operation: str, **params: Any
-    ) -> Generator[Any, Any, OperationOutcome]:
-        """Run one atomic operation over the device's pooled channel."""
-        communicator = self.communicator(device)
-        yield from communicator.connect()
-        try:
-            outcome = yield from communicator.execute(operation, **params)
-        finally:
-            communicator.close()
-        return outcome

@@ -182,16 +182,3 @@ class Prober:
             result = yield probe
             results.append(result)
         return results
-
-    def available_devices(
-        self, devices: List[Device]
-    ) -> Generator[Any, Any, List[tuple[Device, ProbeResult]]]:
-        """Probe all candidates, keeping only the responsive ones.
-
-        "These malfunctioning devices will be automatically excluded in
-        the device selection optimization." (Section 4)
-        """
-        results = yield from self.probe_all(devices)
-        return [(device, result)
-                for device, result in zip(devices, results)
-                if result.available]

@@ -9,7 +9,7 @@ network; non-sensory attributes come from static catalog data.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
 from repro.errors import (
     CommunicationError,
@@ -18,8 +18,9 @@ from repro.errors import (
 )
 from repro.devices.base import Device
 from repro.devices.registry import DeviceRegistry
-from repro.comm.adapters import ADAPTER_CLASSES, BaseCommunicator
+from repro.comm.probe import FALLBACK_TIMEOUT
 from repro.comm.tuples import DeviceTuple
+from repro.network.message import Message
 from repro.network.transport import Transport
 from repro.profiles.schema import DeviceCatalog
 from repro.runtime import Runtime
@@ -42,7 +43,7 @@ class ScanOperator:
         registry: DeviceRegistry,
         catalog: DeviceCatalog,
         *,
-        timeout: float = 1.0,
+        timeout: float = FALLBACK_TIMEOUT,
     ) -> None:
         self.env = env
         self.transport = transport
@@ -59,10 +60,6 @@ class ScanOperator:
         """The virtual table this operator scans."""
         return self.catalog.device_type
 
-    def _communicator(self, device: Device) -> BaseCommunicator:
-        adapter_class = ADAPTER_CLASSES.get(device.device_type, BaseCommunicator)
-        return adapter_class(self.env, self.transport, device, self.timeout)
-
     def _acquire_row(
         self, device: Device
     ) -> Generator[Any, Any, DeviceTuple]:
@@ -78,13 +75,26 @@ class ScanOperator:
             values[attr.name] = static[attr.name]
         sensory = self.catalog.sensory_attributes
         if sensory:
-            communicator = self._communicator(device)
-            yield from communicator.connect()
+            connection = yield from self.transport.open(device, self.timeout)
             try:
                 for attr in sensory:
-                    values[attr.name] = yield from communicator.acquire(attr.name)
+                    response = yield from connection.request(Message(
+                        kind="read_attribute", device_id=device.device_id,
+                        payload={"name": attr.name}), self.timeout)
+                    if not response.ok:
+                        raise DeviceError(
+                            f"reading {attr.name!r} on {device.device_id!r} "
+                            f"failed: {response.error}"
+                        )
+                    values[attr.name] = response.value
+            except CommunicationError:
+                # The channel failed mid-exchange: never pool it.
+                self.transport.discard(connection)
+                raise
             finally:
-                communicator.close()
+                # Healthy, or the device itself refused the read: the
+                # channel is fine, park it (a no-op once discarded).
+                self.transport.release(connection)
         return DeviceTuple(
             device_type=self.device_type,
             device_id=device.device_id,
@@ -117,17 +127,3 @@ class ScanOperator:
             rows.append(row)
             self.tuples_produced += 1
         return rows
-
-    def scan_device(
-        self, device_id: str
-    ) -> Generator[Any, Any, Optional[DeviceTuple]]:
-        """Acquire a single device's row, or None if it is unreachable."""
-        device = self.registry.get(device_id)
-        if not device.online:
-            return None
-        try:
-            row = yield from self._acquire_row(device)
-        except (ConnectionTimeoutError, CommunicationError, DeviceError):
-            return None
-        self.tuples_produced += 1
-        return row

@@ -20,11 +20,12 @@ SCHEDULER_NAMES = ("LERFA+SRFE", "SRFAE", "LS", "SA", "RANDOM")
 #: without the runtime package).
 RUNTIME_NAMES = ("virtual", "realtime")
 
-#: Worker backends accepted by EngineConfig.parallel_backend:
-#: "process" spawns one interpreter per shard (true parallelism),
-#: "thread" runs workers as threads of the coordinator process (the
-#: portable fallback: identical protocol and determinism, no
-#: GIL-escaping speedup).
+#: Worker backends accepted by EngineConfig.parallel_backend.
+#: "process" spawns one interpreter per shard: it is the deployment
+#: backend, the only one that computes shards concurrently. "thread"
+#: is the in-process test transport: the identical worker protocol on
+#: coordinator threads, no speedup, used by tests and smoke runs to
+#: exercise that protocol without paying for spawns.
 PARALLEL_BACKENDS = ("process", "thread")
 
 
@@ -198,11 +199,11 @@ class EngineConfig:
     #: pass-through). Off by default; a worker fleet's per-shard dumps
     #: are byte-identical to the in-process fleet's (benchmark-gated).
     parallel: bool = False
-    #: Worker backend for ``parallel=True``: "process" (spawned
-    #: interpreters — the wall-clock speedup path) or "thread" (same
-    #: command protocol inside the coordinator process — portable, no
-    #: speedup). Both replay identical construction commands, so dumps
-    #: are byte-identical across backends.
+    #: Worker backend for ``parallel=True``. Deployments use "process"
+    #: (spawned interpreters — the only backend with a wall-clock
+    #: speedup); "thread" is the test transport, the same command
+    #: protocol inside the coordinator process. Both replay identical
+    #: construction commands, so dumps are byte-identical across them.
     parallel_backend: str = "process"
 
     def __post_init__(self) -> None:

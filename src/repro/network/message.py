@@ -8,7 +8,7 @@ from typing import Any, Dict
 from repro.errors import CommunicationError
 
 #: Message kinds understood by every device endpoint.
-MESSAGE_KINDS = ("ping", "read_attribute", "status", "execute")
+MESSAGE_KINDS = ("ping", "read_attribute", "status")
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,9 @@ class Connection:
 
         # Uplink latency.
         yield env.timeout(self.link.sample_latency(rng))
-        # Device-side handling (may consume device time for `execute`).
+        # Device-side handling.
         try:
-            value = yield from self._transport._handle(self.device, message)
+            value = self._transport._handle(self.device, message)
             ok, error = True, ""
         except (DeviceError, CommunicationError) as exc:
             value, ok, error = None, False, str(exc)
@@ -193,9 +193,7 @@ class Transport:
         """Close the device's parked channel, if it has one."""
         self.pool.invalidate(device_id, reason=reason)
 
-    def _handle(
-        self, device: Device, message: Message
-    ) -> Generator[Any, Any, Any]:
+    def _handle(self, device: Device, message: Message) -> Any:
         """Device-side message dispatch."""
         if message.kind == "ping":
             return {"ok": True, "device_type": device.device_type}
@@ -203,10 +201,4 @@ class Transport:
             return device.read_sensory(message.payload["name"])
         if message.kind == "status":
             return device.physical_status()
-        if message.kind == "execute":
-            operation = message.payload["operation"]
-            params = message.payload.get("params", {})
-            outcome = yield from device.execute(operation, **params)
-            return outcome
         raise CommunicationError(f"unhandled message kind {message.kind!r}")
-        yield  # pragma: no cover - makes this a generator on all paths

@@ -8,10 +8,10 @@ fleet asks of it — and the coordinator reaches it through a
 coordinator's. Hosted in the coordinator's process, a
 :class:`ShardHost` is its own handle and its methods are called
 directly. :class:`ShardWorker` moves it into a **worker** (a spawned
-interpreter by default, a thread as the portable fallback) and sends
-the same operation names down a pipe — which is what buys wall-clock
-speedup from added shards: an in-process fleet steps every shard on
-one thread, a worker fleet computes each bounded-skew round
+interpreter; a thread is the test transport for the same protocol)
+and sends the same operation names down a pipe — which is what buys
+wall-clock speedup from added shards: an in-process fleet steps every
+shard on one thread, a worker fleet computes each bounded-skew round
 concurrently between barriers.
 
 Three design rules keep a worker fleet byte-identical to an

@@ -1,18 +1,10 @@
-"""Unit tests for the communication-layer facade and adapters."""
+"""Unit tests for the communication-layer facade."""
 
 import pytest
 
-from repro.errors import (
-    CommunicationError,
-    DeviceError,
-    ProfileError,
-    RegistrationError,
-)
+from repro.errors import ProfileError, RegistrationError
 from repro.geometry import Point
-from repro.devices import HeadPosition, PanTiltZoomCamera
-from repro.comm import CameraCommunicator, PhoneCommunicator, SensorCommunicator
-from repro.network.message import Message
-from tests.comm.conftest import run
+from repro.devices import PanTiltZoomCamera
 
 
 def test_registered_types(layer):
@@ -43,116 +35,7 @@ def test_cost_table_lookup(layer):
     assert "capture_medium" in table
 
 
-def test_execute_runs_operation_via_network(env, layer, lab):
-    outcome = run(env, layer.execute(lab["cam1"], "store"))
-    assert outcome.succeeded
-    assert outcome.operation == "store"
-    # Network latency on top of the 0.1 s device-side store.
-    assert env.now > 0.1
-
-
-def test_execute_device_error_surfaces(env, layer, lab):
-    with pytest.raises(DeviceError, match="no operation"):
-        run(env, layer.execute(lab["cam1"], "teleport"))
-
-
-def test_camera_communicator_move_and_capture(env, layer, lab):
-    communicator = layer.communicator(lab["cam1"])
-    assert isinstance(communicator, CameraCommunicator)
-
-    def proc(env):
-        yield from communicator.connect()
-        yield from communicator.move_head(HeadPosition(pan=34, tilt=0, zoom=1))
-        outcome = yield from communicator.capture("medium")
-        communicator.close()
-        return outcome
-
-    outcome = run(env, proc(env))
-    assert outcome.detail.size == "medium"
-    assert lab["cam1"].head_position().pan == pytest.approx(34.0)
-
-
-def test_sensor_communicator_read_sample(env, layer, lab):
-    communicator = layer.communicator(lab["mote1"])
-    assert isinstance(communicator, SensorCommunicator)
-
-    def proc(env):
-        yield from communicator.connect()
-        outcome = yield from communicator.read_sample()
-        communicator.close()
-        return outcome
-
-    outcome = run(env, proc(env))
-    assert "temperature" in outcome.detail
-
-
-def test_phone_communicator_deliver_mms(env, layer, lab):
-    communicator = layer.communicator(lab["phone1"])
-    assert isinstance(communicator, PhoneCommunicator)
-
-    def proc(env):
-        yield from communicator.connect()
-        yield from communicator.deliver_mms(
-            "aorta", "snapshot", "photos/x.jpg", size_kb=50)
-        communicator.close()
-
-    run(env, proc(env))
-    assert lab["phone1"].inbox[0].attachment == "photos/x.jpg"
-
-
-def test_send_receive_pipelining(env, layer, lab):
-    """send() twice then receive() twice: responses come back in order."""
-    communicator = layer.communicator(lab["cam1"])
-
-    def proc(env):
-        yield from communicator.connect()
-        yield from communicator.send(Message(
-            kind="read_attribute", device_id="cam1", payload={"name": "pan"}))
-        yield from communicator.send(Message(
-            kind="read_attribute", device_id="cam1", payload={"name": "zoom"}))
-        first = yield from communicator.receive()
-        second = yield from communicator.receive()
-        communicator.close()
-        return (first.value, second.value)
-
-    pan, zoom = run(env, proc(env))
-    assert pan == pytest.approx(0.0)
-    assert zoom == pytest.approx(1.0)
-
-
-def test_receive_without_send_rejected(env, layer, lab):
-    communicator = layer.communicator(lab["cam1"])
-
-    def proc(env):
-        yield from communicator.connect()
-        with pytest.raises(CommunicationError, match="no\\s+outstanding"):
-            next(communicator.receive())
-        communicator.close()
-
-    run(env, proc(env))
-
-
-def test_send_without_connect_rejected(env, layer, lab):
-    communicator = layer.communicator(lab["cam1"])
-    with pytest.raises(CommunicationError, match="not connected"):
-        next(communicator.send(Message(kind="ping", device_id="cam1")))
-
-
-def test_connect_is_idempotent(env, layer, lab):
-    communicator = layer.communicator(lab["cam1"])
-
-    def proc(env):
-        yield from communicator.connect()
-        first = communicator._connection
-        yield from communicator.connect()
-        assert communicator._connection is first
-        communicator.close()
-
-    run(env, proc(env))
-    assert not communicator.connected
-
-
 def test_remove_device(env, layer, lab):
     layer.remove_device("mote3")
-    assert [d.device_id for d in layer.devices_of_type("sensor")] == [
-        "mote1", "mote2"]
+    online = layer.registry.online_of_type("sensor")
+    assert [d.device_id for d in online] == ["mote1", "mote2"]

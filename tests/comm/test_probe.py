@@ -41,8 +41,8 @@ def test_probe_all_runs_in_parallel(env, layer, lab):
 
 def test_available_devices_excludes_malfunctioning(env, layer, lab):
     lab["cam2"].crash()
-    available = run(env, layer.probe_candidates([lab["cam1"], lab["cam2"]]))
-    assert [device.device_id for device, _ in available] == ["cam1"]
+    results = run(env, layer.prober.probe_all([lab["cam1"], lab["cam2"]]))
+    assert [r.device_id for r in results if r.available] == ["cam1"]
 
 
 def test_probe_counters(env, layer, lab):

@@ -58,17 +58,28 @@ def test_scan_acquires_rows_in_parallel(env, layer, lab):
     assert env.now < 0.3
 
 
-def test_scan_device_returns_single_row(env, layer, lab):
-    operator = layer.scan_operator("camera")
-    row = run(env, operator.scan_device("cam2"))
-    assert row.device_id == "cam2"
-    assert row["pan"] == pytest.approx(0.0)
-
-
-def test_scan_device_offline_returns_none(env, layer, lab):
-    lab["cam2"].go_offline()
-    operator = layer.scan_operator("camera")
-    assert run(env, operator.scan_device("cam2")) is None
+@pytest.mark.parametrize("device_type", ["sensor", "camera"])
+def test_scan_costs_two_kernel_events_per_exchange(env, layer, lab,
+                                                   device_type):
+    """A row makes its exchanges in its own process: uplink and
+    downlink per sensory column, plus the row process's start and end.
+    Nothing is spawned per exchange."""
+    operator = layer.scan_operator(device_type)
+    cold_rows = run(env, operator.scan())
+    cold_end = env.now
+    before = env.events_processed
+    warm_rows = run(env, operator.scan())
+    n = len(warm_rows)
+    k = len(layer.catalog(device_type).sensory_attributes)
+    own = 2  # conftest.run's process: its start and its end
+    assert len(cold_rows) == n
+    assert env.events_processed - before == 2 * n * k + 2 * n + own
+    if device_type == "sensor":
+        assert (n, k) == (3, 5)  # 38 events
+        # Handshake + five round trips at 0.04 s; the warm scan skips
+        # the handshake.
+        assert cold_end == pytest.approx(0.24)
+        assert env.now == pytest.approx(0.44)
 
 
 def test_tuple_unknown_attribute_raises(env, layer, lab):

@@ -1,11 +1,17 @@
 """Scan retry behaviour: one transient failure does not drop a row."""
 
-import pytest
+import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.comm import CommunicationLayer
 from repro.errors import DeviceError
 from repro.geometry import Point
 from repro.devices import SensorMote
-from tests.comm.conftest import run
+from repro.profiles.defaults import register_builtin_types
+from repro.sim import Environment
+from tests.comm.conftest import LOSSLESS_LINKS, run
 
 
 class FlakyMote(SensorMote):
@@ -50,3 +56,120 @@ def test_retry_does_not_duplicate_rows(env, layer, lab):
     ids = [row.device_id for row in rows]
     assert sorted(ids) == ["flaky", "mote1", "mote2", "mote3"]
     assert len(ids) == len(set(ids))
+
+
+# ----------------------------------------------------------------------
+# Channel discipline: whatever breaks a row, and wherever, scan() hands
+# back every channel it took — parked if the channel is sound, closed
+# if it is not.
+# ----------------------------------------------------------------------
+class ScriptedLink:
+    """The lossless sensor link, losing only the exchange it is told to."""
+
+    def __init__(self):
+        self.lose_exchange = None
+        self.exchanges = 0
+
+    def sample_latency(self, rng):
+        return LOSSLESS_LINKS["sensor"].latency_seconds
+
+    def drops(self, rng):
+        self.exchanges += 1
+        return self.exchanges - 1 == self.lose_exchange
+
+
+class FaultyMote(SensorMote):
+    """Runs ``on_read`` while handling the read it is told to."""
+
+    fault_read = None
+    on_read = None
+    reads = 0
+
+    def read_sensory(self, name):
+        self.reads += 1
+        if self.reads - 1 == self.fault_read:
+            self.on_read()
+        return super().read_sensory(name)
+
+
+def _reject_read():
+    raise DeviceError("sensor fault")
+
+
+#: fault -> (the channel itself failed, rows the scan still returns).
+FAULTS = {
+    "lost_packet": (True, 3),           # silence, then a clean retry
+    "device_error": (False, 3),         # ok=False, then a clean retry
+    "offline_mid_exchange": (True, 2),  # gone before the downlink; stays gone
+    "removed_mid_row": (False, 3),      # leaves the registry; keeps answering
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(victim_index=st.integers(0, 2), read=st.integers(0, 4),
+       fault=st.sampled_from(sorted(FAULTS)), warm=st.booleans())
+def test_scan_returns_every_channel_it_took(victim_index, read, fault, warm):
+    env = Environment()
+    layer = CommunicationLayer(env, links=dict(LOSSLESS_LINKS),
+                               rng=random.Random(0))
+    register_builtin_types(layer)
+    motes = [FaultyMote(env, f"mote{i}", Point(i, 0), noise_amplitude=0.0)
+             for i in range(3)]
+    for mote in motes:
+        layer.add_device(mote)
+    victim = motes[victim_index]
+    transport = layer.transport
+
+    link, lossless = ScriptedLink(), transport.links["sensor"]
+    transport.link_for = lambda device: (
+        link if device is victim else lossless)
+    opened = []
+    connect = transport.connect
+
+    def recording_connect(device, timeout):
+        connection = yield from connect(device, timeout)
+        opened.append(connection)
+        return connection
+
+    transport.connect = recording_connect
+    operator = layer.scan_operator("sensor")
+    if warm:
+        run(env, operator.scan())
+        assert len(transport.pool) == 3
+
+    if fault == "lost_packet":
+        # A cold row's first exchange on the link is its handshake.
+        link.lose_exchange = link.exchanges + read + (0 if warm else 1)
+    else:
+        victim.fault_read = victim.reads + read
+        victim.on_read = {
+            "device_error": _reject_read,
+            "offline_mid_exchange": victim.go_offline,
+            "removed_mid_row": lambda: layer.remove_device(victim.device_id),
+        }[fault]
+    connects = transport.connects_attempted
+    hits = transport.pool.hits
+    channel_failed, rows_expected = FAULTS[fault]
+
+    rows = run(env, operator.scan())
+
+    assert len(rows) == rows_expected
+    assert len(operator.skipped) == 3 - rows_expected
+    # The census of benchmarks/e2e/harness._leak_checks.
+    parked = {id(entry.connection)
+              for entry in transport.pool._idle.values()}
+    assert {id(c) for c in opened if not c.closed} == parked
+    first = next(c for c in opened if c.device is victim)
+    handshakes = 0 if warm else 3
+    if channel_failed:
+        # Discarded, and the one retry pays a fresh handshake.
+        assert first.closed
+        assert transport.pool.discards == 1
+        assert transport.connects_attempted == connects + handshakes + 1
+    else:
+        # Parked: a device error's retry takes the same channel back.
+        assert id(first) in parked
+        assert transport.pool.discards == 0
+        assert transport.connects_attempted == connects + handshakes
+        retried = fault == "device_error"
+        assert transport.pool.hits == hits + (3 if warm else 0) + retried

@@ -103,32 +103,16 @@ def test_status_request_returns_physical_status():
     env.run()
 
 
-def test_execute_request_consumes_device_time():
-    env, transport, camera = setup()
-
-    def proc(env):
-        connection = yield from transport.connect(camera, timeout=1.0)
-        response = yield from connection.request(
-            Message(kind="execute", device_id="cam1",
-                    payload={"operation": "store"}), timeout=5.0)
-        assert response.ok
-        # 2 x latency (connect) + 2 x latency (request) + 0.1 store
-        assert env.now == pytest.approx(0.02 + 0.1)
-
-    env.process(proc(env))
-    env.run()
-
-
 def test_device_error_becomes_not_ok_response():
     env, transport, camera = setup()
 
     def proc(env):
         connection = yield from transport.connect(camera, timeout=1.0)
         response = yield from connection.request(
-            Message(kind="execute", device_id="cam1",
-                    payload={"operation": "teleport"}), timeout=1.0)
+            Message(kind="read_attribute", device_id="cam1",
+                    payload={"name": "altitude"}), timeout=1.0)
         assert not response.ok
-        assert "no operation" in response.error
+        assert "no sensory attribute" in response.error
 
     env.process(proc(env))
     env.run()
@@ -188,3 +172,10 @@ def test_lossy_link_times_out_sometimes():
 def test_unknown_message_kind_rejected_at_construction():
     with pytest.raises(CommunicationError, match="unknown message kind"):
         Message(kind="warp", device_id="cam1")
+
+
+def test_execute_is_not_a_message_kind():
+    """Operations run on the device model; none crosses the transport."""
+    with pytest.raises(CommunicationError, match="unknown message kind"):
+        Message(kind="execute", device_id="cam1",
+                payload={"operation": "store"})

@@ -27,21 +27,22 @@ def test_device_vanishing_mid_execute_times_out():
     def requester(env):
         connection = yield from transport.connect(camera, timeout=1.0)
         try:
-            # store takes 0.1 s; the camera dies at 0.05 s.
+            # Uplink lands at 0.03 s, downlink at 0.04 s; the camera
+            # dies in between, after it has handled the message.
             yield from connection.request(Message(
-                kind="execute", device_id="cam1",
-                payload={"operation": "store"}), timeout=1.0)
-        except ConnectionTimeoutError:
-            outcomes.append("timeout")
+                kind="status", device_id="cam1"), timeout=1.0)
+        except ConnectionTimeoutError as exc:
+            outcomes.append(str(exc))
 
     def killer(env):
-        yield env.timeout(0.05)
+        yield env.timeout(0.035)
         camera.go_offline()
 
     env.process(requester(env))
     env.process(killer(env))
     env.run()
-    assert outcomes == ["timeout"]
+    assert len(outcomes) == 1
+    assert "went away mid-exchange" in outcomes[0]
 
 
 def test_connect_succeeds_then_device_recovers_for_request():
