@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import AortaError
+from repro.runtime import RUNTIME_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.devices.health import HealthPolicy
@@ -14,11 +15,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 #: Scheduler names accepted by EngineConfig.scheduler.
 SCHEDULER_NAMES = ("LERFA+SRFE", "SRFAE", "LS", "SA", "RANDOM")
-
-#: Runtime backend names accepted by EngineConfig.runtime (mirrors
-#: repro.runtime.RUNTIME_NAMES; duplicated to keep config importable
-#: without the runtime package).
-RUNTIME_NAMES = ("virtual", "realtime")
 
 #: Worker backends accepted by EngineConfig.parallel_backend.
 #: "process" spawns one interpreter per shard: it is the deployment

@@ -1,6 +1,6 @@
 """The Runtime protocol: what components may ask of a backend.
 
-The surface is deliberately small — a clock, sleeping, event
+The surface is deliberately small — a clock, timers, event
 wait/trigger, process spawning, and quiescence — because everything a
 pervasive query engine does reduces to those five capabilities. Any
 object structurally providing them can host the engine; nothing
@@ -40,10 +40,6 @@ class Runtime(Protocol):
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` runtime seconds from now."""
-        ...
-
-    def sleep(self, delay: float) -> Timeout:
-        """Alias of :meth:`timeout` for readable process code."""
         ...
 
     def process(self, generator: ProcessGenerator) -> Process:

@@ -19,16 +19,14 @@ stand-in for the paper's optimal MIP discussion).
 """
 
 from repro.scheduling.base import Schedule, Scheduler
-from repro.scheduling.cost_cache import CachingCostModel, freeze_status
+from repro.scheduling.cost_cache import CachingCostModel
 from repro.scheduling.lerfa_srfe import LerfaSrfeScheduler
 from repro.scheduling.list_scheduling import ListScheduler
 from repro.scheduling.executor import ExecutionResult, execute_schedule
 from repro.scheduling.metrics import (
     MakespanBreakdown,
     breakdown,
-    device_completion_times,
     device_utilization,
-    request_completion_times,
     service_makespan,
     total_makespan,
     workload_balance,
@@ -54,8 +52,6 @@ from repro.scheduling.vector_cost import (
     require_numpy,
 )
 from repro.scheduling.workload import (
-    CameraStatusCostModel,
-    matrix_workload,
     skewed_camera_workload,
     uniform_camera_workload,
 )
@@ -63,7 +59,6 @@ from repro.scheduling.workload import (
 __all__ = [
     "BlockModelKernel",
     "CachingCostModel",
-    "CameraStatusCostModel",
     "ColumnKernel",
     "ExecutionResult",
     "HAVE_NUMPY",
@@ -82,14 +77,10 @@ __all__ = [
     "StaticCostModel",
     "breakdown",
     "build_kernel",
-    "device_completion_times",
     "device_utilization",
     "execute_schedule",
-    "freeze_status",
     "require_numpy",
-    "matrix_workload",
     "optimal_schedule",
-    "request_completion_times",
     "service_makespan",
     "skewed_camera_workload",
     "total_makespan",

@@ -34,24 +34,6 @@ def device_completion_times(
     return completions
 
 
-def request_completion_times(
-    problem: Problem, schedule: Schedule, *, use_actual: bool = True
-) -> Dict[str, float]:
-    """Per-request completion times (from batch start, service only)."""
-    cost = (problem.cost_model.actual if use_actual
-            else problem.cost_model.estimate)
-    completions: Dict[str, float] = {}
-    for device_id in problem.device_ids:
-        status = problem.cost_model.initial_status(device_id)
-        elapsed = 0.0
-        for request_id in schedule.assignments.get(device_id, []):
-            seconds, status = cost(problem.request(request_id),
-                                   device_id, status)
-            elapsed += seconds
-            completions[request_id] = elapsed
-    return completions
-
-
 def service_makespan(
     problem: Problem, schedule: Schedule, *, use_actual: bool = True
 ) -> float:

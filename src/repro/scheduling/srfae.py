@@ -9,18 +9,12 @@ servicing r_i" **plus** the extracted key ``w`` — so keys always equal
 projected completion times on that device, honouring both the workload
 increase and the physical-status change.
 
-Three interchangeable pair structures (identical schedules, different
-constants — the DESIGN.md data-structure ablation):
-
-* ``"heap"`` (default) — a binary heap with lazy invalidation: key
-  updates push a fresh entry and abandon the stale one; ``pop_min``
-  discards entries whose key is no longer current. All hot operations
-  are C-level ``heapq`` calls, which at the E10 scale (400 requests x
-  100 devices) is roughly an order of magnitude faster than the
-  pure-Python AVL.
-* ``"avl"`` — the balanced BST with explicit delete/update, literal to
-  the paper's Algorithm 2 description.
-* ``"scan"`` — a flat dict with O(n) extract-min (the naive baseline).
+The priority structure is a binary heap with lazy invalidation
+(:class:`_LazyHeap`): key updates push a fresh entry and abandon the
+stale one; ``pop_min`` discards entries whose key is no longer current,
+so all hot operations are C-level ``heapq`` calls. It stands in for the
+balanced tree of the paper's Algorithm 2, which yields the same
+schedules 6-8x slower in CPython (EXPERIMENTS.md A3).
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ import itertools
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import SchedulingError
-from repro.scheduling.avl import AVLTree
 from repro.scheduling.base import CATEGORY_CAP, Scheduler
 from repro.scheduling.problem import Problem
 from repro.scheduling.vector_cost import (
@@ -45,43 +38,8 @@ _Key = Tuple[float, int]
 _Pair = Tuple[str, str]
 
 
-class _LinearScanTree:
-    """Drop-in replacement with O(n) extract-min, for the ablation."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[_Key, _Pair] = {}
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def insert(self, key: _Key, value: _Pair) -> None:
-        if key in self._entries:
-            raise SchedulingError(f"duplicate key {key!r}")
-        self._entries[key] = value
-
-    def remove(self, key: _Key) -> _Pair:
-        try:
-            return self._entries.pop(key)
-        except KeyError:
-            raise SchedulingError(f"key {key!r} not found") from None
-
-    def pop_min(self) -> Tuple[_Key, _Pair]:
-        if not self._entries:
-            raise SchedulingError("pop_min from an empty structure")
-        key = min(self._entries)  # the O(n) scan the others avoid
-        return key, self._entries.pop(key)
-
-    def update_key(self, old_key: _Key, new_key: _Key) -> None:
-        if old_key == new_key:
-            return
-        self.insert(new_key, self.remove(old_key))
-
-
 class _LazyHeap:
-    """Binary heap with lazy deletion, same interface as the AVL.
+    """Binary heap with lazy deletion and explicit remove / re-key.
 
     ``remove``/``update_key`` never touch the heap array: they retire
     the old key in the live-key map and (for updates) push a fresh
@@ -104,9 +62,6 @@ class _LazyHeap:
     def __bool__(self) -> bool:
         return bool(self._live)
 
-    def __len__(self) -> int:
-        return len(self._live)
-
     def _push(self, entry: Tuple[float, int, str, str]) -> None:
         heap = self._heap
         if len(heap) > 64 + 2 * len(self._live):
@@ -116,13 +71,6 @@ class _LazyHeap:
             heap[:] = self._live.values()
             heapq.heapify(heap)
         heapq.heappush(heap, entry)
-
-    def insert(self, key: _Key, value: _Pair) -> None:
-        if key[1] in self._live:
-            raise SchedulingError(f"duplicate key {key!r}")
-        entry = key + value
-        self._live[key[1]] = entry
-        self._push(entry)
 
     def bulk_load(self, items: List[Tuple[_Key, _Pair]]) -> None:
         """Heapify many entries at once (the Lines 1-3 initial fill)."""
@@ -168,32 +116,11 @@ class _LazyHeap:
         self._push(entry)
 
 
-_STRUCTURES = {
-    "heap": _LazyHeap,
-    "avl": AVLTree,
-    "scan": _LinearScanTree,
-}
-
-
 class SrfaeScheduler(Scheduler):
-    """The paper's Algorithm 2 over a pluggable pair structure.
-
-    ``structure`` selects the priority structure (``"heap"``, ``"avl"``
-    or ``"scan"``; see the module docstring).
-    """
+    """The paper's Algorithm 2 over a lazy binary heap of pairs."""
 
     name = "SRFAE"
     category = CATEGORY_CAP
-
-    def __init__(self, seed: int = 0, *, structure: str = "heap",
-                 vectorize: bool = False) -> None:
-        super().__init__(seed, vectorize=vectorize)
-        if structure not in _STRUCTURES:
-            raise SchedulingError(
-                f"unknown SRFAE structure {structure!r}; "
-                f"pick one of {sorted(_STRUCTURES)}"
-            )
-        self.structure = structure
 
     def _solve(self, problem: Problem) -> Dict[str, List[str]]:
         if self.vectorize:
@@ -202,7 +129,7 @@ class SrfaeScheduler(Scheduler):
                 return self._solve_vectorized(problem, kernel)
         serial = itertools.count().__next__
         estimate = problem.cost_model.estimate
-        tree = _STRUCTURES[self.structure]()
+        tree = _LazyHeap()
         #: device_id -> request_id -> (current tree key, post-servicing
         #: status, request). Storing the post-status alongside the key
         #: means the extracted pair's estimate — produced when the pair
@@ -226,11 +153,7 @@ class SrfaeScheduler(Scheduler):
                 initial.append((key, (request.request_id, device_id)))
                 entries[device_id][request.request_id] = (
                     key, post_status, request)
-        if hasattr(tree, "bulk_load"):
-            tree.bulk_load(initial)
-        else:
-            for key, pair in initial:
-                tree.insert(key, pair)
+        tree.bulk_load(initial)
 
         # Lines 7-20: repeatedly extract the least pair.
         update_key = tree.update_key

@@ -27,7 +27,6 @@ from repro.scheduling.problem import (
     Problem,
     SchedRequest,
     SchedulingCostModel,
-    StaticCostModel,
 )
 
 
@@ -235,24 +234,3 @@ def skewed_camera_workload(
                f"skew={skewness} seed={seed}"),
     )
 
-
-def matrix_workload(
-    costs: Mapping[Tuple[str, str], float],
-    candidates: Mapping[str, Tuple[str, ...]],
-    device_ids: Tuple[str, ...],
-    label: str = "matrix",
-) -> Problem:
-    """A sequence-independent instance from an explicit cost matrix.
-
-    For unit tests and textbook scheduling-theory comparisons.
-    """
-    requests = tuple(
-        SchedRequest(request_id=request_id, candidates=request_candidates)
-        for request_id, request_candidates in candidates.items()
-    )
-    return Problem(
-        requests=requests,
-        device_ids=device_ids,
-        cost_model=StaticCostModel(costs),
-        label=label,
-    )

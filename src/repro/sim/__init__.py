@@ -1,9 +1,10 @@
 """Discrete-event simulation core and its runtime backends.
 
-A small, dependency-free engine core in the style of SimPy:
-generator-based processes scheduled over an event queue
-(:class:`~repro.sim.base.BaseRuntime`), with two interchangeable
-backends deciding how time passes:
+The kernel is what the engine uses and no more:
+:class:`~repro.sim.base.BaseRuntime` holds a float clock and a ``heapq``
+of ``(time, priority, seq, event)`` tuples, and fires one-shot events
+that generator-based processes and a FIFO lock wait on. Two
+interchangeable backends decide how time passes:
 
 * :class:`Environment` — virtual time (the default): the clock jumps
   from event to event, so experiments measuring seconds of device time
@@ -25,26 +26,18 @@ Public surface::
 """
 
 from repro.sim.base import BaseRuntime
-from repro.sim.clock import VirtualClock
-from repro.sim.events import Event, EventQueue, ScheduledItem, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Environment
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 from repro.sim.realtime import RealtimeRuntime
-from repro.sim.resources import FifoResource, SimLock
-from repro.sim.rng import RandomStreams
+from repro.sim.resources import SimLock
 
 __all__ = [
     "BaseRuntime",
     "Environment",
     "Event",
-    "EventQueue",
-    "FifoResource",
-    "Interrupt",
     "Process",
-    "RandomStreams",
     "RealtimeRuntime",
-    "ScheduledItem",
     "SimLock",
     "Timeout",
-    "VirtualClock",
 ]

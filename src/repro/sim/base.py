@@ -18,11 +18,11 @@ realtime backend produces byte-identical traces to the virtual one
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.clock import VirtualClock
-from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue, Timeout
+from repro.sim.events import PRIORITY_NORMAL, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 
@@ -39,16 +39,21 @@ class BaseRuntime:
     backend_name = "base"
 
     def __init__(self, start: float = 0.0) -> None:
-        self._clock = VirtualClock(start)
-        self._queue = EventQueue()
+        if start < 0:
+            raise SimulationError(f"clock cannot start at negative time {start}")
+        #: Current runtime time in seconds (virtual for both backends:
+        #: the realtime backend paces the same timeline against the wall
+        #: clock rather than keeping a separate one). Monotonically
+        #: non-decreasing and read-only by convention: only :meth:`step`
+        #: and the closing advance of :meth:`run` assign it.
+        self.now = float(start)
+        #: Pending ``(time, priority, seq, event)`` tuples as a ``heapq``:
+        #: firing order is field order, every sift is a C-level tuple
+        #: comparison, and the unique insertion ``seq`` decides any tie
+        #: before the event itself would be compared.
+        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._seq = 0
         self._events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current runtime time in seconds (virtual for both backends:
-        the realtime backend paces the same timeline against the wall
-        clock rather than keeping a separate one)."""
-        return self._clock.now
 
     # ------------------------------------------------------------------
     # Event construction helpers
@@ -60,11 +65,6 @@ class BaseRuntime:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` runtime seconds from now."""
         return Timeout(self, delay, value)
-
-    def sleep(self, delay: float) -> Timeout:
-        """Alias of :meth:`timeout` reading naturally in process code:
-        ``yield runtime.sleep(2.0)``."""
-        return self.timeout(delay)
 
     def process(self, generator: ProcessGenerator) -> Process:
         """Start ``generator`` as a concurrent process."""
@@ -79,19 +79,26 @@ class BaseRuntime:
         """Enqueue ``event`` to have its callbacks run after ``delay``."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._queue.push(self.now + delay, priority, event)
+        heapq.heappush(self._queue, (self.now + delay, priority, self._seq, event))
+        self._seq += 1
 
     def step(self) -> None:
         """Process the single next event in the queue."""
-        timestamp, _priority, _seq, event = self._queue.pop()
+        if not self._queue:
+            raise SimulationError("step on an empty event queue")
+        timestamp, _priority, _seq, event = heapq.heappop(self._queue)
         self._pace(timestamp)
-        self._clock.advance_to(timestamp)
+        if timestamp < self.now:
+            # Would indicate a corrupted event queue.
+            raise SimulationError(
+                f"cannot move clock backwards from {self.now} to {timestamp}")
+        self.now = timestamp
         self._events_processed += 1
         event._processed = True
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
             callback(event)
-        if not event._ok and not getattr(event, "_defused", False):
+        if not event._ok and not event._defused:
             # A failed event that nobody waited on would otherwise vanish
             # silently; surface it (Zen: errors should never pass silently).
             raise event._value
@@ -115,24 +122,25 @@ class BaseRuntime:
             raise SimulationError(f"run until {until} is in the past (now={self.now})")
         if max_events is not None and max_events < 0:
             raise SimulationError(f"max_events must be >= 0, got {max_events}")
+        queue = self._queue
         processed = 0
-        while len(self._queue):
-            if until is not None and self._queue.peek_time() > until:
-                self._pace(until)
-                self._clock.advance_to(until)
-                return self.now
+        while queue and (until is None or queue[0][0] <= until):
             if max_events is not None and processed >= max_events:
                 raise SimulationError(
                     f"event budget exhausted: processed {processed} events "
-                    f"by t={self.now:.6f} with {len(self._queue)} still "
+                    f"by t={self.now:.6f} with {len(queue)} still "
                     f"pending ({self._pending_summary()}); a process is "
                     f"likely scheduling work faster than it completes"
                 )
+            # Through step(), never inlined: it is the seam tracers patch.
             self.step()
             processed += 1
         if until is not None:
             self._pace(until)
-            self._clock.advance_to(until)
+            if until < self.now:
+                raise SimulationError(
+                    f"cannot move clock backwards from {self.now} to {until}")
+            self.now = until
         return self.now
 
     @property
@@ -153,15 +161,12 @@ class BaseRuntime:
 
     def _pending_summary(self, limit: int = 3) -> str:
         """The next few pending events, rendered for error messages."""
-        head: List[Tuple[float, int, Event]] = [
-            (item.time, item.priority, item.event)
-            for item in self._queue.peek_items(limit)
-        ]
+        head = heapq.nsmallest(limit, self._queue)
         if not head:
             return "queue empty"
         rendered = ", ".join(
             f"t={time:.6f} p={priority} {type(event).__name__}"
-            for time, priority, event in head
+            for time, priority, _seq, event in head
         )
         remainder = len(self._queue) - len(head)
         if remainder > 0:

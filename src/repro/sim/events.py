@@ -1,9 +1,8 @@
-"""Events and the pending-event queue of the kernel."""
+"""Events: the one-shot occurrences the kernel schedules and fires."""
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import SimulationError
 
@@ -29,8 +28,8 @@ class Event:
         self.callbacks: list[Callable[["Event"], None]] = []
         self._value: Any = None
         self._ok: Optional[bool] = None  # None => not yet triggered
-        self._scheduled = False
         self._processed = False  # set by the kernel after callbacks run
+        self._defused = False  # True => a waiter will see the failure
 
     @property
     def triggered(self) -> bool:
@@ -60,7 +59,7 @@ class Event:
         parallel row acquisitions in order — defuses the event first so
         the failure is delivered at the ``yield`` instead.
         """
-        self._defused = True  # type: ignore[attr-defined]
+        self._defused = True
         return self
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
@@ -81,7 +80,6 @@ class Event:
         self._ok = ok
         self._value = value
         self.env.schedule(self, delay=delay)
-        self._scheduled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending" if self._ok is None else ("ok" if self._ok else "failed")
@@ -95,57 +93,6 @@ class Timeout(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
         super().__init__(env)
-        self.delay = delay
         self._ok = True
         self._value = value
         env.schedule(self, delay=delay)
-        self._scheduled = True
-
-
-class ScheduledItem(NamedTuple):
-    """A queue entry as diagnostics see it: firing order is field order."""
-
-    time: float
-    priority: int
-    seq: int
-    event: Event
-
-
-class EventQueue:
-    """A stable priority queue of scheduled events.
-
-    Entries are plain ``(time, priority, seq, event)`` tuples, so every
-    heap sift is a C-level tuple comparison; ``seq`` is unique, which
-    decides any tie before the event itself would be compared.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, time: float, priority: int, event: Event) -> None:
-        heapq.heappush(self._heap, (time, priority, self._seq, event))
-        self._seq += 1
-
-    def pop(self) -> tuple[float, int, int, Event]:
-        """Remove and return the next ``(time, priority, seq, event)``."""
-        if not self._heap:
-            raise SimulationError("pop from an empty event queue")
-        return heapq.heappop(self._heap)
-
-    def peek_time(self) -> float:
-        """Timestamp of the next event without removing it."""
-        if not self._heap:
-            raise SimulationError("peek on an empty event queue")
-        return self._heap[0][0]
-
-    def peek_items(self, limit: int) -> list[ScheduledItem]:
-        """Up to ``limit`` next items in firing order, without removal.
-
-        Diagnostic helper for the run-budget error path; O(k log n).
-        """
-        return [ScheduledItem(*entry)
-                for entry in heapq.nsmallest(max(limit, 0), self._heap)]

@@ -22,6 +22,3 @@ class Environment(BaseRuntime):
     """
 
     backend_name = "virtual"
-
-    def _pace(self, timestamp: float) -> None:
-        """Virtual time is free: advancing costs no wall time."""

@@ -13,19 +13,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ProcessGenerator = Generator[Event, Any, Any]
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    Aorta uses interrupts to model a camera head being redirected while a
-    previous ``photo()`` action is still moving it (the unsynchronized
-    failure mode of Section 6.2).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """Wraps a generator so it can run as a concurrent simulation process.
 
@@ -41,7 +28,6 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Event | None = None
         # Kick off the process at the current time, ahead of normal events.
         bootstrap = Event(env)
         bootstrap.callbacks.append(self._resume)
@@ -54,27 +40,7 @@ class Process(Event):
         """Whether the underlying generator has not yet finished."""
         return self._ok is None
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._waiting_on is not None:
-            # Detach from the event we were waiting for; it may still
-            # trigger later but must no longer resume us.
-            try:
-                self._waiting_on.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._waiting_on = None
-        wakeup = Event(self.env)
-        wakeup.callbacks.append(self._resume)
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        wakeup._defused = True  # failure is delivered, not raised by kernel
-        self.env.schedule(wakeup, priority=PRIORITY_URGENT)
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -82,11 +48,6 @@ class Process(Event):
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt:
-            # The process chose not to handle the interrupt: treat the
-            # process as failed with that interrupt.
-            self.fail(Interrupt("unhandled interrupt"))
             return
         except Exception as exc:
             # The process body raised: fail the process event so waiters
@@ -109,7 +70,6 @@ class Process(Event):
             self.env.schedule(immediate, priority=PRIORITY_URGENT)
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
             # Waiting on an event defuses its failure for the kernel; the
             # exception will be re-raised inside this process instead.
-            target._defused = True  # type: ignore[attr-defined]
+            target._defused = True

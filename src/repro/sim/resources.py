@@ -1,8 +1,9 @@
-"""Synchronization primitives for simulation processes.
+"""The synchronization primitive for simulation processes.
 
-These are *simulated-time* primitives: acquiring a contended lock costs
-virtual time, not wall time. The Aorta device lock manager
-(:mod:`repro.sync.locks`) builds on :class:`SimLock`.
+:class:`SimLock` is a *runtime-time* primitive: waiting for a contended
+lock costs runtime seconds (virtual, or paced wall time under the
+realtime backend), never a blocked thread. The Aorta device lock
+manager (:mod:`repro.sync.locks`) builds on it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from repro.errors import SimulationError
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.kernel import Environment
+    from repro.runtime.protocol import Runtime
 
 
 class SimLock:
@@ -26,7 +27,7 @@ class SimLock:
     a lock you do not hold) is detected.
     """
 
-    def __init__(self, env: "Environment", name: str = "lock") -> None:
+    def __init__(self, env: "Runtime", name: str = "lock") -> None:
         self.env = env
         self.name = name
         self._holder: Optional[object] = None
@@ -58,7 +59,7 @@ class SimLock:
             raise SimulationError("lock token must not be None")
         if self._holder is token:
             raise SimulationError(f"{self.name}: re-entrant acquire by {token!r}")
-        grant = Event(self.env)
+        grant = self.env.event()
         if self._holder is None and not self._waiters:
             self._holder = token
             grant.succeed(token)
@@ -103,49 +104,3 @@ class SimLock:
                 return True
         return False
 
-
-class FifoResource:
-    """A counted resource with FIFO admission (capacity >= 1).
-
-    Generalizes :class:`SimLock` to capacities above one; used for
-    modelling bounded device request queues and radio channels.
-    """
-
-    def __init__(self, env: "Environment", capacity: int, name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.name = name
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        """Number of free slots."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of waiting acquirers."""
-        return len(self._waiters)
-
-    def acquire(self) -> Event:
-        """Request one slot; the event succeeds once the slot is granted."""
-        grant = Event(self.env)
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            grant.succeed()
-        else:
-            self._waiters.append(grant)
-        return grant
-
-    def release(self) -> None:
-        """Return one slot and admit the next FIFO waiter, if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"{self.name}: release with no slot in use")
-        if self._waiters:
-            grant = self._waiters.popleft()
-            grant.succeed()
-        else:
-            self._in_use -= 1

@@ -1,17 +1,16 @@
-"""Named, reproducible random streams.
+"""Named, reproducible seeds.
 
 Every stochastic component of the simulation (sensor noise, packet loss,
-workload generation, the SA scheduler ...) draws from its own named
-stream derived deterministically from a single master seed. Experiments
-are therefore exactly repeatable, and changing one component's draws
-does not perturb any other component.
+workload generation, the SA scheduler ...) seeds its own
+``random.Random`` from a named child seed derived deterministically
+from a single master seed. Experiments are therefore exactly
+repeatable, and changing one component's draws does not perturb any
+other component.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
-from typing import Dict
 
 
 def derive_seed(master_seed: int, stream_name: str) -> int:
@@ -44,20 +43,3 @@ def component_seed(master_seed: int, component: str) -> int:
         return master_seed
     return derive_seed(master_seed, component)
 
-
-class RandomStreams:
-    """A factory of independent :class:`random.Random` streams."""
-
-    def __init__(self, master_seed: int = 0) -> None:
-        self.master_seed = master_seed
-        self._streams: Dict[str, random.Random] = {}
-
-    def stream(self, name: str) -> random.Random:
-        """The stream for ``name``, created on first use."""
-        if name not in self._streams:
-            self._streams[name] = random.Random(derive_seed(self.master_seed, name))
-        return self._streams[name]
-
-    def fork(self, name: str) -> "RandomStreams":
-        """A child factory whose streams are independent of this one's."""
-        return RandomStreams(derive_seed(self.master_seed, f"fork:{name}"))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ParseError, QueryError, SimulationError
 from repro import SensorStimulus
-from repro.sim.clock import VirtualClock
+from repro.sim import Environment
 from tests.core.conftest import FIGURE_1
 
 
@@ -43,11 +43,15 @@ def test_disable_actually_pauses_detection(engine):
 
 
 def test_clock_rejects_backwards_motion():
-    clock = VirtualClock(5.0)
-    with pytest.raises(SimulationError, match="backwards"):
-        clock.advance_to(4.0)
-    clock.advance_to(5.0)  # same time is fine
-    assert clock.now == 5.0
+    env = Environment(5.0)
+    env.event().succeed()
+    env.step()  # same time is fine
+    assert env.now == 5.0
+    # Only a corrupted queue can hold an entry from the past.
+    env._queue.append((4.0, 1, 0, env.event()))
+    with pytest.raises(SimulationError, match="backwards from 5.0 to 4.0"):
+        env.step()
+    assert env.now == 5.0
 
 
 def test_engine_run_returns_final_time(engine):

@@ -7,7 +7,6 @@ import pytest
 from repro import AortaEngine, EngineConfig
 from repro.errors import AortaError, SimulationError
 from repro.runtime import (
-    RUNTIME_NAMES,
     RealtimeRuntime,
     Runtime,
     VirtualRuntime,
@@ -36,24 +35,6 @@ def test_factory_builds_by_name():
 def test_factory_rejects_unknown_backends():
     with pytest.raises(SimulationError, match="unknown runtime"):
         create_runtime("quantum")
-
-
-def test_factory_names_match_config_names():
-    from repro.core.config import RUNTIME_NAMES as CONFIG_NAMES
-    assert tuple(RUNTIME_NAMES) == tuple(CONFIG_NAMES)
-
-
-def test_sleep_is_a_timeout_alias():
-    env = create_runtime("virtual")
-    ticks = []
-
-    def proc():
-        yield env.sleep(2.5)
-        ticks.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert ticks == [2.5]
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Interrupt
 from repro.sim.realtime import RealtimeRuntime
 
 
@@ -201,59 +200,4 @@ def test_resync_drops_the_backlog():
     env.process(later())
     env.run()
     # ... must not be replayed: only the new 1s gap is paced.
-    assert sum(wall.sleeps) == pytest.approx(2.0)
-
-
-# ----------------------------------------------------------------------
-# Cancellation
-# ----------------------------------------------------------------------
-def test_interrupt_cancels_a_pending_timer_wait():
-    wall = FakeWall()
-    env = make_runtime(0, wall)
-    outcome = {}
-
-    def sleeper():
-        try:
-            yield env.timeout(60.0)
-            outcome["finished"] = env.now
-        except Interrupt as interrupt:
-            outcome["interrupted_at"] = env.now
-            outcome["cause"] = interrupt.cause
-
-    process = env.process(sleeper())
-
-    def canceller():
-        yield env.timeout(1.0)
-        process.interrupt("redirect")
-
-    env.process(canceller())
-    env.run()
-    assert outcome == {"interrupted_at": 1.0, "cause": "redirect"}
-    # The cancelled 60s timer still sits in the queue but resumes
-    # nobody; draining it must not reanimate the process.
-    assert env.now == 60.0
-
-
-def test_cancelled_timer_does_not_pace_after_quiescence():
-    # At time_scale>0 the orphaned timer still paces the queue drain —
-    # callers that care bound the run instead.
-    wall = FakeWall()
-    env = make_runtime(1.0, wall)
-    outcome = {}
-
-    def sleeper():
-        try:
-            yield env.timeout(60.0)
-        except Interrupt:
-            outcome["interrupted_at"] = env.now
-
-    process = env.process(sleeper())
-
-    def canceller():
-        yield env.timeout(1.0)
-        process.interrupt()
-
-    env.process(canceller())
-    env.run(until=2.0)
-    assert outcome == {"interrupted_at": 1.0}
     assert sum(wall.sleeps) == pytest.approx(2.0)

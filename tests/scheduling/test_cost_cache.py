@@ -29,9 +29,9 @@ from repro.scheduling import (
     SimulatedAnnealingScheduler,
     SrfaeScheduler,
     StaticCostModel,
-    freeze_status,
     uniform_camera_workload,
 )
+from repro.scheduling.cost_cache import freeze_status
 from repro.scheduling.simulated_annealing import IncrementalMakespan
 
 TINY_SA = SAParameters(moves_per_temperature_per_request=4,

@@ -10,11 +10,10 @@ from repro.scheduling import (
     SchedRequest,
     StaticCostModel,
     breakdown,
-    device_completion_times,
-    request_completion_times,
     service_makespan,
     total_makespan,
 )
+from repro.scheduling.metrics import device_completion_times
 from repro.scheduling.workload import CameraStatusCostModel
 
 
@@ -47,15 +46,6 @@ def test_total_makespan_includes_scheduling_time():
     schedule = Schedule("test", {"d1": ["r1", "r2"], "d2": ["r3"]},
                         scheduling_seconds=0.5)
     assert total_makespan(problem, schedule) == pytest.approx(4.5)
-
-
-def test_request_completion_times():
-    problem = static_problem()
-    schedule = Schedule("test", {"d1": ["r1", "r2"], "d2": ["r3"]})
-    completions = request_completion_times(problem, schedule)
-    assert completions == {"r1": pytest.approx(1.0),
-                           "r2": pytest.approx(3.0),
-                           "r3": pytest.approx(4.0)}
 
 
 def test_breakdown_structure():

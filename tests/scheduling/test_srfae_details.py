@@ -3,7 +3,6 @@
 import pytest
 
 from repro.devices.camera import HeadPosition
-from repro.errors import SchedulingError
 from repro.scheduling import (
     Problem,
     SchedRequest,
@@ -64,22 +63,6 @@ def test_status_rekeying_after_assignment():
     makespan = service_makespan(problem, schedule)
     # 0.36*2 + (10 + 5)/68 degrees of panning.
     assert makespan == pytest.approx(0.72 + 15 / 68)
-
-
-def test_all_structures_produce_identical_schedules():
-    from repro.scheduling import uniform_camera_workload
-    for seed in range(3):
-        problem = uniform_camera_workload(15, 5, seed=seed)
-        heap = SrfaeScheduler(seed, structure="heap").schedule(problem)
-        avl = SrfaeScheduler(seed, structure="avl").schedule(problem)
-        flat = SrfaeScheduler(seed, structure="scan").schedule(problem)
-        assert heap.assignments == avl.assignments
-        assert avl.assignments == flat.assignments
-
-
-def test_unknown_structure_is_refused():
-    with pytest.raises(SchedulingError):
-        SrfaeScheduler(0, structure="btree")
 
 
 def test_single_pair_problem():

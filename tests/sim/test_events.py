@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment
-from repro.sim.events import EventQueue
 
 
 def test_unwaited_failure_surfaces():
@@ -91,26 +90,21 @@ def test_process_waiting_on_another_failed_process():
 
 def test_event_queue_pop_empty():
     with pytest.raises(SimulationError, match="empty"):
-        EventQueue().pop()
-
-
-def test_event_queue_peek_empty():
-    with pytest.raises(SimulationError, match="empty"):
-        EventQueue().peek_time()
+        Environment().step()
 
 
 def test_event_queue_orders_by_time_then_priority_then_seq():
     env = Environment()
-    queue = EventQueue()
-    first = env.event()
-    second = env.event()
-    third = env.event()
-    queue.push(2.0, 1, first)
-    queue.push(1.0, 1, second)
-    queue.push(1.0, 0, third)  # urgent at the same time wins
-    assert queue.pop()[-1] is third
-    assert queue.pop()[-1] is second
-    assert queue.pop()[-1] is first
+    fired = []
+    first, second, third = env.event(), env.event(), env.event()
+    for event in (first, second, third):
+        event._ok = True  # triggered by hand: succeed() fixes the priority
+        event.callbacks.append(fired.append)
+    env.schedule(first, delay=2.0, priority=1)
+    env.schedule(second, delay=1.0, priority=1)
+    env.schedule(third, delay=1.0, priority=0)  # urgent at the same time wins
+    env.run()
+    assert fired == [third, second, first]
 
 
 def test_schedule_into_past_rejected():

@@ -1,9 +1,9 @@
-"""Unit tests for simulated locks and resources."""
+"""Unit tests for the simulated FIFO lock."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, FifoResource, SimLock
+from repro.sim import Environment, SimLock
 
 
 def test_uncontended_lock_grants_immediately():
@@ -108,47 +108,3 @@ def test_none_token_rejected():
     lock = SimLock(env)
     with pytest.raises(SimulationError):
         lock.acquire(None)
-
-
-def test_resource_capacity_admits_up_to_capacity():
-    env = Environment()
-    res = FifoResource(env, capacity=2)
-    entered = []
-
-    def proc(env, name):
-        yield res.acquire()
-        entered.append((name, env.now))
-        yield env.timeout(1.0)
-        res.release()
-
-    for name in ("a", "b", "c"):
-        env.process(proc(env, name))
-    env.run()
-    assert entered == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_bad_capacity_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        FifoResource(env, capacity=0)
-
-
-def test_resource_over_release_rejected():
-    env = Environment()
-    res = FifoResource(env, capacity=1)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_available_accounting():
-    env = Environment()
-    res = FifoResource(env, capacity=3)
-
-    def proc(env):
-        yield res.acquire()
-        assert res.available == 2
-        res.release()
-        assert res.available == 3
-
-    env.process(proc(env))
-    env.run()

@@ -1,51 +1,20 @@
-"""Unit tests for named, reproducible random streams."""
+"""Unit tests for named, reproducible seeds."""
 
-from repro.sim import RandomStreams
+import random
+
 from repro.sim.rng import derive_seed
 
 
-def test_same_name_same_stream_object():
-    streams = RandomStreams(42)
-    assert streams.stream("workload") is streams.stream("workload")
-
-
-def test_streams_are_deterministic_across_instances():
-    a = RandomStreams(42).stream("workload")
-    b = RandomStreams(42).stream("workload")
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
-
-
 def test_different_names_differ():
-    streams = RandomStreams(42)
-    a = streams.stream("workload")
-    b = streams.stream("noise")
+    a = random.Random(derive_seed(42, "workload"))
+    b = random.Random(derive_seed(42, "noise"))
     assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
 
 
 def test_different_master_seeds_differ():
-    a = RandomStreams(1).stream("workload")
-    b = RandomStreams(2).stream("workload")
+    a = random.Random(derive_seed(1, "workload"))
+    b = random.Random(derive_seed(2, "workload"))
     assert a.random() != b.random()
-
-
-def test_stream_isolation():
-    """Drawing from one stream never perturbs another."""
-    reference = RandomStreams(7)
-    expected = [reference.stream("b").random() for _ in range(3)]
-
-    perturbed = RandomStreams(7)
-    for _ in range(100):
-        perturbed.stream("a").random()  # heavy use of an unrelated stream
-    actual = [perturbed.stream("b").random() for _ in range(3)]
-    assert actual == expected
-
-
-def test_fork_independence():
-    parent = RandomStreams(7)
-    child = parent.fork("experiment1")
-    assert child.master_seed != parent.master_seed
-    assert (child.stream("x").random()
-            != parent.stream("x").random())
 
 
 def test_derive_seed_stable():
