@@ -24,7 +24,12 @@ from repro import (
     ShardedEngine,
 )
 from repro.core.config import PARALLEL_BACKENDS
-from repro.obs import metrics_to_json, metrics_to_text, span_tree_text
+from repro.obs import (
+    metrics_to_json,
+    metrics_to_text,
+    span_records,
+    span_tree_text,
+)
 from repro.runtime import RUNTIME_NAMES
 
 DEMO_AQ = '''CREATE AQ snapshot AS
@@ -247,8 +252,9 @@ def run_metrics(*, as_json: bool = False, spans: bool = False,
     """Run the demo with observability on; export what it measured.
 
     The text form always appends a one-line summary of the connection
-    pool (JSON output stays pure metrics). With ``fastpath`` the status
-    cache is enabled, so the snapshot additionally carries the
+    pool. JSON output is the metric snapshot alone, or with ``spans``
+    one object holding ``metrics`` and ``spans``. With ``fastpath`` the
+    status cache is enabled, so the snapshot additionally carries the
     ``probe.cache.*`` counter family and the text form a one-line
     summary of it. With ``overload`` the
     overload-control plane is enabled against an injected request
@@ -261,7 +267,9 @@ def run_metrics(*, as_json: bool = False, spans: bool = False,
                           overload=overload)
     snapshot = engine.metrics()
     if as_json:
-        print(metrics_to_json(snapshot))
+        print(metrics_to_json(
+            {"metrics": snapshot, "spans": span_records(engine.tracer)}
+            if spans else snapshot))
     else:
         print(metrics_to_text(snapshot))
         if queries:
@@ -299,10 +307,41 @@ def run_metrics(*, as_json: bool = False, spans: bool = False,
                       f"{operator.peak_pending}"
                       + (f" (limit {operator.limit})"
                          if operator.limit is not None else ""))
-    if spans:
-        print("\nspan tree:")
-        print(span_tree_text(engine.tracer))
+        if spans:
+            print("\nspan tree:")
+            print(span_tree_text(engine.tracer))
     return 0
+
+
+def _refuse_ignored_flags(parser: argparse.ArgumentParser,
+                          args: argparse.Namespace) -> None:
+    """Exit with a usage error on a flag the chosen code path would
+    drop without saying so."""
+    metrics = args.command == "metrics"
+    sharded = args.shards > 1
+    realtime = args.runtime == "realtime"
+    refusals = [
+        (args.parallel and not sharded, "--parallel needs --shards >= 2"),
+        (args.parallel_backend != "process" and not args.parallel,
+         "--parallel-backend needs --parallel"),
+        (args.time_scale != 1.0 and not realtime,
+         "--time-scale needs --runtime realtime"),
+        (realtime and (metrics or sharded),
+         "--runtime realtime paces the single-engine --demo only"),
+        (not metrics and not args.demo and (sharded or realtime),
+         "--shards and --runtime need --demo"),
+        (metrics and args.demo,
+         "metrics runs the demo scenario itself; drop --demo"),
+        (metrics and sharded and (args.spans or args.fastpath
+                                  or args.overload),
+         "metrics --spans, --fastpath and --overload report one engine; "
+         "not available with --shards >= 2"),
+        (metrics and args.json and args.queries,
+         "metrics --json is the metric snapshot only; drop --queries"),
+    ]
+    for ignored, message in refusals:
+        if ignored:
+            parser.error(message)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -360,15 +399,20 @@ def main(argv: list[str] | None = None) -> int:
                          help="append the query-catalog listing: one "
                               "line per registered AQ with its state "
                               "and per-query event/request counters")
-    metrics.add_argument("--shards", type=int, default=1,
+    # The three fleet flags are accepted on either side of the
+    # subcommand; SUPPRESS keeps a value given before it from being
+    # overwritten by the subparser's default.
+    metrics.add_argument("--shards", type=int, default=argparse.SUPPRESS,
                          help="run the sharded demo fleet and print "
                               "shard-labeled fleet metrics (default 1 "
                               "= the plain engine snapshot)")
     metrics.add_argument("--parallel", action="store_true",
+                         default=argparse.SUPPRESS,
                          help="run the sharded metrics demo with "
                               "parallel workers (needs --shards >= 2)")
     metrics.add_argument("--parallel-backend",
-                         choices=PARALLEL_BACKENDS, default="process",
+                         choices=PARALLEL_BACKENDS,
+                         default=argparse.SUPPRESS,
                          help="worker backend for --parallel "
                               "(thread: in-process test transport, "
                               "no speedup)")
@@ -376,6 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.version:
         print(repro.__version__)
         return 0
+    _refuse_ignored_flags(parser, args)
     if args.command == "metrics":
         if args.shards > 1:
             return run_sharded_metrics(

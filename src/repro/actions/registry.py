@@ -9,7 +9,7 @@ dynamic linking.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import BindingError, RegistrationError
 from repro.actions.action import ActionDefinition, ActionImplementation
@@ -73,10 +73,3 @@ class ActionRegistry:
     def __len__(self) -> int:
         return len(self._actions)
 
-    def names(self) -> List[str]:
-        """Sorted names of all registered actions."""
-        return sorted(self._actions)
-
-    def builtins(self) -> List[str]:
-        """Names of the system built-in actions."""
-        return sorted(name for name, d in self._actions.items() if d.builtin)

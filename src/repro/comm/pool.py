@@ -176,13 +176,6 @@ class ConnectionPool:
                      reason=reason if reason else "unspecified")
         self.obs.set_gauge("comm.pool.size", len(self._idle))
 
-    def close_all(self) -> None:
-        """Close and drop every idle connection."""
-        for entry in self._idle.values():
-            entry.connection.close()
-        self._idle.clear()
-        self.obs.set_gauge("comm.pool.size", 0)
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------

@@ -51,12 +51,6 @@ class ProbeResult:
     #: step that broke — ``connect``, ``ping`` or ``status``.
     error: str = ""
 
-    @property
-    def failed_phase(self) -> str:
-        """The exchange phase that failed (empty when available)."""
-        phase, separator, _ = self.error.partition(":")
-        return phase if separator else ""
-
 
 class Prober:
     """Probes candidate devices before device-selection optimization."""
@@ -82,11 +76,6 @@ class Prober:
     def timeout_for(self, device: Device) -> float:
         """The TIMEOUT that applies to this device's type."""
         return self.timeouts.get(device.device_type, FALLBACK_TIMEOUT)
-
-    def reset_stats(self) -> None:
-        """Zero the probe counters, for per-batch/per-run reporting."""
-        self.probes_sent = 0
-        self.probes_failed = 0
 
     def probe(
         self, device: Device,

@@ -52,8 +52,6 @@ class ScanOperator:
         self.timeout = timeout
         #: Device IDs skipped in the most recent scan, with reasons.
         self.skipped: List[tuple[str, str]] = []
-        #: Total tuples produced over this operator's lifetime.
-        self.tuples_produced = 0
 
     @property
     def device_type(self) -> str:
@@ -125,5 +123,4 @@ class ScanOperator:
                     self.skipped.append((device.device_id, str(exc)))
                     continue
             rows.append(row)
-            self.tuples_produced += 1
         return rows

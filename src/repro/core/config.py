@@ -68,11 +68,6 @@ class RetryPolicy:
         if self.max_dispatches < 1:
             raise AortaError("retry max_dispatches must be >= 1")
 
-    @property
-    def enabled(self) -> bool:
-        """Whether any fault-tolerance behaviour is switched on."""
-        return self.max_attempts > 1 or self.failover
-
     def backoff_seconds(self, attempt: int, rng: random.Random) -> float:
         """Wait before retry number ``attempt`` (1-based), jittered."""
         nominal = min(
@@ -86,10 +81,6 @@ class RetryPolicy:
 @dataclass
 class EngineConfig:
     """Tunables of one engine instance.
-
-    ``synchronization`` switches the Section 4 mechanisms (device
-    locking + probing) on or off — off reproduces the unsynchronized
-    failure study of Section 6.2.
 
     Every boolean here changes what the engine does (a policy), not how
     fast it does the same thing. Event matching, the scheduler's cost
@@ -242,13 +233,3 @@ class EngineConfig:
             raise AortaError(
                 f"unknown parallel_backend {self.parallel_backend!r}; "
                 f"expected one of {PARALLEL_BACKENDS}")
-
-    @property
-    def synchronization(self) -> bool:
-        """Whether both Section 4 mechanisms are active."""
-        return self.locking and self.probing
-
-    @property
-    def fault_tolerance(self) -> bool:
-        """Whether any fault-tolerance mechanism is configured."""
-        return self.retry.enabled or self.health is not None

@@ -121,11 +121,6 @@ class ContinuousQueryExecutor:
         """Query name -> registered query (the catalog's live map)."""
         return self.catalog.queries
 
-    @property
-    def _queries_by_table(self) -> Dict[str, List[RegisteredQuery]]:
-        """Event table -> reader list (the catalog's live index)."""
-        return self.catalog.by_table
-
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
@@ -185,7 +180,11 @@ class ContinuousQueryExecutor:
             del self._indexes[table]
         else:
             self._indexes[table].remove(name)
-        self.dispatcher.operator_for(query.plan.action).detach(name)
+        # Requests still waiting out the batch window end here, through
+        # the dispatcher's failure exit; those already in a batch finish.
+        for request in self.dispatcher.operator_for(
+                query.plan.action).detach(name):
+            self.dispatcher._fail(request, None, "query dropped")
         self.dispatcher.tracer.record(self.env.now, "query_dropped",
                                       query=name)
 

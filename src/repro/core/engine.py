@@ -175,11 +175,6 @@ class AortaEngine:
         self.comm.add_device(device)
         return device
 
-    def add_devices(self, devices: List[Device]) -> None:
-        """Admit several devices."""
-        for device in devices:
-            self.add_device(device)
-
     def _forget_comm_state(self, device_id: str, reason: str) -> None:
         """Drop a device's pooled channel and cached status.
 

@@ -72,7 +72,6 @@ class EngineTracer:
 
     def __init__(self, max_records: Optional[int] = 10_000,
                  strict: bool = False) -> None:
-        self.max_records = max_records
         self.strict = strict
         self._records: Deque[TraceRecord] = deque(maxlen=max_records)
         #: Optional live listener (e.g. print) invoked on every record.
@@ -103,10 +102,6 @@ class EngineTracer:
     def of_kind(self, kind: str) -> List[TraceRecord]:
         """All records of one kind, oldest first."""
         return [r for r in self._records if r.kind == kind]
-
-    def since(self, timestamp: float) -> List[TraceRecord]:
-        """Records at or after ``timestamp``."""
-        return [r for r in self._records if r.at >= timestamp]
 
     def clear(self) -> None:
         """Drop all records."""

@@ -155,10 +155,6 @@ class CostModel:
         if block_resolver is not None:
             self._block_resolvers[key] = block_resolver
 
-    def has_action(self, action_name: str, device_type: str) -> bool:
-        """Whether an estimate is possible for this combination."""
-        return (action_name, device_type) in self._profiles
-
     def profile(self, action_name: str, device_type: str) -> ActionProfile:
         """The registered profile, raising on unknown combinations."""
         try:

@@ -74,14 +74,6 @@ class CameraCalibration:
         """Cost of a photo with no head movement (paper: 0.36 s)."""
         return self.connect_seconds + self.capture_seconds[size] + self.store_seconds
 
-    def max_movement_seconds(self) -> float:
-        """Worst-case head traversal (paper: 5.0 s)."""
-        return max(
-            (self.pan_max - self.pan_min) / self.pan_speed,
-            (self.tilt_max - self.tilt_min) / self.tilt_speed,
-            (self.zoom_max - self.zoom_min) / self.zoom_speed,
-        )
-
 
 @dataclass(frozen=True)
 class HeadPosition:
@@ -293,11 +285,6 @@ class PanTiltZoomCamera(Device):
         if name in readings:
             return readings[name]
         return super().read_sensory(name)
-
-    def estimated_move_seconds(self, target: Point) -> float:
-        """Movement time from the *current* pose to aim at ``target``."""
-        return self.head_position().movement_seconds(
-            self.aim_for(target), self.calibration)
 
     # ------------------------------------------------------------------
     # Atomic operations

@@ -70,10 +70,6 @@ class DeviceRegistry:
         """Only the currently reachable devices of one type."""
         return [d for d in self.of_type(device_type) if d.online]
 
-    def device_types(self) -> List[str]:
-        """Sorted list of distinct registered device types."""
-        return sorted({d.device_type for d in self._devices.values()})
-
     # ------------------------------------------------------------------
     # Listeners
     # ------------------------------------------------------------------

@@ -110,10 +110,6 @@ class SensorMote(Device):
         """Attach a stimulus; readings reflect it while it is active."""
         self._stimuli.append(stimulus)
 
-    def active_stimuli(self) -> List[SensorStimulus]:
-        """Stimuli currently influencing readings."""
-        return [s for s in self._stimuli if s.active_at(self.env.now)]
-
     def prune_expired_stimuli(self) -> int:
         """Drop stimuli that can never be active again; returns count."""
         now = self.env.now

@@ -58,12 +58,6 @@ class DeviceError(AortaError):
     """A device-level failure (unknown device, bad operation, crash)."""
 
 
-class DeviceUnavailableError(DeviceError):
-    """The device did not respond within its probe TIMEOUT."""
-
-    transient = True
-
-
 class DeviceDownError(DeviceError):
     """The device is offline or crashed right now, but may recover.
 
@@ -72,12 +66,6 @@ class DeviceDownError(DeviceError):
     operation, missing capability) precisely so the retry policy can
     tell them apart.
     """
-
-    transient = True
-
-
-class DeviceBusyError(DeviceError):
-    """An action was submitted to a device that is locked by another action."""
 
     transient = True
 

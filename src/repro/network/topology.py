@@ -87,9 +87,3 @@ class RadioTopology:
             else:
                 mote.hop_depth = max(depth, 1)
         return unreachable
-
-    def network_diameter(self, positions: Mapping[str, Point]) -> int:
-        """Deepest reachable mote's hop count (0 when none reach)."""
-        depths = [d for d in self.hop_depths(positions).values()
-                  if d is not None]
-        return max(depths, default=0)

@@ -32,9 +32,7 @@ class Connection:
         self._transport = transport
         self.device = device
         self.link = link
-        self.opened_at = transport.env.now
         self.closed = False
-        self.exchanges = 0
 
     def request(
         self, message: Message, timeout: float
@@ -56,7 +54,6 @@ class Connection:
         rng = self._transport.rng
         obs = self._transport.obs
         started = env.now
-        self.exchanges += 1
         obs.inc("comm.requests", kind=message.kind)
 
         if not self.device.reachable or self.link.drops(rng):

@@ -14,7 +14,6 @@ from repro.obs.export import (
     metrics_to_text,
     span_records,
     span_tree_text,
-    spans_to_json,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -44,5 +43,4 @@ __all__ = [
     "render_key",
     "span_records",
     "span_tree_text",
-    "spans_to_json",
 ]

@@ -101,8 +101,3 @@ def span_tree_text(tracer) -> str:
     for root in children.get(0, ()):
         render(root, 0)
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def spans_to_json(tracer) -> str:
-    """The span list as deterministic JSON (close order preserved)."""
-    return json.dumps(span_records(tracer), indent=1, sort_keys=True) + "\n"

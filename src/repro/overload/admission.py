@@ -37,8 +37,6 @@ class TokenBucket:
         self.burst = burst
         self._tokens = burst
         self._updated = 0.0
-        self.granted = 0
-        self.refused = 0
 
     def try_take(self, now: float) -> bool:
         """Take one token if available; refill for elapsed time first."""
@@ -49,9 +47,7 @@ class TokenBucket:
             self._updated = now
         if self._tokens >= 1.0:
             self._tokens -= 1.0
-            self.granted += 1
             return True
-        self.refused += 1
         return False
 
 

@@ -182,12 +182,6 @@ class OverloadControlPlane:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    @property
-    def shedder(self) -> LoadShedder:
-        if self._shedder is None:
-            raise AortaError("overload plane not bound to a dispatcher")
-        return self._shedder
-
     def stats(self) -> Dict[str, Any]:
         """Overload accounting for engine.statistics() / the CLI."""
         shedder = self._shedder

@@ -55,8 +55,6 @@ class LoadShedder:
         #: Hysteresis state: True between the start and stop edges.
         self.active = False
         self.shed_passes = 0
-        self.deadline_shed_total = 0
-        self.pressure_shed_total = 0
         self._started = False
 
     def start(self) -> None:
@@ -85,7 +83,6 @@ class LoadShedder:
                 if request.deadline_expired(now) and \
                         operator.discard(request):
                     self._shed(request, REASON_DEADLINE)
-                    self.deadline_shed_total += 1
                     shed += 1
 
         pending = sum(op.pending_count for op in operators)
@@ -126,6 +123,5 @@ class LoadShedder:
         for op_index, _, request in sheddable[:excess]:
             if operators[op_index].discard(request):
                 self._shed(request, REASON_PRESSURE)
-                self.pressure_shed_total += 1
                 shed += 1
         return shed

@@ -53,11 +53,8 @@ class SharedActionOperator:
         #: Called with ``(victim, reason)`` when a full queue evicts a
         #: pending request to make room for a more valuable one.
         self.on_evict: Optional[Callable[[ActionRequest, str], None]] = None
-        #: Lifetime counters for observability.
-        self.total_submitted = 0
-        self.total_drained = 0
+        #: Pending requests evicted by a full queue, over its lifetime.
         self.total_evicted = 0
-        self.total_rejected = 0
         #: High-water mark of the pending queue, for overload metrics.
         self.peak_pending = 0
 
@@ -73,14 +70,13 @@ class SharedActionOperator:
             )
         self._attached_queries.add(query_id)
 
-    def detach(self, query_id: str) -> None:
-        """A dropped query stops sharing; its pending requests vanish."""
+    def detach(self, query_id: str) -> List[ActionRequest]:
+        """A dropped query stops sharing. Its pending requests leave the
+        queue and are returned: whoever detaches must end them."""
         self._attached_queries.discard(query_id)
+        orphaned = [r for r in self._pending if r.query_id == query_id]
         self._pending = [r for r in self._pending if r.query_id != query_id]
-
-    @property
-    def attached_queries(self) -> Set[str]:
-        return set(self._attached_queries)
+        return orphaned
 
     @property
     def shared(self) -> bool:
@@ -118,7 +114,6 @@ class SharedActionOperator:
                     self._pending[i] if i < len(self._pending) else request,
                     i))
             if victim_index == len(self._pending):
-                self.total_rejected += 1
                 raise QueueFullError(
                     f"operator {self.action.name!r} queue is full "
                     f"({self.limit} pending) and request "
@@ -130,7 +125,6 @@ class SharedActionOperator:
             if self.on_evict is not None:
                 self.on_evict(victim, "queue-evicted")
         self._pending.append(request)
-        self.total_submitted += 1
         self.peak_pending = max(self.peak_pending, len(self._pending))
         if self.on_submit is not None:
             self.on_submit(request)
@@ -138,7 +132,6 @@ class SharedActionOperator:
     def drain(self) -> List[ActionRequest]:
         """Take all pending requests (the optimizer's batch)."""
         batch, self._pending = self._pending, []
-        self.total_drained += len(batch)
         return batch
 
     def pending_snapshot(self) -> List[ActionRequest]:

@@ -144,21 +144,6 @@ class ProjectOp(Operator):
             results.append(tuple(values))
         return results
 
-    def column_labels(self, sample: Optional[Bindings] = None) -> List[str]:
-        """Human-readable column names for the projected rows."""
-        labels: List[str] = []
-        for item in self.items:
-            if isinstance(item, Star):
-                if sample is None:
-                    labels.append("*")
-                else:
-                    for alias in sorted(sample):
-                        labels.extend(f"{alias}.{name}" for name in
-                                      sorted(sample[alias].values))
-            else:
-                labels.append(str(item))
-        return labels
-
     def explain(self, indent: int = 0) -> str:
         items = ", ".join(str(i) for i in self.items)
         return (" " * indent + f"Project({items})\n"

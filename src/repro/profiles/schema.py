@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.errors import ProfileError
 
@@ -97,7 +97,3 @@ class DeviceCatalog:
     def non_sensory_attributes(self) -> List[AttributeSpec]:
         """Attributes served from static data."""
         return [attr for attr in self.attributes if not attr.sensory]
-
-    def column_types(self) -> Dict[str, type]:
-        """Mapping of column name to Python type, for tuple validation."""
-        return {attr.name: attr.python_type for attr in self.attributes}

@@ -160,11 +160,6 @@ class BandForm:
         """Every band set of the form: ``bands``, then the alternatives."""
         return (self.bands,) + self.alternatives
 
-    @property
-    def indexable(self) -> bool:
-        """Whether at least one band exists to route index lookups on."""
-        return bool(self.bands)
-
     def matches(self, row: DeviceTuple,
                 context: EvaluationContext) -> bool:
         """Exact membership: some disjunct admits, the residual holds.

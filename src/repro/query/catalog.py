@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import BindingError, RegistrationError
 from repro.profiles.schema import DeviceCatalog
@@ -38,9 +38,6 @@ class SchemaCatalog:
             return self._tables[name]
         except KeyError:
             raise BindingError(f"unknown table {name!r}") from None
-
-    def table_names(self) -> List[str]:
-        return sorted(self._tables)
 
     def has_column(self, table: str, column: str) -> bool:
         """Whether a table exposes ``column`` (including pseudo-columns)."""

@@ -56,10 +56,6 @@ class FunctionRegistry:
         """Whether ``name`` was registered as stable over static state."""
         return name in self._stable
 
-    def names(self) -> List[str]:
-        """Sorted names of all registered functions."""
-        return sorted(self._functions)
-
     def call(self, name: str, args: List[Any]) -> Any:
         """Invoke a registered function on evaluated arguments."""
         if name not in self._functions:

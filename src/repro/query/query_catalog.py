@@ -86,8 +86,6 @@ class QueryCatalog:
         #: registered query.
         self._held: Dict[str, Dict[str, RegisteredQuery]] = {}
         self._next_seq = 0
-        self.registered_total = 0
-        self.dropped_total = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -98,7 +96,6 @@ class QueryCatalog:
         self._next_seq += 1
         self.queries[query.name] = query
         self.by_table.setdefault(query.plan.event_table, []).append(query)
-        self.registered_total += 1
         return query
 
     def drop(self, name: str) -> RegisteredQuery:
@@ -116,7 +113,6 @@ class QueryCatalog:
             held.pop(name, None)
             if not held:
                 del self._held[table]
-        self.dropped_total += 1
         return query
 
     def get(self, name: str) -> Optional[RegisteredQuery]:
@@ -130,12 +126,6 @@ class QueryCatalog:
 
     def __iter__(self) -> Iterable[RegisteredQuery]:
         return iter(self.queries.values())
-
-    def set_enabled(self, name: str, enabled: bool) -> RegisteredQuery:
-        """Pause or resume a query; raises KeyError on unknown names."""
-        query = self.queries[name]
-        query.enabled = enabled
-        return query
 
     def readers(self, table: str) -> List[RegisteredQuery]:
         """The queries reading one event table, registration order."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.errors import SchedulingError
@@ -32,27 +32,6 @@ class Schedule:
     algorithm: str
     assignments: Dict[str, List[str]]
     scheduling_seconds: float = 0.0
-    #: Lazily built request -> device reverse index.
-    _device_index: Optional[Dict[str, str]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def device_of(self, request_id: str) -> str:
-        """The device a request was assigned to.
-
-        O(1) via a reverse index built on first use; mutating
-        ``assignments`` after the first lookup is unsupported.
-        """
-        index = self._device_index
-        if index is None:
-            index = {request_id: device_id
-                     for device_id, queue in self.assignments.items()
-                     for request_id in queue}
-            self._device_index = index
-        try:
-            return index[request_id]
-        except KeyError:
-            raise SchedulingError(
-                f"request {request_id!r} is not scheduled") from None
 
     @property
     def scheduled_request_ids(self) -> List[str]:

@@ -59,10 +59,6 @@ class MakespanBreakdown:
     scheduling_seconds: float
     service_seconds: float
 
-    @property
-    def total_seconds(self) -> float:
-        return self.scheduling_seconds + self.service_seconds
-
 
 def breakdown(problem: Problem, schedule: Schedule) -> MakespanBreakdown:
     """Makespan broken into scheduling vs service time (Figure 5)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.errors import InfeasibleScheduleError, SchedulingError
 
@@ -151,10 +151,6 @@ class Problem:
     def n_requests(self) -> int:
         return len(self.requests)
 
-    @property
-    def n_devices(self) -> int:
-        return len(self.device_ids)
-
     def request(self, request_id: str) -> SchedRequest:
         """Look up a request by id."""
         try:
@@ -162,10 +158,6 @@ class Problem:
         except KeyError:
             raise SchedulingError(
                 f"unknown request {request_id!r}") from None
-
-    def eligible_requests(self, device_id: str) -> List[SchedRequest]:
-        """Requests that may be serviced on ``device_id``."""
-        return [r for r in self.requests if device_id in r.candidates]
 
     def initial_statuses(self) -> Dict[str, Any]:
         """Fresh pre-execution status of every device."""

@@ -167,21 +167,6 @@ class SimulatedAnnealingScheduler(Scheduler):
         self.evaluations = 0
 
     # ------------------------------------------------------------------
-    # Objective
-    # ------------------------------------------------------------------
-    def _device_completion(self, problem: Problem, device_id: str,
-                           queue: List[SchedRequest]) -> float:
-        """Full-walk completion time; the incremental evaluator's
-        reference implementation (kept for tests and ablations)."""
-        status = problem.cost_model.initial_status(device_id)
-        elapsed = 0.0
-        for request in queue:
-            seconds, status = problem.cost_model.estimate(
-                request, device_id, status)
-            elapsed += seconds
-        return elapsed
-
-    # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
     def _initial_solution(

@@ -138,7 +138,9 @@ def _merge_query_reports(
     Counters sum, a query is ``enabled`` if any shard has it enabled,
     and descriptive fields come from the first shard reporting the
     query. Order follows shard 0's registration order, with queries
-    seen only on later shards appended in encounter order.
+    seen only on later shards appended in encounter order. The first
+    entry seen for a name becomes the fleet's entry, in place: every
+    report is built fresh for the call that asked for it.
     """
     merged: Dict[str, Dict[str, Any]] = {}
     counter_keys = ("events_detected", "requests_emitted",
@@ -148,7 +150,7 @@ def _merge_query_reports(
             name = entry["name"]
             fleet_entry = merged.get(name)
             if fleet_entry is None:
-                merged[name] = dict(entry)
+                merged[name] = entry
                 continue
             for key in counter_keys:
                 fleet_entry[key] += entry[key]
@@ -422,15 +424,6 @@ class ShardedEngine:
         self._call(index, "submit", request)
         return index
 
-    def submit_batch(self,
-                     requests: List[ActionRequest]) -> Dict[int, int]:
-        """Split a batch across shards; returns requests-per-shard."""
-        routed: Dict[int, int] = {}
-        for request in requests:
-            index = self.submit(request)
-            routed[index] = routed.get(index, 0) + 1
-        return routed
-
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
@@ -445,8 +438,11 @@ class ShardedEngine:
             max_events: Optional[int] = None) -> float:
         """Advance the fleet to ``until``.
 
-        One shard delegates to the inner engine's ``run`` (identical
-        call pattern to a plain engine, keeping traces byte-identical).
+        One shard delegates to the inner engine's ``run``: a plain
+        engine asked to run to the instant it is already at still
+        drains the events due at that instant, a round to a deadline
+        already reached is no round at all, and the single engine's
+        watchdog error names the next pending event.
         Multiple shards that share nothing — no fleet ledger — run one
         round: every shard straight to ``until``, concurrently across
         workers, one after another in this process. Shards coupled by
@@ -557,7 +553,9 @@ class ShardedEngine:
         """Every completed request fleet-wide, merged deterministically.
 
         One shard returns the engine's own completion log (same list
-        object). Multiple shards merge by completion time, then request
+        object): requests that end at one instant are logged in the
+        order they ended, which the merge below would re-sort by id.
+        Multiple shards merge by completion time, then request
         id, then owning shard (shard-local auto ids can collide across
         shards), so the order is independent of shard enumeration
         order. From a worker the requests are copies shipped back over
@@ -604,16 +602,14 @@ class ShardedEngine:
     def query_report(self) -> List[Dict[str, Any]]:
         """Fleet-wide per-query catalog listing.
 
-        One shard returns the engine's own report. Multiple shards
-        merge per-shard reports by query name (AQ fan-out registers
-        every query on every shard): counters sum, a query is
+        Per-shard reports merge by query name (AQ fan-out registers
+        every query on every shard; one shard's report merges to
+        itself): counters sum, a query is
         ``enabled`` if any shard has it enabled, and descriptive fields
         come from the first shard reporting the query. Order follows
         shard 0's registration order, with queries seen only on later
         shards appended in encounter order.
         """
-        if self.n_shards == 1:
-            return self.shards[0].query_report()
         return _merge_query_reports(self._call_all("query_report"))
 
     def _merged_metrics(self, labeled: bool) -> Dict[str, Any]:
@@ -634,8 +630,6 @@ class ShardedEngine:
         wall-clock series (round count, per-round and per-shard
         busy/barrier-wait time).
         """
-        if self.n_shards == 1:
-            return self.shards[0].metrics()
         return self._merged_metrics(labeled=False)
 
     def shard_labeled_metrics(self) -> Dict[str, Any]:

@@ -572,10 +572,10 @@ class ShardWorker:
         worker = self._worker
         worker.join(timeout=SHUTDOWN_TIMEOUT)
         if isinstance(worker, multiprocessing.process.BaseProcess) \
-                and worker.is_alive():  # pragma: no cover - stuck worker
+                and self.alive:  # pragma: no cover - stuck worker
             worker.terminate()
             worker.join(timeout=SHUTDOWN_TIMEOUT)
-            if worker.is_alive():
+            if self.alive:
                 worker.kill()
                 worker.join(timeout=SHUTDOWN_TIMEOUT)
         self.dead = True

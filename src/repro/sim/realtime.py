@@ -66,15 +66,6 @@ class RealtimeRuntime(BaseRuntime):
         #: Largest observed lateness in wall seconds (0 while ahead).
         self.max_observed_drift = 0.0
 
-    def resync(self) -> None:
-        """Drop the wall anchor; the next pace re-anchors at 'now'.
-
-        Call after a long pause between ``run()`` calls (e.g. a REPL
-        sitting idle) so the backlog is not replayed at full speed.
-        """
-        self._wall_anchor = None
-        self._runtime_anchor = self.now
-
     def _pace(self, timestamp: float) -> None:
         """Sleep until ``timestamp``'s wall deadline under the scale."""
         if self.time_scale == 0:

@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Set
 
-from repro.errors import SchedulingError
 from repro.obs.spans import NULL_OBS
 from repro.runtime import Runtime
 from repro.sim import SimLock
@@ -90,23 +89,6 @@ class DeviceLockManager:
         yield self.env.timeout(lease_seconds)
         if self._lock_for(device_id).holder is token:
             self.recover(device_id)
-
-    def try_acquire(self, device_id: str, token: LockToken) -> bool:
-        """Non-blocking acquire: True and locked, or False untouched.
-
-        The optimizer uses this to skip a busy device instead of
-        queueing on it ("the system will not assign a new request to a
-        camera that is busy serving another request", Section 6.2).
-        """
-        lock = self._lock_for(device_id)
-        if lock.locked or lock.queue_length:
-            return False
-        grant = lock.acquire(token)
-        if not grant.triggered:  # pragma: no cover - defensive
-            raise SchedulingError("uncontended acquire did not grant")
-        self.acquisitions += 1
-        self.obs.inc("lock.acquisitions", device=device_id)
-        return True
 
     def release(self, device_id: str, token: LockToken) -> None:
         """Unlock ``device_id``; the next FIFO waiter proceeds.

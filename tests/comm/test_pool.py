@@ -126,13 +126,6 @@ class TestInvalidation:
         assert connection.closed
         assert len(pool) == 0
 
-    def test_close_all(self, env, layer, lab, pool):
-        for name in ("cam1", "cam2"):
-            layer.transport.release(
-                checkout(env, layer.transport, lab[name]))
-        pool.close_all()
-        assert len(pool) == 0
-
 
 class TestStats:
     def test_hit_rate_and_stats_shape(self, env, layer, lab, pool):

@@ -65,14 +65,13 @@ def test_failed_probe_records_connect_phase(env, layer, lab):
     lab["cam1"].go_offline()
     result = run(env, layer.probe(lab["cam1"]))
     assert not result.available
-    assert result.failed_phase == "connect"
     assert result.error.startswith("connect:")
 
 
 def test_successful_probe_has_no_failed_phase(env, layer, lab):
     result = run(env, layer.probe(lab["cam1"]))
     assert result.available
-    assert result.failed_phase == ""
+    assert result.error == ""
 
 
 class _FlakyStatusConnection:
@@ -110,18 +109,8 @@ def test_probe_records_later_phase_failures(env, layer, lab):
     layer.prober.transport = _FlakyTransport()
     result = run(env, layer.probe(lab["cam1"]))
     assert not result.available
-    assert result.failed_phase == "status"
+    assert result.error.startswith("status:")
     assert "status register corrupt" in result.error
-
-
-def test_reset_stats_zeroes_probe_counters(env, layer, lab):
-    lab["cam2"].go_offline()
-    run(env, layer.prober.probe_all([lab["cam1"], lab["cam2"]]))
-    assert (layer.prober.probes_sent, layer.prober.probes_failed) == (2, 1)
-    layer.prober.reset_stats()
-    assert (layer.prober.probes_sent, layer.prober.probes_failed) == (0, 0)
-    run(env, layer.probe(lab["cam1"]))
-    assert (layer.prober.probes_sent, layer.prober.probes_failed) == (1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +127,7 @@ def test_probe_all_preserves_input_order_under_mixed_timeouts(
     assert [r.device_id for r in results] \
         == ["phone1", "cam1", "mote1", "cam2"]
     assert [r.available for r in results] == [False, True, False, True]
+    assert (layer.prober.probes_sent, layer.prober.probes_failed) == (4, 2)
     # Concurrent: total wall time is the slowest timeout, not the sum.
     assert env.now == pytest.approx(2.0)
 
@@ -152,7 +142,7 @@ def test_phone_out_of_coverage_probes_unavailable(env, layer, lab):
     # Powered and healthy, but the carrier cannot page it.
     assert phone.online and not phone.reachable
     assert not result.available
-    assert result.failed_phase == "connect"
+    assert result.error.startswith("connect:")
 
     phone.enter_coverage()
     result = run(env, layer.probe(phone))

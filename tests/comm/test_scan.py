@@ -87,10 +87,3 @@ def test_tuple_unknown_attribute_raises(env, layer, lab):
     rows = run(env, operator.scan())
     with pytest.raises(QueryError, match="no attribute"):
         rows[0]["altitude"]
-
-
-def test_tuples_produced_counter(env, layer, lab):
-    operator = layer.scan_operator("phone")
-    run(env, operator.scan())
-    run(env, operator.scan())
-    assert operator.tuples_produced == 2

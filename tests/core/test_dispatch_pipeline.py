@@ -20,13 +20,14 @@ from repro import (
     HealthPolicy,
     Point,
     RetryPolicy,
+    SensorStimulus,
 )
 from repro.actions.request import ActionRequest, RequestState
 from repro.core.dispatcher import Dispatcher, _Batch
-from repro.errors import DeviceUnavailableError
+from repro.errors import DeviceDownError
 from repro.overload import OverloadPolicy
 from repro.sync.locks import DeviceLockManager
-from tests.core.conftest import build_lab
+from tests.core.conftest import FIGURE_1, build_lab
 
 CAMERAS = ("cam1", "cam2")
 TERMINAL_KIND = {
@@ -56,6 +57,62 @@ def test_unschedulable_request_is_traced_like_every_other_failure(engine):
     assert record["reason"] == "no available candidate"
     [batch] = engine.tracer.of_kind("batch_dispatched")
     assert batch["failed"] == 1
+
+
+# ----------------------------------------------------------------------
+# Bugfix: DROP AQ took the query's waiting requests with it
+# ----------------------------------------------------------------------
+def test_dropping_a_query_fails_the_requests_it_left_waiting():
+    engine = build_lab(config=EngineConfig(batch_window=0.5))
+    engine.execute(FIGURE_1)
+    engine.comm.registry.get("mote1").inject(SensorStimulus(
+        "accel_x", start=0.0, duration=5.0, magnitude=900.0))
+    engine.start()
+    while not engine.dispatcher.pending_requests:
+        engine.env.step()
+    engine.execute("DROP AQ snapshot")     # inside the batch window
+    engine.run(until=20.0)
+
+    assert engine.dispatcher.pending_requests == 0
+    [request] = engine.completed_requests
+    assert request.state is RequestState.FAILED
+    assert request.failure_reason == "query dropped"
+    assert engine.statistics()["requests_failed"] == 1
+    assert [record.kind for record in engine.tracer
+            if record.kind.startswith("request_")] == [
+        "request_emitted", "request_failed"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(drop_at=st.floats(min_value=0.0, max_value=14.0),
+       batch_window=st.sampled_from([0.1, 0.5, 2.0]),
+       overload=st.booleans())
+def test_a_query_dropped_mid_run_loses_no_request(
+        drop_at, batch_window, overload):
+    """Emitted = serviced + failed + shed + rejected, nothing pending,
+    whenever the DROP lands: before the event, inside the batch window,
+    during service or after it."""
+    engine = build_lab(config=EngineConfig(
+        batch_window=batch_window, overload=overload,
+        overload_policy=OverloadPolicy(queue_limit=2)))
+    engine.execute(FIGURE_1)
+    engine.execute(FIGURE_1.replace("snapshot", "kept"))
+    for index in (1, 2, 3):
+        engine.comm.registry.get(f"mote{index}").inject(SensorStimulus(
+            "accel_x", start=3.0 * index, duration=4.0, magnitude=900.0))
+    engine.start()
+    engine.run(until=drop_at)
+    engine.execute("DROP AQ snapshot")
+    engine.run(until=60.0)
+
+    dispatcher = engine.dispatcher
+    assert dispatcher.pending_requests == 0
+    emitted = len(engine.tracer.of_kind("request_emitted"))
+    rejected = len(engine.tracer.of_kind("request_rejected"))
+    assert emitted == (dispatcher.serviced_total + dispatcher.failed_total
+                       + dispatcher.shed_total + rejected)
+    assert emitted - rejected == len(dispatcher.completed)
+    assert not any(engine.locks.is_locked(camera) for camera in CAMERAS)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +226,7 @@ class StubAction:
     def execute(self, device, arguments):
         yield self.env.timeout(1.0)
         if not device.reachable:
-            raise DeviceUnavailableError(f"{device.device_id} is down")
+            raise DeviceDownError(f"{device.device_id} is down")
         return f"{device.device_id}:{arguments['n']}"
 
 

@@ -104,12 +104,6 @@ def test_config_validation():
         EngineConfig(batch_window=-1)
 
 
-def test_synchronization_property():
-    assert EngineConfig(locking=True, probing=True).synchronization
-    assert not EngineConfig(locking=False, probing=True).synchronization
-    assert not EngineConfig(locking=True, probing=False).synchronization
-
-
 def test_batch_window_groups_requests(engine):
     """Requests submitted within the window dispatch as one batch."""
     engine.execute('''CREATE AQ q1 AS

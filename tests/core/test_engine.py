@@ -88,7 +88,6 @@ def test_concurrent_queries_share_action_operator(engine):
         WHERE s.accel_x > 300 AND coverage(c.id, s.loc)''')
     operator = engine.dispatcher.operator_for(engine.actions.get("photo"))
     assert operator.shared
-    assert operator.attached_queries == {"snapshot", "snapshot2"}
 
 
 def test_shared_operator_batches_requests_from_multiple_queries(engine):

@@ -72,11 +72,9 @@ def test_retry_policy_backoff_shape():
 
 
 def test_default_policy_is_disabled():
-    assert not RetryPolicy().enabled
-    assert not EngineConfig().fault_tolerance
-    assert EngineConfig(
-        retry=RetryPolicy(max_attempts=2)).fault_tolerance
-    assert EngineConfig(health=HealthPolicy()).fault_tolerance
+    policy = EngineConfig().retry
+    assert policy.max_attempts == 1 and not policy.failover
+    assert EngineConfig().health is None
 
 
 # ----------------------------------------------------------------------

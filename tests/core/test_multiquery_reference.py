@@ -226,7 +226,7 @@ def test_idle_table_scan_and_index_retired():
     assert "sensor" in continuous._scans
     assert "sensor" in continuous._indexes
     engine.execute("DROP AQ snapshot")
-    assert "sensor" not in continuous._queries_by_table
+    assert "sensor" not in continuous.catalog.by_table
     assert "sensor" not in continuous._scans
     assert "sensor" not in continuous._indexes
 

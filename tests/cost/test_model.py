@@ -125,8 +125,3 @@ def test_resolver_missing_quantity_detected(model, camera):
     model.register_action(profile, broken_resolver)
     with pytest.raises(ProfileError, match="tilt_degrees"):
         model.estimate("photo2", camera, {})
-
-
-def test_has_action(model):
-    assert model.has_action("photo", "camera")
-    assert not model.has_action("photo", "phone")

@@ -37,10 +37,12 @@ def test_fixed_photo_cost_matches_paper_minimum():
 
 def test_max_movement_matches_paper_range():
     cal = CameraCalibration()
-    assert cal.max_movement_seconds() == pytest.approx(5.0)
+    corner = HeadPosition(cal.pan_min, cal.tilt_min, cal.zoom_min)
+    opposite = HeadPosition(cal.pan_max, cal.tilt_max, cal.zoom_max)
+    traversal = corner.movement_seconds(opposite, cal)
+    assert traversal == pytest.approx(5.0)
     # Max photo cost = fixed + movement = 5.36 s, the paper's upper bound.
-    assert cal.fixed_photo_seconds() + cal.max_movement_seconds() == (
-        pytest.approx(5.36))
+    assert cal.fixed_photo_seconds() + traversal == pytest.approx(5.36)
 
 
 def test_photo_on_target_costs_minimum():

@@ -48,10 +48,6 @@ def test_online_of_type_excludes_offline(registry):
     assert [d.device_id for d in registry.online_of_type("camera")] == ["cam2"]
 
 
-def test_device_types_sorted(registry):
-    assert registry.device_types() == ["camera", "phone", "sensor"]
-
-
 def test_remove_returns_device(registry):
     device = registry.remove("mote1")
     assert device.device_id == "mote1"

@@ -43,12 +43,6 @@ def test_relay_extends_reach():
     assert topology.hop_depths(positions) == {"relay": 1, "edge": 2}
 
 
-def test_network_diameter():
-    topology = RadioTopology(base_station=Point(0, 0), radio_range=10.0)
-    assert topology.network_diameter(line_positions(10.0, 5)) == 5
-    assert topology.network_diameter({}) == 0
-
-
 def test_assign_hop_depths_to_motes():
     env = Environment()
     topology = RadioTopology(base_station=Point(0, 0), radio_range=10.0)

@@ -68,21 +68,6 @@ def test_connect_succeeds_then_device_recovers_for_request():
     assert results == [True]
 
 
-def test_exchange_counter_increments():
-    env, transport, camera = setup()
-
-    def proc(env):
-        connection = yield from transport.connect(camera, timeout=1.0)
-        yield from connection.request(Message(kind="ping",
-                                              device_id="cam1"), 1.0)
-        yield from connection.request(Message(kind="status",
-                                              device_id="cam1"), 1.0)
-        assert connection.exchanges == 2
-
-    env.process(proc(env))
-    env.run()
-
-
 def test_handshake_slower_than_timeout_fails():
     env = Environment()
     # 0.3 s one-way latency but only 0.1 s of patience.

@@ -114,7 +114,7 @@ def test_periodic_process_runs_on_interval():
     h.env.run(until=3.5)
     assert h.shedder.shed_passes == 3
     assert h.operator.pending_count == 2
-    assert h.shedder.pressure_shed_total == 3
+    assert len(h.shed_log) == 3
 
 
 def test_passes_are_deterministic():

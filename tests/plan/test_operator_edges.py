@@ -4,13 +4,12 @@ import pytest
 
 from repro.errors import PlanError, ProfileError, QueryError
 from repro.comm.layer import DeviceTypeRegistration
-from repro.plan.operators import JoinOp, ProjectOp, TableScanOp
+from repro.plan.operators import JoinOp, TableScanOp
 from repro.profiles.defaults import (
     camera_catalog,
     camera_cost_table,
     sensor_cost_table,
 )
-from repro.query.ast import Star
 from repro.query.parser import parse_expression
 from tests.core.conftest import build_lab
 
@@ -42,30 +41,6 @@ def test_join_cardinality_is_product():
     rows = run(engine, join.rows())
     assert len(rows) == 6
     assert all(set(bindings) == {"s", "c"} for bindings in rows)
-
-
-def test_project_star_labels_with_sample():
-    engine = build_lab()
-    scan = TableScanOp("c", engine.comm.scan_operator("camera"))
-    project = ProjectOp(scan, (Star(),), engine.functions)
-    bindings = run(engine, scan.rows())
-    labels = project.column_labels(sample=bindings[0])
-    assert "c.id" in labels and "c.pan" in labels
-
-
-def test_project_star_labels_without_sample():
-    engine = build_lab()
-    scan = TableScanOp("c", engine.comm.scan_operator("camera"))
-    project = ProjectOp(scan, (Star(),), engine.functions)
-    assert project.column_labels() == ["*"]
-
-
-def test_project_expression_labels():
-    engine = build_lab()
-    scan = TableScanOp("c", engine.comm.scan_operator("camera"))
-    items = (parse_expression("c.id"), parse_expression("c.pan * 2"))
-    project = ProjectOp(scan, items, engine.functions)
-    assert project.column_labels() == ["c.id", "(c.pan * 2)"]
 
 
 def test_filter_non_boolean_predicate_rejected():

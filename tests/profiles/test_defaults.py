@@ -27,7 +27,7 @@ def test_camera_cost_table_matches_calibration():
     table = camera_cost_table(cal)
     assert table.estimate("connect") == cal.connect_seconds
     assert table.estimate("pan", cal.pan_max - cal.pan_min) == (
-        pytest.approx(cal.max_movement_seconds()))
+        pytest.approx((cal.pan_max - cal.pan_min) / cal.pan_speed))
     assert table.estimate("capture_medium") == cal.capture_seconds["medium"]
     # Fixed photo cost (connect + capture + store) is the paper's 0.36 s.
     fixed = (table.estimate("connect") + table.estimate("capture_medium")

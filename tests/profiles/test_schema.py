@@ -43,12 +43,6 @@ def test_sensory_split():
     assert [a.name for a in catalog.non_sensory_attributes] == ["id", "loc_x"]
 
 
-def test_column_types():
-    types = make_catalog().column_types()
-    assert types["id"] is int
-    assert types["accel_x"] is float
-
-
 def test_duplicate_attribute_rejected():
     with pytest.raises(ProfileError, match="duplicate"):
         DeviceCatalog(

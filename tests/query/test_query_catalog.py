@@ -19,7 +19,6 @@ class TestLifecycle:
         first = catalog.register(make_query("a"))
         second = catalog.register(make_query("b"))
         assert (first.seq, second.seq) == (0, 1)
-        assert catalog.registered_total == 2
         assert list(catalog.queries) == ["a", "b"]
 
     def test_by_table_keeps_registration_order(self):
@@ -38,7 +37,6 @@ class TestLifecycle:
         assert "sensor" in catalog.by_table
         catalog.drop("b")
         assert "sensor" not in catalog.by_table
-        assert catalog.dropped_total == 2
 
     def test_reregistration_appends_at_the_end(self):
         catalog = QueryCatalog()
@@ -52,14 +50,6 @@ class TestLifecycle:
     def test_drop_unknown_raises(self):
         with pytest.raises(KeyError):
             QueryCatalog().drop("ghost")
-
-    def test_set_enabled_toggles(self):
-        catalog = QueryCatalog()
-        catalog.register(make_query("a"))
-        assert catalog.set_enabled("a", False).enabled is False
-        assert catalog.get("a").enabled is False
-        catalog.set_enabled("a", True)
-        assert catalog.get("a").enabled is True
 
     def test_container_protocol(self):
         catalog = QueryCatalog()
@@ -120,7 +110,7 @@ class TestReport:
                                             action="sendphoto"))
         query.events_detected = 3
         query.requests_emitted = 2
-        catalog.set_enabled("b", False)
+        catalog.get("b").enabled = False
         report = catalog.report()
         assert [entry["name"] for entry in report] == ["b", "a"]
         assert report[0]["state"] == "disabled"

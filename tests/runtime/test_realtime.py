@@ -178,26 +178,3 @@ def test_strict_mode_raises_when_drift_exceeds_budget():
     env._wall_clock = busy_clock
     with pytest.raises(SimulationError, match="behind the wall clock"):
         env.run()
-
-
-def test_resync_drops_the_backlog():
-    wall = FakeWall()
-    env = make_runtime(1.0, wall)
-
-    def proc():
-        yield env.timeout(1.0)
-
-    env.process(proc())
-    env.run()
-    assert sum(wall.sleeps) == pytest.approx(1.0)
-    # A long idle pause (the wall moves, the runtime does not) ...
-    wall.now += 500.0
-    env.resync()
-
-    def later():
-        yield env.timeout(1.0)
-
-    env.process(later())
-    env.run()
-    # ... must not be replayed: only the new 1s gap is paced.
-    assert sum(wall.sleeps) == pytest.approx(2.0)

@@ -67,7 +67,7 @@ def test_proposed_never_worse_than_serial_on_one_device(problem, seed):
     exist. Only checked when all requests share full eligibility."""
     full = all(set(r.candidates) == set(problem.device_ids)
                for r in problem.requests)
-    if not full or problem.n_devices < 2:
+    if not full or len(problem.device_ids) < 2:
         return
     model = problem.cost_model
     one_device = sum(model.estimate(r, problem.device_ids[0], None)[0]

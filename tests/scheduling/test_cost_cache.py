@@ -26,12 +26,14 @@ from repro.scheduling import (
     RandomScheduler,
     SAParameters,
     SchedRequest,
+    Schedule,
     SimulatedAnnealingScheduler,
     SrfaeScheduler,
     StaticCostModel,
     uniform_camera_workload,
 )
 from repro.scheduling.cost_cache import freeze_status
+from repro.scheduling.metrics import device_completion_times
 from repro.scheduling.simulated_annealing import IncrementalMakespan
 
 TINY_SA = SAParameters(moves_per_temperature_per_request=4,
@@ -220,10 +222,11 @@ def test_all_schedulers_identical_with_cache_on_and_off(n, m, seed):
 # SA incremental evaluator == full re-walk
 # ----------------------------------------------------------------------
 def _full_completions(problem, solution):
-    scheduler = SimulatedAnnealingScheduler(0)
-    return {device_id: scheduler._device_completion(problem, device_id,
-                                                    queue)
-            for device_id, queue in solution.items()}
+    return device_completion_times(
+        problem, Schedule("full walk", {
+            device_id: [request.request_id for request in queue]
+            for device_id, queue in solution.items()}),
+        use_actual=False)
 
 
 @settings(max_examples=15, deadline=None)

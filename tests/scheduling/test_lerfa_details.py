@@ -24,11 +24,11 @@ def test_least_eligible_requests_assigned_first():
         cost_model=StaticCostModel(costs),
     )
     schedule = LerfaSrfeScheduler(0).schedule(problem)
-    assert schedule.device_of("picky") == "d1"
+    assert "picky" in schedule.assignments["d1"]
     # LERFA saw d1 already loaded with 5.0, so flexible's projected
     # completion on d1 (6.0) lost to d2 (10.0)? No: 6.0 < 10.0, flexible
     # still joins d1. What matters: picky was assigned first.
-    assert schedule.device_of("flexible") == "d1"
+    assert "flexible" in schedule.assignments["d1"]
 
 
 def test_workload_aware_assignment():

@@ -26,8 +26,7 @@ def test_optimal_on_transparent_instance():
     )
     result = optimal_schedule(problem)
     assert result.makespan == pytest.approx(1.0)
-    assert result.schedule.device_of("r1") == "d1"
-    assert result.schedule.device_of("r2") == "d2"
+    assert result.schedule.assignments == {"d1": ["r1"], "d2": ["r2"]}
 
 
 def test_optimal_respects_eligibility():

@@ -20,7 +20,7 @@ def small_problem():
 def test_counts():
     problem = small_problem()
     assert problem.n_requests == 2
-    assert problem.n_devices == 2
+    assert len(problem.device_ids) == 2
 
 
 def test_request_lookup():
@@ -28,17 +28,6 @@ def test_request_lookup():
     assert problem.request("r1").request_id == "r1"
     with pytest.raises(SchedulingError, match="unknown request"):
         problem.request("ghost")
-
-
-def test_eligible_requests():
-    problem = Problem(
-        requests=(SchedRequest("r1", ("d1",)),
-                  SchedRequest("r2", ("d1", "d2"))),
-        device_ids=("d1", "d2"),
-        cost_model=StaticCostModel({("r1", "d1"): 1, ("r2", "d1"): 1,
-                                    ("r2", "d2"): 1}),
-    )
-    assert [r.request_id for r in problem.eligible_requests("d2")] == ["r2"]
 
 
 def test_empty_candidates_rejected():

@@ -17,7 +17,7 @@ from repro.scheduling.workload import CameraStatusCostModel
 def test_uniform_workload_shape():
     problem = uniform_camera_workload(20, 10, seed=0)
     assert problem.n_requests == 20
-    assert problem.n_devices == 10
+    assert len(problem.device_ids) == 10
     for request in problem.requests:
         assert set(request.candidates) == set(problem.device_ids)
 

@@ -256,12 +256,12 @@ def test_submit_batch_splits_across_shards_and_merges_completions(
         build_fleet):
     fleet = build_fleet()
     fleet.start()
-    routed = fleet.submit_batch([
+    routed = [fleet.submit(request) for request in (
         _request(["cam00a", "cam00b"], "b1"),
         _request(["cam01a", "cam01b"], "b2"),
         _request(["cam00a", "cam01a", "cam01b"], "b3"),
-    ])
-    assert routed == {0: 1, 1: 2}
+    )]
+    assert routed == [0, 1, 1]
     fleet.run(until=30.0)
     completed = {request.request_id: request
                  for request in fleet.completed_requests}
@@ -404,6 +404,29 @@ def test_single_shard_fleet_keeps_per_engine_ledgers():
     plain = AortaEngine(config=EngineConfig(overload=True))
     assert type(fleet.shards[0].overload.admission.capacity) \
         is type(plain.overload.admission.capacity)
+
+
+def test_single_shard_fleet_keeps_the_engines_run_and_completion_log():
+    """Why two of the 1-shard pass-throughs stay (DESIGN decision 19):
+    the general paths do not return what a plain engine returns."""
+    fleet = ShardedEngine(config=EngineConfig(shards=1), seed=0)
+    for name in ("cam1", "cam2"):
+        fleet.add_device(name, DeviceSpec(
+            PanTiltZoomCamera, name, Point(0, 0))).go_offline()
+    fleet.start()
+    # A plain engine run to the instant it is at drains what is due at
+    # that instant; a lockstep round to a reached deadline is no round.
+    fleet.run(until=0.0)
+    assert fleet.env.events_processed > 0
+    # Twelve requests fail at one instant (no camera answers the
+    # probe): the engine logs them as they ended, the fleet merge would
+    # order them by id ("r10" before "r2").
+    ids = [f"r{n}" for n in range(1, 13)]
+    for request_id in ids:
+        fleet.submit(_request(["cam1", "cam2"], request_id))
+    fleet.run(until=30.0)
+    assert [request.request_id
+            for request in fleet.completed_requests] == ids
 
 
 # ----------------------------------------------------------------------

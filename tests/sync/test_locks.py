@@ -64,31 +64,6 @@ def test_locks_are_per_device():
     assert serviced == [("on_cam1", 0.0), ("on_cam2", 0.0)]
 
 
-def test_try_acquire_skips_busy_device():
-    env = Environment()
-    manager = DeviceLockManager(env)
-    outcomes = []
-
-    def holder(env):
-        token = LockToken("holder")
-        yield from manager.acquire("cam1", token)
-        yield env.timeout(5.0)
-        manager.release("cam1", token)
-
-    def opportunist(env):
-        yield env.timeout(1.0)
-        outcomes.append(manager.try_acquire("cam1", LockToken("opportunist")))
-        token = LockToken("opportunist2")
-        yield env.timeout(5.0)
-        outcomes.append(manager.try_acquire("cam1", token))
-        manager.release("cam1", token)
-
-    env.process(holder(env))
-    env.process(opportunist(env))
-    env.run()
-    assert outcomes == [False, True]
-
-
 def test_contention_counters():
     env = Environment()
     manager = DeviceLockManager(env)

@@ -1,5 +1,9 @@
 """Smoke tests for the ``python -m repro`` entry point."""
 
+import json
+
+import pytest
+
 import repro
 from repro.__main__ import main, run_demo
 
@@ -28,3 +32,44 @@ def test_sharded_demo_services_one_photo_per_region(capsys):
     assert "Fleet of 3 shards" in out
     assert out.count("serviced") >= 4  # three per-shard lines + total
     assert "Fleet total: 9 devices, 3 serviced" in out
+
+
+def test_metrics_json_with_spans_is_one_json_document(capsys):
+    assert main(["metrics", "--json", "--spans"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert set(document) == {"metrics", "spans"}
+    assert document["metrics"]["counters"]["engine.runs"] == 1.0
+    assert {"engine.run", "dispatch.batch"} <= {
+        span["name"] for span in document["spans"]}
+
+
+@pytest.mark.parametrize("command_line, complaint", [
+    ("metrics --shards 2 --spans", "report one engine"),
+    ("metrics --shards 2 --fastpath", "report one engine"),
+    ("metrics --shards 2 --overload", "report one engine"),
+    ("--demo --shards 2 --runtime realtime", "single-engine --demo only"),
+    ("--demo --shards 2 --time-scale 0.5",
+     "--time-scale needs --runtime realtime"),
+    ("--demo --parallel", "--parallel needs --shards >= 2"),
+    ("metrics --parallel", "--parallel needs --shards >= 2"),
+    ("--shards 2", "need --demo"),
+])
+def test_a_flag_the_chosen_path_would_ignore_is_refused(
+        command_line, complaint, capsys):
+    with pytest.raises(SystemExit) as refusal:
+        main(command_line.split())
+    assert refusal.value.code == 2
+    assert complaint in capsys.readouterr().err
+
+
+def test_fleet_flags_count_on_either_side_of_the_subcommand(capsys):
+    """``--shards 2 metrics`` used to run one engine: the subparser's
+    default overwrote the value given before the subcommand."""
+    assert main(["--shards", "2", "metrics"]) == 0
+    assert "shard=1" in capsys.readouterr().out
+
+
+def test_every_flag_still_works_where_it_applies(capsys):
+    assert main(["--demo", "--runtime", "realtime", "--time-scale", "0"]) == 0
+    assert main(["metrics", "--spans", "--fastpath", "--queries"]) == 0
+    assert "span tree:" in capsys.readouterr().out
