@@ -39,7 +39,14 @@ sys.path.insert(0, os.path.dirname(__file__))
 from _common import format_table, record, write_result  # noqa: E402
 
 from repro.actions.request import ActionRequest  # noqa: E402
-from repro.core.config import EngineConfig, RetryPolicy  # noqa: E402
+from repro.core.config import (  # noqa: E402
+    BACKOFF_BASE,
+    BACKOFF_FACTOR,
+    BACKOFF_JITTER,
+    EngineConfig,
+    RetryPolicy,
+)
+from repro.core.dispatcher import MAX_DISPATCHES  # noqa: E402
 from repro.core.engine import AortaEngine  # noqa: E402
 from repro.devices.camera import PanTiltZoomCamera  # noqa: E402
 from repro.devices.failures import FailureInjector  # noqa: E402
@@ -68,9 +75,7 @@ SMOKE_DRAIN = 60.0
 #: Acceptance floor for the fault-tolerant serviced fraction.
 TARGET_RATIO = 0.90
 
-FT_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.5,
-                       backoff_factor=2.0, backoff_max=10.0,
-                       jitter=0.1, failover=True, max_dispatches=4)
+FT_RETRY = RetryPolicy(max_attempts=3, backoff_max=10.0, failover=True)
 FT_HEALTH = HealthPolicy(failure_threshold=3, quarantine_seconds=15.0,
                          backoff_factor=2.0, quarantine_max=120.0)
 
@@ -188,12 +193,12 @@ def main(argv=None) -> int:
         "smoke": args.smoke,
         "retry_policy": {
             "max_attempts": FT_RETRY.max_attempts,
-            "backoff_base": FT_RETRY.backoff_base,
-            "backoff_factor": FT_RETRY.backoff_factor,
+            "backoff_base": BACKOFF_BASE,
+            "backoff_factor": BACKOFF_FACTOR,
             "backoff_max": FT_RETRY.backoff_max,
-            "jitter": FT_RETRY.jitter,
+            "jitter": BACKOFF_JITTER,
             "failover": FT_RETRY.failover,
-            "max_dispatches": FT_RETRY.max_dispatches,
+            "max_dispatches": MAX_DISPATCHES,
         },
         "health_policy": {
             "failure_threshold": FT_HEALTH.failure_threshold,

@@ -90,10 +90,7 @@ def storm_policy(n: int) -> OverloadPolicy:
     limit = max(16, (3 * n) // 8)
     return OverloadPolicy(
         tier_rates={1: TierRate(rate=2.0, burst=4.0)},
-        capacity_horizon=10.0,
-        utilization_cap=0.9,
         queue_limit=limit,
-        shed_interval=0.5,
         shed_high_watermark=max(2, (3 * limit) // 4),
         shed_low_watermark=max(1, limit // 4),
     )

@@ -298,9 +298,7 @@ def run_metrics(*, as_json: bool = False, spans: bool = False,
                       f", {stats['rejected_by_tier'].get(tier, 0)} "
                       f"rejected, {stats['shed_by_tier'].get(tier, 0)} "
                       f"shed")
-            print(f"  queries: {stats['admitted_queries']} admitted, "
-                  f"{stats['rejected_queries']} rejected; "
-                  f"{stats['shed_passes']} shedder passes")
+            print(f"  {stats['shed_passes']} shedder passes")
             for name, operator in sorted(
                     engine.dispatcher._operators.items()):
                 print(f"  peak queue depth [{name}]: "

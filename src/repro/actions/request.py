@@ -54,7 +54,7 @@ class ActionRequest:
     #: Execution attempts across every device the request ran on.
     attempts: int = 0
     #: Times this request entered a dispatch batch (failover re-entry
-    #: increments it; the retry policy caps it at max_dispatches).
+    #: increments it; the dispatcher caps it at ``MAX_DISPATCHES``).
     dispatches: int = 0
     #: Devices that failed this request, removed from its candidates by
     #: failover re-dispatch.

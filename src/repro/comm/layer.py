@@ -63,14 +63,10 @@ class CommunicationLayer:
         registry: Optional[DeviceRegistry] = None,
         links: Optional[Dict[str, LinkModel]] = None,
         rng: Optional[random.Random] = None,
-        pool_capacity: int = 64,
-        pool_idle_seconds: float = 30.0,
     ) -> None:
         self.env = env
         self.registry = registry or DeviceRegistry()
-        self.transport = Transport(env, links=links, rng=rng,
-                                   pool_capacity=pool_capacity,
-                                   pool_idle_seconds=pool_idle_seconds)
+        self.transport = Transport(env, links=links, rng=rng)
         self._types: Dict[str, DeviceTypeRegistration] = {}
         self.prober = Prober(env, self.transport, timeouts={})
 

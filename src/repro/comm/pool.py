@@ -42,6 +42,13 @@ from repro.devices.base import Device
 from repro.network.transport import Connection, Transport
 from repro.runtime import Runtime
 
+#: Most idle keep-alive channels the transport's pool retains, one per
+#: device (LRU-evicted beyond).
+POOL_CAPACITY = 64
+#: Virtual seconds a pooled channel may sit unused before its next
+#: checkout closes it.
+POOL_IDLE_SECONDS = 30.0
+
 
 @dataclass
 class _IdleEntry:
@@ -59,8 +66,8 @@ class ConnectionPool:
         env: Runtime,
         transport: Transport,
         *,
-        capacity: int = 64,
-        idle_seconds: float = 30.0,
+        capacity: int = POOL_CAPACITY,
+        idle_seconds: float = POOL_IDLE_SECONDS,
     ) -> None:
         if capacity < 1:
             raise CommunicationError(

@@ -53,6 +53,8 @@ DEFAULT_STATUS_TTLS: Dict[str, float] = {
     "sensor": 3.0,
     "phone": 5.0,
 }
+#: Freshness TTL of a device type with no entry of its own.
+STATUS_TTL_SECONDS = 5.0
 
 
 @dataclass
@@ -71,16 +73,11 @@ class DeviceStatusCache:
         self,
         env: Runtime,
         *,
-        default_ttl: float = 5.0,
         ttls: Optional[Dict[str, float]] = None,
         obs: "Observability" = NULL_OBS,
     ) -> None:
-        if default_ttl <= 0:
-            raise CommunicationError(
-                f"status-cache default_ttl must be positive, "
-                f"got {default_ttl}")
-        self.default_ttl = default_ttl
-        self.ttls = dict(DEFAULT_STATUS_TTLS if ttls is None else ttls)
+        #: Per-type TTLs: ``ttls`` overrides the built-in defaults.
+        self.ttls = {**DEFAULT_STATUS_TTLS, **(ttls or {})}
         for device_type, ttl in self.ttls.items():
             if ttl <= 0:
                 raise CommunicationError(
@@ -103,7 +100,7 @@ class DeviceStatusCache:
 
     def ttl_for(self, device_type: str) -> float:
         """The freshness window that applies to this device type."""
-        return self.ttls.get(device_type, self.default_ttl)
+        return self.ttls.get(device_type, STATUS_TTL_SECONDS)
 
     # ------------------------------------------------------------------
     # Lookup / store

@@ -24,6 +24,15 @@ SCHEDULER_NAMES = ("LERFA+SRFE", "SRFAE", "LS", "SA", "RANDOM")
 #: exercise that protocol without paying for spawns.
 PARALLEL_BACKENDS = ("process", "thread")
 
+#: First-retry backoff, in virtual seconds.
+BACKOFF_BASE = 0.5
+#: Multiplier applied to the backoff on each further retry.
+BACKOFF_FACTOR = 2.0
+#: Backoff randomization, as a fraction of the nominal wait (+/-10%).
+#: Drawn from the dispatcher's named sim RNG stream, so runs are
+#: exactly repeatable.
+BACKOFF_JITTER = 0.1
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -35,47 +44,30 @@ class RetryPolicy:
     its assigned device after an exponential backoff; enabling failover
     makes a request whose device failed re-enter the next batch with
     that device removed from its candidate set, so the scheduler
-    reassigns it to a surviving candidate.
+    reassigns it to a surviving candidate (at most
+    :data:`~repro.core.dispatcher.MAX_DISPATCHES` batches per request).
     """
 
     #: Execution attempts per device assignment (1 = no retries).
     max_attempts: int = 1
-    #: First-retry backoff, in virtual seconds.
-    backoff_base: float = 0.5
-    #: Multiplier applied to the backoff on each further retry.
-    backoff_factor: float = 2.0
-    #: Ceiling on any single backoff wait.
+    #: Ceiling on any single backoff wait, jitter included.
     backoff_max: float = 30.0
-    #: Backoff randomization, as a fraction of the nominal wait (0.1 =
-    #: +/-10%). Drawn from the dispatcher's named sim RNG stream, so
-    #: runs are exactly repeatable.
-    jitter: float = 0.1
     #: Re-dispatch a request to surviving candidates when its device
     #: fails (the failed device is removed from the candidate set).
     failover: bool = False
-    #: Total times one request may enter a batch (1 = never re-enters).
-    max_dispatches: int = 4
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise AortaError("retry max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise AortaError("retry backoff must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise AortaError("retry backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise AortaError("retry jitter must be in [0, 1)")
-        if self.max_dispatches < 1:
-            raise AortaError("retry max_dispatches must be >= 1")
+        if self.backoff_max < 0:
+            raise AortaError("retry backoff_max must be non-negative")
 
     def backoff_seconds(self, attempt: int, rng: random.Random) -> float:
-        """Wait before retry number ``attempt`` (1-based), jittered."""
-        nominal = min(
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-            self.backoff_max)
-        if self.jitter:
-            nominal *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return nominal
+        """Wait before retry number ``attempt`` (1-based): exponential,
+        jittered, then capped at ``backoff_max``."""
+        nominal = BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1)
+        nominal *= 1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0)
+        return min(nominal, self.backoff_max)
 
 
 @dataclass
@@ -90,21 +82,24 @@ class EngineConfig:
     for it (DESIGN.md decision 18), every exchange rides a pooled
     keep-alive channel and every action's batch is dispatched as its
     own process (decision 10).
+
+    A field is here because a caller outside the tests sets a second
+    value, or an allow-listed reason keeps it (DESIGN.md decision 24).
+    What no caller varies is a constant of the module that reads it:
+    the poll interval (:data:`repro.core.continuous.POLL_INTERVAL`),
+    the batch window (:data:`repro.core.dispatcher.BATCH_WINDOW`), the
+    connection pool's size and idle expiry (:mod:`repro.comm.pool`),
+    the status cache's fallback TTL (:mod:`repro.comm.status_cache`)
+    and a ledger-coupled fleet's lockstep quantum
+    (:data:`repro.shard.coordinator.SHARD_QUANTUM`). Event detection is
+    edge-triggered: a device whose predicate stays true across polls is
+    one event.
     """
 
-    #: Seconds between event-scan polls of the continuous executor.
-    poll_interval: float = 1.0
-    #: Seconds the dispatcher waits after a first request so that
-    #: near-simultaneous requests from concurrent queries batch into one
-    #: scheduling problem (the shared-operator group optimization).
-    batch_window: float = 0.1
     #: Device locking: one action at a time per device.
     locking: bool = True
     #: Probe candidates (availability + status) before optimization.
     probing: bool = True
-    #: Emit an event only on a false->true predicate edge per device;
-    #: when False, every poll where the predicate holds re-triggers.
-    edge_triggered: bool = True
     #: Which scheduling algorithm the dispatcher uses.
     scheduler: str = "SRFAE"
     #: Seed for the scheduler's randomness.
@@ -132,14 +127,6 @@ class EngineConfig:
     #: virtual backend); 1.0 runs in real seconds. Ignored by the
     #: virtual backend.
     time_scale: float = 1.0
-    #: Most idle keep-alive control channels the transport's pool
-    #: retains, one per device (LRU-evicted beyond). Scans and probes
-    #: check their channel out of it; action executions call the device
-    #: model directly and send nothing over the transport.
-    pool_capacity: int = 64
-    #: Idle expiry: a pooled connection unused this long (virtual
-    #: seconds) is closed on its next checkout attempt.
-    pool_idle_seconds: float = 30.0
     #: TTL device-status cache — a policy, not a speed switch: the
     #: dispatcher skips the probe exchange for devices probed within
     #: their type's freshness TTL and costs from the cached status,
@@ -148,11 +135,9 @@ class EngineConfig:
     #: device, on probe failure, on health-breaker transitions and when
     #: the device leaves. Off by default.
     status_cache: bool = False
-    #: Fallback freshness TTL (virtual seconds) for device types
-    #: without an entry in ``status_ttls``.
-    status_ttl_seconds: float = 5.0
-    #: Per-type freshness TTL overrides; ``None`` uses the built-in
-    #: defaults (:data:`repro.comm.status_cache.DEFAULT_STATUS_TTLS`).
+    #: Per-type freshness TTL overrides, merged over the built-in
+    #: defaults (:data:`repro.comm.status_cache.DEFAULT_STATUS_TTLS`);
+    #: ``None`` keeps the defaults.
     status_ttls: Optional[Dict[str, float]] = None
     #: Overload-control plane (repro.overload): admission control at
     #: AQ registration and request ingestion, bounded pending queues
@@ -170,14 +155,6 @@ class EngineConfig:
     #: partition and refuses a multi-shard config so a sharded config
     #: can never silently run unsharded.
     shards: int = 1
-    #: Lockstep bound of a ledger-coupled fleet (``overload`` on and
-    #: ``shards > 1``): no shard's clock may lead the slowest by more
-    #: than this many runtime seconds, which bounds how far apart the
-    #: clocks are at which shards sample the shared capacity ledger.
-    #: Read by no other fleet: shards that share no ledger have nothing
-    #: to agree on and run to ``until`` in one round, a single shard in
-    #: one uninterrupted call.
-    shard_quantum: float = 1.0
     #: True parallel shard execution: run each shard's lockstep round
     #: concurrently in its own worker instead of stepping shards
     #: sequentially on the coordinator thread. Only
@@ -194,10 +171,6 @@ class EngineConfig:
     parallel_backend: str = "process"
 
     def __post_init__(self) -> None:
-        if self.poll_interval <= 0:
-            raise AortaError("poll_interval must be positive")
-        if self.batch_window < 0:
-            raise AortaError("batch_window must be non-negative")
         if self.scheduler not in SCHEDULER_NAMES:
             raise AortaError(
                 f"unknown scheduler {self.scheduler!r}; expected one of "
@@ -213,12 +186,6 @@ class EngineConfig:
             )
         if self.time_scale < 0:
             raise AortaError("time_scale must be non-negative")
-        if self.pool_capacity < 1:
-            raise AortaError("pool_capacity must be >= 1")
-        if self.pool_idle_seconds <= 0:
-            raise AortaError("pool_idle_seconds must be positive")
-        if self.status_ttl_seconds <= 0:
-            raise AortaError("status_ttl_seconds must be positive")
         if self.status_ttls is not None:
             for device_type, ttl in self.status_ttls.items():
                 if ttl <= 0:
@@ -227,8 +194,6 @@ class EngineConfig:
                         f"positive, got {ttl}")
         if self.shards < 1:
             raise AortaError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_quantum <= 0:
-            raise AortaError("shard_quantum must be positive")
         if self.parallel_backend not in PARALLEL_BACKENDS:
             raise AortaError(
                 f"unknown parallel_backend {self.parallel_backend!r}; "

@@ -27,12 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.errors import (
-    AdmissionError,
-    AortaError,
-    PlanError,
-    RegistrationError,
-)
+from repro.errors import AortaError, PlanError, RegistrationError
 from repro.actions.request import ActionRequest
 from repro.comm.layer import CommunicationLayer
 from repro.comm.scan import ScanOperator
@@ -50,7 +45,6 @@ from repro.query.functions import FunctionRegistry
 from repro.query.predicate_index import PredicateIndex
 from repro.query.query_catalog import QueryCatalog, RegisteredQuery
 from repro.runtime import Runtime
-from repro.core.config import EngineConfig
 from repro.core.dispatcher import Dispatcher
 
 __all__ = ["ContinuousQueryExecutor", "RegisteredQuery"]
@@ -63,6 +57,10 @@ _CandidateKey = Tuple[str, Expression, Tuple[Any, ...]]
 
 #: Candidate sets one device table keeps before starting over.
 _CANDIDATE_SETS_LIMIT = 4096
+
+#: Virtual seconds between the end of one poll and the start of the
+#: next.
+POLL_INTERVAL = 1.0
 
 
 @dataclass
@@ -90,13 +88,11 @@ class ContinuousQueryExecutor:
         comm: CommunicationLayer,
         functions: FunctionRegistry,
         dispatcher: Dispatcher,
-        config: EngineConfig,
     ) -> None:
         self.env = env
         self.comm = comm
         self.functions = functions
         self.dispatcher = dispatcher
-        self.config = config
         #: Query lifecycle, per-table reader lists and edge memory.
         self.catalog = QueryCatalog()
         #: Per-event-table predicate indexes.
@@ -131,27 +127,13 @@ class ContinuousQueryExecutor:
 
         ``priority`` and ``deadline_seconds`` are stamped on every
         request the query emits; they only influence behaviour when the
-        engine's overload-control plane is on. Registration itself is
-        an admission unit: with overload control on, a configured
-        per-tier registration rate limit may refuse the AQ with
-        :class:`~repro.errors.AdmissionError`.
+        engine's overload-control plane is on.
         """
         if plan.query_name in self.catalog:
             raise RegistrationError(
                 f"query {plan.query_name!r} is already registered"
             )
         self._check_candidate_predicate(plan)
-        plane = self.dispatcher.overload
-        if plane is not None:
-            reason = plane.admission.admit_query(priority, self.env.now)
-            if reason is not None:
-                self.dispatcher.tracer.record(
-                    self.env.now, "query_rejected",
-                    query=plan.query_name, priority=priority,
-                    reason=reason)
-                raise AdmissionError(
-                    f"registration of {plan.query_name!r} refused: "
-                    f"{reason}")
         band_form = compile_event_predicate(
             plan.event_predicate, plan.event_alias,
             self.comm.catalog(plan.event_table))
@@ -263,7 +245,7 @@ class ContinuousQueryExecutor:
     def _run(self) -> Generator[Any, Any, None]:
         while True:
             yield from self.poll_once()
-            yield self.env.timeout(self.config.poll_interval)
+            yield self.env.timeout(POLL_INTERVAL)
 
     def poll_once(self) -> Generator[Any, Any, int]:
         """One detection pass over all event tables; returns emit count.
@@ -361,7 +343,7 @@ class ContinuousQueryExecutor:
             matched_ids.add(row.device_id)
             previously = self.catalog.edge_state(query.name, row.device_id)
             self.catalog.set_edge(query, row.device_id, True)
-            if self.config.edge_triggered and previously:
+            if previously:
                 continue  # still the same event, no re-trigger
             query.events_detected += 1
             self.obs.inc("continuous.events_detected", query=query.name)

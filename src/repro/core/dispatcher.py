@@ -82,6 +82,15 @@ SCHEDULER_FACTORIES = {
 #: schedules batches of mean size 1.7, ``dispatch_heavy`` of 10.5.
 KERNEL_MIN_REQUESTS = 4
 
+#: Virtual seconds the dispatcher waits after a first request so that
+#: near-simultaneous requests from concurrent queries batch into one
+#: scheduling problem (the shared-operator group optimization).
+BATCH_WINDOW = 0.1
+
+#: Total times one request may enter a batch under failover (the first
+#: dispatch included).
+MAX_DISPATCHES = 4
+
 
 class _ActionCostAdapter(SchedulingCostModel):
     """Bridges the engine cost model into a scheduling problem.
@@ -385,8 +394,7 @@ class Dispatcher:
                 yield self._wakeup
                 self._wakeup = None
             # Batch near-simultaneous submissions (group optimization).
-            if self.config.batch_window > 0:
-                yield self.env.timeout(self.config.batch_window)
+            yield self.env.timeout(BATCH_WINDOW)
             yield from self.dispatch_pending()
 
     def dispatch_pending(self) -> Generator[Any, Any, List[DispatchReport]]:
@@ -747,10 +755,9 @@ class Dispatcher:
         Returns False (caller must fail the request) when failover is
         off, the dispatch cap is reached, or no candidate would remain.
         """
-        policy = self.config.retry
-        if not policy.failover:
+        if not self.config.retry.failover:
             return False
-        if request.dispatches >= policy.max_dispatches:
+        if request.dispatches >= MAX_DISPATCHES:
             return False
         surviving = tuple(device_id for device_id in request.candidates
                           if device_id != failed_device)

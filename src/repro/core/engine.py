@@ -83,9 +83,7 @@ class AortaEngine:
         self.seed = seed
         self.comm = CommunicationLayer(
             self.env, links=links,
-            rng=random.Random(component_seed(seed, "comm:transport")),
-            pool_capacity=self.config.pool_capacity,
-            pool_idle_seconds=self.config.pool_idle_seconds)
+            rng=random.Random(component_seed(seed, "comm:transport")))
         register_builtin_types(self.comm)
 
         self.schema = SchemaCatalog()
@@ -119,10 +117,7 @@ class AortaEngine:
         self.status_cache: Optional[DeviceStatusCache] = None
         if self.config.status_cache:
             self.status_cache = DeviceStatusCache(
-                self.env,
-                default_ttl=self.config.status_ttl_seconds,
-                ttls=self.config.status_ttls,
-                obs=self.obs)
+                self.env, ttls=self.config.status_ttls, obs=self.obs)
         self.locks = DeviceLockManager(self.env, obs=self.obs)
         #: Per-device circuit breakers; None when health tracking is
         #: not configured. The prober feeds it probe outcomes and the
@@ -157,8 +152,7 @@ class AortaEngine:
         self.planner = Planner(self.schema, self.actions, self.functions,
                                self.comm)
         self.continuous = ContinuousQueryExecutor(
-            self.env, self.comm, self.functions, self.dispatcher,
-            self.config)
+            self.env, self.comm, self.functions, self.dispatcher)
 
         #: Assets for CREATE ACTION: profile path -> (profile, resolver,
         #: device-parameter map, select_all flag).
@@ -341,9 +335,7 @@ class AortaEngine:
         Like :meth:`execute` on a CREATE AQ statement, but stamps the
         query's priority tier and relative service deadline (virtual
         seconds from emission) onto every request it emits. The class
-        only influences behaviour when ``config.overload`` is on; with
-        admission rate limits configured, registration itself may be
-        refused with :class:`~repro.errors.AdmissionError`.
+        only influences behaviour when ``config.overload`` is on.
         """
         statement = parse(sql)
         if not isinstance(statement, CreateAQStatement):

@@ -36,7 +36,6 @@ TRACE_KINDS = (
     # hysteresis edges of pressure shedding.
     "request_rejected",
     "request_shed",
-    "query_rejected",
     "shedding_started",
     "shedding_stopped",
 )

@@ -53,8 +53,6 @@ class HealthPolicy:
     backoff_factor: float = 2.0
     #: Ceiling on the quarantine window.
     quarantine_max: float = 300.0
-    #: Probation successes required to close a HALF_OPEN breaker.
-    probation_successes: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -63,8 +61,6 @@ class HealthPolicy:
             raise DeviceError("quarantine windows must be positive")
         if self.backoff_factor < 1.0:
             raise DeviceError("backoff_factor must be >= 1")
-        if self.probation_successes < 1:
-            raise DeviceError("probation_successes must be >= 1")
 
 
 @dataclass
@@ -77,8 +73,6 @@ class _DeviceHealth:
     open_until: float = 0.0
     #: Current window length; grows by ``backoff_factor`` per relapse.
     window: float = 0.0
-    #: Successes collected while HALF_OPEN.
-    probation_successes: int = 0
     #: When the device first entered the current quarantine episode,
     #: for time-to-recovery accounting.
     quarantined_at: float = 0.0
@@ -130,26 +124,23 @@ class DeviceHealthTracker:
     # Outcome reporting (from the prober and the dispatcher)
     # ------------------------------------------------------------------
     def record_success(self, device_id: str) -> None:
-        """A probe answered or an action serviced on this device."""
+        """A probe answered or an action serviced on this device; on
+        probation, the first success readmits it."""
         entry = self._entry(device_id)
         if entry.state is BreakerState.HALF_OPEN:
-            entry.probation_successes += 1
-            if entry.probation_successes >= self.policy.probation_successes:
-                entry.state = BreakerState.CLOSED
-                entry.consecutive_failures = 0
-                entry.window = 0.0
-                entry.recoveries += 1
-                self.recoveries_total += 1
-                self.recovery_seconds_total += (
-                    self.env.now - entry.quarantined_at)
-                self._trace("device_readmitted", device=device_id,
-                            recovery_seconds=self.env.now
-                            - entry.quarantined_at)
-                self.obs.inc("health.readmissions", device=device_id)
-                self.obs.observe("health.recovery_seconds",
-                                 self.env.now - entry.quarantined_at,
-                                 device=device_id)
-                self._notify(device_id, BreakerState.CLOSED)
+            recovery = self.env.now - entry.quarantined_at
+            entry.state = BreakerState.CLOSED
+            entry.consecutive_failures = 0
+            entry.window = 0.0
+            entry.recoveries += 1
+            self.recoveries_total += 1
+            self.recovery_seconds_total += recovery
+            self._trace("device_readmitted", device=device_id,
+                        recovery_seconds=recovery)
+            self.obs.inc("health.readmissions", device=device_id)
+            self.obs.observe("health.recovery_seconds", recovery,
+                             device=device_id)
+            self._notify(device_id, BreakerState.CLOSED)
         else:
             entry.consecutive_failures = 0
 
@@ -177,7 +168,6 @@ class DeviceHealthTracker:
                                self.policy.quarantine_max)
         entry.state = BreakerState.OPEN
         entry.open_until = self.env.now + entry.window
-        entry.probation_successes = 0
         entry.quarantines += 1
         self.quarantines_total += 1
         self._trace("device_quarantined", device=device_id,
@@ -201,7 +191,6 @@ class DeviceHealthTracker:
             if self.env.now < entry.open_until:
                 return False
             entry.state = BreakerState.HALF_OPEN
-            entry.probation_successes = 0
             self._trace("device_probation", device=device_id)
             self.obs.inc("health.probations", device=device_id)
             self._notify(device_id, BreakerState.HALF_OPEN)

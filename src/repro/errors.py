@@ -139,10 +139,6 @@ class OverloadError(AortaError):
     transient = True
 
 
-class AdmissionError(OverloadError):
-    """Admission control rejected a query registration or a request."""
-
-
 class QueueFullError(OverloadError):
     """A bounded pending queue refused a submission (backpressure).
 

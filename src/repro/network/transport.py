@@ -109,8 +109,6 @@ class Transport:
         *,
         links: Optional[Dict[str, LinkModel]] = None,
         rng: Optional[random.Random] = None,
-        pool_capacity: int = 64,
-        pool_idle_seconds: float = 30.0,
     ) -> None:
         # Deferred: repro.comm imports this module.
         from repro.comm.pool import ConnectionPool
@@ -120,8 +118,7 @@ class Transport:
         #: Metrics sink (the engine replaces this with its own).
         self.obs = NULL_OBS
         #: Keep-alive pool of idle control channels, one per device.
-        self.pool = ConnectionPool(env, self, capacity=pool_capacity,
-                                   idle_seconds=pool_idle_seconds)
+        self.pool = ConnectionPool(env, self)
         #: Lifetime handshake-attempt counter (always on, so benchmarks
         #: can measure connect traffic without observability enabled).
         self.connects_attempted = 0

@@ -2,25 +2,33 @@
 
 Two independent gates, both deterministic on the virtual clock:
 
-* **Rate limits** — one lazily refilled token bucket per priority tier
-  (and a separate set for AQ registrations, so standing queries are
-  first-class admission units, not just the requests they emit).
+* **Rate limits** — one lazily refilled token bucket per priority tier.
 * **Capacity** — each admitted request commits its cost-oracle service
   estimate against the fleet's available device-seconds for the
-  current accounting window (``fleet_size * horizon * utilization_cap``);
-  once the window is fully committed, further requests are refused
-  until the next window opens.
+  current accounting window
+  (``fleet_size * CAPACITY_HORIZON * UTILIZATION_CAP``); once the
+  window is fully committed, further requests are refused until the
+  next window opens.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.overload.policy import OverloadPolicy, TierRate
+from repro.overload.policy import OverloadPolicy
 
 #: Machine-readable rejection reasons (also used as trace/metric tags).
 REASON_RATE = "admission-rate"
 REASON_CAPACITY = "admission-capacity"
+
+#: Length of one capacity-accounting window, in virtual seconds.
+CAPACITY_HORIZON = 10.0
+#: Fraction of fleet device-seconds admission may commit per window;
+#: the remainder absorbs estimate error and retries.
+UTILIZATION_CAP = 0.9
+#: Tiers at or above this value bypass the capacity gate (rate limits,
+#: when configured, still apply).
+CAPACITY_PROTECT_TIER = 3
 
 
 class TokenBucket:
@@ -54,30 +62,28 @@ class TokenBucket:
 class CapacityLedger:
     """Windowed fleet-capacity accounting, shareable across shards.
 
-    Commitments are keyed by window index (``now // horizon``) instead
-    of a single "current window" cursor, so the ledger tolerates reads
-    at non-monotonic times: shards of a fleet advance their clocks
-    independently (a lockstep round steps them one after another), and
-    a shard sampling window *k* must not wipe the commitments another
-    shard just charged to window *k+1*. For a single engine on one
-    monotonic clock the arithmetic is identical to the pre-ledger
-    cursor implementation.
+    Commitments are keyed by window index (``now // CAPACITY_HORIZON``)
+    instead of a single "current window" cursor, so the ledger
+    tolerates reads at non-monotonic times: shards of a fleet advance
+    their clocks independently (a lockstep round steps them one after
+    another), and a shard sampling window *k* must not wipe the
+    commitments another shard just charged to window *k+1*. For a
+    single engine on one monotonic clock the arithmetic is identical to
+    the pre-ledger cursor implementation.
     """
 
-    def __init__(self, policy: OverloadPolicy,
-                 fleet_size: Callable[[], int]) -> None:
-        self.policy = policy
+    def __init__(self, fleet_size: Callable[[], int]) -> None:
         self._fleet_size = fleet_size
         #: Service-seconds committed, keyed by capacity-window index.
         self._committed: Dict[int, float] = {}
 
-    def _window(self, now: float) -> int:
-        return int(now // self.policy.capacity_horizon)
+    @staticmethod
+    def _window(now: float) -> int:
+        return int(now // CAPACITY_HORIZON)
 
     def available(self, now: float) -> float:
         """Uncommitted device-seconds in ``now``'s capacity window."""
-        budget = (self._fleet_size() * self.policy.capacity_horizon
-                  * self.policy.utilization_cap)
+        budget = self._fleet_size() * CAPACITY_HORIZON * UTILIZATION_CAP
         return budget - self._committed.get(self._window(now), 0.0)
 
     def commit(self, now: float, seconds: float) -> None:
@@ -87,65 +93,36 @@ class CapacityLedger:
 
 
 class AdmissionController:
-    """The two admission gates, shared by registration and ingestion."""
+    """The two admission gates every offered request passes."""
 
     def __init__(self, policy: OverloadPolicy,
                  fleet_size: Callable[[], int],
                  capacity: Optional[CapacityLedger] = None) -> None:
-        self.policy = policy
         #: The capacity ledger this controller charges. Per-controller
         #: by default; a sharded fleet replaces it with one shared
         #: ledger so every shard's admissions draw from the same
         #: fleet-wide budget.
         self.capacity = capacity if capacity is not None \
-            else CapacityLedger(policy, fleet_size)
-        self._request_buckets = self._build_buckets(policy.tier_rates)
-        self._registration_buckets = self._build_buckets(
-            policy.registration_rates)
-        self.admitted_queries = 0
-        self.rejected_queries = 0
-        self.admitted_requests = 0
-        self.rejected_requests = 0
-
-    @staticmethod
-    def _build_buckets(
-        rates: Optional[Dict[int, TierRate]],
-    ) -> Dict[int, TokenBucket]:
-        if not rates:
-            return {}
-        return {tier: TokenBucket(spec.rate, spec.burst)
-                for tier, spec in sorted(rates.items())}
-
-    # ------------------------------------------------------------------
-    # The gates
-    # ------------------------------------------------------------------
-    def admit_query(self, priority: int, now: float) -> Optional[str]:
-        """Gate one AQ registration; ``None`` = admitted, else reason."""
-        bucket = self._registration_buckets.get(priority)
-        if bucket is not None and not bucket.try_take(now):
-            self.rejected_queries += 1
-            return REASON_RATE
-        self.admitted_queries += 1
-        return None
+            else CapacityLedger(fleet_size)
+        self._buckets = {tier: TokenBucket(spec.rate, spec.burst)
+                         for tier, spec in sorted(
+                             (policy.tier_rates or {}).items())}
 
     def admit_request(self, priority: int, estimated_seconds: float,
                       now: float) -> Optional[str]:
         """Gate one action request; ``None`` = admitted, else reason.
 
         Admitting commits ``estimated_seconds`` against the current
-        capacity window. Tiers at or above ``capacity_protect_tier``
+        capacity window. Tiers at or above ``CAPACITY_PROTECT_TIER``
         bypass the capacity gate (their load is still accounted, so
         lower tiers see it).
         """
-        bucket = self._request_buckets.get(priority)
+        bucket = self._buckets.get(priority)
         if bucket is not None and not bucket.try_take(now):
-            self.rejected_requests += 1
             return REASON_RATE
         available = self.capacity.available(now)
-        if (priority < self.policy.capacity_protect_tier
+        if (priority < CAPACITY_PROTECT_TIER
                 and estimated_seconds > available):
-            self.rejected_requests += 1
             return REASON_CAPACITY
         self.capacity.commit(now, estimated_seconds)
-        self.admitted_requests += 1
         return None

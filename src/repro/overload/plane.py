@@ -2,9 +2,9 @@
 
 One object ties the three mechanisms together for the engine:
 
-* admission control (:mod:`repro.overload.admission`) gates AQ
-  registration and every request offered to a shared operator, with
-  service-second estimates drawn from the engine cost oracle;
+* admission control (:mod:`repro.overload.admission`) gates every
+  request offered to a shared operator, with service-second estimates
+  drawn from the engine cost oracle;
 * bounded queues (``SharedActionOperator.limit``) are configured on
   every operator the dispatcher creates, with evictions routed back
   through the uniform shed-accounting path;
@@ -34,6 +34,10 @@ from repro.runtime import Runtime
 
 #: Backpressure rejection reason (queue full, incoming request worst).
 REASON_QUEUE_FULL = "queue-full"
+
+#: Service-seconds charged for a request whose cost cannot be estimated
+#: (no candidate, unknown device, estimation failure).
+DEFAULT_SERVICE_SECONDS = 1.0
 
 
 class OverloadControlPlane:
@@ -103,17 +107,17 @@ class OverloadControlPlane:
 
         Uses the first candidate's live status as the representative
         cost; estimation failures (unknown device, unprofiled action)
-        fall back to the policy's default charge rather than letting
-        unestimable work bypass capacity accounting.
+        fall back to a default charge rather than letting unestimable
+        work bypass capacity accounting.
         """
         if not request.candidates:
-            return self.policy.default_service_seconds
+            return DEFAULT_SERVICE_SECONDS
         try:
             device = self._device_lookup(request.candidates[0])
             estimate = self.cost_model.estimate(
                 request.action_name, device, request.arguments)
         except AortaError:
-            return self.policy.default_service_seconds
+            return DEFAULT_SERVICE_SECONDS
         return estimate.seconds
 
     def offer(self, operator: SharedActionOperator,
@@ -189,8 +193,6 @@ class OverloadControlPlane:
             "admitted_requests": self.admitted_total,
             "rejected_requests": self.rejected_total,
             "shed_requests": self.shed_total,
-            "admitted_queries": self.admission.admitted_queries,
-            "rejected_queries": self.admission.rejected_queries,
             "admitted_by_tier": dict(sorted(
                 self.admitted_by_tier.items())),
             "rejected_by_tier": dict(sorted(

@@ -1,10 +1,12 @@
 """Overload-control policy knobs.
 
 One frozen dataclass collects every tunable of the overload plane —
-admission rate limits, the fleet-capacity window, bounded-queue limits
-and the load-shedding hysteresis thresholds — so an engine run is fully
-described by ``EngineConfig(overload=True, overload_policy=...)`` and
-replays deterministically.
+request rate limits, the bounded-queue limit and the load-shedding
+hysteresis thresholds — so an engine run is fully described by
+``EngineConfig(overload=True, overload_policy=...)`` and replays
+deterministically. The capacity window and the protected tier are
+constants of :mod:`repro.overload.admission`, the shedder's period and
+protected tier constants of :mod:`repro.overload.shedding`.
 """
 
 from __future__ import annotations
@@ -45,42 +47,12 @@ class OverloadPolicy:
     hypothesis suite pins).
     """
 
-    # ------------------------------------------------------------------
-    # Admission: token buckets + fleet-capacity window
-    # ------------------------------------------------------------------
     #: Per-priority-tier request rate limits. A tier absent from the
     #: mapping is unlimited; ``None`` disables rate limiting entirely.
     tier_rates: Optional[Dict[int, TierRate]] = None
-    #: Rate limits applied at AQ *registration* (standing queries as
-    #: first-class admission units). Same semantics as ``tier_rates``.
-    registration_rates: Optional[Dict[int, TierRate]] = None
-    #: Length of one capacity-accounting window, in virtual seconds.
-    #: Admission commits each admitted request's estimated service
-    #: seconds against ``fleet_size * horizon * utilization_cap``
-    #: device-seconds per window.
-    capacity_horizon: float = 10.0
-    #: Fraction of fleet device-seconds admission may commit per
-    #: window; the remainder absorbs estimate error and retries.
-    utilization_cap: float = 0.9
-    #: Tiers at or above this value bypass the capacity gate (rate
-    #: limits, when configured, still apply).
-    capacity_protect_tier: int = 3
-    #: Service-seconds charged for a request whose cost cannot be
-    #: estimated (unknown device, estimation failure).
-    default_service_seconds: float = 1.0
-
-    # ------------------------------------------------------------------
-    # Bounded queues
-    # ------------------------------------------------------------------
     #: Pending-queue bound installed on every shared action operator.
     #: ``None`` keeps queues unbounded (admission/shedding still run).
     queue_limit: Optional[int] = 256
-
-    # ------------------------------------------------------------------
-    # Load shedding
-    # ------------------------------------------------------------------
-    #: Seconds between shedder passes (deadline expiry + hysteresis).
-    shed_interval: float = 0.5
     #: Total pending requests (across operators) above which shedding
     #: activates.
     shed_high_watermark: int = 192
@@ -89,21 +61,10 @@ class OverloadPolicy:
     #: below the high watermark so shedding starts and stops
     #: deterministically instead of flapping).
     shed_low_watermark: int = 128
-    #: Tiers at or above this value are never pressure-shed (deadline
-    #: expiry still sheds them — a late answer has no value).
-    shed_protect_tier: int = 3
 
     def __post_init__(self) -> None:
-        if self.capacity_horizon <= 0:
-            raise AortaError("capacity_horizon must be positive")
-        if not 0.0 < self.utilization_cap <= 1.0:
-            raise AortaError("utilization_cap must be in (0, 1]")
-        if self.default_service_seconds <= 0:
-            raise AortaError("default_service_seconds must be positive")
         if self.queue_limit is not None and self.queue_limit < 1:
             raise AortaError("queue_limit must be >= 1")
-        if self.shed_interval <= 0:
-            raise AortaError("shed_interval must be positive")
         if self.shed_low_watermark < 0 or self.shed_high_watermark < 1:
             raise AortaError("shed watermarks must be non-negative")
         if self.shed_low_watermark >= self.shed_high_watermark:

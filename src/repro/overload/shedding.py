@@ -24,6 +24,13 @@ REASON_DEADLINE = "deadline-expired"
 REASON_PRESSURE = "load-shed"
 REASON_EVICTED = "queue-evicted"
 
+#: Virtual seconds between shedder passes (deadline expiry +
+#: hysteresis).
+SHED_INTERVAL = 0.5
+#: Tiers at or above this value are never pressure-shed (deadline
+#: expiry still sheds them — a late answer has no value).
+SHED_PROTECT_TIER = 3
+
 
 def _shed_key(
     entry: Tuple[int, int, ActionRequest],
@@ -66,7 +73,7 @@ class LoadShedder:
 
     def _run(self) -> Generator[Any, Any, None]:
         while True:
-            yield self.env.timeout(self.policy.shed_interval)
+            yield self.env.timeout(SHED_INTERVAL)
             self.pass_once()
 
     # ------------------------------------------------------------------
@@ -105,7 +112,7 @@ class LoadShedder:
     ) -> int:
         """Drop worst-first until the backlog reaches the low watermark.
 
-        Tiers at or above ``shed_protect_tier`` are exempt — pressure
+        Tiers at or above ``SHED_PROTECT_TIER`` are exempt — pressure
         shedding may leave the backlog above the watermark when only
         protected work remains, in which case shedding stays active.
         """
@@ -117,7 +124,7 @@ class LoadShedder:
             for op_index, operator in enumerate(operators)
             for queue_index, request in enumerate(
                 operator.pending_snapshot())
-            if request.priority < self.policy.shed_protect_tier]
+            if request.priority < SHED_PROTECT_TIER]
         sheddable.sort(key=_shed_key)
         shed = 0
         for op_index, _, request in sheddable[:excess]:

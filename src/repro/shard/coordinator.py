@@ -59,7 +59,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import AortaEngine
 from repro.devices.base import Device
 from repro.obs.metrics import MetricsRegistry
-from repro.overload import CapacityLedger, OverloadPolicy
+from repro.overload import CapacityLedger
 from repro.query.ast import ExplainStatement, SelectQuery
 from repro.query.parser import parse
 from repro.runtime import Runtime
@@ -82,6 +82,12 @@ DeviceFactory = Callable[[Runtime], Device]
 #: statistics() keys aggregated by maximum instead of sum: levels and
 #: clocks, where adding shards would be meaningless.
 _MAX_KEYS = frozenset({"virtual_time", "currently_quarantined"})
+
+#: Lockstep bound of a ledger-coupled fleet (overload on, more than one
+#: shard): no shard's clock leads the slowest by more than this many
+#: runtime seconds, which bounds how far apart the clocks are at which
+#: shards sample the shared capacity ledger.
+SHARD_QUANTUM = 1.0
 
 #: statistics() keys aggregated by unweighted mean across the shards
 #: reporting them.
@@ -211,9 +217,7 @@ class ShardedEngine:
         self.ledger: Optional[CapacityLedger] = None
         channels: List[Any] = [None] * n
         if self.config.overload and n > 1:
-            self.ledger = CapacityLedger(
-                self.config.overload_policy or OverloadPolicy(),
-                fleet_size=lambda: self._devices)
+            self.ledger = CapacityLedger(fleet_size=lambda: self._devices)
             if self.parallel:
                 self.ledger_service = LedgerService(self.ledger)
                 channels = [self.ledger_service.channel()
@@ -346,9 +350,10 @@ class ShardedEngine:
                   deadline_seconds: Optional[float] = None) -> Any:
         """CREATE AQ with a service class, registered on every shard.
 
-        All-or-nothing: if any shard's admission control refuses the
-        registration, the query is dropped from the shards that already
-        accepted it before the error propagates — a standing query
+        All-or-nothing: if any shard refuses the registration (say, it
+        already holds a query of that name), the query is dropped from
+        the shards that already accepted it before the error
+        propagates — a standing query
         either watches the whole fleet or none of it. Returns the
         per-shard registrations (``None`` where they stay inside
         workers).
@@ -446,9 +451,9 @@ class ShardedEngine:
         Multiple shards that share nothing — no fleet ledger — run one
         round: every shard straight to ``until``, concurrently across
         workers, one after another in this process. Shards coupled by
-        the ledger advance in lockstep rounds of
-        ``config.shard_quantum`` runtime seconds instead, so capacity
-        admission never sees clocks further apart than that. Either
+        the ledger advance in lockstep rounds of :data:`SHARD_QUANTUM`
+        runtime seconds instead, so capacity admission never sees
+        clocks further apart than that. Either
         way per-shard ``engine.run`` spans wrap the whole coordinated
         run and ``max_events`` is one fleet-wide cumulative event budget
         across all rounds and shards. As on a plain engine, the spans
@@ -462,8 +467,7 @@ class ShardedEngine:
         try:
             stopped = run_lockstep(
                 self.handles, until,
-                quantum=None if self.ledger is None
-                else self.config.shard_quantum,
+                quantum=None if self.ledger is None else SHARD_QUANTUM,
                 max_events=max_events,
                 on_round=self._record_round if self.parallel else None)
             completed = True

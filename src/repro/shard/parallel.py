@@ -431,9 +431,9 @@ def _serve(conn: multiprocessing.connection.Connection,
 def _rehydrate(index: int, name: str, message: str) -> AortaError:
     """Rebuild a worker-raised framework error coordinator-side.
 
-    Known :mod:`repro.errors` types come back as themselves, so e.g. an
-    ``AdmissionError`` from a worker's registration gate is caught by
-    the same ``except`` clauses as in-process; anything else degrades
+    Known :mod:`repro.errors` types come back as themselves, so e.g. a
+    ``PlanError`` from a worker's ``create_aq`` is caught by the same
+    ``except`` clauses as in-process; anything else degrades
     to :class:`ShardingError` naming the shard.
     """
     kind = getattr(_errors, name, None)

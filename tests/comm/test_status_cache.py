@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro import AortaEngine, EngineConfig
 from repro.errors import CommunicationError
-from repro.comm.status_cache import DEFAULT_STATUS_TTLS, DeviceStatusCache
+from repro.comm.status_cache import (
+    DEFAULT_STATUS_TTLS,
+    STATUS_TTL_SECONDS,
+    DeviceStatusCache,
+)
 
 
 @pytest.fixture
 def cache(env):
-    return DeviceStatusCache(env, default_ttl=5.0)
+    return DeviceStatusCache(env)
 
 
 class TestLookup:
@@ -52,7 +57,14 @@ class TestLookup:
         assert cache.lookup(lab["cam1"]) is not None
 
     def test_unknown_type_uses_default_ttl(self, env, cache):
-        assert cache.ttl_for("toaster") == 5.0
+        assert cache.ttl_for("toaster") == STATUS_TTL_SECONDS
+
+    def test_overrides_keep_the_other_types_defaults(self):
+        engine = AortaEngine(config=EngineConfig(
+            status_cache=True, status_ttls={"camera": 60.0}))
+        assert engine.status_cache.ttl_for("camera") == 60.0
+        assert engine.status_cache.ttl_for("sensor") \
+            == DEFAULT_STATUS_TTLS["sensor"]
 
 
 class TestInvalidation:
@@ -75,8 +87,6 @@ class TestInvalidation:
 
 class TestValidationAndStats:
     def test_ttls_must_be_positive(self, env):
-        with pytest.raises(CommunicationError, match="default_ttl"):
-            DeviceStatusCache(env, default_ttl=0.0)
         with pytest.raises(CommunicationError, match="camera"):
             DeviceStatusCache(env, ttls={"camera": -1.0})
 

@@ -23,7 +23,7 @@ from repro import (
     SensorStimulus,
 )
 from repro.actions.request import ActionRequest, RequestState
-from repro.core.dispatcher import Dispatcher, _Batch
+from repro.core.dispatcher import MAX_DISPATCHES, Dispatcher, _Batch
 from repro.errors import DeviceDownError
 from repro.overload import OverloadPolicy
 from repro.sync.locks import DeviceLockManager
@@ -63,7 +63,7 @@ def test_unschedulable_request_is_traced_like_every_other_failure(engine):
 # Bugfix: DROP AQ took the query's waiting requests with it
 # ----------------------------------------------------------------------
 def test_dropping_a_query_fails_the_requests_it_left_waiting():
-    engine = build_lab(config=EngineConfig(batch_window=0.5))
+    engine = build_lab()
     engine.execute(FIGURE_1)
     engine.comm.registry.get("mote1").inject(SensorStimulus(
         "accel_x", start=0.0, duration=5.0, magnitude=900.0))
@@ -85,16 +85,13 @@ def test_dropping_a_query_fails_the_requests_it_left_waiting():
 
 @settings(max_examples=40, deadline=None)
 @given(drop_at=st.floats(min_value=0.0, max_value=14.0),
-       batch_window=st.sampled_from([0.1, 0.5, 2.0]),
        overload=st.booleans())
-def test_a_query_dropped_mid_run_loses_no_request(
-        drop_at, batch_window, overload):
+def test_a_query_dropped_mid_run_loses_no_request(drop_at, overload):
     """Emitted = serviced + failed + shed + rejected, nothing pending,
     whenever the DROP lands: before the event, inside the batch window,
     during service or after it."""
     engine = build_lab(config=EngineConfig(
-        batch_window=batch_window, overload=overload,
-        overload_policy=OverloadPolicy(queue_limit=2)))
+        overload=overload, overload_policy=OverloadPolicy(queue_limit=2)))
     engine.execute(FIGURE_1)
     engine.execute(FIGURE_1.replace("snapshot", "kept"))
     for index in (1, 2, 3):
@@ -140,8 +137,7 @@ def test_every_request_ends_exactly_once(
         queue_limit, health):
     engine = build_lab(config=EngineConfig(
         probing=probing, locking=locking,
-        retry=RetryPolicy(max_attempts=max_attempts, failover=failover,
-                          backoff_base=0.25, max_dispatches=3),
+        retry=RetryPolicy(max_attempts=max_attempts, failover=failover),
         overload=overload,
         overload_policy=OverloadPolicy(queue_limit=queue_limit),
         health=HealthPolicy(failure_threshold=1) if health else None))
@@ -271,10 +267,10 @@ def test_partition_splits_schedulable_from_failed():
 
 def test_partition_with_failover_requeues_and_keeps_the_full_set():
     env, dispatcher, action = bare_dispatcher(
-        retry=RetryPolicy(failover=True, max_dispatches=2))
+        retry=RetryPolicy(failover=True))
     both, stranded, spent = snap(1, "d1", "d2"), snap(2, "d2"), \
         snap(3, "d2")
-    spent.dispatches = 1  # this batch is its second and last dispatch
+    spent.dispatches = MAX_DISPATCHES - 1  # this batch is its last
     batch = _Batch(action, [both, stranded, spent], env.now)
     batch.statuses = {"d1": {}}
 

@@ -97,13 +97,6 @@ def test_unknown_scheduler_rejected():
         EngineConfig(scheduler="QUANTUM")
 
 
-def test_config_validation():
-    with pytest.raises(AortaError, match="poll_interval"):
-        EngineConfig(poll_interval=0)
-    with pytest.raises(AortaError, match="batch_window"):
-        EngineConfig(batch_window=-1)
-
-
 def test_batch_window_groups_requests(engine):
     """Requests submitted within the window dispatch as one batch."""
     engine.execute('''CREATE AQ q1 AS

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import AortaError, BindingError, QueryError
-from repro import EngineConfig, SensorStimulus
+from repro import SensorStimulus
 from repro.actions.request import RequestState
-from tests.core.conftest import FIGURE_1, build_lab
+from tests.core.conftest import FIGURE_1
 
 
 def test_create_aq_registers_query(engine):
@@ -55,17 +55,6 @@ def test_edge_triggering_fires_once_per_event(engine):
     engine.start()
     engine.run(until=30.0)
     assert len(engine.completed_requests) == 1
-
-
-def test_level_triggering_fires_every_poll():
-    engine = build_lab(config=EngineConfig(edge_triggered=False))
-    engine.execute(FIGURE_1)
-    mote = engine.comm.registry.get("mote1")
-    mote.inject(SensorStimulus("accel_x", start=2.0, duration=5.0,
-                               magnitude=800.0))
-    engine.start()
-    engine.run(until=30.0)
-    assert len(engine.completed_requests) > 1
 
 
 def test_separate_events_fire_separately(engine):

@@ -26,6 +26,7 @@ from repro import (
 )
 from repro.errors import AortaError
 from repro.actions.request import ActionRequest
+from repro.comm.pool import POOL_CAPACITY, POOL_IDLE_SECONDS
 from repro.devices.failures import FailureInjector, OutageSpec
 from repro.devices.health import BreakerState
 
@@ -81,25 +82,17 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             EngineConfig(**{flag: True})
 
-    def test_pool_knobs_validated(self):
-        with pytest.raises(AortaError, match="pool_capacity"):
-            EngineConfig(pool_capacity=0)
-        with pytest.raises(AortaError, match="pool_idle_seconds"):
-            EngineConfig(pool_idle_seconds=0.0)
-
     def test_cache_knobs_validated(self):
-        with pytest.raises(AortaError, match="status_ttl_seconds"):
-            EngineConfig(status_ttl_seconds=-1.0)
         with pytest.raises(AortaError, match="camera"):
             EngineConfig(status_ttls={"camera": 0.0})
 
     def test_engine_builds_fastpath_only_when_asked(self):
         """The pool is every engine's; the status cache is opt-in."""
-        plain = build_fast_lab(EngineConfig(pool_capacity=7,
-                                            pool_idle_seconds=11.0))
+        plain = build_fast_lab(EngineConfig())
         assert plain.status_cache is None
         assert plain.pool is plain.comm.transport.pool
-        assert (plain.pool.capacity, plain.pool.idle_seconds) == (7, 11.0)
+        assert (plain.pool.capacity, plain.pool.idle_seconds) \
+            == (POOL_CAPACITY, POOL_IDLE_SECONDS)
         fast = build_fast_lab(EngineConfig(**FASTPATH_ON))
         assert fast.status_cache is not None
         assert fast.comm.transport.pool is fast.pool
@@ -249,10 +242,11 @@ class TestPoolIntegration:
         opened is closed or idle in the pool, within its capacity."""
         env = Environment()
         engine = AortaEngine(env, seed=3, config=EngineConfig(
-            pool_capacity=4, status_cache=True,
+            status_cache=True,
             retry=RetryPolicy(max_attempts=2, failover=True),
             health=HealthPolicy(failure_threshold=1,
                                 quarantine_seconds=5.0)))
+        engine.pool.capacity = 4  # fewer slots than devices: evictions
         cameras = [engine.add_device(PanTiltZoomCamera(
             env, f"cam{i + 1}", Point(20.0 * i, 0.0), facing=0.0,
             view_half_angle=170.0, view_range=1000.0)) for i in range(4)]
@@ -296,7 +290,7 @@ class TestPoolIntegration:
         still_open = [c for c in opened if not c.closed]
         assert still_open
         assert {id(c) for c in still_open} == parked
-        assert len(engine.pool) <= engine.config.pool_capacity
+        assert len(engine.pool) <= engine.pool.capacity
 
 
 class TestConcurrentDispatch:
@@ -423,6 +417,5 @@ class TestServicedSetInvariance:
 
         off = run(EngineConfig(**FASTPATH_OFF))
         on = run(EngineConfig(status_cache=True,
-                              status_ttl_seconds=ttl,
                               status_ttls={"camera": ttl}))
         assert off == on

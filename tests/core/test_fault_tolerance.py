@@ -6,11 +6,21 @@ re-dispatch through the shared operator, the DeviceHealthTracker gate
 on candidate sets, and the drain of a dead device's queue.
 """
 
+import random
+
 import pytest
 
 from repro.errors import AortaError
-from repro import EngineConfig, HealthPolicy, Point, RetryPolicy
+from repro import (
+    EngineConfig,
+    HealthPolicy,
+    PanTiltZoomCamera,
+    Point,
+    RetryPolicy,
+)
 from repro.actions.request import ActionRequest, RequestState
+from repro.core.config import BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_JITTER
+from repro.core.dispatcher import MAX_DISPATCHES
 from repro.devices.health import BreakerState
 from tests.core.conftest import build_lab
 from tests.core.test_fastpath import drive as dispatch_pending_until
@@ -49,26 +59,33 @@ def drive(engine, requests):
 def test_retry_policy_validation():
     with pytest.raises(AortaError, match="max_attempts"):
         RetryPolicy(max_attempts=0)
-    with pytest.raises(AortaError, match="backoff_factor"):
-        RetryPolicy(backoff_factor=0.5)
-    with pytest.raises(AortaError, match="jitter"):
-        RetryPolicy(jitter=1.5)
-    with pytest.raises(AortaError, match="max_dispatches"):
-        RetryPolicy(max_dispatches=0)
+    with pytest.raises(AortaError, match="backoff_max"):
+        RetryPolicy(backoff_max=-1.0)
 
 
 def test_retry_policy_backoff_shape():
-    import random
-    policy = RetryPolicy(max_attempts=4, backoff_base=1.0,
-                         backoff_factor=2.0, backoff_max=3.0, jitter=0.0)
+    # Capped at the third retry: nominal waits are 0.5, 1, 2 seconds.
+    policy = RetryPolicy(max_attempts=4, backoff_max=1.5)
     rng = random.Random(0)
-    assert [policy.backoff_seconds(a, rng) for a in (1, 2, 3)] \
-        == [1.0, 2.0, 3.0]  # exponential, capped at backoff_max
-    jittered = RetryPolicy(backoff_base=1.0, jitter=0.25)
-    values = {jittered.backoff_seconds(1, random.Random(s))
+    waits = [policy.backoff_seconds(a, rng) for a in (1, 2, 3)]
+    for attempt, wait in enumerate(waits[:2], start=1):
+        nominal = BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1)
+        assert abs(wait - nominal) <= BACKOFF_JITTER * nominal
+    assert waits[2] == 1.5
+    values = {RetryPolicy().backoff_seconds(1, random.Random(s))
               for s in range(20)}
     assert len(values) > 1
-    assert all(0.75 <= value <= 1.25 for value in values)
+
+
+def test_backoff_max_bounds_the_jittered_wait():
+    """The ceiling holds after jitter, and capping draws no extra
+    random number (the retry stream stays aligned)."""
+    policy = RetryPolicy(max_attempts=10)
+    rng, twin = random.Random(7), random.Random(7)
+    for _ in range(1000):
+        assert policy.backoff_seconds(10, rng) <= policy.backoff_max
+        twin.random()
+    assert rng.getstate() == twin.getstate()
 
 
 def test_default_policy_is_disabled():
@@ -82,20 +99,18 @@ def test_default_policy_is_disabled():
 # ----------------------------------------------------------------------
 def test_retry_bridges_a_transient_outage():
     engine = build_lab(config=EngineConfig(
-        probing=False,
-        retry=RetryPolicy(max_attempts=4, backoff_base=1.0,
-                          backoff_factor=2.0, jitter=0.0)))
+        probing=False, retry=RETRY_THROUGH_OUTAGE))
     engine.comm.registry.get("cam1").go_offline()
 
     def recovery(env):
-        yield env.timeout(2.5)
+        yield env.timeout(OUTAGE_SECONDS)
         engine.comm.registry.get("cam1").go_online()
 
     engine.env.process(recovery(engine.env))
     request = make_request(engine, Point(4, 3), candidates=("cam1",))
     reports = drive(engine, [request])
 
-    # Attempts at t=0 (fail), t=1 (fail), t=3 (cam1 back): serviced.
+    # Attempts at t=0 (fail), t~0.5 (fail), t~1.5 (cam1 back): serviced.
     assert request.state is RequestState.SERVICED
     assert request.assigned_device == "cam1"
     assert request.attempts == 3
@@ -105,17 +120,23 @@ def test_retry_bridges_a_transient_outage():
     assert len(engine.tracer.of_kind("request_retry")) == 2
 
 
+#: cam1's outage in the retry tests: it ends between the second
+#: attempt (t = 0.5 s +/- jitter) and the third (t = 1.5 s +/- jitter).
+OUTAGE_SECONDS = 1.2
+RETRY_THROUGH_OUTAGE = RetryPolicy(max_attempts=4)
+
+
 def overlapping_photo_and_beep(config):
     """One ``dispatch_pending`` over two actions: sibling batches.
 
-    cam1 is offline until t=2.5, so the photo batch is still retrying
+    cam1 is offline until t=1.2, so the photo batch is still retrying
     long after the beep batch has scheduled, executed and reported.
     """
     engine = build_lab(config=config)
     engine.comm.registry.get("cam1").go_offline()
 
     def recovery(env):
-        yield env.timeout(2.5)
+        yield env.timeout(OUTAGE_SECONDS)
         engine.comm.registry.get("cam1").go_online()
 
     engine.env.process(recovery(engine.env))
@@ -134,14 +155,12 @@ def overlapping_photo_and_beep(config):
     return engine, photo, beep
 
 
-RETRY_THROUGH_OUTAGE = RetryPolicy(max_attempts=4, backoff_base=1.0,
-                                   backoff_factor=2.0, jitter=0.0)
 
 
 def test_overlapping_batches_report_their_own_attempts():
     engine, photo, beep = overlapping_photo_and_beep(EngineConfig(
         probing=False, retry=RETRY_THROUGH_OUTAGE))
-    # The first photo bridges the outage (t=0, 1, 3); the second, queued
+    # The first photo bridges the outage (t=0, ~0.5, ~1.5); the second, queued
     # behind it on cam1, then succeeds at once.
     assert (photo.attempts, photo.retries) == (4, 2)
     assert (beep.attempts, beep.retries) == (1, 0)
@@ -202,21 +221,26 @@ def test_failover_reassigns_to_surviving_candidate():
 
 def test_failover_respects_dispatch_cap():
     engine = build_lab(config=EngineConfig(
-        probing=False,
-        retry=RetryPolicy(failover=True, max_dispatches=2)))
-    for camera in ("cam1", "cam2"):
+        probing=False, retry=RetryPolicy(failover=True)))
+    engine.add_device(PanTiltZoomCamera(engine.env, "cam3", Point(40, 0),
+                                        facing=180.0))
+    for camera in ("cam1", "cam2", "cam3"):
         engine.comm.registry.get(camera).go_offline()
-    request = make_request(engine, Point(4, 3))
+    request = make_request(engine, Point(4, 3),
+                           candidates=("cam1", "cam2", "cam3"))
+    request.dispatches = MAX_DISPATCHES - 2
     drive(engine, [request])
-    # Two dispatches (original + one failover), then final failure.
+    # Two more dispatches (this one + one failover) reach the cap, then
+    # final failure although a third candidate was never tried.
     assert request.state is RequestState.FAILED
-    assert request.dispatches == 2
+    assert request.dispatches == MAX_DISPATCHES
     assert engine.dispatcher.failovers_total == 1
+    assert len(request.failed_devices) == 1
 
 
 def test_no_available_candidate_requeues_until_recovery():
     engine = build_lab(config=EngineConfig(
-        retry=RetryPolicy(failover=True, max_dispatches=6)))
+        retry=RetryPolicy(failover=True)))
     engine.comm.registry.get("cam1").go_offline()
     engine.comm.registry.get("cam2").go_offline()
 

@@ -35,7 +35,7 @@ def fire_events_every_minute(engine, n_queries, minutes):
 
 def run_study(locking: bool, n_queries=6, minutes=3):
     config = EngineConfig(locking=locking, probing=True,
-                          scheduler="SRFAE", poll_interval=1.0)
+                          scheduler="SRFAE")
     engine = build_lab(config=config, n_motes=n_queries)
     monitoring_queries(engine, n_queries)
     fire_events_every_minute(engine, n_queries, minutes)

@@ -13,8 +13,7 @@ from repro.sim import Environment
 
 
 POLICY = HealthPolicy(failure_threshold=3, quarantine_seconds=10.0,
-                      backoff_factor=2.0, quarantine_max=35.0,
-                      probation_successes=1)
+                      backoff_factor=2.0, quarantine_max=35.0)
 
 
 def make_tracker(tracer=None):
@@ -29,8 +28,6 @@ def test_policy_validation():
         HealthPolicy(quarantine_seconds=0)
     with pytest.raises(DeviceError, match="backoff_factor"):
         HealthPolicy(backoff_factor=0.5)
-    with pytest.raises(DeviceError, match="probation_successes"):
-        HealthPolicy(probation_successes=0)
 
 
 def test_unknown_device_is_closed_and_allowed():

@@ -30,7 +30,6 @@ from repro import (
 )
 from repro.actions.request import ActionRequest
 from repro.devices.failures import FailureInjector, OutageSpec
-from repro.errors import AdmissionError
 from repro.overload import OverloadPolicy, TierRate
 
 
@@ -90,9 +89,7 @@ def continuous_outage_scenario(
         observability,
         probing=False,
         **config_kwargs,
-        retry=RetryPolicy(max_attempts=2, backoff_base=0.5,
-                          backoff_factor=2.0, backoff_max=4.0,
-                          jitter=0.1, failover=True, max_dispatches=4),
+        retry=RetryPolicy(max_attempts=2, backoff_max=4.0, failover=True),
         health=HealthPolicy(failure_threshold=2, quarantine_seconds=10.0,
                             backoff_factor=2.0, quarantine_max=40.0),
         lock_lease_seconds=30.0,
@@ -147,14 +144,9 @@ def continuous_outage_scenario(
 # ----------------------------------------------------------------------
 OVERLOAD_STORM_POLICY = OverloadPolicy(
     tier_rates={1: TierRate(rate=1.0, burst=2.0)},
-    registration_rates={1: TierRate(rate=0.001, burst=1.0)},
-    capacity_horizon=50.0,
-    utilization_cap=1.0,
     queue_limit=16,
-    shed_interval=0.5,
     shed_high_watermark=12,
     shed_low_watermark=4,
-    shed_protect_tier=3,
 )
 
 
@@ -167,9 +159,8 @@ def overload_storm_scenario(observability: Optional[bool] = None,
     the flood (request_shed / request_rejected); the backlog crosses
     the 12-request high watermark so pressure shedding starts and,
     once drained to 4, stops (shedding_started / shedding_stopped);
-    tier-2 deadlines expire in queue (request_shed); and a second
-    tier-1 AQ registration trips the registration rate limit
-    (query_rejected). Fully deterministic; runs 40 virtual seconds.
+    and tier-2 deadlines expire in queue (request_shed). Fully
+    deterministic; runs 40 virtual seconds.
     """
     env = env if env is not None else Environment()
     engine = AortaEngine(
@@ -194,15 +185,6 @@ def overload_storm_scenario(observability: Optional[bool] = None,
         FROM sensor s, camera c
         WHERE s.accel_x > 500 AND coverage(c.id, s.loc)''',
                      priority=1, deadline_seconds=20.0)
-    try:
-        engine.create_aq('''CREATE AQ storm_watch_b AS
-            SELECT photo(c.ip, s.loc, "photos/storm")
-            FROM sensor s, camera c
-            WHERE s.accel_x > 500 AND coverage(c.id, s.loc)''',
-                         priority=1)
-        raise AssertionError("second tier-1 registration must be refused")
-    except AdmissionError:
-        pass
     mote.inject(SensorStimulus("accel_x", start=2.0, duration=3.0,
                                magnitude=850.0))
 
@@ -253,9 +235,7 @@ FT_REQUEST_PERIOD = 2.0
 FT_HORIZON = 100.0
 FT_DRAIN = 60.0
 
-FT_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.5,
-                       backoff_factor=2.0, backoff_max=10.0,
-                       jitter=0.1, failover=True, max_dispatches=4)
+FT_RETRY = RetryPolicy(max_attempts=3, backoff_max=10.0, failover=True)
 FT_HEALTH = HealthPolicy(failure_threshold=3, quarantine_seconds=15.0,
                          backoff_factor=2.0, quarantine_max=120.0)
 

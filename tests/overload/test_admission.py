@@ -4,7 +4,12 @@ import pytest
 
 from repro.errors import AortaError
 from repro.overload import AdmissionController, OverloadPolicy, TierRate, TokenBucket
-from repro.overload.admission import REASON_CAPACITY, REASON_RATE
+from repro.overload.admission import (
+    CAPACITY_HORIZON,
+    REASON_CAPACITY,
+    REASON_RATE,
+    UTILIZATION_CAP,
+)
 
 
 class TestTokenBucket:
@@ -52,8 +57,13 @@ class TestPolicyValidation:
             OverloadPolicy(shed_high_watermark=10, shed_low_watermark=10)
 
     def test_utilization_cap_bounds(self):
-        with pytest.raises(AortaError, match="utilization_cap"):
-            OverloadPolicy(utilization_cap=1.5)
+        """A window commits at most the capped share of the fleet's
+        device-seconds: the rest absorbs estimate error and retries."""
+        budget = CAPACITY_HORIZON * UTILIZATION_CAP
+        assert 0.0 < budget < CAPACITY_HORIZON
+        ctrl = controller(OverloadPolicy(), fleet=1)
+        assert ctrl.admit_request(1, budget, 0.0) is None
+        assert ctrl.admit_request(1, 0.1, 0.0) == REASON_CAPACITY
 
     def test_queue_limit_positive(self):
         with pytest.raises(AortaError, match="queue_limit"):
@@ -75,33 +85,22 @@ class TestRateGate:
         assert ctrl.admit_request(1, 0.1, 0.0) is None
         assert ctrl.admit_request(1, 0.1, 0.0) is None
         assert ctrl.admit_request(1, 0.1, 0.0) == REASON_RATE
-        assert ctrl.rejected_requests == 1
-
-    def test_registration_gate_is_independent(self):
-        ctrl = controller(OverloadPolicy(
-            registration_rates={1: TierRate(0.001, 1.0)}))
-        assert ctrl.admit_query(1, 0.0) is None
-        assert ctrl.admit_query(1, 0.0) == REASON_RATE
-        # Request ingestion is untouched by the registration bucket.
-        assert ctrl.admit_request(1, 0.1, 0.0) is None
-        assert (ctrl.admitted_queries, ctrl.rejected_queries) == (1, 1)
 
 
 class TestCapacityGate:
-    POLICY = OverloadPolicy(capacity_horizon=10.0, utilization_cap=1.0,
-                            capacity_protect_tier=3)
+    POLICY = OverloadPolicy()
 
     def test_window_budget_is_fleet_times_horizon(self):
-        ctrl = controller(self.POLICY, fleet=2)   # 20 device-seconds
-        assert ctrl.admit_request(1, 15.0, 0.0) is None
-        assert ctrl.admit_request(1, 10.0, 1.0) == REASON_CAPACITY
-        assert ctrl.admit_request(1, 5.0, 1.0) is None
+        ctrl = controller(self.POLICY, fleet=2)   # 18 device-seconds
+        assert ctrl.admit_request(1, 13.5, 0.0) is None
+        assert ctrl.admit_request(1, 9.0, 1.0) == REASON_CAPACITY
+        assert ctrl.admit_request(1, 4.5, 1.0) is None
 
     def test_window_resets_on_next_horizon(self):
-        ctrl = controller(self.POLICY, fleet=1)   # 10 device-seconds
-        assert ctrl.admit_request(1, 10.0, 0.0) is None
+        ctrl = controller(self.POLICY, fleet=1)   # 9 device-seconds
+        assert ctrl.admit_request(1, 9.0, 0.0) is None
         assert ctrl.admit_request(1, 1.0, 5.0) == REASON_CAPACITY
-        assert ctrl.admit_request(1, 1.0, 10.0) is None   # new window
+        assert ctrl.admit_request(1, 1.0, CAPACITY_HORIZON) is None
 
     def test_protected_tier_bypasses_but_still_commits(self):
         ctrl = controller(self.POLICY, fleet=1)
@@ -113,11 +112,7 @@ class TestCapacityGate:
     def test_deterministic_counters(self):
         def run():
             ctrl = controller(OverloadPolicy(
-                tier_rates={1: TierRate(2.0, 2.0)},
-                capacity_horizon=5.0, utilization_cap=0.5))
-            outcomes = []
-            for step in range(30):
-                outcomes.append(ctrl.admit_request(
-                    1 + step % 3, 0.7, step * 0.3))
-            return outcomes, ctrl.admitted_requests, ctrl.rejected_requests
+                tier_rates={1: TierRate(2.0, 2.0)}), fleet=1)
+            return [ctrl.admit_request(1 + step % 3, 0.7, step * 0.3)
+                    for step in range(30)]
         assert run() == run()

@@ -93,7 +93,6 @@ class TestStormScenario:
         stats = engine.statistics()
         assert stats["overload_rejected_requests"] > 0
         assert stats["requests_shed"] > 0
-        assert stats["overload_rejected_queries"] == 1
         # Protected tier 3 is never pressure-shed.
         assert stats["overload_shed_by_tier"].get(3, 0) == 0
 

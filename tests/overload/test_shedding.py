@@ -6,12 +6,15 @@ from repro.actions.builtins import builtin_definitions
 from repro.actions.request import ActionRequest, RequestState
 from repro.core.tracing import EngineTracer
 from repro.overload import LoadShedder, OverloadPolicy
-from repro.overload.shedding import REASON_DEADLINE, REASON_PRESSURE
+from repro.overload.shedding import (
+    REASON_DEADLINE,
+    REASON_PRESSURE,
+    SHED_INTERVAL,
+)
 from repro.plan import SharedActionOperator
 from repro.sim import Environment
 
-POLICY = OverloadPolicy(shed_interval=1.0, shed_high_watermark=4,
-                        shed_low_watermark=2, shed_protect_tier=3)
+POLICY = OverloadPolicy(shed_high_watermark=4, shed_low_watermark=2)
 
 
 def make_request(request_id, *, priority=1, deadline=None, created_at=0.0):
@@ -111,7 +114,7 @@ def test_periodic_process_runs_on_interval():
     h.fill(5)
     h.shedder.start()
     h.shedder.start()                      # idempotent
-    h.env.run(until=3.5)
+    h.env.run(until=3.5 * SHED_INTERVAL)
     assert h.shedder.shed_passes == 3
     assert h.operator.pending_count == 2
     assert len(h.shed_log) == 3

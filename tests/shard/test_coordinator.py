@@ -28,13 +28,14 @@ from repro import (
 )
 from repro.actions.request import ActionRequest
 from repro.errors import (
-    AdmissionError,
     AortaError,
+    RegistrationError,
     ShardingError,
     SimulationError,
 )
-from repro.overload import OverloadPolicy
+from repro.overload.admission import CAPACITY_HORIZON, UTILIZATION_CAP
 from repro.runtime import RuntimePeer, VirtualRuntime, run_lockstep
+from repro.shard.coordinator import SHARD_QUANTUM
 from tests.shard.scenarios import (
     FIGURE_1_AQ,
     RoundTap,
@@ -112,8 +113,6 @@ def test_plain_engine_refuses_multi_shard_config():
 def test_config_validates_shard_knobs():
     with pytest.raises(AortaError):
         EngineConfig(shards=0)
-    with pytest.raises(AortaError):
-        EngineConfig(shard_quantum=0.0)
 
 
 def test_placement_width_must_match_config():
@@ -195,25 +194,12 @@ def test_explain_describes_the_plan_without_registering(build_fleet):
     assert queries_per_shard(fleet) == [0, 0]
 
 
-class RefusingShard:
-    """A handle whose shard refuses every AQ registration."""
-
-    dead = False
-
-    def __init__(self, shard) -> None:
-        self.shard = shard
-
-    def call(self, op, *args):
-        if op == "create_aq":
-            raise AdmissionError("tier rate exhausted")
-        return self.shard.call(op, *args)
-
-
 def test_create_aq_admission_failure_rolls_back_earlier_shards():
     fleet = two_shard_fleet()
-    # The handle list is the seam: no engine method is patched.
-    fleet.handles[1] = RefusingShard(fleet.handles[1])
-    with pytest.raises(AdmissionError):
+    # Shard 1 alone already holds a query of that name, so it refuses
+    # the fleet-wide registration after shard 0 has accepted it.
+    fleet.shards[1].execute(FIGURE_1_AQ)
+    with pytest.raises(RegistrationError, match="already registered"):
         fleet.create_aq(FIGURE_1_AQ, priority=1)
     # The shard that had already accepted must not keep a half-fleet
     # registration.
@@ -353,47 +339,43 @@ def test_ledger_free_fleet_takes_one_round_per_run(build_fleet):
 
 
 def test_ledger_coupled_fleet_still_steps_by_the_quantum(build_fleet):
-    for quantum in (1.0, 0.5):
-        fleet = build_fleet(overload=True, shard_quantum=quantum)
-        assert fleet.ledger is not None
-        counter = fleet.handles[0] = RoundTap(fleet.handles[0])
-        fleet.start()
-        fleet.run(until=12.5)
-        assert counter.rounds == math.ceil(12.5 / quantum)
+    fleet = build_fleet(overload=True)
+    assert fleet.ledger is not None
+    counter = fleet.handles[0] = RoundTap(fleet.handles[0])
+    fleet.start()
+    fleet.run(until=12.5)
+    assert counter.rounds == math.ceil(12.5 / SHARD_QUANTUM)
 
 
 # ----------------------------------------------------------------------
 # Fleet-wide capacity accounting
 # ----------------------------------------------------------------------
 def test_shards_share_one_capacity_ledger_under_overload():
-    fleet = two_shard_fleet(
-        overload=True,
-        overload_policy=OverloadPolicy(capacity_horizon=100.0,
-                                       utilization_cap=1.0))
+    fleet = two_shard_fleet(overload=True)
     first = fleet.shards[0].overload.admission.capacity
     second = fleet.shards[1].overload.admission.capacity
     assert first is second
     # The budget counts the whole fleet's devices, and a commit by one
     # shard is visible to the other at the same window.
-    assert first.available(0.0) == 6 * 100.0
+    budget = 6 * CAPACITY_HORIZON * UTILIZATION_CAP
+    assert first.available(0.0) == budget
     first.commit(0.0, 40.0)
-    assert second.available(0.0) == 600.0 - 40.0
+    assert second.available(0.0) == budget - 40.0
 
 
 def test_capacity_ledger_windows_are_order_independent():
-    fleet = two_shard_fleet(
-        overload=True,
-        overload_policy=OverloadPolicy(capacity_horizon=10.0,
-                                       utilization_cap=1.0))
+    fleet = two_shard_fleet(overload=True)
     ledger = fleet.shards[0].overload.admission.capacity
+    budget = ledger.available(0.0)
+    later = 1.5 * CAPACITY_HORIZON             # in window 1
     # Shard clocks advance independently: a commit to window 1 must
     # survive a read at window 0 by a slower shard.
-    ledger.commit(15.0, 5.0)
-    assert ledger.available(2.0) == 60.0       # window 0 untouched
-    assert ledger.available(15.0) == 60.0 - 5.0
+    ledger.commit(later, 5.0)
+    assert ledger.available(2.0) == budget     # window 0 untouched
+    assert ledger.available(later) == budget - 5.0
     ledger.commit(2.0, 10.0)
-    assert ledger.available(15.0) == 55.0      # window 1 unaffected
-    assert ledger.available(8.0) == 50.0
+    assert ledger.available(later) == budget - 5.0   # window 1 unaffected
+    assert ledger.available(8.0) == budget - 10.0
 
 
 def test_single_shard_fleet_keeps_per_engine_ledgers():

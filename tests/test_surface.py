@@ -1,14 +1,20 @@
-"""Keeps three descriptions of the tree honest: every definition under
-``src/repro`` has a caller that is not a test, a runtime's ``now`` is
-assigned only by the kernel, and DESIGN.md's module map is the tree."""
+"""Keeps four descriptions of the tree honest: every definition under
+``src/repro`` has a caller that is not a test, every config field has a
+second value in use outside ``tests/``, a runtime's ``now`` is assigned
+only by the kernel, and DESIGN.md's module map is the tree."""
 
 import ast
+import dataclasses
+import inspect
 import re
 from fnmatch import fnmatchcase
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
+
+from repro import EngineConfig, HealthPolicy, RetryPolicy
+from repro.overload import OverloadPolicy, TierRate
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -79,6 +85,13 @@ def _assigns_to_self(node):
 
 
 @lru_cache(maxsize=None)
+def _modules():
+    """Path -> parsed module, for every file in ``CALLER_TREES``."""
+    return {path: ast.parse(path.read_text())
+            for tree in CALLER_TREES for path in sorted(tree.rglob("*.py"))}
+
+
+@lru_cache(maxsize=None)
 def _surface():
     """``(uncalled, unread)``: definitions under ``src/repro`` that no
     code in ``CALLER_TREES`` names, and ``self.<attr>`` assignments that
@@ -90,14 +103,15 @@ def _surface():
     ``LAYER_CALLS`` dispatch by string). Imports, ``__all__`` lists,
     docstrings and comments name nothing, and a ``def`` does not name
     itself. A function or class needs any of the three; a method needs
-    an attribute access or a string; an attribute needs a load.
+    an attribute access or a string; an attribute needs a load, which a
+    string is only when it is one identifier and not a dict key (a
+    ``stats()`` key or a part of a dotted metric name reads nothing).
     Skipped: dunders, ``op_*`` handlers (``Device.execute`` dispatches
     on an f-string), a method that overrides one of a base class in the
     tree (the base's is checked), nested definitions, and the members of
     a class that is itself uncalled.
     """
-    modules = {path: ast.parse(path.read_text())
-               for tree in CALLER_TREES for path in sorted(tree.rglob("*.py"))}
+    modules = _modules()
     identifiers, attributes, loads = set(), set(), set()
     for module in modules.values():
         export_lists = {
@@ -106,6 +120,8 @@ def _surface():
             and any(isinstance(target, ast.Name) and target.id == "__all__"
                     for target in statement.targets)
             for node in ast.walk(statement.value)}
+        dict_keys = {id(key) for node in ast.walk(module)
+                     if isinstance(node, ast.Dict) for key in node.keys}
         for node in ast.walk(module):
             if isinstance(node, ast.Name):
                 identifiers.add(node.id)
@@ -118,7 +134,8 @@ def _surface():
                   and id(node) not in export_lists
                   and _DOTTED_NAME.fullmatch(node.value)):
                 attributes.update(node.value.split("."))
-                loads.update(node.value.split("."))
+                if "." not in node.value and id(node) not in dict_keys:
+                    loads.add(node.value)
 
     source = {path: module for path, module in modules.items()
               if SRC in path.parents}
@@ -214,6 +231,124 @@ def test_every_exported_callable_has_a_caller(package_name):
     uncalled, _ = _surface()
     assert _not_kept(name for name in uncalled
                      if name.startswith(package_name + ".")) == []
+
+
+#: The config dataclasses: each field is one independently settable
+#: value.
+OPTION_CLASSES = (EngineConfig, RetryPolicy, HealthPolicy, OverloadPolicy,
+                  TierRate)
+
+#: The reasons a field may stay settable with one value in use. "A test
+#: sets it" is not one of them.
+OPTION_KINDS = (
+    "passed by name by benchmarks/e2e",  # only a benchmark change edits it
+    "open ROADMAP item",                 # the named item decides the field
+    "paper-literal",                     # the section needing a 2nd value
+)
+
+#: ``Class.field`` -> (kind, reason): what stays settable although
+#: nothing in ``CALLER_TREES`` sets a second value.
+KEPT_OPTIONS = {
+    "EngineConfig.scheduler": (
+        "open ROADMAP item",
+        "item 7: the `EngineConfig.paper()` end state decides whether "
+        "section 5's algorithms stay selectable in the engine or only in "
+        "the scheduling library the paper-figure benches call"),
+    "HealthPolicy.failure_threshold": (
+        "passed by name by benchmarks/e2e",
+        "`mixed_faulty` passes it at its default"),
+    "HealthPolicy.backoff_factor": (
+        "passed by name by benchmarks/e2e",
+        "`mixed_faulty` passes it at its default"),
+}
+
+
+def _is_literal(node, value):
+    try:
+        return ast.literal_eval(node) == value
+    except (ValueError, TypeError, SyntaxError):
+        return False
+
+
+@lru_cache(maxsize=None)
+def _single_valued_options():
+    """``Class.field`` for every field of ``OPTION_CLASSES`` that no code
+    in ``CALLER_TREES`` sets to anything but its default.
+
+    Code sets a field with a keyword argument in a call to its class
+    (outside the class's own module) or to ``replace``, or, for an
+    ``EngineConfig`` field, with a string key of a dict literal: that is
+    how ``benchmarks/e2e`` keeps a workload's overrides (``Job.config``)
+    before splatting them into ``EngineConfig``. A literal equal to the
+    field's default sets nothing new; any other expression counts.
+    """
+    fields = {cls.__name__: {field.name: field
+                             for field in dataclasses.fields(cls)}
+              for cls in OPTION_CLASSES}
+    homes = {cls.__name__: Path(inspect.getsourcefile(cls)).resolve()
+             for cls in OPTION_CLASSES}
+    varied = set()
+
+    def note(owner, name, value):
+        field = fields[owner].get(name)
+        if field is not None and not _is_literal(value, field.default):
+            varied.add(f"{owner}.{name}")
+
+    for path, module in _modules().items():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+                if callee == "replace":
+                    owners = list(fields)
+                elif callee in fields and homes[callee] != path:
+                    owners = [callee]
+                else:
+                    continue
+                for keyword in node.keywords:
+                    for owner in owners:
+                        note(owner, keyword.arg, keyword.value)
+            elif (isinstance(node, ast.Dict)
+                  and homes["EngineConfig"] != path):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant):
+                        note("EngineConfig", key.value, value)
+    return sorted(f"{owner}.{name}" for owner, names in fields.items()
+                  for name in names if f"{owner}.{name}" not in varied)
+
+
+def test_every_option_has_a_second_value_outside_tests():
+    """The Options rule as a property of the tree (DESIGN decision 24):
+    a field every caller leaves at its default is a constant of the
+    module that reads it."""
+    assert [name for name in _single_valued_options()
+            if name not in KEPT_OPTIONS] == []
+
+
+def test_the_option_allow_list_is_short_reasoned_and_not_stale():
+    assert len(KEPT_OPTIONS) <= 4
+    for name, (kind, reason) in KEPT_OPTIONS.items():
+        assert kind in OPTION_KINDS and reason, name
+    stale = sorted(set(KEPT_OPTIONS) - set(_single_valued_options()))
+    assert stale == [], "allow-listed fields that now have a second value"
+
+
+@pytest.mark.parametrize("cls, name", [
+    (EngineConfig, name) for name in (
+        "poll_interval", "batch_window", "edge_triggered", "pool_capacity",
+        "pool_idle_seconds", "status_ttl_seconds", "shard_quantum")] + [
+    (RetryPolicy, name) for name in (
+        "backoff_base", "backoff_factor", "jitter", "max_dispatches")] + [
+    (HealthPolicy, "probation_successes")] + [
+    (OverloadPolicy, name) for name in (
+        "registration_rates", "capacity_horizon", "utilization_cap",
+        "capacity_protect_tier", "default_service_seconds",
+        "shed_interval", "shed_protect_tier")])
+def test_a_constant_is_no_keyword(cls, name):
+    """The option rule's verdicts (DESIGN decision 24) left no alias:
+    a value that became a constant cannot be passed."""
+    with pytest.raises(TypeError):
+        cls(**{name: None})
 
 
 def test_only_the_kernel_assigns_a_runtimes_now():
