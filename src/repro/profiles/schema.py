@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from repro.errors import ProfileError
 
@@ -66,27 +66,28 @@ class DeviceCatalog:
             raise ProfileError(
                 f"device type {self.device_type!r} is not an identifier"
             )
-        seen: set[str] = set()
+        # Name -> spec; ``attributes`` is not mutated after construction.
+        self._by_name: Dict[str, AttributeSpec] = {}
         for attr in self.attributes:
-            if attr.name in seen:
+            if attr.name in self._by_name:
                 raise ProfileError(
                     f"duplicate attribute {attr.name!r} in catalog "
                     f"{self.device_type!r}"
                 )
-            seen.add(attr.name)
+            self._by_name[attr.name] = attr
 
     def attribute(self, name: str) -> AttributeSpec:
         """Look up an attribute by name, raising on unknown names."""
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        raise ProfileError(
-            f"device type {self.device_type!r} has no attribute {name!r}"
-        )
+        attr = self._by_name.get(name)
+        if attr is None:
+            raise ProfileError(
+                f"device type {self.device_type!r} has no attribute {name!r}"
+            )
+        return attr
 
     def has_attribute(self, name: str) -> bool:
         """Whether the catalog defines ``name``."""
-        return any(attr.name == name for attr in self.attributes)
+        return name in self._by_name
 
     @property
     def sensory_attributes(self) -> List[AttributeSpec]:

@@ -1,6 +1,7 @@
 """Recursive-descent parser for the Aorta SQL dialect.
 
-Grammar (precedence low to high): OR, AND, NOT, comparison, primary.
+Grammar (precedence low to high): OR, AND, NOT, comparison, ``+ -``,
+``* /``, unary minus.
 
 ::
 
@@ -14,17 +15,23 @@ Grammar (precedence low to high): OR, AND, NOT, comparison, primary.
                       FROM table_ref (',' table_ref)* [WHERE expr]
     select_item    := '*' | expr
     table_ref      := ident [ident]              -- table [alias]
-    expr           := or_expr
-    or_expr        := and_expr (OR and_expr)*
+    expr           := and_expr (OR and_expr)*
     and_expr       := not_expr (AND not_expr)*
-    not_expr       := NOT not_expr | comparison
-    comparison     := primary [op primary]
-    primary        := literal | func_call | column_ref | '(' expr ')'
+    not_expr       := NOT not_expr | arith [op arith]
+    arith          := term (('+' | '-') term)*
+    term           := primary (('*' | '/') primary)*
+    primary        := '-' primary | literal | func_call | column_ref
+                    | '(' expr ')'
+
+Each pair of levels with one associativity is parsed by one loop:
+``expr`` builds one n-ary ``BooleanOp`` per AND / OR chain (a
+parenthesised group stays a nested node), ``arith`` folds both
+arithmetic levels to the left.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.query.ast import (
@@ -49,25 +56,27 @@ from repro.query.ast import (
 )
 from repro.query.tokens import Token, TokenKind, tokenize
 
-_COMPARISON_OPS = {">", "<", ">=", "<=", "=", "<>", "!="}
+#: Comparison operator text -> the op the AST stores (``!=`` is
+#: ``<>``). Storing these constants, not the token's text, keeps one
+#: string per operator instead of one per comparison.
+_COMPARISON_OPS = {">": ">", "<": "<", ">=": ">=", "<=": "<=", "=": "=",
+                   "<>": "<>", "!=": "<>"}
 
 
 class _Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._position = 0
+        self.current = tokens[0]
 
     # ------------------------------------------------------------------
     # Token plumbing
     # ------------------------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._position]
-
     def _advance(self) -> Token:
         token = self.current
         if token.kind is not TokenKind.END:
             self._position += 1
+            self.current = self._tokens[self._position]
         return token
 
     def _error(self, message: str) -> ParseError:
@@ -168,19 +177,23 @@ class _Parser:
         while self._accept_punct(","):
             items.append(self._select_item())
         self._expect_keyword("FROM")
-        tables: List[TableRef] = [self._table_ref()]
+        tables = [self._table_ref()]
         while self._accept_punct(","):
             tables.append(self._table_ref())
         where: Optional[Expression] = None
         if self.current.is_keyword("WHERE"):
             self._advance()
             where = self.parse_expression()
-        aliases = [t.alias for t in tables]
+        aliases = [table.alias for table, _token in tables]
         duplicates = {a for a in aliases if aliases.count(a) > 1}
         if duplicates:
+            repeat = next(token for k, (table, token) in enumerate(tables)
+                          if table.alias in aliases[:k])
             raise ParseError(
-                f"duplicate table alias(es): {sorted(duplicates)}")
-        return SelectQuery(select_items=tuple(items), tables=tuple(tables),
+                f"duplicate table alias(es): {sorted(duplicates)}",
+                line=repeat.line, column=repeat.column)
+        return SelectQuery(select_items=tuple(items),
+                           tables=tuple(table for table, _token in tables),
                            where=where)
 
     def _select_item(self) -> Expression:
@@ -189,104 +202,85 @@ class _Parser:
             return Star()
         return self.parse_expression()
 
-    def _table_ref(self) -> TableRef:
+    def _table_ref(self) -> Tuple[TableRef, Token]:
+        """A FROM entry, and the token that names its alias."""
+        token = self.current
         table = self._expect_identifier()
         if self.current.kind is TokenKind.IDENTIFIER:
-            alias = self._advance().text
-        else:
-            alias = table
-        return TableRef(table=table, alias=alias)
+            token = self._advance()
+        return TableRef(table=table, alias=token.text), token
 
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
     def parse_expression(self) -> Expression:
-        return self._or_expr()
-
-    def _or_expr(self) -> Expression:
-        operands = [self._and_expr()]
-        while self.current.is_keyword("OR"):
-            self._advance()
-            operands.append(self._and_expr())
-        if len(operands) == 1:
-            return operands[0]
-        return BooleanOp(op="OR", operands=tuple(operands))
-
-    def _and_expr(self) -> Expression:
-        operands = [self._not_expr()]
-        while self.current.is_keyword("AND"):
-            self._advance()
-            operands.append(self._not_expr())
-        if len(operands) == 1:
-            return operands[0]
-        return BooleanOp(op="AND", operands=tuple(operands))
+        """OR of ANDs in one loop; each chain is one flat BooleanOp."""
+        arms: List[Expression] = []
+        conjuncts = [self._not_expr()]
+        while self.current.kind is TokenKind.KEYWORD:
+            if self.current.text == "AND":
+                self._advance()
+                conjuncts.append(self._not_expr())
+            elif self.current.text == "OR":
+                self._advance()
+                arms.append(_n_ary("AND", conjuncts))
+                conjuncts = [self._not_expr()]
+            else:
+                break
+        arms.append(_n_ary("AND", conjuncts))
+        return _n_ary("OR", arms)
 
     def _not_expr(self) -> Expression:
-        if self.current.is_keyword("NOT"):
+        token = self.current
+        if token.kind is TokenKind.KEYWORD and token.text == "NOT":
             self._advance()
             return Not(self._not_expr())
-        return self._comparison()
-
-    def _comparison(self) -> Expression:
-        left = self._additive()
-        if (self.current.kind is TokenKind.OPERATOR
-                and self.current.text in _COMPARISON_OPS):
-            op = self._advance().text
-            if op == "!=":
-                op = "<>"
-            right = self._additive()
-            return Comparison(op=op, left=left, right=right)
-        return left
-
-    def _additive(self) -> Expression:
-        left = self._multiplicative()
-        while (self.current.kind is TokenKind.OPERATOR
-               and self.current.text in ("+", "-")):
-            op = self._advance().text
-            left = Arithmetic(op=op, left=left,
-                              right=self._multiplicative())
-        return left
-
-    def _multiplicative(self) -> Expression:
-        left = self._unary()
-        while ((self.current.kind is TokenKind.OPERATOR
-                and self.current.text == "/")
-               or self._at_punct("*")):
-            op = "*" if self._at_punct("*") else "/"
+        left = self._arith()
+        token = self.current
+        if token.kind is TokenKind.OPERATOR and token.text in _COMPARISON_OPS:
             self._advance()
-            left = Arithmetic(op=op, left=left, right=self._unary())
+            return Comparison(op=_COMPARISON_OPS[token.text], left=left,
+                              right=self._arith())
         return left
 
-    def _unary(self) -> Expression:
-        if (self.current.kind is TokenKind.OPERATOR
-                and self.current.text == "-"):
-            self._advance()
-            return Negate(self._unary())
-        return self._primary()
+    def _arith(self) -> Expression:
+        """``+ -`` over ``* /``, both left-associative, in one loop.
+
+        ``term`` is the product being built; ``total`` is what the
+        terms before it sum to, waiting for ``add_op`` and ``term``.
+        """
+        total: Optional[Expression] = None
+        add_op = ""
+        term = self._primary()
+        while True:
+            token = self.current
+            if ((token.kind is TokenKind.PUNCTUATION and token.text == "*")
+                    or (token.kind is TokenKind.OPERATOR
+                        and token.text == "/")):
+                self._advance()
+                term = Arithmetic(op=token.text, left=term,
+                                  right=self._primary())
+            elif (token.kind is TokenKind.OPERATOR
+                  and token.text in ("+", "-")):
+                self._advance()
+                total = term if total is None else Arithmetic(
+                    op=add_op, left=total, right=term)
+                add_op = token.text
+                term = self._primary()
+            else:
+                break
+        if total is None:
+            return term
+        return Arithmetic(op=add_op, left=total, right=term)
 
     def _primary(self) -> Expression:
         token = self.current
-        if token.kind is TokenKind.NUMBER:
+        kind = token.kind
+        if kind is TokenKind.IDENTIFIER:
             self._advance()
-            is_float = "." in token.text or "e" in token.text \
-                or "E" in token.text
-            return Literal(float(token.text) if is_float
-                           else int(token.text))
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return Literal(token.text)
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return Literal(True)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return Literal(False)
-        if self._accept_punct("("):
-            inner = self.parse_expression()
-            self._expect_punct(")")
-            return inner
-        if token.kind is TokenKind.IDENTIFIER:
-            name = self._advance().text
+            if self._accept_punct("."):
+                return ColumnRef(qualifier=token.text,
+                                 name=self._expect_identifier())
             if self._accept_punct("("):
                 args: List[Expression] = []
                 if not self._at_punct(")"):
@@ -294,12 +288,36 @@ class _Parser:
                     while self._accept_punct(","):
                         args.append(self.parse_expression())
                 self._expect_punct(")")
-                return FunctionCall(name=name, args=tuple(args))
-            if self._accept_punct("."):
-                column = self._expect_identifier()
-                return ColumnRef(qualifier=name, name=column)
-            return ColumnRef(qualifier="", name=name)
+                return FunctionCall(name=token.text, args=tuple(args))
+            return ColumnRef(qualifier="", name=token.text)
+        if kind is TokenKind.NUMBER:
+            self._advance()
+            text = token.text
+            if "." in text or "e" in text or "E" in text:
+                return Literal(float(text))
+            return Literal(int(text))
+        if kind is TokenKind.STRING:
+            self._advance()
+            return Literal(token.text)
+        if kind is TokenKind.KEYWORD and token.text in ("TRUE", "FALSE"):
+            self._advance()
+            return Literal(token.text == "TRUE")
+        if kind is TokenKind.PUNCTUATION and token.text == "(":
+            self._advance()
+            inner = self.parse_expression()
+            self._expect_punct(")")
+            return inner
+        if kind is TokenKind.OPERATOR and token.text == "-":
+            self._advance()
+            return Negate(self._primary())
         raise self._error("expected an expression")
+
+
+def _n_ary(op: str, operands: List[Expression]) -> Expression:
+    """One operand as itself, more as one flat ``BooleanOp``."""
+    if len(operands) == 1:
+        return operands[0]
+    return BooleanOp(op=op, operands=tuple(operands))
 
 
 def parse(text: str) -> Statement:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple, NoReturn
 
 from repro.errors import ParseError
 
@@ -28,8 +28,7 @@ class TokenKind(enum.Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its source position (1-based line/column)."""
 
     kind: TokenKind
@@ -41,106 +40,76 @@ class Token:
         return self.kind is TokenKind.KEYWORD and self.text == word.upper()
 
 
-_OPERATORS = (">=", "<=", "<>", "!=", ">", "<", "=", "+", "-", "/")
-_PUNCTUATION = "(),.;*"
+#: Whitespace and ``--`` line comments before a token. When no token
+#: follows them, ``re`` backtracks into this prefix: a comment is only
+#: taken whole (to its newline) and ``-`` is no operator before another
+#: ``-``, so no shorter prefix lexes part of a comment as a token.
+_SKIP = r"(?:\s|--[^\n]*(?=\n|\Z))*"
+
+#: One match = the skipped prefix plus exactly one token; the group
+#: that matched names its kind. Numbers are ASCII digits only
+#: (``str.isdigit`` would also take ``²`` or ``٣``).
+_TOKEN = re.compile(_SKIP + r"""(?:
+    ([A-Za-z_]\w*)                                       # 1 word
+  | ([^\W\d\x00-\x7f]\w*)                                # 2 word (a letter?)
+  | ((?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)  # 3 number
+  | ('[^'\n]*'|"[^"\n]*")                                # 4 string
+  | ([<>!]=|<>|[<>=+/]|-(?!-))                           # 5 operator
+  | ([(),.;*])                                           # 6 punctuation
+  | (\Z)                                                 # 7 end
+)""", re.VERBOSE)
+
+_SKIPPED = re.compile(_SKIP)
+
+_KINDS = (None, TokenKind.IDENTIFIER, TokenKind.IDENTIFIER, TokenKind.NUMBER,
+          TokenKind.STRING, TokenKind.OPERATOR, TokenKind.PUNCTUATION,
+          TokenKind.END)
 
 
 def tokenize(text: str) -> List[Token]:
     """Lex ``text`` into tokens, ending with an END sentinel."""
-    return list(_tokens(text))
-
-
-def _tokens(text: str) -> Iterator[Token]:
-    line, column = 1, 1
-    index = 0
-    length = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and text[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            advance(1)
-            continue
-        if char == "-" and text[index:index + 2] == "--":
-            # SQL line comment.
-            while index < length and text[index] != "\n":
-                advance(1)
-            continue
-        start_line, start_column = line, column
-        if char.isalpha() or char == "_":
-            end = index
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[index:end]
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    new = tuple.__new__  # Token(...) minus its generated __new__'s frame
+    # Tokens never span a newline, so only a skipped prefix that passes
+    # ``newline`` (the next one at or after ``position``) moves the line.
+    newline = text.find("\n")
+    line, line_start = 1, 0
+    position = 0
+    while True:
+        found = match(text, position)
+        if found is None:
+            _raise_at(text, _SKIPPED.match(text, position).end())
+        group = found.lastindex
+        # The token ends the match, so its end is where the next begins.
+        start, end = found.span(group)
+        if 0 <= newline < start:
+            line += text.count("\n", position, start)
+            line_start = text.rfind("\n", position, start) + 1
+            newline = text.find("\n", start)
+        kind, word = _KINDS[group], found[group]
+        if group <= 2:
+            if group == 2 and not word[0].isalpha():
+                _raise_at(text, start)
             upper = word.upper()
             if upper in KEYWORDS:
-                yield Token(TokenKind.KEYWORD, upper, start_line, start_column)
-            else:
-                yield Token(TokenKind.IDENTIFIER, word, start_line,
-                            start_column)
-            advance(end - index)
-            continue
-        if char.isdigit() or (char == "." and index + 1 < length
-                              and text[index + 1].isdigit()):
-            end = index
-            seen_dot = False
-            while end < length and (text[end].isdigit()
-                                    or (text[end] == "." and not seen_dot)):
-                if text[end] == ".":
-                    # A dot not followed by a digit is punctuation
-                    # (e.g. ``1.`` is illegal, ``s.loc`` never gets here).
-                    if end + 1 >= length or not text[end + 1].isdigit():
-                        break
-                    seen_dot = True
-                end += 1
-            # Optional exponent: 1e6, 6.1e-05, 2E+3.
-            if end < length and text[end] in "eE":
-                exponent = end + 1
-                if exponent < length and text[exponent] in "+-":
-                    exponent += 1
-                if exponent < length and text[exponent].isdigit():
-                    end = exponent
-                    while end < length and text[end].isdigit():
-                        end += 1
-            number = text[index:end]
-            yield Token(TokenKind.NUMBER, number, start_line, start_column)
-            advance(end - index)
-            continue
-        if char in "'\"":
-            quote = char
-            end = index + 1
-            while end < length and text[end] != quote:
-                if text[end] == "\n":
-                    raise ParseError("unterminated string literal",
-                                     line=start_line, column=start_column)
-                end += 1
-            if end >= length:
-                raise ParseError("unterminated string literal",
-                                 line=start_line, column=start_column)
-            value = text[index + 1:end]
-            yield Token(TokenKind.STRING, value, start_line, start_column)
-            advance(end - index + 1)
-            continue
-        matched_operator = next(
-            (op for op in _OPERATORS if text.startswith(op, index)), None)
-        if matched_operator is not None:
-            yield Token(TokenKind.OPERATOR, matched_operator, start_line,
-                        start_column)
-            advance(len(matched_operator))
-            continue
-        if char in _PUNCTUATION:
-            yield Token(TokenKind.PUNCTUATION, char, start_line, start_column)
-            advance(1)
-            continue
-        raise ParseError(f"unexpected character {char!r}",
-                         line=start_line, column=start_column)
-    yield Token(TokenKind.END, "", line, column)
+                kind, word = TokenKind.KEYWORD, upper
+        elif group == 4:
+            word = word[1:-1]
+        append(new(Token, (kind, word, line, start - line_start + 1)))
+        if group == 7:
+            return tokens
+        position = end
+
+
+def _raise_at(text: str, index: int) -> NoReturn:
+    """Raise the ParseError for the character at ``index``."""
+    char = text[index]
+    line = text.count("\n", 0, index) + 1
+    column = index - text.rfind("\n", 0, index)
+    if char in "'\"":
+        raise ParseError("unterminated string literal",
+                         line=line, column=column)
+    raise ParseError(f"unexpected character {char!r}",
+                     line=line, column=column)

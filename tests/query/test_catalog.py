@@ -1,5 +1,9 @@
 """Unit tests for the schema catalog and semantic validation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import BindingError, RegistrationError
@@ -75,3 +79,38 @@ def test_resolve_alias_type(schema):
     assert schema.resolve_alias_type(statement, "s") == "sensor"
     assert schema.resolve_alias_type(statement, "c") == "camera"
     assert schema.resolve_alias_type(statement, "x") is None
+
+
+def test_first_bad_reference_named_whatever_the_hash_seed():
+    """The BindingError names the first bad column as written.
+
+    Validation once walked a set of references, so the column named
+    depended on ``PYTHONHASHSEED``; each seed runs in its own process.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    program = ("from repro import AortaEngine\n"
+               "try:\n"
+               "    AortaEngine().execute("
+               "'SELECT s.foo, s.bar, s.baz FROM sensor s')\n"
+               "except Exception as error:\n"
+               "    print(error)\n")
+    messages = set()
+    for seed in ("1", "2"):
+        environment = dict(os.environ, PYTHONHASHSEED=seed,
+                           PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run([sys.executable, "-c", program], cwd=root,
+                              env=environment, capture_output=True,
+                              text=True, timeout=60, check=True)
+        messages.add(done.stdout.strip())
+    assert messages == {"table 'sensor' has no column 'foo'"}
+
+
+def test_validation_follows_source_order(schema):
+    statement = parse("SELECT s.accel_x, s.zz FROM sensor s, camera c "
+                      "WHERE c.yy > 1 AND s.xx < 2")
+    with pytest.raises(BindingError, match="no column 'zz'"):
+        schema.validate_select(statement)
+    statement = parse("SELECT * FROM sensor s WHERE s.loc = s.yy OR s.xx")
+    with pytest.raises(BindingError, match="no column 'yy'"):
+        schema.validate_select(statement)

@@ -158,3 +158,12 @@ def test_expression_round_trips_through_str():
 def test_query_str_round_trip():
     statement = parse(FIGURE_1)
     assert parse(str(statement.query)) == statement.query
+
+
+def test_duplicate_alias_error_points_at_the_repeat():
+    with pytest.raises(ParseError, match="duplicate table alias") as raised:
+        parse("SELECT * FROM sensor s, camera s")
+    assert (raised.value.line, raised.value.column) == (1, 32)
+    with pytest.raises(ParseError, match=r"\['c', 's'\]") as raised:
+        parse("SELECT *\nFROM sensor s, camera c,\n  phone c, sensor s")
+    assert (raised.value.line, raised.value.column) == (3, 9)

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ParseError
 from repro.query import parse_expression
 from repro.query.ast import (
     Arithmetic,
@@ -14,6 +15,7 @@ from repro.query.ast import (
     Negate,
     Not,
 )
+from tests.query.reference_parser import reference_parse_expression
 
 identifiers = st.sampled_from(["s", "c", "t", "accel_x", "temp", "loc"])
 
@@ -67,3 +69,37 @@ def test_str_parse_round_trip(tree):
 def test_column_refs_survive_round_trip(tree):
     rendered = str(tree)
     assert parse_expression(rendered).column_refs() == tree.column_refs()
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_trees)
+def test_flat_descent_builds_the_reference_tree(tree):
+    """The flattened descent gives the seven-level descent's AST."""
+    rendered = str(tree)
+    assert parse_expression(rendered) == reference_parse_expression(rendered)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(expression_trees, min_size=2, max_size=4),
+       st.lists(st.sampled_from([" AND ", " OR ", " + ", " - ", " * ",
+                                 " / ", " > ", " != ", " AND NOT ",
+                                 " OR -"]),
+                min_size=3, max_size=3))
+def test_unbracketed_chains_parse_like_the_reference(trees, joins):
+    """Operands joined without brackets: precedence and n-ary flattening.
+
+    Some joins make no expression (``0 > 0 > 0``); then both raise the
+    same error.
+    """
+    text = str(trees[0])
+    for join, tree in zip(joins, trees[1:]):
+        text += join + str(tree)
+    assert parsed(parse_expression, text) == parsed(
+        reference_parse_expression, text)
+
+
+def parsed(function, text):
+    try:
+        return function(text)
+    except ParseError as error:
+        return str(error)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ParseError
 from repro.query import TokenKind, parse_expression, tokenize
 from repro.query.ast import Literal
 
@@ -46,3 +47,22 @@ def test_integer_stays_int():
 def test_float_stays_float():
     value = parse_expression("42.0").value
     assert value == 42.0 and isinstance(value, float)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("²", 1),            # superscript two: a digit, not a decimal
+    ("x > ٣", 5),        # Arabic-Indic three
+    ("1٣", 2),           # an ASCII number stops at the first non-ASCII digit
+    (".٣", 2),
+])
+def test_non_ascii_digit_is_no_number(text, column):
+    # str.isdigit() once let these through as NUMBER tokens: the
+    # parser then crashed in int() or read "x > 3".
+    with pytest.raises(ParseError, match="unexpected character") as raised:
+        parse_expression(text)
+    assert (raised.value.line, raised.value.column) == (1, column)
+
+
+def test_non_ascii_digit_inside_an_identifier_stays_in_it():
+    assert number_tokens("x٣ 1e٣") == ["1"]
+    assert [t.text for t in tokenize("x٣")[:-1]] == ["x٣"]
