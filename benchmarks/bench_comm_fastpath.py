@@ -204,17 +204,28 @@ def run_engine(status_cache: bool, n_events: int) -> dict:
         "serviced": stats["requests_serviced"],
         "failed": stats["requests_failed"],
         "probes_sent": stats["probes_sent"],
-        "connects_attempted": engine.comm.transport.connects_attempted,
+        # Every handshake is a pool miss: the pool is the transport's
+        # only caller of connect().
+        "connects_attempted": stats["pool_misses"],
         "mean_makespan_seconds": (sum(makespans) / len(makespans)
                                   if makespans else 0.0),
         "max_makespan_seconds": max(makespans, default=0.0),
         "virtual_time": stats["virtual_time"],
         "serviced_ids": serviced_ids,
-        "pool": engine.pool.stats(),
+        "pool": _block(stats, "pool_", (
+            "hits", "misses", "hit_rate", "expired", "evictions",
+            "invalidations", "discards", "idle")),
     }
     if status_cache:
-        result["status_cache"] = engine.status_cache.stats()
+        result["status_cache"] = _block(stats, "status_cache_", (
+            "hits", "misses", "hit_rate", "expired", "stores",
+            "invalidations", "entries"))
     return result
+
+
+def _block(stats: dict, prefix: str, keys: tuple) -> dict:
+    """The ``prefix``-ed statistics() keys, with the prefix dropped."""
+    return {key: stats[prefix + key] for key in keys}
 
 
 def main(argv=None) -> int:

@@ -142,8 +142,8 @@ def run_engine(fault_tolerant: bool, horizon: float, drain: float) -> dict:
 
     submitted = len(schedule)
     stats = engine.statistics()
-    serviced = engine.dispatcher.serviced_total
-    failed = engine.dispatcher.failed_total
+    serviced = stats["requests_serviced"]
+    failed = stats["requests_failed"]
     result = {
         "submitted": submitted,
         "serviced": serviced,

@@ -275,30 +275,26 @@ def run_metrics(*, as_json: bool = False, spans: bool = False,
         if queries:
             print()
             _print_query_listing(engine.query_report())
-        pool = engine.pool.stats()
-        print(f"\nconnection pool: {pool['hits']:.0f} hits / "
-              f"{pool['misses']:.0f} misses "
-              f"(hit rate {pool['hit_rate']:.0%}), "
-              f"{pool['idle']:.0f} idle")
+        stats = engine.statistics()
+        print(f"\nconnection pool: {stats['pool_hits']} hits / "
+              f"{stats['pool_misses']} misses "
+              f"(hit rate {stats['pool_hit_rate']:.0%}), "
+              f"{stats['pool_idle']} idle")
         if engine.status_cache is not None:
-            cache = engine.status_cache.stats()
-            print(f"status cache: {cache['hits']:.0f} hits / "
-                  f"{cache['misses']:.0f} misses "
-                  f"(hit rate {cache['hit_rate']:.0%}), "
-                  f"{cache['invalidations']:.0f} invalidations")
+            print(f"status cache: {stats['status_cache_hits']} hits / "
+                  f"{stats['status_cache_misses']} misses "
+                  f"(hit rate {stats['status_cache_hit_rate']:.0%}), "
+                  f"{stats['status_cache_invalidations']} invalidations")
         if engine.overload is not None:
-            stats = engine.overload.stats()
-            tiers = sorted(set(stats["admitted_by_tier"])
-                           | set(stats["rejected_by_tier"])
-                           | set(stats["shed_by_tier"]))
+            admitted = stats["overload_admitted_by_tier"]
+            rejected = stats["overload_rejected_by_tier"]
+            shed = stats["overload_shed_by_tier"]
             print("\noverload control (per priority tier):")
-            for tier in tiers:
-                print(f"  tier {tier}: "
-                      f"{stats['admitted_by_tier'].get(tier, 0)} admitted"
-                      f", {stats['rejected_by_tier'].get(tier, 0)} "
-                      f"rejected, {stats['shed_by_tier'].get(tier, 0)} "
-                      f"shed")
-            print(f"  {stats['shed_passes']} shedder passes")
+            for tier in sorted(set(admitted) | set(rejected) | set(shed)):
+                print(f"  tier {tier}: {admitted.get(tier, 0)} admitted, "
+                      f"{rejected.get(tier, 0)} rejected, "
+                      f"{shed.get(tier, 0)} shed")
+            print(f"  {stats['overload_shed_passes']} shedder passes")
             for name, operator in sorted(
                     engine.dispatcher._operators.items()):
                 print(f"  peak queue depth [{name}]: "

@@ -26,6 +26,7 @@ from repro.comm.probe import (
 from repro.comm.scan import ScanOperator
 from repro.network.link import LinkModel
 from repro.network.transport import Transport
+from repro.obs.spans import Observability
 from repro.profiles.cost_table import CostTable
 from repro.profiles.schema import DeviceCatalog
 from repro.runtime import Runtime
@@ -63,10 +64,13 @@ class CommunicationLayer:
         registry: Optional[DeviceRegistry] = None,
         links: Optional[Dict[str, LinkModel]] = None,
         rng: Optional[random.Random] = None,
+        obs: Optional[Observability] = None,
     ) -> None:
         self.env = env
         self.registry = registry or DeviceRegistry()
-        self.transport = Transport(env, links=links, rng=rng)
+        #: The transport, its pool and the prober count in ``obs``'s
+        #: registry (a disabled one of their own when built bare).
+        self.transport = Transport(env, links=links, rng=rng, obs=obs)
         self._types: Dict[str, DeviceTypeRegistration] = {}
         self.prober = Prober(env, self.transport, timeouts={})
 

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Generator
+from typing import Any, Generator
 
 from repro.errors import CommunicationError
 from repro.devices.base import Device
 from repro.network.transport import Connection, Transport
+from repro.obs.metrics import Counter, Gauge
 from repro.runtime import Runtime
 
 #: Most idle keep-alive channels the transport's pool retains, one per
@@ -81,23 +82,20 @@ class ConnectionPool:
         self.idle_seconds = idle_seconds
         #: Idle connections, least-recently-released first.
         self._idle: "OrderedDict[str, _IdleEntry]" = OrderedDict()
-        #: Lifetime counters (cheap, always on — statistics/benchmarks
-        #: read them whether or not observability is enabled).
-        self.hits = 0
-        self.misses = 0
-        self.expired = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.discards = 0
+        # Counted in the owning transport's registry, by device type.
+        registry = transport.obs.registry
+        self._hits, self._misses, self._expired, self._evictions, \
+            self._discarded = (
+                registry.family(Counter, f"comm.pool.{name}", "device_type")
+                for name in ("hits", "misses", "expired", "evictions",
+                             "discarded"))
+        self._invalidations = registry.family(
+            Counter, "comm.pool.invalidations", "reason")
+        self._size = transport.obs.family(Gauge, "comm.pool.size")[()]
 
     def __len__(self) -> int:
         """Idle connections currently parked."""
         return len(self._idle)
-
-    @property
-    def obs(self):
-        """The owning transport's metrics sink."""
-        return self.transport.obs
 
     # ------------------------------------------------------------------
     # Checkout / checkin
@@ -118,16 +116,11 @@ class ConnectionPool:
                      or self.env.now - entry.idle_since > self.idle_seconds)
             if stale:
                 entry.connection.close()
-                self.expired += 1
-                self.obs.inc("comm.pool.expired",
-                             device_type=device.device_type)
+                self._expired[device.device_type].inc()
             else:
-                self.hits += 1
-                self.obs.inc("comm.pool.hits",
-                             device_type=device.device_type)
+                self._hits[device.device_type].inc()
                 return entry.connection
-        self.misses += 1
-        self.obs.inc("comm.pool.misses", device_type=device.device_type)
+        self._misses[device.device_type].inc()
         connection = yield from self.transport.connect(device, timeout)
         return connection
 
@@ -143,25 +136,19 @@ class ConnectionPool:
         device = connection.device
         if device.device_id in self._idle:
             connection.close()
-            self.discards += 1
-            self.obs.inc("comm.pool.discarded",
-                         device_type=device.device_type)
+            self._discarded[device.device_type].inc()
             return
         self._idle[device.device_id] = _IdleEntry(connection, self.env.now)
         while len(self._idle) > self.capacity:
             _, evicted = self._idle.popitem(last=False)
             evicted.connection.close()
-            self.evictions += 1
-            self.obs.inc("comm.pool.evictions",
-                         device_type=evicted.connection.device.device_type)
-        self.obs.set_gauge("comm.pool.size", len(self._idle))
+            self._evictions[evicted.connection.device.device_type].inc()
+        self._size.set(len(self._idle))
 
     def discard(self, connection: Connection) -> None:
         """Close a checked-out channel that failed mid-exchange."""
         connection.close()
-        self.discards += 1
-        self.obs.inc("comm.pool.discarded",
-                     device_type=connection.device.device_type)
+        self._discarded[connection.device.device_type].inc()
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -178,29 +165,5 @@ class ConnectionPool:
         if entry is None:
             return
         entry.connection.close()
-        self.invalidations += 1
-        self.obs.inc("comm.pool.invalidations",
-                     reason=reason if reason else "unspecified")
-        self.obs.set_gauge("comm.pool.size", len(self._idle))
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of checkouts served without a handshake."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        """Lifetime counters, for engine statistics and benchmarks."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "expired": self.expired,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "discards": self.discards,
-            "idle": len(self._idle),
-        }
+        self._invalidations[reason if reason else "unspecified"].inc()
+        self._size.set(len(self._idle))

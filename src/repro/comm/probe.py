@@ -18,12 +18,12 @@ from repro.errors import CommunicationError, ConnectionTimeoutError, DeviceError
 from repro.devices.base import Device
 from repro.network.message import Message
 from repro.network.transport import Transport
-from repro.obs.spans import NULL_OBS
+from repro.obs.metrics import Counter, Histogram
 from repro.runtime import Runtime
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.devices.health import DeviceHealthTracker
-    from repro.obs.spans import Observability, SpanContext
+    from repro.obs.spans import SpanContext
 
 #: System-provided probe TIMEOUT per device type, in seconds. Cameras
 #: answer over the LAN quickly; motes may need radio retries; phones go
@@ -64,14 +64,17 @@ class Prober:
         self.env = env
         self.transport = transport
         self.timeouts = dict(DEFAULT_TIMEOUTS if timeouts is None else timeouts)
-        #: Running counters for observability.
-        self.probes_sent = 0
-        self.probes_failed = 0
         #: Optional circuit-breaker sink: every probe outcome is
         #: reported here so repeated misses quarantine the device.
         self.health: Optional["DeviceHealthTracker"] = None
-        #: Metrics + spans (the engine replaces this with its own).
-        self.obs: "Observability" = NULL_OBS
+        #: Metrics + spans: the transport's.
+        self.obs = transport.obs
+        self._sent = self.obs.registry.family(
+            Counter, "probe.sent", "device_type")
+        self._failed = self.obs.registry.family(
+            Counter, "probe.failed", "device_type", "phase")
+        self._rtt = self.obs.family(Histogram, "probe.rtt_seconds",
+                                    "device_type")
 
     def timeout_for(self, device: Device) -> float:
         """The TIMEOUT that applies to this device's type."""
@@ -91,8 +94,7 @@ class Prober:
         """
         timeout = self.timeout_for(device)
         started = self.env.now
-        self.probes_sent += 1
-        self.obs.inc("probe.sent", device_type=device.device_type)
+        self._sent[device.device_type].inc()
         phase = "connect"
         with self.obs.span("probe", parent=parent_span, detached=True,
                            device=device.device_id):
@@ -124,12 +126,9 @@ class Prober:
                     self.transport.release(connection)
             except (ConnectionTimeoutError, CommunicationError,
                     DeviceError) as exc:
-                self.probes_failed += 1
-                self.obs.inc("probe.failed",
-                             device_type=device.device_type, phase=phase)
-                self.obs.observe("probe.rtt_seconds",
-                                 self.env.now - started,
-                                 device_type=device.device_type)
+                self._failed[device.device_type, phase].inc()
+                self._rtt[device.device_type].observe(
+                    self.env.now - started)
                 if self.health is not None:
                     self.health.record_failure(device.device_id,
                                                reason=f"probe {phase}")
@@ -139,8 +138,7 @@ class Prober:
                     round_trip_seconds=self.env.now - started,
                     error=f"{phase}: {exc}",
                 )
-            self.obs.observe("probe.rtt_seconds", self.env.now - started,
-                             device_type=device.device_type)
+            self._rtt[device.device_type].observe(self.env.now - started)
             if self.health is not None:
                 self.health.record_success(device.device_id)
             return ProbeResult(

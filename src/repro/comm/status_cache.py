@@ -34,15 +34,13 @@ coverage churns on its own, so its snapshot goes stale fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import CommunicationError
 from repro.devices.base import Device
-from repro.obs.spans import NULL_OBS
+from repro.obs.metrics import Counter
+from repro.obs.spans import Observability
 from repro.runtime import Runtime
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.obs.spans import Observability
 
 #: Default per-type freshness TTLs, in virtual seconds. Camera status
 #: (head position) only changes under Aorta's own actions, so it keeps
@@ -74,7 +72,7 @@ class DeviceStatusCache:
         env: Runtime,
         *,
         ttls: Optional[Dict[str, float]] = None,
-        obs: "Observability" = NULL_OBS,
+        obs: Optional[Observability] = None,
     ) -> None:
         #: Per-type TTLs: ``ttls`` overrides the built-in defaults.
         self.ttls = {**DEFAULT_STATUS_TTLS, **(ttls or {})}
@@ -84,15 +82,14 @@ class DeviceStatusCache:
                     f"status TTL for {device_type!r} must be positive, "
                     f"got {ttl}")
         self.env = env
-        self.obs = obs
         self._entries: Dict[str, _CacheEntry] = {}
-        #: Lifetime counters (always on; statistics/benchmarks read
-        #: them whether or not observability is enabled).
-        self.hits = 0
-        self.misses = 0
-        self.expired = 0
-        self.stores = 0
-        self.invalidations = 0
+        self.obs = obs if obs is not None else Observability()
+        registry = self.obs.registry
+        self._hits, self._misses, self._expired, self._stores = (
+            registry.family(Counter, f"probe.cache.{name}", "device_type")
+            for name in ("hits", "misses", "expired", "stores"))
+        self._invalidations = registry.family(
+            Counter, "probe.cache.invalidations", "reason")
 
     def __len__(self) -> int:
         """Entries currently cached (fresh or not yet swept)."""
@@ -113,21 +110,14 @@ class DeviceStatusCache:
         """
         entry = self._entries.get(device.device_id)
         if entry is None:
-            self.misses += 1
-            self.obs.inc("probe.cache.misses",
-                         device_type=device.device_type)
+            self._misses[device.device_type].inc()
             return None
         if self.env.now - entry.stored_at > self.ttl_for(entry.device_type):
             del self._entries[device.device_id]
-            self.expired += 1
-            self.misses += 1
-            self.obs.inc("probe.cache.expired",
-                         device_type=device.device_type)
-            self.obs.inc("probe.cache.misses",
-                         device_type=device.device_type)
+            self._expired[device.device_type].inc()
+            self._misses[device.device_type].inc()
             return None
-        self.hits += 1
-        self.obs.inc("probe.cache.hits", device_type=device.device_type)
+        self._hits[device.device_type].inc()
         return dict(entry.status)
 
     def store(self, device: Device, status: Dict[str, float]) -> None:
@@ -137,8 +127,7 @@ class DeviceStatusCache:
             stored_at=self.env.now,
             device_type=device.device_type,
         )
-        self.stores += 1
-        self.obs.inc("probe.cache.stores", device_type=device.device_type)
+        self._stores[device.device_type].inc()
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -147,31 +136,8 @@ class DeviceStatusCache:
         """Drop the device's entry, if one is cached."""
         if self._entries.pop(device_id, None) is None:
             return
-        self.invalidations += 1
-        self.obs.inc("probe.cache.invalidations",
-                     reason=reason if reason else "unspecified")
+        self._invalidations[reason if reason else "unspecified"].inc()
 
     def clear(self) -> None:
         """Drop every entry."""
         self._entries.clear()
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        """Lifetime counters, for engine statistics and benchmarks."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "expired": self.expired,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "entries": len(self._entries),
-        }

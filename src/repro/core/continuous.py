@@ -43,6 +43,7 @@ from repro.query.expressions import (
 )
 from repro.query.functions import FunctionRegistry
 from repro.query.predicate_index import PredicateIndex
+from repro.obs.metrics import Counter
 from repro.query.query_catalog import QueryCatalog, RegisteredQuery
 from repro.runtime import Runtime
 from repro.core.dispatcher import Dispatcher
@@ -105,12 +106,17 @@ class ContinuousQueryExecutor:
         comm.registry.subscribe(
             lambda event, device: self._candidate_sets.clear())
         self._running = False
-        self.polls = 0
-
-    @property
-    def obs(self):
-        """The engine's observability sink (shared via the dispatcher)."""
-        return self.dispatcher.obs
+        #: The engine's observability sink (shared via the dispatcher).
+        self.obs = dispatcher.obs
+        registry = self.obs.registry
+        self._polls = registry.counter("continuous.polls")
+        # Cumulative per query name, across DROP and re-CREATE (the
+        # per-registration counts live on the RegisteredQuery).
+        self._events_detected, self._uncovered_events, \
+            self._requests_emitted = (
+                registry.family(Counter, f"continuous.{name}", "query")
+                for name in ("events_detected", "uncovered_events",
+                             "requests_emitted"))
 
     @property
     def queries(self) -> Dict[str, RegisteredQuery]:
@@ -254,9 +260,8 @@ class ContinuousQueryExecutor:
         it — one network acquisition per poll regardless of how many
         queries watch the same sensors.
         """
-        self.polls += 1
+        self._polls.inc()
         emitted = 0
-        self.obs.inc("continuous.polls")
         # Detached: dispatch batches emitted by this poll outlive it on
         # concurrent processes, so they must not nest under the poll.
         with self.obs.span("continuous.poll", detached=True):
@@ -346,7 +351,7 @@ class ContinuousQueryExecutor:
             if previously:
                 continue  # still the same event, no re-trigger
             query.events_detected += 1
-            self.obs.inc("continuous.events_detected", query=query.name)
+            self._events_detected[query.name].inc()
             self.dispatcher.tracer.record(
                 self.env.now, "event_detected", query=query.name,
                 sensor=row.device_id)
@@ -369,8 +374,7 @@ class ContinuousQueryExecutor:
         candidates = self._candidates(query, context)
         if not candidates:
             query.uncovered_events += 1
-            self.obs.inc("continuous.uncovered_events",
-                         query=plan.query_name)
+            self._uncovered_events[plan.query_name].inc()
             return False
         operator = self.dispatcher.operator_for(plan.action)
         self.dispatcher.tracer.record(
@@ -396,8 +400,7 @@ class ContinuousQueryExecutor:
             if self.dispatcher.submit(operator, request):
                 emitted_any = True
                 query.requests_emitted += 1
-                self.obs.inc("continuous.requests_emitted",
-                             query=plan.query_name)
+                self._requests_emitted[plan.query_name].inc()
             else:
                 query.requests_rejected += 1
         return emitted_any

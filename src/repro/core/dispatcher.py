@@ -48,7 +48,8 @@ from repro.scheduling import (
     SimulatedAnnealingScheduler,
     SrfaeScheduler,
 )
-from repro.obs.spans import NULL_OBS, Observability
+from repro.obs.metrics import Counter, Histogram
+from repro.obs.spans import Observability
 from repro.overload.plane import OverloadControlPlane
 from repro.overload.shedding import REASON_DEADLINE
 from repro.runtime import Runtime
@@ -257,8 +258,8 @@ class Dispatcher:
         self.cost_model = cost_model
         self.locks = locks
         self.config = config
-        #: Metrics + spans (the shared disabled instance by default).
-        self.obs = obs if obs is not None else NULL_OBS
+        #: Metrics + spans (a disabled instance of its own by default).
+        self.obs = obs if obs is not None else Observability()
         #: Per-device circuit breakers (None = health tracking off).
         self.health = health
         #: TTL device-status cache (None = every batch probes every
@@ -287,16 +288,25 @@ class Dispatcher:
         #: All requests that went through dispatch, in completion order.
         self.completed: List[ActionRequest] = []
         self.reports: List[DispatchReport] = []
-        #: Running totals of the three exits, so statistics() is O(1)
-        #: instead of rescanning `completed` (shed needs overload on).
-        self.serviced_total = 0
-        self.failed_total = 0
-        self.shed_total = 0
-        #: Execution attempts (one per executed request with retries off).
-        self.attempts_total = 0
-        #: Fault-tolerance counters (both stay zero with retries off).
-        self.retries_total = 0
-        self.failovers_total = 0
+        # Counted at the exits (a shed is the overload plane's count)
+        # and per attempt; batch series per action.
+        registry = self.obs.registry
+        self._serviced = registry.counter("dispatch.requests_serviced")
+        self._failed = registry.counter("dispatch.requests_failed")
+        self._failovers = registry.counter("dispatch.failovers")
+        self._quarantined_skipped = registry.counter(
+            "dispatch.quarantined_skipped")
+        self._attempts, self._retries = (
+            registry.family(Counter, f"dispatch.{name}", "device")
+            for name in ("attempts", "retries"))
+        self._batches = registry.family(Counter, "dispatch.batches",
+                                        "action")
+        self._batch_size = self.obs.family(Histogram, "dispatch.batch_size",
+                                           "action")
+        self._makespan = self.obs.family(
+            Histogram, "dispatch.makespan_seconds")[()]
+        self._scheduling_wallclock = self.obs.family(
+            Histogram, "dispatch.scheduling_wallclock_seconds", "algorithm")
 
     # ------------------------------------------------------------------
     # Shared action operators
@@ -343,7 +353,6 @@ class Dispatcher:
         counted once — no path leaks dropped work into pending counts.
         """
         request.mark_shed(self.env.now, reason)
-        self.shed_total += 1
         self._complete(request, "request_shed",
                        priority=request.priority, reason=reason)
         if self.overload is not None:
@@ -354,7 +363,7 @@ class Dispatcher:
         """The exit of every FAILED request (``device_id`` None: no
         candidate answered, it never reached a device)."""
         request.mark_failed(self.env.now, reason)
-        self.failed_total += 1
+        self._failed.inc()
         self._complete(request, "request_failed",
                        device=device_id, reason=reason)
 
@@ -362,7 +371,7 @@ class Dispatcher:
                  result: Any) -> None:
         """The exit of every SERVICED request."""
         request.mark_serviced(self.env.now, result)
-        self.serviced_total += 1
+        self._serviced.inc()
         self._complete(request, "request_serviced",
                        device=device_id, reason=request.failure_reason)
 
@@ -590,18 +599,13 @@ class Dispatcher:
         report.scheduled = len(batch.schedulable)
         report.batch_finished_at = self.env.now
         self.reports.append(report)
-        obs, name = self.obs, batch.action.name
-        obs.inc("dispatch.batches", action=name)
-        obs.observe("dispatch.batch_size", report.batch_size, action=name)
-        obs.inc("dispatch.requests_serviced", report.serviced)
-        obs.inc("dispatch.requests_failed",
-                report.failed + report.unschedulable)
-        obs.inc("dispatch.requests_failed_over", report.failed_over)
-        obs.inc("dispatch.quarantined_skipped", report.quarantined_skipped)
-        obs.observe("dispatch.makespan_seconds", report.makespan_seconds)
-        obs.observe("dispatch.scheduling_wallclock_seconds",
-                    report.scheduling_seconds,
-                    algorithm=self.scheduler.name)
+        name = batch.action.name
+        self._batches[name].inc()
+        self._batch_size[name].observe(report.batch_size)
+        self._quarantined_skipped.inc(report.quarantined_skipped)
+        self._makespan.observe(report.makespan_seconds)
+        self._scheduling_wallclock[self.scheduler.name].observe(
+            report.scheduling_seconds)
         self.tracer.record(
             self.env.now, "batch_dispatched", action=name,
             size=report.batch_size, serviced=report.serviced,
@@ -710,8 +714,7 @@ class Dispatcher:
             attempt += 1
             request.attempts += 1
             batch.report.attempts += 1
-            self.attempts_total += 1
-            self.obs.inc("dispatch.attempts", device=device.device_id)
+            self._attempts[device.device_id].inc()
             try:
                 result = yield from batch.action.execute(device,
                                                      request.arguments)
@@ -729,8 +732,7 @@ class Dispatcher:
                 self.health.record_failure(device.device_id, reason=reason)
             if transient and attempt < policy.max_attempts:
                 batch.report.retries += 1
-                self.retries_total += 1
-                self.obs.inc("dispatch.retries", device=device.device_id)
+                self._retries[device.device_id].inc()
                 backoff = policy.backoff_seconds(attempt, self._retry_rng)
                 self.tracer.record(
                     self.env.now, "request_retry",
@@ -776,8 +778,7 @@ class Dispatcher:
             self.shed_request(request, "queue-full")
             return True
         batch.report.failed_over += 1
-        self.failovers_total += 1
-        self.obs.inc("dispatch.failovers")
+        self._failovers.inc()
         self.tracer.record(
             self.env.now, "request_failed_over",
             request=request.request_id, failed_device=failed_device,

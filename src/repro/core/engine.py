@@ -22,6 +22,8 @@ from repro.devices.camera import PanTiltZoomCamera
 from repro.devices.health import BreakerState, DeviceHealthTracker
 from repro.geometry import Point
 from repro.network.link import LinkModel
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Observability
 from repro.overload import OverloadControlPlane, OverloadPolicy
 from repro.plan.planner import Planner, SnapshotPlan
 from repro.profiles.action_profile import ActionProfile
@@ -43,6 +45,7 @@ from repro.sync.locks import DeviceLockManager
 from repro.core.config import EngineConfig
 from repro.core.continuous import ContinuousQueryExecutor, RegisteredQuery
 from repro.core.dispatcher import Dispatcher
+from repro.core.tracing import EngineTracer
 
 
 class AortaEngine:
@@ -81,9 +84,15 @@ class AortaEngine:
         #: Master seed; every component RNG is a named substream of it
         #: (see repro.sim.rng.component_seed).
         self.seed = seed
+        self.tracer = EngineTracer()
+        #: The metric registry every component counts in, plus timings
+        #: and spans when config.observability is on.
+        self.obs = Observability(self.env, tracer=self.tracer,
+                                 enabled=self.config.observability)
         self.comm = CommunicationLayer(
             self.env, links=links,
-            rng=random.Random(component_seed(seed, "comm:transport")))
+            rng=random.Random(component_seed(seed, "comm:transport")),
+            obs=self.obs)
         register_builtin_types(self.comm)
 
         self.schema = SchemaCatalog()
@@ -101,15 +110,6 @@ class AortaEngine:
         self.functions.register("coverage", self._coverage, arity=2,
                                 stable=True)
 
-        from repro.core.tracing import EngineTracer
-        from repro.obs import Observability
-        self.tracer = EngineTracer()
-        #: Metrics registry + span recorder (disabled unless
-        #: config.observability); threaded through every component.
-        self.obs = Observability(self.env, tracer=self.tracer,
-                                 enabled=self.config.observability)
-        self.comm.transport.obs = self.obs
-        self.comm.prober.obs = self.obs
         #: The transport's keep-alive connection pool (DESIGN.md
         #: decision 10).
         self.pool = self.comm.transport.pool
@@ -153,6 +153,7 @@ class AortaEngine:
                                self.comm)
         self.continuous = ContinuousQueryExecutor(
             self.env, self.comm, self.functions, self.dispatcher)
+        self._runs = self.obs.registry.counter("engine.runs")
 
         #: Assets for CREATE ACTION: profile path -> (profile, resolver,
         #: device-parameter map, select_all flag).
@@ -385,7 +386,7 @@ class AortaEngine:
         """
         with self.obs.span("engine.run"):
             stopped = self.env.run(until=until, max_events=max_events)
-        self.obs.inc("engine.runs")
+        self._runs.inc()
         return stopped
 
     def run_select(self, sql: str) -> List[Tuple[Any, ...]]:
@@ -439,8 +440,8 @@ class AortaEngine:
     def metrics(self) -> Dict[str, Any]:
         """The deterministic metric snapshot of this engine's registry.
 
-        Sections are empty while ``config.observability`` is off — the
-        registry exists but nothing writes to it.
+        Counters are always there; timing histograms and gauges only
+        while ``config.observability`` is on.
         """
         return self.obs.registry.snapshot()
 
@@ -453,57 +454,127 @@ class AortaEngine:
         return self.continuous.catalog.report()
 
     def statistics(self) -> Dict[str, Any]:
-        """A status snapshot for monitoring and tests.
+        """A status snapshot: :func:`statistics_view` of this engine."""
+        return statistics_view(self.obs.registry, self.live_levels())
 
-        Independent of how many requests completed: outcome totals are
-        maintained by the dispatcher, not recounted from the completion
-        log. The ``predicate_index_*`` block counts populations per
-        registered query.
-        """
-        serviced = self.dispatcher.serviced_total
-        failed = self.dispatcher.failed_total
-        stats = {
+    def live_levels(self) -> Dict[str, Any]:
+        """The ``statistics()`` keys read off the running engine, not
+        counted; health, cache and overload keys only when those are
+        on."""
+        levels: Dict[str, Any] = {
             "virtual_time": self.env.now,
             "devices": len(self.comm.registry),
             "queries": len(self.continuous.queries),
-            "polls": self.continuous.polls,
             "requests_completed": len(self.completed_requests),
-            "requests_serviced": serviced,
-            "requests_failed": failed,
-            "probes_sent": self.comm.prober.probes_sent,
-            "probes_failed": self.comm.prober.probes_failed,
-            "lock_acquisitions": self.locks.acquisitions,
-            "lock_contended": self.locks.contended_acquisitions,
-            "lock_recoveries": self.locks.recoveries,
-            "execution_attempts": self.dispatcher.attempts_total,
-            "retries": self.dispatcher.retries_total,
-            "failovers": self.dispatcher.failovers_total,
+            "pool_idle": len(self.pool),
         }
         if self.health is not None:
-            health = self.health.stats()
-            stats["devices_quarantined"] = health["quarantines"]
-            stats["devices_readmitted"] = health["recoveries"]
-            stats["currently_quarantined"] = health["currently_quarantined"]
-            stats["mean_recovery_seconds"] = health["mean_recovery_seconds"]
-        for key, value in self.pool.stats().items():
-            stats[f"pool_{key}"] = value
-        # Status-cache keys appear only when the cache is on.
+            levels["currently_quarantined"] = len(
+                self.health.quarantined_ids())
         if self.status_cache is not None:
-            for key, value in self.status_cache.stats().items():
-                stats[f"status_cache_{key}"] = value
+            levels["status_cache_entries"] = len(self.status_cache)
         for key, value in self.continuous.index_stats().items():
-            stats[f"predicate_index_{key}"] = value
-        # Overload keys appear only when the plane is on, so
-        # overload-off snapshots stay identical to pre-overload ones.
-        if self.overload is not None:
-            stats["requests_shed"] = self.dispatcher.shed_total
-            for key, value in self.overload.stats().items():
-                stats[f"overload_{key}"] = value
-            stats["overload_peak_queue_depth"] = {
-                name: operator.peak_pending
-                for name, operator in sorted(
-                    self.dispatcher._operators.items())}
-            stats["overload_queue_evictions"] = sum(
-                operator.total_evicted
-                for operator in self.dispatcher._operators.values())
-        return stats
+            levels[f"predicate_index_{key}"] = value
+        if self.overload is not None and self.overload.shedder:
+            operators = self.dispatcher._operators
+            levels.update({
+                "overload_shed_passes": self.overload.shedder.shed_passes,
+                "overload_shedding_active": self.overload.shedder.active,
+                "overload_peak_queue_depth": {
+                    name: operator.peak_pending
+                    for name, operator in sorted(operators.items())},
+                "overload_queue_evictions": sum(
+                    operator.total_evicted
+                    for operator in operators.values()),
+            })
+        return levels
+
+
+#: ``statistics()`` key -> the counter it sums over all labels, per
+#: block; a block is rendered when its live level is present.
+_COUNTED: Tuple[Tuple[Optional[str], Dict[str, str]], ...] = (
+    (None, {
+        "polls": "continuous.polls",
+        "requests_serviced": "dispatch.requests_serviced",
+        "requests_failed": "dispatch.requests_failed",
+        "probes_sent": "probe.sent",
+        "probes_failed": "probe.failed",
+        "lock_acquisitions": "lock.acquisitions",
+        "lock_contended": "lock.contended",
+        "lock_recoveries": "lock.recoveries",
+        "execution_attempts": "dispatch.attempts",
+        "retries": "dispatch.retries",
+        "failovers": "dispatch.failovers",
+        "pool_hits": "comm.pool.hits",
+        "pool_misses": "comm.pool.misses",
+        "pool_expired": "comm.pool.expired",
+        "pool_evictions": "comm.pool.evictions",
+        "pool_invalidations": "comm.pool.invalidations",
+        "pool_discards": "comm.pool.discarded",
+    }),
+    ("currently_quarantined", {
+        "devices_quarantined": "health.quarantines",
+        "devices_readmitted": "health.readmissions",
+    }),
+    ("status_cache_entries", {
+        f"status_cache_{name}": f"probe.cache.{name}"
+        for name in ("hits", "misses", "expired", "stores",
+                     "invalidations")}),
+    ("overload_shed_passes", {
+        "requests_shed": "overload.shed",
+        "overload_admitted_requests": "overload.admitted",
+        "overload_rejected_requests": "overload.rejected",
+        "overload_shed_requests": "overload.shed",
+    }),
+)
+
+#: Overload counts per label value: key -> (counter, label).
+_SPLIT = {
+    "overload_admitted_by_tier": ("overload.admitted", "tier"),
+    "overload_rejected_by_tier": ("overload.rejected", "tier"),
+    "overload_shed_by_tier": ("overload.shed", "tier"),
+    "overload_rejected_by_reason": ("overload.rejected", "reason"),
+    "overload_shed_by_reason": ("overload.shed", "reason"),
+    "overload_shed_by_query": ("overload.shed", "query"),
+}
+
+
+def _hit_rate(hits: int, misses: int) -> float:
+    lookups = hits + misses
+    return hits / lookups if lookups else 0.0
+
+
+def statistics_view(registry: MetricsRegistry,
+                    levels: Dict[str, Any]) -> Dict[str, Any]:
+    """``statistics()``: live levels, the counts of :data:`_COUNTED` as
+    ``int``, and rates and means recomputed from those counts — for an
+    engine (its registry and levels) or a fleet (its shards' merged
+    registries and folded levels)."""
+    totals = registry.totals()
+    stats = dict(levels)
+    for gate, counted in _COUNTED:
+        if gate is None or gate in levels:
+            stats.update((key, int(totals.get(name, 0)))
+                         for key, name in counted.items())
+    stats["pool_hit_rate"] = _hit_rate(stats["pool_hits"],
+                                       stats["pool_misses"])
+    if "currently_quarantined" in levels:
+        readmitted = stats["devices_readmitted"]
+        seconds = sum(histogram.total for _labels, histogram
+                      in registry.labeled("health.recovery_seconds"))
+        stats["mean_recovery_seconds"] = (
+            seconds / readmitted if readmitted else 0.0)
+    if "status_cache_entries" in levels:
+        stats["status_cache_hit_rate"] = _hit_rate(
+            stats["status_cache_hits"], stats["status_cache_misses"])
+    if "overload_shed_passes" in levels:
+        for key, (name, label) in _SPLIT.items():
+            split: Dict[Any, int] = {}
+            for labels, counter in registry.labeled(name):
+                # A request no AQ emitted is shed with an empty query.
+                if labels[label]:
+                    value = (int(labels[label]) if label == "tier"
+                             else labels[label])
+                    split[value] = split.get(value, 0) + int(counter.value)
+            stats[key] = dict(sorted(split.items()))
+    return stats

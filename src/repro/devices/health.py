@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import DeviceError
-from repro.obs.spans import NULL_OBS
+from repro.obs.metrics import Counter, Histogram
+from repro.obs.spans import Observability
 from repro.runtime import Runtime
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.tracing import EngineTracer
-    from repro.obs.spans import Observability
 
 
 class BreakerState(enum.Enum):
@@ -76,8 +76,6 @@ class _DeviceHealth:
     #: When the device first entered the current quarantine episode,
     #: for time-to-recovery accounting.
     quarantined_at: float = 0.0
-    quarantines: int = 0
-    recoveries: int = 0
 
 
 class DeviceHealthTracker:
@@ -88,12 +86,19 @@ class DeviceHealthTracker:
         env: Runtime,
         policy: Optional[HealthPolicy] = None,
         tracer: Optional["EngineTracer"] = None,
-        obs: Optional["Observability"] = None,
+        obs: Optional[Observability] = None,
     ) -> None:
         self.env = env
         self.policy = policy or HealthPolicy()
         self.tracer = tracer
-        self.obs = obs if obs is not None else NULL_OBS
+        self.obs = obs if obs is not None else Observability()
+        registry = self.obs.registry
+        self._quarantines, self._readmissions, self._probations = (
+            registry.family(Counter, f"health.{name}", "device")
+            for name in ("quarantines", "readmissions", "probations"))
+        # Always recorded: statistics() reports the mean recovery time.
+        self._recovery_seconds = registry.family(
+            Histogram, "health.recovery_seconds", "device")
         self._devices: Dict[str, _DeviceHealth] = {}
         #: Called on every breaker transition with (device_id, new
         #: state). The engine hooks this to drop pooled
@@ -101,11 +106,6 @@ class DeviceHealthTracker:
         #: leaving quarantine — their last-known state is untrustworthy.
         self.transition_listeners: List[
             Callable[[str, BreakerState], None]] = []
-        #: Lifetime counters for statistics().
-        self.quarantines_total = 0
-        self.recoveries_total = 0
-        #: Sum of quarantine-entry-to-readmission times, for the mean.
-        self.recovery_seconds_total = 0.0
 
     def _entry(self, device_id: str) -> _DeviceHealth:
         if device_id not in self._devices:
@@ -132,14 +132,10 @@ class DeviceHealthTracker:
             entry.state = BreakerState.CLOSED
             entry.consecutive_failures = 0
             entry.window = 0.0
-            entry.recoveries += 1
-            self.recoveries_total += 1
-            self.recovery_seconds_total += recovery
             self._trace("device_readmitted", device=device_id,
                         recovery_seconds=recovery)
-            self.obs.inc("health.readmissions", device=device_id)
-            self.obs.observe("health.recovery_seconds", recovery,
-                             device=device_id)
+            self._readmissions[device_id].inc()
+            self._recovery_seconds[device_id].observe(recovery)
             self._notify(device_id, BreakerState.CLOSED)
         else:
             entry.consecutive_failures = 0
@@ -168,11 +164,9 @@ class DeviceHealthTracker:
                                self.policy.quarantine_max)
         entry.state = BreakerState.OPEN
         entry.open_until = self.env.now + entry.window
-        entry.quarantines += 1
-        self.quarantines_total += 1
         self._trace("device_quarantined", device=device_id,
                     window=entry.window, relapse=relapse, reason=reason)
-        self.obs.inc("health.quarantines", device=device_id)
+        self._quarantines[device_id].inc()
         self._notify(device_id, BreakerState.OPEN)
 
     # ------------------------------------------------------------------
@@ -192,7 +186,7 @@ class DeviceHealthTracker:
                 return False
             entry.state = BreakerState.HALF_OPEN
             self._trace("device_probation", device=device_id)
-            self.obs.inc("health.probations", device=device_id)
+            self._probations[device_id].inc()
             self._notify(device_id, BreakerState.HALF_OPEN)
         return True
 
@@ -210,14 +204,3 @@ class DeviceHealthTracker:
             device_id for device_id, entry in self._devices.items()
             if entry.state is BreakerState.OPEN
             and self.env.now < entry.open_until)
-
-    def stats(self) -> Dict[str, float]:
-        """Lifetime counters, for engine statistics and benchmarks."""
-        return {
-            "quarantines": self.quarantines_total,
-            "recoveries": self.recoveries_total,
-            "currently_quarantined": len(self.quarantined_ids()),
-            "mean_recovery_seconds": (
-                self.recovery_seconds_total / self.recoveries_total
-                if self.recoveries_total else 0.0),
-        }

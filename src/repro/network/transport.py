@@ -20,7 +20,8 @@ from repro.errors import (
 from repro.devices.base import Device
 from repro.network.link import DEFAULT_LINKS, LinkModel
 from repro.network.message import Message, Response
-from repro.obs.spans import NULL_OBS
+from repro.obs.metrics import Counter, Histogram
+from repro.obs.spans import Observability
 from repro.runtime import Runtime
 
 
@@ -50,15 +51,15 @@ class Connection:
                 f"message addressed to {message.device_id!r} sent over a "
                 f"connection to {self.device.device_id!r}"
             )
-        env = self._transport.env
-        rng = self._transport.rng
-        obs = self._transport.obs
+        transport = self._transport
+        env = transport.env
+        rng = transport.rng
         started = env.now
-        obs.inc("comm.requests", kind=message.kind)
+        transport._requests[message.kind].inc()
 
         if not self.device.reachable or self.link.drops(rng):
             yield env.timeout(timeout)
-            obs.inc("comm.request_timeouts", kind=message.kind)
+            transport._request_timeouts[message.kind].inc()
             raise ConnectionTimeoutError(
                 f"device {self.device.device_id!r} did not answer within "
                 f"{timeout} s"
@@ -68,19 +69,18 @@ class Connection:
         yield env.timeout(self.link.sample_latency(rng))
         # Device-side handling.
         try:
-            value = self._transport._handle(self.device, message)
+            value = transport._handle(self.device, message)
             ok, error = True, ""
         except (DeviceError, CommunicationError) as exc:
             value, ok, error = None, False, str(exc)
         # Downlink latency.
         yield env.timeout(self.link.sample_latency(rng))
         if not self.device.reachable:
-            obs.inc("comm.request_timeouts", kind=message.kind)
+            transport._request_timeouts[message.kind].inc()
             raise ConnectionTimeoutError(
                 f"device {self.device.device_id!r} went away mid-exchange"
             )
-        obs.observe("comm.rtt_seconds", env.now - started,
-                    kind=message.kind)
+        transport._rtt[message.kind].observe(env.now - started)
         return Response(
             device_id=self.device.device_id,
             ok=ok,
@@ -109,19 +109,28 @@ class Transport:
         *,
         links: Optional[Dict[str, LinkModel]] = None,
         rng: Optional[random.Random] = None,
+        obs: Optional[Observability] = None,
     ) -> None:
         # Deferred: repro.comm imports this module.
         from repro.comm.pool import ConnectionPool
         self.env = env
         self.links = dict(DEFAULT_LINKS if links is None else links)
         self.rng = rng or random.Random(0)
-        #: Metrics sink (the engine replaces this with its own).
-        self.obs = NULL_OBS
+        #: Metrics + spans, shared with the pool and the prober.
+        self.obs = obs if obs is not None else Observability()
+        registry = self.obs.registry
+        self._requests = registry.family(Counter, "comm.requests", "kind")
+        self._request_timeouts = registry.family(
+            Counter, "comm.request_timeouts", "kind")
+        self._rtt = self.obs.family(Histogram, "comm.rtt_seconds", "kind")
+        self._connects = registry.family(
+            Counter, "comm.connects", "device_type")
+        self._connect_timeouts = registry.family(
+            Counter, "comm.connect_timeouts", "device_type")
+        self._connect_seconds = self.obs.family(
+            Histogram, "comm.connect_seconds", "device_type")
         #: Keep-alive pool of idle control channels, one per device.
         self.pool = ConnectionPool(env, self)
-        #: Lifetime handshake-attempt counter (always on, so benchmarks
-        #: can measure connect traffic without observability enabled).
-        self.connects_attempted = 0
 
     def link_for(self, device: Device) -> LinkModel:
         """The link model of the device's medium."""
@@ -141,26 +150,23 @@ class Transport:
             raise CommunicationError(f"timeout must be positive, got {timeout}")
         link = self.link_for(device)
         started = self.env.now
-        self.connects_attempted += 1
-        self.obs.inc("comm.connects", device_type=device.device_type)
+        self._connects[device.device_type].inc()
         if not device.reachable or link.drops(self.rng):
             yield self.env.timeout(timeout)
-            self.obs.inc("comm.connect_timeouts",
-                         device_type=device.device_type)
+            self._connect_timeouts[device.device_type].inc()
             raise ConnectionTimeoutError(
                 f"connect to {device.device_id!r} timed out after {timeout} s"
             )
         handshake = 2 * link.sample_latency(self.rng)
         if handshake >= timeout:
             yield self.env.timeout(timeout)
-            self.obs.inc("comm.connect_timeouts",
-                         device_type=device.device_type)
+            self._connect_timeouts[device.device_type].inc()
             raise ConnectionTimeoutError(
                 f"connect to {device.device_id!r} timed out after {timeout} s"
             )
         yield self.env.timeout(handshake)
-        self.obs.observe("comm.connect_seconds", self.env.now - started,
-                         device_type=device.device_type)
+        self._connect_seconds[device.device_type].observe(
+            self.env.now - started)
         return Connection(self, device, link)
 
     # ------------------------------------------------------------------

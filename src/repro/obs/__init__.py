@@ -1,9 +1,10 @@
 """Observability: deterministic metrics, spans and exporters.
 
-The subsystem behind ``EngineConfig.observability``. One
-:class:`Observability` instance per engine carries a
-:class:`MetricsRegistry` and a virtual-time span recorder built on the
-engine tracer; exporters render both as stable JSON or terminal text.
+One :class:`Observability` instance per engine carries its
+:class:`MetricsRegistry` — the one home of every count the engine keeps,
+always recorded — and, behind ``EngineConfig.observability``, timing
+series and a virtual-time span recorder built on the engine tracer;
+exporters render both as stable JSON or terminal text.
 Everything is deterministic given the seeds — see
 ``tests/obs/golden.py`` for the golden-trace harness that exploits it.
 """
@@ -24,7 +25,7 @@ from repro.obs.metrics import (
     metric_key,
     render_key,
 )
-from repro.obs.spans import NULL_OBS, Observability, SpanContext
+from repro.obs.spans import Observability, SpanContext
 
 __all__ = [
     "Counter",
@@ -32,7 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_OBS",
     "Observability",
     "SpanContext",
     "diff_dumps",

@@ -8,6 +8,11 @@ and merge is pointwise arithmetic — associative and commutative for
 counters and histograms — so sharded registries can be combined in any
 order and still agree byte-for-byte.
 
+A call site resolves its series once (validating the name, sorting
+the labels) and holds it, or holds a :class:`Family` that resolves a
+label value on its first write. A series appears in snapshots, merges
+and ``len()`` from its first write on.
+
 Values that measure the host clock (not virtual time) must carry
 ``wallclock`` in the metric name: the golden-trace harness excludes
 them from reproducibility comparisons by that convention.
@@ -16,7 +21,11 @@ them from reproducibility comparisons by that convention.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from bisect import bisect_left
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type,
+    TypeVar, Union,
+)
 
 from repro.errors import AortaError
 
@@ -27,8 +36,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 _NAME_PATTERN = re.compile(r"^[a-z][a-z0-9_.]*$")
 
-#: A metric key: (name, ((label, value), ...)) with labels sorted.
-MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
+#: A metric key: ``(name, label, value, label, value, ...)`` with the
+#: labels sorted. Flat, because an engine holds one per query and per
+#: device; it sorts as the nested ``(name, ((label, value), ...))``.
+MetricKey = Tuple[str, ...]
 
 
 def metric_key(name: str, labels: Dict[str, Any]) -> MetricKey:
@@ -36,45 +47,57 @@ def metric_key(name: str, labels: Dict[str, Any]) -> MetricKey:
     if not _NAME_PATTERN.match(name):
         raise AortaError(
             f"invalid metric name {name!r}: use lowercase dotted names")
-    return name, tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    pairs = sorted((str(k), str(v)) for k, v in labels.items())
+    return (name, *(part for pair in pairs for part in pair))
+
+
+def _labels(key: MetricKey) -> Dict[str, str]:
+    return dict(zip(key[1::2], key[2::2]))
 
 
 def render_key(key: MetricKey) -> str:
     """``name{a=1,b=2}`` rendering used by snapshots and exporters."""
-    name, labels = key
-    if not labels:
-        return name
-    inner = ",".join(f"{label}={value}" for label, value in labels)
-    return f"{name}{{{inner}}}"
+    if len(key) == 1:
+        return key[0]
+    inner = ",".join(f"{label}={value}"
+                     for label, value in _labels(key).items())
+    return f"{key[0]}{{{inner}}}"
 
 
 class Counter:
-    """A monotonically increasing total."""
+    """A monotonically increasing total: an ``int`` while only whole
+    amounts are added (small ones cost no allocation), rendered as a
+    float."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "written")
 
     def __init__(self) -> None:
-        self.value = 0.0
+        self.value: float = 0
+        self.written = False
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise AortaError("counters only go up; use a gauge")
         self.value += amount
+        self.written = True
 
 
 class Gauge:
     """A point-in-time level (queue depth, open breakers, ...)."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "written")
 
     def __init__(self) -> None:
         self.value = 0.0
+        self.written = False
 
     def set(self, value: float) -> None:
         self.value = float(value)
+        self.written = True
 
     def add(self, amount: float) -> None:
         self.value += amount
+        self.written = True
 
 
 class Histogram:
@@ -100,18 +123,20 @@ class Histogram:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
+    @property
+    def written(self) -> bool:
+        return self.count > 0
+
     def observe(self, value: float) -> None:
         value = float(value)
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
+        # The first bound >= value; past the last bound, the +inf slot.
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.total += value
         self.count += 1
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     def merge(self, other: "Histogram") -> None:
         """Fold ``other`` into this histogram (same buckets required)."""
@@ -136,12 +161,29 @@ class Histogram:
 
 
 Metric = Union[Counter, Gauge, Histogram]
+_M = TypeVar("_M", Counter, Gauge, Histogram)
+
+
+class Family(dict):
+    """The series of one metric keyed by label value: one dict lookup
+    per write once a series exists. Families live on the call sites,
+    never in a registry, so a registry stays picklable."""
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, key: Any) -> Any:
+        series = self[key] = self._resolve(key)
+        return series
 
 
 class MetricsRegistry:
     """All metric series of one engine (or one shard of a fleet).
 
-    Series are created lazily on first touch and typed forever: asking
+    Series are created on first resolution and typed forever: asking
     for ``dispatch.batches`` as a counter and later as a gauge is an
     error, not a silent overwrite.
     """
@@ -149,14 +191,15 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Metric] = {}
 
-    def _series(self, kind: type, name: str, labels: Dict[str, Any],
-                **kwargs: Any) -> Metric:
+    def _series(self, kind: Type[_M], name: str, labels: Dict[str, Any],
+                **kwargs: Any) -> _M:
         key = metric_key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = kind(**kwargs)
-            self._metrics[key] = metric
-        elif not isinstance(metric, kind):
+            created = kind(**kwargs)
+            self._metrics[key] = created
+            return created
+        if not isinstance(metric, kind):
             raise AortaError(
                 f"metric {render_key(key)!r} is a "
                 f"{type(metric).__name__}, not a {kind.__name__}")
@@ -175,11 +218,38 @@ class MetricsRegistry:
                   /, **labels: Any) -> Histogram:
         return self._series(Histogram, name, labels, buckets=buckets)
 
-    def __len__(self) -> int:
-        return len(self._metrics)
+    def family(self, kind: Type[_M], name: str, *labels: str) -> Family:
+        """The ``kind`` series of ``name`` keyed by the values of
+        ``labels`` (a tuple key when there are several; ``[()]`` is the
+        one series of a metric without labels)."""
+        def resolve(key: Any) -> _M:
+            values = key if len(labels) > 1 else (key,)
+            return self._series(kind, name, dict(zip(labels, values)))
+        return Family(resolve)
 
-    def clear(self) -> None:
-        self._metrics.clear()
+    def __len__(self) -> int:
+        return sum(1 for metric in self._metrics.values() if metric.written)
+
+    def _written(self) -> Iterator[Tuple[MetricKey, Metric]]:
+        return ((key, metric) for key, metric in self._metrics.items()
+                if metric.written)
+
+    # ------------------------------------------------------------------
+    # Reading counts
+    # ------------------------------------------------------------------
+    def totals(self) -> Dict[str, float]:
+        """Every counter name -> its value summed over all labels."""
+        totals: Dict[str, float] = {}
+        for key, metric in self._written():
+            if isinstance(metric, Counter):
+                totals[key[0]] = totals.get(key[0], 0.0) + metric.value
+        return totals
+
+    def labeled(self, name: str) -> List[Tuple[Dict[str, str], Any]]:
+        """``(labels, series)`` of every written series of ``name``, in
+        the order the series were first resolved."""
+        return [(_labels(key), metric) for key, metric in self._written()
+                if key[0] == name]
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -194,11 +264,11 @@ class MetricsRegistry:
         counters: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
         histograms: Dict[str, Dict[str, Any]] = {}
-        for key in sorted(self._metrics):
-            metric = self._metrics[key]
+        for key, metric in sorted(self._written(),
+                                  key=lambda item: item[0]):
             rendered = render_key(key)
             if isinstance(metric, Counter):
-                counters[rendered] = metric.value
+                counters[rendered] = float(metric.value)
             elif isinstance(metric, Gauge):
                 gauges[rendered] = metric.value
             else:
@@ -224,24 +294,14 @@ class MetricsRegistry:
         overwriting would alias two different series.
         """
         copy = MetricsRegistry()
-        for (name, existing), metric in self._metrics.items():
+        for key, metric in self._written():
+            existing = _labels(key)
             for label in labels:
-                if any(label == key for key, _ in existing):
+                if label in existing:
                     raise AortaError(
-                        f"metric {render_key((name, existing))!r} already "
-                        f"carries label {label!r}; cannot relabel")
-            combined = dict(existing)
-            combined.update(labels)
-            if isinstance(metric, Counter):
-                mine = copy._series(Counter, name, combined)
-                mine.value = metric.value
-            elif isinstance(metric, Gauge):
-                mine = copy._series(Gauge, name, combined)
-                mine.value = metric.value
-            else:
-                mine = copy._series(Histogram, name, combined,
-                                    buckets=metric.buckets)
-                mine.merge(metric)
+                        f"metric {render_key(key)!r} already carries "
+                        f"label {label!r}; cannot relabel")
+            copy._fold(key[0], {**existing, **labels}, metric)
         return copy
 
     def merge(self, other: "MetricsRegistry") -> None:
@@ -253,14 +313,19 @@ class MetricsRegistry:
         commutative, and ``a.merge(b)`` equals ``b.merge(a)`` snapshot
         for snapshot.
         """
-        for key, metric in other._metrics.items():
-            if isinstance(metric, Counter):
-                mine = self._series(Counter, key[0], dict(key[1]))
-                mine.value += metric.value
-            elif isinstance(metric, Gauge):
-                mine = self._series(Gauge, key[0], dict(key[1]))
-                mine.value = max(mine.value, metric.value)
-            else:
-                mine = self._series(Histogram, key[0], dict(key[1]),
-                                    buckets=metric.buckets)
-                mine.merge(metric)
+        for key, metric in other._written():
+            self._fold(key[0], _labels(key), metric)
+
+    def _fold(self, name: str, labels: Dict[str, Any],
+              metric: Metric) -> None:
+        """Add ``metric`` into this registry's ``name{labels}`` series; a
+        gauge keeps the higher level once both sides have one."""
+        if isinstance(metric, Counter):
+            self._series(Counter, name, labels).inc(metric.value)
+        elif isinstance(metric, Gauge):
+            gauge = self._series(Gauge, name, labels)
+            gauge.set(max(gauge.value, metric.value) if gauge.written
+                      else metric.value)
+        else:
+            self._series(Histogram, name, labels,
+                         buckets=metric.buckets).merge(metric)

@@ -15,10 +15,11 @@ span trees are bit-reproducible across runs — which is what lets the
 golden-trace harness diff them.
 
 The whole layer sits behind :class:`Observability`, the single object
-the engine threads through its components. Disabled (the default), every
-entry point returns immediately — no records, no metrics, no RNG, no
-virtual-time effects — so the off path is byte-identical to an
-uninstrumented engine.
+the engine threads through its components. Counters are not behind
+its switch: they are engine state, always recorded. Disabled (the
+default), spans and timings are no-ops — no records, no RNG, no
+virtual-time effects — so the off path's trace is byte-identical to an
+uninstrumented engine's.
 
 Parenting has two modes. A span opened plainly is *nested*: its parent
 is the innermost open nested span and it joins that stack — right for
@@ -31,10 +32,11 @@ interleaved siblings under one another.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import AortaError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.tracing import EngineTracer
@@ -57,6 +59,22 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+
+class _Inert:
+    """A timing or level series with observability off: writes are
+    no-ops."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        return None
+
+    def set(self, value: float) -> None:
+        return None
+
+
+_INERT = _Inert()
 
 
 class SpanContext:
@@ -84,20 +102,22 @@ class SpanContext:
 
 
 class Observability:
-    """Metrics + spans behind one enable switch.
+    """One engine's metric registry, plus timings and spans behind one
+    enable switch.
 
-    The engine creates one instance and hands it to the dispatcher,
-    prober, transport, lock manager, health tracker and continuous
-    executor. Components call :meth:`span`, :meth:`inc`,
-    :meth:`observe` and :meth:`set_gauge` unconditionally; when
-    ``enabled`` is False each call is a guard test and a return.
+    The engine creates one instance and hands it to every component it
+    builds; a component built bare owns a disabled one with a registry
+    of its own, so no count leaks between engines. At construction a
+    component resolves what it writes: counters from :attr:`registry`
+    (always recorded), timings and levels from :meth:`family` (inert
+    unless ``enabled``). Call sites then write unconditionally;
+    :meth:`span` returns a shared no-op when disabled.
     """
 
     def __init__(
         self,
         env: Optional["Runtime"] = None,
         tracer: Optional["EngineTracer"] = None,
-        registry: Optional[MetricsRegistry] = None,
         enabled: bool = False,
     ) -> None:
         if enabled and (env is None or tracer is None):
@@ -105,9 +125,9 @@ class Observability:
                 "enabled observability needs an environment and a tracer")
         self.env = env
         self.tracer = tracer
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.enabled = enabled
+        self._span_seconds = self.family(Histogram, "span.seconds", "name")
         #: Innermost-last stack of open spans (dynamic nesting).
         self._open: List[SpanContext] = []
         self._next_span_id = 1
@@ -160,29 +180,14 @@ class Observability:
         self.tracer.record(
             now, "span", span=context.span_id, parent=context.parent_id,
             name=context.name, start=context.started_at, **context.labels)
-        self.registry.histogram(
-            "span.seconds", name=context.name).observe(
-                now - context.started_at)
+        self._span_seconds[context.name].observe(now - context.started_at)
 
     # ------------------------------------------------------------------
-    # Metrics pass-through (guarded)
+    # Timings and levels (recorded only when enabled)
     # ------------------------------------------------------------------
-    def inc(self, name: str, amount: float = 1.0, /,
-            **labels: Any) -> None:
+    def family(self, kind: Any, name: str, *labels: str) -> Dict[Any, Any]:
+        """:meth:`MetricsRegistry.family` when enabled; otherwise a
+        family whose every series is inert."""
         if self.enabled:
-            self.registry.counter(name, **labels).inc(amount)
-
-    def observe(self, name: str, value: float, /,
-                **labels: Any) -> None:
-        if self.enabled:
-            self.registry.histogram(name, **labels).observe(value)
-
-    def set_gauge(self, name: str, value: float, /,
-                  **labels: Any) -> None:
-        if self.enabled:
-            self.registry.gauge(name, **labels).set(value)
-
-
-#: Shared disabled instance: the default for components constructed
-#: without an engine (bare DeviceLockManager, Transport, ...).
-NULL_OBS = Observability()
+            return self.registry.family(kind, name, *labels)
+        return defaultdict(lambda: _INERT)

@@ -11,21 +11,23 @@ One object ties the three mechanisms together for the engine:
 * the load shedder (:mod:`repro.overload.shedding`) runs as a periodic
   process over the dispatcher's operators.
 
-The plane also owns the overload accounting surfaced by
-``engine.statistics()`` and ``python -m repro metrics --overload``:
-admitted/rejected/shed per priority tier, per-query shed counts and
-the peak pending depth per operator.
+The plane also counts what it decides, in the engine's metric
+registry, for ``engine.statistics()`` and ``python -m repro metrics
+--overload``: ``overload.admitted{tier}``, ``overload.rejected{tier,
+reason}`` and ``overload.shed{tier, reason, query}`` (``query`` is
+empty for a request no AQ emitted).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import AortaError, QueueFullError
 from repro.actions.request import ActionRequest
 from repro.cost.model import CostModel
 from repro.devices.base import Device
-from repro.obs.spans import NULL_OBS, Observability
+from repro.obs.metrics import Counter, Gauge
+from repro.obs.spans import Observability
 from repro.overload.admission import AdmissionController
 from repro.overload.policy import OverloadPolicy
 from repro.overload.shedding import LoadShedder
@@ -59,19 +61,19 @@ class OverloadControlPlane:
         self.cost_model = cost_model
         self._device_lookup = device_lookup
         self.tracer = tracer
-        self.obs = obs if obs is not None else NULL_OBS
+        obs = obs if obs is not None else Observability()
         self.admission = AdmissionController(policy, fleet_size)
-        self._shedder: Optional[LoadShedder] = None
-        #: Accounting, keyed by priority tier / reason / query id.
-        self.admitted_by_tier: Dict[int, int] = {}
-        self.rejected_by_tier: Dict[int, int] = {}
-        self.shed_by_tier: Dict[int, int] = {}
-        self.rejected_by_reason: Dict[str, int] = {}
-        self.shed_by_reason: Dict[str, int] = {}
-        self.shed_by_query: Dict[str, int] = {}
-        self.admitted_total = 0
-        self.rejected_total = 0
-        self.shed_total = 0
+        #: The periodic shedder; ``bind`` builds it.
+        self.shedder: Optional[LoadShedder] = None
+        registry = obs.registry
+        self._admitted = registry.family(Counter, "overload.admitted",
+                                         "tier")
+        self._rejected = registry.family(Counter, "overload.rejected",
+                                         "tier", "reason")
+        self._shed = registry.family(Counter, "overload.shed",
+                                     "tier", "reason", "query")
+        self._pending = obs.family(Gauge, "overload.pending_requests",
+                                   "action")
 
     # ------------------------------------------------------------------
     # Wiring (called by the dispatcher/engine during construction)
@@ -82,8 +84,8 @@ class OverloadControlPlane:
         shed: Callable[[ActionRequest, str], None],
     ) -> None:
         """Attach the dispatcher's operator table and shed callback."""
-        self._shedder = LoadShedder(self.env, self.policy, operators,
-                                    shed, self.tracer)
+        self.shedder = LoadShedder(self.env, self.policy, operators,
+                                   shed, self.tracer)
 
     def configure_operator(
         self, operator: SharedActionOperator,
@@ -95,9 +97,9 @@ class OverloadControlPlane:
 
     def start(self) -> None:
         """Launch the periodic shedder process."""
-        if self._shedder is None:
+        if self.shedder is None:
             raise AortaError("overload plane started before bind()")
-        self._shedder.start()
+        self.shedder.start()
 
     # ------------------------------------------------------------------
     # The ingestion gate
@@ -140,14 +142,8 @@ class OverloadControlPlane:
         if reason is not None:
             self.note_rejected(request, reason)
             return False
-        self.admitted_total += 1
-        self.admitted_by_tier[request.priority] = \
-            self.admitted_by_tier.get(request.priority, 0) + 1
-        if self.obs.enabled:
-            self.obs.inc("overload.admitted", tier=request.priority)
-            self.obs.set_gauge("overload.pending_requests",
-                               operator.pending_count,
-                               action=operator.action.name)
+        self._admitted[request.priority].inc()
+        self._pending[operator.action.name].set(operator.pending_count)
         return True
 
     # ------------------------------------------------------------------
@@ -156,52 +152,12 @@ class OverloadControlPlane:
     def note_rejected(self, request: ActionRequest, reason: str) -> None:
         """Account one refused request (admission or backpressure)."""
         request.mark_rejected(self.env.now, reason)
-        self.rejected_total += 1
-        self.rejected_by_tier[request.priority] = \
-            self.rejected_by_tier.get(request.priority, 0) + 1
-        self.rejected_by_reason[reason] = \
-            self.rejected_by_reason.get(reason, 0) + 1
+        self._rejected[request.priority, reason].inc()
         self.tracer.record(
             self.env.now, "request_rejected", request=request.request_id,
             action=request.action_name, query=request.query_id,
             priority=request.priority, reason=reason)
-        if self.obs.enabled:
-            self.obs.inc("overload.rejected", tier=request.priority,
-                         reason=reason)
 
     def note_shed(self, request: ActionRequest, reason: str) -> None:
         """Account one shed request (the dispatcher already marked it)."""
-        self.shed_total += 1
-        self.shed_by_tier[request.priority] = \
-            self.shed_by_tier.get(request.priority, 0) + 1
-        self.shed_by_reason[reason] = \
-            self.shed_by_reason.get(reason, 0) + 1
-        if request.query_id:
-            self.shed_by_query[request.query_id] = \
-                self.shed_by_query.get(request.query_id, 0) + 1
-        if self.obs.enabled:
-            self.obs.inc("overload.shed", tier=request.priority,
-                         reason=reason)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, Any]:
-        """Overload accounting for engine.statistics() / the CLI."""
-        shedder = self._shedder
-        return {
-            "admitted_requests": self.admitted_total,
-            "rejected_requests": self.rejected_total,
-            "shed_requests": self.shed_total,
-            "admitted_by_tier": dict(sorted(
-                self.admitted_by_tier.items())),
-            "rejected_by_tier": dict(sorted(
-                self.rejected_by_tier.items())),
-            "shed_by_tier": dict(sorted(self.shed_by_tier.items())),
-            "rejected_by_reason": dict(sorted(
-                self.rejected_by_reason.items())),
-            "shed_by_reason": dict(sorted(self.shed_by_reason.items())),
-            "shed_by_query": dict(sorted(self.shed_by_query.items())),
-            "shed_passes": shedder.shed_passes if shedder else 0,
-            "shedding_active": bool(shedder.active) if shedder else False,
-        }
+        self._shed[request.priority, reason, request.query_id].inc()

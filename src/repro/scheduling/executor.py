@@ -78,13 +78,18 @@ def execute_schedule(problem: Problem, schedule: Schedule,
         raise SchedulingError(f"execution lost requests: {sorted(missing)}")
     result.makespan = max(result.completion_times.values(), default=0.0)
     if obs is not None:
-        obs.inc("scheduling.executions", algorithm=schedule.algorithm)
-        obs.inc("scheduling.executed_requests",
-                len(result.completion_times),
-                algorithm=schedule.algorithm)
-        obs.observe("scheduling.executed_makespan_seconds",
-                    result.makespan, algorithm=schedule.algorithm)
-        for seconds in result.device_busy.values():
-            obs.observe("scheduling.device_busy_seconds", seconds,
-                        algorithm=schedule.algorithm)
+        algorithm = schedule.algorithm
+        registry = obs.registry
+        registry.counter("scheduling.executions",
+                         algorithm=algorithm).inc()
+        registry.counter("scheduling.executed_requests",
+                         algorithm=algorithm).inc(
+                             len(result.completion_times))
+        if obs.enabled:  # timings
+            registry.histogram("scheduling.executed_makespan_seconds",
+                               algorithm=algorithm).observe(result.makespan)
+            busy = registry.histogram("scheduling.device_busy_seconds",
+                                      algorithm=algorithm)
+            for seconds in result.device_busy.values():
+                busy.observe(seconds)
     return result

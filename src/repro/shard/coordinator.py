@@ -18,11 +18,13 @@ and aggregation at the coordinator:
   routed to the shard owning the plurality of its candidate devices,
   with its candidate set restricted to that shard's partition;
   completions merge back at the coordinator.
-* **Aggregation**: fleet statistics sum/max per-shard snapshots, and
-  fleet metrics merge per-shard registries through
+* **Aggregation**: fleet metrics merge per-shard registries through
   :meth:`~repro.obs.metrics.MetricsRegistry.merge` — optionally
   stamped with ``shard=<i>`` labels via
-  :meth:`~repro.obs.metrics.MetricsRegistry.relabeled`.
+  :meth:`~repro.obs.metrics.MetricsRegistry.relabeled` — and fleet
+  statistics are the engine's own view
+  (:func:`~repro.core.engine.statistics_view`) over that merge plus
+  the shards' folded live levels.
 * **Fleet capacity**: with overload control on, every shard's
   admission controller is rewired to one shared
   :class:`~repro.overload.admission.CapacityLedger`, so admission is
@@ -56,7 +58,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ShardingError
 from repro.actions.request import ActionRequest
 from repro.core.config import EngineConfig
-from repro.core.engine import AortaEngine
+from repro.core.engine import AortaEngine, statistics_view
 from repro.devices.base import Device
 from repro.obs.metrics import MetricsRegistry
 from repro.overload import CapacityLedger
@@ -79,61 +81,36 @@ from repro.sim.rng import derive_seed
 #: construction, so they cannot be built before placement is known.
 DeviceFactory = Callable[[Runtime], Device]
 
-#: statistics() keys aggregated by maximum instead of sum: levels and
-#: clocks, where adding shards would be meaningless.
-_MAX_KEYS = frozenset({"virtual_time", "currently_quarantined"})
-
 #: Lockstep bound of a ledger-coupled fleet (overload on, more than one
 #: shard): no shard's clock leads the slowest by more than this many
 #: runtime seconds, which bounds how far apart the clocks are at which
 #: shards sample the shared capacity ledger.
 SHARD_QUANTUM = 1.0
 
-#: statistics() keys aggregated by unweighted mean across the shards
-#: reporting them.
-_MEAN_KEYS = frozenset({"mean_recovery_seconds"})
 
-#: Dict-valued statistics() keys whose entries combine by maximum
-#: (per-operator peak depths: the fleet peak is the worst shard, not
-#: the sum of peaks that never coexisted in one queue).
-_MAX_DICT_KEYS = frozenset({"overload_peak_queue_depth"})
+def _fold_levels(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """One fleet's live levels from its shards' (``live_levels()``).
 
-
-def _aggregate_statistics(snapshots: List[Dict[str, Any]],
-                          shards: int) -> Dict[str, Any]:
-    """Fold per-shard statistics snapshots into one fleet dict.
-
-    Numeric values sum, except clocks/levels (max), ``mean_*`` keys
-    (unweighted mean) and ``*_hit_rate`` keys (recomputed from the
-    summed ``*_hits`` / ``*_misses``); booleans OR; dict values merge
-    per entry (sum, except peak depths which take the max).
+    Shards own disjoint devices, so levels add — except the clock, the
+    furthest shard's, and each operator's peak queue depth, the worst
+    shard's (peaks on different shards never shared a queue); shedding
+    is active if any shard sheds.
     """
-    fleet: Dict[str, Any] = {"shards": shards}
-    counts: Dict[str, int] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            counts[key] = counts.get(key, 0) + 1
-            if isinstance(value, dict):
-                bucket = fleet.setdefault(key, {})
-                combine = max if key in _MAX_DICT_KEYS else \
-                    (lambda a, b: a + b)
-                for entry, amount in value.items():
-                    bucket[entry] = combine(bucket[entry], amount) \
-                        if entry in bucket else amount
-            elif isinstance(value, bool):
-                fleet[key] = fleet.get(key, False) or value
-            elif key in _MAX_KEYS:
-                fleet[key] = max(fleet.get(key, value), value)
+    fleet: Dict[str, Any] = {}
+    for levels in shards:
+        for key, value in levels.items():
+            if key not in fleet:
+                fleet[key] = value
+            elif key == "virtual_time":
+                fleet[key] = max(fleet[key], value)
+            elif key == "overload_shedding_active":
+                fleet[key] = fleet[key] or value
+            elif key == "overload_peak_queue_depth":
+                peaks = fleet[key] = dict(fleet[key])
+                for name, depth in value.items():
+                    peaks[name] = max(peaks.get(name, depth), depth)
             else:
-                fleet[key] = fleet.get(key, 0) + value
-    for key in _MEAN_KEYS:
-        if key in fleet:
-            fleet[key] = fleet[key] / counts[key]
-    for key in fleet:
-        if key.endswith("_hit_rate"):
-            stem = key[:-len("hit_rate")]
-            lookups = fleet[stem + "hits"] + fleet[stem + "misses"]
-            fleet[key] = fleet[stem + "hits"] / lookups if lookups else 0.0
+                fleet[key] += value
     return fleet
 
 
@@ -585,19 +562,16 @@ class ShardedEngine:
     def statistics(self) -> Dict[str, Any]:
         """A fleet-wide status snapshot.
 
-        One shard returns the engine's own dict unchanged. Multiple
-        shards aggregate per-shard snapshots: numeric values sum,
-        except clocks/levels (max), ``mean_*`` keys (unweighted mean)
-        and ``*_hit_rate`` keys (recomputed from the summed counts);
-        booleans OR; dict values merge per entry (sum, except
-        peak depths which take the max). A ``shards`` key records the
-        fleet width. Per-shard snapshots stay available through
-        ``shard_statistics()``.
+        One shard returns the engine's own dict. More render the
+        engine's view over the shards' merged registries and folded
+        live levels, plus a ``shards`` key; per-shard snapshots stay
+        available through ``shard_statistics()``.
         """
         if self.n_shards == 1:
             return self.shards[0].statistics()
-        return _aggregate_statistics(self.shard_statistics(),
-                                     self.n_shards)
+        return {"shards": self.n_shards,
+                **statistics_view(self._merged_metrics(labeled=False),
+                                  _fold_levels(self._call_all("levels")))}
 
     def shard_statistics(self) -> List[Dict[str, Any]]:
         """Each shard's own statistics dict, in shard order."""
@@ -616,13 +590,13 @@ class ShardedEngine:
         """
         return _merge_query_reports(self._call_all("query_report"))
 
-    def _merged_metrics(self, labeled: bool) -> Dict[str, Any]:
+    def _merged_metrics(self, labeled: bool) -> MetricsRegistry:
         merged = MetricsRegistry()
         for index, registry in enumerate(self._call_all("metrics")):
             merged.merge(registry.relabeled(shard=index) if labeled
                          else registry)
         merged.merge(self.round_registry)
-        return merged.snapshot()
+        return merged
 
     def metrics(self) -> Dict[str, Any]:
         """The fleet metric snapshot, merged without shard labels.
@@ -634,7 +608,7 @@ class ShardedEngine:
         wall-clock series (round count, per-round and per-shard
         busy/barrier-wait time).
         """
-        return self._merged_metrics(labeled=False)
+        return self._merged_metrics(labeled=False).snapshot()
 
     def shard_labeled_metrics(self) -> Dict[str, Any]:
         """The fleet metric snapshot with ``shard=<i>`` on every series.
@@ -645,7 +619,7 @@ class ShardedEngine:
         round registry merges as-is — its per-shard series already
         carry shard labels.
         """
-        return self._merged_metrics(labeled=True)
+        return self._merged_metrics(labeled=True).snapshot()
 
     def shard_dumps(self) -> List[Dict[str, Any]]:
         """Normalized per-shard dumps, in shard order.

@@ -271,6 +271,7 @@ class ShardHost(RuntimePeer):
             assert self.engine.overload is not None
             self.engine.overload.admission.capacity = ledger
         self._run_span: Any = None
+        self._runs = self.engine.obs.registry.counter("engine.runs")
 
     def call(self, op: str, *args: Any) -> Any:
         return getattr(self, f"op_{op}")(*args)
@@ -346,10 +347,13 @@ class ShardHost(RuntimePeer):
         # engine.runs counts the runs that reached their deadline.
         self._run_span.__exit__(None, None, None)
         if completed:
-            self.engine.obs.inc("engine.runs")
+            self._runs.inc()
 
     def op_statistics(self) -> Dict[str, Any]:
         return self.engine.statistics()
+
+    def op_levels(self) -> Dict[str, Any]:
+        return self.engine.live_levels()
 
     def op_device_report(self) -> Dict[str, Dict[str, Any]]:
         return self.engine.device_report()

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Set
+from typing import Any, Dict, Generator, Optional, Set
 
-from repro.obs.spans import NULL_OBS
+from repro.obs.metrics import Counter, Histogram
+from repro.obs.spans import Observability
 from repro.runtime import Runtime
 from repro.sim import SimLock
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.obs.spans import Observability
 
 _token_counter = itertools.count(1)
 
@@ -38,16 +36,17 @@ class DeviceLockManager:
     """Per-device mutual exclusion for action execution."""
 
     def __init__(self, env: Runtime,
-                 obs: Optional["Observability"] = None) -> None:
+                 obs: Optional[Observability] = None) -> None:
         self.env = env
-        self.obs = obs if obs is not None else NULL_OBS
+        self.obs = obs if obs is not None else Observability()
         self._locks: Dict[str, SimLock] = {}
-        #: Total lock acquisitions, for utilization reporting.
-        self.acquisitions = 0
-        #: Total acquisitions that had to queue behind a holder.
-        self.contended_acquisitions = 0
-        #: Total forced releases (lease expiry or explicit recovery).
-        self.recoveries = 0
+        # Per device: acquisitions, those that queued behind a holder,
+        # and forced releases (lease expiry or explicit recovery).
+        self._acquisitions, self._contended, self._recoveries = (
+            self.obs.registry.family(Counter, f"lock.{name}", "device")
+            for name in ("acquisitions", "contended", "recoveries"))
+        self._wait = self.obs.family(Histogram, "lock.wait_seconds",
+                                     "device")
         #: Tokens evicted by recovery whose owner has not released yet;
         #: their eventual release() is a silent no-op, not an error.
         self._recovered_tokens: Set[LockToken] = set()
@@ -70,14 +69,11 @@ class DeviceLockManager:
         """
         lock = self._lock_for(device_id)
         if lock.locked:
-            self.contended_acquisitions += 1
-            self.obs.inc("lock.contended", device=device_id)
-        self.acquisitions += 1
-        self.obs.inc("lock.acquisitions", device=device_id)
+            self._contended[device_id].inc()
+        self._acquisitions[device_id].inc()
         waited_from = self.env.now
         yield lock.acquire(token)
-        self.obs.observe("lock.wait_seconds", self.env.now - waited_from,
-                         device=device_id)
+        self._wait[device_id].observe(self.env.now - waited_from)
         if lease_seconds is not None:
             self.env.process(self._lease_watchdog(device_id, token,
                                                   lease_seconds))
@@ -113,8 +109,7 @@ class DeviceLockManager:
         """
         evicted = self._lock_for(device_id).force_release()
         if evicted is not None:
-            self.recoveries += 1
-            self.obs.inc("lock.recoveries", device=device_id)
+            self._recoveries[device_id].inc()
             self._recovered_tokens.add(evicted)
         return evicted
 

@@ -1,10 +1,13 @@
 """ConnectionPool: keep-alive reuse, expiry, LRU capping, invalidation."""
 
+from collections import Counter
+
 import pytest
 
 from repro import PanTiltZoomCamera, Point
 from repro.errors import CommunicationError
 from repro.comm.pool import ConnectionPool
+from repro.core.engine import statistics_view
 from repro.network.message import Message
 
 from tests.comm.conftest import run
@@ -22,13 +25,26 @@ def checkout(env, transport, device, timeout=1.0):
     return run(env, transport.open(device, timeout))
 
 
+def counts(layer):
+    """The layer's counter totals (0 for a name never counted)."""
+    return Counter(layer.transport.obs.registry.totals())
+
+
+def pool_statistics(layer, pool):
+    """The pool block of ``statistics()`` over the layer's registry."""
+    return statistics_view(layer.transport.obs.registry, {
+        "virtual_time": 0.0, "devices": 0, "queries": 0,
+        "requests_completed": 0, "pool_idle": len(pool)})
+
+
 class TestCheckout:
     def test_first_checkout_is_a_miss_that_connects(self, env, layer,
                                                     lab, pool):
         connection = checkout(env, layer.transport, lab["cam1"])
         assert not connection.closed
-        assert pool.misses == 1 and pool.hits == 0
-        assert layer.transport.connects_attempted == 1
+        assert counts(layer)["comm.pool.misses"] == 1
+        assert counts(layer)["comm.pool.hits"] == 0
+        assert counts(layer)["comm.connects"] == 1
 
     def test_release_then_checkout_reuses_without_handshake(
             self, env, layer, lab, pool):
@@ -37,9 +53,9 @@ class TestCheckout:
         assert len(pool) == 1
         again = checkout(env, layer.transport, lab["cam1"])
         assert again is connection
-        assert pool.hits == 1
+        assert counts(layer)["comm.pool.hits"] == 1
         # No second handshake was paid.
-        assert layer.transport.connects_attempted == 1
+        assert counts(layer)["comm.connects"] == 1
 
     def test_pooled_connection_still_serves_requests(self, env, layer,
                                                      lab, pool):
@@ -60,7 +76,7 @@ class TestCheckout:
         layer.transport.release(second)
         assert len(pool) == 1
         assert second.closed and not first.closed
-        assert pool.discards == 1
+        assert counts(layer)["comm.pool.discarded"] == 1
 
 
 class TestExpiry:
@@ -72,8 +88,8 @@ class TestExpiry:
         fresh = checkout(env, layer.transport, lab["cam1"])
         assert fresh is not connection
         assert connection.closed
-        assert pool.expired == 1
-        assert layer.transport.connects_attempted == 2
+        assert counts(layer)["comm.pool.expired"] == 1
+        assert counts(layer)["comm.connects"] == 2
 
     def test_connection_at_exact_idle_boundary_survives(self, env, layer,
                                                         lab, pool):
@@ -93,7 +109,7 @@ class TestCapacity:
             layer.transport.release(held[name])
         assert len(pool) == 3
         assert held["cam1"].closed           # oldest release evicted
-        assert pool.evictions == 1
+        assert counts(layer)["comm.pool.evictions"] == 1
         # The evicted device reconnects; the survivors are hits.
         assert checkout(env, layer.transport, lab["cam2"]) is held["cam2"]
         fresh = checkout(env, layer.transport, lab["cam1"])
@@ -114,11 +130,11 @@ class TestInvalidation:
         pool.invalidate("cam1", reason="breaker-open")
         assert connection.closed
         assert len(pool) == 0
-        assert pool.invalidations == 1
+        assert counts(layer)["comm.pool.invalidations"] == 1
 
-    def test_invalidate_unknown_device_is_a_noop(self, pool):
+    def test_invalidate_unknown_device_is_a_noop(self, layer, pool):
         pool.invalidate("nobody")
-        assert pool.invalidations == 0
+        assert counts(layer)["comm.pool.invalidations"] == 0
 
     def test_discard_never_parks_the_channel(self, env, layer, lab, pool):
         connection = checkout(env, layer.transport, lab["cam1"])
@@ -132,13 +148,13 @@ class TestStats:
         connection = checkout(env, layer.transport, lab["cam1"])
         layer.transport.release(connection)
         checkout(env, layer.transport, lab["cam1"])
-        stats = pool.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
-        assert pool.hit_rate == 0.5
+        stats = pool_statistics(layer, pool)
+        assert stats["pool_hits"] == 1 and stats["pool_misses"] == 1
+        assert stats["pool_hit_rate"] == 0.5
+        assert stats["pool_idle"] == 0
 
-    def test_empty_pool_hit_rate_is_zero(self, pool):
-        assert pool.hit_rate == 0.0
+    def test_empty_pool_hit_rate_is_zero(self, layer, pool):
+        assert pool_statistics(layer, pool)["pool_hit_rate"] == 0.0
 
 
 def test_channel_to_a_departed_object_is_not_reused(env, layer, lab, pool):
@@ -151,4 +167,4 @@ def test_channel_to_a_departed_object_is_not_reused(env, layer, lab, pool):
     layer.add_device(newcomer)
     fresh = checkout(env, layer.transport, newcomer)
     assert fresh is not connection and fresh.device is newcomer
-    assert connection.closed and pool.expired == 1
+    assert connection.closed and counts(layer)["comm.pool.expired"] == 1

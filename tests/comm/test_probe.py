@@ -1,10 +1,18 @@
 """Unit tests for the probing mechanism (paper Section 4)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.devices.health import BreakerState, DeviceHealthTracker, HealthPolicy
 from repro.network.message import Message, Response
 from tests.comm.conftest import run
+
+
+def probe_counts(layer):
+    """(sent, failed) probes, from the layer's registry."""
+    totals = Counter(layer.transport.obs.registry.totals())
+    return totals["probe.sent"], totals["probe.failed"]
 
 
 def test_probe_online_camera_succeeds(env, layer, lab):
@@ -48,8 +56,7 @@ def test_available_devices_excludes_malfunctioning(env, layer, lab):
 def test_probe_counters(env, layer, lab):
     lab["cam2"].go_offline()
     run(env, layer.prober.probe_all([lab["cam1"], lab["cam2"]]))
-    assert layer.prober.probes_sent == 2
-    assert layer.prober.probes_failed == 1
+    assert probe_counts(layer) == (2, 1)
 
 
 def test_probe_returns_status_for_cost_model(env, layer, lab):
@@ -127,7 +134,7 @@ def test_probe_all_preserves_input_order_under_mixed_timeouts(
     assert [r.device_id for r in results] \
         == ["phone1", "cam1", "mote1", "cam2"]
     assert [r.available for r in results] == [False, True, False, True]
-    assert (layer.prober.probes_sent, layer.prober.probes_failed) == (4, 2)
+    assert probe_counts(layer) == (4, 2)
     # Concurrent: total wall time is the slowest timeout, not the sum.
     assert env.now == pytest.approx(2.0)
 
@@ -169,4 +176,4 @@ def test_coverage_dropout_quarantines_then_readmits_phone(env, layer, lab):
     result = run(env, layer.probe(phone))
     assert result.available
     assert health.state_of("phone1") is BreakerState.CLOSED
-    assert health.recoveries_total == 1
+    assert health.obs.registry.totals()["health.readmissions"] == 1

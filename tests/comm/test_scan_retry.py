@@ -147,8 +147,11 @@ def test_scan_returns_every_channel_it_took(victim_index, read, fault, warm):
             "offline_mid_exchange": victim.go_offline,
             "removed_mid_row": lambda: layer.remove_device(victim.device_id),
         }[fault]
-    connects = transport.connects_attempted
-    hits = transport.pool.hits
+    def counted(name):
+        return transport.obs.registry.totals().get(name, 0)
+
+    connects = counted("comm.connects")
+    hits = counted("comm.pool.hits")
     channel_failed, rows_expected = FAULTS[fault]
 
     rows = run(env, operator.scan())
@@ -164,12 +167,13 @@ def test_scan_returns_every_channel_it_took(victim_index, read, fault, warm):
     if channel_failed:
         # Discarded, and the one retry pays a fresh handshake.
         assert first.closed
-        assert transport.pool.discards == 1
-        assert transport.connects_attempted == connects + handshakes + 1
+        assert counted("comm.pool.discarded") == 1
+        assert counted("comm.connects") == connects + handshakes + 1
     else:
         # Parked: a device error's retry takes the same channel back.
         assert id(first) in parked
-        assert transport.pool.discards == 0
-        assert transport.connects_attempted == connects + handshakes
+        assert counted("comm.pool.discarded") == 0
+        assert counted("comm.connects") == connects + handshakes
         retried = fault == "device_error"
-        assert transport.pool.hits == hits + (3 if warm else 0) + retried
+        assert counted("comm.pool.hits") \
+            == hits + (3 if warm else 0) + retried

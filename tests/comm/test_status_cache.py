@@ -1,8 +1,11 @@
 """DeviceStatusCache: TTL freshness, copies, invalidation, counters."""
 
+from collections import Counter
+
 import pytest
 
 from repro import AortaEngine, EngineConfig
+from repro.core.engine import statistics_view
 from repro.errors import CommunicationError
 from repro.comm.status_cache import (
     DEFAULT_STATUS_TTLS,
@@ -16,15 +19,20 @@ def cache(env):
     return DeviceStatusCache(env)
 
 
+def counted(cache, name):
+    """One ``probe.cache.*`` count from the cache's registry."""
+    return Counter(cache.obs.registry.totals())[f"probe.cache.{name}"]
+
+
 class TestLookup:
     def test_miss_on_unknown_device(self, cache, lab):
         assert cache.lookup(lab["cam1"]) is None
-        assert cache.misses == 1
+        assert counted(cache, "misses") == 1
 
     def test_fresh_entry_hits(self, cache, lab):
         cache.store(lab["cam1"], {"pan": 10.0})
         assert cache.lookup(lab["cam1"]) == {"pan": 10.0}
-        assert cache.hits == 1
+        assert counted(cache, "hits") == 1
 
     def test_lookup_returns_a_copy(self, cache, lab):
         cache.store(lab["cam1"], {"pan": 10.0})
@@ -41,7 +49,7 @@ class TestLookup:
         cache.store(lab["cam1"], {"pan": 10.0})
         env.run(until=DEFAULT_STATUS_TTLS["camera"] + 0.5)
         assert cache.lookup(lab["cam1"]) is None
-        assert cache.expired == 1
+        assert counted(cache, "expired") == 1
         assert len(cache) == 0  # expired entries are swept on lookup
 
     def test_entry_at_exact_ttl_boundary_is_fresh(self, env, cache, lab):
@@ -72,11 +80,11 @@ class TestInvalidation:
         cache.store(lab["cam1"], {"pan": 10.0})
         cache.invalidate("cam1", reason="execution")
         assert cache.lookup(lab["cam1"]) is None
-        assert cache.invalidations == 1
+        assert counted(cache, "invalidations") == 1
 
     def test_invalidate_absent_entry_is_a_noop(self, cache):
         cache.invalidate("nobody")
-        assert cache.invalidations == 0
+        assert counted(cache, "invalidations") == 0
 
     def test_clear(self, cache, lab):
         cache.store(lab["cam1"], {"pan": 10.0})
@@ -94,9 +102,12 @@ class TestValidationAndStats:
         cache.store(lab["cam1"], {"pan": 10.0})
         cache.lookup(lab["cam1"])
         cache.lookup(lab["mote1"])
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
-        assert stats["stores"] == 1
-        assert stats["entries"] == 1
+        stats = statistics_view(cache.obs.registry, {
+            "virtual_time": env.now, "devices": 0, "queries": 0,
+            "requests_completed": 0, "pool_idle": 0,
+            "status_cache_entries": len(cache)})
+        assert stats["status_cache_hits"] == 1
+        assert stats["status_cache_misses"] == 1
+        assert stats["status_cache_hit_rate"] == 0.5
+        assert stats["status_cache_stores"] == 1
+        assert stats["status_cache_entries"] == 1

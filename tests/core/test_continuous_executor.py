@@ -79,7 +79,7 @@ def test_query_counters(engine):
     assert registered.events_detected == 1
     assert registered.requests_emitted == 1
     assert registered.uncovered_events == 0
-    assert engine.continuous.polls > 5
+    assert engine.statistics()["polls"] > 5
 
 
 def test_dropped_query_pending_requests_discarded(engine):

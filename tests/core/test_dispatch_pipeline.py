@@ -106,8 +106,7 @@ def test_a_query_dropped_mid_run_loses_no_request(drop_at, overload):
     assert dispatcher.pending_requests == 0
     emitted = len(engine.tracer.of_kind("request_emitted"))
     rejected = len(engine.tracer.of_kind("request_rejected"))
-    assert emitted == (dispatcher.serviced_total + dispatcher.failed_total
-                       + dispatcher.shed_total + rejected)
+    assert emitted == sum(exits(engine).values()) + rejected
     assert emitted - rejected == len(dispatcher.completed)
     assert not any(engine.locks.is_locked(camera) for camera in CAMERAS)
 
@@ -167,7 +166,7 @@ def test_every_request_ends_exactly_once(
         # (A bounded queue may evict — shed — a request this batch
         # already counted as failed over.)
         assert (report.serviced + report.failed + report.unschedulable
-                + report.failed_over + dispatcher.shed_total
+                + report.failed_over + exits(engine)[RequestState.SHED]
                 == len(requests))
 
     def drain(env):
@@ -181,12 +180,19 @@ def test_every_request_ends_exactly_once(
     assert len(dispatcher.completed) == len(requests)
 
 
+def exits(engine):
+    """Requests that left through each exit, from ``statistics()``."""
+    stats = engine.statistics()
+    return {RequestState.SERVICED: stats["requests_serviced"],
+            RequestState.FAILED: stats["requests_failed"],
+            RequestState.SHED: stats.get("requests_shed", 0)}
+
+
 def check_conservation(engine, requests):
     dispatcher = engine.dispatcher
     pending = [request for operator in dispatcher._operators.values()
                for request in operator.pending_snapshot()]
-    assert (dispatcher.serviced_total + dispatcher.failed_total
-            + dispatcher.shed_total == len(dispatcher.completed))
+    assert sum(exits(engine).values()) == len(dispatcher.completed)
     for request in requests:
         ended = sum(1 for done in dispatcher.completed if done is request)
         queued = sum(1 for waiting in pending if waiting is request)
@@ -201,9 +207,7 @@ def check_conservation(engine, requests):
     by_state = {state: sum(1 for done in dispatcher.completed
                            if done.state is state)
                 for state in TERMINAL_KIND}
-    assert by_state == {RequestState.SERVICED: dispatcher.serviced_total,
-                        RequestState.FAILED: dispatcher.failed_total,
-                        RequestState.SHED: dispatcher.shed_total}
+    assert by_state == exits(engine)
     assert not any(engine.locks.is_locked(camera) for camera in CAMERAS)
 
 
@@ -234,6 +238,11 @@ def bare_dispatcher(**config):
     return env, dispatcher, StubAction(env)
 
 
+def counted(dispatcher, name):
+    """A count in a bare dispatcher's registry (its locks keep theirs)."""
+    return dispatcher.obs.registry.totals().get(name, 0)
+
+
 def stub_device(device_id, reachable=True):
     return SimpleNamespace(device_id=device_id, reachable=reachable)
 
@@ -259,7 +268,7 @@ def test_partition_splits_schedulable_from_failed():
     assert both.candidates == ("d1",)
     assert stranded.state is RequestState.FAILED
     assert dispatcher.completed == [stranded]
-    assert dispatcher.failed_total == 1
+    assert counted(dispatcher, "dispatch.requests_failed") == 1
     assert (batch.report.unschedulable, batch.report.failed,
             batch.report.failed_over) == (1, 0, 0)
     assert all(request.dispatches == 1 for request in batch.requests)
@@ -310,13 +319,13 @@ def test_service_ends_each_request_when_it_completes():
     assert [(request.completed_at, request.result)
             for request in dispatcher.completed] \
         == [(1.0, "d1:1"), (1.0, "d2:3"), (2.0, "d1:2")]
-    assert dispatcher.serviced_total == 3
+    assert counted(dispatcher, "dispatch.requests_serviced") == 3
     assert (batch.report.serviced, batch.report.failed,
             batch.report.attempts, batch.report.retries) == (3, 0, 3, 0)
     assert [record.at for record
             in dispatcher.tracer.of_kind("request_serviced")] \
         == [1.0, 1.0, 2.0]
-    assert dispatcher.locks.acquisitions == 3
+    assert counted(dispatcher.locks, "lock.acquisitions") == 3
     assert not dispatcher.locks.is_locked("d1")
     assert not dispatcher.locks.is_locked("d2")
 
@@ -333,7 +342,7 @@ def test_service_unlocked_fires_every_request_at_once():
     assert [request.completed_at for request in dispatcher.completed] \
         == [1.0, 1.0]
     assert batch.report.serviced == 2
-    assert dispatcher.locks.acquisitions == 0
+    assert counted(dispatcher.locks, "lock.acquisitions") == 0
 
 
 def test_service_drains_a_dead_devices_queue():

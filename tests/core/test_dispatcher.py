@@ -126,4 +126,4 @@ def test_unlocked_mode_runs_concurrently():
                 make_request(engine, Point(16, 3)),
                 make_request(engine, Point(10, 3))]
     dispatch(engine, requests)
-    assert engine.locks.acquisitions == 0  # no locking happened
+    assert engine.statistics()["lock_acquisitions"] == 0  # no locking happened

@@ -74,6 +74,11 @@ def drive(engine, until):
     return reports
 
 
+def connects(engine):
+    """Handshakes the engine's transport attempted."""
+    return engine.obs.registry.totals().get("comm.connects", 0)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "flag", ["predicate_index", "vectorize", "incremental",
@@ -105,14 +110,14 @@ class TestStatusCacheIntegration:
         candidates = ("cam1", "cam2", "cam3")
         submit_photo(engine, candidates, x=10.0)
         drive(engine, until=20.0)
-        first_round = engine.comm.prober.probes_sent
+        first_round = engine.statistics()["probes_sent"]
         assert first_round == 3          # cold cache probes everyone
         # Second batch: executed device was invalidated, the two idle
         # candidates answer from cache.
         submit_photo(engine, candidates, x=11.0)
         drive(engine, until=40.0)
-        assert engine.comm.prober.probes_sent == first_round + 1
-        assert engine.status_cache.hits == 2
+        assert engine.statistics()["probes_sent"] == first_round + 1
+        assert engine.statistics()["status_cache_hits"] == 2
 
     def test_execution_invalidates_so_next_batch_reprobes(self):
         """The correctness core: a served device's cached status is the
@@ -122,14 +127,14 @@ class TestStatusCacheIntegration:
                                 n_cameras=1)
         submit_photo(engine, ("cam1",), x=10.0)
         drive(engine, until=20.0)
-        assert engine.comm.prober.probes_sent == 1
-        assert engine.status_cache.invalidations == 1
-        before = engine.status_cache.hits
+        assert engine.statistics()["probes_sent"] == 1
+        assert engine.statistics()["status_cache_invalidations"] == 1
+        before = engine.statistics()["status_cache_hits"]
         submit_photo(engine, ("cam1",), x=11.0)
         drive(engine, until=40.0)
         # Re-probed, not served from cache.
-        assert engine.comm.prober.probes_sent == 2
-        assert engine.status_cache.hits == before
+        assert engine.statistics()["probes_sent"] == 2
+        assert engine.statistics()["status_cache_hits"] == before
 
     def test_cached_and_probed_batches_service_identically(self):
         """A warm cache changes how statuses are fetched, never which
@@ -151,11 +156,10 @@ class TestStatusCacheIntegration:
             r.request_id for r in e.completed_requests
             if r.state.value == "serviced")
         assert serviced(slow) == serviced(fast)
-        assert fast.comm.prober.probes_sent \
-            < slow.comm.prober.probes_sent
+        assert fast.statistics()["probes_sent"] \
+            < slow.statistics()["probes_sent"]
         # Both engines pool: a handshake per camera, not per probe.
-        assert fast.comm.transport.connects_attempted \
-            == slow.comm.transport.connects_attempted == 3
+        assert connects(fast) == connects(slow) == 3
 
     def test_probe_failure_invalidates_cache(self):
         engine = build_fast_lab(EngineConfig(status_cache=True,
@@ -180,10 +184,10 @@ class TestPoolIntegration:
         for round_no in range(3):
             submit_photo(engine, candidates, x=10.0 + round_no)
             drive(engine, until=20.0 * (round_no + 1))
-        assert engine.pool.hits > 0
+        assert engine.statistics()["pool_hits"] > 0
         # Handshakes happen once per device, not once per exchange.
-        assert engine.comm.transport.connects_attempted \
-            < engine.pool.hits + engine.pool.misses
+        stats = engine.statistics()
+        assert connects(engine) < stats["pool_hits"] + stats["pool_misses"]
 
     def test_breaker_transition_drops_pool_and_cache_state(self):
         engine = build_fast_lab(EngineConfig(
@@ -196,8 +200,9 @@ class TestPoolIntegration:
         engine.health.record_failure("cam1", reason="test")
         assert engine.health.state_of("cam1") is BreakerState.OPEN
         assert engine.status_cache.lookup(cam1) is None
-        assert engine.pool.invalidations + engine.status_cache.invalidations \
-            >= 1
+        stats = engine.statistics()
+        assert stats["pool_invalidations"] \
+            + stats["status_cache_invalidations"] >= 1
 
     def test_readded_device_pays_a_handshake_and_a_probe(self):
         """A device that left takes its pooled channel and cached
@@ -211,8 +216,8 @@ class TestPoolIntegration:
         newcomer = engine.add_device(PanTiltZoomCamera(
             engine.env, "cam2", Point(20.0, 0.0),
             facing=0.0, view_half_angle=170.0, view_range=1000.0))
-        connects = engine.comm.transport.connects_attempted
-        probes = engine.comm.prober.probes_sent
+        handshakes = connects(engine)
+        probes = engine.statistics()["probes_sent"]
 
         checked_out = []
 
@@ -225,16 +230,16 @@ class TestPoolIntegration:
         engine.env.process(checkout(engine.env))
         engine.env.run(until=6.0)
         assert checked_out[0].device is newcomer
-        assert engine.comm.transport.connects_attempted == connects + 1
+        assert connects(engine) == handshakes + 1
         # And the next batch probes the newcomer instead of costing it
         # from the departed camera's snapshot.
         engine.status_cache.invalidate("cam1")
         submit_photo(engine, candidates, x=11.0)
         drive(engine, until=20.0)
-        assert engine.comm.prober.probes_sent == probes + 2
+        assert engine.statistics()["probes_sent"] == probes + 2
         # Both halves were dropped at departure, by the membership hook.
-        assert engine.pool.invalidations == 1
-        assert engine.status_cache.invalidations >= 2
+        assert engine.statistics()["pool_invalidations"] == 1
+        assert engine.statistics()["status_cache_invalidations"] >= 2
 
     def test_every_open_connection_is_parked_at_quiescence(self):
         """Conservation under faults: after outages, retries, breaker

@@ -114,7 +114,7 @@ def test_retry_bridges_a_transient_outage():
     assert request.state is RequestState.SERVICED
     assert request.assigned_device == "cam1"
     assert request.attempts == 3
-    assert engine.dispatcher.retries_total == 2
+    assert engine.statistics()["retries"] == 2
     assert reports[0].serviced == 1
     assert reports[0].retries == 2
     assert len(engine.tracer.of_kind("request_retry")) == 2
@@ -164,9 +164,9 @@ def test_overlapping_batches_report_their_own_attempts():
     # behind it on cam1, then succeeds at once.
     assert (photo.attempts, photo.retries) == (4, 2)
     assert (beep.attempts, beep.retries) == (1, 0)
-    dispatcher = engine.dispatcher
-    assert photo.attempts + beep.attempts == dispatcher.attempts_total
-    assert photo.retries + beep.retries == dispatcher.retries_total
+    stats = engine.statistics()
+    assert photo.attempts + beep.attempts == stats["execution_attempts"]
+    assert photo.retries + beep.retries == stats["retries"]
 
 
 def test_overlapping_batches_report_their_own_cache_stats():
@@ -190,8 +190,8 @@ def test_permanent_failures_are_not_retried():
     drive(engine, [request])
     assert request.state is RequestState.FAILED
     assert request.attempts == 1
-    assert engine.dispatcher.retries_total == 0
-    assert engine.dispatcher.failovers_total == 0
+    assert engine.statistics()["retries"] == 0
+    assert engine.statistics()["failovers"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -209,14 +209,14 @@ def test_failover_reassigns_to_surviving_candidate():
     assert request.assigned_device == "cam2"
     assert request.failed_devices == ("cam1",)
     assert request.dispatches == 2
-    assert engine.dispatcher.failovers_total == 1
+    assert engine.statistics()["failovers"] == 1
     assert reports[0].failed_over == 1
     assert reports[0].serviced == 0 and reports[0].failed == 0
     assert reports[1].serviced == 1
     # The request completed exactly once.
     assert engine.dispatcher.completed == [request]
-    assert engine.dispatcher.serviced_total == 1
-    assert engine.dispatcher.failed_total == 0
+    assert engine.statistics()["requests_serviced"] == 1
+    assert engine.statistics()["requests_failed"] == 0
 
 
 def test_failover_respects_dispatch_cap():
@@ -234,7 +234,7 @@ def test_failover_respects_dispatch_cap():
     # final failure although a third candidate was never tried.
     assert request.state is RequestState.FAILED
     assert request.dispatches == MAX_DISPATCHES
-    assert engine.dispatcher.failovers_total == 1
+    assert engine.statistics()["failovers"] == 1
     assert len(request.failed_devices) == 1
 
 
@@ -304,11 +304,11 @@ def test_repeated_probe_failures_quarantine_device():
     # Second consecutive probe failure opened the breaker.
     assert engine.health.state_of("cam1") is BreakerState.OPEN
 
-    probes_before = engine.comm.prober.probes_sent
+    probes_before = engine.statistics()["probes_sent"]
     reports = drive(engine, [make_request(engine, Point(16, 3))])
     # cam1 was skipped outright: only cam2 got probed.
     assert reports[-1].quarantined_skipped == 1
-    assert engine.comm.prober.probes_sent == probes_before + 1
+    assert engine.statistics()["probes_sent"] == probes_before + 1
 
 
 def test_quarantined_device_readmitted_after_probation_probe():
@@ -328,7 +328,7 @@ def test_quarantined_device_readmitted_after_probation_probe():
     # Probation probe succeeded: cam1 is back in the candidate pool.
     assert engine.health.state_of("cam1") is BreakerState.CLOSED
     assert request.state is RequestState.SERVICED
-    assert engine.health.recoveries_total == 1
+    assert engine.statistics()["devices_readmitted"] == 1
     assert engine.statistics()["devices_readmitted"] == 1
 
 

@@ -69,13 +69,13 @@ class TestKernelSelection:
         engine, _ = run_rounds(EngineConfig(), rounds=2, per_round=3)
         assert engine.cost_calls["estimate_block"] == 0
         assert engine.cost_calls["estimate"] > 0
-        assert engine.dispatcher.serviced_total == 6
+        assert engine.statistics()["requests_serviced"] == 6
 
     def test_four_requests_take_the_kernel(self):
         engine, _ = run_rounds(EngineConfig(), rounds=2, per_round=4)
         assert engine.cost_calls["estimate"] == 0
         assert engine.cost_calls["estimate_block"] > 0
-        assert engine.dispatcher.serviced_total == 8
+        assert engine.statistics()["requests_serviced"] == 8
 
     def test_dumps_byte_equal_to_a_scalar_scheduler(self):
         batches = [[10.0 + 3.0 * j + 1.5 * size for j in range(size)]

@@ -99,4 +99,4 @@ def test_unlocked_execution_produces_interference_artifacts():
 
 def test_lock_contention_counted():
     engine = run_study(locking=True, n_queries=4, minutes=1)
-    assert engine.locks.acquisitions >= 4
+    assert engine.statistics()["lock_acquisitions"] >= 4

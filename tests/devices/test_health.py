@@ -21,6 +21,11 @@ def make_tracker(tracer=None):
     return env, DeviceHealthTracker(env, POLICY, tracer=tracer)
 
 
+def counted(tracker, name):
+    """One ``health.*`` count from the tracker's registry."""
+    return tracker.obs.registry.totals().get(f"health.{name}", 0)
+
+
 def test_policy_validation():
     with pytest.raises(DeviceError, match="failure_threshold"):
         HealthPolicy(failure_threshold=0)
@@ -45,7 +50,7 @@ def test_breaker_opens_after_threshold_consecutive_failures():
     assert tracker.state_of("cam1") is BreakerState.OPEN
     assert not tracker.allow_candidate("cam1")
     assert tracker.quarantined_ids() == ["cam1"]
-    assert tracker.quarantines_total == 1
+    assert counted(tracker, "quarantines") == 1
 
 
 def test_success_resets_the_failure_streak():
@@ -70,11 +75,11 @@ def test_window_expiry_moves_to_probation_and_success_readmits():
     assert tracker.state_of("cam1") is BreakerState.HALF_OPEN
     tracker.record_success("cam1")
     assert tracker.state_of("cam1") is BreakerState.CLOSED
-    assert tracker.recoveries_total == 1
-    stats = tracker.stats()
-    assert stats["recoveries"] == 1
-    assert stats["mean_recovery_seconds"] == pytest.approx(
-        POLICY.quarantine_seconds + 0.1)
+    assert counted(tracker, "readmissions") == 1
+    [(labels, recovery)] = tracker.obs.registry.labeled(
+        "health.recovery_seconds")
+    assert labels == {"device": "cam1"}
+    assert recovery.total == pytest.approx(POLICY.quarantine_seconds + 0.1)
 
 
 def test_probation_failure_reopens_with_doubled_window():
@@ -85,7 +90,7 @@ def test_probation_failure_reopens_with_doubled_window():
     assert tracker.allow_candidate("cam1")  # HALF_OPEN
     tracker.record_failure("cam1")
     assert tracker.state_of("cam1") is BreakerState.OPEN
-    assert tracker.quarantines_total == 2
+    assert counted(tracker, "quarantines") == 2
     # Window doubled: still quarantined until ~t+20.
     env.run(until=env.now + 2 * POLICY.quarantine_seconds - 1.0)
     assert not tracker.allow_candidate("cam1")

@@ -36,8 +36,12 @@ def test_knob_false_matches_pre_instrumentation_capture():
 
 
 def test_disabled_engine_emits_no_spans_or_metrics():
+    """No spans and no timings; counters are the engine's state and
+    count either way, the same as with observability on."""
     engine = snapshot_scenario(observability=False)
     assert engine.tracer.of_kind("span") == []
     snapshot = engine.metrics()
-    assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert snapshot["gauges"] == {} and snapshot["histograms"] == {}
+    assert snapshot["counters"] == \
+        snapshot_scenario(observability=True).metrics()["counters"]
     assert "metrics" not in dump_engine(engine)

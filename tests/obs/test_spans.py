@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import AortaError
 from repro.core.tracing import EngineTracer
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Gauge, Histogram, Observability
 from repro.sim import Environment
+from repro.sync.locks import DeviceLockManager, LockToken
 
 
 def make_obs():
@@ -101,13 +102,29 @@ class TestGuards:
             Observability(enabled=True)
 
     def test_disabled_span_is_shared_noop(self):
-        assert NULL_OBS.span("work", x=1) is NULL_OBS.span("other")
-        with NULL_OBS.span("work"):
+        obs = Observability()
+        assert obs.span("work", x=1) is obs.span("other")
+        with obs.span("work"):
             pass
-        assert len(NULL_OBS.registry) == 0
+        assert len(obs.registry) == 0
 
     def test_disabled_metrics_are_noops(self):
-        NULL_OBS.inc("c")
-        NULL_OBS.observe("h", 1.0)
-        NULL_OBS.set_gauge("g", 1.0)
-        assert len(NULL_OBS.registry) == 0
+        """Timings and levels are inert when disabled; counters are the
+        engine's state and always count."""
+        obs = Observability()
+        obs.family(Histogram, "h")[()].observe(1.0)
+        obs.family(Histogram, "hs", "kind")["a"].observe(1.0)
+        obs.family(Gauge, "gs", "kind")["a"].set(1.0)
+        assert len(obs.registry) == 0
+        obs.registry.counter("c").inc()
+        assert obs.registry.snapshot()["counters"] == {"c": 1.0}
+
+    def test_components_built_bare_count_apart(self):
+        """Each bare component owns a registry: nothing leaks from one
+        into another."""
+        env = Environment()
+        first, second = DeviceLockManager(env), DeviceLockManager(env)
+        env.process(first.acquire("cam1", LockToken("r1")))
+        env.run()
+        assert first.obs.registry.totals() == {"lock.acquisitions": 1.0}
+        assert len(second.obs.registry) == 0

@@ -7,6 +7,11 @@ from repro.sim import Environment
 from repro.sync import DeviceLockManager, LockToken
 
 
+def counted(manager, name):
+    """One ``lock.*`` count from the manager's registry."""
+    return manager.obs.registry.totals().get(f"lock.{name}", 0)
+
+
 def test_tokens_are_unique():
     a, b = LockToken("req1"), LockToken("req1")
     assert a != b
@@ -77,8 +82,8 @@ def test_contention_counters():
     env.process(action(env, "a", 1.0))
     env.process(action(env, "b", 1.0))
     env.run()
-    assert manager.acquisitions == 2
-    assert manager.contended_acquisitions == 1
+    assert counted(manager, "acquisitions") == 2
+    assert counted(manager, "contended") == 1
 
 
 def test_release_by_non_holder_rejected():
@@ -143,7 +148,7 @@ def test_recover_frees_a_dead_holders_lock():
     env.process(operator(env))
     env.run()
     assert serviced == [5.0]
-    assert manager.recoveries == 1
+    assert counted(manager, "recoveries") == 1
     assert not manager.is_locked("cam1")
 
 
@@ -151,7 +156,7 @@ def test_recover_on_free_lock_is_a_noop():
     env = Environment()
     manager = DeviceLockManager(env)
     assert manager.recover("cam1") is None
-    assert manager.recoveries == 0
+    assert counted(manager, "recoveries") == 0
 
 
 def test_lease_expiry_auto_recovers_the_lock():
@@ -174,7 +179,7 @@ def test_lease_expiry_auto_recovers_the_lock():
     env.process(waiter(env))
     env.run()
     assert serviced == [3.0]
-    assert manager.recoveries == 1
+    assert counted(manager, "recoveries") == 1
 
 
 def test_release_after_recovery_is_silent():
@@ -201,7 +206,7 @@ def test_release_after_recovery_is_silent():
     # The waiter got the lock at lease expiry, and the slow holder's
     # late release neither raised nor stole the waiter's lock.
     assert serviced == [2.0]
-    assert manager.recoveries == 1
+    assert counted(manager, "recoveries") == 1
 
 
 def test_lease_does_not_fire_after_normal_release():
@@ -226,7 +231,7 @@ def test_lease_does_not_fire_after_normal_release():
     env.run()
     # The first holder released in time: its watchdog must not evict
     # the unrelated current holder.
-    assert manager.recoveries == 0
+    assert counted(manager, "recoveries") == 0
 
 
 def test_queue_length_reporting():
