@@ -161,15 +161,14 @@ def main() -> None:
                                   jitter_seconds=0.01, loss_rate=0.01)
     engine = AortaEngine(env, links=links)
 
-    # Register the new device type with the communication layer and the
-    # schema catalog — exactly what register_builtin_types does for the
-    # three paper types.
+    # Register the new device type with the communication layer —
+    # exactly what register_builtin_types does for the three paper
+    # types. The schema catalog, cost model and prober read the layer's
+    # profiles in place, so this one call makes "doorlock" a queryable,
+    # costable and probe-able table.
     engine.comm.register_device_type(doorlock_catalog(),
                                      doorlock_cost_table(),
                                      probe_timeout=0.8)
-    engine.schema.register_table(engine.comm.catalog("doorlock"))
-    engine.cost_model.register_cost_table(
-        engine.comm.cost_table("doorlock"))
 
     # The building: four doors, one intrusion sensor.
     for i, (x, name) in enumerate([(0, "front"), (10, "lab"),

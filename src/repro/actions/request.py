@@ -14,6 +14,17 @@ from typing import Any, Dict, Optional, Tuple
 
 _request_counter = itertools.count(1)
 
+#: Why overload control refused a request (``mark_rejected``) or dropped
+#: an accepted one (``mark_shed``): one string per reason, also the
+#: ``reason`` label of ``overload.rejected`` / ``overload.shed``. Here
+#: because the plan, the dispatcher and the overload plane all use them.
+REASON_RATE = "admission-rate"          # rejected: tier rate limit
+REASON_CAPACITY = "admission-capacity"  # rejected: fleet capacity window
+REASON_QUEUE_FULL = "queue-full"        # full queue, incoming is worst
+REASON_EVICTED = "queue-evicted"        # shed: a full queue made room
+REASON_DEADLINE = "deadline-expired"    # shed: a late answer is useless
+REASON_PRESSURE = "load-shed"           # shed: backlog over the watermark
+
 
 class RequestState(enum.Enum):
     """Lifecycle of an action request through the scheduler."""

@@ -25,7 +25,7 @@ never cross the transport), and the opt-in
 recently-seen devices under a per-type freshness TTL.
 """
 
-from repro.comm.layer import CommunicationLayer, DeviceTypeRegistration
+from repro.comm.layer import CommunicationLayer
 from repro.comm.pool import ConnectionPool
 from repro.comm.probe import DEFAULT_TIMEOUTS, Prober, ProbeResult
 from repro.comm.scan import ScanOperator
@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_TIMEOUTS",
     "DeviceStatusCache",
     "DeviceTuple",
-    "DeviceTypeRegistration",
     "Prober",
     "ProbeResult",
     "ScanOperator",

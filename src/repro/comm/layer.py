@@ -11,8 +11,7 @@ network infrastructure and the physical status of the devices."
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.errors import ProfileError, RegistrationError
 from repro.devices.base import Device
@@ -32,28 +31,6 @@ from repro.profiles.schema import DeviceCatalog
 from repro.runtime import Runtime
 
 
-@dataclass
-class DeviceTypeRegistration:
-    """Everything the layer knows about one device type."""
-
-    catalog: DeviceCatalog
-    cost_table: CostTable
-    probe_timeout: float
-
-    def __post_init__(self) -> None:
-        if self.catalog.device_type != self.cost_table.device_type:
-            raise ProfileError(
-                f"catalog is for {self.catalog.device_type!r} but cost "
-                f"table is for {self.cost_table.device_type!r}"
-            )
-        if self.probe_timeout <= 0:
-            raise ProfileError("probe timeout must be positive")
-
-    @property
-    def device_type(self) -> str:
-        return self.catalog.device_type
-
-
 class CommunicationLayer:
     """Uniform access to a network of heterogeneous devices."""
 
@@ -71,8 +48,14 @@ class CommunicationLayer:
         #: The transport, its pool and the prober count in ``obs``'s
         #: registry (a disabled one of their own when built bare).
         self.transport = Transport(env, links=links, rng=rng, obs=obs)
-        self._types: Dict[str, DeviceTypeRegistration] = {}
-        self.prober = Prober(env, self.transport, timeouts={})
+        #: A device type's profiles, one dict per kind, keyed by type:
+        #: the only copy. The schema catalog, the cost model and the
+        #: prober are handed these dicts and read them in place, so a
+        #: type registered at any time is visible to all of them.
+        self.catalogs: Dict[str, DeviceCatalog] = {}
+        self.cost_tables: Dict[str, CostTable] = {}
+        self.probe_timeouts: Dict[str, float] = {}
+        self.prober = Prober(env, self.transport, self.probe_timeouts)
 
     # ------------------------------------------------------------------
     # Device-type registration (profiles)
@@ -83,48 +66,45 @@ class CommunicationLayer:
         cost_table: CostTable,
         *,
         probe_timeout: Optional[float] = None,
-    ) -> DeviceTypeRegistration:
-        """Register a device type's profiles with the system."""
+    ) -> None:
+        """Register a device type's profiles with the system.
+
+        One call makes the type queryable (its catalog is a virtual
+        table), costable, probe-able and schedulable.
+        """
         device_type = catalog.device_type
-        if device_type in self._types:
+        if device_type in self.catalogs:
             raise RegistrationError(
                 f"device type {device_type!r} is already registered"
             )
+        if cost_table.device_type != device_type:
+            raise ProfileError(
+                f"catalog is for {device_type!r} but cost "
+                f"table is for {cost_table.device_type!r}"
+            )
         timeout = probe_timeout if probe_timeout is not None else (
             DEFAULT_TIMEOUTS.get(device_type, FALLBACK_TIMEOUT))
-        registration = DeviceTypeRegistration(
-            catalog=catalog, cost_table=cost_table, probe_timeout=timeout)
-        self._types[device_type] = registration
-        self.prober.timeouts[device_type] = timeout
-        return registration
+        if timeout <= 0:
+            raise ProfileError("probe timeout must be positive")
+        self.catalogs[device_type] = catalog
+        self.cost_tables[device_type] = cost_table
+        self.probe_timeouts[device_type] = timeout
 
-    def registration(self, device_type: str) -> DeviceTypeRegistration:
-        """Profiles of one device type, raising on unknown types."""
+    def catalog(self, device_type: str) -> DeviceCatalog:
+        """The device catalog (= virtual-table schema) of a type."""
         try:
-            return self._types[device_type]
+            return self.catalogs[device_type]
         except KeyError:
             raise ProfileError(
                 f"device type {device_type!r} is not registered"
             ) from None
-
-    def catalog(self, device_type: str) -> DeviceCatalog:
-        """The device catalog (= virtual-table schema) of a type."""
-        return self.registration(device_type).catalog
-
-    def cost_table(self, device_type: str) -> CostTable:
-        """The atomic-operation cost table of a type."""
-        return self.registration(device_type).cost_table
-
-    def registered_types(self) -> List[str]:
-        """Sorted names of all registered device types."""
-        return sorted(self._types)
 
     # ------------------------------------------------------------------
     # Device membership
     # ------------------------------------------------------------------
     def add_device(self, device: Device) -> None:
         """Admit a device whose type has been registered."""
-        if device.device_type not in self._types:
+        if device.device_type not in self.catalogs:
             raise RegistrationError(
                 f"register device type {device.device_type!r} before "
                 f"adding device {device.device_id!r}"
@@ -140,10 +120,9 @@ class CommunicationLayer:
     # ------------------------------------------------------------------
     def scan_operator(self, device_type: str) -> ScanOperator:
         """A scan operator over the type's virtual table."""
-        registration = self.registration(device_type)
         return ScanOperator(
-            self.env, self.transport, self.registry, registration.catalog,
-            timeout=registration.probe_timeout)
+            self.env, self.transport, self.registry, self.catalog(device_type),
+            timeout=self.probe_timeouts[device_type])
 
     # ------------------------------------------------------------------
     # Probing

@@ -34,7 +34,7 @@ DEFAULT_TIMEOUTS: Dict[str, float] = {
     "phone": 2.0,
 }
 
-#: Fallback timeout for device types without a registered value.
+#: Timeout of a device type registered without one and not listed above.
 FALLBACK_TIMEOUT = 1.0
 
 
@@ -59,11 +59,13 @@ class Prober:
         self,
         env: Runtime,
         transport: Transport,
-        timeouts: Optional[Dict[str, float]] = None,
+        timeouts: Dict[str, float],
     ) -> None:
         self.env = env
         self.transport = transport
-        self.timeouts = dict(DEFAULT_TIMEOUTS if timeouts is None else timeouts)
+        #: Device type -> TIMEOUT: the communication layer's dict, read
+        #: in place (a device is only admitted once its type has one).
+        self.timeouts = timeouts
         #: Optional circuit-breaker sink: every probe outcome is
         #: reported here so repeated misses quarantine the device.
         self.health: Optional["DeviceHealthTracker"] = None
@@ -75,10 +77,6 @@ class Prober:
             Counter, "probe.failed", "device_type", "phase")
         self._rtt = self.obs.family(Histogram, "probe.rtt_seconds",
                                     "device_type")
-
-    def timeout_for(self, device: Device) -> float:
-        """The TIMEOUT that applies to this device's type."""
-        return self.timeouts.get(device.device_type, FALLBACK_TIMEOUT)
 
     def probe(
         self, device: Device,
@@ -92,7 +90,7 @@ class Prober:
         raises, because an unavailable candidate is an expected outcome
         that simply excludes the device from optimization.
         """
-        timeout = self.timeout_for(device)
+        timeout = self.timeouts[device.device_type]
         started = self.env.now
         self._sent[device.device_type].inc()
         phase = "connect"

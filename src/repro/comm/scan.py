@@ -18,7 +18,6 @@ from repro.errors import (
 )
 from repro.devices.base import Device
 from repro.devices.registry import DeviceRegistry
-from repro.comm.probe import FALLBACK_TIMEOUT
 from repro.comm.tuples import DeviceTuple
 from repro.network.message import Message
 from repro.network.transport import Transport
@@ -43,7 +42,7 @@ class ScanOperator:
         registry: DeviceRegistry,
         catalog: DeviceCatalog,
         *,
-        timeout: float = FALLBACK_TIMEOUT,
+        timeout: float,
     ) -> None:
         self.env = env
         self.transport = transport

@@ -28,7 +28,11 @@ from repro.errors import (
     is_transient,
 )
 from repro.actions.action import ActionDefinition
-from repro.actions.request import ActionRequest
+from repro.actions.request import (
+    REASON_DEADLINE,
+    REASON_QUEUE_FULL,
+    ActionRequest,
+)
 from repro.comm.layer import CommunicationLayer
 from repro.comm.status_cache import DeviceStatusCache
 from repro.cost.model import CostModel
@@ -51,7 +55,6 @@ from repro.scheduling import (
 from repro.obs.metrics import Counter, Histogram
 from repro.obs.spans import Observability
 from repro.overload.plane import OverloadControlPlane
-from repro.overload.shedding import REASON_DEADLINE
 from repro.runtime import Runtime
 from repro.sim import Event
 from repro.sim.rng import component_seed
@@ -775,7 +778,7 @@ class Dispatcher:
             # already admitted once, so this is a shed (accounted,
             # completed), not a silent failure. Returning True tells
             # the caller the request needs no further handling.
-            self.shed_request(request, "queue-full")
+            self.shed_request(request, REASON_QUEUE_FULL)
             return True
         batch.report.failed_over += 1
         self._failovers.inc()

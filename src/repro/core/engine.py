@@ -13,7 +13,7 @@ from repro.actions.action import (
 )
 from repro.actions.builtins import install_builtin_actions
 from repro.actions.registry import ActionRegistry
-from repro.actions.request import ActionRequest
+from repro.actions.request import REASON_EVICTED, ActionRequest
 from repro.comm.layer import CommunicationLayer
 from repro.comm.status_cache import DeviceStatusCache
 from repro.cost.model import CostModel, QuantityResolver
@@ -94,13 +94,8 @@ class AortaEngine:
             rng=random.Random(component_seed(seed, "comm:transport")),
             obs=self.obs)
         register_builtin_types(self.comm)
-
-        self.schema = SchemaCatalog()
-        self.cost_model = CostModel()
-        for device_type in self.comm.registered_types():
-            self.schema.register_table(self.comm.catalog(device_type))
-            self.cost_model.register_cost_table(
-                self.comm.cost_table(device_type))
+        self.schema = SchemaCatalog(self.comm.catalogs)
+        self.cost_model = CostModel(self.comm.cost_tables)
 
         self.actions = ActionRegistry()
         install_builtin_actions(self.actions, self.cost_model)
@@ -483,9 +478,6 @@ class AortaEngine:
                 "overload_peak_queue_depth": {
                     name: operator.peak_pending
                     for name, operator in sorted(operators.items())},
-                "overload_queue_evictions": sum(
-                    operator.total_evicted
-                    for operator in operators.values()),
             })
         return levels
 
@@ -577,4 +569,6 @@ def statistics_view(registry: MetricsRegistry,
                              else labels[label])
                     split[value] = split.get(value, 0) + int(counter.value)
             stats[key] = dict(sorted(split.items()))
+        stats["overload_queue_evictions"] = stats[
+            "overload_shed_by_reason"].get(REASON_EVICTED, 0)
     return stats

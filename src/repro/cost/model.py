@@ -109,13 +109,13 @@ class BlockEstimate:
 class CostModel:
     """Estimates action costs from profiles, cost tables and status.
 
-    Registration is two-part: cost tables per device type (from the
-    communication layer's profiles) and (action profile, resolver) pairs
-    per action/device-type combination.
+    ``cost_tables`` is the communication layer's per-type dict, read in
+    place; what registers here is (action profile, resolver) pairs per
+    action/device-type combination.
     """
 
-    def __init__(self) -> None:
-        self._cost_tables: Dict[str, CostTable] = {}
+    def __init__(self, cost_tables: Mapping[str, CostTable]) -> None:
+        self._cost_tables = cost_tables
         self._profiles: Dict[Tuple[str, str], ActionProfile] = {}
         self._resolvers: Dict[Tuple[str, str], QuantityResolver] = {}
         self._block_resolvers: Dict[Tuple[str, str], BlockResolver] = {}
@@ -123,14 +123,6 @@ class CostModel:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register_cost_table(self, table: CostTable) -> None:
-        """Register the atomic-operation costs of one device type."""
-        if table.device_type in self._cost_tables:
-            raise RegistrationError(
-                f"cost table for {table.device_type!r} already registered"
-            )
-        self._cost_tables[table.device_type] = table
-
     def register_action(
         self, profile: ActionProfile, resolver: QuantityResolver,
         block_resolver: Optional[BlockResolver] = None,

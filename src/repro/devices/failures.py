@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import DeviceError, QueueFullError
 from repro.actions.request import ActionRequest
@@ -84,21 +84,23 @@ class FailureInjector:
                 f"but the clock is already at {self.env.now}"
             )
         self.scheduled.append(spec)
-        self.env.process(self._run_outage(device, spec))
+        if spec.kind == "offline":
+            apply, revert = device.go_offline, device.go_online
+        else:
+            apply, revert = device.crash, device.repair
+        self.env.process(self._episode(spec.start, spec.duration,
+                                       apply, revert))
 
-    def _run_outage(self, device: Device, spec: OutageSpec):
-        delay = spec.start - self.env.now
+    def _episode(self, start: float, duration: float,
+                 apply: Callable[[], None], revert: Callable[[], None]):
+        """Every fault's process: wait for ``start``, ``apply``, wait
+        ``duration``, ``revert``."""
+        delay = start - self.env.now
         if delay > 0:
             yield self.env.timeout(delay)
-        if spec.kind == "offline":
-            device.go_offline()
-        else:
-            device.crash()
-        yield self.env.timeout(spec.duration)
-        if spec.kind == "offline":
-            device.go_online()
-        else:
-            device.repair()
+        apply()
+        yield self.env.timeout(duration)
+        revert()
 
     def schedule_coverage_dropout(
         self, phone: "MobilePhone", start: float, duration: float
@@ -118,15 +120,9 @@ class FailureInjector:
             )
         if duration <= 0:
             raise DeviceError("dropout duration must be positive")
-        self.env.process(self._run_dropout(phone, start, duration))
-
-    def _run_dropout(self, phone, start: float, duration: float):
-        delay = start - self.env.now
-        if delay > 0:
-            yield self.env.timeout(delay)
-        phone.leave_coverage()
-        yield self.env.timeout(duration)
-        phone.enter_coverage()
+        self.env.process(self._episode(start, duration,
+                                       phone.leave_coverage,
+                                       phone.enter_coverage))
 
     # ------------------------------------------------------------------
     # Stragglers: slow devices, not dead ones
@@ -151,15 +147,15 @@ class FailureInjector:
                 f"but the clock is already at {self.env.now}"
             )
         self.scheduled_stragglers.append(spec)
-        self.env.process(self._run_straggler(device, spec))
 
-    def _run_straggler(self, device: Device, spec: StragglerSpec):
-        delay = spec.start - self.env.now
-        if delay > 0:
-            yield self.env.timeout(delay)
-        device.slowdown_factor *= spec.factor
-        yield self.env.timeout(spec.duration)
-        device.slowdown_factor /= spec.factor
+        def slow_down() -> None:
+            device.slowdown_factor *= spec.factor
+
+        def recover() -> None:
+            device.slowdown_factor /= spec.factor
+
+        self.env.process(self._episode(spec.start, spec.duration,
+                                       slow_down, recover))
 
     def random_stragglers(
         self,
@@ -179,39 +175,20 @@ class FailureInjector:
         seed), and horizon clamping so every episode also *ends* inside
         the horizon. Returns the number of episodes scheduled.
         """
-        if horizon <= 0:
-            raise DeviceError("horizon must be positive")
         low, high = factor_range
         if not 1.0 < low <= high:
             raise DeviceError(
                 f"factor_range must satisfy 1 < low <= high, got "
                 f"{factor_range}")
-        from repro.sim.rng import derive_seed
-        rng = rng or random.Random(0)
-        base_seed = rng.getrandbits(64)
-        end_limit = self.env.now + horizon
         count = 0
-        for device in devices:
-            device_rng = random.Random(
-                derive_seed(base_seed, f"straggler:{device.device_id}"))
-            expected = straggler_rate_per_device * horizon
-            episodes = int(expected) + (
-                1 if device_rng.random() < expected % 1 else 0)
-            if not episodes:
-                continue
-            for _ in range(episodes):
-                start = self.env.now + device_rng.uniform(0, horizon)
-                duration = max(
-                    device_rng.expovariate(1.0 / mean_duration), 1e-3)
-                factor = device_rng.uniform(low, high)
-                if start >= end_limit:
-                    continue
-                duration = min(duration, end_limit - start)
-                self.schedule_straggler(device, StragglerSpec(
-                    device_id=device.device_id, start=start,
-                    duration=duration, factor=factor,
-                ))
-                count += 1
+        for device, _, start, duration, factor in self._random_episodes(
+                devices, horizon, straggler_rate_per_device, mean_duration,
+                rng, "straggler:", lambda draw: draw.uniform(low, high)):
+            self.schedule_straggler(device, StragglerSpec(
+                device_id=device.device_id, start=start,
+                duration=duration, factor=factor,
+            ))
+            count += 1
         return count
 
     # ------------------------------------------------------------------
@@ -291,32 +268,55 @@ class FailureInjector:
         Episodes are clamped so ``start + duration`` never exceeds the
         horizon: every injected outage also recovers inside it.
         """
+        count = 0
+        for device, device_rng, start, duration, _ in self._random_episodes(
+                devices, horizon, outage_rate_per_device, mean_duration,
+                rng, ""):
+            kind = "crash" if device_rng.random() < 0.2 else "offline"
+            self.schedule_outage(device, OutageSpec(
+                device_id=device.device_id, start=start,
+                duration=duration, kind=kind,
+            ))
+            count += 1
+        return count
+
+    def _random_episodes(
+        self,
+        devices: List[Device],
+        horizon: float,
+        rate_per_device: float,
+        mean_duration: float,
+        rng: Optional[random.Random],
+        stream: str,
+        draw_more: Optional[Callable[[random.Random], Any]] = None,
+    ) -> Iterator[Tuple[Device, random.Random, float, float, Any]]:
+        """``(device, its substream, start, duration, more)`` per episode.
+
+        Each device draws from its own substream of ``rng``, labelled
+        ``stream + device_id``. An episode draws its start and duration,
+        then ``draw_more`` (``more`` is its value, else None); one that
+        starts past the horizon is dropped, and the duration of the
+        rest is clamped so the episode also ends inside it. The caller
+        may keep drawing from the substream for a kept episode.
+        """
         if horizon <= 0:
             raise DeviceError("horizon must be positive")
         from repro.sim.rng import derive_seed
         rng = rng or random.Random(0)
         base_seed = rng.getrandbits(64)
         end_limit = self.env.now + horizon
-        count = 0
+        expected = rate_per_device * horizon
         for device in devices:
             device_rng = random.Random(
-                derive_seed(base_seed, device.device_id))
-            expected = outage_rate_per_device * horizon
+                derive_seed(base_seed, stream + device.device_id))
             episodes = int(expected) + (
                 1 if device_rng.random() < expected % 1 else 0)
-            if not episodes:
-                continue
             for _ in range(episodes):
                 start = self.env.now + device_rng.uniform(0, horizon)
                 duration = max(
                     device_rng.expovariate(1.0 / mean_duration), 1e-3)
+                more = draw_more(device_rng) if draw_more else None
                 if start >= end_limit:
                     continue
-                duration = min(duration, end_limit - start)
-                kind = "crash" if device_rng.random() < 0.2 else "offline"
-                self.schedule_outage(device, OutageSpec(
-                    device_id=device.device_id, start=start,
-                    duration=duration, kind=kind,
-                ))
-                count += 1
-        return count
+                yield (device, device_rng, start,
+                       min(duration, end_limit - start), more)

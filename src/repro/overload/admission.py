@@ -15,11 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from repro.actions.request import REASON_CAPACITY, REASON_RATE
 from repro.overload.policy import OverloadPolicy
-
-#: Machine-readable rejection reasons (also used as trace/metric tags).
-REASON_RATE = "admission-rate"
-REASON_CAPACITY = "admission-capacity"
 
 #: Length of one capacity-accounting window, in virtual seconds.
 CAPACITY_HORIZON = 10.0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import AortaError, QueueFullError
-from repro.actions.request import ActionRequest
+from repro.actions.request import REASON_QUEUE_FULL, ActionRequest
 from repro.cost.model import CostModel
 from repro.devices.base import Device
 from repro.obs.metrics import Counter, Gauge
@@ -33,9 +33,6 @@ from repro.overload.policy import OverloadPolicy
 from repro.overload.shedding import LoadShedder
 from repro.plan.action_op import SharedActionOperator
 from repro.runtime import Runtime
-
-#: Backpressure rejection reason (queue full, incoming request worst).
-REASON_QUEUE_FULL = "queue-full"
 
 #: Service-seconds charged for a request whose cost cannot be estimated
 #: (no candidate, unknown device, estimation failure).

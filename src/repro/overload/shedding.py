@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Sequence, Tuple
 
-from repro.actions.request import ActionRequest
+from repro.actions.request import (
+    REASON_DEADLINE,
+    REASON_PRESSURE,
+    ActionRequest,
+)
 from repro.plan.action_op import SharedActionOperator
 from repro.runtime import Runtime
-
-#: Machine-readable shed reasons (also used as trace/metric tags).
-REASON_DEADLINE = "deadline-expired"
-REASON_PRESSURE = "load-shed"
-REASON_EVICTED = "queue-evicted"
 
 #: Virtual seconds between shedder passes (deadline expiry +
 #: hysteresis).

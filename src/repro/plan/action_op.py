@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.errors import QueueFullError, RegistrationError, SchedulingError
 from repro.actions.action import ActionDefinition
-from repro.actions.request import ActionRequest
+from repro.actions.request import REASON_EVICTED, ActionRequest
 
 
 def _eviction_key(request: ActionRequest,
@@ -53,8 +53,6 @@ class SharedActionOperator:
         #: Called with ``(victim, reason)`` when a full queue evicts a
         #: pending request to make room for a more valuable one.
         self.on_evict: Optional[Callable[[ActionRequest, str], None]] = None
-        #: Pending requests evicted by a full queue, over its lifetime.
-        self.total_evicted = 0
         #: High-water mark of the pending queue, for overload metrics.
         self.peak_pending = 0
 
@@ -121,9 +119,8 @@ class SharedActionOperator:
                     f"is the least valuable; retry later"
                 )
             victim = self._pending.pop(victim_index)
-            self.total_evicted += 1
             if self.on_evict is not None:
-                self.on_evict(victim, "queue-evicted")
+                self.on_evict(victim, REASON_EVICTED)
         self._pending.append(request)
         self.peak_pending = max(self.peak_pending, len(self._pending))
         if self.on_submit is not None:

@@ -17,12 +17,12 @@ from repro.plan.operators import (
     TableScanOp,
 )
 from repro.query.ast import (
-    BooleanOp,
     ColumnRef,
     Expression,
     FunctionCall,
     SelectQuery,
 )
+from repro.query.bands import conjoin, conjuncts_of
 from repro.query.catalog import SchemaCatalog
 from repro.query.functions import FunctionRegistry
 
@@ -83,26 +83,6 @@ class SnapshotPlan:
         return self.root.explain()
 
 
-def _conjuncts(expression: Optional[Expression]) -> List[Expression]:
-    """Flatten top-level ANDs into a conjunct list."""
-    if expression is None:
-        return []
-    if isinstance(expression, BooleanOp) and expression.op == "AND":
-        flattened: List[Expression] = []
-        for operand in expression.operands:
-            flattened.extend(_conjuncts(operand))
-        return flattened
-    return [expression]
-
-
-def _conjoin(conjuncts: List[Expression]) -> Optional[Expression]:
-    if not conjuncts:
-        return None
-    if len(conjuncts) == 1:
-        return conjuncts[0]
-    return BooleanOp(op="AND", operands=tuple(conjuncts))
-
-
 class Planner:
     """Builds continuous and snapshot plans from validated ASTs."""
 
@@ -149,7 +129,7 @@ class Planner:
 
         event_conjuncts: List[Expression] = []
         candidate_conjuncts: List[Expression] = []
-        for conjunct in _conjuncts(query.where):
+        for conjunct in conjuncts_of(query.where):
             qualifiers = conjunct.qualifiers()
             if device_alias in qualifiers:
                 candidate_conjuncts.append(conjunct)
@@ -177,8 +157,8 @@ class Planner:
             event_table=event_table,
             device_alias=device_alias,
             device_table=device_table,
-            event_predicate=_conjoin(event_conjuncts),
-            candidate_predicate=_conjoin(candidate_conjuncts),
+            event_predicate=conjoin(event_conjuncts),
+            candidate_predicate=conjoin(candidate_conjuncts),
             argument_expressions=argument_expressions,
         )
 

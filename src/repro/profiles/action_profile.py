@@ -64,55 +64,37 @@ class OperationRef(CompositionNode):
 
 
 @dataclass(frozen=True)
-class Sequence(CompositionNode):
-    """Children execute one after another; costs accumulate."""
+class _Composite(CompositionNode):
+    """An inner node: one or more children, whose names it unites."""
 
     children: tuple[CompositionNode, ...]
 
     def __post_init__(self) -> None:
         if not self.children:
-            raise ProfileError("Sequence node needs at least one child")
+            raise ProfileError(
+                f"{type(self).__name__} node needs at least one child")
+
+    def operation_names(self) -> Set[str]:
+        return set().union(*(child.operation_names()
+                             for child in self.children))
+
+    def quantity_names(self) -> Set[str]:
+        return set().union(*(child.quantity_names()
+                             for child in self.children))
+
+
+class Sequence(_Composite):
+    """Children execute one after another; costs accumulate."""
 
     def estimate(self, costs: CostTable, quantities: Mapping[str, float]) -> float:
         return sum(child.estimate(costs, quantities) for child in self.children)
 
-    def operation_names(self) -> Set[str]:
-        names: Set[str] = set()
-        for child in self.children:
-            names |= child.operation_names()
-        return names
 
-    def quantity_names(self) -> Set[str]:
-        names: Set[str] = set()
-        for child in self.children:
-            names |= child.quantity_names()
-        return names
-
-
-@dataclass(frozen=True)
-class Parallel(CompositionNode):
+class Parallel(_Composite):
     """Children execute concurrently; cost is the slowest child."""
-
-    children: tuple[CompositionNode, ...]
-
-    def __post_init__(self) -> None:
-        if not self.children:
-            raise ProfileError("Parallel node needs at least one child")
 
     def estimate(self, costs: CostTable, quantities: Mapping[str, float]) -> float:
         return max(child.estimate(costs, quantities) for child in self.children)
-
-    def operation_names(self) -> Set[str]:
-        names: Set[str] = set()
-        for child in self.children:
-            names |= child.operation_names()
-        return names
-
-    def quantity_names(self) -> Set[str]:
-        names: Set[str] = set()
-        for child in self.children:
-            names |= child.quantity_names()
-        return names
 
 
 def seq(*children: CompositionNode) -> Sequence:

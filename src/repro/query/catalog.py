@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
-from repro.errors import BindingError, RegistrationError
+from repro.errors import BindingError
 from repro.profiles.schema import DeviceCatalog
 from repro.query.ast import ColumnRef, Expression, SelectQuery
 from repro.query.expressions import LOCATION_PSEUDO_COLUMN
@@ -16,18 +16,12 @@ class SchemaCatalog:
     Each registered device type contributes one virtual table whose
     schema is its device catalog; tables with ``loc_x``/``loc_y``
     additionally expose the ``loc`` pseudo-column of Location type.
+    ``tables`` is the communication layer's catalog dict, read in place:
+    a type registered there is a table here.
     """
 
-    def __init__(self) -> None:
-        self._tables: Dict[str, DeviceCatalog] = {}
-
-    def register_table(self, catalog: DeviceCatalog) -> None:
-        """Expose a device type as a queryable virtual table."""
-        if catalog.device_type in self._tables:
-            raise RegistrationError(
-                f"table {catalog.device_type!r} already registered"
-            )
-        self._tables[catalog.device_type] = catalog
+    def __init__(self, tables: Mapping[str, DeviceCatalog]) -> None:
+        self._tables = tables
 
     def has_table(self, name: str) -> bool:
         return name in self._tables

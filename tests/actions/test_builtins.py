@@ -20,10 +20,8 @@ from repro.sim import Environment
 def stack():
     env = Environment()
     registry = ActionRegistry()
-    cost_model = CostModel()
-    cost_model.register_cost_table(camera_cost_table())
-    cost_model.register_cost_table(sensor_cost_table())
-    cost_model.register_cost_table(phone_cost_table())
+    cost_model = CostModel({table.device_type: table for table in (
+        camera_cost_table(), sensor_cost_table(), phone_cost_table())})
     install_builtin_actions(registry, cost_model)
     # sendphoto is the reference user-defined action; register it the
     # direct way for these execution tests.

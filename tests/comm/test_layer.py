@@ -8,13 +8,23 @@ from repro.devices import PanTiltZoomCamera
 
 
 def test_registered_types(layer):
-    assert layer.registered_types() == ["camera", "phone", "sensor"]
+    """One registration fills the layer's three per-type dicts, which
+    are the only copy of a type's profiles."""
+    for store in (layer.catalogs, layer.cost_tables, layer.probe_timeouts):
+        assert sorted(store) == ["camera", "phone", "sensor"]
+    assert layer.prober.timeouts is layer.probe_timeouts
+    assert layer.probe_timeouts == {"camera": 1.0, "sensor": 0.5,
+                                    "phone": 2.0}
 
 
 def test_duplicate_type_registration_rejected(layer):
+    """The one refusal of a second registration of a type (the schema
+    catalog and the cost model no longer register anything)."""
     from repro.profiles.defaults import camera_catalog, camera_cost_table
+    before = layer.cost_tables["camera"]
     with pytest.raises(RegistrationError, match="already registered"):
         layer.register_device_type(camera_catalog(), camera_cost_table())
+    assert layer.cost_tables["camera"] is before
 
 
 def test_unknown_type_lookup_raises(layer):
@@ -31,7 +41,7 @@ def test_add_device_of_unregistered_type_rejected(env, layer):
 
 
 def test_cost_table_lookup(layer):
-    table = layer.cost_table("camera")
+    table = layer.cost_tables["camera"]
     assert "capture_medium" in table
 
 

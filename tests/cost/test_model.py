@@ -13,9 +13,15 @@ from repro.sim import Environment
 
 
 @pytest.fixture
-def model():
-    model = CostModel()
-    model.register_cost_table(camera_cost_table())
+def cost_tables():
+    """The per-type store a cost model reads (the comm layer's, in an
+    engine)."""
+    return {"camera": camera_cost_table()}
+
+
+@pytest.fixture
+def model(cost_tables):
+    model = CostModel(cost_tables)
     model.register_action(photo_profile(), photo_resolver)
     return model
 
@@ -90,25 +96,31 @@ def test_unknown_action_raises(model, camera):
         model.estimate("warp", camera, {})
 
 
-def test_duplicate_cost_table_rejected(model):
-    with pytest.raises(RegistrationError, match="already registered"):
-        model.register_cost_table(camera_cost_table())
-
-
 def test_duplicate_action_rejected(model):
     with pytest.raises(RegistrationError, match="already registered"):
         model.register_action(photo_profile(), photo_resolver)
 
 
 def test_register_action_without_cost_table_rejected():
-    model = CostModel()
+    model = CostModel({})
     with pytest.raises(ProfileError, match="no cost table"):
         model.register_action(photo_profile(), photo_resolver)
 
 
-def test_profile_with_unknown_operation_rejected_at_registration():
-    model = CostModel()
-    model.register_cost_table(camera_cost_table())
+def test_cost_tables_are_read_in_place():
+    """A table added to the store after the model was built is used:
+    the model keeps no copy."""
+    cost_tables = {}
+    model = CostModel(cost_tables)
+    cost_tables["camera"] = camera_cost_table()
+    model.register_action(photo_profile(), photo_resolver)
+    camera = PanTiltZoomCamera(Environment(), "cam1", Point(0, 0))
+    assert model.estimate("photo", camera, {"target": Point(10, 0)}).seconds
+
+
+def test_profile_with_unknown_operation_rejected_at_registration(
+        cost_tables):
+    model = CostModel(cost_tables)
     bad = ActionProfile("bad", "camera", seq(OperationRef("levitate")))
     with pytest.raises(ProfileError, match="levitate"):
         model.register_action(bad, photo_resolver)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import QueueFullError
 from repro.actions.builtins import builtin_definitions
-from repro.actions.request import ActionRequest
+from repro.actions.request import REASON_EVICTED, ActionRequest
 from repro.plan import SharedActionOperator
 
 
@@ -30,10 +30,12 @@ def pending_ids(operator):
 def test_unbounded_by_default():
     photo = next(d for d in builtin_definitions() if d.name == "photo")
     op = SharedActionOperator(photo)
+    evicted = []
+    op.on_evict = lambda victim, reason: evicted.append(victim)
     for i in range(500):
         op.submit(make_request(f"r{i}"))
     assert op.pending_count == 500
-    assert op.total_evicted == 0
+    assert evicted == []
 
 
 def test_full_queue_evicts_lowest_priority(operator):
@@ -43,9 +45,8 @@ def test_full_queue_evicts_lowest_priority(operator):
     operator.submit(make_request("low", priority=1))
     operator.submit(make_request("high", priority=3))
     operator.submit(make_request("mid", priority=2))
-    assert evicted == [("low", "queue-evicted")]
+    assert evicted == [("low", REASON_EVICTED)]
     assert pending_ids(operator) == ["high", "mid"]
-    assert operator.total_evicted == 1
 
 
 def test_incoming_worst_is_rejected(operator):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PlanError, ProfileError, QueryError
-from repro.comm.layer import DeviceTypeRegistration
+from repro.comm.layer import CommunicationLayer
 from repro.plan.operators import JoinOp, TableScanOp
 from repro.profiles.defaults import (
     camera_catalog,
@@ -11,6 +11,7 @@ from repro.profiles.defaults import (
     sensor_cost_table,
 )
 from repro.query.parser import parse_expression
+from repro.sim import Environment
 from tests.core.conftest import build_lab
 
 
@@ -53,15 +54,12 @@ def test_filter_non_boolean_predicate_rejected():
 
 
 def test_device_type_registration_validation():
+    layer = CommunicationLayer(Environment())
     with pytest.raises(ProfileError, match="cost\\s+table is for"):
-        DeviceTypeRegistration(
-            catalog=camera_catalog(),
-            cost_table=sensor_cost_table(),
-            probe_timeout=1.0,
-        )
+        layer.register_device_type(camera_catalog(), sensor_cost_table(),
+                                   probe_timeout=1.0)
     with pytest.raises(ProfileError, match="probe timeout"):
-        DeviceTypeRegistration(
-            catalog=camera_catalog(),
-            cost_table=camera_cost_table(),
-            probe_timeout=0.0,
-        )
+        layer.register_device_type(camera_catalog(), camera_cost_table(),
+                                   probe_timeout=0.0)
+    # A refused registration leaves nothing behind.
+    assert layer.catalogs == layer.cost_tables == layer.probe_timeouts == {}

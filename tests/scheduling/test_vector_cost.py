@@ -211,10 +211,8 @@ def test_duplicate_targets_force_ties_identically():
 @pytest.fixture(scope="module")
 def photo_lab():
     env = create_runtime("virtual")
-    cost_model = CostModel()
-    for table in (camera_cost_table(), sensor_cost_table(),
-                  phone_cost_table()):
-        cost_model.register_cost_table(table)
+    cost_model = CostModel({table.device_type: table for table in (
+        camera_cost_table(), sensor_cost_table(), phone_cost_table())})
     registry = ActionRegistry()
     install_builtin_actions(registry, cost_model)
     cameras = {

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro import EngineConfig, HealthPolicy, Point, SensorStimulus
-from repro.actions.request import ActionRequest
+from repro.actions.request import REASON_EVICTED, ActionRequest
 from tests.core.conftest import FIGURE_1, build_lab
 from tests.obs.scenarios import overload_storm_scenario
 from tests.shard.scenarios import FIGURE_1_AQ
@@ -123,6 +123,19 @@ def test_three_exits_conserve_on_an_overloaded_engine():
     assert stats["requests_completed"] == _exits(stats)
 
 
+def test_queue_evictions_are_the_shed_count_of_their_reason():
+    """``overload_queue_evictions`` is ``overload.shed{reason=
+    queue-evicted}``: an eviction leaves through the shed exit, so the
+    operator keeps no count of its own."""
+    engine = overload_storm_scenario()
+    stats = engine.statistics()
+    evicted = [request for request in engine.completed_requests
+               if request.failure_reason == REASON_EVICTED]
+    assert stats["overload_queue_evictions"] == len(evicted) == \
+        stats["overload_shed_by_reason"][REASON_EVICTED] > 0
+    assert type(stats["overload_queue_evictions"]) is int
+
+
 @pytest.mark.parametrize("overload", [False, True])
 def test_three_exits_conserve_on_a_fleet_with_query_churn(overload):
     fleet = two_shard_fleet(overload=overload)
@@ -147,3 +160,7 @@ def test_three_exits_conserve_on_a_fleet_with_query_churn(overload):
     assert stats["requests_failed"] >= 1       # the churn's casualties
     assert stats["requests_completed"] == _exits(stats) == sum(
         _exits(shard) for shard in fleet.shard_statistics())
+    if overload:
+        assert stats["overload_queue_evictions"] == sum(
+            shard["overload_queue_evictions"]
+            for shard in fleet.shard_statistics())

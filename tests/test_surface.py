@@ -1,9 +1,11 @@
-"""Keeps four descriptions of the tree honest: every definition under
+"""Keeps five descriptions of the tree honest: every definition under
 ``src/repro`` has a caller that is not a test, every config field has a
-second value in use outside ``tests/``, a runtime's ``now`` is assigned
-only by the kernel, and DESIGN.md's module map is the tree."""
+second value in use outside ``tests/``, no two functions share a body,
+a runtime's ``now`` is assigned only by the kernel, and DESIGN.md's
+module map is the tree."""
 
 import ast
+import copy
 import dataclasses
 import inspect
 import re
@@ -349,6 +351,67 @@ def test_a_constant_is_no_keyword(cls, name):
     a value that became a constant cannot be passed."""
     with pytest.raises(TypeError):
         cls(**{name: None})
+
+
+def _normalized_body(function):
+    """``ast.dump`` of a function's body with its docstring dropped, its
+    parameters renamed by position and bare references to its own name
+    renamed (so recursion matches), or None for a body of fewer than two
+    statements: a one-line delegation is not worth a shared home."""
+    body = function.body
+    if (isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    if len(body) < 2:
+        return None
+    arguments = function.args
+    parameters = [*arguments.posonlyargs, *arguments.args,
+                  *filter(None, [arguments.vararg]), *arguments.kwonlyargs,
+                  *filter(None, [arguments.kwarg])]
+    renames = {parameter.arg: f"_parameter_{index}"
+               for index, parameter in enumerate(parameters)}
+    renames[function.name] = "_itself"
+    module = ast.Module(body=copy.deepcopy(body), type_ignores=[])
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and node.id in renames:
+            node.id = renames[node.id]
+    return ast.dump(module)
+
+
+def _functions(node, prefix):
+    """``(qualified name, def)`` for every function and method under
+    ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def _shared_bodies():
+    """Groups of functions under ``src/repro`` whose normalized bodies
+    are equal."""
+    groups = {}
+    for path, module in _modules().items():
+        if SRC not in path.parents:
+            continue
+        dotted = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        for name, function in _functions(module, dotted):
+            body = _normalized_body(function)
+            if body is not None:
+                groups.setdefault(body, []).append(name)
+    return sorted(names for names in groups.values() if len(names) > 1)
+
+
+def test_no_two_functions_share_a_body():
+    """A body written twice is a helper with two homes: one of them
+    imports the other, or both move to a shared base."""
+    assert _shared_bodies() == []
 
 
 def test_only_the_kernel_assigns_a_runtimes_now():
