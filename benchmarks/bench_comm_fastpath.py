@@ -213,8 +213,8 @@ def run_engine(status_cache: bool, n_events: int) -> dict:
         "virtual_time": stats["virtual_time"],
         "serviced_ids": serviced_ids,
         "pool": _block(stats, "pool_", (
-            "hits", "misses", "hit_rate", "expired", "evictions",
-            "invalidations", "discards", "idle")),
+            "hits", "misses", "hit_rate", "expired", "invalidations",
+            "discards", "idle")),
     }
     if status_cache:
         result["status_cache"] = _block(stats, "status_cache_", (

@@ -252,10 +252,14 @@ def run_indexed(n_queries: int, rows, epochs: int):
     """
     engine, register_s = build_engine(n_queries)
     continuous = engine.continuous
-    continuous._detect_indexed("sensor", rows)
+    # The synthetic rows carry every sensory column.
+    columns = tuple(attr.name for attr
+                    in engine.comm.catalog("sensor").sensory_attributes)
+    continuous._detect_indexed("sensor", rows, columns)
     summary = summarize(engine)
     result = timed_epochs(
-        lambda: continuous._detect_indexed("sensor", rows), rows, epochs)
+        lambda: continuous._detect_indexed("sensor", rows, columns), rows,
+        epochs)
     stats = continuous.index_stats()
     result.update(
         path="indexed", queries=n_queries,

@@ -10,12 +10,12 @@ probes, and each poll re-connects to each sensory device it scans.
 to the pool stays open and is handed to the next caller that asks for
 the same device, skipping the handshake entirely. The pool is bounded:
 
+* **by the registry** — it is keyed by device and parks at most one
+  idle channel per device, so it never holds more channels than there
+  are devices, and needs no capacity of its own;
 * **idle expiry** — a connection idle longer than ``idle_seconds`` is
   considered gone (NAT mappings and radio sessions do not live forever)
   and is closed on the next checkout attempt;
-* **LRU capacity cap** — at most ``capacity`` idle connections are
-  retained; inserting beyond that closes the least-recently-released
-  one;
 * **invalidation** — a communication failure mid-exchange, a health
   breaker transition or the device leaving the registry discards the
   device's channel, so a dead or departed device never serves a stale
@@ -27,15 +27,14 @@ must :meth:`release` or :meth:`discard` it). Concurrent checkouts for
 the same device simply open extra connections; the surplus is closed on
 release.
 
-Everything is deterministic: checkout order, expiry and eviction depend
-only on virtual time and call order, so pooled runs replay exactly.
+Everything is deterministic: checkout order and expiry depend only on
+virtual time and call order, so pooled runs replay exactly.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Dict, Generator
 
 from repro.errors import CommunicationError
 from repro.devices.base import Device
@@ -43,9 +42,6 @@ from repro.network.transport import Connection, Transport
 from repro.obs.metrics import Counter, Gauge
 from repro.runtime import Runtime
 
-#: Most idle keep-alive channels the transport's pool retains, one per
-#: device (LRU-evicted beyond).
-POOL_CAPACITY = 64
 #: Virtual seconds a pooled channel may sit unused before its next
 #: checkout closes it.
 POOL_IDLE_SECONDS = 30.0
@@ -60,35 +56,28 @@ class _IdleEntry:
 
 
 class ConnectionPool:
-    """Bounded LRU pool of keep-alive device connections."""
+    """Pool of keep-alive device connections, one per device."""
 
     def __init__(
         self,
         env: Runtime,
         transport: Transport,
         *,
-        capacity: int = POOL_CAPACITY,
         idle_seconds: float = POOL_IDLE_SECONDS,
     ) -> None:
-        if capacity < 1:
-            raise CommunicationError(
-                f"pool capacity must be >= 1, got {capacity}")
         if idle_seconds <= 0:
             raise CommunicationError(
                 f"pool idle_seconds must be positive, got {idle_seconds}")
         self.env = env
         self.transport = transport
-        self.capacity = capacity
         self.idle_seconds = idle_seconds
-        #: Idle connections, least-recently-released first.
-        self._idle: "OrderedDict[str, _IdleEntry]" = OrderedDict()
+        #: Device id -> its idle connection.
+        self._idle: Dict[str, _IdleEntry] = {}
         # Counted in the owning transport's registry, by device type.
         registry = transport.obs.registry
-        self._hits, self._misses, self._expired, self._evictions, \
-            self._discarded = (
-                registry.family(Counter, f"comm.pool.{name}", "device_type")
-                for name in ("hits", "misses", "expired", "evictions",
-                             "discarded"))
+        self._hits, self._misses, self._expired, self._discarded = (
+            registry.family(Counter, f"comm.pool.{name}", "device_type")
+            for name in ("hits", "misses", "expired", "discarded"))
         self._invalidations = registry.family(
             Counter, "comm.pool.invalidations", "reason")
         self._size = transport.obs.family(Gauge, "comm.pool.size")[()]
@@ -139,10 +128,6 @@ class ConnectionPool:
             self._discarded[device.device_type].inc()
             return
         self._idle[device.device_id] = _IdleEntry(connection, self.env.now)
-        while len(self._idle) > self.capacity:
-            _, evicted = self._idle.popitem(last=False)
-            evicted.connection.close()
-            self._evictions[evicted.connection.device.device_type].inc()
         self._size.set(len(self._idle))
 
     def discard(self, connection: Connection) -> None:

@@ -5,11 +5,17 @@ relational table. It then provides special 'scan operators' as simple
 interfaces for the query engine to acquire device data tuples from
 these virtual tables." Sensory attributes are acquired live over the
 network; non-sensory attributes come from static catalog data.
+
+The scan is acquisitional: it reads only the sensory columns in
+:attr:`ScanOperator.columns` (the continuous executor narrows them to
+what its AQs reference), all of them in one ``read_attributes``
+exchange per device, and retries a failed row at once in the row's own
+process, so retries overlap each other and the rest of the scan.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List
+from typing import Any, Dict, Generator, List, Tuple
 
 from repro.errors import (
     CommunicationError,
@@ -24,15 +30,19 @@ from repro.network.transport import Transport
 from repro.profiles.schema import DeviceCatalog
 from repro.runtime import Runtime
 
+#: What makes a row attempt fail: silence, a broken channel, or the
+#: device refusing the read.
+_ROW_FAILURES = (ConnectionTimeoutError, CommunicationError, DeviceError)
+
 
 class ScanOperator:
     """Produces the current rows of one virtual device table.
 
     Each scan generates tuples on-the-fly: static columns from the
-    device registry, sensory columns via live network reads. Devices
-    that fail to answer contribute no row (they are unreachable, so the
-    query engine must not see stale data for them) — the scan records
-    them in :attr:`skipped` for observability.
+    device registry, the projected sensory columns via one live network
+    read per device. Devices that fail to answer contribute no row (they
+    are unreachable, so the query engine must not see stale data for
+    them) — the scan records them in :attr:`skipped` for observability.
     """
 
     def __init__(
@@ -49,8 +59,18 @@ class ScanOperator:
         self.registry = registry
         self.catalog = catalog
         self.timeout = timeout
+        #: Sensory columns a row acquires, in catalog order: the whole
+        #: row unless the continuous executor narrows it. A row carries
+        #: exactly the columns it was read with.
+        self.columns: Tuple[str, ...] = tuple(
+            attr.name for attr in catalog.sensory_attributes)
         #: Device IDs skipped in the most recent scan, with reasons.
         self.skipped: List[tuple[str, str]] = []
+        metrics = transport.obs.registry
+        self._rows = metrics.counter(
+            "comm.scan.rows", device_type=catalog.device_type)
+        self._rows_skipped = metrics.counter(
+            "comm.scan.rows_skipped", device_type=catalog.device_type)
 
     @property
     def device_type(self) -> str:
@@ -58,9 +78,14 @@ class ScanOperator:
         return self.catalog.device_type
 
     def _acquire_row(
-        self, device: Device
+        self, device: Device, columns: Tuple[str, ...]
     ) -> Generator[Any, Any, DeviceTuple]:
-        """Build one tuple: static columns free, sensory columns live."""
+        """Build one tuple: static columns free, sensory columns live.
+
+        One retry: radio links lose packets routinely and the MAC layer
+        retransmits; a device that fails twice in a row is skipped as
+        unreachable.
+        """
         values = {}
         static = device.static_attributes()
         for attr in self.catalog.non_sensory_attributes:
@@ -70,28 +95,12 @@ class ScanOperator:
                     f"attribute {attr.name!r}"
                 )
             values[attr.name] = static[attr.name]
-        sensory = self.catalog.sensory_attributes
-        if sensory:
-            connection = yield from self.transport.open(device, self.timeout)
+        if columns:
             try:
-                for attr in sensory:
-                    response = yield from connection.request(Message(
-                        kind="read_attribute", device_id=device.device_id,
-                        payload={"name": attr.name}), self.timeout)
-                    if not response.ok:
-                        raise DeviceError(
-                            f"reading {attr.name!r} on {device.device_id!r} "
-                            f"failed: {response.error}"
-                        )
-                    values[attr.name] = response.value
-            except CommunicationError:
-                # The channel failed mid-exchange: never pool it.
-                self.transport.discard(connection)
-                raise
-            finally:
-                # Healthy, or the device itself refused the read: the
-                # channel is fine, park it (a no-op once discarded).
-                self.transport.release(connection)
+                readings = yield from self._read(device, columns)
+            except _ROW_FAILURES:
+                readings = yield from self._read(device, columns)
+            values.update(readings)
         return DeviceTuple(
             device_type=self.device_type,
             device_id=device.device_id,
@@ -99,27 +108,49 @@ class ScanOperator:
             acquired_at=self.env.now,
         )
 
+    def _read(
+        self, device: Device, columns: Tuple[str, ...]
+    ) -> Generator[Any, Any, Dict[str, Any]]:
+        """One ``read_attributes`` exchange over a checked-out channel."""
+        connection = yield from self.transport.open(device, self.timeout)
+        try:
+            response = yield from connection.request(Message(
+                kind="read_attributes", device_id=device.device_id,
+                payload={"names": columns}), self.timeout)
+        except CommunicationError:
+            # The channel failed mid-exchange: never pool it.
+            self.transport.discard(connection)
+            raise
+        finally:
+            # Healthy, or the device itself refused the read: the
+            # channel is fine, park it (a no-op once discarded).
+            self.transport.release(connection)
+        if not response.ok:
+            raise DeviceError(
+                f"reading {list(columns)} on {device.device_id!r} "
+                f"failed: {response.error}"
+            )
+        return response.value
+
     def scan(self) -> Generator[Any, Any, List[DeviceTuple]]:
-        """Acquire the table's current rows from all online devices."""
+        """Acquire the table's current rows from all online devices.
+
+        Every row is acquired in its own process, all started at once;
+        rows are collected in device order.
+        """
         self.skipped = []
+        columns = self.columns
         rows: List[DeviceTuple] = []
         acquisitions = [
-            (device, self.env.process(self._acquire_row(device)).defuse())
+            (device,
+             self.env.process(self._acquire_row(device, columns)).defuse())
             for device in self.registry.online_of_type(self.device_type)
         ]
         for device, acquisition in acquisitions:
             try:
-                row = yield acquisition
-            except (ConnectionTimeoutError, CommunicationError,
-                    DeviceError):
-                # One retry: radio links lose packets routinely and the
-                # MAC layer retransmits; a device that fails twice in a
-                # row is skipped as unreachable.
-                try:
-                    row = yield from self._acquire_row(device)
-                except (ConnectionTimeoutError, CommunicationError,
-                        DeviceError) as exc:
-                    self.skipped.append((device.device_id, str(exc)))
-                    continue
-            rows.append(row)
+                rows.append((yield acquisition))
+            except _ROW_FAILURES as exc:
+                self.skipped.append((device.device_id, str(exc)))
+        self._rows.inc(len(rows))
+        self._rows_skipped.inc(len(self.skipped))
         return rows

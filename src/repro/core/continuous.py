@@ -20,6 +20,11 @@ in one :class:`~repro.query.QueryCatalog`.
 A detected event's candidate devices come from
 :meth:`ContinuousQueryExecutor._candidates`, which keeps the answers of
 predicates over static state across polls (DESIGN.md decision 16).
+
+Each table's scan acquires only the sensory columns its readers
+reference on the event alias (DESIGN.md decision 28): the executor
+keeps that union per table, updated at CREATE / DROP AQ, and sets it
+on the table's scan operator.
 """
 
 from __future__ import annotations
@@ -99,6 +104,10 @@ class ContinuousQueryExecutor:
         #: Per-event-table predicate indexes.
         self._indexes: Dict[str, PredicateIndex] = {}
         self._scans: Dict[str, ScanOperator] = {}
+        #: Event table -> how many of its readers read each sensory
+        #: column (``_sensory_reads``); the keys are the projection its
+        #: scan acquires.
+        self._projection: Dict[str, Dict[str, int]] = {}
         #: Device table -> cached candidate sets (DESIGN.md decision
         #: 16). Any membership change empties it: ``coverage()`` answers
         #: for whichever registered device its argument names.
@@ -149,6 +158,10 @@ class ContinuousQueryExecutor:
         self.catalog.register(query)
         self._index_for(plan.event_table).add(
             query.name, query.seq, plan.event_alias, band_form)
+        counts = self._projection.setdefault(plan.event_table, {})
+        for column in self._sensory_reads(plan):
+            counts[column] = counts.get(column, 0) + 1
+        self._project(plan.event_table)
         self.dispatcher.tracer.record(
             self.env.now, "query_registered", query=plan.query_name,
             action=plan.action.name)
@@ -166,8 +179,15 @@ class ContinuousQueryExecutor:
             # reader registers).
             self._scans.pop(table, None)
             del self._indexes[table]
+            del self._projection[table]
         else:
             self._indexes[table].remove(name)
+            counts = self._projection[table]
+            for column in self._sensory_reads(query.plan):
+                counts[column] -= 1
+                if not counts[column]:
+                    del counts[column]
+            self._project(table)
         # Requests still waiting out the batch window end here, through
         # the dispatcher's failure exit; those already in a batch finish.
         for request in self.dispatcher.operator_for(
@@ -225,6 +245,37 @@ class ContinuousQueryExecutor:
             return None
         return tuple(event_refs)
 
+    def _sensory_reads(self, plan: ContinuousPlan) -> Set[str]:
+        """The sensory columns of the event row an AQ reads.
+
+        Its event predicate, candidate predicate and argument
+        expressions, on the event alias. An unqualified column may be
+        either side's, so it reads the whole row.
+        """
+        catalog = self.comm.catalog(plan.event_table)
+        sensory = {attr.name for attr in catalog.sensory_attributes}
+        reads: Set[str] = set()
+        for expression in (plan.event_predicate, plan.candidate_predicate,
+                           *plan.argument_expressions.values()):
+            if expression is None:
+                continue
+            for ref in expression.column_refs():
+                if not ref.qualifier:
+                    return sensory
+                if ref.qualifier == plan.event_alias:
+                    reads.add(ref.name)
+        return sensory & reads
+
+    def _project(self, table: str) -> None:
+        """Narrow the table's scan, if it has one, to the sensory columns
+        its readers read, in catalog order."""
+        scan = self._scans.get(table)
+        if scan is not None:
+            counts = self._projection[table]
+            scan.columns = tuple(attr.name
+                                 for attr in scan.catalog.sensory_attributes
+                                 if attr.name in counts)
+
     def _index_for(self, table: str) -> PredicateIndex:
         if table not in self._indexes:
             self._indexes[table] = PredicateIndex(table)
@@ -270,20 +321,22 @@ class ContinuousQueryExecutor:
                            for q in self.catalog.readers(table)):
                     continue
                 scan = self._scan_for(table)
+                columns = scan.columns
                 rows = yield from scan.scan()
-                emitted += self._detect_indexed(table, rows)
+                emitted += self._detect_indexed(table, rows, columns)
         return emitted
 
     def _scan_for(self, table: str) -> ScanOperator:
         if table not in self._scans:
             self._scans[table] = self.comm.scan_operator(table)
+            self._project(table)
         return self._scans[table]
 
     # ------------------------------------------------------------------
     # Event detection
     # ------------------------------------------------------------------
-    def _detect_indexed(self, table: str,
-                        rows: List[DeviceTuple]) -> int:
+    def _detect_indexed(self, table: str, rows: List[DeviceTuple],
+                        columns: Tuple[str, ...]) -> int:
         """Route each row through the table's predicate index.
 
         Matching is event-at-a-time, but emission replays query-major
@@ -291,16 +344,23 @@ class ContinuousQueryExecutor:
         (query, row) pair — so traces and request ids do not depend on
         how the index is laid out. The index is read after the scan:
         queries may have been registered or dropped while the
-        acquisition was in flight.
+        acquisition was in flight. The rows carry only the sensory
+        ``columns`` they were read with; a query registered meanwhile
+        that reads another one is not matched against them and sees the
+        next poll.
         """
         index = self._indexes.get(table)
         if index is None:
             return 0  # last reader dropped mid-scan
         queries = self.catalog.queries
+        read = frozenset(columns)
+        covered = read.issuperset(self._projection[table])
 
         def admit(name: str) -> bool:
             query = queries.get(name)
-            return query is not None and query.enabled
+            return (query is not None and query.enabled
+                    and (covered or read.issuperset(
+                        self._sensory_reads(query.plan))))
 
         # One context per detection pass, rebound per residual call
         # (queries of one table may use different event aliases).

@@ -487,6 +487,8 @@ class AortaEngine:
 _COUNTED: Tuple[Tuple[Optional[str], Dict[str, str]], ...] = (
     (None, {
         "polls": "continuous.polls",
+        "scan_rows": "comm.scan.rows",
+        "scan_rows_skipped": "comm.scan.rows_skipped",
         "requests_serviced": "dispatch.requests_serviced",
         "requests_failed": "dispatch.requests_failed",
         "probes_sent": "probe.sent",
@@ -500,7 +502,6 @@ _COUNTED: Tuple[Tuple[Optional[str], Dict[str, str]], ...] = (
         "pool_hits": "comm.pool.hits",
         "pool_misses": "comm.pool.misses",
         "pool_expired": "comm.pool.expired",
-        "pool_evictions": "comm.pool.evictions",
         "pool_invalidations": "comm.pool.invalidations",
         "pool_discards": "comm.pool.discarded",
     }),

@@ -14,6 +14,7 @@ predicate then detects.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
@@ -66,10 +67,6 @@ class SensorStimulus:
         if self.duration <= 0:
             raise DeviceError("stimulus duration must be positive")
 
-    def active_at(self, now: float) -> bool:
-        """Whether the stimulus contributes to readings at time ``now``."""
-        return self.start <= now < self.start + self.duration
-
 
 class SensorMote(Device):
     """One MICA2 mote: sensing, lossy radio, beep/blink actuators."""
@@ -99,6 +96,8 @@ class SensorMote(Device):
         self.noise_amplitude = noise_amplitude
         self._rng = rng or random.Random(0)
         self.battery_volts = BATTERY_FULL_VOLTS
+        #: Stimuli that have not yet expired, ordered by start (ties in
+        #: injection order); a read drops the expired ones.
         self._stimuli: List[SensorStimulus] = []
         #: Seconds of one-hop radio latency; total = hops * this.
         self.per_hop_seconds = 0.02
@@ -108,15 +107,8 @@ class SensorMote(Device):
     # ------------------------------------------------------------------
     def inject(self, stimulus: SensorStimulus) -> None:
         """Attach a stimulus; readings reflect it while it is active."""
-        self._stimuli.append(stimulus)
-
-    def prune_expired_stimuli(self) -> int:
-        """Drop stimuli that can never be active again; returns count."""
-        now = self.env.now
-        before = len(self._stimuli)
-        self._stimuli = [s for s in self._stimuli
-                         if s.start + s.duration > now]
-        return before - len(self._stimuli)
+        bisect.insort_right(self._stimuli, stimulus,
+                            key=lambda s: s.start)
 
     # ------------------------------------------------------------------
     # Attributes
@@ -130,12 +122,33 @@ class SensorMote(Device):
                     f"sensor {self.device_id}: battery dead "
                     f"({self.battery_volts:.2f} V)"
                 )
-            value = BASELINES[name]
-            value += sum(s.magnitude for s in self._stimuli
-                         if s.attribute == name and s.active_at(self.env.now))
-            value += self._rng.gauss(0.0, self.noise_amplitude)
+            value = BASELINES[name] + self._stimulated(name)
+            if self.noise_amplitude:  # gauss(0, 0) is 0.0: skip the draw
+                value += self._rng.gauss(0.0, self.noise_amplitude)
             return value
         return super().read_sensory(name)
+
+    def _stimulated(self, name: str) -> float:
+        """Summed magnitude of the stimuli on ``name`` active now.
+
+        Walks the started stimuli only, dropping every one that has
+        expired: none can be active again.
+        """
+        now = self.env.now
+        stimuli = self._stimuli
+        total = 0.0
+        index = 0
+        while index < len(stimuli):
+            stimulus = stimuli[index]
+            if stimulus.start > now:
+                break
+            if stimulus.start + stimulus.duration <= now:
+                del stimuli[index]
+                continue
+            if stimulus.attribute == name:
+                total += stimulus.magnitude
+            index += 1
+        return total
 
     def physical_status(self) -> Dict[str, float]:
         return {"battery": self.battery_volts, "hop_depth": float(self.hop_depth)}

@@ -7,8 +7,11 @@ from typing import Any, Dict
 
 from repro.errors import CommunicationError
 
-#: Message kinds understood by every device endpoint.
-MESSAGE_KINDS = ("ping", "read_attribute", "status")
+#: Message kinds understood by every device endpoint. A
+#: ``read_attributes`` payload is ``{"names": (...)}``: the device reads
+#: every named sensory attribute at one instant and answers with a
+#: name -> value dict in one round trip.
+MESSAGE_KINDS = ("ping", "read_attributes", "status")
 
 
 @dataclass(frozen=True)

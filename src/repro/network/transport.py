@@ -197,8 +197,9 @@ class Transport:
         """Device-side message dispatch."""
         if message.kind == "ping":
             return {"ok": True, "device_type": device.device_type}
-        if message.kind == "read_attribute":
-            return device.read_sensory(message.payload["name"])
+        if message.kind == "read_attributes":
+            return {name: device.read_sensory(name)
+                    for name in message.payload["names"]}
         if message.kind == "status":
             return device.physical_status()
         raise CommunicationError(f"unhandled message kind {message.kind!r}")

@@ -1,10 +1,11 @@
-"""ConnectionPool: keep-alive reuse, expiry, LRU capping, invalidation."""
+"""ConnectionPool: keep-alive reuse, expiry, one channel per device,
+invalidation."""
 
 from collections import Counter
 
 import pytest
 
-from repro import PanTiltZoomCamera, Point
+from repro import PanTiltZoomCamera, Point, SensorMote
 from repro.errors import CommunicationError
 from repro.comm.pool import ConnectionPool
 from repro.core.engine import statistics_view
@@ -15,8 +16,7 @@ from tests.comm.conftest import run
 
 @pytest.fixture
 def pool(env, layer):
-    pool = ConnectionPool(env, layer.transport, capacity=3,
-                          idle_seconds=10.0)
+    pool = ConnectionPool(env, layer.transport, idle_seconds=10.0)
     layer.transport.pool = pool
     return pool
 
@@ -100,24 +100,26 @@ class TestExpiry:
 
 
 class TestCapacity:
-    def test_lru_eviction_closes_least_recently_released(self, env, layer,
-                                                         lab, pool):
-        order = ["cam1", "cam2", "mote1", "mote2"]  # capacity is 3
-        held = {name: checkout(env, layer.transport, lab[name])
-                for name in order}
-        for name in order:
-            layer.transport.release(held[name])
-        assert len(pool) == 3
-        assert held["cam1"].closed           # oldest release evicted
-        assert counts(layer)["comm.pool.evictions"] == 1
-        # The evicted device reconnects; the survivors are hits.
-        assert checkout(env, layer.transport, lab["cam2"]) is held["cam2"]
-        fresh = checkout(env, layer.transport, lab["cam1"])
-        assert fresh is not held["cam1"]
+    def test_every_device_keeps_its_channel(self, env, layer, pool):
+        """No cap beside the registry's: one parked channel per device,
+        however many devices there are."""
+        motes = [SensorMote(env, f"mote{i:03d}", Point(i, 0))
+                 for i in range(100)]
+        held = []
+        for mote in motes:
+            layer.add_device(mote)
+            held.append(checkout(env, layer.transport, mote))
+        for connection in held:
+            layer.transport.release(connection)
+        assert len(pool) == len(motes)
+        assert not any(connection.closed for connection in held)
+        assert all(checkout(env, layer.transport, mote) is connection
+                   for mote, connection in zip(motes, held))
+        assert counts(layer)["comm.pool.hits"] == len(motes)
 
     def test_validation(self, env, layer):
-        with pytest.raises(CommunicationError, match="capacity"):
-            ConnectionPool(env, layer.transport, capacity=0)
+        with pytest.raises(TypeError):
+            ConnectionPool(env, layer.transport, capacity=64)
         with pytest.raises(CommunicationError, match="idle_seconds"):
             ConnectionPool(env, layer.transport, idle_seconds=0.0)
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import QueryError
-from repro.devices import SensorStimulus
-from tests.comm.conftest import run
+from repro.devices import SensorMote, SensorStimulus
+from repro.geometry import Point
+from tests.comm.conftest import LOSSLESS_LINKS, run
 
 
 def test_scan_sensor_table_produces_all_rows(env, layer, lab):
@@ -53,17 +54,17 @@ def test_scan_skips_dead_battery_device_with_reason(env, layer, lab):
 def test_scan_acquires_rows_in_parallel(env, layer, lab):
     operator = layer.scan_operator("sensor")
     run(env, operator.scan())
-    # 5 sensory attributes + connect = 6 round trips of 0.04 s each; a
-    # sequential scan over three motes would take 3x as long.
-    assert env.now < 0.3
+    # Connect + one read_attributes round trip = 0.08 s; a sequential
+    # scan over three motes would take 3x as long.
+    assert env.now < 0.1
 
 
 @pytest.mark.parametrize("device_type", ["sensor", "camera"])
 def test_scan_costs_two_kernel_events_per_exchange(env, layer, lab,
                                                    device_type):
-    """A row makes its exchanges in its own process: uplink and
-    downlink per sensory column, plus the row process's start and end.
-    Nothing is spawned per exchange."""
+    """A row is one exchange in its own process: uplink and downlink,
+    plus the row process's start and end, whatever the number of
+    sensory columns. Nothing is spawned per exchange."""
     operator = layer.scan_operator(device_type)
     cold_rows = run(env, operator.scan())
     cold_end = env.now
@@ -73,13 +74,75 @@ def test_scan_costs_two_kernel_events_per_exchange(env, layer, lab,
     k = len(layer.catalog(device_type).sensory_attributes)
     own = 2  # conftest.run's process: its start and its end
     assert len(cold_rows) == n
-    assert env.events_processed - before == 2 * n * k + 2 * n + own
+    assert env.events_processed - before == 4 * n + own
     if device_type == "sensor":
-        assert (n, k) == (3, 5)  # 38 events
-        # Handshake + five round trips at 0.04 s; the warm scan skips
+        assert (n, k) == (3, 5)  # 14 events
+        # Handshake + one round trip at 0.04 s each; the warm scan skips
         # the handshake.
-        assert cold_end == pytest.approx(0.24)
-        assert env.now == pytest.approx(0.44)
+        assert cold_end == pytest.approx(0.08)
+        assert env.now == pytest.approx(0.12)
+
+
+def test_projected_scan_reads_only_its_columns(env, layer, lab):
+    """A narrowed scan acquires the projected sensory columns, in one
+    exchange per row, and its rows carry those and the static ones."""
+    operator = layer.scan_operator("sensor")
+    operator.columns = ("accel_x",)
+    requests = layer.transport.obs.registry.totals
+    rows = run(env, operator.scan())
+    assert requests()["comm.requests"] == 3
+    assert set(rows[0].values) == {"id", "loc_x", "loc_y", "accel_x"}
+    operator.columns = ()
+    rows = run(env, operator.scan())
+    assert requests()["comm.requests"] == 3  # nothing sensory: no exchange
+    assert set(rows[0].values) == {"id", "loc_x", "loc_y"}
+
+
+def test_failed_rows_retry_in_parallel(env, layer):
+    """Three motes each lose their first attempt: the scan ends within
+    one timeout plus one retry round trip, not three timeouts."""
+    motes = [SensorMote(env, f"mote{i}", Point(i, 0), noise_amplitude=0.0)
+             for i in range(3)]
+    for mote in motes:
+        layer.add_device(mote)
+    transport = layer.transport
+    lost = set()
+
+    class FirstExchangeLost:
+        def __init__(self, device):
+            self.device = device
+
+        def sample_latency(self, rng):
+            return LOSSLESS_LINKS["sensor"].latency_seconds
+
+        def drops(self, rng):
+            first = self.device.device_id not in lost
+            lost.add(self.device.device_id)
+            return first
+
+    transport.link_for = FirstExchangeLost
+    operator = layer.scan_operator("sensor")
+    rows = run(env, operator.scan())
+    assert [row.device_id for row in rows] == ["mote0", "mote1", "mote2"]
+    assert operator.skipped == []
+    # Each lost handshake burns the timeout, then the retry connects
+    # (0.04 s) and reads (0.04 s): all three at once.
+    assert env.now == pytest.approx(operator.timeout + 0.08)
+    assert env.now < 2 * operator.timeout
+
+
+def test_scan_counts_rows_and_skips_by_device_type(env, layer, lab):
+    lab["mote3"].battery_volts = 1.5
+    operator = layer.scan_operator("sensor")
+    run(env, operator.scan())
+    run(env, operator.scan())
+    series = dict(
+        (labels["device_type"], counter.value) for labels, counter
+        in layer.transport.obs.registry.labeled("comm.scan.rows"))
+    skipped = dict(
+        (labels["device_type"], counter.value) for labels, counter
+        in layer.transport.obs.registry.labeled("comm.scan.rows_skipped"))
+    assert series == {"sensor": 4} and skipped == {"sensor": 2}
 
 
 def test_tuple_unknown_attribute_raises(env, layer, lab):

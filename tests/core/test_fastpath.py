@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.errors import AortaError
 from repro.actions.request import ActionRequest
-from repro.comm.pool import POOL_CAPACITY, POOL_IDLE_SECONDS
+from repro.comm.pool import POOL_IDLE_SECONDS
 from repro.devices.failures import FailureInjector, OutageSpec
 from repro.devices.health import BreakerState
 
@@ -96,8 +96,7 @@ class TestConfigValidation:
         plain = build_fast_lab(EngineConfig())
         assert plain.status_cache is None
         assert plain.pool is plain.comm.transport.pool
-        assert (plain.pool.capacity, plain.pool.idle_seconds) \
-            == (POOL_CAPACITY, POOL_IDLE_SECONDS)
+        assert plain.pool.idle_seconds == POOL_IDLE_SECONDS
         fast = build_fast_lab(EngineConfig(**FASTPATH_ON))
         assert fast.status_cache is not None
         assert fast.comm.transport.pool is fast.pool
@@ -244,14 +243,13 @@ class TestPoolIntegration:
     def test_every_open_connection_is_parked_at_quiescence(self):
         """Conservation under faults: after outages, retries, breaker
         transitions and a quiesce, each connection the transport ever
-        opened is closed or idle in the pool, within its capacity."""
+        opened is closed or idle in the pool, at most one per device."""
         env = Environment()
         engine = AortaEngine(env, seed=3, config=EngineConfig(
             status_cache=True,
             retry=RetryPolicy(max_attempts=2, failover=True),
             health=HealthPolicy(failure_threshold=1,
                                 quarantine_seconds=5.0)))
-        engine.pool.capacity = 4  # fewer slots than devices: evictions
         cameras = [engine.add_device(PanTiltZoomCamera(
             env, f"cam{i + 1}", Point(20.0 * i, 0.0), facing=0.0,
             view_half_angle=170.0, view_range=1000.0)) for i in range(4)]
@@ -288,14 +286,14 @@ class TestPoolIntegration:
 
         stats = engine.statistics()
         assert stats["devices_quarantined"] > 0
-        assert stats["pool_discards"] > 0 and stats["pool_evictions"] > 0
+        assert stats["pool_discards"] > 0
         assert stats["requests_serviced"] > 0
         parked = {id(entry.connection)
                   for entry in engine.pool._idle.values()}
         still_open = [c for c in opened if not c.closed]
         assert still_open
         assert {id(c) for c in still_open} == parked
-        assert len(engine.pool) <= engine.pool.capacity
+        assert len(engine.pool) <= len(engine.comm.registry)
 
 
 class TestConcurrentDispatch:

@@ -65,19 +65,42 @@ def test_stimulus_nonpositive_duration_rejected():
         SensorStimulus("light", start=0, duration=0, magnitude=1)
 
 
-def test_prune_expired_stimuli():
+def test_read_drops_expired_stimuli():
+    """A read forgets what can never be active again and keeps the
+    rest, the not-yet-started included."""
     env = Environment()
-    mote = make_mote(env)
-    mote.inject(SensorStimulus("light", start=0.0, duration=1.0, magnitude=1))
-    mote.inject(SensorStimulus("light", start=100.0, duration=1.0, magnitude=1))
+    mote = make_mote(env, noise_amplitude=0.0)
+    late = SensorStimulus("light", start=100.0, duration=1.0, magnitude=7)
+    early = SensorStimulus("light", start=0.0, duration=1.0, magnitude=1)
+    live = SensorStimulus("accel_x", start=40.0, duration=20.0,
+                          magnitude=5)
+    for stimulus in (late, early, live):
+        mote.inject(stimulus)
+    assert mote._stimuli == [early, live, late]  # ordered by start
 
     def proc(env):
         yield env.timeout(50.0)
+        assert mote.read_sensory("light") == BASELINES["light"]
+        assert mote._stimuli == [live, late]
+        assert mote.read_sensory("accel_x") == 5.0
+        yield env.timeout(50.5)
+        assert mote.read_sensory("light") == BASELINES["light"] + 7
+        assert mote._stimuli == [late]
 
     env.process(proc(env))
     env.run()
-    assert mote.prune_expired_stimuli() == 1
-    assert len(mote._stimuli) == 1
+
+
+def test_noise_free_mote_draws_no_noise():
+    """``gauss(0, 0)`` is exactly 0.0: a noise-free read takes nothing
+    from the mote's generator, so its radio draws are the read-free
+    ones."""
+    env = Environment()
+    mote = make_mote(env, noise_amplitude=0.0)
+    state = mote._rng.getstate()
+    for name in BASELINES:
+        mote.read_sensory(name)
+    assert mote._rng.getstate() == state
 
 
 def test_battery_reading_and_drain():

@@ -109,13 +109,35 @@ def test_device_error_becomes_not_ok_response():
     def proc(env):
         connection = yield from transport.connect(camera, timeout=1.0)
         response = yield from connection.request(
-            Message(kind="read_attribute", device_id="cam1",
-                    payload={"name": "altitude"}), timeout=1.0)
+            Message(kind="read_attributes", device_id="cam1",
+                    payload={"names": ("pan", "altitude")}), timeout=1.0)
         assert not response.ok
         assert "no sensory attribute" in response.error
 
     env.process(proc(env))
     env.run()
+
+
+def test_read_attributes_answers_every_name_in_one_round_trip():
+    env, transport, camera = setup()
+
+    def proc(env):
+        connection = yield from transport.connect(camera, timeout=1.0)
+        response = yield from connection.request(
+            Message(kind="read_attributes", device_id="cam1",
+                    payload={"names": ("pan", "zoom")}), timeout=1.0)
+        assert response.ok
+        assert response.value == {"pan": camera.read_sensory("pan"),
+                                  "zoom": camera.read_sensory("zoom")}
+        assert transport.obs.registry.totals()["comm.requests"] == 1
+
+    env.process(proc(env))
+    env.run()
+
+
+def test_read_attribute_is_not_a_message_kind():
+    with pytest.raises(CommunicationError, match="unknown message kind"):
+        Message(kind="read_attribute", device_id="cam1")
 
 
 def test_request_on_closed_connection_rejected():

@@ -164,3 +164,22 @@ def test_three_exits_conserve_on_a_fleet_with_query_churn(overload):
         assert stats["overload_queue_evictions"] == sum(
             shard["overload_queue_evictions"]
             for shard in fleet.shard_statistics())
+
+
+def test_scan_rows_add_up_across_shards():
+    """``scan_rows`` / ``scan_rows_skipped`` render ``comm.scan.rows`` /
+    ``.rows_skipped``: per shard, every poll scans its one mote, and a
+    mote with a dead battery is skipped every time."""
+    fleet = two_shard_fleet()
+    fleet.execute(FIGURE_1_AQ)
+    fleet.device("mote01").battery_volts = 1.5
+    fleet.start()
+    fleet.run(until=10.0)
+    stats, shards = fleet.statistics(), fleet.shard_statistics()
+    assert [shard["scan_rows_skipped"] for shard in shards] \
+        == [0, shards[1]["polls"]]
+    assert shards[1]["scan_rows"] == 0
+    assert shards[0]["scan_rows"] == shards[0]["polls"] > 0
+    assert stats["scan_rows"] == shards[0]["scan_rows"]
+    assert stats["scan_rows_skipped"] == shards[1]["polls"]
+    assert type(stats["scan_rows"]) is int

@@ -67,9 +67,6 @@ KEPT_WITHOUT_A_CALLER = {
         "sequence-independent costs from an explicit matrix: the special "
         "case whose known bounds and optima the schedulers' property "
         "tests compare against"),
-    "repro.devices.sensor.SensorMote.prune_expired_stimuli": (
-        "open ROADMAP item",
-        "item 2(d) names it as the call `read_sensory` is missing"),
     "repro.devices.health.DeviceHealthTracker.state_of": (
         "sole read accessor",
         "a breaker's CLOSED / OPEN / HALF_OPEN state, which "
