@@ -29,7 +29,9 @@ algorithms run the engine's model bare (``last_cache_stats is None``),
 SA memoizes it with a hit rate >= 0.5 at 20x5, and the kernel's
 schedules equal the scalar walk's. The wall-clock floors (vectorized
 SRFAE >= 5x / LERFA+SRFE >= 3x at 4000x1000) are evaluated on full runs
-only. A gate miss fails the process.
+only. With numpy, ``matrix_identity`` checks that every row of the
+engine kernel's one-fill cost matrix equals that device's column to the
+bit. A gate miss fails the process.
 
 Usage::
 
@@ -66,6 +68,7 @@ from repro.scheduling import (  # noqa: E402
     SchedRequest,
     SimulatedAnnealingScheduler,
     SrfaeScheduler,
+    build_kernel,
     uniform_camera_workload,
 )
 from repro.sim import Environment  # noqa: E402
@@ -90,6 +93,9 @@ VECTOR_SMOKE_SIZES = ((20, 5),)
 #: keys every (request, device) pair so it vectorizes hardest; LERFA's
 #: scalar loop is already light, so its floor is lower.
 VECTOR_TARGETS = {"SRFAE": 5.0, "LERFA+SRFE": 3.0}
+#: Where the engine kernel's one-fill matrix is checked against its
+#: per-device columns: a dispatch_heavy-sized burst on a 40-camera field.
+MATRIX_GATE_SIZE = (24, 40)
 
 
 def engine_oracle_problem(n: int, m: int, seed: int = 0) -> Problem:
@@ -140,6 +146,19 @@ def engine_oracle_problem(n: int, m: int, seed: int = 0) -> Problem:
                                       statuses),
         label=f"engine-oracle photo n={n} m={m} seed={seed}",
     )
+
+
+def matrix_identity(n: int, m: int) -> bool:
+    """Whether every row of the engine kernel's cost matrix is, to the
+    bit, that device's column from the same status."""
+    problem = engine_oracle_problem(n, m, seed=0)
+    kernel = build_kernel(problem)
+    statuses = problem.initial_statuses()
+    matrix = kernel.matrix(problem.device_ids, statuses)
+    return all(
+        matrix[k].tobytes()
+        == kernel.column(device_id, statuses[device_id]).tobytes()
+        for k, device_id in enumerate(problem.device_ids))
 
 
 def scheduler_factory(name: str, n: int):
@@ -289,7 +308,11 @@ def main(argv=None) -> int:
                       f"  vector {cell['vector_s']:.3f}s"
                       f"  ({cell['speedup']:.1f}x, identical="
                       f"{cell['identical']})", flush=True)
+        matrix_identical = matrix_identity(*MATRIX_GATE_SIZE)
+        print(f"  engine kernel {MATRIX_GATE_SIZE[0]}x{MATRIX_GATE_SIZE[1]}"
+              f" matrix rows == columns: {matrix_identical}", flush=True)
     else:
+        matrix_identical = None
         print("  vector section skipped: numpy not installed", flush=True)
 
     # ------------------------------------------------------------------
@@ -306,6 +329,7 @@ def main(argv=None) -> int:
         # this point proves transparency for every cell.
         "memo_transparent": True,
         "vector_identical": vector_identical,
+        "matrix_identity": matrix_identical,
     }
     # None-valued equivalence checks (e.g. vector identity without
     # numpy) are skipped, not silently passed or failed.

@@ -15,7 +15,7 @@ accurate" against the real devices.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Mapping, Tuple
+from typing import Any, Dict, Generator, Mapping, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.devices.base import Device
@@ -89,52 +89,50 @@ def photo_resolver(
 class PhotoBlockResolver:
     """Vectorized ``photo()`` quantity resolution (cost-model block API).
 
-    ``prepare`` resolves every target's aimed head pose with the same
-    scalar trig the per-call resolver uses (numpy's ``arctan2``/
+    ``prepare`` resolves every (camera, target) aimed head pose with the
+    same scalar trig the per-call resolver uses (numpy's ``arctan2``/
     ``hypot`` can differ from :mod:`math` in the last ulp, which would
-    break byte-identical schedules); ``resolve`` is then pure
-    element-wise float64 arithmetic against one status, bit-equal to
+    break byte-identical schedules) and stacks them into (cameras x
+    targets) arrays; ``resolve`` is then pure element-wise float64
+    arithmetic against each camera's status column, bit-equal to
     :func:`photo_resolver` per element.
     """
 
-    def prepare(self, device: Device,
-                args_list: list) -> Dict[str, Any]:
+    def prepare(self, devices: Sequence[Device],
+                args_list: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
         import numpy
-        if not isinstance(device, PanTiltZoomCamera):
-            raise QueryError("photo() cost estimation requires a PTZ camera")
-        pans = []
-        tilts = []
-        zooms = []
-        for args in args_list:
-            aimed = device.aim_memoized(args["target"])
-            pans.append(aimed.pan)
-            tilts.append(aimed.tilt)
-            zooms.append(aimed.zoom)
+        for device in devices:
+            if not isinstance(device, PanTiltZoomCamera):
+                raise QueryError(
+                    "photo() cost estimation requires a PTZ camera")
+        targets = [args["target"] for args in args_list]
+        aimed = [device.aim_memoized(target)
+                 for device in devices for target in targets]
+        shape = (len(devices), len(targets))
         return {
-            "pan": numpy.array(pans, dtype=numpy.float64),
-            "tilt": numpy.array(tilts, dtype=numpy.float64),
-            "zoom": numpy.array(zooms, dtype=numpy.float64),
+            "pan": numpy.array([pose.pan for pose in aimed],
+                               dtype=numpy.float64).reshape(shape),
+            "tilt": numpy.array([pose.tilt for pose in aimed],
+                                dtype=numpy.float64).reshape(shape),
+            "zoom": numpy.array([pose.zoom for pose in aimed],
+                                dtype=numpy.float64).reshape(shape),
         }
 
-    def resolve(self, device: Device, prepared: Dict[str, Any],
-                status: Mapping[str, float],
-                indexes: Any = None) -> Dict[str, Any]:
+    def resolve(self, prepared: Mapping[str, Any],
+                status: Mapping[str, Any]) -> Dict[str, Any]:
         import numpy
-        pan, tilt, zoom = prepared["pan"], prepared["tilt"], prepared["zoom"]
-        if indexes is not None:
-            pan, tilt, zoom = pan[indexes], tilt[indexes], zoom[indexes]
         return {
-            "pan_degrees": numpy.abs(pan - status["pan"]),
-            "tilt_degrees": numpy.abs(tilt - status["tilt"]),
-            "zoom_units": numpy.abs(zoom - status["zoom"]),
+            "pan_degrees": numpy.abs(prepared["pan"] - status["pan"]),
+            "tilt_degrees": numpy.abs(prepared["tilt"] - status["tilt"]),
+            "zoom_units": numpy.abs(prepared["zoom"] - status["zoom"]),
         }
 
-    def post_status(self, device: Device, prepared: Dict[str, Any],
+    def post_status(self, prepared: Mapping[str, Any], row: int,
                     index: int) -> Dict[str, float]:
         return {
-            "pan": float(prepared["pan"][index]),
-            "tilt": float(prepared["tilt"][index]),
-            "zoom": float(prepared["zoom"][index]),
+            "pan": float(prepared["pan"][row, index]),
+            "tilt": float(prepared["tilt"][row, index]),
+            "zoom": float(prepared["zoom"][row, index]),
         }
 
 

@@ -71,21 +71,6 @@ SCHEDULER_FACTORIES = {
 }
 
 
-#: Smallest batch the numpy column kernel is used for; shorter batches
-#: take the scalar walk. The kernel pays one numpy call per device
-#: column whatever the column's length, so it only wins once a column
-#: holds enough requests. Measured with SRFAE on
-#: ``bench_perf_regression.engine_oracle_problem(n, m)`` (this adapter,
-#: min of 5-15 runs, schedules equal), scalar time / kernel time:
-#:
-#:   n requests     1     2     3     4     8     12    24
-#:   m = 40       0.40  0.65  0.89  1.26  1.94  3.04  3.89
-#:   m = 200      0.31  1.00  0.53  1.22  2.24  3.05  2.98
-#:
-#: Both sides are exercised by ``benchmarks/e2e``: ``mixed_faulty``
-#: schedules batches of mean size 1.7, ``dispatch_heavy`` of 10.5.
-KERNEL_MIN_REQUESTS = 4
-
 #: Virtual seconds the dispatcher waits after a first request so that
 #: near-simultaneous requests from concurrent queries batch into one
 #: scheduling problem (the shared-operator group optimization).
@@ -140,20 +125,21 @@ class _ActionCostAdapter(SchedulingCostModel):
             BlockModelKernel]:
         """A vectorized kernel over the engine cost model's block path.
 
-        Declines (scalar fallback) without numpy, for a batch below
-        :data:`KERNEL_MIN_REQUESTS`, or when any device in the problem
-        lacks a registered block resolver for this action.
+        Declines (scalar fallback) without numpy, or unless the
+        problem's devices are of one type with a registered block
+        resolver for this action (an action has one device type, so a
+        mix never reaches here from a query).
         """
-        if not HAVE_NUMPY or len(problem.requests) < KERNEL_MIN_REQUESTS:
+        if not HAVE_NUMPY:
             return None
-        device_types = {self._devices[device_id].device_type
-                        for device_id in problem.device_ids}
-        if not all(self._cost_model.supports_block(self._action.name,
-                                                   device_type)
-                   for device_type in device_types):
+        devices = [self._devices[device_id]
+                   for device_id in problem.device_ids]
+        device_types = {device.device_type for device in devices}
+        if len(device_types) != 1 or not self._cost_model.supports_block(
+                self._action.name, *device_types):
             return None
         return BlockModelKernel(
-            self._cost_model, self._action.name, self._devices,
+            self._cost_model, self._action.name, devices,
             [request.payload.arguments for request in problem.requests])
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Protocol, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Mapping, Optional, Protocol, Sequence, Tuple,
+)
 
 from repro.errors import ProfileError, RegistrationError
 from repro.devices.base import Device
@@ -12,7 +14,7 @@ from repro.profiles.action_profile import (
     CompositionNode,
     OperationRef,
     Parallel,
-    Sequence,
+    Sequence as SequenceNode,
 )
 from repro.profiles.cost_table import CostTable
 
@@ -37,32 +39,35 @@ class BlockResolver(Protocol):
 
     Splits the resolver's work along the status dependency:
 
-    * :meth:`prepare` runs once per device over a whole batch of action
-      argument mappings and returns index-aligned arrays of everything
-      *status-independent* (for ``photo()``: the aimed head pose per
-      target). This is where scalar trig lives, so the vectorized path
-      stays bit-equal to per-call estimation.
-    * :meth:`resolve` turns prepared data plus ONE status into quantity
-      arrays for the requested indexes — pure element-wise float64
-      arithmetic only.
+    * :meth:`prepare` runs once per batch over a sequence of same-type
+      devices and the batch's action argument mappings, and returns
+      named float64 arrays of shape ``(devices, requests)`` holding
+      everything *status-independent* (for ``photo()``: the aimed head
+      pose per device and target). This is where scalar trig lives, so
+      the block path stays bit-equal to per-call estimation.
+    * :meth:`resolve` turns (a slice of) those arrays plus a status into
+      quantity arrays — pure element-wise float64 arithmetic only. Each
+      status field is a ``(devices, 1)`` column, broadcast along the
+      requests axis.
     * :meth:`post_status` recovers the scalar post-execution status of
-      one prepared entry. Block resolvers only exist for actions whose
-      post status does not depend on the starting status.
+      one prepared (device, request) entry. Block resolvers only exist
+      for actions whose post status does not depend on the starting
+      status.
     """
 
-    def prepare(self, device: Device, args_list: "list[Mapping[str, Any]]"
-                ) -> Any:
-        """Status-independent per-request data, index-aligned arrays."""
+    def prepare(self, devices: Sequence[Device],
+                args_list: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
+        """Status-independent data: name -> ``(devices, requests)``."""
         ...
 
-    def resolve(self, device: Device, prepared: Any, status: Status,
-                indexes: Optional[Any] = None) -> Dict[str, Any]:
-        """Quantity-name -> float64 array for ``indexes`` (None = all)."""
+    def resolve(self, prepared: Mapping[str, Any],
+                status: Mapping[str, Any]) -> Dict[str, Any]:
+        """Quantity-name -> float64 array shaped like ``prepared``."""
         ...
 
-    def post_status(self, device: Device, prepared: Any,
+    def post_status(self, prepared: Mapping[str, Any], row: int,
                     index: int) -> Dict[str, float]:
-        """Post-execution status of one prepared entry."""
+        """Post-execution status of request ``index`` on device ``row``."""
         ...
 
 
@@ -94,12 +99,28 @@ class CostEstimate:
 
 
 @dataclass(frozen=True)
-class BlockEstimate:
-    """A batch of estimates from one status: index-aligned arrays.
+class PreparedBlock:
+    """One batch prepared for block estimation: devices x requests.
 
-    ``seconds[i]`` is bit-equal to the scalar
-    :meth:`CostModel.estimate` of the i-th prepared request from the
-    same status; ``quantities`` holds the resolved quantity arrays.
+    ``arrays`` is the block resolver's status-independent data, each a
+    float64 array of ``shape`` = (devices, requests) whose row ``k``
+    belongs to the k-th prepared device.
+    """
+
+    action_name: str
+    device_type: str
+    shape: Tuple[int, int]
+    arrays: Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class BlockEstimate:
+    """A cost matrix: estimates of (device, request) pairs.
+
+    ``seconds[k, i]`` is bit-equal to the scalar
+    :meth:`CostModel.estimate` of the i-th request on the k-th device
+    from that device's status; ``quantities`` holds the resolved
+    quantity arrays of the same shape.
     """
 
     seconds: Any
@@ -119,6 +140,9 @@ class CostModel:
         self._profiles: Dict[Tuple[str, str], ActionProfile] = {}
         self._resolvers: Dict[Tuple[str, str], QuantityResolver] = {}
         self._block_resolvers: Dict[Tuple[str, str], BlockResolver] = {}
+        #: The quantity names each profile needs, computed once: every
+        #: estimate checks its resolver's output against them.
+        self._required: Dict[Tuple[str, str], FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -144,6 +168,7 @@ class CostModel:
         profile.validate_against(table)
         self._profiles[key] = profile
         self._resolvers[key] = resolver
+        self._required[key] = frozenset(profile.required_quantities())
         if block_resolver is not None:
             self._block_resolvers[key] = block_resolver
 
@@ -190,7 +215,7 @@ class CostModel:
         if status is None:
             status = device.physical_status()
         quantities, post_status = resolver(device, status, args)
-        missing = profile.required_quantities() - set(quantities)
+        missing = self._required[key].difference(quantities)
         if missing:
             raise ProfileError(
                 f"resolver for {action_name!r} on {device.device_type!r} "
@@ -242,71 +267,97 @@ class CostModel:
             ) from None
 
     def prepare_block(
-        self, action_name: str, device: Device,
-        args_list: "list[Mapping[str, Any]]",
-    ) -> Any:
-        """Status-independent batch preparation for one device.
+        self, action_name: str, devices: Sequence[Device],
+        args_list: Sequence[Mapping[str, Any]],
+    ) -> PreparedBlock:
+        """Status-independent preparation of a batch on same-type devices.
 
-        The returned opaque object feeds any number of
-        :meth:`estimate_block` / :meth:`block_post_status` calls for the
-        same (action, device, args batch).
+        The result feeds any number of :meth:`estimate_block` /
+        :meth:`block_post_status` calls for the same (action, devices,
+        args batch): the whole matrix, or any device's row of it.
         """
-        resolver = self._require_block(action_name, device.device_type)
-        return resolver.prepare(device, args_list)
+        device_types = {device.device_type for device in devices}
+        if len(device_types) != 1:
+            raise ProfileError(
+                f"block preparation needs devices of one type, got "
+                f"{sorted(device_types)}"
+            )
+        (device_type,) = device_types
+        resolver = self._require_block(action_name, device_type)
+        shape = (len(devices), len(args_list))
+        arrays = resolver.prepare(devices, args_list)
+        for name, array in arrays.items():
+            if array.shape != shape:
+                raise ProfileError(
+                    f"block resolver for {action_name!r} prepared {name!r} "
+                    f"with shape {array.shape}, expected {shape}"
+                )
+        return PreparedBlock(action_name, device_type, shape, arrays)
 
     def estimate_block(
         self,
-        action_name: str,
-        device: Device,
-        prepared: Any,
-        status: Status,
+        prepared: PreparedBlock,
+        statuses: Sequence[Status],
         indexes: Optional[Any] = None,
+        rows: Optional[Any] = None,
     ) -> BlockEstimate:
         """Vectorized :meth:`estimate` over a prepared batch.
 
-        Evaluates the action profile's composition tree once over
-        quantity *arrays* instead of once per request; element ``i`` of
-        the result is bit-equal to the scalar estimate of prepared
-        request ``indexes[i]`` from the same ``status``.
+        ``rows`` picks prepared devices (any numpy index over the device
+        axis; ``None`` = all, in prepare order) and ``statuses`` holds
+        one status per picked device; ``indexes`` picks requests
+        (``None`` = all). The profile's composition tree is evaluated
+        once over the whole (devices x requests) block, with each
+        device's status broadcast along its row: element ``[k, i]`` is
+        bit-equal to the scalar estimate of the i-th picked request on
+        the k-th picked device from ``statuses[k]``.
         """
         numpy = _numpy()
-        profile = self.profile(action_name, device.device_type)
-        table = self._require_table(device.device_type)
-        resolver = self._require_block(action_name, device.device_type)
-        quantities = resolver.resolve(device, prepared, status, indexes)
-        missing = profile.required_quantities() - set(quantities)
+        key = (prepared.action_name, prepared.device_type)
+        profile = self.profile(*key)
+        table = self._require_table(prepared.device_type)
+        resolver = self._require_block(*key)
+        arrays = prepared.arrays
+        if rows is not None:
+            arrays = {name: array[rows] for name, array in arrays.items()}
+        if indexes is not None:
+            arrays = {name: array[:, indexes]
+                      for name, array in arrays.items()}
+        status = {
+            field: numpy.array([device_status[field]
+                                for device_status in statuses],
+                               dtype=numpy.float64)[:, None]
+            for field in profile.status_fields}
+        quantities = resolver.resolve(arrays, status)
+        missing = self._required[key].difference(quantities)
         if missing:
             raise ProfileError(
-                f"block resolver for {action_name!r} on "
-                f"{device.device_type!r} did not produce quantities: "
+                f"block resolver for {prepared.action_name!r} on "
+                f"{prepared.device_type!r} did not produce quantities: "
                 f"{sorted(missing)}"
             )
-        count: Optional[int] = None
         for array in quantities.values():
-            count = len(array)
-            if len(array) and float(array.min()) < 0:
+            if array.size and float(array.min()) < 0:
                 raise ProfileError(
-                    f"action {action_name!r} block-estimated with a "
-                    f"negative quantity"
+                    f"action {prepared.action_name!r} block-estimated with "
+                    f"a negative quantity"
                 )
-        if count is None:
-            if indexes is None:
-                raise ProfileError(
-                    f"action {action_name!r} has no quantities; block "
-                    f"estimation needs explicit indexes to size the batch"
-                )
-            count = len(indexes)
         seconds = _block_seconds(profile.composition, table, quantities)
         if not isinstance(seconds, numpy.ndarray):
-            seconds = numpy.full(count, seconds, dtype=numpy.float64)
+            # A profile without quantities costs a constant; size it to
+            # the picked block all the same.
+            width = prepared.shape[1] if indexes is None else len(indexes)
+            seconds = numpy.full((len(statuses), width), seconds,
+                                 dtype=numpy.float64)
         return BlockEstimate(seconds=seconds, quantities=dict(quantities))
 
     def block_post_status(
-        self, action_name: str, device: Device, prepared: Any, index: int
+        self, prepared: PreparedBlock, row: int, index: int
     ) -> Dict[str, float]:
-        """Post-execution status of one prepared request."""
-        resolver = self._require_block(action_name, device.device_type)
-        return resolver.post_status(device, prepared, index)
+        """Post-execution status of request ``index`` on device ``row``."""
+        resolver = self._require_block(prepared.action_name,
+                                       prepared.device_type)
+        return resolver.post_status(prepared.arrays, row, index)
 
 
 def _block_seconds(node: CompositionNode, table: CostTable,
@@ -320,7 +371,6 @@ def _block_seconds(node: CompositionNode, table: CostTable,
     the cost table's ``fixed + per_unit * quantity`` linear form.
     Fixed-cost subtrees evaluate to Python floats and broadcast.
     """
-    numpy = _numpy()
     if isinstance(node, OperationRef):
         operation = table.operation(node.operation)
         if node.quantity:
@@ -332,17 +382,17 @@ def _block_seconds(node: CompositionNode, table: CostTable,
             return (operation.fixed_seconds
                     + operation.per_unit_seconds * quantities[node.quantity])
         return operation.estimate()
-    if isinstance(node, Sequence):
-        total: Any = 0
+    if isinstance(node, SequenceNode):
+        total: Any = 0.0
         for child in node.children:
             total = total + _block_seconds(child, table, quantities)
         return total
     if isinstance(node, Parallel):
+        maximum = _numpy().maximum
         slowest: Any = None
         for child in node.children:
             value = _block_seconds(child, table, quantities)
-            slowest = value if slowest is None else numpy.maximum(slowest,
-                                                                  value)
+            slowest = value if slowest is None else maximum(slowest, value)
         return slowest
     raise ProfileError(  # pragma: no cover - defensive
         f"unknown composition node type {type(node).__name__!r}")

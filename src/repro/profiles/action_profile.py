@@ -87,7 +87,13 @@ class Sequence(_Composite):
     """Children execute one after another; costs accumulate."""
 
     def estimate(self, costs: CostTable, quantities: Mapping[str, float]) -> float:
-        return sum(child.estimate(costs, quantities) for child in self.children)
+        # A plain left fold, not sum(): from Python 3.12 sum() compensates
+        # float rounding, and the block path (cost/model.py) must add in
+        # exactly this order to stay bit-equal.
+        total = 0.0
+        for child in self.children:
+            total += child.estimate(costs, quantities)
+        return total
 
 
 class Parallel(_Composite):

@@ -106,9 +106,7 @@ class LerfaSrfeScheduler(Scheduler):
         request_index = {request.request_id: i
                          for i, request in enumerate(problem.requests)}
         statuses = problem.initial_statuses()
-        matrix = numpy.stack([
-            kernel.column(device_id, statuses[device_id])
-            for device_id in device_ids])
+        matrix = kernel.matrix(device_ids, statuses)
         workloads = numpy.zeros(len(device_ids), dtype=numpy.float64)
         assigned: Dict[str, List[SchedRequest]] = {
             device_id: [] for device_id in device_ids}

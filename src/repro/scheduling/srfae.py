@@ -188,10 +188,12 @@ class SrfaeScheduler(Scheduler):
                           kernel: ColumnKernel) -> Dict[str, List[str]]:
         """Algorithm 2 over per-device numpy cost columns.
 
-        Instead of one priority-structure entry per (request, device)
-        pair, each device keeps a float64 column of its eligible pairs'
-        current keys and contributes exactly one entry — its column
-        minimum — to a global lazy heap. Extraction order is identical
+        The initial keys are one cost-matrix fill; each assignment then
+        re-keys the assigned device with one column. Instead of one
+        priority-structure entry per (request, device) pair, each device
+        keeps a float64 column of its eligible pairs' current keys and
+        contributes exactly one entry — its column minimum — to a
+        global lazy heap. Extraction order is identical
         to the scalar structures: heap entries order by
         ``(key, epoch, request index, candidate position)``, which
         reproduces the scalar ``(key, insertion serial)`` order because
@@ -238,16 +240,18 @@ class SrfaeScheduler(Scheduler):
 
         # Current keys: cost column from the device's status, plus (past
         # the first assignment) the device's accumulated completion
-        # time — the same ``cost + w`` the scalar re-key computes.
+        # time — the same ``cost + w`` the scalar re-key computes. Lines
+        # 1-3 key every eligible pair from one matrix fill over all
+        # devices, each device's column gathered from its row.
         columns: List[Any] = [None] * len(device_ids)
         taken = numpy.zeros(n, dtype=bool)
         generations = [0] * len(device_ids)
         heap: List[Tuple[float, int, int, int, int, int]] = []
-        for k, device_id in enumerate(device_ids):
+        matrix = kernel.matrix(device_ids, statuses)
+        for k in range(len(device_ids)):
             if not len(eligible[k]):
                 continue
-            columns[k] = kernel.column(device_id, statuses[device_id],
-                                       eligible[k])
+            columns[k] = matrix[k, eligible[k]]
             best = int(columns[k].argmin())
             heap.append((float(columns[k][best]), 0,
                          int(eligible[k][best]), int(positions[k][best]),

@@ -4,14 +4,17 @@ The schedulers' inner loop is per-(request, device) cost estimation:
 SRFAE keys every eligible pair and re-keys a device's pairs after each
 assignment; LERFA scores every candidate of every request; SRFE
 re-scores a device's remaining queue per servicing step. Each of those
-walks asks one question — "cost of *these requests* on *this device*
-from *this status*" — which is a **column** of the (requests x devices)
-cost matrix. A :class:`ColumnKernel` answers it with one numpy
-expression instead of thousands of Python calls.
+walks starts from the whole (devices x requests) cost **matrix** from
+the devices' current statuses — SRFAE's initial keys, LERFA's score
+table — and then asks "cost of *these requests* on *this device* from
+*this status*", which is one **column** of it. A :class:`ColumnKernel`
+answers each with one numpy expression instead of thousands of Python
+calls: the matrix with every device's status broadcast along its row.
 
-Fidelity contract (property-tested): a kernel's column is **bit-equal**
-to the scalar ``estimate`` walk, element by element. Two design rules
-make that possible:
+Fidelity contract (property-tested): a kernel's matrix and columns are
+**bit-equal** to the scalar ``estimate`` walk, element by element, and
+so a matrix row equals the device's column. Two design rules make that
+possible:
 
 * All *status-independent* work (trig aim resolution for the camera
   models) is done once per (request, device) in a scalar ``prepare``
@@ -23,7 +26,9 @@ make that possible:
   table's ``fixed + per_unit * quantity`` linear forms, sequence sums
   and parallel maxes) is pure float64 add/sub/mul/div/abs/max, for
   which numpy's element-wise semantics match scalar evaluation exactly
-  when applied in the same order.
+  when applied in the same order — on a 2-D block as on a 1-D column,
+  since broadcasting a status column changes which operands meet, not
+  the operation applied to them.
 
 ``numpy`` is an optional dependency (the ``repro[fast]`` extra): every
 import is guarded and every vectorized code path falls back to the
@@ -32,7 +37,7 @@ scalar walk when it is absent or when a cost model provides no kernel.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro.errors import SchedulingError
 from repro.scheduling.problem import Problem, SchedulingCostModel
@@ -60,14 +65,19 @@ def require_numpy(feature: str = "vectorize=True") -> None:
 
 
 class ColumnKernel:
-    """One problem's vectorized cost oracle, one device column at a time.
+    """One problem's vectorized cost oracle: the matrix, or one column.
 
     Contract:
 
+    * :meth:`matrix` returns the (devices x requests) float64 cost
+      matrix, row ``k`` for ``device_ids[k]`` from
+      ``statuses[device_ids[k]]`` — the fill a scheduler starts from.
     * :meth:`column` returns a float64 array of estimated seconds for
       the given request indexes (``None`` = all requests, in problem
-      order) on one device from one status — bit-equal to calling the
-      scalar ``estimate`` per element.
+      order) on one device from one status — the re-estimate after a
+      device's status moved.
+    * Both are bit-equal to calling the scalar ``estimate`` per element,
+      so a matrix row equals the device's column.
     * :meth:`post_status` returns the post-servicing status of one
       (request, device) pair, equal to the scalar estimate's post
       status. Kernels exist only for models whose post status is
@@ -75,6 +85,10 @@ class ColumnKernel:
       geometry, not on where the head currently is) — which is what
       lets a column be evaluated without materializing n post objects.
     """
+
+    def matrix(self, device_ids: Sequence[str],
+               statuses: Mapping[str, Any]) -> Any:
+        raise NotImplementedError
 
     def column(self, device_id: str, status: Any,
                indexes: Optional[Any] = None) -> Any:
@@ -87,44 +101,42 @@ class ColumnKernel:
 class BlockModelKernel(ColumnKernel):
     """Kernel over the engine :class:`CostModel`'s block entry points.
 
-    ``prepare_block`` runs once per device (scalar aim resolution over
-    every request's arguments); ``estimate_block`` then evaluates the
-    profile's linear forms for any request subset from any status.
+    ``prepare_block`` runs once, at construction, over every device x
+    request (scalar aim resolution); ``estimate_block`` then evaluates
+    the profile's composition tree once over the whole matrix, or over
+    one device's row of it for a column.
     """
 
     def __init__(
         self,
         cost_model: "CostModel",
         action_name: str,
-        devices: Any,
+        devices: Sequence["Device"],
         args_list: Sequence[Any],
     ) -> None:
         self._cost_model = cost_model
-        self._action_name = action_name
-        self._devices = devices
-        self._args_list = list(args_list)
-        self._prepared: dict = {}
+        self._prepared = cost_model.prepare_block(action_name, devices,
+                                                  args_list)
+        #: device_id -> its row of the prepared block.
+        self._rows = {device.device_id: row
+                      for row, device in enumerate(devices)}
 
-    def _prepared_for(self, device_id: str) -> Any:
-        prepared = self._prepared.get(device_id)
-        if prepared is None:
-            prepared = self._cost_model.prepare_block(
-                self._action_name, self._devices[device_id],
-                self._args_list)
-            self._prepared[device_id] = prepared
-        return prepared
+    def matrix(self, device_ids: Sequence[str],
+               statuses: Mapping[str, Any]) -> Any:
+        return self._cost_model.estimate_block(
+            self._prepared, [statuses[device_id] for device_id in device_ids],
+            rows=[self._rows[device_id] for device_id in device_ids]).seconds
 
     def column(self, device_id: str, status: Any,
                indexes: Optional[Any] = None) -> Any:
-        block = self._cost_model.estimate_block(
-            self._action_name, self._devices[device_id],
-            self._prepared_for(device_id), status, indexes=indexes)
-        return block.seconds
+        row = self._rows[device_id]
+        return self._cost_model.estimate_block(
+            self._prepared, [status], indexes,
+            rows=slice(row, row + 1)).seconds[0]
 
     def post_status(self, index: int, device_id: str) -> Any:
         return self._cost_model.block_post_status(
-            self._action_name, self._devices[device_id],
-            self._prepared_for(device_id), index)
+            self._prepared, self._rows[device_id], index)
 
 
 def build_kernel(problem: Problem) -> Optional[ColumnKernel]:

@@ -19,7 +19,7 @@ Two workload families:
 from __future__ import annotations
 
 import random
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.devices.camera import CameraCalibration, HeadPosition
@@ -31,13 +31,15 @@ from repro.scheduling.problem import (
 
 
 class _CameraColumnKernel:
-    """Vectorized camera-cost columns (see ``scheduling/vector_cost``).
+    """Vectorized camera-cost matrices and columns (see
+    ``scheduling/vector_cost``).
 
-    Packs every request's target pose into float64 arrays once; a column
+    Packs every request's target pose into float64 arrays once; a cost
     is then ``fixed + max(|Δpan|/v_pan, |Δtilt|/v_tilt, |Δzoom|/v_zoom)``
     evaluated element-wise in the same fold order as the scalar
     :meth:`HeadPosition.movement_seconds`, so each element is bit-equal
-    to the scalar estimate.
+    to the scalar estimate. A matrix broadcasts each device's head pose
+    as a column against the targets' row.
     """
 
     def __init__(self, model: "CameraStatusCostModel",
@@ -55,17 +57,32 @@ class _CameraColumnKernel:
         self._zoom = numpy.array([r.payload.zoom for r in problem.requests],
                                  dtype=numpy.float64)
 
+    def _seconds(self, pan: Any, tilt: Any, zoom: Any,
+                 head_pan: Any, head_tilt: Any, head_zoom: Any) -> Any:
+        import numpy
+        movement = numpy.maximum(
+            numpy.maximum(numpy.abs(pan - head_pan) / self._pan_speed,
+                          numpy.abs(tilt - head_tilt) / self._tilt_speed),
+            numpy.abs(zoom - head_zoom) / self._zoom_speed)
+        return self._fixed + movement
+
+    def matrix(self, device_ids: Sequence[str],
+               statuses: Mapping[str, HeadPosition]) -> Any:
+        import numpy
+        heads = [statuses[device_id] for device_id in device_ids]
+        return self._seconds(
+            self._pan, self._tilt, self._zoom,
+            numpy.array([head.pan for head in heads])[:, None],
+            numpy.array([head.tilt for head in heads])[:, None],
+            numpy.array([head.zoom for head in heads])[:, None])
+
     def column(self, device_id: str, status: HeadPosition,
                indexes: Optional[Any] = None) -> Any:
-        import numpy
         pan, tilt, zoom = self._pan, self._tilt, self._zoom
         if indexes is not None:
             pan, tilt, zoom = pan[indexes], tilt[indexes], zoom[indexes]
-        movement = numpy.maximum(
-            numpy.maximum(numpy.abs(pan - status.pan) / self._pan_speed,
-                          numpy.abs(tilt - status.tilt) / self._tilt_speed),
-            numpy.abs(zoom - status.zoom) / self._zoom_speed)
-        return self._fixed + movement
+        return self._seconds(pan, tilt, zoom,
+                             status.pan, status.tilt, status.zoom)
 
     def post_status(self, index: int, device_id: str) -> HeadPosition:
         return self._requests[index].payload

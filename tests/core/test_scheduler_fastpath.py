@@ -2,11 +2,12 @@
 
 The dispatcher's scheduler vectorizes whenever numpy is installed; per
 batch, ``_ActionCostAdapter.make_column_kernel`` hands it the numpy
-column kernel from ``KERNEL_MIN_REQUESTS`` requests up and declines
-below, which leaves the scalar walk. Which of the two ran is pinned by
-call counts on the engine cost model; that it cannot be told from the
-outcome, by byte-equal dumps against an engine whose scheduler was
-built with ``vectorize=False``.
+cost kernel whatever the batch's size, and declines only for a device
+without a block resolver, which leaves the scalar walk. Which of the two
+ran, and how often the kernel fills its matrix, is pinned by call counts
+on the engine cost model; that it cannot be told from the outcome, by
+byte-equal dumps against an engine whose scheduler was built with
+``vectorize=False``.
 """
 
 import pytest
@@ -21,19 +22,21 @@ from tests.obs.golden import diff_dumps, dump_engine
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
-def run_batches(config, batches, scalar=False):
-    """Drive one photo batch per list of target x's.
+def run_batches(config, batches, scalar=False, n_cameras=4):
+    """Drive one photo batch per list of target x's, every camera a
+    candidate.
 
     Returns (engine, trace); ``engine.cost_calls`` counts the cost
-    model's scalar ``estimate`` and kernel ``estimate_block`` calls.
-    ``scalar`` swaps in the configured algorithm built without the
-    kernel.
+    model's scalar ``estimate`` and kernel ``prepare_block`` /
+    ``estimate_block`` calls. ``scalar`` swaps in the configured
+    algorithm built without the kernel.
     """
-    engine = build_fast_lab(config, n_cameras=4)
+    engine = build_fast_lab(config, n_cameras=n_cameras)
     if scalar:
         engine.dispatcher.scheduler = SCHEDULER_FACTORIES[config.scheduler](
             config.scheduler_seed, vectorize=False)
-    engine.cost_calls = {"estimate": 0, "estimate_block": 0}
+    engine.cost_calls = {"estimate": 0, "prepare_block": 0,
+                         "estimate_block": 0}
 
     def counted(name):
         original = getattr(engine.cost_model, name)
@@ -45,7 +48,7 @@ def run_batches(config, batches, scalar=False):
 
     for name in engine.cost_calls:
         setattr(engine.cost_model, name, counted(name))
-    candidates = ("cam1", "cam2", "cam3", "cam4")
+    candidates = tuple(f"cam{i + 1}" for i in range(n_cameras))
     n = 0
     for round_index, xs in enumerate(batches):
         for x in xs:
@@ -65,12 +68,6 @@ def run_rounds(config, rounds=3, per_round=6, scalar=False):
 
 
 class TestKernelSelection:
-    def test_three_requests_take_the_scalar_walk(self):
-        engine, _ = run_rounds(EngineConfig(), rounds=2, per_round=3)
-        assert engine.cost_calls["estimate_block"] == 0
-        assert engine.cost_calls["estimate"] > 0
-        assert engine.statistics()["requests_serviced"] == 6
-
     def test_four_requests_take_the_kernel(self):
         engine, _ = run_rounds(EngineConfig(), rounds=2, per_round=4)
         assert engine.cost_calls["estimate"] == 0
@@ -83,16 +80,29 @@ class TestKernelSelection:
         picked, picked_trace = run_batches(EngineConfig(), batches)
         scalar, scalar_trace = run_batches(EngineConfig(), batches,
                                            scalar=True)
-        assert picked.cost_calls["estimate_block"] > 0
+        # Every size from one request up takes the kernel: one prepare
+        # per batch and not a single scalar estimate.
+        assert picked.cost_calls["estimate"] == 0
+        assert picked.cost_calls["prepare_block"] == len(batches)
         assert scalar.cost_calls["estimate_block"] == 0
+        assert scalar.cost_calls["estimate"] > 0
         assert picked_trace == scalar_trace
         assert not diff_dumps(dump_engine(scalar), dump_engine(picked))
-        # Every scalar estimate of the picked run was made by the three
-        # batches under the kernel's floor; the five above it made none.
-        below_floor, _ = run_batches(EngineConfig(), batches[:3])
-        assert below_floor.cost_calls["estimate_block"] == 0
-        assert (picked.cost_calls["estimate"]
-                == below_floor.cost_calls["estimate"] > 0)
+
+
+class TestMatrixFill:
+    @pytest.mark.parametrize("n_cameras", [4, 16])
+    def test_one_fill_per_batch_whatever_the_fleet(self, n_cameras):
+        """SRFAE's Lines 1-3 cost one prepare and one estimate over the
+        whole (cameras x requests) matrix, then one column re-key per
+        assignment: the count does not grow with the camera count."""
+        size = 6
+        engine, _ = run_batches(
+            EngineConfig(scheduler="SRFAE"),
+            [[10.0 + 3.0 * j for j in range(size)]], n_cameras=n_cameras)
+        assert engine.statistics()["requests_serviced"] == size
+        assert engine.cost_calls == {
+            "estimate": 0, "prepare_block": 1, "estimate_block": 1 + size}
 
 
 class TestVectorizeKnob:

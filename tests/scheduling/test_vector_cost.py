@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PanTiltZoomCamera, Point
+from repro import PanTiltZoomCamera, Point, SensorMote
 from repro.actions.registry import ActionRegistry
 from repro.actions.builtins import install_builtin_actions
 from repro.cost.model import CostModel
-from repro.devices.camera import HeadPosition
+from repro.devices.camera import CameraCalibration, HeadPosition
 from repro.errors import ProfileError, SchedulingError
+from repro.profiles.action_profile import ActionProfile, OperationRef, seq
 from repro.profiles.defaults import (
     camera_cost_table,
     phone_cost_table,
@@ -119,6 +120,30 @@ def test_camera_kernel_columns_bit_equal(n, m, seed, status_pick):
                 seconds, post = model.estimate(request, device_id, status)
                 assert column[i] == seconds  # bit-equal, not approx
                 assert kernel.post_status(i, device_id) == post
+
+
+@needs_numpy
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 24), m=st.integers(1, 12),
+       seed=st.integers(0, 500), status_pick=st.integers(0, 10 ** 6))
+def test_camera_kernel_matrix_rows_bit_equal(n, m, seed, status_pick):
+    import numpy
+    problem = uniform_camera_workload(n, m, seed=seed)
+    model = problem.cost_model
+    kernel = build_kernel(problem)
+    statuses = problem.initial_statuses()
+    # One device mid-sequence: any request's target is a reachable pose.
+    statuses[problem.device_ids[status_pick % m]] = \
+        problem.requests[status_pick % n].payload
+    matrix = kernel.matrix(problem.device_ids, statuses)
+    assert matrix.shape == (m, n)
+    for k, device_id in enumerate(problem.device_ids):
+        status = statuses[device_id]
+        scalar = numpy.array([model.estimate(request, device_id, status)[0]
+                              for request in problem.requests])
+        assert matrix[k].tobytes() == kernel.column(device_id,
+                                                    status).tobytes()
+        assert matrix[k].tobytes() == scalar.tobytes()
 
 
 @needs_numpy
@@ -236,18 +261,17 @@ def test_block_estimates_bit_equal_to_scalar(photo_lab, coords, pan,
     args_list = [{"target": Point(x, y), "directory": "photos"}
                  for x, y in coords]
     status = {"pan": pan, "tilt": tilt, "zoom": zoom}
-    for device in cameras.values():
-        prepared = cost_model.prepare_block(photo.name, device, args_list)
-        block = cost_model.estimate_block(photo.name, device, prepared,
-                                          status)
+    devices = list(cameras.values())
+    prepared = cost_model.prepare_block(photo.name, devices, args_list)
+    block = cost_model.estimate_block(prepared, [status] * len(devices))
+    for k, device in enumerate(devices):
         for i, args in enumerate(args_list):
             scalar = cost_model.estimate(photo.name, device, args,
                                          status=status)
-            assert block.seconds[i] == scalar.seconds
+            assert block.seconds[k, i] == scalar.seconds
             for name, quantity in scalar.quantities.items():
-                assert block.quantities[name][i] == quantity
-            post = cost_model.block_post_status(photo.name, device,
-                                                prepared, i)
+                assert block.quantities[name][k, i] == quantity
+            post = cost_model.block_post_status(prepared, k, i)
             assert post == scalar.post_status
 
 
@@ -257,7 +281,8 @@ def test_block_model_kernel_subsets_and_posts(photo_lab):
     cost_model, photo, cameras = photo_lab
     args_list = [{"target": Point(10.0 + 7 * i, 4.0), "directory": "p"}
                  for i in range(6)]
-    kernel = BlockModelKernel(cost_model, photo.name, cameras, args_list)
+    kernel = BlockModelKernel(cost_model, photo.name,
+                              list(cameras.values()), args_list)
     device_id = next(iter(cameras))
     status = cameras[device_id].physical_status()
     full = kernel.column(device_id, status)
@@ -274,4 +299,100 @@ def test_unregistered_block_resolver_is_a_profile_error(photo_lab):
     cost_model, photo, cameras = photo_lab
     device = next(iter(cameras.values()))
     with pytest.raises(ProfileError, match="block resolver"):
-        cost_model.prepare_block("no-such-action", device, [])
+        cost_model.prepare_block("no-such-action", [device], [])
+
+
+@needs_numpy
+@settings(max_examples=25, deadline=None)
+@given(mounts=st.lists(st.tuples(
+    st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),  # location
+    st.floats(-180.0, 180.0), st.floats(1.0, 12.0),  # facing, height
+    st.floats(20.0, 170.0), st.floats(5.0, 90.0),    # pan, tilt limits
+    st.floats(-170.0, 170.0), st.floats(-45.0, 90.0),
+    st.floats(1.0, 10.0)),                           # head status
+    min_size=1, max_size=12),
+    targets=st.lists(st.tuples(st.floats(-60.0, 60.0),
+                               st.floats(-60.0, 60.0)),
+                     min_size=1, max_size=24))
+def test_block_model_matrix_rows_bit_equal_to_columns_and_scalar(
+        photo_lab, mounts, targets):
+    """Every row of the one-fill matrix is the device's column, and
+    both are the scalar estimates, to the bit."""
+    import numpy
+    cost_model, photo, _ = photo_lab
+    env = create_runtime("virtual")
+    cameras = []
+    statuses = {}
+    for k, (x, y, facing, height, pan_limit, tilt_limit,
+            pan, tilt, zoom) in enumerate(mounts):
+        camera = PanTiltZoomCamera(
+            env, f"cam{k + 1}", Point(x, y), facing=facing,
+            view_range=1000.0, mount_height=height,
+            calibration=CameraCalibration(
+                pan_min=-pan_limit, pan_max=pan_limit,
+                tilt_min=-tilt_limit, tilt_max=tilt_limit))
+        cameras.append(camera)
+        statuses[camera.device_id] = {"pan": pan, "tilt": tilt,
+                                      "zoom": zoom}
+    args_list = [{"target": Point(x, y), "directory": "photos"}
+                 for x, y in targets]
+    kernel = BlockModelKernel(cost_model, photo.name, cameras, args_list)
+    device_ids = [camera.device_id for camera in cameras]
+    matrix = kernel.matrix(device_ids, statuses)
+    assert matrix.shape == (len(cameras), len(args_list))
+    for k, camera in enumerate(cameras):
+        status = statuses[camera.device_id]
+        scalar = numpy.array([
+            cost_model.estimate(photo.name, camera, args,
+                                status=status).seconds
+            for args in args_list])
+        column = kernel.column(camera.device_id, status)
+        assert matrix[k].tobytes() == column.tobytes()
+        assert matrix[k].tobytes() == scalar.tobytes()
+
+
+def test_prepare_block_refuses_mixed_device_types(photo_lab):
+    """One prepared block is one device type's: the profile and cost
+    table of the first device would silently cost every other."""
+    cost_model, photo, cameras = photo_lab
+    env = create_runtime("virtual")
+    mote = SensorMote(env, "mote1", Point(1.0, 1.0))
+    with pytest.raises(ProfileError, match="one type"):
+        cost_model.prepare_block(photo.name,
+                                 [next(iter(cameras.values())), mote],
+                                 [{"target": Point(5.0, 5.0)}])
+
+
+@needs_numpy
+def test_block_without_quantities_is_sized_to_the_block():
+    """A profile with no quantities costs a constant: the block still
+    comes back (devices x requests), and so does any slice of it."""
+    cost_model = CostModel({"camera": camera_cost_table()})
+
+    class _NoQuantities:
+        def prepare(self, devices, args_list):
+            return {}
+
+        def resolve(self, prepared, status):
+            return {}
+
+        def post_status(self, prepared, row, index):
+            return {}
+
+    cost_model.register_action(
+        ActionProfile("snap", "camera", seq(OperationRef("connect"),
+                                            OperationRef("store"))),
+        lambda device, status, args: ({}, dict(status)),
+        block_resolver=_NoQuantities())
+    env = create_runtime("virtual")
+    cameras = [PanTiltZoomCamera(env, f"cam{k}", Point(k, 0.0))
+               for k in range(3)]
+    prepared = cost_model.prepare_block("snap", cameras, [{}] * 5)
+    status = cameras[0].physical_status()
+    scalar = cost_model.estimate("snap", cameras[0], {}, status).seconds
+    block = cost_model.estimate_block(prepared, [status] * 3)
+    assert block.seconds.shape == (3, 5)
+    assert (block.seconds == scalar).all()
+    assert cost_model.estimate_block(prepared, [status],
+                                     indexes=[0, 4],
+                                     rows=slice(1, 2)).seconds.shape == (1, 2)
