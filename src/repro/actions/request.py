@@ -122,6 +122,19 @@ class ActionRequest:
         self.completed_at = at
         self.failure_reason = reason
 
+    def worth(self) -> Tuple[int, float, float]:
+        """Sort key, least worth keeping first: tier, deadline, age.
+
+        Lowest priority tier first, then earliest deadline — the entry
+        closest to expiring, hence least likely to be serviceable; no
+        deadline sorts after any dated one — then oldest submission.
+        Eviction and load-shedding drop its minimum; service order
+        negates the tier to serve the highest first.
+        """
+        deadline = self.deadline if self.deadline is not None \
+            else float("inf")
+        return (self.priority, deadline, self.created_at)
+
     def deadline_expired(self, now: float) -> bool:
         """Whether the service deadline (if any) has already passed."""
         return self.deadline is not None and now > self.deadline

@@ -146,13 +146,13 @@ class _ActionCostAdapter(SchedulingCostModel):
 def _service_order(request: ActionRequest) -> Tuple[int, float, float]:
     """Within-device service order under overload control.
 
-    Highest tier first, then tightest deadline, then oldest. The sort
-    is stable, so requests tied on all three keep the scheduler's
-    completion-time-optimal order.
+    :meth:`~repro.actions.request.ActionRequest.worth` with the tier
+    reversed: highest tier first, then tightest deadline, then oldest.
+    The sort is stable, so requests tied on all three keep the
+    scheduler's completion-time-optimal order.
     """
-    deadline = request.deadline if request.deadline is not None \
-        else float("inf")
-    return (-request.priority, deadline, request.created_at)
+    tier, deadline, created_at = request.worth()
+    return (-tier, deadline, created_at)
 
 
 @dataclass

@@ -57,22 +57,30 @@ class TokenBucket:
 
 
 class CapacityLedger:
-    """Windowed fleet-capacity accounting, shareable across shards.
+    """Windowed capacity accounting: one engine's view of the fleet.
 
     Commitments are keyed by window index (``now // CAPACITY_HORIZON``)
-    instead of a single "current window" cursor, so the ledger
-    tolerates reads at non-monotonic times: shards of a fleet advance
-    their clocks independently (a lockstep round steps them one after
-    another), and a shard sampling window *k* must not wipe the
-    commitments another shard just charged to window *k+1*. For a
-    single engine on one monotonic clock the arithmetic is identical to
-    the pre-ledger cursor implementation.
+    instead of a single "current window" cursor, so a window's total
+    does not depend on the order commits arrive in. For a single engine
+    on one monotonic clock the arithmetic is identical to the
+    pre-ledger cursor implementation.
+
+    A plain engine's ledger is the whole truth. A shard of a
+    ledger-coupled fleet admits against a *view*: the fleet's committed
+    seconds as of the last barrier :meth:`sync` and its device count as
+    of the last sync, plus its own commits since the last barrier
+    (:meth:`unsynced`), which it ships with each round's result for the
+    coordinator to :meth:`fold` into the fleet's ledger (DESIGN.md
+    decision 30).
     """
 
     def __init__(self, fleet_size: Callable[[], int]) -> None:
         self._fleet_size = fleet_size
-        #: Service-seconds committed, keyed by capacity-window index.
-        self._committed: Dict[int, float] = {}
+        #: The fleet's service-seconds as of the last barrier sync (or
+        #: fold), keyed by capacity-window index.
+        self._synced: Dict[int, float] = {}
+        #: This ledger's own commits since the last barrier sync.
+        self._own: Dict[int, float] = {}
 
     @staticmethod
     def _window(now: float) -> int:
@@ -80,27 +88,54 @@ class CapacityLedger:
 
     def available(self, now: float) -> float:
         """Uncommitted device-seconds in ``now``'s capacity window."""
+        window = self._window(now)
         budget = self._fleet_size() * CAPACITY_HORIZON * UTILIZATION_CAP
-        return budget - self._committed.get(self._window(now), 0.0)
+        return budget - (self._synced.get(window, 0.0)
+                         + self._own.get(window, 0.0))
 
     def commit(self, now: float, seconds: float) -> None:
         """Charge ``seconds`` of admitted work to ``now``'s window."""
         window = self._window(now)
-        self._committed[window] = self._committed.get(window, 0.0) + seconds
+        self._own[window] = self._own.get(window, 0.0) + seconds
+
+    def committed(self) -> Dict[int, float]:
+        """Committed seconds by window: the synced view plus own commits."""
+        view = dict(self._synced)
+        for window, seconds in self._own.items():
+            view[window] = view.get(window, 0.0) + seconds
+        return view
+
+    def unsynced(self) -> Dict[int, float]:
+        """This ledger's own commits since the last barrier sync."""
+        return dict(self._own)
+
+    def fold(self, commits: Dict[int, float]) -> None:
+        """Add another ledger's :meth:`unsynced` commits to this view."""
+        for window, seconds in commits.items():
+            self._synced[window] = self._synced.get(window, 0.0) + seconds
+
+    def sync(self, fleet_size: int,
+             committed: Optional[Dict[int, float]] = None) -> None:
+        """Adopt the fleet's device count and, at a barrier, commitments.
+
+        A barrier's ``committed`` has this ledger's :meth:`unsynced`
+        commits folded in, so they leave the own view; between barriers
+        (a device joined) the view keeps them for the next round.
+        """
+        self._fleet_size = lambda: fleet_size
+        if committed is not None:
+            self._synced = dict(committed)
+            self._own = {}
 
 
 class AdmissionController:
     """The two admission gates every offered request passes."""
 
     def __init__(self, policy: OverloadPolicy,
-                 fleet_size: Callable[[], int],
-                 capacity: Optional[CapacityLedger] = None) -> None:
-        #: The capacity ledger this controller charges. Per-controller
-        #: by default; a sharded fleet replaces it with one shared
-        #: ledger so every shard's admissions draw from the same
-        #: fleet-wide budget.
-        self.capacity = capacity if capacity is not None \
-            else CapacityLedger(fleet_size)
+                 fleet_size: Callable[[], int]) -> None:
+        #: The capacity ledger this controller charges; on a shard of a
+        #: ledger-coupled fleet, the fleet syncs it at every barrier.
+        self.capacity = CapacityLedger(fleet_size)
         self._buckets = {tier: TokenBucket(spec.rate, spec.burst)
                          for tier, spec in sorted(
                              (policy.tier_rates or {}).items())}

@@ -36,10 +36,7 @@ def _shed_key(
 ) -> Tuple[int, float, float, int, int]:
     """Worst-first order over (operator index, queue index, request)."""
     op_index, queue_index, request = entry
-    deadline = request.deadline if request.deadline is not None \
-        else float("inf")
-    return (request.priority, deadline, request.created_at,
-            op_index, queue_index)
+    return (*request.worth(), op_index, queue_index)
 
 
 class LoadShedder:

@@ -24,17 +24,10 @@ from repro.actions.request import REASON_EVICTED, ActionRequest
 
 def _eviction_key(request: ActionRequest,
                   index: int) -> Tuple[int, float, float, int]:
-    """Sort key whose minimum is the least-worth-keeping pending entry.
-
-    Deterministic eviction order for bounded queues: lowest priority
-    tier first, then oldest (earliest) deadline — the entry closest to
-    expiring, hence least likely to be serviceable — then oldest
-    submission. Requests without a deadline sort after any dated one
-    within their tier.
-    """
-    deadline = request.deadline if request.deadline is not None \
-        else float("inf")
-    return (request.priority, deadline, request.created_at, index)
+    """Sort key whose minimum is the least-worth-keeping pending entry:
+    :meth:`~repro.actions.request.ActionRequest.worth`, then queue
+    position."""
+    return (*request.worth(), index)
 
 
 class SharedActionOperator:

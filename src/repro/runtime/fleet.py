@@ -4,12 +4,14 @@ A sharded fleet runs one runtime per shard. The shards own disjoint
 device sets, so their event streams never interact: a query over one
 shard's devices is a *local* predicate and needs no clock agreement
 with any other shard. What rounds are for is the one thing shards can
-share while a run is in progress — the fleet capacity ledger, which
-every shard's admission samples at its own clock. Letting one shard
-race hours ahead of another would let it spend capacity windows the
-others have not reached, so a ledger-coupled fleet advances through
+share while a run is in progress — the fleet's capacity commitments,
+which each shard's admission reads from its own ledger as of the last
+barrier, at its own clock. Letting one shard race hours ahead of
+another would let it spend capacity windows the others have not
+reached unseen, so a ledger-coupled fleet advances through
 :func:`run_lockstep` in rounds of at most ``quantum`` runtime seconds:
-no shard's clock is ever more than one quantum ahead of the slowest.
+no shard's clock is ever more than one quantum ahead of the slowest,
+and the ledgers sync at every barrier.
 A fleet that shares nothing passes ``quantum=None`` and gets one round
 straight to ``until``. Nothing else can observe the skew: merged
 statistics cannot be read mid-run, because the thread that would read
@@ -46,9 +48,9 @@ meter, and the same bound whether the run is one round or many.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, List, Optional, Protocol, Sequence, Tuple,
+    Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple,
 )
 
 from repro.errors import SimulationError
@@ -67,6 +69,9 @@ class RoundResult:
     busy_seconds: float = 0.0
     #: Events still pending in the shard's queue after the round.
     pending: int = 0
+    #: Capacity the shard committed since its ledger's last sync, by
+    #: window (empty with overload control off).
+    commits: Dict[int, float] = field(default_factory=dict)
 
 
 class RoundBudgetError(SimulationError):

@@ -25,11 +25,10 @@ and aggregation at the coordinator:
   statistics are the engine's own view
   (:func:`~repro.core.engine.statistics_view`) over that merge plus
   the shards' folded live levels.
-* **Fleet capacity**: with overload control on, every shard's
-  admission controller is rewired to one shared
-  :class:`~repro.overload.admission.CapacityLedger`, so admission is
-  per-shard (rate limits, queues) but capacity accounting is
-  fleet-wide.
+* **Fleet capacity**: with overload control on, every shard admits
+  against its own :class:`~repro.overload.admission.CapacityLedger`,
+  synced at every barrier to the fleet's: admission is per-shard (rate
+  limits, queues) but capacity accounting is fleet-wide.
 
 The 1-shard fleet is a pure pass-through: every operation delegates to
 the single inner engine, whose construction is byte-identical to a
@@ -66,12 +65,7 @@ from repro.query.ast import ExplainStatement, SelectQuery
 from repro.query.parser import parse
 from repro.runtime import Runtime
 from repro.runtime.fleet import RoundResult, run_lockstep
-from repro.shard.parallel import (
-    LedgerService,
-    ShardHandle,
-    ShardHost,
-    ShardWorker,
-)
+from repro.shard.parallel import ShardHandle, ShardHost, ShardWorker
 from repro.shard.placement import HashPlacement, PlacementPolicy
 from repro.sim.rng import derive_seed
 
@@ -84,7 +78,7 @@ DeviceFactory = Callable[[Runtime], Device]
 #: Lockstep bound of a ledger-coupled fleet (overload on, more than one
 #: shard): no shard's clock leads the slowest by more than this many
 #: runtime seconds, which bounds how far apart the clocks are at which
-#: shards sample the shared capacity ledger.
+#: shards admit, and is the period at which their ledgers sync.
 SHARD_QUANTUM = 1.0
 
 
@@ -178,28 +172,24 @@ class ShardedEngine:
         #: byte-identical to a plain engine, and one shard has nothing
         #: to parallelize.
         self.parallel: bool = self.config.parallel and n > 1
-        #: Devices admitted through the facade — the fleet size the
-        #: shared capacity ledger budgets against.
+        #: Devices admitted through the facade — the fleet size capacity
+        #: admission budgets against.
         self._devices = 0
+        #: ``_devices`` at the shards' last ledger sync.
+        self._synced_devices: Optional[int] = None
         #: ``shard.round.*`` wall-clock series of a worker fleet (kept
         #: out of shard registries: dumps stay transport-agnostic).
         self.round_registry = MetricsRegistry()
-        self.ledger_service: Optional[LedgerService] = None
         #: One handle per shard, in shard order.
         self.handles: List[ShardHandle] = []
-        #: The capacity ledger every shard's admission shares — the one
-        #: thing that couples shards while ``run()`` is in progress, so
-        #: its presence is what makes ``run()`` step in rounds. ``None``
-        #: with overload control off or a single shard.
+        #: The fleet's capacity commitments, folded from every shard's
+        #: rounds and synced back to their ledgers at each barrier —
+        #: the one thing that couples shards while ``run()`` is in
+        #: progress, so its presence is what makes ``run()`` step in
+        #: rounds. ``None`` with overload control off or a single shard.
         self.ledger: Optional[CapacityLedger] = None
-        channels: List[Any] = [None] * n
         if self.config.overload and n > 1:
             self.ledger = CapacityLedger(fleet_size=lambda: self._devices)
-            if self.parallel:
-                self.ledger_service = LedgerService(self.ledger)
-                channels = [self.ledger_service.channel()
-                            for _ in range(n)]
-                self.ledger_service.start()
         shard_config = replace(self.config, shards=1, parallel=False)
         try:
             for index in range(n):
@@ -211,10 +201,9 @@ class ShardedEngine:
                 if self.parallel:
                     self.handles.append(ShardWorker(
                         index, shard_config, shard_seed,
-                        self.config.parallel_backend, channels[index]))
+                        self.config.parallel_backend))
                 else:
-                    self.handles.append(
-                        ShardHost(shard_config, shard_seed, self.ledger))
+                    self.handles.append(ShardHost(shard_config, shard_seed))
             # Every worker is already spawning and importing; wait only
             # now, so start-up costs one worker's, not their sum.
             for handle in self.handles:
@@ -403,6 +392,7 @@ class ShardedEngine:
         """
         index, owned = self.route(request)
         request.candidates = owned
+        self._sync_stale_ledger()
         self._call(index, "submit", request)
         return index
 
@@ -415,6 +405,7 @@ class ShardedEngine:
             raise ShardingError("fleet already started")
         self._started = True
         self._call_all("start")
+        self._sync_stale_ledger()
 
     def run(self, until: float,
             max_events: Optional[int] = None) -> float:
@@ -430,7 +421,9 @@ class ShardedEngine:
         workers, one after another in this process. Shards coupled by
         the ledger advance in lockstep rounds of :data:`SHARD_QUANTUM`
         runtime seconds instead, so capacity admission never sees
-        clocks further apart than that. Either
+        clocks further apart than that, and every barrier folds each
+        shard's commits into ``ledger`` and syncs the shards' ledgers
+        to it (DESIGN.md decision 30). Either
         way per-shard ``engine.run`` spans wrap the whole coordinated
         run and ``max_events`` is one fleet-wide cumulative event budget
         across all rounds and shards. As on a plain engine, the spans
@@ -439,14 +432,14 @@ class ShardedEngine:
         """
         if self.n_shards == 1:
             return self.shards[0].run(until, max_events)
+        self._sync_stale_ledger()
         self._call_all("run_begin")
         completed = False
         try:
             stopped = run_lockstep(
                 self.handles, until,
                 quantum=None if self.ledger is None else SHARD_QUANTUM,
-                max_events=max_events,
-                on_round=self._record_round if self.parallel else None)
+                max_events=max_events, on_round=self._after_round)
             completed = True
         except ShardingError:
             if any(handle.dead for handle in self.handles):
@@ -458,7 +451,29 @@ class ShardedEngine:
                     self._call(index, "run_end", completed)
         return stopped
 
-    def _record_round(self, deadline: float, wall_seconds: float,
+    def _after_round(self, deadline: float, wall_seconds: float,
+                     results: List[RoundResult]) -> None:
+        if self.parallel:
+            self._record_round(wall_seconds, results)
+        if self.ledger is not None:
+            for result in results:
+                self.ledger.fold(result.commits)
+            self._sync_ledger(self.ledger.committed())
+
+    def _sync_ledger(self,
+                     committed: Optional[Dict[int, float]] = None) -> None:
+        """Hand every shard the fleet's device count and, at a barrier,
+        its commitments (between barriers they have not moved)."""
+        self._call_all("sync_ledger", self._devices, committed)
+        self._synced_devices = self._devices
+
+    def _sync_stale_ledger(self) -> None:
+        """Sync the device count before admitting if devices joined."""
+        if self.ledger is not None \
+                and self._synced_devices != self._devices:
+            self._sync_ledger()
+
+    def _record_round(self, wall_seconds: float,
                       results: List[RoundResult]) -> None:
         registry = self.round_registry
         registry.counter("shard.round.count").inc()
@@ -635,7 +650,7 @@ class ShardedEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release worker processes and the ledger service.
+        """Release worker processes.
 
         Idempotent, and a no-op on in-process fleets: everything lives
         in this process and the garbage collector owns it. Worker
@@ -644,9 +659,6 @@ class ShardedEngine:
         """
         for handle in self.handles:
             handle.close()
-        if self.ledger_service is not None:
-            self.ledger_service.stop()
-            self.ledger_service = None
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -28,13 +28,14 @@ in-process one (``benchmarks/bench_sharding.py`` gates it):
   collects round replies in shard-index order, never arrival order, so
   everything downstream of a barrier is independent of scheduling
   noise.
-* **Coordinator-hosted capacity ledger.** With overload control on,
-  the fleet-wide :class:`~repro.overload.admission.CapacityLedger`
-  stays in the coordinator; workers forward ``available``/``commit``
-  synchronously over a dedicated pipe (:class:`RemoteCapacityLedger` →
-  :class:`LedgerService`). The ledger's window-keyed, order-independent
-  arithmetic (DESIGN.md decision 13) makes the final accounting exact
-  under any within-round interleaving.
+* **Capacity ledgers synced at the barrier.** With overload control
+  on, each shard admits against its own
+  :class:`~repro.overload.admission.CapacityLedger`, a view of the
+  fleet's commitments as of the last barrier plus its own since. Its
+  commits ride back with the round's :class:`RoundResult`, and the
+  coordinator folds them and syncs every shard before the next round
+  (DESIGN.md decision 30) — nothing crosses a pipe mid-round, so
+  within-round interleaving cannot show.
 
 The worker protocol is a plain ``(op, args)`` tuple stream over a
 duplex pipe, one synchronous reply per command: the ``op_*`` methods
@@ -62,6 +63,7 @@ from repro.core.engine import AortaEngine
 from repro.devices.base import Device
 from repro.obs.dump import dump_engine
 from repro.obs.metrics import MetricsRegistry
+from repro.overload import CapacityLedger
 from repro.runtime.fleet import (
     RoundBudgetError,
     RoundPeer,
@@ -118,105 +120,6 @@ class DeviceSpec:
 
 
 # ----------------------------------------------------------------------
-# The capacity-ledger RPC (coordinator-hosted service, worker client)
-# ----------------------------------------------------------------------
-class RemoteCapacityLedger:
-    """Worker-side stand-in for the fleet's shared capacity ledger.
-
-    Each call is one synchronous round trip on the worker's dedicated
-    ledger pipe — admission inside a worker blocks until the
-    coordinator has applied the operation, exactly like an in-process
-    shard's direct method call. Duck-types the two methods
-    :class:`~repro.overload.admission.AdmissionController` uses.
-    """
-
-    def __init__(self, conn: multiprocessing.connection.Connection) -> None:
-        self._conn = conn
-
-    def available(self, now: float) -> float:
-        self._conn.send(("available", (now,)))
-        return float(self._conn.recv())
-
-    def commit(self, now: float, seconds: float) -> None:
-        self._conn.send(("commit", (now, seconds)))
-        self._conn.recv()
-
-
-class LedgerService:
-    """Coordinator-side thread serving ledger RPCs from every worker.
-
-    Workers call the ledger *while they are computing a round*, i.e.
-    while the coordinator's main thread is blocked at the barrier — so
-    the service runs on its own daemon thread, multiplexing all worker
-    ledger pipes through :func:`multiprocessing.connection.wait`.
-    Commit arithmetic is window-keyed and order-independent, so the
-    servicing order (arrival order) never changes the final ledger
-    state.
-    """
-
-    def __init__(self, ledger: Any) -> None:
-        self.ledger = ledger
-        self._conns: List[multiprocessing.connection.Connection] = []
-        self._wake_recv, self._wake_send = multiprocessing.Pipe(
-            duplex=False)
-        self._thread: Optional[threading.Thread] = None
-        self._stopping = False
-
-    def channel(self) -> multiprocessing.connection.Connection:
-        """A fresh worker-side connection; the service keeps its end."""
-        if self._thread is not None:
-            raise ShardingError(
-                "ledger channels must be created before the service "
-                "starts")
-        ours, theirs = multiprocessing.Pipe()
-        self._conns.append(ours)
-        return theirs
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._serve, name="repro-ledger-service", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        conns = list(self._conns)
-        while conns:
-            ready = multiprocessing.connection.wait(
-                conns + [self._wake_recv])
-            if self._wake_recv in ready:
-                if self._stopping:
-                    return
-                ready = [conn for conn in ready
-                         if conn is not self._wake_recv]
-            for conn in ready:
-                try:
-                    op, args = conn.recv()
-                except (EOFError, OSError):
-                    conns.remove(conn)
-                    conn.close()
-                    continue
-                if op == "available":
-                    conn.send(self.ledger.available(*args))
-                elif op == "commit":
-                    self.ledger.commit(*args)
-                    conn.send(True)
-                else:  # pragma: no cover - protocol misuse
-                    conn.send(None)
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stopping = True
-        try:
-            self._wake_send.send(b"stop")
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        self._thread.join(timeout=SHUTDOWN_TIMEOUT)
-        self._thread = None
-        for conn in self._conns:
-            conn.close()
-
-
-# ----------------------------------------------------------------------
 # The shard, and how the coordinator reaches it
 # ----------------------------------------------------------------------
 class ShardHandle(RoundPeer, Protocol):
@@ -254,22 +157,19 @@ class ShardHost(RuntimePeer):
     lookup, results are the live objects (the built ``Device``, the
     registration handles) and rounds run on the calling thread. Hosted
     in a worker, :func:`_serve` feeds it the commands a
-    :class:`ShardWorker` sends. ``ledger`` is the fleet's capacity
-    ledger — the real one in-process, a :class:`RemoteCapacityLedger`
-    inside a worker, ``None`` when the engine keeps its own.
+    :class:`ShardWorker` sends.
     """
 
     dead = False
 
-    def __init__(self, config: EngineConfig, seed: int,
-                 ledger: Any = None) -> None:
+    def __init__(self, config: EngineConfig, seed: int) -> None:
         self.engine = AortaEngine(config=config, seed=seed)
         super().__init__(self.engine.env)
-        if ledger is not None:
-            # Fleet capacity is shared; admission's rate buckets and
-            # queue limits stay shard-local.
-            assert self.engine.overload is not None
-            self.engine.overload.admission.capacity = ledger
+        #: The capacity ledger admission charges (``None`` with overload
+        #: control off): each round ships its unsynced commits.
+        self._ledger: Optional[CapacityLedger] = (
+            None if self.engine.overload is None
+            else self.engine.overload.admission.capacity)
         self._run_span: Any = None
         self._runs = self.engine.obs.registry.counter("engine.runs")
 
@@ -278,6 +178,12 @@ class ShardHost(RuntimePeer):
 
     def close(self) -> None:
         """Nothing to release: the garbage collector owns the engine."""
+
+    def finish_round(self) -> RoundResult:
+        result = super().finish_round()
+        if self._ledger is not None:
+            result.commits = self._ledger.unsynced()
+        return result
 
     # Each handler is one operation of call(), looked up by name, so
     # adding an operation is adding a method.
@@ -342,6 +248,11 @@ class ShardHost(RuntimePeer):
         self.begin_round(deadline, max_events)
         return self.finish_round()
 
+    def op_sync_ledger(self, devices: int,
+                       committed: Optional[Dict[int, float]]) -> None:
+        assert self._ledger is not None
+        self._ledger.sync(devices, committed)
+
     def op_run_end(self, completed: bool) -> None:
         # AortaEngine.run's rule: the span closes on every path out,
         # engine.runs counts the runs that reached their deadline.
@@ -382,7 +293,6 @@ _PROCESS_LOCAL_RESULTS = frozenset({"add_device", "execute", "create_aq"})
 
 
 def _serve(conn: multiprocessing.connection.Connection,
-           ledger_conn: Optional[multiprocessing.connection.Connection],
            config: EngineConfig, seed: int) -> None:
     """The worker main loop: build the shard, then serve commands.
 
@@ -395,10 +305,7 @@ def _serve(conn: multiprocessing.connection.Connection,
     """
     try:
         try:
-            host = ShardHost(
-                config, seed,
-                None if ledger_conn is None
-                else RemoteCapacityLedger(ledger_conn))
+            host = ShardHost(config, seed)
         except BaseException as error:  # noqa: BLE001 - reported, then exit
             conn.send(("error", (type(error).__name__, str(error))))
             return
@@ -425,8 +332,6 @@ def _serve(conn: multiprocessing.connection.Connection,
                 conn.send(("error", (type(error).__name__, str(error))))
     finally:
         conn.close()
-        if ledger_conn is not None:
-            ledger_conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -461,15 +366,12 @@ class ShardWorker:
     """
 
     def __init__(self, index: int, config: EngineConfig, seed: int,
-                 backend: str,
-                 ledger_channel: Optional[
-                     multiprocessing.connection.Connection] = None,
-                 ) -> None:
+                 backend: str) -> None:
         self.index = index
         self.backend = backend
         self.dead = False
         self._conn, child = multiprocessing.Pipe()
-        args = (child, ledger_channel, config, seed)
+        args = (child, config, seed)
         #: What serves the shard; a process and a thread share the
         #: start / is_alive / join surface used here.
         self._worker: Union[multiprocessing.process.BaseProcess,
@@ -479,11 +381,9 @@ class ShardWorker:
                 target=_serve, args=args, name=f"repro-shard-{index}",
                 daemon=True)
             self._worker.start()
-            # The parent's copies of the child-held ends must close so
-            # a dead worker surfaces as EOF instead of a hang.
+            # The parent's copy of the child-held end must close so a
+            # dead worker surfaces as EOF instead of a hang.
             child.close()
-            if ledger_channel is not None:
-                ledger_channel.close()
         else:
             self._worker = threading.Thread(
                 target=_serve, args=args, name=f"repro-shard-{index}",

@@ -1,15 +1,22 @@
 """Unit tests for the load shedder: deadlines, hysteresis, protection."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.actions.builtins import builtin_definitions
 from repro.actions.request import ActionRequest, RequestState
+from repro.core.dispatcher import _service_order
 from repro.core.tracing import EngineTracer
+from repro.errors import QueueFullError
 from repro.overload import LoadShedder, OverloadPolicy
 from repro.overload.shedding import (
     REASON_DEADLINE,
     REASON_PRESSURE,
     SHED_INTERVAL,
+    _shed_key,
 )
 from repro.plan import SharedActionOperator
 from repro.sim import Environment
@@ -132,3 +139,44 @@ def test_passes_are_deterministic():
         return h.shed_log, [r.request_id
                             for r in h.operator.pending_snapshot()]
     assert run() == run()
+
+
+# A drawn queue: few distinct values, so ties on every key are common.
+requests = st.lists(st.tuples(
+    st.integers(min_value=1, max_value=4),
+    st.one_of(st.none(), st.sampled_from([1.0, 2.5, 4.0])),
+    st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(queue=requests)
+def test_eviction_service_and_shedding_share_one_worth_order(queue):
+    queue = [make_request(f"r{index}", priority=priority,
+                          deadline=deadline, created_at=created_at)
+             for index, (priority, deadline, created_at)
+             in enumerate(queue)]
+    *pending, incoming = queue
+    # Eviction from a full queue drops the first of the shed order
+    # over the pending entries and the incoming one.
+    worst = min(((0, index, request) for index, request
+                 in enumerate(queue)), key=_shed_key)[2]
+    h = Harness()
+    h.operator.limit = max(1, len(pending))
+    evicted = []
+    h.operator.on_evict = lambda victim, reason: evicted.append(victim)
+    for request in pending:
+        h.operator.submit(request)
+    try:
+        h.operator.submit(incoming)
+    except QueueFullError:
+        evicted.append(incoming)
+    if pending:
+        assert evicted == [worst]
+    # Service order is the shed order with the tier reversed.
+    flipped = [dataclasses.replace(request, priority=-request.priority)
+               for request in queue]
+    assert [request.request_id
+            for request in sorted(queue, key=_service_order)] == [
+        entry[2].request_id for entry in sorted(
+            ((0, index, request) for index, request
+             in enumerate(flipped)), key=_shed_key)]

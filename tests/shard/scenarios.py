@@ -10,7 +10,9 @@ the equivalence suite immediately.
 ``region_fleet_scenario`` is the genuinely sharded workload: N regions
 of (two cameras + one sensor mote) under explicit region placement,
 with one staggered stimulus per region — every shard detects and
-services exactly its own region's events.
+services exactly its own region's events. ``coupled_storm_scenario``
+floods two such regions past the fleet's capacity, so the shards'
+admissions couple through the barrier-synced ledger.
 """
 
 from __future__ import annotations
@@ -163,6 +165,24 @@ def region_layout(n_regions: int):
     }
 
 
+def _add_regions(fleet: ShardedEngine, n_regions: int) -> None:
+    for index in range(n_regions):
+        tag = f"{index:02d}"
+        # Regions are geometrically disjoint (1 km apart) so coverage —
+        # and therefore candidate sets — is region-local even when one
+        # shard owns every region: the serviced work must not depend on
+        # the sharding.
+        offset = 1000.0 * index
+        fleet.add_device(f"cam{tag}a", DeviceSpec(
+            PanTiltZoomCamera, f"cam{tag}a", Point(offset, 0)))
+        fleet.add_device(f"cam{tag}b", DeviceSpec(
+            PanTiltZoomCamera, f"cam{tag}b", Point(offset + 20, 0),
+            facing=180.0))
+        fleet.add_device(f"mote{tag}", DeviceSpec(
+            SensorMote, f"mote{tag}", Point(offset + 5, 3),
+            noise_amplitude=0.0))
+
+
 def region_fleet_scenario(n_regions: int,
                           observability: Optional[bool] = None,
                           *, shards: Optional[int] = None,
@@ -192,21 +212,7 @@ def region_fleet_scenario(n_regions: int,
         placement = RegionPlacement(n_shards, assignments)
     config = _config(observability, shards=n_shards, **config_kwargs)
     fleet = ShardedEngine(config=config, placement=placement, seed=0)
-    for index in range(n_regions):
-        tag = f"{index:02d}"
-        # Regions are geometrically disjoint (1 km apart) so coverage —
-        # and therefore candidate sets — is region-local even when one
-        # shard owns every region: the serviced work must not depend on
-        # the sharding.
-        offset = 1000.0 * index
-        fleet.add_device(f"cam{tag}a", DeviceSpec(
-            PanTiltZoomCamera, f"cam{tag}a", Point(offset, 0)))
-        fleet.add_device(f"cam{tag}b", DeviceSpec(
-            PanTiltZoomCamera, f"cam{tag}b", Point(offset + 20, 0),
-            facing=180.0))
-        fleet.add_device(f"mote{tag}", DeviceSpec(
-            SensorMote, f"mote{tag}", Point(offset + 5, 3),
-            noise_amplitude=0.0))
+    _add_regions(fleet, n_regions)
     fleet.execute(FIGURE_1_AQ)
     for index in range(n_regions):
         fleet.inject(f"mote{index:02d}",
@@ -215,4 +221,41 @@ def region_fleet_scenario(n_regions: int,
     fleet.start()
     fleet.run(until=run_until if run_until is not None
               else 30.0 + n_regions)
+    return fleet
+
+
+#: The storm's shape: this many tier-1 copies of the Figure 1 AQ per
+#: shard, each firing on every one of this many one-second pulses, two
+#: seconds apart, at each region's mote. At ~0.36 estimated seconds a
+#: photo that is ~86 s of work per 10 s window (2 shards x 5 pulses x
+#: 24 requests) against a 54 s budget (six devices x 10 s x 0.9).
+STORM_QUERIES = 24
+STORM_PULSES = 8
+STORM_UNTIL = 28.0
+
+
+def coupled_storm_scenario(*, run_until: float = STORM_UNTIL,
+                           **config_kwargs) -> ShardedEngine:
+    """Two regions, overload control on, capacity binding on both.
+
+    Every admission happens inside a round, on the shard that detected
+    the event, so the fleet's outcome rests on the barrier-synced
+    capacity ledger. Pass ``run_until=0.0`` to get the started fleet
+    before its first round.
+    """
+    fleet = ShardedEngine(
+        config=_config(None, shards=2, overload=True, **config_kwargs),
+        placement=RegionPlacement.from_regions(region_layout(2)), seed=0)
+    _add_regions(fleet, 2)
+    for query in range(STORM_QUERIES):
+        fleet.create_aq(
+            FIGURE_1_AQ.replace("snapshot", f"storm{query:02d}"),
+            priority=1)
+    for index in range(2):
+        for pulse in range(STORM_PULSES):
+            fleet.inject(f"mote{index:02d}", SensorStimulus(
+                "accel_x", start=2.0 + 0.5 * index + 2.0 * pulse,
+                duration=1.0, magnitude=850.0))
+    fleet.start()
+    fleet.run(until=run_until)
     return fleet

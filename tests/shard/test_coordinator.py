@@ -26,7 +26,7 @@ from repro import (
     SensorStimulus,
     ShardedEngine,
 )
-from repro.actions.request import ActionRequest
+from repro.actions.request import REASON_CAPACITY, ActionRequest
 from repro.errors import (
     AortaError,
     RegistrationError,
@@ -38,7 +38,9 @@ from repro.runtime import RuntimePeer, VirtualRuntime, run_lockstep
 from repro.shard.coordinator import SHARD_QUANTUM
 from tests.shard.scenarios import (
     FIGURE_1_AQ,
+    STORM_UNTIL,
     RoundTap,
+    coupled_storm_scenario,
     region_fleet_scenario,
     region_layout,
 )
@@ -351,16 +353,21 @@ def test_ledger_coupled_fleet_still_steps_by_the_quantum(build_fleet):
 # Fleet-wide capacity accounting
 # ----------------------------------------------------------------------
 def test_shards_share_one_capacity_ledger_under_overload():
+    # The shards share the fleet's commitments through the barrier, not
+    # one ledger object (DESIGN decision 30).
     fleet = two_shard_fleet(overload=True)
     first = fleet.shards[0].overload.admission.capacity
     second = fleet.shards[1].overload.admission.capacity
-    assert first is second
-    # The budget counts the whole fleet's devices, and a commit by one
-    # shard is visible to the other at the same window.
+    fleet.start()
+    # Synced at start: the budget counts the whole fleet's devices.
     budget = 6 * CAPACITY_HORIZON * UTILIZATION_CAP
-    assert first.available(0.0) == budget
+    assert first.available(0.0) == second.available(0.0) == budget
     first.commit(0.0, 40.0)
+    assert first.available(0.0) == budget - 40.0
+    assert second.available(0.0) == budget        # not before a barrier
+    fleet.run(until=SHARD_QUANTUM)                # one round, one barrier
     assert second.available(0.0) == budget - 40.0
+    assert fleet.ledger.committed() == {0: 40.0}
 
 
 def test_capacity_ledger_windows_are_order_independent():
@@ -376,6 +383,88 @@ def test_capacity_ledger_windows_are_order_independent():
     ledger.commit(2.0, 10.0)
     assert ledger.available(later) == budget - 5.0   # window 1 unaffected
     assert ledger.available(8.0) == budget - 10.0
+
+
+def test_shard_ledgers_resync_when_devices_join():
+    fleet = two_shard_fleet(populate=False, overload=True)
+    fleet.add_device("cam00a", DeviceSpec(
+        PanTiltZoomCamera, "cam00a", Point(0, 0)))
+    fleet.start()
+    fleet.add_device("cam01a", DeviceSpec(
+        PanTiltZoomCamera, "cam01a", Point(1000, 0)))
+    per_device = CAPACITY_HORIZON * UTILIZATION_CAP
+    ledgers = [shard.overload.admission.capacity for shard in fleet.shards]
+    # Synced at start, when the fleet had one device.
+    assert [ledger.available(0.0) for ledger in ledgers] == [per_device] * 2
+    # A submit after a join syncs the count before it admits.
+    fleet.submit(_request(["cam00a"], "grow1"))
+    assert [ledger.available(CAPACITY_HORIZON)
+            for ledger in ledgers] == [2 * per_device] * 2
+    unfolded = ledgers[0].unsynced()
+    assert list(unfolded) == [0]
+    # Another join resizes without dropping that commit, and the next
+    # barrier folds it in for every shard.
+    fleet.add_device("cam00b", DeviceSpec(
+        PanTiltZoomCamera, "cam00b", Point(20, 0), facing=180.0))
+    fleet.run(until=SHARD_QUANTUM)
+    assert fleet.ledger.committed() == unfolded
+    assert [ledger.available(0.0) for ledger in ledgers] == [
+        3 * per_device - unfolded[0]] * 2
+
+
+class CommitTap:
+    """A handle that keeps every round's result, in round order."""
+
+    def __init__(self, shard) -> None:
+        self.shard = shard
+        self.results = []
+
+    def finish_round(self):
+        result = self.shard.finish_round()
+        self.results.append(result)
+        return result
+
+    def __getattr__(self, name):
+        return getattr(self.shard, name)
+
+
+def test_coupled_storm_overcommits_only_by_the_other_shards_round():
+    """The over-commit bound of DESIGN decision 30, window by window.
+
+    Within a round each shard admits against the same synced base plus
+    its own commits, so a window ends a round at most over budget by
+    what the *other* shards committed to it in that round — and once
+    over, admits no more tier-1 work.
+    """
+    fleet = coupled_storm_scenario(run_until=0.0)
+    taps = fleet.handles[:] = [CommitTap(handle)
+                               for handle in fleet.handles]
+    fleet.run(until=STORM_UNTIL)
+    budget = 6 * CAPACITY_HORIZON * UTILIZATION_CAP
+    epsilon = 1e-9
+    base = {}
+    over_budget = set()
+    for rounds in zip(*(tap.results for tap in taps)):
+        commits = [result.commits for result in rounds]
+        for window in set().union(*commits):
+            own = [shard.get(window, 0.0) for shard in commits]
+            before = base.get(window, 0.0)
+            for seconds in own:
+                assert before + seconds <= budget + epsilon
+            total = before + own[0] + own[1]
+            others = min(sum(own) - seconds for seconds in own)
+            assert total - budget <= others + epsilon
+            if total > budget:
+                over_budget.add(window)
+        for shard in commits:
+            for window, seconds in shard.items():
+                base[window] = base.get(window, 0.0) + seconds
+    # The fleet ledger folded exactly what the rounds shipped, and the
+    # storm did push a window past its budget.
+    assert base == fleet.ledger.committed()
+    assert over_budget
+    for stats in fleet.shard_statistics():
+        assert stats["overload_rejected_by_reason"][REASON_CAPACITY] > 0
 
 
 def test_single_shard_fleet_keeps_per_engine_ledgers():

@@ -9,18 +9,24 @@ surface as :class:`ShardingError` naming the shard instead of hanging
 the barrier, and teardown must never leak processes or threads.
 """
 
+import json
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.actions.request import REASON_CAPACITY
 from repro.core.config import EngineConfig
 from repro.errors import AortaError, ParseError, ShardingError, \
     SimulationError
 from repro.obs.dump import diff_dumps
 from repro.shard import DeviceSpec, ShardedEngine
-from tests.shard.scenarios import RoundTap, region_fleet_scenario
+from tests.shard.scenarios import (
+    RoundTap,
+    coupled_storm_scenario,
+    region_fleet_scenario,
+)
 
 BACKENDS = ("thread", "process")
 
@@ -77,6 +83,27 @@ def test_parallel_runs_are_deterministic_across_repeats():
     first = dumps_of(3, parallel=True, backend="thread")[0]
     second = dumps_of(3, parallel=True, backend="thread")[0]
     assert_identical(first, second)
+
+
+def storm_outcome(**transport):
+    fleet = coupled_storm_scenario(**transport)
+    try:
+        return (json.dumps(fleet.shard_dumps(), sort_keys=True),
+                fleet.statistics(), fleet.query_report(),
+                fleet.shard_statistics())
+    finally:
+        fleet.close()
+
+
+def test_coupled_fleet_is_identical_on_every_transport_when_capacity_binds():
+    # Shards admit mid-round against ledgers synced at the barrier, so
+    # where a shard is hosted and how the OS schedules it cannot show.
+    reference = storm_outcome()
+    for stats in reference[3]:
+        assert stats["overload_rejected_by_reason"][REASON_CAPACITY] > 0
+    for backend in ("thread", "thread", "process", "process"):
+        assert storm_outcome(parallel=True,
+                             parallel_backend=backend) == reference
 
 
 def test_fewer_shards_than_regions_stays_identical():
@@ -273,8 +300,24 @@ def test_context_manager_exit_leaves_no_workers(backend):
         assert all(worker.alive for worker in workers)
     assert not any(worker.alive for worker in workers)
     if backend == "thread":
-        # Worker threads and the ledger service thread are all joined.
+        # The worker threads are all joined.
         assert threading.active_count() <= threads_before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_coupled_fleet_exit_leaves_no_workers_or_threads(backend):
+    threads_before = threading.active_count()
+    with coupled_storm_scenario(parallel=True,
+                                parallel_backend=backend) as fleet:
+        assert fleet.ledger is not None
+        workers = fleet.handles
+        assert all(worker.alive for worker in workers)
+        # A coupled fleet starts no thread of its own in the
+        # coordinator: only thread workers add any.
+        assert threading.active_count() == threads_before + (
+            len(workers) if backend == "thread" else 0)
+    assert not any(worker.alive for worker in workers)
+    assert threading.active_count() == threads_before
 
 
 def test_close_is_idempotent():

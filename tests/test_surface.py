@@ -250,9 +250,9 @@ OPTION_KINDS = (
 KEPT_OPTIONS = {
     "EngineConfig.scheduler": (
         "open ROADMAP item",
-        "item 7: the `EngineConfig.paper()` end state decides whether "
-        "section 5's algorithms stay selectable in the engine or only in "
-        "the scheduling library the paper-figure benches call"),
+        "item 9: section 5's end-to-end verdict decides whether its "
+        "algorithms stay selectable in the engine or only in the "
+        "scheduling library the paper-figure benches call"),
     "HealthPolicy.failure_threshold": (
         "passed by name by benchmarks/e2e",
         "`mixed_faulty` passes it at its default"),
