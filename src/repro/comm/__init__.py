@@ -8,11 +8,11 @@ components, per the paper:
    :meth:`CommunicationLayer.register_device_type`;
 2. scan operators over virtual device tables — :class:`ScanOperator`;
 3. basic communication methods (``connect/close/send/receive``) —
-   the transport's checkout idiom, the same for every device type:
-   ``Transport.open`` (connect), ``Connection.request`` (send +
-   receive), ``Transport.release`` / ``discard`` (close). What differs
-   per type is data, not code: its ``LinkModel``, probe TIMEOUT and
-   catalog.
+   one call, the same for every device type: ``Transport.exchange``
+   checks the device's channel out (connect), runs each message's
+   ``Connection.request`` (send + receive) and hands the channel back
+   (close). What differs per type is data, not code: its
+   ``LinkModel``, probe TIMEOUT and catalog.
 
 The probing mechanism of Section 4 also lives here
 (:class:`Prober`), since a probe is a communication-layer exchange.

@@ -13,19 +13,21 @@ the same device, skipping the handshake entirely. The pool is bounded:
 * **by the registry** — it is keyed by device and parks at most one
   idle channel per device, so it never holds more channels than there
   are devices, and needs no capacity of its own;
-* **idle expiry** — a connection idle longer than ``idle_seconds`` is
-  considered gone (NAT mappings and radio sessions do not live forever)
-  and is closed on the next checkout attempt;
+* **idle expiry** — a connection idle longer than
+  :data:`POOL_IDLE_SECONDS` is considered gone (NAT mappings and radio
+  sessions do not live forever) and is closed on the next checkout
+  attempt;
 * **invalidation** — a communication failure mid-exchange, a health
   breaker transition or the device leaving the registry discards the
   device's channel, so a dead or departed device never serves a stale
   socket to the next probe.
 
 The pool never owns checkout bookkeeping races: a connection is either
-idle (inside the pool) or checked out (held by exactly one caller, who
-must :meth:`release` or :meth:`discard` it). Concurrent checkouts for
-the same device simply open extra connections; the surplus is closed on
-release.
+idle (inside the pool) or checked out (held by exactly one
+:meth:`Transport.exchange <repro.network.transport.Transport.exchange>`,
+which hands it back with :meth:`release` or :meth:`discard`).
+Concurrent checkouts for the same device simply open extra connections;
+the surplus is closed on release.
 
 Everything is deterministic: checkout order and expiry depend only on
 virtual time and call order, so pooled runs replay exactly.
@@ -36,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator
 
-from repro.errors import CommunicationError
 from repro.devices.base import Device
 from repro.network.transport import Connection, Transport
 from repro.obs.metrics import Counter, Gauge
@@ -58,19 +59,9 @@ class _IdleEntry:
 class ConnectionPool:
     """Pool of keep-alive device connections, one per device."""
 
-    def __init__(
-        self,
-        env: Runtime,
-        transport: Transport,
-        *,
-        idle_seconds: float = POOL_IDLE_SECONDS,
-    ) -> None:
-        if idle_seconds <= 0:
-            raise CommunicationError(
-                f"pool idle_seconds must be positive, got {idle_seconds}")
+    def __init__(self, env: Runtime, transport: Transport) -> None:
         self.env = env
         self.transport = transport
-        self.idle_seconds = idle_seconds
         #: Device id -> its idle connection.
         self._idle: Dict[str, _IdleEntry] = {}
         # Counted in the owning transport's registry, by device type.
@@ -100,9 +91,10 @@ class ConnectionPool:
         """
         entry = self._idle.pop(device.device_id, None)
         if entry is not None:
+            self._size.set(len(self._idle))
             stale = (entry.connection.closed
                      or entry.connection.device is not device
-                     or self.env.now - entry.idle_since > self.idle_seconds)
+                     or self.env.now - entry.idle_since > POOL_IDLE_SECONDS)
             if stale:
                 entry.connection.close()
                 self._expired[device.device_type].inc()

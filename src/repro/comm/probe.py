@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
-from repro.errors import CommunicationError, ConnectionTimeoutError, DeviceError
 from repro.devices.base import Device
 from repro.network.message import Message
 from repro.network.transport import Transport
@@ -93,56 +92,30 @@ class Prober:
         timeout = self.timeouts[device.device_type]
         started = self.env.now
         self._sent[device.device_type].inc()
-        phase = "connect"
         with self.obs.span("probe", parent=parent_span, detached=True,
                            device=device.device_id):
-            try:
-                # Checkout via Transport.open: a parked keep-alive
-                # channel is served without a handshake.
-                connection = yield from self.transport.open(device,
-                                                            timeout)
-                try:
-                    phase = "ping"
-                    ping = yield from connection.request(Message(
-                        kind="ping", device_id=device.device_id), timeout)
-                    if not ping.ok:
-                        raise CommunicationError(
-                            f"ping failed: {ping.error}")
-                    phase = "status"
-                    status = yield from connection.request(Message(
-                        kind="status", device_id=device.device_id),
-                        timeout)
-                    if not status.ok:
-                        raise CommunicationError(
-                            f"status failed: {status.error}")
-                except BaseException:
-                    # A failed exchange poisons the channel: never
-                    # pool it.
-                    self.transport.discard(connection)
-                    raise
-                else:
-                    self.transport.release(connection)
-            except (ConnectionTimeoutError, CommunicationError,
-                    DeviceError) as exc:
-                self._failed[device.device_type, phase].inc()
-                self._rtt[device.device_type].observe(
-                    self.env.now - started)
+            exchange = yield from self.transport.exchange(device, [
+                Message(kind="ping", device_id=device.device_id),
+                Message(kind="status", device_id=device.device_id),
+            ], timeout)
+            self._rtt[device.device_type].observe(self.env.now - started)
+            if exchange.failed:
+                self._failed[device.device_type, exchange.failed].inc()
                 if self.health is not None:
-                    self.health.record_failure(device.device_id,
-                                               reason=f"probe {phase}")
+                    self.health.record_failure(
+                        device.device_id, reason=f"probe {exchange.failed}")
                 return ProbeResult(
                     device_id=device.device_id,
                     available=False,
                     round_trip_seconds=self.env.now - started,
-                    error=f"{phase}: {exc}",
+                    error=f"{exchange.failed}: {exchange.error}",
                 )
-            self._rtt[device.device_type].observe(self.env.now - started)
             if self.health is not None:
                 self.health.record_success(device.device_id)
             return ProbeResult(
                 device_id=device.device_id,
                 available=True,
-                status=status.value,
+                status=exchange.responses[1].value,
                 round_trip_seconds=self.env.now - started,
             )
 

@@ -15,13 +15,9 @@ process, so retries overlap each other and the rest of the scan.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Generator, List, Tuple
 
-from repro.errors import (
-    CommunicationError,
-    ConnectionTimeoutError,
-    DeviceError,
-)
+from repro.errors import DeviceError
 from repro.devices.base import Device
 from repro.devices.registry import DeviceRegistry
 from repro.comm.tuples import DeviceTuple
@@ -29,10 +25,6 @@ from repro.network.message import Message
 from repro.network.transport import Transport
 from repro.profiles.schema import DeviceCatalog
 from repro.runtime import Runtime
-
-#: What makes a row attempt fail: silence, a broken channel, or the
-#: device refusing the read.
-_ROW_FAILURES = (ConnectionTimeoutError, CommunicationError, DeviceError)
 
 
 class ScanOperator:
@@ -96,41 +88,29 @@ class ScanOperator:
                 )
             values[attr.name] = static[attr.name]
         if columns:
-            try:
-                readings = yield from self._read(device, columns)
-            except _ROW_FAILURES:
-                readings = yield from self._read(device, columns)
-            values.update(readings)
+            message = Message(kind="read_attributes",
+                              device_id=device.device_id,
+                              payload={"names": columns})
+            read = yield from self.transport.exchange(device, [message],
+                                                      self.timeout)
+            if read.failed:
+                read = yield from self.transport.exchange(device, [message],
+                                                          self.timeout)
+            if read.failed:
+                reason = read.error
+                if read.responses:
+                    # The device answered, refusing the read.
+                    reason = (f"reading {list(columns)} on "
+                              f"{device.device_id!r} failed: "
+                              f"{read.responses[0].error}")
+                raise DeviceError(reason)
+            values.update(read.responses[0].value)
         return DeviceTuple(
             device_type=self.device_type,
             device_id=device.device_id,
             values=values,
             acquired_at=self.env.now,
         )
-
-    def _read(
-        self, device: Device, columns: Tuple[str, ...]
-    ) -> Generator[Any, Any, Dict[str, Any]]:
-        """One ``read_attributes`` exchange over a checked-out channel."""
-        connection = yield from self.transport.open(device, self.timeout)
-        try:
-            response = yield from connection.request(Message(
-                kind="read_attributes", device_id=device.device_id,
-                payload={"names": columns}), self.timeout)
-        except CommunicationError:
-            # The channel failed mid-exchange: never pool it.
-            self.transport.discard(connection)
-            raise
-        finally:
-            # Healthy, or the device itself refused the read: the
-            # channel is fine, park it (a no-op once discarded).
-            self.transport.release(connection)
-        if not response.ok:
-            raise DeviceError(
-                f"reading {list(columns)} on {device.device_id!r} "
-                f"failed: {response.error}"
-            )
-        return response.value
 
     def scan(self) -> Generator[Any, Any, List[DeviceTuple]]:
         """Acquire the table's current rows from all online devices.
@@ -149,7 +129,7 @@ class ScanOperator:
         for device, acquisition in acquisitions:
             try:
                 rows.append((yield acquisition))
-            except _ROW_FAILURES as exc:
+            except DeviceError as exc:
                 self.skipped.append((device.device_id, str(exc)))
         self._rows.inc(len(rows))
         self._rows_skipped.inc(len(self.skipped))

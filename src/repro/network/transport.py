@@ -10,7 +10,8 @@ behaviours the probing mechanism of Section 4 must detect and contain.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Generator, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.errors import (
     CommunicationError,
@@ -94,13 +95,28 @@ class Connection:
         self.closed = True
 
 
+@dataclass
+class Exchange:
+    """What one :meth:`Transport.exchange` came to."""
+
+    #: The replies, in message order, up to and including a refusal.
+    responses: List[Response]
+    #: The step that failed — ``connect`` or the failing message's kind
+    #: — or ``""`` when every message was answered.
+    failed: str = ""
+    #: Why the step failed: ``"<kind> failed: <device error>"`` for a
+    #: refusal, the channel's own error otherwise.
+    error: str = ""
+
+
 class Transport:
     """Factory of connections over per-type link models.
 
     :meth:`connect` is the raw handshake; everything above the network
-    layer checks channels out of the transport's keep-alive pool with
-    :meth:`open` and hands them back with :meth:`release` (healthy) or
-    :meth:`discard` (failed mid-exchange).
+    layer talks to a device through :meth:`exchange`, which owns the
+    channel's checkout from the keep-alive pool and its return.
+    (Action executions call the device model directly; none crosses
+    the transport.)
     """
 
     def __init__(
@@ -169,25 +185,42 @@ class Transport:
             self.env.now - started)
         return Connection(self, device, link)
 
-    # ------------------------------------------------------------------
-    # Checkout surface: probes and scans take their channels from the
-    # keep-alive pool, so the handshake is paid once per device per
-    # idle window, not once per exchange. (Action executions call the
-    # device model directly; none crosses the transport.)
-    # ------------------------------------------------------------------
-    def open(
-        self, device: Device, timeout: float
-    ) -> Generator[Any, Any, Connection]:
-        """Check out a control channel: the parked one, or a handshake."""
-        return (yield from self.pool.acquire(device, timeout))
+    def exchange(
+        self, device: Device, messages: List[Message], timeout: float
+    ) -> Generator[Any, Any, Exchange]:
+        """Run ``messages``' round trips over the device's control channel.
 
-    def release(self, connection: Connection) -> None:
-        """Return a healthy channel obtained via :meth:`open`."""
+        The channel comes from the keep-alive pool, or from a handshake
+        when none is parked, so the handshake is paid once per device per
+        idle window. The round trips run in order and stop at the first
+        refusal. The channel then goes back under one rule: parked,
+        unless it broke (silence, or the device gone mid-exchange). The
+        :class:`Exchange` names the step that failed, and why.
+        """
+        try:
+            connection = yield from self.pool.acquire(device, timeout)
+        except CommunicationError as exc:
+            return Exchange([], "connect", str(exc))
+        responses: List[Response] = []
+        failed = error = ""
+        for message in messages:
+            try:
+                response = yield from connection.request(message, timeout)
+            except BaseException as exc:
+                # The channel broke, or the exchange was abandoned
+                # mid-flight (its process closed): never park it.
+                self.pool.discard(connection)
+                if not isinstance(exc, CommunicationError):
+                    raise
+                return Exchange(responses, message.kind, str(exc))
+            responses.append(response)
+            if not response.ok:
+                # The device answered, so the channel is sound.
+                failed = message.kind
+                error = f"{failed} failed: {response.error}"
+                break
         self.pool.release(connection)
-
-    def discard(self, connection: Connection) -> None:
-        """Dispose of a channel that failed mid-exchange."""
-        self.pool.discard(connection)
+        return Exchange(responses, failed, error)
 
     def invalidate(self, device_id: str, reason: str = "") -> None:
         """Close the device's parked channel, if it has one."""

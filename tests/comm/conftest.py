@@ -19,6 +19,51 @@ LOSSLESS_LINKS = {
 }
 
 
+class ScriptedLink:
+    """The lossless sensor link, losing only the exchange it is told to."""
+
+    def __init__(self):
+        self.lose_exchange = None
+        self.exchanges = 0
+
+    def sample_latency(self, rng):
+        return LOSSLESS_LINKS["sensor"].latency_seconds
+
+    def drops(self, rng):
+        self.exchanges += 1
+        return self.exchanges - 1 == self.lose_exchange
+
+
+def scripted_motes(mote_class, victim_index):
+    """Three noiseless motes of ``mote_class`` on a fresh lossless layer;
+    the victim's link is a :class:`ScriptedLink`. Returns ``(env, layer,
+    motes, link, opened)``, where ``opened`` records every connection
+    the transport builds."""
+    env = Environment()
+    layer = CommunicationLayer(env, links=dict(LOSSLESS_LINKS),
+                               rng=random.Random(0))
+    register_builtin_types(layer)
+    motes = [mote_class(env, f"mote{i}", Point(i, 0), noise_amplitude=0.0)
+             for i in range(3)]
+    for mote in motes:
+        layer.add_device(mote)
+    victim = motes[victim_index]
+    transport = layer.transport
+    link, lossless = ScriptedLink(), transport.links["sensor"]
+    transport.link_for = lambda device: (
+        link if device is victim else lossless)
+    opened = []
+    connect = transport.connect
+
+    def recording_connect(device, timeout):
+        connection = yield from connect(device, timeout)
+        opened.append(connection)
+        return connection
+
+    transport.connect = recording_connect
+    return env, layer, motes, link, opened
+
+
 @pytest.fixture
 def env():
     return Environment()

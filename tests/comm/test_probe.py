@@ -3,10 +3,14 @@
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.devices import SensorMote
 from repro.devices.health import BreakerState, DeviceHealthTracker, HealthPolicy
+from repro.errors import DeviceError
 from repro.network.message import Message, Response
-from tests.comm.conftest import run
+from tests.comm.conftest import run, scripted_motes
 
 
 def probe_counts(layer):
@@ -84,8 +88,10 @@ def test_successful_probe_has_no_failed_phase(env, layer, lab):
 class _FlakyStatusConnection:
     """Stub connection whose status exchange fails after a clean ping."""
 
-    def __init__(self, env):
+    def __init__(self, env, device):
         self.env = env
+        self.device = device
+        self.closed = False
 
     def request(self, message: Message, timeout):
         yield self.env.timeout(0.01)
@@ -95,29 +101,103 @@ class _FlakyStatusConnection:
         return Response(device_id=message.device_id, ok=True)
 
     def close(self):
-        pass
+        self.closed = True
 
 
 def test_probe_records_later_phase_failures(env, layer, lab):
-    class _FlakyTransport:
-        def connect(self, device, timeout):
-            yield env.timeout(0.01)
-            return _FlakyStatusConnection(env)
+    def flaky_connect(device, timeout):
+        yield env.timeout(0.01)
+        return _FlakyStatusConnection(env, device)
 
-        def open(self, device, timeout):
-            return (yield from self.connect(device, timeout))
-
-        def release(self, connection):
-            connection.close()
-
-        def discard(self, connection):
-            connection.close()
-
-    layer.prober.transport = _FlakyTransport()
+    layer.transport.connect = flaky_connect
     result = run(env, layer.probe(lab["cam1"]))
     assert not result.available
     assert result.error.startswith("status:")
     assert "status register corrupt" in result.error
+
+
+# ----------------------------------------------------------------------
+# Channel discipline: whatever breaks a probe, and wherever, the probe
+# hands back every channel it took — parked if the device answered,
+# closed if the channel itself broke.
+# ----------------------------------------------------------------------
+class FaultyMote(SensorMote):
+    """Runs ``on_status`` while handling its next status request."""
+
+    on_status = None
+
+    def physical_status(self):
+        if self.on_status is not None:
+            hook, self.on_status = self.on_status, None
+            hook()
+        return super().physical_status()
+
+
+def _refuse_status():
+    raise DeviceError("status register corrupt")
+
+
+#: fault -> (phase, error detail, what became of the victim's channel:
+#: "parked", "discarded", or None when no channel was opened).
+PROBE_FAULTS = {
+    "lost_handshake": ("connect", "connect to {id!r} timed out after "
+                       "0.5 s", None),
+    "lost_ping": ("ping", "device {id!r} did not answer within 0.5 s",
+                  "discarded"),
+    "lost_status": ("status", "device {id!r} did not answer within 0.5 s",
+                    "discarded"),
+    "refused_status": ("status", "status failed: status register corrupt",
+                       "parked"),
+    "offline_mid_status": ("status", "device {id!r} went away "
+                           "mid-exchange", "discarded"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(victim_index=st.integers(0, 2),
+       fault=st.sampled_from(sorted(PROBE_FAULTS)), warm=st.booleans())
+def test_probe_returns_every_channel_it_took(victim_index, fault, warm):
+    """The fault hits one step of the victim's ping + status exchange."""
+    assume(not (warm and fault == "lost_handshake"))
+    env, layer, motes, link, opened = scripted_motes(FaultyMote,
+                                                     victim_index)
+    victim = motes[victim_index]
+    transport = layer.transport
+    if warm:
+        run(env, layer.prober.probe_all(motes))
+        assert len(transport.pool) == 3
+
+    # A cold probe's first exchange on the link is its handshake.
+    step = {"lost_handshake": 0, "lost_ping": 1, "lost_status": 2}
+    if fault in step:
+        link.lose_exchange = link.exchanges + step[fault] - warm
+    else:
+        victim.on_status = {"refused_status": _refuse_status,
+                            "offline_mid_status": victim.go_offline}[fault]
+    discarded = transport.obs.registry.totals().get("comm.pool.discarded", 0)
+
+    results = run(env, layer.prober.probe_all(motes))
+
+    phase, detail, channel = PROBE_FAULTS[fault]
+    assert [result.available for result in results] \
+        == [mote is not victim for mote in motes]
+    assert results[victim_index].error \
+        == f"{phase}: {detail.format(id=victim.device_id)}"
+    assert [labels["phase"] for labels, _ in
+            transport.obs.registry.labeled("probe.failed")] == [phase]
+    # The census of benchmarks/e2e/harness._leak_checks.
+    parked = {id(entry.connection)
+              for entry in transport.pool._idle.values()}
+    assert {id(c) for c in opened if not c.closed} == parked
+    victims = [c for c in opened if c.device is victim]
+    assert len(parked) == 3 - (channel != "parked")
+    assert transport.obs.registry.totals().get("comm.pool.discarded", 0) \
+        == discarded + (channel == "discarded")
+    if channel is None:
+        assert victims == []
+    else:
+        assert len(victims) == 1
+        assert (id(victims[0]) in parked) == (channel == "parked")
 
 
 # ----------------------------------------------------------------------

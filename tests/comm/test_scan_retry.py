@@ -1,17 +1,12 @@
 """Scan retry behaviour: one transient failure does not drop a row."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import CommunicationLayer
 from repro.errors import DeviceError
 from repro.geometry import Point
 from repro.devices import SensorMote
-from repro.profiles.defaults import register_builtin_types
-from repro.sim import Environment
-from tests.comm.conftest import LOSSLESS_LINKS, run
+from tests.comm.conftest import run, scripted_motes
 
 
 class FlakyMote(SensorMote):
@@ -63,21 +58,6 @@ def test_retry_does_not_duplicate_rows(env, layer, lab):
 # back every channel it took — parked if the channel is sound, closed
 # if it is not.
 # ----------------------------------------------------------------------
-class ScriptedLink:
-    """The lossless sensor link, losing only the exchange it is told to."""
-
-    def __init__(self):
-        self.lose_exchange = None
-        self.exchanges = 0
-
-    def sample_latency(self, rng):
-        return LOSSLESS_LINKS["sensor"].latency_seconds
-
-    def drops(self, rng):
-        self.exchanges += 1
-        return self.exchanges - 1 == self.lose_exchange
-
-
 class FaultyMote(SensorMote):
     """Runs ``on_read`` while handling the read it is told to."""
 
@@ -110,29 +90,10 @@ FAULTS = {
        fault=st.sampled_from(sorted(FAULTS)), warm=st.booleans())
 def test_scan_returns_every_channel_it_took(victim_index, fault, warm):
     """The fault hits the victim row's one read_attributes exchange."""
-    env = Environment()
-    layer = CommunicationLayer(env, links=dict(LOSSLESS_LINKS),
-                               rng=random.Random(0))
-    register_builtin_types(layer)
-    motes = [FaultyMote(env, f"mote{i}", Point(i, 0), noise_amplitude=0.0)
-             for i in range(3)]
-    for mote in motes:
-        layer.add_device(mote)
+    env, layer, motes, link, opened = scripted_motes(FaultyMote,
+                                                     victim_index)
     victim = motes[victim_index]
     transport = layer.transport
-
-    link, lossless = ScriptedLink(), transport.links["sensor"]
-    transport.link_for = lambda device: (
-        link if device is victim else lossless)
-    opened = []
-    connect = transport.connect
-
-    def recording_connect(device, timeout):
-        connection = yield from connect(device, timeout)
-        opened.append(connection)
-        return connection
-
-    transport.connect = recording_connect
     operator = layer.scan_operator("sensor")
     if warm:
         run(env, operator.scan())

@@ -26,7 +26,6 @@ from repro import (
 )
 from repro.errors import AortaError
 from repro.actions.request import ActionRequest
-from repro.comm.pool import POOL_IDLE_SECONDS
 from repro.devices.failures import FailureInjector, OutageSpec
 from repro.devices.health import BreakerState
 
@@ -96,7 +95,6 @@ class TestConfigValidation:
         plain = build_fast_lab(EngineConfig())
         assert plain.status_cache is None
         assert plain.pool is plain.comm.transport.pool
-        assert plain.pool.idle_seconds == POOL_IDLE_SECONDS
         fast = build_fast_lab(EngineConfig(**FASTPATH_ON))
         assert fast.status_cache is not None
         assert fast.comm.transport.pool is fast.pool
@@ -221,10 +219,9 @@ class TestPoolIntegration:
         checked_out = []
 
         def checkout(env):
-            connection = yield from engine.comm.transport.open(newcomer,
-                                                               1.0)
+            connection = yield from engine.pool.acquire(newcomer, 1.0)
             checked_out.append(connection)
-            engine.comm.transport.release(connection)
+            engine.pool.release(connection)
 
         engine.env.process(checkout(engine.env))
         engine.env.run(until=6.0)

@@ -136,9 +136,9 @@ def test_queue_evictions_are_the_shed_count_of_their_reason():
     assert type(stats["overload_queue_evictions"]) is int
 
 
-@pytest.mark.parametrize("overload", [False, True])
-def test_three_exits_conserve_on_a_fleet_with_query_churn(overload):
-    fleet = two_shard_fleet(overload=overload)
+def _churn(fleet):
+    """Band events in both regions; the AQ is dropped inside a batch
+    window and created again. Returns the fleet's statistics at 40 s."""
     fleet.execute(FIGURE_1_AQ)
     for index in range(2):
         for start in (2.0, 12.0, 22.0):
@@ -156,7 +156,13 @@ def test_three_exits_conserve_on_a_fleet_with_query_churn(overload):
     fleet.run(until=18.0)
     fleet.execute(FIGURE_1_AQ)
     fleet.run(until=40.0)
-    stats = fleet.statistics()
+    return fleet.statistics()
+
+
+@pytest.mark.parametrize("overload", [False, True])
+def test_three_exits_conserve_on_a_fleet_with_query_churn(overload):
+    fleet = two_shard_fleet(overload=overload)
+    stats = _churn(fleet)
     assert stats["requests_failed"] >= 1       # the churn's casualties
     assert stats["requests_completed"] == _exits(stats) == sum(
         _exits(shard) for shard in fleet.shard_statistics())
@@ -164,6 +170,39 @@ def test_three_exits_conserve_on_a_fleet_with_query_churn(overload):
         assert stats["overload_queue_evictions"] == sum(
             shard["overload_queue_evictions"]
             for shard in fleet.shard_statistics())
+
+
+def test_three_exits_conserve_with_status_cache_and_overload_on_a_fleet():
+    """The status cache, the overload plane and two shards together:
+    every request leaves through one exit, and at quiescence every open
+    channel is parked in its shard's pool."""
+    fleet = two_shard_fleet(overload=True, status_cache=True,
+                            status_ttls={"camera": 600.0})
+    opened = []
+    for engine in fleet.shards:
+        transport = engine.comm.transport
+
+        def recording_connect(device, timeout, connect=transport.connect):
+            connection = yield from connect(device, timeout)
+            opened.append(connection)
+            return connection
+
+        transport.connect = recording_connect
+    stats = _churn(fleet)
+    assert stats["requests_failed"] >= 1
+    assert stats["status_cache_hits"] > 0
+    assert stats["overload_admitted_requests"] > 0
+    assert stats["requests_completed"] == _exits(stats) == sum(
+        _exits(shard) for shard in fleet.shard_statistics())
+
+    fleet.execute("DROP AQ snapshot")
+    fleet.run(until=80.0)
+    assert not any(engine.dispatcher.pending_requests
+                   for engine in fleet.shards)
+    parked = {id(entry.connection) for engine in fleet.shards
+              for entry in engine.pool._idle.values()}
+    assert parked
+    assert {id(c) for c in opened if not c.closed} == parked
 
 
 def test_scan_rows_add_up_across_shards():

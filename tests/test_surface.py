@@ -1,8 +1,8 @@
-"""Keeps five descriptions of the tree honest: every definition under
+"""Keeps six descriptions of the tree honest: every definition under
 ``src/repro`` has a caller that is not a test, every config field has a
 second value in use outside ``tests/``, no two functions share a body,
-a runtime's ``now`` is assigned only by the kernel, and DESIGN.md's
-module map is the tree."""
+a runtime's ``now`` is assigned only by the kernel, a device channel is
+checked out in one place, and DESIGN.md's module map is the tree."""
 
 import ast
 import copy
@@ -425,6 +425,68 @@ def test_only_the_kernel_assigns_a_runtimes_now():
         if assignment.search(line)}
     assert offenders - not_a_runtime == set()
     assert not_a_runtime <= offenders, "exemption that no longer applies"
+
+
+#: The channel calls: ``Connection.request`` and the pool's checkout
+#: and return.
+CHANNEL_CALLS = ("request", "acquire", "release", "discard")
+
+#: Receivers in ``src/`` of a call spelled like a channel call that is
+#: not one: device locks, sets, shed queues and a scheduling problem.
+NOT_A_CHANNEL = {"lock", "locks", "_lock_for", "_recovered_tokens",
+                 "_attached_queries", "operator", "operators", "problem"}
+
+
+def _channel_calls():
+    """``(path under src/repro, innermost enclosing function, receiver,
+    method)`` for every call ``<receiver>.<method>(...)`` with a method
+    in ``CHANNEL_CALLS``; the receiver is the last name before the dot
+    (``self.pool.acquire`` -> ``pool``, ``operators[i].discard`` ->
+    ``operators``)."""
+    calls = set()
+    for path, module in _modules().items():
+        if SRC not in path.parents:
+            continue
+        enclosing = {}     # outer functions come first, inner ones win
+        for name, function in _functions(module, ""):
+            enclosing.update((id(node), name)
+                             for node in ast.walk(function))
+        for node in ast.walk(module):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in CHANNEL_CALLS):
+                continue
+            receiver = node.func.value
+            while isinstance(receiver, (ast.Subscript, ast.Call)):
+                receiver = getattr(receiver, "value",
+                                   getattr(receiver, "func", None))
+            calls.add((str(path.relative_to(SRC)),
+                       enclosing.get(id(node), "<module>"),
+                       getattr(receiver, "id",
+                               getattr(receiver, "attr", None)),
+                       node.func.attr))
+    return calls
+
+
+def test_one_exchange_checks_channels_out():
+    """``Transport.exchange`` is the one place a device channel is
+    checked out, used and handed back (DESIGN decision 31): nothing else
+    in ``src/`` calls ``Connection.request`` or the pool's ``acquire``
+    / ``release`` / ``discard``. A new call spelled like one that is
+    not one names its receiver in ``NOT_A_CHANNEL``."""
+    calls = _channel_calls()
+    home = {(name, f"{receiver}.{method}")
+            for path, name, receiver, method in calls
+            if path == "network/transport.py"}
+    assert home == {(".Transport.exchange", call) for call in (
+        "pool.acquire", "pool.release", "pool.discard",
+        "connection.request")}
+    elsewhere = {(path, receiver) for path, _, receiver, _ in calls
+                 if path != "network/transport.py"}
+    assert sorted(entry for entry in elsewhere
+                  if entry[1] not in NOT_A_CHANNEL) == []
+    stale = NOT_A_CHANNEL - {receiver for _, receiver in elsewhere}
+    assert stale == set(), "NOT_A_CHANNEL names a receiver no longer used"
 
 
 def _design_module_map():
