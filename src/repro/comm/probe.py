@@ -126,17 +126,20 @@ class Prober:
         """Probe candidates concurrently; results in input order.
 
         Probing in parallel matters: a single dead mote would otherwise
-        stall device selection for its whole TIMEOUT. An empty candidate
-        list — routine once the status cache answers for every device in
-        a batch — short-circuits without spawning any process.
+        stall device selection for its whole TIMEOUT. The probes are the
+        members of one fan-out, so a batch costs the kernel two events
+        beyond the probes' own. An empty candidate list — routine once
+        the status cache answers for every device in a batch — returns
+        without waiting on anything. A probe never raises by design; if
+        one does anyway, the error is raised here once every probe has
+        ended.
         """
         if not devices:
             return []
-        probes = [self.env.process(
-                      self.probe(device, parent_span=parent_span)).defuse()
-                  for device in devices]
-        results = []
-        for probe in probes:
-            result = yield probe
-            results.append(result)
+        results = yield self.env.fan_out(
+            [self.probe(device, parent_span=parent_span)
+             for device in devices])
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
         return results

@@ -9,8 +9,10 @@ network; non-sensory attributes come from static catalog data.
 The scan is acquisitional: it reads only the sensory columns in
 :attr:`ScanOperator.columns` (the continuous executor narrows them to
 what its AQs reference), all of them in one ``read_attributes``
-exchange per device, and retries a failed row at once in the row's own
-process, so retries overlap each other and the rest of the scan.
+exchange per device, and retries a failed row at once within the row's
+own acquisition, so retries overlap each other and the rest of the scan.
+All rows start together in one kernel fan-out, which costs the kernel
+two events whatever the number of devices.
 """
 
 from __future__ import annotations
@@ -115,22 +117,26 @@ class ScanOperator:
     def scan(self) -> Generator[Any, Any, List[DeviceTuple]]:
         """Acquire the table's current rows from all online devices.
 
-        Every row is acquired in its own process, all started at once;
-        rows are collected in device order.
+        Every row's acquisition is a member of one fan-out, all started
+        at once; rows are collected in device order. A row that raised
+        :class:`DeviceError` is skipped; any other error is raised here
+        once every row has ended. With no online device the scan waits
+        on nothing.
         """
         self.skipped = []
         columns = self.columns
         rows: List[DeviceTuple] = []
-        acquisitions = [
-            (device,
-             self.env.process(self._acquire_row(device, columns)).defuse())
-            for device in self.registry.online_of_type(self.device_type)
-        ]
-        for device, acquisition in acquisitions:
-            try:
-                rows.append((yield acquisition))
-            except DeviceError as exc:
-                self.skipped.append((device.device_id, str(exc)))
+        devices = self.registry.online_of_type(self.device_type)
+        if devices:
+            acquired = yield self.env.fan_out(
+                [self._acquire_row(device, columns) for device in devices])
+            for device, row in zip(devices, acquired):
+                if isinstance(row, DeviceError):
+                    self.skipped.append((device.device_id, str(row)))
+                elif isinstance(row, BaseException):
+                    raise row
+                else:
+                    rows.append(row)
         self._rows.inc(len(rows))
         self._rows_skipped.inc(len(self.skipped))
         return rows

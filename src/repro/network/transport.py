@@ -208,7 +208,7 @@ class Transport:
                 response = yield from connection.request(message, timeout)
             except BaseException as exc:
                 # The channel broke, or the exchange was abandoned
-                # mid-flight (its process closed): never park it.
+                # mid-flight (its generator closed): never park it.
                 self.pool.discard(connection)
                 if not isinstance(exc, CommunicationError):
                     raise

@@ -1,18 +1,19 @@
 """The Runtime protocol: what components may ask of a backend.
 
 The surface is deliberately small — a clock, timers, event
-wait/trigger, process spawning, and quiescence — because everything a
-pervasive query engine does reduces to those five capabilities. Any
-object structurally providing them can host the engine; nothing
-outside :mod:`repro.sim` may assume a concrete backend class.
+wait/trigger, process spawning (one at a time or fanned out), and
+quiescence — because everything a pervasive query engine does reduces
+to those five capabilities. Any object structurally providing them can
+host the engine; nothing outside :mod:`repro.sim` may assume a concrete
+backend class.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Any, Iterable, Optional, Protocol, runtime_checkable
 
 from repro.sim.events import PRIORITY_NORMAL, Event, Timeout
-from repro.sim.process import Process, ProcessGenerator
+from repro.sim.process import FanOut, Process, ProcessGenerator
 
 
 @runtime_checkable
@@ -44,6 +45,10 @@ class Runtime(Protocol):
 
     def process(self, generator: ProcessGenerator) -> Process:
         """Spawn ``generator`` as a concurrent process."""
+        ...
+
+    def fan_out(self, generators: Iterable[ProcessGenerator]) -> FanOut:
+        """Start ``generators`` together; one event awaits all of them."""
         ...
 
     def schedule(

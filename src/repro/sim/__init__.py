@@ -3,8 +3,11 @@
 The kernel is what the engine uses and no more:
 :class:`~repro.sim.base.BaseRuntime` holds a float clock and a ``heapq``
 of ``(time, priority, seq, event)`` tuples, and fires one-shot events
-that generator-based processes and a FIFO lock wait on. Two
-interchangeable backends decide how time passes:
+that generator-based processes and a FIFO lock wait on. A
+:class:`FanOut` starts several generators at one instant and is one
+event that triggers with all their results, without a process (and its
+start and end events) per generator. Two interchangeable backends
+decide how time passes:
 
 * :class:`Environment` — virtual time (the default): the clock jumps
   from event to event, so experiments measuring seconds of device time
@@ -23,12 +26,15 @@ Public surface::
         yield env.timeout(1.5)
     env.process(proc(env))
     env.run()
+
+    def both(env):  # resumes at t=1.5 with [None, None]
+        results = yield env.fan_out([proc(env), proc(env)])
 """
 
 from repro.sim.base import BaseRuntime
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Environment
-from repro.sim.process import Process
+from repro.sim.process import FanOut, Process
 from repro.sim.realtime import RealtimeRuntime
 from repro.sim.resources import SimLock
 
@@ -36,6 +42,7 @@ __all__ = [
     "BaseRuntime",
     "Environment",
     "Event",
+    "FanOut",
     "Process",
     "RealtimeRuntime",
     "SimLock",

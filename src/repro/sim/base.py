@@ -19,11 +19,11 @@ realtime backend produces byte-identical traces to the virtual one
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_NORMAL, Event, Timeout
-from repro.sim.process import Process, ProcessGenerator
+from repro.sim.process import FanOut, Process, ProcessGenerator
 
 
 class BaseRuntime:
@@ -69,6 +69,10 @@ class BaseRuntime:
     def process(self, generator: ProcessGenerator) -> Process:
         """Start ``generator`` as a concurrent process."""
         return Process(self, generator)
+
+    def fan_out(self, generators: Iterable[ProcessGenerator]) -> FanOut:
+        """Start ``generators`` together; one event awaits all of them."""
+        return FanOut(self, generators)
 
     # ------------------------------------------------------------------
     # Scheduling and execution

@@ -11,7 +11,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Default priority for ordinary events. Lower sorts earlier at equal time.
 PRIORITY_NORMAL = 1
-#: Priority used for process-resume bookkeeping, ahead of normal events.
+#: Priority used for process-resume bookkeeping, ahead of normal events:
+#: process and fan-out starts and immediate resumes.
 PRIORITY_URGENT = 0
 
 
@@ -55,9 +56,9 @@ class Event:
 
         The kernel normally re-raises a failed event that nobody waits
         on (errors must not pass silently). A caller that spawns work
-        and will only attach to it later — e.g. a scan operator awaiting
-        parallel row acquisitions in order — defuses the event first so
-        the failure is delivered at the ``yield`` instead.
+        and will only attach to it later — e.g. a dispatcher awaiting
+        parallel executions in order — defuses the event first so the
+        failure is delivered at the ``yield`` instead.
         """
         self._defused = True
         return self

@@ -200,6 +200,45 @@ def test_probe_returns_every_channel_it_took(victim_index, fault, warm):
         assert (id(victims[0]) in parked) == (channel == "parked")
 
 
+def _raise_bug():
+    raise RuntimeError("status bug")
+
+
+@pytest.mark.parametrize("victim_index", [0, 2])
+def test_an_unexpected_probe_error_still_surfaces(victim_index):
+    """A probe turns every communication failure into an unavailable
+    result; any other error is raised by ``probe_all``, and every
+    channel the probes took is still parked, or closed when the error
+    broke its exchange."""
+    env, layer, motes, _link, opened = scripted_motes(FaultyMote,
+                                                      victim_index)
+    victim = motes[victim_index]
+    victim.on_status = _raise_bug
+    transport = layer.transport
+    with pytest.raises(RuntimeError, match="status bug"):
+        run(env, layer.prober.probe_all(motes))
+    env.run()
+    parked = {id(entry.connection)
+              for entry in transport.pool._idle.values()}
+    assert {id(c) for c in opened if not c.closed} == parked
+    assert len(parked) == 2
+    assert [c.closed for c in opened if c.device is victim] == [True]
+
+
+def test_probe_batch_costs_two_kernel_events_per_round_trip(env, layer, lab):
+    """A warm probe is one exchange of two round trips, uplink and
+    downlink each. The batch is one fan-out, whose start and end are its
+    only other events: nothing is spawned per probe."""
+    cameras = [lab["cam1"], lab["cam2"]]
+    run(env, layer.prober.probe_all(cameras))
+    before = env.events_processed
+    results = run(env, layer.prober.probe_all(cameras))
+    n = len(results)
+    own = 2  # conftest.run's process: its start and its end
+    assert [result.available for result in results] == [True, True]
+    assert env.events_processed - before == 4 * n + 2 + own  # 12
+
+
 # ----------------------------------------------------------------------
 # probe_all ordering under mixed timeouts
 # ----------------------------------------------------------------------

@@ -62,9 +62,10 @@ def test_scan_acquires_rows_in_parallel(env, layer, lab):
 @pytest.mark.parametrize("device_type", ["sensor", "camera"])
 def test_scan_costs_two_kernel_events_per_exchange(env, layer, lab,
                                                    device_type):
-    """A row is one exchange in its own process: uplink and downlink,
-    plus the row process's start and end, whatever the number of
-    sensory columns. Nothing is spawned per exchange."""
+    """A row is one exchange: uplink and downlink, whatever the number
+    of sensory columns. The rows are one fan-out, whose start and end
+    are the scan's only other events: nothing is spawned per row or per
+    exchange."""
     operator = layer.scan_operator(device_type)
     cold_rows = run(env, operator.scan())
     cold_end = env.now
@@ -74,9 +75,9 @@ def test_scan_costs_two_kernel_events_per_exchange(env, layer, lab,
     k = len(layer.catalog(device_type).sensory_attributes)
     own = 2  # conftest.run's process: its start and its end
     assert len(cold_rows) == n
-    assert env.events_processed - before == 4 * n + own
+    assert env.events_processed - before == 2 * n + 2 + own
     if device_type == "sensor":
-        assert (n, k) == (3, 5)  # 14 events
+        assert (n, k) == (3, 5)  # 10 events
         # Handshake + one round trip at 0.04 s each; the warm scan skips
         # the handshake.
         assert cold_end == pytest.approx(0.08)

@@ -1,5 +1,6 @@
 """Scan retry behaviour: one transient failure does not drop a row."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,3 +140,42 @@ def test_scan_returns_every_channel_it_took(victim_index, fault, warm):
         retried = fault == "device_error"
         assert counted("comm.pool.hits") \
             == hits + (3 if warm else 0) + retried
+
+
+class BuggyMote(SensorMote):
+    """A device model with a bug: its static row or its read raises
+    something that is not a :class:`DeviceError`."""
+
+    bug = None
+
+    def static_attributes(self):
+        if self.bug == "static":
+            raise RuntimeError("static row bug")
+        return super().static_attributes()
+
+    def read_sensory(self, name):
+        if self.bug == "read":
+            raise RuntimeError("read bug")
+        return super().read_sensory(name)
+
+
+@pytest.mark.parametrize("bug", ["static", "read"])
+@pytest.mark.parametrize("victim_index", [0, 2])
+def test_an_unexpected_row_error_still_surfaces(bug, victim_index):
+    """Only a :class:`DeviceError` skips a row: any other error is
+    raised by the scan, and every channel the rows took is still parked,
+    or closed when the error broke its exchange."""
+    env, layer, motes, _link, opened = scripted_motes(BuggyMote,
+                                                      victim_index)
+    victim = motes[victim_index]
+    victim.bug = bug
+    transport = layer.transport
+    with pytest.raises(RuntimeError, match=f"{bug} .*bug"):
+        run(env, layer.scan_operator("sensor").scan())
+    env.run()
+    parked = {id(entry.connection)
+              for entry in transport.pool._idle.values()}
+    assert {id(c) for c in opened if not c.closed} == parked
+    assert len(parked) == 2
+    assert [c.closed for c in opened if c.device is victim] \
+        == ([] if bug == "static" else [True])

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import repro.sim
 from repro.errors import SimulationError
-from repro.sim import Environment
+from repro.sim import Environment, RealtimeRuntime
 
 
 def test_clock_starts_at_zero():
@@ -295,11 +295,10 @@ def test_events_fire_sorted_by_time_priority_insertion(entries):
     assert fired == [(entries[index][0], index) for index in expected]
 
 
-def test_a_timer_wait_costs_at_most_eight_kernel_calls():
+def _kernel_calls_per_timer_wait(start):
     """Python calls inside ``repro/sim`` per ``yield env.timeout()`` plus
-    one ``env.now`` read under a bounded ``run()`` — a host-independent
-    cost per unit of work (7: timeout, Timeout, Event, schedule, step,
-    _pace, _resume; 16 when clock and queue were wrapper classes)."""
+    one ``env.now`` read, for a generator started by ``start(env,
+    generator)`` and run under a bounded ``run()``."""
     waits = 1000
     env = Environment()
 
@@ -316,12 +315,172 @@ def test_a_timer_wait_costs_at_most_eight_kernel_calls():
         if event == "call" and frame.f_code.co_filename.startswith(kernel_dir):
             calls += 1
 
-    env.process(proc())
+    start(env, proc())
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
         env.run(until=waits + 1.0)
     finally:
         sys.setprofile(previous)
-    assert env.events_processed == waits + 2  # bootstrap + waits + finish
-    assert calls / waits <= 8
+    assert env.events_processed == waits + 2  # start + waits + end
+    return calls / waits
+
+
+def test_a_timer_wait_costs_at_most_eight_kernel_calls():
+    """A host-independent cost per unit of work (7: timeout, Timeout,
+    Event, schedule, step, _pace, _resume; 16 when clock and queue were
+    wrapper classes)."""
+    assert _kernel_calls_per_timer_wait(Environment.process) <= 8
+
+
+def test_a_fan_out_members_timer_wait_costs_what_a_processs_does():
+    """A member is resumed straight from its timer's callback: the same
+    seven calls, within the same budget of eight."""
+    assert _kernel_calls_per_timer_wait(
+        lambda env, generator: env.fan_out([generator])) <= 8
+
+
+# ----------------------------------------------------------------------
+# Fan-outs: several generators started at once, awaited as one event
+# ----------------------------------------------------------------------
+def _sleeper(env, name, delay, trace, result=None):
+    trace.append((env.now, name, "start"))
+    yield env.timeout(delay)
+    trace.append((env.now, name, "end"))
+    return result
+
+
+def test_fan_out_results_come_back_in_input_order():
+    env = Environment()
+    trace = []
+
+    def caller(env):
+        results = yield env.fan_out(
+            _sleeper(env, name, delay, trace, result=name)
+            for name, delay in (("slow", 3.0), ("fast", 1.0), ("mid", 2.0)))
+        trace.append((env.now, results))
+
+    env.process(caller(env))
+    env.run()
+    assert [entry for entry in trace if entry[-1] == "end"] == [
+        (1.0, "fast", "end"), (2.0, "mid", "end"), (3.0, "slow", "end")]
+    assert trace[-1] == (3.0, ["slow", "fast", "mid"])
+
+
+def test_an_empty_fan_out_is_born_done_and_costs_nothing():
+    env = Environment()
+    fan_out = env.fan_out([])
+    assert fan_out.triggered and fan_out.ok and fan_out.value == []
+    assert env.pending_events == 0
+    seen = []
+
+    def caller(env):
+        seen.append((yield env.fan_out([])))
+
+    env.process(caller(env))
+    env.run()
+    assert seen == [[]]
+    assert env.events_processed == 3  # the caller's start, resume and end
+
+
+def _tie_order_trace(env, fanned):
+    """Who runs when, at one instant, around two generators started as
+    one fan-out or as two processes between a process created just
+    before and one created just after."""
+    trace = []
+
+    def caller(env):
+        env.process(_sleeper(env, "before", 1.0, trace))
+        members = [_sleeper(env, name, 1.0, trace, result=name)
+                   for name in ("first", "second")]
+        if fanned:
+            waited = env.fan_out(members)
+        else:
+            waited = [env.process(member) for member in members]
+        env.process(_sleeper(env, "after", 1.0, trace))
+        if fanned:
+            results = yield waited
+        else:
+            results = []
+            for process in waited:
+                results.append((yield process))
+        trace.append((env.now, "caller", results))
+
+    env.process(caller(env))
+    env.run()
+    return trace
+
+
+def test_fan_out_keeps_the_tie_order_of_processes_created_in_a_row():
+    env = Environment()
+    trace = _tie_order_trace(env, fanned=True)
+    assert trace == _tie_order_trace(Environment(), fanned=False)
+    assert [name for _, name, _ in trace] == [
+        "before", "first", "second", "after",
+        "before", "first", "second", "after", "caller"]
+    # The caller's and two processes' start and end, four timers, and
+    # the fan-out's start and completion, where two processes' starts and
+    # ends would have cost four.
+    assert env.events_processed == 3 * 2 + 4 + 2
+
+
+def test_fan_out_behaves_the_same_on_the_realtime_backend_at_scale_zero():
+    virtual = Environment()
+    realtime = RealtimeRuntime(time_scale=0)
+    assert (_tie_order_trace(realtime, fanned=True)
+            == _tie_order_trace(virtual, fanned=True))
+    assert realtime.events_processed == virtual.events_processed
+    assert realtime.now == virtual.now == 1.0
+
+
+def test_a_members_exception_is_handed_back_not_raised_by_step():
+    env = Environment()
+    boom = ValueError("boom")
+
+    def failing(env):
+        yield env.timeout(1.0)
+        raise boom
+
+    fan_out = env.fan_out([failing(env), _sleeper(env, "ok", 2.0, [], 7)])
+    while env.pending_events:
+        env.step()
+    assert fan_out.ok
+    assert fan_out.value == [boom, 7]
+
+
+def test_a_fan_out_refuses_a_non_generator_like_a_process():
+    env = Environment()
+
+    def body(env):
+        yield env.timeout(1.0)
+
+    for start in (env.process, lambda member: env.fan_out([body(env), member])):
+        with pytest.raises(SimulationError, match="did you call the function"):
+            start(body)
+    assert env.pending_events == 0
+
+
+def test_a_member_yielding_a_processed_event_resumes_at_once():
+    env = Environment()
+    done, broken = env.event(), env.event()
+    done.succeed("early")
+    broken.fail(KeyError("gone"))
+    broken.defuse()
+    env.run()
+    seen = []
+
+    def member(env):
+        seen.append((yield done))
+        try:
+            yield broken
+        except KeyError as exc:
+            seen.append(exc.args[0])
+        return env.now
+
+    fan_out = env.fan_out([member(env)])
+    before = env.events_processed
+    env.run()
+    assert seen == ["early", "gone"]
+    assert fan_out.value == [0.0]
+    # The start, two urgent immediates and the completion.
+    assert env.events_processed - before == 4

@@ -489,6 +489,22 @@ def test_one_exchange_checks_channels_out():
     assert stale == set(), "NOT_A_CHANNEL names a receiver no longer used"
 
 
+def test_the_comm_layer_starts_no_process():
+    """A scan's rows and a batch's probes are the members of one kernel
+    fan-out each (DESIGN decision 32): nothing under ``comm/`` calls
+    ``.process(``, so a process per row or per probe cannot grow
+    back."""
+    spawns = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, module in _modules().items()
+        if SRC / "comm" in path.parents
+        for node in ast.walk(module)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "process")
+    assert spawns == []
+
+
 def _design_module_map():
     """Paths named by the ``src/repro/`` tree in DESIGN.md section 3."""
     text = (ROOT / "DESIGN.md").read_text()
