@@ -19,6 +19,7 @@ from repro.network.message import Message
 from repro.network.transport import Transport
 from repro.obs.metrics import Counter, Histogram
 from repro.runtime import Runtime
+from repro.sim import raise_first_error
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.devices.health import DeviceHealthTracker
@@ -136,10 +137,6 @@ class Prober:
         """
         if not devices:
             return []
-        results = yield self.env.fan_out(
+        return raise_first_error((yield self.env.fan_out(
             [self.probe(device, parent_span=parent_span)
-             for device in devices])
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return results
+             for device in devices])))

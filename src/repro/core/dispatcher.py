@@ -56,7 +56,7 @@ from repro.obs.metrics import Counter, Histogram
 from repro.obs.spans import Observability
 from repro.overload.plane import OverloadControlPlane
 from repro.runtime import Runtime
-from repro.sim import Event
+from repro.sim import Event, raise_first_error
 from repro.sim.rng import component_seed
 from repro.sync.locks import DeviceLockManager, LockToken
 from repro.core.config import EngineConfig
@@ -404,22 +404,20 @@ class Dispatcher:
         snapshot of the operator table: dispatching a batch can create
         operators mid-drain (failover re-dispatch registers the shared
         operator lazily), which must not mutate the dict under this
-        loop. A lone batch runs inline; several run as sibling sim
-        processes, so independent actions' probe/schedule/execute
-        pipelines overlap. Reports come back in operator order.
+        loop. The batches are the members of one fan-out, a lone batch
+        too, so independent actions' probe/schedule/execute pipelines
+        overlap; with nothing drained this returns without waiting.
+        Reports come back in operator order. A batch's unexpected error
+        is raised here once every sibling batch has ended.
         """
         batches = [(operator.action, batch)
                    for operator in list(self._operators.values())
                    for batch in [operator.drain()] if batch]
-        if len(batches) == 1:
-            return [(yield from self.dispatch_batch(*batches[0]))]
-        dispatches = [
-            self.env.process(self.dispatch_batch(action, batch)).defuse()
-            for action, batch in batches]
-        reports = []
-        for dispatch in dispatches:
-            reports.append((yield dispatch))
-        return reports
+        if not batches:
+            return []
+        reports = yield self.env.fan_out(
+            self.dispatch_batch(action, batch) for action, batch in batches)
+        return raise_first_error(reports)
 
     # ------------------------------------------------------------------
     # One batch: admit -> probe -> partition -> schedule -> service
@@ -433,7 +431,7 @@ class Dispatcher:
         record, and is the only one to consult the feature objects it
         owns; a request that ends does so through one of the three
         exits above, whichever step it is in."""
-        # Detached: the batch runs as its own sim process, interleaved
+        # Detached: the batch runs as a fan-out member, interleaved
         # with continuous polls — dynamic nesting would misparent them.
         span = self.obs.span("dispatch.batch", detached=True,
                              action=action.name, size=len(requests))
@@ -564,11 +562,15 @@ class Dispatcher:
                     request.mark_assigned(device_id)
 
     def _service(self, batch: _Batch) -> Generator[Any, Any, None]:
-        """Execute ``batch.queues`` and wait for the slowest device."""
+        """Execute ``batch.queues`` and wait for the slowest device.
+
+        The device queues are the members of one fan-out (§5: the
+        batch ends when its slowest device does). An unexpected error
+        in one is raised here once every queue has ended.
+        """
         if self.config.locking:
             bodies = [
-                self._service_queue(batch.action, batch.devices[device_id],
-                                    queue, batch)
+                self._service_queue(batch, batch.devices[device_id], queue)
                 for device_id, queue in batch.queues.items()]
         else:
             # Unsynchronized: every request fires immediately and
@@ -577,9 +579,8 @@ class Dispatcher:
                 self._execute_one(batch, batch.devices[device_id], request)
                 for device_id, queue in batch.queues.items()
                 for request in queue]
-        executions = [self.env.process(body).defuse() for body in bodies]
-        for execution in executions:
-            yield execution
+        if bodies:
+            raise_first_error((yield self.env.fan_out(bodies)))
 
     def _report(self, batch: _Batch) -> DispatchReport:
         """Close the batch's report; count and trace the batch."""
@@ -605,18 +606,14 @@ class Dispatcher:
     # Execution
     # ------------------------------------------------------------------
     def _service_queue(
-        self, action: ActionDefinition, device: Device,
-        queue: List[ActionRequest], batch: Optional[_Batch] = None,
+        self, batch: _Batch, device: Device, queue: List[ActionRequest],
     ) -> Generator[Any, Any, None]:
-        """Service one device's queue in order, under its lock.
+        """Service one device's queue of ``batch`` in order, under its lock.
 
         Under overload control the order is high tiers first (stable,
         so the scheduler's order is kept within a tier): under pressure
-        the work most worth doing completes first. ``batch`` is the batch
-        the queue belongs to; a direct caller gets one of its own.
+        the work most worth doing completes first.
         """
-        if batch is None:
-            batch = _Batch(action, queue, self.env.now)
         if self.overload is not None:
             queue = sorted(queue, key=_service_order)
         lease = self.config.lock_lease_seconds

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import AortaError, BindingError, QueryError
 from repro.actions.action import (
@@ -40,6 +40,7 @@ from repro.query.catalog import SchemaCatalog
 from repro.query.functions import FunctionRegistry, install_standard_functions
 from repro.query.parser import parse
 from repro.runtime import Runtime, create_runtime
+from repro.sim import raise_first_error
 from repro.sim.rng import component_seed
 from repro.sync.locks import DeviceLockManager
 from repro.core.config import EngineConfig
@@ -319,9 +320,12 @@ class AortaEngine:
         self.cost_model.register_action(profile, resolver)
         return definition
 
-    def _create_aq(self, statement: CreateAQStatement) -> RegisteredQuery:
+    def _create_aq(self, statement: CreateAQStatement, *, priority: int = 1,
+                   deadline_seconds: Optional[float] = None,
+                   ) -> RegisteredQuery:
         plan = self.planner.plan_continuous(statement.name, statement.query)
-        return self.continuous.register(plan)
+        return self.continuous.register(plan, priority=priority,
+                                        deadline_seconds=deadline_seconds)
 
     def create_aq(self, sql: str, *, priority: int = 1,
                   deadline_seconds: Optional[float] = None,
@@ -336,9 +340,8 @@ class AortaEngine:
         statement = parse(sql)
         if not isinstance(statement, CreateAQStatement):
             raise QueryError("create_aq() expects a CREATE AQ statement")
-        plan = self.planner.plan_continuous(statement.name, statement.query)
-        return self.continuous.register(plan, priority=priority,
-                                        deadline_seconds=deadline_seconds)
+        return self._create_aq(statement, priority=priority,
+                               deadline_seconds=deadline_seconds)
 
     def enable_query(self, name: str) -> None:
         """Resume a paused continuous query."""
@@ -393,14 +396,9 @@ class AortaEngine:
         plan = self.execute(sql)
         if not isinstance(plan, SnapshotPlan):
             raise QueryError("run_select() only executes SELECT statements")
-        rows: List[Tuple[Any, ...]] = []
-
-        def runner(env: Runtime) -> Generator[Any, Any, None]:
-            result = yield from plan.execute()
-            rows.extend(result)
-
-        self.env.process(runner(self.env))
+        select = self.env.fan_out([plan.execute()])
         self.env.run()
+        (rows,) = raise_first_error(select.value)
         return rows
 
     # ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The Runtime protocol: what components may ask of a backend.
 
-The surface is deliberately small — a clock, timers, event
-wait/trigger, process spawning (one at a time or fanned out), and
-quiescence — because everything a pervasive query engine does reduces
+The surface is deliberately small — a clock, timers, events that only
+succeed, process spawning with one join (the fan-out), and quiescence —
+because everything a pervasive query engine does reduces
 to those five capabilities. Any object structurally providing them can
 host the engine; nothing outside :mod:`repro.sim` may assume a concrete
 backend class.
@@ -44,11 +44,19 @@ class Runtime(Protocol):
         ...
 
     def process(self, generator: ProcessGenerator) -> Process:
-        """Spawn ``generator`` as a concurrent process."""
+        """Spawn ``generator`` as a concurrent process.
+
+        A process is not an event: nothing waits on it, and an exception
+        it does not catch propagates out of :meth:`step` and :meth:`run`.
+        """
         ...
 
     def fan_out(self, generators: Iterable[ProcessGenerator]) -> FanOut:
-        """Start ``generators`` together; one event awaits all of them."""
+        """Start ``generators`` together; one event awaits all of them.
+
+        The one join: it triggers with every member's result, a raised
+        exception included, in input order.
+        """
         ...
 
     def schedule(

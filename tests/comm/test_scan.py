@@ -73,11 +73,11 @@ def test_scan_costs_two_kernel_events_per_exchange(env, layer, lab,
     warm_rows = run(env, operator.scan())
     n = len(warm_rows)
     k = len(layer.catalog(device_type).sensory_attributes)
-    own = 2  # conftest.run's process: its start and its end
+    own = 1  # conftest.run's process: its start (a process has no end event)
     assert len(cold_rows) == n
     assert env.events_processed - before == 2 * n + 2 + own
     if device_type == "sensor":
-        assert (n, k) == (3, 5)  # 10 events
+        assert (n, k) == (3, 5)  # 9 events
         # Handshake + one round trip at 0.04 s each; the warm scan skips
         # the handshake.
         assert cold_end == pytest.approx(0.08)

@@ -11,6 +11,8 @@ exactly once, logged, counted and traced together. The step tests hand
 
 from types import SimpleNamespace
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -371,3 +373,105 @@ def test_service_drains_a_dead_devices_queue():
     assert (batch.report.serviced, batch.report.failed,
             batch.report.failed_over, batch.report.attempts) == (0, 1, 2, 1)
     assert not dispatcher.locks.is_locked("d1")
+
+
+# ----------------------------------------------------------------------
+# The joins: a batch's device queues and sibling batches are fan-outs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_batch_service_costs_two_kernel_events_per_request(k):
+    """One request per device queue costs its lock grant and its action's
+    timer. The k queues are one fan-out, whose start and completion are
+    the service's only other events: nothing is spawned per queue."""
+    env, dispatcher, action = bare_dispatcher()
+    requests = [snap(n, f"d{n}") for n in range(1, k + 1)]
+    batch = _Batch(action, requests, env.now)
+    batch.devices = {f"d{n}": stub_device(f"d{n}") for n in range(1, k + 1)}
+    batch.queues = {f"d{n}": [request]
+                    for n, request in enumerate(requests, 1)}
+
+    run_service(env, dispatcher, batch)
+
+    own = 1  # run_service's process: its start
+    assert batch.report.serviced == k
+    assert env.events_processed == 2 * k + 2 + own  # 9 for three queues
+
+
+class BuggyAction(StubAction):
+    """A StubAction whose request ``n == 0`` hits a bug after its
+    second: an error the attempt loop does not handle."""
+
+    def execute(self, device, arguments):
+        yield self.env.timeout(1.0)
+        if arguments["n"] == 0:
+            raise RuntimeError("snap bug")
+        return f"{device.device_id}:{arguments['n']}"
+
+
+@pytest.mark.parametrize("victim_first", [True, False])
+def test_an_unexpected_queue_error_surfaces_after_every_queue(victim_first):
+    """A device queue's unexpected error is raised once the batch's other
+    queues have ended; no device lock stays held."""
+    env, dispatcher, _ = bare_dispatcher()
+    action = BuggyAction(env)
+    bug, served = snap(0, "d1"), [snap(1, "d2"), snap(2, "d2")]
+    batch = _Batch(action, [bug, *served], env.now)
+    batch.devices = {"d1": stub_device("d1"), "d2": stub_device("d2")}
+    queues = [("d1", [bug]), ("d2", served)]
+    batch.queues = dict(queues if victim_first else queues[::-1])
+
+    with pytest.raises(RuntimeError, match="snap bug"):
+        run_service(env, dispatcher, batch)
+
+    # The bug struck at t=1; d2's second request ended at t=2.
+    assert env.now == 2.0
+    assert dispatcher.completed == served
+    assert [request.completed_at for request in served] == [1.0, 2.0]
+    assert not dispatcher.locks.is_locked("d1")
+    assert not dispatcher.locks.is_locked("d2")
+
+
+@pytest.mark.parametrize("beep_first", [True, False])
+def test_an_unexpected_batch_error_surfaces_after_its_sibling(beep_first):
+    """Two actions' batches drained by one ``dispatch_pending``: the beep
+    batch's unexpected error leaves ``run()`` only once the slower photo
+    batch has ended; no device lock stays held."""
+    engine = build_lab(config=EngineConfig(probing=False))
+    env, dispatcher = engine.env, engine.dispatcher
+    raised_at = []
+
+    def buggy_beep(**_params):
+        yield env.timeout(0.1)
+        raised_at.append(env.now)
+        raise RuntimeError("beep bug")
+
+    engine.comm.registry.get("mote1").op_beep = buggy_beep
+    names = ["beep", "photo"] if beep_first else ["photo", "beep"]
+    operators = {name: dispatcher.operator_for(engine.actions.get(name))
+                 for name in names}
+    photos = [ActionRequest(action_name="photo",
+                            arguments={"target": target,
+                                       "directory": "photos"},
+                            candidates=("cam1",))
+              for target in (Point(4, 3), Point(8, 3))]
+    for photo in photos:
+        operators["photo"].submit(photo)
+    operators["beep"].submit(ActionRequest(
+        action_name="beep", arguments={}, candidates=("mote1",)))
+    reports = []
+
+    def driver(env):
+        reports.extend((yield from dispatcher.dispatch_pending()))
+
+    env.process(driver(env))
+    with pytest.raises(RuntimeError, match="beep bug"):
+        env.run(until=60.0)
+
+    assert reports == []
+    assert [photo.state for photo in photos] == [RequestState.SERVICED] * 2
+    [batch] = engine.tracer.of_kind("batch_dispatched")
+    assert batch["action"] == "photo"
+    assert raised_at[0] < env.now == batch.at \
+        == max(photo.completed_at for photo in photos)
+    assert not any(engine.locks.is_locked(device)
+                   for device in ("cam1", "cam2", "mote1"))

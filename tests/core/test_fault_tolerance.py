@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.actions.request import ActionRequest, RequestState
 from repro.core.config import BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_JITTER
-from repro.core.dispatcher import MAX_DISPATCHES
+from repro.core.dispatcher import MAX_DISPATCHES, _Batch
 from repro.devices.health import BreakerState
 from tests.core.conftest import build_lab
 from tests.core.test_fastpath import drive as dispatch_pending_until
@@ -272,9 +272,11 @@ def test_dead_device_queue_drains_back_to_dispatcher():
     first.dispatches = second.dispatches = 1
     camera = engine.comm.registry.get("cam1")
 
+    batch = _Batch(action, [first, second], engine.env.now)
+
     def proc(env):
         yield from engine.dispatcher._service_queue(
-            action, camera, [first, second])
+            batch, camera, [first, second])
 
     engine.env.process(proc(engine.env))
     engine.env.run()

@@ -105,6 +105,8 @@ def test_run_until_past_raises():
 
 
 def test_process_returns_value_via_yield():
+    """A generator's return value arrives at the ``yield`` of the
+    fan-out it is a member of (nothing waits on a process)."""
     env = Environment()
     results = []
 
@@ -113,7 +115,7 @@ def test_process_returns_value_via_yield():
         return 42
 
     def parent(env):
-        value = yield env.process(child(env))
+        [value] = yield env.fan_out([child(env)])
         results.append(value)
 
     env.process(parent(env))
@@ -161,27 +163,6 @@ def test_event_trigger_twice_rejected():
         gate.succeed(2)
 
 
-def test_event_fail_raises_in_waiter():
-    env = Environment()
-    gate = env.event()
-    caught = []
-
-    def waiter(env):
-        try:
-            yield gate
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    def failer(env):
-        yield env.timeout(1.0)
-        gate.fail(ValueError("boom"))
-
-    env.process(waiter(env))
-    env.process(failer(env))
-    env.run()
-    assert caught == ["boom"]
-
-
 def test_yield_non_event_rejected():
     env = Environment()
 
@@ -208,16 +189,41 @@ def test_waiting_on_already_triggered_event():
     assert seen == ["early"]
 
 
-def test_process_is_alive_lifecycle():
+def test_yielding_a_process_raises_simulation_error():
+    """A process is not an event: nothing can wait on one (a fan-out is
+    the one join)."""
     env = Environment()
 
-    def proc(env):
-        yield env.timeout(2.0)
+    def child(env):
+        yield env.timeout(1.0)
 
-    p = env.process(proc(env))
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
+    def parent(env):
+        yield env.process(child(env))
+
+    env.process(parent(env))
+    with pytest.raises(SimulationError, match="must yield Event objects"):
+        env.run()
+
+
+def test_an_uncaught_process_exception_leaves_run_at_its_instant():
+    env = Environment()
+    ran = []
+
+    def failing(env):
+        yield env.timeout(2.0)
+        raise ValueError("boom")
+
+    def bystander(env):
+        yield env.timeout(3.0)
+        ran.append(env.now)
+
+    env.process(failing(env))
+    env.process(bystander(env))
+    with pytest.raises(ValueError, match="boom"):
+        env.run(until=10.0)
+    assert env.now == 2.0
+    assert ran == []
+    assert env.pending_events == 1  # the bystander's timer
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +291,7 @@ def test_events_fire_sorted_by_time_priority_insertion(entries):
     fired = []
     for index, (delay, priority) in enumerate(entries):
         event = env.event()
-        event._ok = True  # triggered by hand: succeed() fixes the priority
+        # Scheduled by hand: succeed() fixes the priority.
         event.callbacks.append(
             lambda _event, index=index: fired.append((env.now, index)))
         env.schedule(event, delay=delay, priority=priority)
@@ -295,10 +301,11 @@ def test_events_fire_sorted_by_time_priority_insertion(entries):
     assert fired == [(entries[index][0], index) for index in expected]
 
 
-def _kernel_calls_per_timer_wait(start):
+def _kernel_calls_per_timer_wait(start, end_events):
     """Python calls inside ``repro/sim`` per ``yield env.timeout()`` plus
     one ``env.now`` read, for a generator started by ``start(env,
-    generator)`` and run under a bounded ``run()``."""
+    generator)`` and run under a bounded ``run()``; the generator's end
+    costs ``end_events`` kernel events."""
     waits = 1000
     env = Environment()
 
@@ -322,22 +329,23 @@ def _kernel_calls_per_timer_wait(start):
         env.run(until=waits + 1.0)
     finally:
         sys.setprofile(previous)
-    assert env.events_processed == waits + 2  # start + waits + end
+    assert env.events_processed == 1 + waits + end_events  # start + waits
     return calls / waits
 
 
 def test_a_timer_wait_costs_at_most_eight_kernel_calls():
     """A host-independent cost per unit of work (7: timeout, Timeout,
     Event, schedule, step, _pace, _resume; 16 when clock and queue were
-    wrapper classes)."""
-    assert _kernel_calls_per_timer_wait(Environment.process) <= 8
+    wrapper classes). A process's end is no event."""
+    assert _kernel_calls_per_timer_wait(Environment.process, 0) <= 8
 
 
 def test_a_fan_out_members_timer_wait_costs_what_a_processs_does():
     """A member is resumed straight from its timer's callback: the same
-    seven calls, within the same budget of eight."""
+    seven calls, within the same budget of eight. Its end is the
+    fan-out's completion."""
     assert _kernel_calls_per_timer_wait(
-        lambda env, generator: env.fan_out([generator])) <= 8
+        lambda env, generator: env.fan_out([generator]), 1) <= 8
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +378,7 @@ def test_fan_out_results_come_back_in_input_order():
 def test_an_empty_fan_out_is_born_done_and_costs_nothing():
     env = Environment()
     fan_out = env.fan_out([])
-    assert fan_out.triggered and fan_out.ok and fan_out.value == []
+    assert fan_out.triggered and fan_out.value == []
     assert env.pending_events == 0
     seen = []
 
@@ -380,13 +388,14 @@ def test_an_empty_fan_out_is_born_done_and_costs_nothing():
     env.process(caller(env))
     env.run()
     assert seen == [[]]
-    assert env.events_processed == 3  # the caller's start, resume and end
+    assert env.events_processed == 2  # the caller's start and resume
 
 
 def _tie_order_trace(env, fanned):
     """Who runs when, at one instant, around two generators started as
     one fan-out or as two processes between a process created just
-    before and one created just after."""
+    before and one created just after. Only the fan-out is waited on;
+    the processes run unwaited."""
     trace = []
 
     def caller(env):
@@ -396,15 +405,12 @@ def _tie_order_trace(env, fanned):
         if fanned:
             waited = env.fan_out(members)
         else:
-            waited = [env.process(member) for member in members]
+            for member in members:
+                env.process(member)
         env.process(_sleeper(env, "after", 1.0, trace))
         if fanned:
             results = yield waited
-        else:
-            results = []
-            for process in waited:
-                results.append((yield process))
-        trace.append((env.now, "caller", results))
+            trace.append((env.now, "caller", results))
 
     env.process(caller(env))
     env.run()
@@ -412,16 +418,18 @@ def _tie_order_trace(env, fanned):
 
 
 def test_fan_out_keeps_the_tie_order_of_processes_created_in_a_row():
-    env = Environment()
+    env, unwaited = Environment(), Environment()
     trace = _tie_order_trace(env, fanned=True)
-    assert trace == _tie_order_trace(Environment(), fanned=False)
+    assert trace[:-1] == _tie_order_trace(unwaited, fanned=False)
     assert [name for _, name, _ in trace] == [
         "before", "first", "second", "after",
         "before", "first", "second", "after", "caller"]
-    # The caller's and two processes' start and end, four timers, and
-    # the fan-out's start and completion, where two processes' starts and
-    # ends would have cost four.
-    assert env.events_processed == 3 * 2 + 4 + 2
+    assert trace[-1] == (1.0, "caller", ["first", "second"])
+    # The caller's and two processes' starts, four timers, and the
+    # fan-out's start and completion, where two processes' starts cost
+    # two.
+    assert env.events_processed == 3 + 4 + 2
+    assert unwaited.events_processed == 5 + 4
 
 
 def test_fan_out_behaves_the_same_on_the_realtime_backend_at_scale_zero():
@@ -444,7 +452,6 @@ def test_a_members_exception_is_handed_back_not_raised_by_step():
     fan_out = env.fan_out([failing(env), _sleeper(env, "ok", 2.0, [], 7)])
     while env.pending_events:
         env.step()
-    assert fan_out.ok
     assert fan_out.value == [boom, 7]
 
 
@@ -462,25 +469,21 @@ def test_a_fan_out_refuses_a_non_generator_like_a_process():
 
 def test_a_member_yielding_a_processed_event_resumes_at_once():
     env = Environment()
-    done, broken = env.event(), env.event()
+    done, also_done = env.event(), env.event()
     done.succeed("early")
-    broken.fail(KeyError("gone"))
-    broken.defuse()
+    also_done.succeed("earlier")
     env.run()
     seen = []
 
     def member(env):
         seen.append((yield done))
-        try:
-            yield broken
-        except KeyError as exc:
-            seen.append(exc.args[0])
+        seen.append((yield also_done))
         return env.now
 
     fan_out = env.fan_out([member(env)])
     before = env.events_processed
     env.run()
-    assert seen == ["early", "gone"]
+    assert seen == ["early", "earlier"]
     assert fan_out.value == [0.0]
     # The start, two urgent immediates and the completion.
     assert env.events_processed - before == 4

@@ -1,8 +1,10 @@
-"""Keeps six descriptions of the tree honest: every definition under
+"""Keeps eight descriptions of the tree honest: every definition under
 ``src/repro`` has a caller that is not a test, every config field has a
 second value in use outside ``tests/``, no two functions share a body,
 a runtime's ``now`` is assigned only by the kernel, a device channel is
-checked out in one place, and DESIGN.md's module map is the tree."""
+checked out in one place, the comm layer starts no process, ``core/``
+starts only its two loops as processes, and DESIGN.md's module map is
+the tree."""
 
 import ast
 import copy
@@ -503,6 +505,29 @@ def test_the_comm_layer_starts_no_process():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "process")
     assert spawns == []
+
+
+def test_only_the_two_engine_loops_start_a_process_in_core():
+    """A batch's device queues and sibling batches are joined by kernel
+    fan-outs (DESIGN decision 33): under ``core/``, ``.process(`` starts
+    only the dispatch loop and the continuous poll loop."""
+    spawners = []
+    for path, module in _modules().items():
+        if SRC / "core" not in path.parents:
+            continue
+        owners = [(f"{node.name}.{getattr(item, 'name', '<body>')}", item)
+                  for node in module.body if isinstance(node, ast.ClassDef)
+                  for item in node.body]
+        owners += [(getattr(node, "name", "<module>"), node)
+                   for node in module.body
+                   if not isinstance(node, ast.ClassDef)]
+        spawners += [owner for owner, tree in owners
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "process"]
+    assert sorted(spawners) == [
+        "ContinuousQueryExecutor.start", "Dispatcher.start"]
 
 
 def _design_module_map():
