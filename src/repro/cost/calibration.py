@@ -23,6 +23,7 @@ from repro.errors import ProfileError
 from repro.devices.camera import HeadPosition, PanTiltZoomCamera
 from repro.profiles.cost_table import AtomicOperationCost, CostTable
 from repro.runtime import Runtime
+from repro.sim import raise_first_error
 
 #: A measurement routine: runs one trial at ``quantity`` and returns
 #: nothing; the calibrator times it.
@@ -68,19 +69,15 @@ class Calibrator:
         self, operation: str, quantity: float, runner: TrialRunner
     ) -> Measurement:
         """Run one trial to completion and record its duration."""
-        start_box: List[float] = []
-        result: List[Measurement] = []
-
-        def proc(env: Runtime) -> Generator[Any, Any, None]:
-            start_box.append(env.now)
+        def trial() -> Generator[Any, Any, Measurement]:
+            started = self.env.now
             yield from runner(quantity)
-            result.append(Measurement(
-                operation=operation, quantity=quantity,
-                seconds=env.now - start_box[0]))
+            return Measurement(operation=operation, quantity=quantity,
+                               seconds=self.env.now - started)
 
-        self.env.process(proc(self.env))
+        done = self.env.fan_out([trial()])
         self.env.run()
-        measurement = result[0]
+        (measurement,) = raise_first_error(done.value)
         self.measurements.append(measurement)
         return measurement
 

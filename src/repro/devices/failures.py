@@ -16,6 +16,7 @@ from repro.errors import DeviceError, QueueFullError
 from repro.actions.request import ActionRequest
 from repro.devices.base import Device
 from repro.runtime import Runtime
+from repro.sim import Event
 
 
 @dataclass(frozen=True)
@@ -78,29 +79,29 @@ class FailureInjector:
                 f"outage for {spec.device_id!r} scheduled on device "
                 f"{device.device_id!r}"
             )
-        if spec.start < self.env.now:
-            raise DeviceError(
-                f"outage for {spec.device_id!r} starts at {spec.start} "
-                f"but the clock is already at {self.env.now}"
-            )
-        self.scheduled.append(spec)
         if spec.kind == "offline":
             apply, revert = device.go_offline, device.go_online
         else:
             apply, revert = device.crash, device.repair
-        self.env.process(self._episode(spec.start, spec.duration,
-                                       apply, revert))
+        self._episode(f"outage for {spec.device_id!r}", spec.start,
+                      spec.duration, apply, revert)
+        self.scheduled.append(spec)
 
-    def _episode(self, start: float, duration: float,
-                 apply: Callable[[], None], revert: Callable[[], None]):
-        """Every fault's process: wait for ``start``, ``apply``, wait
-        ``duration``, ``revert``."""
-        delay = start - self.env.now
-        if delay > 0:
-            yield self.env.timeout(delay)
-        apply()
-        yield self.env.timeout(duration)
-        revert()
+    def _episode(self, fault: str, start: float, duration: float,
+                 apply: Callable[[], None],
+                 revert: Callable[[], None]) -> None:
+        """Every fault's two timers: ``apply`` at ``start``, ``revert``
+        ``duration`` later. A ``start`` already past is refused."""
+        if start < self.env.now:
+            raise DeviceError(
+                f"{fault} starts at {start} but the clock is already at "
+                f"{self.env.now}")
+
+        def begin(_start: Event) -> None:
+            apply()
+            self.env.timeout(duration).callbacks.append(lambda _end: revert())
+
+        self.env.timeout(start - self.env.now).callbacks.append(begin)
 
     def schedule_coverage_dropout(
         self, phone: "MobilePhone", start: float, duration: float
@@ -120,9 +121,8 @@ class FailureInjector:
             )
         if duration <= 0:
             raise DeviceError("dropout duration must be positive")
-        self.env.process(self._episode(start, duration,
-                                       phone.leave_coverage,
-                                       phone.enter_coverage))
+        self._episode(f"dropout for {phone.device_id!r}", start, duration,
+                      phone.leave_coverage, phone.enter_coverage)
 
     # ------------------------------------------------------------------
     # Stragglers: slow devices, not dead ones
@@ -141,12 +141,6 @@ class FailureInjector:
                 f"straggler for {spec.device_id!r} scheduled on device "
                 f"{device.device_id!r}"
             )
-        if spec.start < self.env.now:
-            raise DeviceError(
-                f"straggler for {spec.device_id!r} starts at {spec.start} "
-                f"but the clock is already at {self.env.now}"
-            )
-        self.scheduled_stragglers.append(spec)
 
         def slow_down() -> None:
             device.slowdown_factor *= spec.factor
@@ -154,8 +148,9 @@ class FailureInjector:
         def recover() -> None:
             device.slowdown_factor /= spec.factor
 
-        self.env.process(self._episode(spec.start, spec.duration,
-                                       slow_down, recover))
+        self._episode(f"straggler for {spec.device_id!r}", spec.start,
+                      spec.duration, slow_down, recover)
+        self.scheduled_stragglers.append(spec)
 
     def random_stragglers(
         self,

@@ -1,7 +1,7 @@
 """Kernel-based execution of schedules, for cross-validation.
 
 :mod:`repro.scheduling.metrics` replays a schedule arithmetically. This
-executor runs the same schedule as concurrent device processes on the
+executor runs the same schedule as one fan-out of device queues on the
 discrete-event kernel, with per-device locks — the execution style the
 engine's dispatcher uses. Both paths must agree on the makespan, which
 is asserted by property tests (and is a strong check on both the kernel
@@ -17,6 +17,7 @@ from repro.errors import SchedulingError
 from repro.runtime import Runtime, create_runtime
 from repro.scheduling.base import Schedule
 from repro.scheduling.problem import Problem
+from repro.sim import raise_first_error
 from repro.sync.locks import DeviceLockManager, LockToken
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -52,8 +53,7 @@ def execute_schedule(problem: Problem, schedule: Schedule,
     cost = (cost_model.actual if use_actual else cost_model.estimate)
     result = ExecutionResult(makespan=0.0)
 
-    def device_process(device_id: str,
-                       queue: List[str]) -> Generator:
+    def device_queue(device_id: str, queue: List[str]) -> Generator:
         status = problem.cost_model.initial_status(device_id)
         busy = 0.0
         for request_id in queue:
@@ -69,9 +69,10 @@ def execute_schedule(problem: Problem, schedule: Schedule,
                 locks.release(device_id, token)
         result.device_busy[device_id] = busy
 
-    for device_id, queue in schedule.assignments.items():
-        env.process(device_process(device_id, list(queue)))
+    done = env.fan_out(device_queue(device_id, list(queue))
+                       for device_id, queue in schedule.assignments.items())
     env.run()
+    raise_first_error(done.value)
     scheduled = set(schedule.scheduled_request_ids)
     missing = scheduled - set(result.completion_times)
     if missing:  # pragma: no cover - defensive

@@ -3,14 +3,16 @@
 The kernel is what the engine uses and no more:
 :class:`~repro.sim.base.BaseRuntime` holds a float clock and a ``heapq``
 of ``(time, priority, seq, event)`` tuples, and fires one-shot events
-that generator-based processes and a FIFO lock wait on. Events only
-succeed. A :class:`Process` is a loop the kernel drives until it
-returns; it is not an event, so nothing waits on it, and an exception
-it does not catch propagates out of ``step()`` and ``run()`` at once.
-The one join is a :class:`FanOut`: several generators started at one
-instant, awaited as one event that triggers with all their results (a
-member's exception is its result; :func:`raise_first_error` raises the
-first). Two interchangeable backends decide how time passes:
+that generator-based processes, fan-outs, timer callbacks and a FIFO
+lock wait on. Events only succeed. A :class:`Process` is a loop the
+kernel drives until it returns; it is not an event, so nothing waits
+on it, and an exception it does not catch propagates out of ``step()``
+and ``run()`` at once. A one-shot wait is not a process but a
+:class:`Timeout` with a callback. The one join is a :class:`FanOut`:
+several generators started at one instant, awaited as one event that
+triggers with all their results (a member's exception is its result;
+:func:`raise_first_error` raises the first). Two interchangeable
+backends decide how time passes:
 
 * :class:`Environment` — virtual time (the default): the clock jumps
   from event to event, so experiments measuring seconds of device time
@@ -32,6 +34,9 @@ Public surface::
 
     def both(env):  # resumes at t=1.5 with [None, None]
         results = yield env.fan_out([proc(env), proc(env)])
+
+    # A one-shot wait: a timer with a callback, not a process.
+    env.timeout(2.0).callbacks.append(lambda _event: print(env.now))
 """
 
 from repro.sim.base import BaseRuntime

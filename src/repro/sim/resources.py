@@ -73,12 +73,7 @@ class SimLock:
             raise SimulationError(
                 f"{self.name}: release by {token!r} which is not the holder"
             )
-        self._holder = None
-        while self._waiters:
-            grant, next_token = self._waiters.popleft()
-            self._holder = next_token
-            grant.succeed(next_token)
-            return
+        self.force_release()
 
     def force_release(self) -> Optional[object]:
         """Evict the current holder and wake the next FIFO waiter.

@@ -19,7 +19,7 @@ from typing import Any, Dict, Generator, Optional, Set
 from repro.obs.metrics import Counter, Histogram
 from repro.obs.spans import Observability
 from repro.runtime import Runtime
-from repro.sim import SimLock
+from repro.sim import Event, SimLock
 
 _token_counter = itertools.count(1)
 
@@ -75,16 +75,11 @@ class DeviceLockManager:
         yield lock.acquire(token)
         self._wait[device_id].observe(self.env.now - waited_from)
         if lease_seconds is not None:
-            self.env.process(self._lease_watchdog(device_id, token,
-                                                  lease_seconds))
+            def expire(_lease: Event) -> None:
+                if lock.holder is token:
+                    self.recover(device_id)
+            self.env.timeout(lease_seconds).callbacks.append(expire)
         return token
-
-    def _lease_watchdog(
-        self, device_id: str, token: LockToken, lease_seconds: float
-    ) -> Generator[Any, Any, None]:
-        yield self.env.timeout(lease_seconds)
-        if self._lock_for(device_id).holder is token:
-            self.recover(device_id)
 
     def release(self, device_id: str, token: LockToken) -> None:
         """Unlock ``device_id``; the next FIFO waiter proceeds.

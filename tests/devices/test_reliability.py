@@ -97,3 +97,17 @@ def test_coverage_dropout_validation():
     camera = PanTiltZoomCamera(env, "cam1", Point(0, 0))
     with pytest.raises(DeviceError, match="only apply to phones"):
         injector.schedule_coverage_dropout(camera, start=0, duration=1)
+
+
+def test_coverage_dropout_in_the_past_rejected():
+    """Like an outage or a straggler, a dropout cannot start before now:
+    begun late, it would still end ``duration`` after now, not after
+    its start."""
+    env = Environment()
+    phone = MobilePhone(env, "p1", Point(0, 0), number="+852")
+    injector = FailureInjector(env)
+    env.run(until=10.0)
+    with pytest.raises(DeviceError, match="clock is already at"):
+        injector.schedule_coverage_dropout(phone, start=5.0, duration=1.0)
+    env.run()
+    assert phone.in_coverage

@@ -32,6 +32,7 @@ def _state(hist):
     return (hist.counts, hist.total, hist.count, hist.min, hist.max)
 
 
+@settings(deadline=None)
 @given(values, values)
 def test_histogram_merge_commutative(xs, ys):
     ab = _hist_of(xs)
@@ -44,6 +45,7 @@ def test_histogram_merge_commutative(xs, ys):
     assert abs(ab.total - ba.total) <= 1e-9 * max(1.0, abs(ab.total))
 
 
+@settings(deadline=None)
 @given(values, values, values)
 def test_histogram_merge_associative(xs, ys, zs):
     left = _hist_of(xs)
@@ -60,6 +62,7 @@ def test_histogram_merge_associative(xs, ys, zs):
         <= 1e-9 * max(1.0, abs(left.total))
 
 
+@settings(deadline=None)
 @given(values, values)
 def test_registry_merge_commutative_snapshot(xs, ys):
     def build(observations, start):
@@ -86,6 +89,7 @@ ops = st.lists(
     max_size=40)
 
 
+@settings(deadline=None)
 @given(ops)
 def test_snapshot_idempotent(operations):
     registry = MetricsRegistry()

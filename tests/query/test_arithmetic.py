@@ -1,7 +1,7 @@
 """Arithmetic expressions and EXPLAIN in the query dialect."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueryError
@@ -97,6 +97,7 @@ def test_str_round_trip():
     assert parse_expression(str(tree)) == tree
 
 
+@settings(deadline=None)
 @given(st.integers(-100, 100), st.integers(-100, 100),
        st.integers(1, 100))
 def test_arithmetic_matches_python(a, b, c):

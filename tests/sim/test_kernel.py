@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repro.sim
 from repro.errors import SimulationError
@@ -283,6 +283,7 @@ def test_negative_max_events_rejected():
 # ----------------------------------------------------------------------
 # The kernel's contract: firing order and cost per timer wait
 # ----------------------------------------------------------------------
+@settings(deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
                           st.integers(min_value=0, max_value=2)),
                 max_size=30))

@@ -167,7 +167,7 @@ def test_lease_expiry_auto_recovers_the_lock():
     def dead_holder(env):
         yield from manager.acquire("cam1", LockToken("dead"),
                                    lease_seconds=3.0)
-        # Never releases; the watchdog evicts it at t=3.
+        # Never releases; the lease timer evicts it at t=3.
 
     def waiter(env):
         token = LockToken("waiter")
@@ -229,7 +229,7 @@ def test_lease_does_not_fire_after_normal_release():
     env.process(holder(env))
     env.process(reacquirer(env))
     env.run()
-    # The first holder released in time: its watchdog must not evict
+    # The first holder released in time: its lease timer must not evict
     # the unrelated current holder.
     assert counted(manager, "recoveries") == 0
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, ViewSector, angle_difference, normalize_angle
@@ -36,12 +36,14 @@ def test_normalize_angle_examples():
     assert normalize_angle(180) == pytest.approx(-180)
 
 
+@settings(deadline=None)
 @given(angles)
 def test_normalize_angle_range(angle):
     folded = normalize_angle(angle)
     assert -180 <= folded < 180
 
 
+@settings(deadline=None)
 @given(angles)
 def test_normalize_angle_preserves_direction(angle):
     folded = normalize_angle(angle)
@@ -52,6 +54,7 @@ def test_normalize_angle_preserves_direction(angle):
         math.cos(math.radians(angle)), abs=1e-9)
 
 
+@settings(deadline=None)
 @given(angles, angles)
 def test_angle_difference_symmetric_and_bounded(a, b):
     diff = angle_difference(a, b)
@@ -59,6 +62,7 @@ def test_angle_difference_symmetric_and_bounded(a, b):
     assert diff == pytest.approx(angle_difference(b, a), abs=1e-9)
 
 
+@settings(deadline=None)
 @given(finite, finite, finite, finite)
 def test_distance_symmetry(ax, ay, bx, by):
     a, b = Point(ax, ay), Point(bx, by)
@@ -93,6 +97,7 @@ def test_full_circle_sector_covers_all_bearings():
         assert sector.covers(target)
 
 
+@settings(deadline=None)
 @given(st.floats(min_value=-180, max_value=179.999),
        st.floats(min_value=0.5, max_value=9.5))
 def test_sector_boundary_property(bearing, distance):

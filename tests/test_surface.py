@@ -2,9 +2,9 @@
 ``src/repro`` has a caller that is not a test, every config field has a
 second value in use outside ``tests/``, no two functions share a body,
 a runtime's ``now`` is assigned only by the kernel, a device channel is
-checked out in one place, the comm layer starts no process, ``core/``
-starts only its two loops as processes, and DESIGN.md's module map is
-the tree."""
+checked out in one place, the comm layer starts no process, only
+loops start processes (``core/``'s two among them), and DESIGN.md's
+module map is the tree."""
 
 import ast
 import copy
@@ -507,13 +507,12 @@ def test_the_comm_layer_starts_no_process():
     assert spawns == []
 
 
-def test_only_the_two_engine_loops_start_a_process_in_core():
-    """A batch's device queues and sibling batches are joined by kernel
-    fan-outs (DESIGN decision 33): under ``core/``, ``.process(`` starts
-    only the dispatch loop and the continuous poll loop."""
+def _process_starters(package):
+    """``Class.method`` (or top-level function) owning each
+    ``.process(`` call in the modules under ``package``, sorted."""
     spawners = []
     for path, module in _modules().items():
-        if SRC / "core" not in path.parents:
+        if package not in path.parents:
             continue
         owners = [(f"{node.name}.{getattr(item, 'name', '<body>')}", item)
                   for node in module.body if isinstance(node, ast.ClassDef)
@@ -526,8 +525,25 @@ def test_only_the_two_engine_loops_start_a_process_in_core():
                      if isinstance(node, ast.Call)
                      and isinstance(node.func, ast.Attribute)
                      and node.func.attr == "process"]
-    assert sorted(spawners) == [
+    return sorted(spawners)
+
+
+def test_only_the_two_engine_loops_start_a_process_in_core():
+    """A batch's device queues and sibling batches are joined by kernel
+    fan-outs (DESIGN decision 33): under ``core/``, ``.process(`` starts
+    only the dispatch loop and the continuous poll loop."""
+    assert _process_starters(SRC / "core") == [
         "ContinuousQueryExecutor.start", "Dispatcher.start"]
+
+
+def test_only_loops_start_a_process():
+    """A lease and a fault episode are timers, a schedule's device
+    queues and a calibration trial are fan-outs (DESIGN decision 34):
+    under all of ``src/``, ``.process(`` starts only the four loops —
+    dispatch, continuous poll, load shedding and a request storm."""
+    assert _process_starters(SRC) == [
+        "ContinuousQueryExecutor.start", "Dispatcher.start",
+        "FailureInjector.schedule_request_storm", "LoadShedder.start"]
 
 
 def _design_module_map():
