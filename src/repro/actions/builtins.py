@@ -15,11 +15,15 @@ accurate" against the real devices.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Mapping, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Mapping, Sequence, Tuple
 
 from repro.errors import QueryError
-from repro.devices.base import Device
-from repro.devices.camera import HeadPosition, PanTiltZoomCamera
+from repro.devices.base import Device, static_epoch
+from repro.devices.camera import (
+    _AIM_MEMO_LIMIT,
+    HeadPosition,
+    PanTiltZoomCamera,
+)
 from repro.cost.model import CostModel
 from repro.actions.action import ActionDefinition, ActionParameter
 from repro.actions.registry import ActionRegistry
@@ -89,34 +93,85 @@ def photo_resolver(
 class PhotoBlockResolver:
     """Vectorized ``photo()`` quantity resolution (cost-model block API).
 
-    ``prepare`` resolves every (camera, target) aimed head pose with the
-    same scalar trig the per-call resolver uses (numpy's ``arctan2``/
-    ``hypot`` can differ from :mod:`math` in the last ulp, which would
-    break byte-identical schedules) and stacks them into (cameras x
-    targets) arrays; ``resolve`` is then pure element-wise float64
+    ``prepare`` resolves aimed head poses with the same scalar trig the
+    per-call resolver uses (numpy's ``arctan2``/``hypot`` can differ
+    from :mod:`math` in the last ulp, which would break byte-identical
+    schedules), once per target and static epoch: the resolver keeps,
+    per target ``(x, y)``, a (3 x cameras) float64 *aim column* of the
+    pan, tilt and zoom ``aim_memoized`` gives every camera it has
+    indexed. A batch's (cameras x targets) blocks are then one gather
+    from its targets' columns. ``resolve`` is pure element-wise float64
     arithmetic against each camera's status column, bit-equal to
     :func:`photo_resolver` per element.
     """
 
+    def __init__(self) -> None:
+        #: The static epoch the index and the aim columns hold for.
+        self._epoch = -1
+        #: Camera -> its position along every aim column.
+        self._index: Dict[Device, int] = {}
+        self._cameras: List[PanTiltZoomCamera] = []
+        #: Target (x, y) -> aim column over the first cameras indexed.
+        self._aims: Dict[Tuple[float, float], Any] = {}
+
     def prepare(self, devices: Sequence[Device],
                 args_list: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
         import numpy
+        epoch = static_epoch()
+        if epoch != self._epoch:
+            self._epoch = epoch
+            self._index = {}
+            self._cameras = []
+            self._aims = {}
+        index = self._index
+        rows = []
         for device in devices:
-            if not isinstance(device, PanTiltZoomCamera):
-                raise QueryError(
-                    "photo() cost estimation requires a PTZ camera")
-        targets = [args["target"] for args in args_list]
-        aimed = [device.aim_memoized(target)
-                 for device in devices for target in targets]
-        shape = (len(devices), len(targets))
-        return {
-            "pan": numpy.array([pose.pan for pose in aimed],
-                               dtype=numpy.float64).reshape(shape),
-            "tilt": numpy.array([pose.tilt for pose in aimed],
-                                dtype=numpy.float64).reshape(shape),
-            "zoom": numpy.array([pose.zoom for pose in aimed],
-                                dtype=numpy.float64).reshape(shape),
-        }
+            row = index.get(device)
+            if row is None:
+                if not isinstance(device, PanTiltZoomCamera):
+                    raise QueryError(
+                        "photo() cost estimation requires a PTZ camera")
+                row = index[device] = len(self._cameras)
+                self._cameras.append(device)
+            rows.append(row)
+        slots: Dict[Tuple[float, float], int] = {}
+        columns = []
+        picks = []
+        for args in args_list:
+            target = args["target"]
+            key = (target.x, target.y)
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(columns)
+                columns.append(self._aim_column(key, target))
+            picks.append(slot)
+        aims = numpy.empty((3, len(self._cameras), len(columns)),
+                           dtype=numpy.float64)
+        for slot, column in enumerate(columns):
+            aims[:, :, slot] = column
+        aims = aims[:, numpy.array(rows, dtype=numpy.intp)[:, None],
+                    numpy.array(picks, dtype=numpy.intp)]
+        return {"pan": aims[0], "tilt": aims[1], "zoom": aims[2]}
+
+    def _aim_column(self, key: Tuple[float, float], target: Any) -> Any:
+        """The target's aim column over every indexed camera, extended
+        by one scalar ``aim_memoized`` per camera indexed since."""
+        import numpy
+        column = self._aims.get(key)
+        done = 0 if column is None else column.shape[1]
+        if done < len(self._cameras):
+            poses = [camera.aim_memoized(target)
+                     for camera in self._cameras[done:]]
+            added = numpy.array([[pose.pan for pose in poses],
+                                 [pose.tilt for pose in poses],
+                                 [pose.zoom for pose in poses]],
+                                dtype=numpy.float64)
+            if column is not None:
+                added = numpy.concatenate((column, added), axis=1)
+            elif len(self._aims) >= _AIM_MEMO_LIMIT:
+                self._aims.clear()
+            column = self._aims[key] = added
+        return column
 
     def resolve(self, prepared: Mapping[str, Any],
                 status: Mapping[str, Any]) -> Dict[str, Any]:

@@ -4,7 +4,8 @@
 relational table. It then provides special 'scan operators' as simple
 interfaces for the query engine to acquire device data tuples from
 these virtual tables." Sensory attributes are acquired live over the
-network; non-sensory attributes come from static catalog data.
+network; non-sensory attributes come from static catalog data, read
+off each device once per static epoch.
 
 The scan is acquisitional: it reads only the sensory columns in
 :attr:`ScanOperator.columns` (the continuous executor narrows them to
@@ -17,10 +18,10 @@ two events whatever the number of devices.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from repro.errors import DeviceError
-from repro.devices.base import Device
+from repro.devices.base import Device, static_epoch
 from repro.devices.registry import DeviceRegistry
 from repro.comm.tuples import DeviceTuple
 from repro.network.message import Message
@@ -60,6 +61,9 @@ class ScanOperator:
             attr.name for attr in catalog.sensory_attributes)
         #: Device IDs skipped in the most recent scan, with reasons.
         self.skipped: List[tuple[str, str]] = []
+        #: Device ID -> its static columns, valid at ``_static_epoch``.
+        self._static: Dict[str, Dict[str, Any]] = {}
+        self._static_epoch = -1
         metrics = transport.obs.registry
         self._rows = metrics.counter(
             "comm.scan.rows", device_type=catalog.device_type)
@@ -71,6 +75,27 @@ class ScanOperator:
         """The virtual table this operator scans."""
         return self.catalog.device_type
 
+    def _static_columns(self, device: Device) -> Dict[str, Any]:
+        """The device's non-sensory columns, read once per static epoch
+        (DESIGN.md decision 35)."""
+        epoch = static_epoch()
+        if epoch != self._static_epoch:
+            self._static_epoch = epoch
+            self._static = {}
+        row = self._static.get(device.device_id)
+        if row is None:
+            static = device.static_attributes()
+            row = {}
+            for attr in self.catalog.non_sensory_attributes:
+                if attr.name not in static:
+                    raise DeviceError(
+                        f"device {device.device_id!r} provides no static "
+                        f"attribute {attr.name!r}"
+                    )
+                row[attr.name] = static[attr.name]
+            self._static[device.device_id] = row
+        return row
+
     def _acquire_row(
         self, device: Device, columns: Tuple[str, ...]
     ) -> Generator[Any, Any, DeviceTuple]:
@@ -80,15 +105,7 @@ class ScanOperator:
         retransmits; a device that fails twice in a row is skipped as
         unreachable.
         """
-        values = {}
-        static = device.static_attributes()
-        for attr in self.catalog.non_sensory_attributes:
-            if attr.name not in static:
-                raise DeviceError(
-                    f"device {device.device_id!r} provides no static "
-                    f"attribute {attr.name!r}"
-                )
-            values[attr.name] = static[attr.name]
+        values = dict(self._static_columns(device))
         if columns:
             message = Message(kind="read_attributes",
                               device_id=device.device_id,

@@ -38,7 +38,7 @@ from repro.comm.layer import CommunicationLayer
 from repro.comm.scan import ScanOperator
 from repro.comm.tuples import DeviceTuple
 from repro.plan.planner import ContinuousPlan
-from repro.devices.base import Device
+from repro.devices.base import Device, static_epoch
 from repro.query.ast import ColumnRef, Expression
 from repro.query.bands import compile_event_predicate
 from repro.query.expressions import (
@@ -71,17 +71,17 @@ POLL_INTERVAL = 1.0
 
 @dataclass
 class _CandidateSets:
-    """One device table's candidate sets and the state they hold for.
+    """One device table's candidate sets and the static epoch they hold
+    for.
 
-    ``devices`` is the table's membership when the entry was built (a
-    join or leave discards the entry); ``static`` is every member's
-    static row and mount geometry when ``sets`` was last emptied. A
-    set is served only while both still describe the registry.
+    ``devices`` and ``static`` are the table's members and their static
+    rows at ``epoch``. A lookup at any other epoch (a join, a leave or a
+    re-mount anywhere) replaces the entry.
     """
 
+    epoch: int
     devices: List[Device]
-    static: List[Tuple[Dict[str, Any], Tuple[Any, ...]]] = field(
-        default_factory=list)
+    static: List[Dict[str, Any]]
     sets: Dict[_CandidateKey, Tuple[str, ...]] = field(default_factory=dict)
 
 
@@ -108,12 +108,10 @@ class ContinuousQueryExecutor:
         #: column (``_sensory_reads``); the keys are the projection its
         #: scan acquires.
         self._projection: Dict[str, Dict[str, int]] = {}
-        #: Device table -> cached candidate sets (DESIGN.md decision
-        #: 16). Any membership change empties it: ``coverage()`` answers
+        #: Device table -> cached candidate sets (DESIGN.md decisions
+        #: 16 and 35), valid at one static epoch: ``coverage()`` answers
         #: for whichever registered device its argument names.
         self._candidate_sets: Dict[str, _CandidateSets] = {}
-        comm.registry.subscribe(
-            lambda event, device: self._candidate_sets.clear())
         self._running = False
         #: The engine's observability sink (shared via the dispatcher).
         self.obs = dispatcher.obs
@@ -476,24 +474,21 @@ class ContinuousQueryExecutor:
 
         A predicate over static state only (``query.candidate_event_refs``
         is set) is evaluated once per distinct event-side input and
-        served from the table's cache until a member's static state or
-        the registry's membership changes; a repeated event from one
-        mote then costs one comparison per member instead of one
-        interpreted predicate.
+        served from the table's cache until the static epoch moves; a
+        repeated event from one mote then costs one dict lookup instead
+        of one interpreted predicate per member.
         """
         plan = query.plan
+        epoch = static_epoch()
         table = self._candidate_sets.get(plan.device_table)
-        if table is None:
+        if table is None or table.epoch != epoch:
+            devices = self.comm.registry.of_type(plan.device_table)
             table = self._candidate_sets[plan.device_table] = _CandidateSets(
-                self.comm.registry.of_type(plan.device_table))
+                epoch, devices,
+                [device.static_attributes() for device in devices])
         predicate = plan.candidate_predicate
         if predicate is None:
             return tuple(device.device_id for device in table.devices)
-        static = [(device.static_attributes(), device.static_geometry())
-                  for device in table.devices]
-        if static != table.static:
-            table.static = static
-            table.sets.clear()
         if not query.candidate_analysed:
             query.candidate_event_refs = self._event_refs(plan, predicate)
             query.candidate_analysed = True
@@ -508,7 +503,7 @@ class ContinuousQueryExecutor:
         now = self.env.now
         candidates = tuple(
             device.device_id
-            for device, (row, _geometry) in zip(table.devices, static)
+            for device, row in zip(table.devices, table.static)
             if evaluate(predicate, event_context.bind(
                 plan.device_alias,
                 DeviceTuple(device_type=device.device_type,

@@ -3,12 +3,48 @@
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Tuple
+from typing import Any, Dict, Generator
 
 from repro.errors import DeviceDownError, DeviceError
 from repro.geometry import Point
 from repro.runtime import Runtime
+
+
+#: The static epoch (DESIGN.md decision 35): bumped by every assignment
+#: to a device's static state and by every registry join or leave. What
+#: is derived from static state is cached under the epoch it was built
+#: at and rebuilt once the epoch has moved. One count for the process:
+#: an assignment anywhere costs every cache a rebuild, never a wrong
+#: answer.
+_static_epoch = 0
+
+
+def static_epoch() -> int:
+    """The current static epoch."""
+    return _static_epoch
+
+
+def bump_static_epoch() -> None:
+    """Mark everything derived from static state as stale."""
+    global _static_epoch
+    _static_epoch += 1
+
+
+def static_attribute(name: str) -> Any:
+    """A property for the static-state attribute ``name``.
+
+    The value lives in ``_<name>``; reading it is a C-level attribute
+    fetch, and assigning it bumps the static epoch.
+    """
+    private = "_" + name
+
+    def assign(device: Any, value: Any) -> None:
+        setattr(device, private, value)
+        bump_static_epoch()
+
+    return property(operator.attrgetter(private), assign)
 
 
 class DeviceState(enum.Enum):
@@ -57,6 +93,7 @@ class Device:
 
     #: Subclasses set this to their catalog device type name.
     device_type: str = "device"
+    location: Point = static_attribute("location")
 
     def __init__(
         self,
@@ -119,20 +156,16 @@ class Device:
     # Attributes (virtual-table columns)
     # ------------------------------------------------------------------
     def static_attributes(self) -> Dict[str, Any]:
-        """Non-sensory column values for this device's table row."""
+        """Non-sensory column values for this device's table row.
+
+        They and the mount geometry (a camera's view, height and
+        calibration) are the device's *static state*: it changes only
+        when someone re-mounts or re-addresses the device, through a
+        :func:`static_attribute` whose assignment bumps the static
+        epoch; never by executing actions or by time passing.
+        """
         return {"id": self.device_id, "loc_x": self.location.x,
                 "loc_y": self.location.y}
-
-    def static_geometry(self) -> Tuple[Any, ...]:
-        """Mount geometry beyond the static row, compared by value.
-
-        Whatever functions over static state (``coverage()``) read off
-        the device that is no table column. Together with
-        :meth:`static_attributes` this is the device's *static state*:
-        it changes only when someone re-mounts or re-addresses the
-        device, never by executing actions or by time passing.
-        """
-        return ()
 
     def read_sensory(self, name: str) -> Any:
         """Acquire one sensory attribute from live device state.

@@ -25,7 +25,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ActionFailedError, DeviceDownError, DeviceError
 from repro.geometry import Point, ViewSector, angle_difference, normalize_angle
-from repro.devices.base import Device
+from repro.devices.base import Device, static_attribute, static_epoch
 from repro.runtime import Runtime
 
 #: Photo sizes supported by the capture operations.
@@ -161,6 +161,10 @@ class PanTiltZoomCamera(Device):
     """
 
     device_type = "camera"
+    view: ViewSector = static_attribute("view")
+    mount_height: float = static_attribute("mount_height")
+    calibration: CameraCalibration = static_attribute("calibration")
+    ip_address: str = static_attribute("ip_address")
 
     def __init__(
         self,
@@ -200,9 +204,9 @@ class PanTiltZoomCamera(Device):
         self._rng = rng or random.Random(0)
         #: Every photo ever taken, newest last (the simulated photo store).
         self.photo_log: List[Photo] = []
-        #: Target (x, y) -> aimed pose, valid for ``_aim_mount`` only.
+        #: Target (x, y) -> aimed pose, valid at ``_aim_epoch`` only.
         self._aim_memo: Dict[Tuple[float, float], HeadPosition] = {}
-        self._aim_mount: Tuple[Any, ...] = ()
+        self._aim_epoch = -1
 
     # ------------------------------------------------------------------
     # Geometry and aiming
@@ -231,16 +235,17 @@ class PanTiltZoomCamera(Device):
         return HeadPosition(pan=pan, tilt=tilt, zoom=zoom)
 
     def aim_memoized(self, target: Point) -> HeadPosition:
-        """:meth:`aim_for`, computed once per target and mount.
+        """:meth:`aim_for`, computed once per target and static epoch.
 
         The aimed pose depends on the target and the mount (location,
         view, height, calibration) only, and the cost oracle asks for
-        the same few targets on every batch. A changed mount drops the
-        memo; ``_AIM_MEMO_LIMIT`` bounds it under ever-new targets.
+        the same few targets on every batch. A moved static epoch (a
+        re-mount anywhere) drops the memo; ``_AIM_MEMO_LIMIT`` bounds it
+        under ever-new targets.
         """
-        mount = (self.location,) + self.static_geometry()
-        if mount != self._aim_mount:
-            self._aim_mount = mount
+        epoch = static_epoch()
+        if epoch != self._aim_epoch:
+            self._aim_epoch = epoch
             self._aim_memo = {}
         key = (target.x, target.y)
         aimed = self._aim_memo.get(key)
@@ -249,9 +254,6 @@ class PanTiltZoomCamera(Device):
                 self._aim_memo.clear()
             aimed = self._aim_memo[key] = self.aim_for(target)
         return aimed
-
-    def static_geometry(self) -> Tuple[Any, ...]:
-        return (self.view, self.mount_height, self.calibration)
 
     @staticmethod
     def _clamp(value: float, low: float, high: float) -> float:

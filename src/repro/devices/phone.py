@@ -14,7 +14,7 @@ from typing import Any, Dict, Generator, List
 
 from repro.errors import CommunicationError, DeviceError
 from repro.geometry import Point
-from repro.devices.base import Device
+from repro.devices.base import Device, static_attribute
 from repro.runtime import Runtime
 
 #: Seconds to deliver a plain SMS.
@@ -45,6 +45,8 @@ class MobilePhone(Device):
     """An MMS-capable phone owned by, e.g., the off-duty lab manager."""
 
     device_type = "phone"
+    number: str = static_attribute("number")
+    mms_support: bool = static_attribute("mms_support")
 
     def __init__(
         self,

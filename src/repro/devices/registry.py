@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List
 
 from repro.errors import DeviceError, RegistrationError
-from repro.devices.base import Device
+from repro.devices.base import Device, bump_static_epoch
 
 #: Signature of membership-change listeners: (event, device).
 MembershipListener = Callable[[str, Device], None]
@@ -33,12 +33,14 @@ class DeviceRegistry:
                 f"device {device.device_id!r} is already registered"
             )
         self._devices[device.device_id] = device
+        bump_static_epoch()
         self._notify("join", device)
 
     def remove(self, device_id: str) -> Device:
         """Unregister a device that left the network; returns it."""
         device = self.get(device_id)
         del self._devices[device_id]
+        bump_static_epoch()
         self._notify("leave", device)
         return device
 

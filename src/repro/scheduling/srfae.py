@@ -186,14 +186,17 @@ class SrfaeScheduler(Scheduler):
 
     def _solve_vectorized(self, problem: Problem,
                           kernel: ColumnKernel) -> Dict[str, List[str]]:
-        """Algorithm 2 over per-device numpy cost columns.
+        """Algorithm 2 over per-device numpy key rows.
 
         The initial keys are one cost-matrix fill; each assignment then
         re-keys the assigned device with one column. Instead of one
         priority-structure entry per (request, device) pair, each device
-        keeps a float64 column of its eligible pairs' current keys and
-        contributes exactly one entry — its column minimum — to a
-        global lazy heap. Extraction order is identical
+        keeps a float64 row of its pairs' current keys over every
+        request (``inf`` where it is no candidate) and contributes
+        exactly one entry — its row minimum — to a global lazy heap.
+        Python work per batch is O(requests + devices + distinct
+        candidate tuples' lengths); the pairs are numpy's. Extraction
+        order is identical
         to the scalar structures: heap entries order by
         ``(key, epoch, request index, candidate position)``, which
         reproduces the scalar ``(key, insertion serial)`` order because
@@ -205,7 +208,7 @@ class SrfaeScheduler(Scheduler):
         epoch exceeds every earlier one; (c) within one device and
         epoch, serials ascend with request index, matching first-
         occurrence ``argmin``. Entries are lazily revalidated on pop:
-        a device whose column changed (``gen`` mismatch) or whose
+        a device whose row changed (``gen`` mismatch) or whose
         minimum was assigned elsewhere (``taken``) is recomputed and
         re-pushed — its true key can only have grown, so the heap
         invariant holds.
@@ -215,6 +218,7 @@ class SrfaeScheduler(Scheduler):
         requests = problem.requests
         device_ids = problem.device_ids
         n = len(requests)
+        m = len(device_ids)
         device_index = {device_id: k
                         for k, device_id in enumerate(device_ids)}
         statuses = problem.initial_statuses()
@@ -223,39 +227,42 @@ class SrfaeScheduler(Scheduler):
         if not n:
             return assignments
 
-        # Per-device eligibility: global request indexes (ascending) and
-        # each request's candidate-tuple position of this device (the
-        # scalar serial tie-break within epoch 0).
-        eligible_lists: List[List[int]] = [[] for _ in device_ids]
-        position_lists: List[List[int]] = [[] for _ in device_ids]
+        # Eligibility as one (devices x requests) matrix: each request's
+        # candidate-tuple position of the device (the scalar serial
+        # tie-break within epoch 0), -1 where the device is no
+        # candidate. Requests from one AQ and mote share their
+        # candidate tuple, so it is written once per distinct tuple.
+        sharing: Dict[Tuple[str, ...], List[int]] = {}
         for i, request in enumerate(requests):
-            for position, device_id in enumerate(request.candidates):
-                k = device_index[device_id]
-                eligible_lists[k].append(i)
-                position_lists[k].append(position)
-        eligible = [numpy.array(idxs, dtype=numpy.intp)
-                    for idxs in eligible_lists]
-        positions = [numpy.array(idxs, dtype=numpy.intp)
-                     for idxs in position_lists]
+            sharing.setdefault(request.candidates, []).append(i)
+        position = numpy.full((m, n), -1, dtype=numpy.intp)
+        for candidates, indexes in sharing.items():
+            rows = numpy.array([device_index[device_id]
+                                for device_id in candidates],
+                               dtype=numpy.intp)
+            position[rows[:, None], numpy.array(indexes, dtype=numpy.intp)] \
+                = numpy.arange(len(candidates))[:, None]
+        ineligible = position < 0
 
-        # Current keys: cost column from the device's status, plus (past
-        # the first assignment) the device's accumulated completion
-        # time — the same ``cost + w`` the scalar re-key computes. Lines
-        # 1-3 key every eligible pair from one matrix fill over all
-        # devices, each device's column gathered from its row.
-        columns: List[Any] = [None] * len(device_ids)
+        # Current keys: a full row per device, the cost from the
+        # device's status plus (past the first assignment) the device's
+        # accumulated completion time — the same ``cost + w`` the scalar
+        # re-key computes — and inf where the device is no candidate.
+        # Lines 1-3 key every eligible pair from one matrix fill, and
+        # each device's first heap entry is its row's first minimum.
+        inf = numpy.inf
+        current = numpy.where(
+            ineligible, inf, kernel.matrix(device_ids, statuses))
         taken = numpy.zeros(n, dtype=bool)
-        generations = [0] * len(device_ids)
-        heap: List[Tuple[float, int, int, int, int, int]] = []
-        matrix = kernel.matrix(device_ids, statuses)
-        for k in range(len(device_ids)):
-            if not len(eligible[k]):
-                continue
-            columns[k] = matrix[k, eligible[k]]
-            best = int(columns[k].argmin())
-            heap.append((float(columns[k][best]), 0,
-                         int(eligible[k][best]), int(positions[k][best]),
-                         k, 0))
+        generations = [0] * m
+        first = current.argmin(axis=1)
+        devices = numpy.arange(m)
+        heap: List[Tuple[float, int, int, int, int, int]] = [
+            (key, 0, i, pos, k, 0)
+            for k, (key, i, pos) in enumerate(zip(
+                current[devices, first].tolist(), first.tolist(),
+                position[devices, first].tolist()))
+            if pos >= 0]  # an all-inf row has no candidate
         heapq.heapify(heap)
 
         assigned = 0
@@ -266,15 +273,14 @@ class SrfaeScheduler(Scheduler):
             if generation != generations[k]:
                 continue  # superseded by a newer push for this device
             if taken[i]:
-                # The column is current but its minimum was assigned on
+                # The row is current but its minimum was assigned on
                 # another device; re-minimize over the untaken rest.
-                best = masked_argmin(columns[k], taken[eligible[k]])
+                best = masked_argmin(current[k], taken)
                 generations[k] += 1
                 if best is not None:
                     heapq.heappush(heap, (
-                        float(columns[k][best]), epoch,
-                        int(eligible[k][best]), int(positions[k][best]),
-                        k, generations[k]))
+                        float(current[k, best]), epoch, best,
+                        int(position[k, best]), k, generations[k]))
                 continue
 
             # Assign: the key is the projected completion time w.
@@ -283,13 +289,14 @@ class SrfaeScheduler(Scheduler):
             taken[i] = True
             assigned += 1
             status = statuses[device_id] = kernel.post_status(i, device_id)
-            columns[k] = kernel.column(device_id, status, eligible[k]) + key
+            row = kernel.column(device_id, status) + key
+            row[ineligible[k]] = inf
+            current[k] = row
             generations[k] += 1
-            best = masked_argmin(columns[k], taken[eligible[k]])
+            best = masked_argmin(row, taken)
             if best is not None:
                 heapq.heappush(heap, (
-                    float(columns[k][best]), assigned,
-                    int(eligible[k][best]), int(positions[k][best]),
-                    k, generations[k]))
+                    float(row[best]), assigned, best,
+                    int(position[k, best]), k, generations[k]))
 
         return assignments

@@ -17,11 +17,13 @@ so a matrix row equals the device's column. Two design rules make that
 possible:
 
 * All *status-independent* work (trig aim resolution for the camera
-  models) is done once per (request, device) in a scalar ``prepare``
-  phase — on this platform ``numpy``'s SIMD ``arctan2``/``hypot``
-  differ from CPython's ``math`` equivalents in the last ulp, so the
-  transcendental part must stay scalar to preserve byte-identical
-  schedules.
+  models) is done in a scalar ``prepare`` phase — on this platform
+  ``numpy``'s SIMD ``arctan2``/``hypot`` differ from CPython's
+  ``math`` equivalents in the last ulp, so the transcendental part
+  must stay scalar to preserve byte-identical schedules. The engine's
+  ``photo()`` resolver does it once per (camera, distinct target) and
+  static epoch and keeps the poses as per-target columns, so a batch's
+  prepared arrays are a gather of those exact floats.
 * The *status-dependent* arithmetic (absolute axis deltas, the cost
   table's ``fixed + per_unit * quantity`` linear forms, sequence sums
   and parallel maxes) is pure float64 add/sub/mul/div/abs/max, for
@@ -102,7 +104,7 @@ class BlockModelKernel(ColumnKernel):
     """Kernel over the engine :class:`CostModel`'s block entry points.
 
     ``prepare_block`` runs once, at construction, over every device x
-    request (scalar aim resolution); ``estimate_block`` then evaluates
+    request (a gather of scalar aims); ``estimate_block`` then evaluates
     the profile's composition tree once over the whole matrix, or over
     one device's row of it for a column.
     """
@@ -165,7 +167,11 @@ def masked_argmin(costs: Any, mask: Any) -> Optional[int]:
     """Index of the smallest unmasked cost; ``None`` if all masked.
 
     First occurrence wins on ties — the same rule as a scalar
-    first-strict-min scan in array order.
+    first-strict-min scan in array order. ``costs`` may be a full row
+    over every request with ``inf`` where the device is no candidate,
+    and ``mask`` the batch-wide ``taken`` flags as they are: an ``inf``
+    entry is never picked, and a row whose unmasked entries are all
+    ``inf`` answers ``None``.
     """
     masked = numpy.where(mask, numpy.inf, costs)
     pos = int(masked.argmin())

@@ -35,6 +35,20 @@ def test_scan_includes_static_attributes(env, layer, lab):
     assert by_id["cam1"]["ip"]
 
 
+def test_scan_rereads_static_columns_after_an_in_place_remount(env, layer,
+                                                                lab):
+    """Static columns are read once per static epoch: a re-mount or
+    re-address moves the epoch, so the next scan carries the new
+    values."""
+    operator = layer.scan_operator("camera")
+    run(env, operator.scan())
+    lab["cam2"].location = Point(35.0, 4.0)
+    lab["cam1"].ip_address = "10.9.9.9"
+    rows = {row.device_id: row for row in run(env, operator.scan())}
+    assert (rows["cam2"]["loc_x"], rows["cam2"]["loc_y"]) == (35.0, 4.0)
+    assert rows["cam1"]["ip"] == "10.9.9.9"
+
+
 def test_scan_skips_offline_devices(env, layer, lab):
     lab["mote2"].go_offline()
     operator = layer.scan_operator("sensor")

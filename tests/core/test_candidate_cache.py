@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from repro import (
     AortaEngine,
     Environment,
+    MobilePhone,
     PanTiltZoomCamera,
     Point,
     SensorMote,
 )
+from repro.actions.builtins import sendphoto_profile, sendphoto_resolver
 from repro.comm.tuples import DeviceTuple
 from repro.query.expressions import EvaluationContext, evaluate
 
@@ -195,3 +197,37 @@ def test_remounting_a_camera_in_place_drops_its_tables_sets():
         origin=camera.view.origin, center=camera.view.center,
         half_angle=camera.view.half_angle, max_range=0.5)
     assert camera.device_id not in lab.served("cov", 0)
+
+
+def test_remounting_a_device_named_by_literal_id_refreshes_other_tables():
+    """The static epoch is registry-wide: re-mounting ``cam1`` in place
+    refreshes a phone table's sets whose predicate names ``cam1`` by
+    literal id, though no phone changed. (The ``OR`` keeps the
+    ``coverage()`` conjunct on the phone side of the plan.)"""
+    lab = Lab(n_cameras=2)
+    for k in range(2):
+        lab.engine.add_device(MobilePhone(
+            lab.env, f"phone{k}", Point(0.0, 0.0), number=f"555-000{k}"))
+    lab.engine.install_action_code("lib/users/sendphoto.dll",
+                                   lambda device, args: iter(()))
+    lab.engine.install_action_profile(
+        "profiles/users/sendphoto.xml", sendphoto_profile(),
+        sendphoto_resolver, device_parameters={"phone_no": "number"})
+    lab.engine.execute('''CREATE ACTION sendphoto(String phone_no,
+                                                  String photo_pathname)
+        AS "lib/users/sendphoto.dll"
+        PROFILE "profiles/users/sendphoto.xml"''')
+    lab.engine.execute('''CREATE AQ notify AS
+        SELECT sendphoto(p.number, "photos/alert.jpg")
+        FROM sensor s, phone p
+        WHERE s.accel_x > 500
+          AND (coverage("cam1", s.loc) OR p.loc_x > 1000.0)''')
+    assert lab.served("notify", 0) == ("phone0", "phone1")
+    calls = lab.coverage_calls
+    assert lab.served("notify", 0) == ("phone0", "phone1")
+    assert lab.coverage_calls == calls  # served from the phone table
+    camera = lab.engine.comm.registry.get("cam1")
+    camera.view = type(camera.view)(
+        origin=camera.view.origin, center=camera.view.center,
+        half_angle=camera.view.half_angle, max_range=0.5)
+    assert lab.served("notify", 0) == ()

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import DeviceError
-from repro.geometry import Point
-from repro.devices.base import Device, DeviceState
+from repro.geometry import Point, ViewSector
+from repro.devices import CameraCalibration, MobilePhone, PanTiltZoomCamera
+from repro.devices.base import Device, DeviceState, static_epoch
 from repro.sim import Environment
 
 
@@ -39,6 +40,32 @@ def test_base_static_attributes():
     device = Widget(Environment(), "w1", Point(2, 3))
     assert device.static_attributes() == {"id": "w1", "loc_x": 2,
                                           "loc_y": 3}
+
+
+@pytest.mark.parametrize("make, attribute, value", [
+    (lambda env: Widget(env, "w1", Point(0, 0)), "location", Point(4, 4)),
+    (lambda env: PanTiltZoomCamera(env, "c1", Point(0, 0)), "view",
+     ViewSector(origin=Point(1, 1), center=0.0, half_angle=90.0,
+                max_range=5.0)),
+    (lambda env: PanTiltZoomCamera(env, "c1", Point(0, 0)),
+     "mount_height", 7.5),
+    (lambda env: PanTiltZoomCamera(env, "c1", Point(0, 0)), "calibration",
+     CameraCalibration(pan_speed=10.0)),
+    (lambda env: PanTiltZoomCamera(env, "c1", Point(0, 0)), "ip_address",
+     "10.1.2.3"),
+    (lambda env: MobilePhone(env, "p1", Point(0, 0), number="555"),
+     "number", "556"),
+    (lambda env: MobilePhone(env, "p1", Point(0, 0), number="555"),
+     "mms_support", False),
+], ids=["location", "view", "mount_height", "calibration", "ip_address",
+        "number", "mms_support"])
+def test_every_static_state_change_moves_the_static_epoch(make, attribute,
+                                                          value):
+    device = make(Environment())
+    before = static_epoch()
+    setattr(device, attribute, value)
+    assert getattr(device, attribute) == value
+    assert static_epoch() > before
 
 
 def test_base_read_sensory_raises():

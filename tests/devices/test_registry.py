@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DeviceError, RegistrationError
 from repro.geometry import Point
 from repro.devices import DeviceRegistry, MobilePhone, PanTiltZoomCamera, SensorMote
+from repro.devices.base import static_epoch
 from repro.sim import Environment
 
 
@@ -64,3 +65,13 @@ def test_membership_listeners(registry, env):
 
 def test_iteration_yields_all(registry):
     assert {d.device_id for d in registry} == {"cam1", "cam2", "mote1", "phone1"}
+
+
+def test_join_and_leave_move_the_static_epoch(registry, env):
+    mote = SensorMote(env, "mote2", Point(1, 1))
+    before = static_epoch()
+    registry.add(mote)
+    joined = static_epoch()
+    assert joined > before
+    registry.remove("mote2")
+    assert static_epoch() > joined

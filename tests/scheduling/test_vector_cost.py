@@ -48,6 +48,7 @@ from repro.scheduling import (
 )
 from repro.scheduling import vector_cost
 from repro.scheduling.vector_cost import build_kernel, masked_argmin
+from repro.scheduling.workload import CameraStatusCostModel
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
                                  reason="numpy not installed")
@@ -230,6 +231,44 @@ def test_duplicate_targets_force_ties_identically():
         assert vectorized.assignments == scalar.assignments
 
 
+@needs_numpy
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 24), m=st.integers(2, 6), groups=st.integers(1, 4),
+       tied=st.booleans(), seed=st.integers(0, 1000))
+def test_srfae_shared_candidate_tuples_identical_with_vectorize(
+        n, m, groups, tied, seed):
+    """Requests from one AQ and mote share one candidate-tuple object,
+    which the vectorized eligibility matrix writes once per distinct
+    tuple. Whether the requests share one object, hold equal but
+    distinct tuples or list the same devices in another order — with
+    distinct costs, or with one target and one initial head everywhere
+    so that every key ties and candidate positions break the ties — the
+    assignments are the scalar walk's."""
+    import random
+    base = uniform_camera_workload(n, m, seed=seed)
+    if tied:
+        base = dataclasses.replace(base, cost_model=CameraStatusCostModel(
+            {device_id: HeadPosition() for device_id in base.device_ids}))
+    rng = random.Random(seed)
+    tuples = [tuple(rng.sample(base.device_ids, rng.randint(1, m)))
+              for _ in range(groups)]
+    variants = (
+        lambda i, group: group,                              # shared
+        lambda i, group: tuple(list(group)),                 # equal
+        lambda i, group: group[::-1] if i % 2 else group,    # reordered
+    )
+    for candidates_of in variants:
+        problem = dataclasses.replace(base, requests=tuple(
+            SchedRequest(
+                request_id=r.request_id,
+                candidates=candidates_of(i, tuples[i % groups]),
+                payload=base.requests[0].payload if tied else r.payload)
+            for i, r in enumerate(base.requests)))
+        vectorized = SrfaeScheduler(0, vectorize=True).schedule(problem)
+        scalar = SrfaeScheduler(0).schedule(problem)
+        assert vectorized.assignments == scalar.assignments
+
+
 # ----------------------------------------------------------------------
 # The engine cost model's block entry points
 # ----------------------------------------------------------------------
@@ -396,3 +435,104 @@ def test_block_without_quantities_is_sized_to_the_block():
     assert cost_model.estimate_block(prepared, [status],
                                      indexes=[0, 4],
                                      rows=slice(1, 2)).seconds.shape == (1, 2)
+
+
+# ----------------------------------------------------------------------
+# Aim columns: one scalar aim per target and static epoch
+# ----------------------------------------------------------------------
+def _photo_model():
+    cost_model = CostModel({table.device_type: table for table in (
+        camera_cost_table(), sensor_cost_table(), phone_cost_table())})
+    install_builtin_actions(ActionRegistry(), cost_model)
+    return cost_model
+
+
+def _aim_lab(n_cameras=4):
+    env = create_runtime("virtual")
+    cameras = [PanTiltZoomCamera(env, f"cam{k + 1}", Point(9.0 * k, -3.0),
+                                 facing=20.0 * k, view_range=1000.0)
+               for k in range(n_cameras)]
+    args_list = [{"target": Point(x, y), "directory": "photos"}
+                 for x, y in ((5.0, 4.0), (30.0, -8.0), (5.0, 4.0),
+                              (-12.0, 17.0), (30.0, -8.0))]
+    return env, cameras, args_list
+
+
+def assert_aims_are_scalar(prepared, devices, args_list):
+    """A prepared block's poses equal ``photo_resolver``'s, to the bit,
+    element by element."""
+    import numpy
+    from repro.actions.builtins import photo_resolver
+    status = {"pan": 0.0, "tilt": 0.0, "zoom": 1.0}
+    for k, device in enumerate(devices):
+        for i, args in enumerate(args_list):
+            _, post = photo_resolver(device, status, args)
+            for axis in ("pan", "tilt", "zoom"):
+                assert numpy.float64(post[axis]).tobytes() == \
+                    prepared.arrays[axis][k, i].tobytes()
+
+
+@needs_numpy
+@pytest.mark.parametrize("remount", [
+    lambda camera: setattr(camera, "location", Point(40.0, 25.0)),
+    lambda camera: setattr(camera, "view", dataclasses.replace(
+        camera.view, origin=Point(camera.view.origin.x, 12.0))),
+    lambda camera: setattr(camera, "mount_height", 9.0),
+    lambda camera: setattr(camera, "calibration",
+                           CameraCalibration(tilt_min=-10.0, zoom_max=2.0)),
+], ids=["location", "view", "mount_height", "calibration"])
+def test_aim_columns_follow_an_in_place_remount(remount):
+    cost_model = _photo_model()
+    _, cameras, args_list = _aim_lab()
+    before = cost_model.prepare_block("photo", cameras, args_list)
+    assert_aims_are_scalar(before, cameras, args_list)
+    remount(cameras[1])
+    after = cost_model.prepare_block("photo", cameras, args_list)
+    assert_aims_are_scalar(after, cameras, args_list)
+    # The re-mount moved the re-mounted camera's aims, and only its.
+    changed = [not all((before.arrays[axis][k] == after.arrays[axis][k])
+                       .all() for axis in ("pan", "tilt", "zoom"))
+               for k in range(len(cameras))]
+    assert changed == [False, True, False, False]
+
+
+@needs_numpy
+def test_aim_columns_serve_subsets_permutations_and_joins(monkeypatch):
+    """A batch over any subset or order of the indexed cameras is a
+    gather; only a newly indexed camera or a moved epoch asks for
+    scalar aims, one per (camera, distinct target)."""
+    from repro.devices.registry import DeviceRegistry
+    cost_model = _photo_model()
+    env, cameras, args_list = _aim_lab(n_cameras=5)
+    joiner = PanTiltZoomCamera(env, "cam9", Point(-20.0, 6.0),
+                               view_range=1000.0)
+    registry = DeviceRegistry()
+    for camera in cameras:
+        registry.add(camera)
+    asked = []
+    aim_memoized = PanTiltZoomCamera.aim_memoized
+
+    def counted(camera, target):
+        asked.append(camera.device_id)
+        return aim_memoized(camera, target)
+
+    monkeypatch.setattr(PanTiltZoomCamera, "aim_memoized", counted)
+
+    def prepare(devices, batch):
+        """The cameras that ``prepare_block`` asked for a scalar aim."""
+        del asked[:]
+        prepared = cost_model.prepare_block("photo", devices, batch)
+        cameras_asked = sorted(asked)
+        assert_aims_are_scalar(prepared, devices, batch)
+        return cameras_asked
+
+    # Three distinct targets among the five requests.
+    assert prepare(cameras[:3], args_list) == sorted(
+        ["cam1", "cam2", "cam3"] * 3)
+    assert prepare(cameras[1:3], args_list[:2]) == []
+    assert prepare([cameras[2], cameras[0], cameras[1]],
+                   args_list[::-1]) == []
+    assert prepare([cameras[4], cameras[1]], args_list) == ["cam5"] * 3
+    registry.add(joiner)  # a join moves the static epoch
+    assert prepare([joiner] + cameras[:2], args_list) == sorted(
+        ["cam9", "cam1", "cam2"] * 3)
