@@ -25,7 +25,8 @@ the same device, skipping the handshake entirely. The pool is bounded:
 The pool never owns checkout bookkeeping races: a connection is either
 idle (inside the pool) or checked out (held by exactly one
 :meth:`Transport.exchange <repro.network.transport.Transport.exchange>`,
-which hands it back with :meth:`release` or :meth:`discard`).
+which takes it with :meth:`checkout`, dials only when that finds none,
+and hands it back with :meth:`release` or :meth:`discard`).
 Concurrent checkouts for the same device simply open extra connections;
 the surplus is closed on release.
 
@@ -35,8 +36,7 @@ virtual time and call order, so pooled runs replay exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Generator
+from typing import Dict, NamedTuple, Optional
 
 from repro.devices.base import Device
 from repro.network.transport import Connection, Transport
@@ -48,8 +48,7 @@ from repro.runtime import Runtime
 POOL_IDLE_SECONDS = 30.0
 
 
-@dataclass
-class _IdleEntry:
+class _IdleEntry(NamedTuple):
     """One parked keep-alive connection."""
 
     connection: Connection
@@ -80,30 +79,26 @@ class ConnectionPool:
     # ------------------------------------------------------------------
     # Checkout / checkin
     # ------------------------------------------------------------------
-    def acquire(
-        self, device: Device, timeout: float
-    ) -> Generator[Any, Any, Connection]:
-        """Check out a channel to ``device``: pooled if warm, else fresh.
+    def checkout(self, device: Device) -> Optional[Connection]:
+        """Check out the channel parked for ``device``, or ``None``.
 
-        A pool hit returns immediately (no handshake, no virtual-time
-        cost). A miss — no idle channel, or an idle channel past its
-        expiry — pays the full :meth:`Transport.connect` handshake.
+        A pool hit hands the channel over at no virtual-time cost. On a
+        miss — no idle channel, or an idle channel past its expiry —
+        the caller pays the full :meth:`Transport.connect` handshake.
         """
         entry = self._idle.pop(device.device_id, None)
         if entry is not None:
             self._size.set(len(self._idle))
-            stale = (entry.connection.closed
-                     or entry.connection.device is not device
-                     or self.env.now - entry.idle_since > POOL_IDLE_SECONDS)
-            if stale:
-                entry.connection.close()
+            connection = entry.connection
+            if (connection.closed or connection.device is not device
+                    or self.env.now - entry.idle_since > POOL_IDLE_SECONDS):
+                connection.close()
                 self._expired[device.device_type].inc()
             else:
                 self._hits[device.device_type].inc()
-                return entry.connection
+                return connection
         self._misses[device.device_type].inc()
-        connection = yield from self.transport.connect(device, timeout)
-        return connection
+        return None
 
     def release(self, connection: Connection) -> None:
         """Return a healthy channel to the pool for reuse.

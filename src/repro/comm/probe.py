@@ -12,9 +12,10 @@ returns the device's current physical status for cost estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Optional,
+                    Tuple)
 
-from repro.devices.base import Device
+from repro.devices.base import Device, static_epoch
 from repro.network.message import Message
 from repro.network.transport import Transport
 from repro.obs.metrics import Counter, Histogram
@@ -77,6 +78,26 @@ class Prober:
             Counter, "probe.failed", "device_type", "phase")
         self._rtt = self.obs.family(Histogram, "probe.rtt_seconds",
                                     "device_type")
+        #: Device ID -> its (ping, status) messages, valid at
+        #: ``_static_epoch``: a message is immutable, so each is built
+        #: once.
+        self._messages: Dict[str, Tuple[Message, Message]] = {}
+        self._static_epoch = -1
+
+    def _probe_messages(self, device: Device) -> Tuple[Message, Message]:
+        """The device's ping and status messages, built once per static
+        epoch."""
+        epoch = static_epoch()
+        if epoch != self._static_epoch:
+            self._static_epoch = epoch
+            self._messages = {}
+        messages = self._messages.get(device.device_id)
+        if messages is None:
+            messages = self._messages[device.device_id] = (
+                Message(kind="ping", device_id=device.device_id),
+                Message(kind="status", device_id=device.device_id),
+            )
+        return messages
 
     def probe(
         self, device: Device,
@@ -95,10 +116,8 @@ class Prober:
         self._sent[device.device_type].inc()
         with self.obs.span("probe", parent=parent_span, detached=True,
                            device=device.device_id):
-            exchange = yield from self.transport.exchange(device, [
-                Message(kind="ping", device_id=device.device_id),
-                Message(kind="status", device_id=device.device_id),
-            ], timeout)
+            exchange = yield from self.transport.exchange(
+                device, self._probe_messages(device), timeout)
             self._rtt[device.device_type].observe(self.env.now - started)
             if exchange.failed:
                 self._failed[device.device_type, exchange.failed].inc()

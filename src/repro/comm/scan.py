@@ -63,6 +63,11 @@ class ScanOperator:
         self.skipped: List[tuple[str, str]] = []
         #: Device ID -> its static columns, valid at ``_static_epoch``.
         self._static: Dict[str, Dict[str, Any]] = {}
+        #: Device ID -> its ``read_attributes`` message for
+        #: ``_read_columns``, valid at ``_static_epoch``: a message is
+        #: immutable, so each is built once.
+        self._reads: Dict[str, Message] = {}
+        self._read_columns: Tuple[str, ...] = ()
         self._static_epoch = -1
         metrics = transport.obs.registry
         self._rows = metrics.counter(
@@ -82,6 +87,7 @@ class ScanOperator:
         if epoch != self._static_epoch:
             self._static_epoch = epoch
             self._static = {}
+            self._reads = {}
         row = self._static.get(device.device_id)
         if row is None:
             static = device.static_attributes()
@@ -96,6 +102,20 @@ class ScanOperator:
             self._static[device.device_id] = row
         return row
 
+    def _read_message(self, device: Device,
+                      columns: Tuple[str, ...]) -> Message:
+        """The device's ``read_attributes`` message for ``columns``,
+        built once per (device, columns) and static epoch."""
+        if columns != self._read_columns:
+            self._read_columns = columns
+            self._reads = {}
+        message = self._reads.get(device.device_id)
+        if message is None:
+            message = self._reads[device.device_id] = Message(
+                kind="read_attributes", device_id=device.device_id,
+                payload={"names": columns})
+        return message
+
     def _acquire_row(
         self, device: Device, columns: Tuple[str, ...]
     ) -> Generator[Any, Any, DeviceTuple]:
@@ -107,9 +127,7 @@ class ScanOperator:
         """
         values = dict(self._static_columns(device))
         if columns:
-            message = Message(kind="read_attributes",
-                              device_id=device.device_id,
-                              payload={"names": columns})
+            message = self._read_message(device, columns)
             read = yield from self.transport.exchange(device, [message],
                                                       self.timeout)
             if read.failed:
@@ -124,12 +142,8 @@ class ScanOperator:
                               f"{read.responses[0].error}")
                 raise DeviceError(reason)
             values.update(read.responses[0].value)
-        return DeviceTuple(
-            device_type=self.device_type,
-            device_id=device.device_id,
-            values=values,
-            acquired_at=self.env.now,
-        )
+        return DeviceTuple(self.catalog.device_type, device.device_id,
+                           values, self.env.now)
 
     def scan(self) -> Generator[Any, Any, List[DeviceTuple]]:
         """Acquire the table's current rows from all online devices.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -20,10 +21,15 @@ class LinkModel:
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.latency_seconds < 0:
-            raise CommunicationError("latency must be non-negative")
-        if self.jitter_seconds < 0:
-            raise CommunicationError("jitter must be non-negative")
+        # ``not 0 <= x < inf`` also refuses NaN, which compares false.
+        if not 0 <= self.latency_seconds < math.inf:
+            raise CommunicationError(
+                f"latency must be finite and non-negative, got "
+                f"{self.latency_seconds}")
+        if not 0 <= self.jitter_seconds < math.inf:
+            raise CommunicationError(
+                f"jitter must be finite and non-negative, got "
+                f"{self.jitter_seconds}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise CommunicationError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"

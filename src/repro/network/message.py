@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, NamedTuple
 
 from repro.errors import CommunicationError
 
@@ -30,9 +30,9 @@ class Message:
             )
 
 
-@dataclass(frozen=True)
-class Response:
-    """A device's answer to a :class:`Message`."""
+class Response(NamedTuple):
+    """A device's answer to a :class:`Message`: one per round trip, so
+    a tuple built positionally."""
 
     device_id: str
     ok: bool

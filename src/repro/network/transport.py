@@ -10,8 +10,8 @@ behaviours the probing mechanism of Section 4 must detect and contain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import (Any, Dict, Generator, List, NamedTuple, Optional,
+                    Sequence)
 
 from repro.errors import (
     CommunicationError,
@@ -82,22 +82,17 @@ class Connection:
                 f"device {self.device.device_id!r} went away mid-exchange"
             )
         transport._rtt[message.kind].observe(env.now - started)
-        return Response(
-            device_id=self.device.device_id,
-            ok=ok,
-            value=value,
-            error=error,
-            round_trip_seconds=env.now - started,
-        )
+        return Response(self.device.device_id, ok, value, error,
+                        env.now - started)
 
     def close(self) -> None:
         """Release the channel. Idempotent."""
         self.closed = True
 
 
-@dataclass
-class Exchange:
-    """What one :meth:`Transport.exchange` came to."""
+class Exchange(NamedTuple):
+    """What one :meth:`Transport.exchange` came to: one per exchange,
+    so a tuple built positionally."""
 
     #: The replies, in message order, up to and including a refusal.
     responses: List[Response]
@@ -186,7 +181,7 @@ class Transport:
         return Connection(self, device, link)
 
     def exchange(
-        self, device: Device, messages: List[Message], timeout: float
+        self, device: Device, messages: Sequence[Message], timeout: float
     ) -> Generator[Any, Any, Exchange]:
         """Run ``messages``' round trips over the device's control channel.
 
@@ -197,10 +192,12 @@ class Transport:
         unless it broke (silence, or the device gone mid-exchange). The
         :class:`Exchange` names the step that failed, and why.
         """
-        try:
-            connection = yield from self.pool.acquire(device, timeout)
-        except CommunicationError as exc:
-            return Exchange([], "connect", str(exc))
+        connection = self.pool.checkout(device)
+        if connection is None:
+            try:
+                connection = yield from self.connect(device, timeout)
+            except CommunicationError as exc:
+                return Exchange([], "connect", str(exc))
         responses: List[Response] = []
         failed = error = ""
         for message in messages:

@@ -79,9 +79,13 @@ class _IntervalTree:
     Nodes live in a dict so the (mostly empty) array is never
     materialized. Strictness is ignored here — closed-piece coverage
     yields a superset the caller's band re-check tightens.
+
+    A tree never changes once built (a rebuild builds a new one), so
+    each piece's stab is computed once and memoized; tombstoned entries
+    stay in it for the caller to filter.
     """
 
-    __slots__ = ("_bounds", "_size", "_nodes")
+    __slots__ = ("_bounds", "_size", "_nodes", "_stabbed")
 
     def __init__(self, entries: List[_IndexEntry]) -> None:
         bounds = set()
@@ -113,6 +117,8 @@ class _IntervalTree:
                     self._nodes.setdefault(hi, []).append(entry)
                 lo >>= 1
                 hi >>= 1
+        #: Piece -> the entries a stab anywhere in it returns.
+        self._stabbed: Dict[int, Tuple[_IndexEntry, ...]] = {}
 
     def _piece(self, value: float) -> int:
         index = bisect_left(self._bounds, value)
@@ -120,17 +126,21 @@ class _IntervalTree:
             return 2 * index + 1
         return 2 * index
 
-    def stab(self, value: float) -> List[_IndexEntry]:
+    def stab(self, value: float) -> Tuple[_IndexEntry, ...]:
         """Every stored interval whose closed hull contains ``value``."""
-        out: List[_IndexEntry] = []
-        nodes = self._nodes
-        index = self._piece(value) + self._size
-        while index:
-            bucket = nodes.get(index)
-            if bucket:
-                out.extend(bucket)
-            index >>= 1
-        return out
+        piece = self._piece(value)
+        stabbed = self._stabbed.get(piece)
+        if stabbed is None:
+            out: List[_IndexEntry] = []
+            nodes = self._nodes
+            index = piece + self._size
+            while index:
+                bucket = nodes.get(index)
+                if bucket:
+                    out.extend(bucket)
+                index >>= 1
+            stabbed = self._stabbed[piece] = tuple(out)
+        return stabbed
 
 
 class AttributeIndex:
@@ -300,10 +310,11 @@ class PredicateIndex:
         candidates.
         """
         self.lookups += 1
+        values = row.values
         candidates: List[_IndexEntry] = []
         for name, attribute in self._attributes.items():
-            if name in row:
-                attribute.collect(row[name], candidates)
+            if name in values:
+                attribute.collect(values[name], candidates)
         candidates.extend(self._scan_always.values())
         self.candidates_examined += len(candidates)
         out: List[Tuple[int, str]] = []
@@ -325,7 +336,11 @@ class PredicateIndex:
             elif admit is not None and not admit(name):
                 continue
             for band in entry.bands:
-                if not band.admits(row[band.attribute]):
+                try:
+                    value = values[band.attribute]
+                except KeyError:
+                    value = row[band.attribute]  # the tuple's QueryError
+                if not band.admits(value):
                     break
             else:
                 if entry.shared:

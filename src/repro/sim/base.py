@@ -39,8 +39,9 @@ class BaseRuntime:
     backend_name = "base"
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SimulationError(f"clock cannot start at negative time {start}")
+        if not start >= 0:  # also refuses NaN, which compares false
+            raise SimulationError(
+                f"clock cannot start at negative or NaN time {start}")
         #: Current runtime time in seconds (virtual for both backends:
         #: the realtime backend paces the same timeline against the wall
         #: clock rather than keeping a separate one). Monotonically
@@ -82,8 +83,9 @@ class BaseRuntime:
         self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
     ) -> None:
         """Enqueue ``event`` to have its callbacks run after ``delay``."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:  # also refuses NaN, which compares false
+            raise SimulationError(
+                f"cannot schedule into the past or at NaN (delay={delay})")
         heapq.heappush(self._queue, (self.now + delay, priority, self._seq, event))
         self._seq += 1
 
@@ -119,8 +121,9 @@ class BaseRuntime:
 
         Returns the runtime time at which execution stopped.
         """
-        if until is not None and until < self.now:
-            raise SimulationError(f"run until {until} is in the past (now={self.now})")
+        if until is not None and not until >= self.now:  # NaN as well
+            raise SimulationError(
+                f"run until {until} is in the past or NaN (now={self.now})")
         if max_events is not None and max_events < 0:
             raise SimulationError(f"max_events must be >= 0, got {max_events}")
         queue = self._queue

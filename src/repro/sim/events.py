@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError
@@ -27,6 +28,8 @@ class Event:
     virtual time. Events only succeed: an error is raised where it
     happens, never carried by an event.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_processed")
 
     def __init__(self, env: "BaseRuntime") -> None:
         self.env = env
@@ -60,11 +63,23 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically ``delay`` seconds in the future."""
+    """An event that fires automatically ``delay`` seconds in the future.
+
+    The hottest constructor in the kernel: it sets its own fields and
+    pushes its own queue entry, exactly what :meth:`BaseRuntime.schedule
+    <repro.sim.base.BaseRuntime.schedule>` would push at normal
+    priority, without the two calls.
+    """
+
+    __slots__ = ()
 
     def __init__(self, env: "BaseRuntime", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(env)
+        if not delay >= 0:  # also refuses NaN, which compares false
+            raise SimulationError(f"negative or NaN timeout delay {delay}")
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._processed = False
+        seq = env._seq
+        heappush(env._queue, (env.now + delay, PRIORITY_NORMAL, seq, self))
+        env._seq = seq + 1

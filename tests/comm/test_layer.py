@@ -1,10 +1,13 @@
 """Unit tests for the communication-layer facade."""
 
+import gc
+
 import pytest
 
 from repro.errors import ProfileError, RegistrationError
 from repro.geometry import Point
 from repro.devices import PanTiltZoomCamera
+from tests.comm.conftest import run
 
 
 def test_registered_types(layer):
@@ -49,3 +52,27 @@ def test_remove_device(env, layer, lab):
     layer.remove_device("mote3")
     online = layer.registry.online_of_type("sensor")
     assert [d.device_id for d in online] == ["mote1", "mote2"]
+
+
+def test_scans_and_probe_batches_leave_no_cycles(env, layer, lab):
+    """The row and probe paths build no reference cycle (a driver that
+    caches its own bound method is one), so the cycle collector finds
+    nothing to free after them: its pauses cannot grow with rows."""
+    scans = [layer.scan_operator(device_type)
+             for device_type in ("sensor", "camera")]
+    devices = list(lab.values())
+
+    def batch():
+        for scan in scans:
+            run(env, scan.scan())
+        run(env, layer.prober.probe_all(devices))
+
+    batch()  # warm: channels parked, static columns and messages built
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            batch()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

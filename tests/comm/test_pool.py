@@ -23,7 +23,12 @@ def pool(layer):
 
 
 def checkout(env, pool, device, timeout=1.0):
-    return run(env, pool.acquire(device, timeout))
+    """What ``Transport.exchange`` does: the parked channel, else a
+    handshake."""
+    connection = pool.checkout(device)
+    if connection is None:
+        connection = run(env, pool.transport.connect(device, timeout))
+    return connection
 
 
 def counts(layer):

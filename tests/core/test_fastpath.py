@@ -219,7 +219,10 @@ class TestPoolIntegration:
         checked_out = []
 
         def checkout(env):
-            connection = yield from engine.pool.acquire(newcomer, 1.0)
+            connection = engine.pool.checkout(newcomer)
+            if connection is None:
+                connection = yield from engine.pool.transport.connect(
+                    newcomer, 1.0)
             checked_out.append(connection)
             engine.pool.release(connection)
 

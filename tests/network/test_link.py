@@ -49,3 +49,13 @@ def test_default_links_cover_builtin_types():
     assert set(DEFAULT_LINKS) == {"camera", "sensor", "phone"}
     # The sensor radio is the lossy medium (paper Section 4).
     assert DEFAULT_LINKS["sensor"].loss_rate > 0
+
+
+@pytest.mark.parametrize("field", ["latency_seconds", "jitter_seconds"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_latency_or_jitter_is_refused(field, value):
+    """A NaN latency samples NaN and an infinite jitter samples inf:
+    either would reach the kernel as a timer delay."""
+    parameters = {"latency_seconds": 0.01, field: value}
+    with pytest.raises(CommunicationError, match=field.split("_")[0]):
+        LinkModel(**parameters)

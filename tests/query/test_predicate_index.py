@@ -457,3 +457,84 @@ def test_linear_scanning_never_outgrows_the_population(steps):
                     assert rented < len(live)
                 before = stats
             largest = max(largest, len(live))
+
+
+def temperature_interval():
+    return st.builds(lambda band: BandForm((band,)), st.builds(
+        interval_band, st.just("temperature"), VALUES, VALUES,
+        st.booleans(), st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(temperature_interval(), min_size=2, max_size=4),
+       st.lists(band_forms(), max_size=6),
+       st.lists(band_forms(), max_size=6),
+       st.lists(rows(), min_size=1, max_size=3),
+       st.lists(st.one_of(
+           st.tuples(st.just("add"), band_forms()),
+           st.tuples(st.just("drop"), st.integers(0, 20)),
+           st.tuples(st.just("lookup"), st.integers(0, 2))), max_size=30))
+def test_the_stab_memo_never_serves_a_stale_set(
+        intervals, first, second, pool, steps):
+    """A tree memoizes each elementary piece's stab, so the rows here
+    come from a pool of at most three, all over the small value pool:
+    lookups keep landing on memoized pieces. Every lookup is checked
+    against brute force over the live forms — after the first tree is
+    built, after drops leave tombstones in it, after a rent-or-buy
+    rebuild replaces it, after adds buffer beside it, and through
+    interleaved add / drop / lookup traffic."""
+    index = PredicateIndex("sensor")
+    live, dropped = {}, set()
+    temperature = []  # the attribute's tree count after each phase
+
+    def add(form):
+        seq = len(live) + len(dropped)
+        index.add(f"q{seq}", seq, "s", form)
+        live[f"q{seq}"] = form
+
+    def drop(name):
+        index.remove(name)
+        dropped.add(name)
+        del live[name]
+
+    def lookup(row):
+        context = EvaluationContext(tuples={"s": row},
+                                    functions=strategies.FUNCTIONS)
+        expected = {name for name, form in live.items()
+                    if form.matches(row, context)}
+        assert matched_names(index, row) == expected
+
+    def rebuilds():
+        return index._attributes["temperature"].rebuilds
+
+    def lookups_until_rebuild():
+        """Look up the pool until the temperature tree is rebuilt;
+        rent-or-buy bounds the rounds by the live population."""
+        start = rebuilds()
+        for _ in range(len(live) + 2):
+            for row in pool:
+                lookup(row)
+                lookup(row)  # the same pieces again: served by memo
+            if rebuilds() != start:
+                break
+        temperature.append(rebuilds())
+
+    for form in (*intervals, *first):
+        add(form)
+    lookups_until_rebuild()             # the first tree, memo filled
+    drop("q0")                          # a tombstone in that tree
+    for name in list(live)[len(intervals) - 1::2]:
+        drop(name)
+    lookups_until_rebuild()             # filtered, then rebuilt
+    for form in (intervals[-1], *second):
+        add(form)
+    lookups_until_rebuild()             # buffered, then rebuilt
+    assert temperature == [1, 2, 3]
+
+    for op, argument in steps:
+        if op == "add":
+            add(argument)
+        elif op == "drop" and live:
+            drop(sorted(live)[argument % len(live)])
+        elif op == "lookup":
+            lookup(pool[argument % len(pool)])

@@ -104,6 +104,52 @@ def test_run_until_past_raises():
         env.run(until=1.0)
 
 
+NAN = float("nan")
+
+
+def test_a_nan_timeout_is_refused_at_the_call():
+    """A NaN delay compares false against everything, so it would pass
+    a ``delay < 0`` check and corrupt the heap order: the kernel would
+    fail later, elsewhere, moving the clock backwards."""
+    env = Environment()
+    with pytest.raises(SimulationError, match="nan"):
+        env.timeout(NAN)
+    assert env.pending_events == 0
+
+
+def test_a_nan_schedule_delay_is_refused_at_the_call():
+    env = Environment()
+    with pytest.raises(SimulationError, match="nan"):
+        env.schedule(env.event(), delay=NAN)
+    assert env.pending_events == 0
+
+
+def test_processes_waiting_nan_fail_at_their_yield_not_at_a_later_step():
+    env = Environment()
+    woke = []
+
+    def sleeper(delay):
+        yield env.timeout(delay)
+        woke.append(delay)
+
+    for delay in (1.0, NAN, 2.0, 0.5):
+        env.process(sleeper(delay))
+    with pytest.raises(SimulationError, match="timeout delay nan"):
+        env.run()
+    assert env.now == 0.0  # refused while the processes started
+    env.run()
+    assert woke == [0.5, 1.0, 2.0]
+
+
+def test_run_until_nan_is_refused_and_leaves_the_clock():
+    env = Environment()
+    with pytest.raises(SimulationError, match="nan"):
+        env.run(until=NAN)
+    assert env.now == 0.0
+    with pytest.raises(SimulationError, match="nan"):
+        Environment(start=NAN)
+
+
 def test_process_returns_value_via_yield():
     """A generator's return value arrives at the ``yield`` of the
     fan-out it is a member of (nothing waits on a process)."""

@@ -431,7 +431,7 @@ def test_only_the_kernel_assigns_a_runtimes_now():
 
 #: The channel calls: ``Connection.request`` and the pool's checkout
 #: and return.
-CHANNEL_CALLS = ("request", "acquire", "release", "discard")
+CHANNEL_CALLS = ("request", "checkout", "acquire", "release", "discard")
 
 #: Receivers in ``src/`` of a call spelled like a channel call that is
 #: not one: device locks, sets, shed queues and a scheduling problem.
@@ -473,7 +473,7 @@ def _channel_calls():
 def test_one_exchange_checks_channels_out():
     """``Transport.exchange`` is the one place a device channel is
     checked out, used and handed back (DESIGN decision 31): nothing else
-    in ``src/`` calls ``Connection.request`` or the pool's ``acquire``
+    in ``src/`` calls ``Connection.request`` or the pool's ``checkout``
     / ``release`` / ``discard``. A new call spelled like one that is
     not one names its receiver in ``NOT_A_CHANNEL``."""
     calls = _channel_calls()
@@ -481,7 +481,7 @@ def test_one_exchange_checks_channels_out():
             for path, name, receiver, method in calls
             if path == "network/transport.py"}
     assert home == {(".Transport.exchange", call) for call in (
-        "pool.acquire", "pool.release", "pool.discard",
+        "pool.checkout", "pool.release", "pool.discard",
         "connection.request")}
     elsewhere = {(path, receiver) for path, _, receiver, _ in calls
                  if path != "network/transport.py"}
