@@ -36,13 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import CommunicationError
 from repro.devices.base import Device
 from repro.obs.metrics import Counter
 from repro.obs.spans import Observability
 from repro.runtime import Runtime
 
-#: Default per-type freshness TTLs, in virtual seconds. Camera status
+#: Per-type freshness TTLs, in virtual seconds. Camera status
 #: (head position) only changes under Aorta's own actions, so it keeps
 #: long; sensor readings drift with the environment; phone coverage is
 #: the most volatile of the three.
@@ -67,20 +66,8 @@ class _CacheEntry:
 class DeviceStatusCache:
     """Last-probed physical status per device, with bounded freshness."""
 
-    def __init__(
-        self,
-        env: Runtime,
-        *,
-        ttls: Optional[Dict[str, float]] = None,
-        obs: Optional[Observability] = None,
-    ) -> None:
-        #: Per-type TTLs: ``ttls`` overrides the built-in defaults.
-        self.ttls = {**DEFAULT_STATUS_TTLS, **(ttls or {})}
-        for device_type, ttl in self.ttls.items():
-            if ttl <= 0:
-                raise CommunicationError(
-                    f"status TTL for {device_type!r} must be positive, "
-                    f"got {ttl}")
+    def __init__(self, env: Runtime, *,
+                 obs: Optional[Observability] = None) -> None:
         self.env = env
         self._entries: Dict[str, _CacheEntry] = {}
         self.obs = obs if obs is not None else Observability()
@@ -97,7 +84,7 @@ class DeviceStatusCache:
 
     def ttl_for(self, device_type: str) -> float:
         """The freshness window that applies to this device type."""
-        return self.ttls.get(device_type, STATUS_TTL_SECONDS)
+        return DEFAULT_STATUS_TTLS.get(device_type, STATUS_TTL_SECONDS)
 
     # ------------------------------------------------------------------
     # Lookup / store

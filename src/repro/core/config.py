@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import AortaError
 from repro.runtime import RUNTIME_NAMES
@@ -32,6 +33,8 @@ BACKOFF_FACTOR = 2.0
 #: Drawn from the dispatcher's named sim RNG stream, so runs are
 #: exactly repeatable.
 BACKOFF_JITTER = 0.1
+#: Ceiling on any single backoff wait, jitter included.
+BACKOFF_MAX = 30.0
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,6 @@ class RetryPolicy:
 
     #: Execution attempts per device assignment (1 = no retries).
     max_attempts: int = 1
-    #: Ceiling on any single backoff wait, jitter included.
-    backoff_max: float = 30.0
     #: Re-dispatch a request to surviving candidates when its device
     #: fails (the failed device is removed from the candidate set).
     failover: bool = False
@@ -59,15 +60,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise AortaError("retry max_attempts must be >= 1")
-        if self.backoff_max < 0:
-            raise AortaError("retry backoff_max must be non-negative")
 
     def backoff_seconds(self, attempt: int, rng: random.Random) -> float:
         """Wait before retry number ``attempt`` (1-based): exponential,
-        jittered, then capped at ``backoff_max``."""
+        jittered, then capped at :data:`BACKOFF_MAX`."""
         nominal = BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1)
         nominal *= 1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0)
-        return min(nominal, self.backoff_max)
+        return min(nominal, BACKOFF_MAX)
 
 
 @dataclass
@@ -88,8 +87,9 @@ class EngineConfig:
     the poll interval (:data:`repro.core.continuous.POLL_INTERVAL`),
     the batch window (:data:`repro.core.dispatcher.BATCH_WINDOW`), the
     connection pool's size and idle expiry (:mod:`repro.comm.pool`),
-    the status cache's fallback TTL (:mod:`repro.comm.status_cache`)
-    and a ledger-coupled fleet's lockstep quantum
+    the status cache's TTLs (:mod:`repro.comm.status_cache`), the
+    retry backoff's ceiling (:data:`BACKOFF_MAX`) and a ledger-coupled
+    fleet's lockstep quantum
     (:data:`repro.shard.coordinator.SHARD_QUANTUM`). Event detection is
     edge-triggered: a device whose predicate stays true across polls is
     one event.
@@ -115,7 +115,8 @@ class EngineConfig:
     lock_lease_seconds: Optional[float] = None
     #: Metrics + span tracing (the repro.obs subsystem). Off by
     #: default; the disabled path is byte-identical to an engine built
-    #: before the observability layer existed (benchmark-gated).
+    #: before the observability layer existed (pinned by
+    #: ``tests/obs/test_invariance.py``).
     observability: bool = False
     #: Runtime backend the engine builds when no explicit runtime is
     #: passed: "virtual" (discrete-event, default) or "realtime"
@@ -134,10 +135,6 @@ class EngineConfig:
     #: device, on probe failure, on health-breaker transitions and when
     #: the device leaves. Off by default.
     status_cache: bool = False
-    #: Per-type freshness TTL overrides, merged over the built-in
-    #: defaults (:data:`repro.comm.status_cache.DEFAULT_STATUS_TTLS`);
-    #: ``None`` keeps the defaults.
-    status_ttls: Optional[Dict[str, float]] = None
     #: Overload-control plane (repro.overload): admission control at
     #: AQ registration and request ingestion, bounded pending queues
     #: with backpressure, and priority load-shedding with deadlines.
@@ -160,7 +157,8 @@ class EngineConfig:
     #: :class:`~repro.shard.ShardedEngine` honours it, and only with
     #: ``shards > 1`` (a 1-shard fleet stays the in-process
     #: pass-through). Off by default; a worker fleet's per-shard dumps
-    #: are byte-identical to the in-process fleet's (benchmark-gated).
+    #: are byte-identical to the in-process fleet's (pinned by
+    #: ``tests/shard/test_parallel.py``).
     parallel: bool = False
     #: Worker backend for ``parallel=True``. Deployments use "process"
     #: (spawned interpreters — the only backend with a wall-clock
@@ -175,22 +173,19 @@ class EngineConfig:
                 f"unknown scheduler {self.scheduler!r}; expected one of "
                 f"{SCHEDULER_NAMES}"
             )
+        # Written so that NaN fails too: every comparison with NaN is
+        # False.
         if self.lock_lease_seconds is not None \
-                and self.lock_lease_seconds <= 0:
-            raise AortaError("lock_lease_seconds must be positive")
+                and not 0 < self.lock_lease_seconds < math.inf:
+            raise AortaError("lock_lease_seconds must be positive and "
+                             "finite")
         if self.runtime not in RUNTIME_NAMES:
             raise AortaError(
                 f"unknown runtime {self.runtime!r}; expected one of "
                 f"{RUNTIME_NAMES}"
             )
-        if self.time_scale < 0:
-            raise AortaError("time_scale must be non-negative")
-        if self.status_ttls is not None:
-            for device_type, ttl in self.status_ttls.items():
-                if ttl <= 0:
-                    raise AortaError(
-                        f"status TTL for {device_type!r} must be "
-                        f"positive, got {ttl}")
+        if not 0 <= self.time_scale < math.inf:
+            raise AortaError("time_scale must be non-negative and finite")
         if self.shards < 1:
             raise AortaError(f"shards must be >= 1, got {self.shards}")
         if self.parallel_backend not in PARALLEL_BACKENDS:

@@ -112,8 +112,7 @@ class AortaEngine:
         #: TTL device-status cache; None unless config.status_cache.
         self.status_cache: Optional[DeviceStatusCache] = None
         if self.config.status_cache:
-            self.status_cache = DeviceStatusCache(
-                self.env, ttls=self.config.status_ttls, obs=self.obs)
+            self.status_cache = DeviceStatusCache(self.env, obs=self.obs)
         self.locks = DeviceLockManager(self.env, obs=self.obs)
         #: Per-device circuit breakers; None when health tracking is
         #: not configured. The prober feeds it probe outcomes and the

@@ -87,11 +87,6 @@ class EngineTracer:
             self.listener(entry)
         return entry
 
-    @property
-    def records(self) -> List[TraceRecord]:
-        """All retained records, oldest first (a copy)."""
-        return list(self._records)
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -57,9 +57,11 @@ class HealthPolicy:
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise DeviceError("failure_threshold must be >= 1")
-        if self.quarantine_seconds <= 0 or self.quarantine_max <= 0:
+        # Written so that NaN fails too: every comparison with NaN is
+        # False.
+        if not (self.quarantine_seconds > 0 and self.quarantine_max > 0):
             raise DeviceError("quarantine windows must be positive")
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise DeviceError("backoff_factor must be >= 1")
 
 

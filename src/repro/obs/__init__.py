@@ -9,7 +9,7 @@ Everything is deterministic given the seeds — see
 ``tests/obs/golden.py`` for the golden-trace harness that exploits it.
 """
 
-from repro.obs.dump import diff_dumps, dump_engine
+from repro.obs.dump import dump_engine
 from repro.obs.export import (
     metrics_to_json,
     metrics_to_text,
@@ -35,7 +35,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "SpanContext",
-    "diff_dumps",
     "dump_engine",
     "metric_key",
     "metrics_to_json",

@@ -4,12 +4,11 @@ The simulation clock is virtual and every RNG is seeded, so a scenario
 run is a pure function of the code: the engine trace, the statistics
 dict, the serviced-request set and (with observability on) the metric
 snapshot are all bit-reproducible. :func:`dump_engine` turns a
-finished engine into a normalized JSON-able dump and
-:func:`diff_dumps` renders the differences between two of them — the
-primitives behind the golden-trace harness (``tests/obs/golden.py``),
-the sharding benchmark's identity gates, and the parallel fleet's
-``dump`` worker command (a worker process dumps its own shard
-in-process and ships the JSON-able result back over its pipe).
+finished engine into a normalized JSON-able dump — the primitive
+behind the golden-trace harness (``tests/obs/golden.py``) and the
+parallel fleet's ``dump`` worker command (a worker process dumps its
+own shard in-process and ships the JSON-able result back over its
+pipe).
 
 Normalization: auto-assigned request ids (``req<N>`` from the global
 counter) depend on how many requests earlier scenarios created in the
@@ -100,49 +99,3 @@ def dump_engine(engine: Any) -> Dict[str, Any]:
             for section, entries in snapshot.items()
         }
     return dump
-
-
-# ----------------------------------------------------------------------
-# Diffing
-# ----------------------------------------------------------------------
-def diff_dumps(expected: Any, actual: Any, *, limit: int = 25) -> List[str]:
-    """Human-readable differences between two dumps, path by path.
-
-    Empty when the dumps are identical. Collection size mismatches are
-    reported once per container; leaf mismatches as
-    ``path: golden <x> != actual <y>``. At most ``limit`` lines, with a
-    trailing ``... and N more`` marker when truncated.
-    """
-    differences: List[str] = []
-
-    def walk(path: str, left: Any, right: Any) -> None:
-        if isinstance(left, dict) and isinstance(right, dict):
-            for key in sorted(set(left) | set(right)):
-                sub = f"{path}.{key}" if path else str(key)
-                if key not in left:
-                    differences.append(
-                        f"{sub}: only in actual ({right[key]!r})")
-                elif key not in right:
-                    differences.append(
-                        f"{sub}: only in golden ({left[key]!r})")
-                else:
-                    walk(sub, left[key], right[key])
-            return
-        if isinstance(left, list) and isinstance(right, list):
-            if len(left) != len(right):
-                differences.append(
-                    f"{path}: golden has {len(left)} entries, actual "
-                    f"has {len(right)}")
-            for index in range(min(len(left), len(right))):
-                walk(f"{path}[{index}]", left[index], right[index])
-            return
-        if type(left) is not type(right) or left != right:
-            differences.append(
-                f"{path}: golden {left!r} != actual {right!r}")
-
-    walk("", expected, actual)
-    if len(differences) > limit:
-        overflow = len(differences) - limit
-        differences = differences[:limit]
-        differences.append(f"... and {overflow} more difference(s)")
-    return differences

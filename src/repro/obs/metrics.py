@@ -205,18 +205,13 @@ class MetricsRegistry:
                 f"{type(metric).__name__}, not a {kind.__name__}")
         return metric
 
-    # ``name``/``buckets`` are positional-only so a label may be called
+    # ``name`` is positional-only so a label may be called
     # ``name`` (e.g. ``span.seconds{name=...}``) without colliding.
     def counter(self, name: str, /, **labels: Any) -> Counter:
         return self._series(Counter, name, labels)
 
     def gauge(self, name: str, /, **labels: Any) -> Gauge:
         return self._series(Gauge, name, labels)
-
-    def histogram(self, name: str,
-                  buckets: Optional[Iterable[float]] = None,
-                  /, **labels: Any) -> Histogram:
-        return self._series(Histogram, name, labels, buckets=buckets)
 
     def family(self, kind: Type[_M], name: str, *labels: str) -> Family:
         """The ``kind`` series of ``name`` keyed by the values of

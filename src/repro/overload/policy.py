@@ -11,6 +11,7 @@ protected tier constants of :mod:`repro.overload.shedding`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -30,10 +31,12 @@ class TierRate:
     burst: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise AortaError("tier rate must be positive")
-        if self.burst < 1:
-            raise AortaError("tier burst must be >= 1")
+        # Written so that NaN fails too: every comparison with NaN is
+        # False.
+        if not 0 < self.rate < math.inf:
+            raise AortaError("tier rate must be positive and finite")
+        if not 1 <= self.burst < math.inf:
+            raise AortaError("tier burst must be >= 1 and finite")
 
 
 @dataclass(frozen=True)

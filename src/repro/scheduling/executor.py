@@ -11,7 +11,7 @@ and the replay logic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.errors import SchedulingError
 from repro.runtime import Runtime, create_runtime
@@ -19,9 +19,6 @@ from repro.scheduling.base import Schedule
 from repro.scheduling.problem import Problem
 from repro.sim import raise_first_error
 from repro.sync.locks import DeviceLockManager, LockToken
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.obs.spans import Observability
 
 
 @dataclass
@@ -35,16 +32,12 @@ class ExecutionResult:
 
 def execute_schedule(problem: Problem, schedule: Schedule,
                      *, use_actual: bool = True,
-                     obs: Optional["Observability"] = None,
                      runtime: Optional[Runtime] = None,
                      ) -> ExecutionResult:
     """Run a schedule on a fresh runtime; returns measured timings.
 
-    ``obs`` receives metrics only (no spans): this executor runs on its
-    own local runtime whose clock is unrelated to an engine's, so span
-    timestamps would be meaningless there while counts and virtual-time
-    durations remain well-defined. ``runtime`` injects a backend (it
-    must be idle and at t=0); the default is a fresh virtual one.
+    ``runtime`` injects a backend (it must be idle and at t=0); the
+    default is a fresh virtual one.
     """
     schedule.validate(problem)
     env = runtime if runtime is not None else create_runtime("virtual")
@@ -78,19 +71,4 @@ def execute_schedule(problem: Problem, schedule: Schedule,
     if missing:  # pragma: no cover - defensive
         raise SchedulingError(f"execution lost requests: {sorted(missing)}")
     result.makespan = max(result.completion_times.values(), default=0.0)
-    if obs is not None:
-        algorithm = schedule.algorithm
-        registry = obs.registry
-        registry.counter("scheduling.executions",
-                         algorithm=algorithm).inc()
-        registry.counter("scheduling.executed_requests",
-                         algorithm=algorithm).inc(
-                             len(result.completion_times))
-        if obs.enabled:  # timings
-            registry.histogram("scheduling.executed_makespan_seconds",
-                               algorithm=algorithm).observe(result.makespan)
-            busy = registry.histogram("scheduling.device_busy_seconds",
-                                      algorithm=algorithm)
-            for seconds in result.device_busy.values():
-                busy.observe(seconds)
     return result

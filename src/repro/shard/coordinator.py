@@ -46,7 +46,8 @@ handle can hand back: per-shard *objects* (``fleet.shard(i)``,
 worker's handle refuses or returns ``None`` for them; per-shard *data*
 flows through ``shard_statistics()`` / ``shard_dumps()`` /
 ``metrics()`` on every fleet. Workers are opt-in, forced off on 1-shard
-fleets, and byte-identical to the in-process fleet (benchmark-gated).
+fleets, and byte-identical to the in-process fleet
+(``tests/shard/test_parallel.py``).
 """
 
 from __future__ import annotations
@@ -640,9 +641,8 @@ class ShardedEngine:
         """Normalized per-shard dumps, in shard order.
 
         The reproducibility surface of every fleet: each shard's host
-        dumps its own engine where it lives. The sharding benchmark
-        gates ``worker fleet == in-process fleet`` on exactly this
-        value.
+        dumps its own engine where it lives, so a worker fleet is
+        compared with the in-process fleet on exactly this value.
         """
         return self._call_all("dump")
 

@@ -15,7 +15,7 @@ shard on one thread, a worker fleet computes each bounded-skew round
 concurrently between barriers.
 
 Three design rules keep a worker fleet byte-identical to an
-in-process one (``benchmarks/bench_sharding.py`` gates it):
+in-process one (``tests/shard/test_parallel.py`` pins it):
 
 * **Replayed construction, not pickled engines.** An engine is a web
   of generators, open spans and runtime-bound devices — none of it

@@ -4,9 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro import AortaEngine, EngineConfig
 from repro.core.engine import statistics_view
-from repro.errors import CommunicationError
 from repro.comm.status_cache import (
     DEFAULT_STATUS_TTLS,
     STATUS_TTL_SECONDS,
@@ -67,12 +65,6 @@ class TestLookup:
     def test_unknown_type_uses_default_ttl(self, env, cache):
         assert cache.ttl_for("toaster") == STATUS_TTL_SECONDS
 
-    def test_overrides_keep_the_other_types_defaults(self):
-        engine = AortaEngine(config=EngineConfig(
-            status_cache=True, status_ttls={"camera": 60.0}))
-        assert engine.status_cache.ttl_for("camera") == 60.0
-        assert engine.status_cache.ttl_for("sensor") \
-            == DEFAULT_STATUS_TTLS["sensor"]
 
 
 class TestInvalidation:
@@ -94,10 +86,6 @@ class TestInvalidation:
 
 
 class TestValidationAndStats:
-    def test_ttls_must_be_positive(self, env):
-        with pytest.raises(CommunicationError, match="camera"):
-            DeviceStatusCache(env, ttls={"camera": -1.0})
-
     def test_stats_shape(self, env, cache, lab):
         cache.store(lab["cam1"], {"pan": 10.0})
         cache.lookup(lab["cam1"])

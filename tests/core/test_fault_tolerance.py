@@ -6,6 +6,7 @@ re-dispatch through the shared operator, the DeviceHealthTracker gate
 on candidate sets, and the drain of a dead device's queue.
 """
 
+import math
 import random
 
 import pytest
@@ -19,11 +20,17 @@ from repro import (
     RetryPolicy,
 )
 from repro.actions.request import ActionRequest, RequestState
-from repro.core.config import BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_JITTER
+from repro.core.config import (
+    BACKOFF_BASE,
+    BACKOFF_FACTOR,
+    BACKOFF_JITTER,
+    BACKOFF_MAX,
+)
 from repro.core.dispatcher import MAX_DISPATCHES, _Batch
 from repro.devices.health import BreakerState
 from tests.core.conftest import build_lab
 from tests.core.test_fastpath import drive as dispatch_pending_until
+from tests.obs.scenarios import FT_HORIZON, FT_REQUEST_PERIOD, ft_scenario
 
 
 def make_request(engine, target, candidates=("cam1", "cam2")):
@@ -59,19 +66,30 @@ def drive(engine, requests):
 def test_retry_policy_validation():
     with pytest.raises(AortaError, match="max_attempts"):
         RetryPolicy(max_attempts=0)
-    with pytest.raises(AortaError, match="backoff_max"):
-        RetryPolicy(backoff_max=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lock_lease_seconds", math.nan), ("lock_lease_seconds", math.inf),
+    ("lock_lease_seconds", -math.inf), ("time_scale", math.nan),
+    ("time_scale", math.inf)])
+def test_engine_config_refuses_nan_and_infinite_durations(field, value):
+    """Refused at construction: every comparison with NaN is False, so
+    a NaN lease would otherwise fail only at the first lock
+    acquisition, far from its cause."""
+    with pytest.raises(AortaError, match=field):
+        EngineConfig(**{field: value})
+    EngineConfig(lock_lease_seconds=None, time_scale=0.0)
 
 
 def test_retry_policy_backoff_shape():
-    # Capped at the third retry: nominal waits are 0.5, 1, 2 seconds.
-    policy = RetryPolicy(max_attempts=4, backoff_max=1.5)
+    # Nominal waits are 0.5, 1, ... seconds; the eighth (64 s) is capped.
+    policy = RetryPolicy(max_attempts=9)
     rng = random.Random(0)
-    waits = [policy.backoff_seconds(a, rng) for a in (1, 2, 3)]
+    waits = [policy.backoff_seconds(a, rng) for a in (1, 2, 8)]
     for attempt, wait in enumerate(waits[:2], start=1):
         nominal = BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1)
         assert abs(wait - nominal) <= BACKOFF_JITTER * nominal
-    assert waits[2] == 1.5
+    assert waits[2] == BACKOFF_MAX
     values = {RetryPolicy().backoff_seconds(1, random.Random(s))
               for s in range(20)}
     assert len(values) > 1
@@ -83,7 +101,7 @@ def test_backoff_max_bounds_the_jittered_wait():
     policy = RetryPolicy(max_attempts=10)
     rng, twin = random.Random(7), random.Random(7)
     for _ in range(1000):
-        assert policy.backoff_seconds(10, rng) <= policy.backoff_max
+        assert policy.backoff_seconds(10, rng) <= BACKOFF_MAX
         twin.random()
     assert rng.getstate() == twin.getstate()
 
@@ -369,3 +387,20 @@ def test_statistics_expose_fault_tolerance_counters():
     assert stats["failovers"] == 0
     assert stats["devices_quarantined"] == 0
     assert stats["currently_quarantined"] == 0
+
+
+def test_recovery_services_what_the_default_policy_loses():
+    """Random outages under a steady photo() workload, probing off:
+    retries, failover and quarantine service at least 90 % of it, and
+    more than the default policy, which loses every request assigned to
+    a camera mid-outage. Both runs resolve every request."""
+    submitted = len(range(1, int(FT_HORIZON / FT_REQUEST_PERIOD)))
+    recovered = ft_scenario().statistics()
+    baseline = ft_scenario(fault_tolerant=False).statistics()
+    for stats in (recovered, baseline):
+        assert stats["requests_serviced"] + stats["requests_failed"] \
+            == submitted
+    assert recovered["requests_serviced"] >= 0.9 * submitted
+    assert recovered["requests_serviced"] > baseline["requests_serviced"]
+    assert recovered["retries"] > 0 and recovered["failovers"] > 0
+    assert baseline["retries"] == baseline["failovers"] == 0

@@ -1,5 +1,7 @@
 """Unit tests for the per-device circuit breaker (DeviceHealthTracker)."""
 
+import math
+
 import pytest
 
 from repro.errors import DeviceError
@@ -33,6 +35,15 @@ def test_policy_validation():
         HealthPolicy(quarantine_seconds=0)
     with pytest.raises(DeviceError, match="backoff_factor"):
         HealthPolicy(backoff_factor=0.5)
+
+
+@pytest.mark.parametrize("field, refused", [
+    ("quarantine_seconds", "quarantine windows"),
+    ("quarantine_max", "quarantine windows"),
+    ("backoff_factor", "backoff_factor")])
+def test_policy_refuses_nan(field, refused):
+    with pytest.raises(DeviceError, match=refused):
+        HealthPolicy(**{field: math.nan})
 
 
 def test_unknown_device_is_closed_and_allowed():

@@ -1,10 +1,10 @@
 """The golden-trace conformance harness.
 
-The dump and diff primitives live in :mod:`repro.obs.dump` (the
-parallel shard workers reuse them in-process, so they are part of the
-library, not the test suite); this module keeps the golden-file side —
-recording, loading and asserting against checked-in goldens — plus
-re-exports of the primitives for the existing test/benchmark imports.
+The dump primitive lives in :mod:`repro.obs.dump` (the parallel shard
+workers dump their engines in-process, so it is part of the library);
+this module keeps the comparing side — :func:`diff_dumps`, and
+recording, loading and asserting against checked-in goldens — plus a
+re-export of :func:`dump_engine` for the tests' imports.
 
 Regenerating goldens after an intentional behaviour change::
 
@@ -21,13 +21,55 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.obs.dump import (  # noqa: F401  (re-exported harness surface)
-    _RequestIdNormalizer,
-    diff_dumps,
-    dump_engine,
-)
+from repro.obs.dump import dump_engine  # noqa: F401  (re-exported)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
+
+
+# ----------------------------------------------------------------------
+# Diffing
+# ----------------------------------------------------------------------
+def diff_dumps(expected: Any, actual: Any, *, limit: int = 25) -> List[str]:
+    """Human-readable differences between two dumps, path by path.
+
+    Empty when the dumps are identical. Collection size mismatches are
+    reported once per container; leaf mismatches as
+    ``path: golden <x> != actual <y>``. At most ``limit`` lines, with a
+    trailing ``... and N more`` marker when truncated.
+    """
+    differences: List[str] = []
+
+    def walk(path: str, left: Any, right: Any) -> None:
+        if isinstance(left, dict) and isinstance(right, dict):
+            for key in sorted(set(left) | set(right)):
+                sub = f"{path}.{key}" if path else str(key)
+                if key not in left:
+                    differences.append(
+                        f"{sub}: only in actual ({right[key]!r})")
+                elif key not in right:
+                    differences.append(
+                        f"{sub}: only in golden ({left[key]!r})")
+                else:
+                    walk(sub, left[key], right[key])
+            return
+        if isinstance(left, list) and isinstance(right, list):
+            if len(left) != len(right):
+                differences.append(
+                    f"{path}: golden has {len(left)} entries, actual "
+                    f"has {len(right)}")
+            for index in range(min(len(left), len(right))):
+                walk(f"{path}[{index}]", left[index], right[index])
+            return
+        if type(left) is not type(right) or left != right:
+            differences.append(
+                f"{path}: golden {left!r} != actual {right!r}")
+
+    walk("", expected, actual)
+    if len(differences) > limit:
+        overflow = len(differences) - limit
+        differences = differences[:limit]
+        differences.append(f"... and {overflow} more difference(s)")
+    return differences
 
 
 # ----------------------------------------------------------------------

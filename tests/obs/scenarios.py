@@ -89,7 +89,7 @@ def continuous_outage_scenario(
         observability,
         probing=False,
         **config_kwargs,
-        retry=RetryPolicy(max_attempts=2, backoff_max=4.0, failover=True),
+        retry=RetryPolicy(max_attempts=2, failover=True),
         health=HealthPolicy(failure_threshold=2, quarantine_seconds=10.0,
                             backoff_factor=2.0, quarantine_max=40.0),
         lock_lease_seconds=30.0,
@@ -222,9 +222,10 @@ def overload_storm_scenario(observability: Optional[bool] = None,
 
 
 # ----------------------------------------------------------------------
-# The PR-2 fault-tolerance scenario (bench_fault_tolerance --smoke),
-# reproduced here so the observability-off invariance test can replay it
-# without importing from benchmarks/.
+# The fault-tolerance scenario: random camera outages under a steady
+# photo() workload. The observability-off invariance test replays it
+# against its pre-instrumentation capture, and the fault-tolerance
+# tests run it with and without the recovery policies.
 # ----------------------------------------------------------------------
 FT_N_CAMERAS = 8
 FT_OUTAGE_RATE = 0.03
@@ -235,23 +236,27 @@ FT_REQUEST_PERIOD = 2.0
 FT_HORIZON = 100.0
 FT_DRAIN = 60.0
 
-FT_RETRY = RetryPolicy(max_attempts=3, backoff_max=10.0, failover=True)
+FT_RETRY = RetryPolicy(max_attempts=3, failover=True)
 FT_HEALTH = HealthPolicy(failure_threshold=3, quarantine_seconds=15.0,
                          backoff_factor=2.0, quarantine_max=120.0)
 
 
-def ft_scenario(observability: Optional[bool] = None,
-                env=None) -> AortaEngine:
-    """The PR-2 fault-tolerance smoke scenario, exactly as benched.
+def ft_scenario(observability: Optional[bool] = None, env=None, *,
+                fault_tolerant: bool = True) -> AortaEngine:
+    """The fault-tolerance scenario, as ``pre_instrumentation_ft``
+    captured it.
 
     Eight cameras under Poisson-like random outages (seed 11) service a
     photo() every 2s for 100 virtual seconds plus a 60s drain, with
-    probing off, retries, failover, quarantine and lock leases — the
-    configuration of ``benchmarks/bench_fault_tolerance.py --smoke``.
+    probing off (the optimizer assigns blindly, so device loss reaches
+    the execution path), retries, failover, quarantine and lock leases.
+    ``fault_tolerant=False`` runs the same workload and outages under
+    the default policy: one attempt, no failover, no health tracking.
     """
     env = env if env is not None else Environment()
-    config = _config(observability, probing=False, retry=FT_RETRY,
-                     health=FT_HEALTH, lock_lease_seconds=60.0)
+    recovery = dict(retry=FT_RETRY, health=FT_HEALTH,
+                    lock_lease_seconds=60.0) if fault_tolerant else {}
+    config = _config(observability, probing=False, **recovery)
     engine = AortaEngine(env, config=config, seed=0)
     cam_rng = random.Random(1)
     cameras = []

@@ -4,6 +4,7 @@ import json
 
 from repro.core.tracing import EngineTracer
 from repro.obs import (
+    Histogram,
     MetricsRegistry,
     Observability,
     metrics_to_json,
@@ -18,7 +19,7 @@ def small_registry():
     registry = MetricsRegistry()
     registry.counter("dispatch.batches", action="photo").inc(2)
     registry.gauge("queue.depth").set(3)
-    registry.histogram("probe.rtt_seconds").observe(0.02)
+    registry.family(Histogram, "probe.rtt_seconds")[()].observe(0.02)
     return registry
 
 

@@ -100,7 +100,7 @@ class TestRegistry:
         registry.counter("a.count", dev="d2").inc(2)
         registry.counter("a.count", dev="d1").inc(3)
         registry.gauge("q.depth").set(4)
-        registry.histogram("h.seconds").observe(0.25)
+        registry.family(Histogram, "h.seconds")[()].observe(0.25)
         snap = registry.snapshot()
         assert list(snap) == ["counters", "gauges", "histograms"]
         assert list(snap["counters"]) == [
@@ -114,7 +114,7 @@ class TestRegistry:
         b.counter("c").inc(3)
         a.gauge("g").set(5)
         b.gauge("g").set(4)
-        b.histogram("h").observe(1.0)
+        b.family(Histogram, "h")[()].observe(1.0)
         a.merge(b)
         snap = a.snapshot()
         assert snap["counters"]["c"] == 5.0

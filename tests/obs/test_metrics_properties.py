@@ -69,8 +69,8 @@ def test_registry_merge_commutative_snapshot(xs, ys):
         registry = MetricsRegistry()
         for value in observations:
             registry.counter("events", kind="tick").inc()
-            registry.histogram("latency", (0.1, 1.0, 10.0, 100.0),
-                               kind="tick").observe(value)
+            registry.family(Histogram, "latency",
+                            "kind")["tick"].observe(value)
         registry.gauge("level").set(start)
         return registry
 
@@ -97,7 +97,7 @@ def test_snapshot_idempotent(operations):
         if op == "inc":
             registry.counter("count", op=op).inc(value)
         elif op == "observe":
-            registry.histogram("dist", op=op).observe(value)
+            registry.family(Histogram, "dist", "op")[op].observe(value)
         else:
             registry.gauge("level", op=op).set(value)
     first = registry.snapshot()

@@ -1,5 +1,7 @@
 """Unit tests for admission control: token buckets and capacity."""
 
+import math
+
 import pytest
 
 from repro.errors import AortaError
@@ -51,6 +53,14 @@ class TestPolicyValidation:
     def test_tier_rate_requires_burst_at_least_one(self):
         with pytest.raises(AortaError, match="burst"):
             TierRate(rate=1.0, burst=0.5)
+
+    @pytest.mark.parametrize("rate, burst, refused", [
+        (math.nan, 2.0, "rate"), (math.inf, 2.0, "rate"),
+        (1.0, math.nan, "burst"), (1.0, math.inf, "burst")])
+    def test_tier_rate_refuses_nan_and_infinity(self, rate, burst,
+                                                refused):
+        with pytest.raises(AortaError, match=refused):
+            TierRate(rate=rate, burst=burst)
 
     def test_watermarks_must_hysterese(self):
         with pytest.raises(AortaError, match="strictly below"):

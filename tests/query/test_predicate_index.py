@@ -538,3 +538,42 @@ def test_the_stab_memo_never_serves_a_stale_set(
             drop(sorted(live)[argument % len(live)])
         elif op == "lookup":
             lookup(pool[argument % len(pool)])
+
+
+# ----------------------------------------------------------------------
+# Post-filter cost on the match-heavy band mix
+# ----------------------------------------------------------------------
+def band_mix(i):
+    """Query ``i``'s event predicate in the match-heavy band mix: 93 %
+    narrow temperature intervals, 3 % light points, 3 % open battery
+    ranges (quiet on the rows below) and 1 % ORs over both
+    accelerometer axes, one disjunct per arm."""
+    kind = i % 100
+    if kind < 93:
+        low = ((i * 7919) % 99_000) / 99.0
+        return f"s.temperature >= {low!r} AND s.temperature <= {low + 0.2!r}"
+    if kind < 96:
+        return f"s.light = {float((i % 41) * 25)!r}"
+    if kind < 99:
+        return f"s.battery > {99.0 + (i % 97) / 100.0!r}"
+    return f"s.accel_x > {990.0 + (i % 10)!r} OR s.accel_y > 995.0"
+
+
+def test_the_band_mix_examines_at_most_two_candidates_per_match():
+    index = PredicateIndex("sensor")
+    for i in range(2000):
+        index.add(f"aq{i:06d}", i, "s",
+                  compiled(parse_expression(band_mix(i))))
+    matched = 0
+    for j in range(4):
+        row = DeviceTuple(device_type="sensor", device_id=f"s{j:03d}",
+                          values={
+                              "accel_x": float((j * 29) % 1000),
+                              "accel_y": float((j * 31) % 1000),
+                              "temperature": ((j * 37) % 997) * 1000.0 / 997,
+                              "light": float(((j * 7) % 41) * 25),
+                              "battery": ((j * 13) % 990) / 10.0})
+        matched += len(index.match(row, residual_test_for(row)))
+    stats = index.stats()
+    assert stats["matches"] == matched > 0
+    assert stats["candidates_examined"] <= 2 * stats["matches"]

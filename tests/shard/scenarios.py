@@ -79,7 +79,7 @@ def sharded_continuous_outage_scenario(
         observability,
         probing=False,
         **config_kwargs,
-        retry=RetryPolicy(max_attempts=2, backoff_max=4.0, failover=True),
+        retry=RetryPolicy(max_attempts=2, failover=True),
         health=HealthPolicy(failure_threshold=2, quarantine_seconds=10.0,
                             backoff_factor=2.0, quarantine_max=40.0),
         lock_lease_seconds=30.0,

@@ -4,10 +4,13 @@ added counts, never averaged or maxed across shards."""
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 
 from repro import EngineConfig, HealthPolicy, Point, SensorStimulus
 from repro.actions.request import REASON_EVICTED, ActionRequest
+from repro.comm.status_cache import DEFAULT_STATUS_TTLS
 from tests.core.conftest import FIGURE_1, build_lab
 from tests.obs.scenarios import overload_storm_scenario
 from tests.shard.scenarios import FIGURE_1_AQ
@@ -172,12 +175,12 @@ def test_three_exits_conserve_on_a_fleet_with_query_churn(overload):
             for shard in fleet.shard_statistics())
 
 
+@patch.dict(DEFAULT_STATUS_TTLS, camera=600.0)
 def test_three_exits_conserve_with_status_cache_and_overload_on_a_fleet():
     """The status cache, the overload plane and two shards together:
     every request leaves through one exit, and at quiescence every open
     channel is parked in its shard's pool."""
-    fleet = two_shard_fleet(overload=True, status_cache=True,
-                            status_ttls={"camera": 600.0})
+    fleet = two_shard_fleet(overload=True, status_cache=True)
     opened = []
     for engine in fleet.shards:
         transport = engine.comm.transport

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.errors import AortaError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from tests.shard.scenarios import region_fleet_scenario
 
 
@@ -28,7 +28,7 @@ def _registry(counter_values, gauge_values, samples):
     for value in gauge_values:
         registry.gauge("queue.depth", kind="a").set(value)
     for value in samples:
-        registry.histogram("latency.seconds").observe(value)
+        registry.family(Histogram, "latency.seconds")[()].observe(value)
     return registry
 
 

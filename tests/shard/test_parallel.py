@@ -20,8 +20,8 @@ from repro.actions.request import REASON_CAPACITY
 from repro.core.config import EngineConfig
 from repro.errors import AortaError, ParseError, ShardingError, \
     SimulationError
-from repro.obs.dump import diff_dumps
 from repro.shard import DeviceSpec, ShardedEngine
+from tests.obs.golden import diff_dumps
 from tests.shard.scenarios import (
     RoundTap,
     coupled_storm_scenario,

@@ -69,6 +69,16 @@ KEPT_WITHOUT_A_CALLER = {
         "sequence-independent costs from an explicit matrix: the special "
         "case whose known bounds and optima the schedulers' property "
         "tests compare against"),
+    "repro.scheduling.executor.execute_schedule": (
+        "reference implementation",
+        "a schedule run as one kernel fan-out of locked device queues: "
+        "the makespan `service_makespan`'s arithmetic replay is "
+        "property-tested against"),
+    "repro.shard.coordinator.ShardedEngine.shard_dumps": (
+        "reference implementation",
+        "the in-process fleet's per-shard dumps are what a worker "
+        "fleet's are compared with; a worker's engine lives in another "
+        "process, so its `dump` command is the only way to read one"),
     "repro.devices.health.DeviceHealthTracker.state_of": (
         "sole read accessor",
         "a breaker's CLOSED / OPEN / HALF_OPEN state, which "
@@ -337,9 +347,11 @@ def test_the_option_allow_list_is_short_reasoned_and_not_stale():
 @pytest.mark.parametrize("cls, name", [
     (EngineConfig, name) for name in (
         "poll_interval", "batch_window", "edge_triggered", "pool_capacity",
-        "pool_idle_seconds", "status_ttl_seconds", "shard_quantum")] + [
+        "pool_idle_seconds", "status_ttl_seconds", "shard_quantum",
+        "status_ttls")] + [
     (RetryPolicy, name) for name in (
-        "backoff_base", "backoff_factor", "jitter", "max_dispatches")] + [
+        "backoff_base", "backoff_factor", "jitter", "max_dispatches",
+        "backoff_max")] + [
     (HealthPolicy, "probation_successes")] + [
     (OverloadPolicy, name) for name in (
         "registration_rates", "capacity_horizon", "utilization_cap",
