@@ -36,12 +36,6 @@ from repro.devices import (
 )
 from repro.geometry import Point
 from repro.overload import OverloadPolicy, TierRate
-from repro.runtime import (
-    RealtimeRuntime,
-    Runtime,
-    VirtualRuntime,
-    create_runtime,
-)
 from repro.shard import (
     DeviceSpec,
     HashPlacement,
@@ -64,15 +58,11 @@ __all__ = [
     "OverloadPolicy",
     "PanTiltZoomCamera",
     "Point",
-    "RealtimeRuntime",
     "RegionPlacement",
     "RetryPolicy",
-    "Runtime",
     "SensorMote",
     "ShardedEngine",
     "SensorStimulus",
     "TierRate",
-    "VirtualRuntime",
-    "create_runtime",
     "__version__",
 ]

@@ -30,7 +30,6 @@ from repro.obs import (
     span_records,
     span_tree_text,
 )
-from repro.runtime import RUNTIME_NAMES
 
 DEMO_AQ = '''CREATE AQ snapshot AS
     SELECT photo(c.ip, s.loc, "photos/admin")
@@ -44,18 +43,17 @@ Processing" (ICDCS 2005). See README.md, DESIGN.md, EXPERIMENTS.md.
 
 
 def _demo_engine(*, observability: bool = False,
-                 runtime: str = "virtual",
-                 time_scale: float = 1.0,
+                 time_scale: float = 0.0,
                  fastpath: bool = False,
                  overload: bool = False) -> AortaEngine:
     """The Figure 1 scenario, built but not yet run.
 
-    ``runtime="realtime"`` paces the same scenario against the wall
-    clock: ``time_scale=1.0`` replays its 30 runtime seconds in 30 real
-    seconds; ``time_scale=0`` fires timers immediately, reproducing the
-    virtual run exactly. ``fastpath`` switches on the status cache, the
-    one opt-in policy of the comm layer (pooled channels and per-action
-    dispatch are always how the engine talks to devices).
+    A positive ``time_scale`` paces the same scenario against the wall
+    clock: ``1.0`` replays its 30 runtime seconds in 30 real seconds,
+    and the trace is the unpaced run's. ``fastpath`` switches on the
+    status cache, the one opt-in policy of the comm layer (pooled
+    channels and per-action dispatch are always how the engine talks
+    to devices).
     ``overload`` switches on the overload-control plane and additionally
     injects a deterministic request storm so the admission, bounded
     queue and shedding counters have something to report.
@@ -68,7 +66,7 @@ def _demo_engine(*, observability: bool = False,
             queue_limit=8,
             shed_high_watermark=6, shed_low_watermark=2)
     config = EngineConfig(observability=observability,
-                          runtime=runtime, time_scale=time_scale,
+                          time_scale=time_scale,
                           status_cache=fastpath,
                           overload=overload, overload_policy=policy)
     engine = AortaEngine(config=config)
@@ -205,11 +203,9 @@ def _print_query_listing(report: list[dict]) -> None:
               f"{entry['uncovered_events']:>10}")
 
 
-def run_demo(*, runtime: str = "virtual",
-             time_scale: float = 1.0) -> int:
+def run_demo(*, time_scale: float = 0.0) -> int:
     """The Figure 1 snapshot query in one shot."""
-    engine = _demo_engine(runtime=runtime, time_scale=time_scale)
-    print(f"Runtime backend: {engine.env.backend_name}")
+    engine = _demo_engine(time_scale=time_scale)
     print("Trace of the run:")
     print(engine.tracer.tail())
     request = engine.completed_requests[0]
@@ -313,17 +309,15 @@ def _refuse_ignored_flags(parser: argparse.ArgumentParser,
     drop without saying so."""
     metrics = args.command == "metrics"
     sharded = args.shards > 1
-    realtime = args.runtime == "realtime"
+    paced = args.time_scale != 0.0
     refusals = [
         (args.parallel and not sharded, "--parallel needs --shards >= 2"),
         (args.parallel_backend != "process" and not args.parallel,
          "--parallel-backend needs --parallel"),
-        (args.time_scale != 1.0 and not realtime,
-         "--time-scale needs --runtime realtime"),
-        (realtime and (metrics or sharded),
-         "--runtime realtime paces the single-engine --demo only"),
-        (not metrics and not args.demo and (sharded or realtime),
-         "--shards and --runtime need --demo"),
+        (paced and (metrics or sharded),
+         "--time-scale paces the single-engine --demo only"),
+        (not metrics and not args.demo and (sharded or paced),
+         "--shards and --time-scale need --demo"),
         (metrics and args.demo,
          "metrics runs the demo scenario itself; drop --demo"),
         (metrics and sharded and (args.spans or args.fastpath
@@ -344,14 +338,10 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--demo", action="store_true",
                         help="run the Figure 1 demo scenario")
-    parser.add_argument("--runtime", choices=RUNTIME_NAMES,
-                        default="virtual",
-                        help="runtime backend for --demo: virtual "
-                             "(instant) or realtime (wall-clock paced)")
-    parser.add_argument("--time-scale", type=float, default=1.0,
-                        help="realtime pacing: wall seconds per runtime "
-                             "second (0 = fire timers immediately; "
-                             "default 1.0)")
+    parser.add_argument("--time-scale", type=float, default=0.0,
+                        help="pace --demo against the wall clock: wall "
+                             "seconds per runtime second (default 0 = "
+                             "unpaced virtual time)")
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the demo fleet across N engine "
                              "shards (region placement, one Figure 1 "
@@ -431,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
             return run_sharded_demo(
                 args.shards, parallel=args.parallel,
                 parallel_backend=args.parallel_backend)
-        return run_demo(runtime=args.runtime, time_scale=args.time_scale)
+        return run_demo(time_scale=args.time_scale)
     print("Run with --demo for the Figure 1 scenario, or see examples/.")
     return 0
 

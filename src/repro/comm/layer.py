@@ -28,7 +28,7 @@ from repro.network.transport import Transport
 from repro.obs.spans import Observability
 from repro.profiles.cost_table import CostTable
 from repro.profiles.schema import DeviceCatalog
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 
 class CommunicationLayer:
@@ -36,7 +36,7 @@ class CommunicationLayer:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         *,
         registry: Optional[DeviceRegistry] = None,
         links: Optional[Dict[str, LinkModel]] = None,

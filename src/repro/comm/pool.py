@@ -41,7 +41,7 @@ from typing import Dict, NamedTuple, Optional
 from repro.devices.base import Device
 from repro.network.transport import Connection, Transport
 from repro.obs.metrics import Counter, Gauge
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 #: Virtual seconds a pooled channel may sit unused before its next
 #: checkout closes it.
@@ -58,7 +58,7 @@ class _IdleEntry(NamedTuple):
 class ConnectionPool:
     """Pool of keep-alive device connections, one per device."""
 
-    def __init__(self, env: Runtime, transport: Transport) -> None:
+    def __init__(self, env: Environment, transport: Transport) -> None:
         self.env = env
         self.transport = transport
         #: Device id -> its idle connection.

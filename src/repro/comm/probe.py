@@ -19,8 +19,7 @@ from repro.devices.base import Device, static_epoch
 from repro.network.message import Message
 from repro.network.transport import Transport
 from repro.obs.metrics import Counter, Histogram
-from repro.runtime import Runtime
-from repro.sim import raise_first_error
+from repro.sim import Environment, raise_first_error
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.devices.health import DeviceHealthTracker
@@ -58,7 +57,7 @@ class Prober:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         transport: Transport,
         timeouts: Dict[str, float],
     ) -> None:

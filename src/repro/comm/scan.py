@@ -27,7 +27,7 @@ from repro.comm.tuples import DeviceTuple
 from repro.network.message import Message
 from repro.network.transport import Transport
 from repro.profiles.schema import DeviceCatalog
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 
 class ScanOperator:
@@ -42,7 +42,7 @@ class ScanOperator:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         transport: Transport,
         registry: DeviceRegistry,
         catalog: DeviceCatalog,

@@ -39,7 +39,7 @@ from typing import Dict, Optional
 from repro.devices.base import Device
 from repro.obs.metrics import Counter
 from repro.obs.spans import Observability
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 #: Per-type freshness TTLs, in virtual seconds. Camera status
 #: (head position) only changes under Aorta's own actions, so it keeps
@@ -66,7 +66,7 @@ class _CacheEntry:
 class DeviceStatusCache:
     """Last-probed physical status per device, with bounded freshness."""
 
-    def __init__(self, env: Runtime, *,
+    def __init__(self, env: Environment, *,
                  obs: Optional[Observability] = None) -> None:
         self.env = env
         self._entries: Dict[str, _CacheEntry] = {}

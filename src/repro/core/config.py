@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import AortaError
-from repro.runtime import RUNTIME_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.devices.health import HealthPolicy
@@ -118,15 +117,10 @@ class EngineConfig:
     #: before the observability layer existed (pinned by
     #: ``tests/obs/test_invariance.py``).
     observability: bool = False
-    #: Runtime backend the engine builds when no explicit runtime is
-    #: passed: "virtual" (discrete-event, default) or "realtime"
-    #: (wall-clock paced; see time_scale).
-    runtime: str = "virtual"
-    #: Realtime pacing: wall seconds per runtime second. 0 fires timers
-    #: immediately (deterministic smoke path, trace-identical to the
-    #: virtual backend); 1.0 runs in real seconds. Ignored by the
-    #: virtual backend.
-    time_scale: float = 1.0
+    #: Wall seconds per runtime second the engine's own runtime is
+    #: paced at (``Environment(time_scale=...)``); 0, the default, never
+    #: paces. Ignored when the engine is handed an explicit runtime.
+    time_scale: float = 0.0
     #: TTL device-status cache — a policy, not a speed switch: the
     #: dispatcher skips the probe exchange for devices probed within
     #: their type's freshness TTL and costs from the cached status,
@@ -179,11 +173,6 @@ class EngineConfig:
                 and not 0 < self.lock_lease_seconds < math.inf:
             raise AortaError("lock_lease_seconds must be positive and "
                              "finite")
-        if self.runtime not in RUNTIME_NAMES:
-            raise AortaError(
-                f"unknown runtime {self.runtime!r}; expected one of "
-                f"{RUNTIME_NAMES}"
-            )
         if not 0 <= self.time_scale < math.inf:
             raise AortaError("time_scale must be non-negative and finite")
         if self.shards < 1:

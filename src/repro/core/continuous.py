@@ -50,7 +50,7 @@ from repro.query.functions import FunctionRegistry
 from repro.query.predicate_index import PredicateIndex
 from repro.obs.metrics import Counter
 from repro.query.query_catalog import QueryCatalog, RegisteredQuery
-from repro.runtime import Runtime
+from repro.sim import Environment
 from repro.core.dispatcher import Dispatcher
 
 __all__ = ["ContinuousQueryExecutor", "RegisteredQuery"]
@@ -90,7 +90,7 @@ class ContinuousQueryExecutor:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         comm: CommunicationLayer,
         functions: FunctionRegistry,
         dispatcher: Dispatcher,

@@ -55,8 +55,7 @@ from repro.scheduling import (
 from repro.obs.metrics import Counter, Histogram
 from repro.obs.spans import Observability
 from repro.overload.plane import OverloadControlPlane
-from repro.runtime import Runtime
-from repro.sim import Event, raise_first_error
+from repro.sim import Environment, Event, raise_first_error
 from repro.sim.rng import component_seed
 from repro.sync.locks import DeviceLockManager, LockToken
 from repro.core.config import EngineConfig
@@ -229,7 +228,7 @@ class Dispatcher:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         comm: CommunicationLayer,
         cost_model: CostModel,
         locks: DeviceLockManager,

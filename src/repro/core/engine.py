@@ -39,8 +39,7 @@ from repro.query.ast import (
 from repro.query.catalog import SchemaCatalog
 from repro.query.functions import FunctionRegistry, install_standard_functions
 from repro.query.parser import parse
-from repro.runtime import Runtime, create_runtime
-from repro.sim import raise_first_error
+from repro.sim import Environment, raise_first_error
 from repro.sim.rng import component_seed
 from repro.sync.locks import DeviceLockManager
 from repro.core.config import EngineConfig
@@ -65,7 +64,7 @@ class AortaEngine:
 
     def __init__(
         self,
-        env: Optional[Runtime] = None,
+        env: Optional[Environment] = None,
         *,
         config: Optional[EngineConfig] = None,
         links: Optional[Dict[str, LinkModel]] = None,
@@ -77,11 +76,11 @@ class AortaEngine:
                 f"AortaEngine owns exactly one shard; a config with "
                 f"shards={self.config.shards} needs "
                 f"repro.shard.ShardedEngine")
-        #: The runtime backend everything runs on. An explicit ``env``
-        #: wins; otherwise the config's ``runtime``/``time_scale``
-        #: selection builds one (default: virtual time).
-        self.env = env if env is not None else create_runtime(
-            self.config.runtime, time_scale=self.config.time_scale)
+        #: The runtime everything runs on. An explicit ``env`` wins;
+        #: otherwise one is built at the config's ``time_scale``
+        #: (default: unpaced virtual time).
+        self.env = env if env is not None else Environment(
+            time_scale=self.config.time_scale)
         #: Master seed; every component RNG is a named substream of it
         #: (see repro.sim.rng.component_seed).
         self.seed = seed

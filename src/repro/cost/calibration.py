@@ -22,8 +22,7 @@ from typing import Any, Callable, Generator, List, Sequence, Tuple
 from repro.errors import ProfileError
 from repro.devices.camera import HeadPosition, PanTiltZoomCamera
 from repro.profiles.cost_table import AtomicOperationCost, CostTable
-from repro.runtime import Runtime
-from repro.sim import raise_first_error
+from repro.sim import Environment, raise_first_error
 
 #: A measurement routine: runs one trial at ``quantity`` and returns
 #: nothing; the calibrator times it.
@@ -58,7 +57,7 @@ def _fit_line(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
 class Calibrator:
     """Times atomic operations on a device and fits cost entries."""
 
-    def __init__(self, env: Runtime) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
         self.measurements: List[Measurement] = []
 
@@ -118,7 +117,7 @@ class Calibrator:
 
 
 def calibrate_camera(
-    env: Runtime, camera: PanTiltZoomCamera
+    env: Environment, camera: PanTiltZoomCamera
 ) -> CostTable:
     """Measure a camera's atomic-operation costs from scratch.
 

@@ -9,7 +9,7 @@ from typing import Any, Dict, Generator
 
 from repro.errors import DeviceDownError, DeviceError
 from repro.geometry import Point
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 
 #: The static epoch (DESIGN.md decision 35): bumped by every assignment
@@ -97,7 +97,7 @@ class Device:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         device_id: str,
         location: Point,
     ) -> None:

@@ -26,7 +26,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from repro.errors import ActionFailedError, DeviceDownError, DeviceError
 from repro.geometry import Point, ViewSector, angle_difference, normalize_angle
 from repro.devices.base import Device, static_attribute, static_epoch
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 #: Photo sizes supported by the capture operations.
 PHOTO_SIZES = ("small", "medium", "large")
@@ -168,7 +168,7 @@ class PanTiltZoomCamera(Device):
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         device_id: str,
         location: Point,
         *,

@@ -15,8 +15,7 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple
 from repro.errors import DeviceError, QueueFullError
 from repro.actions.request import ActionRequest
 from repro.devices.base import Device
-from repro.runtime import Runtime
-from repro.sim import Event
+from repro.sim import Environment, Event
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class StragglerSpec:
 class FailureInjector:
     """Schedules outage, straggler and storm episodes onto the sim."""
 
-    def __init__(self, env: Runtime) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
         self.scheduled: List[OutageSpec] = []
         self.scheduled_stragglers: List[StragglerSpec] = []

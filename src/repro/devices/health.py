@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro.errors import DeviceError
 from repro.obs.metrics import Counter, Histogram
 from repro.obs.spans import Observability
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.tracing import EngineTracer
@@ -85,7 +85,7 @@ class DeviceHealthTracker:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         policy: Optional[HealthPolicy] = None,
         tracer: Optional["EngineTracer"] = None,
         obs: Optional[Observability] = None,

@@ -15,7 +15,7 @@ from typing import Any, Dict, Generator, List
 from repro.errors import CommunicationError, DeviceError
 from repro.geometry import Point
 from repro.devices.base import Device, static_attribute
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 #: Seconds to deliver a plain SMS.
 SMS_SECONDS = 0.8
@@ -50,7 +50,7 @@ class MobilePhone(Device):
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         device_id: str,
         location: Point,
         *,

@@ -22,7 +22,7 @@ from typing import Any, Dict, Generator, List, Optional
 from repro.errors import CommunicationError, DeviceError
 from repro.geometry import Point
 from repro.devices.base import Device
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 #: Baseline sensory readings of an idle mote.
 BASELINES = {
@@ -75,7 +75,7 @@ class SensorMote(Device):
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         device_id: str,
         location: Point,
         *,

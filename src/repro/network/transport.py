@@ -23,7 +23,7 @@ from repro.network.link import DEFAULT_LINKS, LinkModel
 from repro.network.message import Message, Response
 from repro.obs.metrics import Counter, Histogram
 from repro.obs.spans import Observability
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 
 class Connection:
@@ -116,7 +116,7 @@ class Transport:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         *,
         links: Optional[Dict[str, LinkModel]] = None,
         rng: Optional[random.Random] = None,

@@ -3,10 +3,10 @@
 Metrics are keyed by name plus a label tuple (``("device", "cam1")``
 pairs, sorted), so one registry holds e.g. a per-device-type family of
 round-trip histograms. Everything is built for determinism: snapshots
-render in stable sorted order, histogram buckets are fixed at creation,
-and merge is pointwise arithmetic — associative and commutative for
-counters and histograms — so sharded registries can be combined in any
-order and still agree byte-for-byte.
+render in stable sorted order, every histogram shares one set of
+bucket bounds, and merge is pointwise arithmetic — associative and
+commutative for counters and histograms — so sharded registries can be
+combined in any order and still agree byte-for-byte.
 
 A call site resolves its series once (validating the name, sorting
 the labels) and holds it, or holds a :class:`Family` that resolves a
@@ -23,14 +23,15 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type,
+    Any, Callable, Dict, Iterator, List, Optional, Tuple, Type,
     TypeVar, Union,
 )
 
 from repro.errors import AortaError
 
-#: Default histogram bucket upper bounds, in (virtual) seconds. An
-#: implicit +inf bucket catches everything above the last bound.
+#: Histogram bucket upper bounds, in (virtual) seconds: every histogram
+#: has these. An implicit +inf bucket catches everything above the last
+#: bound.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0)
 
@@ -103,21 +104,15 @@ class Gauge:
 class Histogram:
     """A fixed-bucket distribution of observed values.
 
-    ``counts[i]`` counts observations ``<= buckets[i]``; the final slot
-    is the implicit +inf bucket. Bounds are fixed at creation so two
-    histograms of the same series always merge exactly.
+    ``counts[i]`` counts observations ``<= DEFAULT_BUCKETS[i]``; the
+    final slot is the implicit +inf bucket. Every histogram has the same
+    bounds, so any two merge exactly.
     """
 
-    __slots__ = ("buckets", "counts", "total", "count", "min", "max")
+    __slots__ = ("counts", "total", "count", "min", "max")
 
-    def __init__(self, buckets: Optional[Iterable[float]] = None) -> None:
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise AortaError(
-                "histogram buckets must be non-empty and strictly "
-                "increasing")
-        self.buckets: Tuple[float, ...] = tuple(float(b) for b in bounds)
-        self.counts: List[int] = [0] * (len(self.buckets) + 1)
+    def __init__(self) -> None:
+        self.counts: List[int] = [0] * (len(DEFAULT_BUCKETS) + 1)
         self.total = 0.0
         self.count = 0
         self.min: Optional[float] = None
@@ -130,7 +125,7 @@ class Histogram:
     def observe(self, value: float) -> None:
         value = float(value)
         # The first bound >= value; past the last bound, the +inf slot.
-        self.counts[bisect_left(self.buckets, value)] += 1
+        self.counts[bisect_left(DEFAULT_BUCKETS, value)] += 1
         self.total += value
         self.count += 1
         if self.min is None or value < self.min:
@@ -139,11 +134,7 @@ class Histogram:
             self.max = value
 
     def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (same buckets required)."""
-        if other.buckets != self.buckets:
-            raise AortaError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.buckets} vs {other.buckets}")
+        """Fold ``other`` into this histogram."""
         for i, count in enumerate(other.counts):
             self.counts[i] += count
         self.total += other.total
@@ -191,12 +182,12 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Metric] = {}
 
-    def _series(self, kind: Type[_M], name: str, labels: Dict[str, Any],
-                **kwargs: Any) -> _M:
+    def _series(self, kind: Type[_M], name: str,
+                labels: Dict[str, Any]) -> _M:
         key = metric_key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
-            created = kind(**kwargs)
+            created = kind()
             self._metrics[key] = created
             return created
         if not isinstance(metric, kind):
@@ -268,7 +259,7 @@ class MetricsRegistry:
                 gauges[rendered] = metric.value
             else:
                 histograms[rendered] = {
-                    "buckets": list(metric.buckets),
+                    "buckets": list(DEFAULT_BUCKETS),
                     "counts": list(metric.counts),
                     "sum": metric.total,
                     "count": metric.count,
@@ -322,5 +313,4 @@ class MetricsRegistry:
             gauge.set(max(gauge.value, metric.value) if gauge.written
                       else metric.value)
         else:
-            self._series(Histogram, name, labels,
-                         buckets=metric.buckets).merge(metric)
+            self._series(Histogram, name, labels).merge(metric)

@@ -1,9 +1,9 @@
 """Runtime-time span tracing over the engine tracer.
 
 A span measures one named stretch of *runtime* time — a dispatch batch,
-a probe exchange, an action execution — read from whatever runtime
-backend the engine runs on (``runtime.now``): virtual seconds on the
-discrete-event backend, paced seconds on the realtime backend. Each
+a probe exchange, an action execution — read from the engine's runtime
+clock (``runtime.now``): virtual seconds, which a positive
+``time_scale`` paces against the wall clock. Each
 span carries labels, a deterministic id, and a parent link to the
 innermost span open when it started. Spans
 ride on :class:`~repro.core.tracing.EngineTracer`: closing a span emits
@@ -40,7 +40,7 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.tracing import EngineTracer
-    from repro.runtime import Runtime
+    from repro.sim import Environment
 
 #: Trace-record field names a span emits; label keys must not collide.
 RESERVED_SPAN_FIELDS = frozenset({"span", "parent", "name", "start"})
@@ -116,7 +116,7 @@ class Observability:
 
     def __init__(
         self,
-        env: Optional["Runtime"] = None,
+        env: Optional["Environment"] = None,
         tracer: Optional["EngineTracer"] = None,
         enabled: bool = False,
     ) -> None:

@@ -33,8 +33,8 @@ class TokenBucket:
 
     No background process: the refill is computed from the elapsed
     virtual time at the moment of the take, so behaviour is a pure
-    function of the (now, take) call sequence — identical on the
-    virtual and realtime backends.
+    function of the (now, take) call sequence — identical paced and
+    unpaced.
     """
 
     def __init__(self, rate: float, burst: float) -> None:

@@ -32,7 +32,7 @@ from repro.overload.admission import AdmissionController
 from repro.overload.policy import OverloadPolicy
 from repro.overload.shedding import LoadShedder
 from repro.plan.action_op import SharedActionOperator
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 #: Service-seconds charged for a request whose cost cannot be estimated
 #: (no candidate, unknown device, estimation failure).
@@ -44,7 +44,7 @@ class OverloadControlPlane:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         policy: OverloadPolicy,
         cost_model: CostModel,
         device_lookup: Callable[[str], Device],

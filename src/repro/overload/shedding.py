@@ -21,7 +21,7 @@ from repro.actions.request import (
     ActionRequest,
 )
 from repro.plan.action_op import SharedActionOperator
-from repro.runtime import Runtime
+from repro.sim import Environment
 
 #: Virtual seconds between shedder passes (deadline expiry +
 #: hysteresis).
@@ -44,7 +44,7 @@ class LoadShedder:
 
     def __init__(
         self,
-        env: Runtime,
+        env: Environment,
         policy: Any,
         operators: Callable[[], Sequence[SharedActionOperator]],
         shed: Callable[[ActionRequest, str], None],

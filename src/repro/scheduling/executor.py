@@ -11,13 +11,12 @@ and the replay logic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 from repro.errors import SchedulingError
-from repro.runtime import Runtime, create_runtime
 from repro.scheduling.base import Schedule
 from repro.scheduling.problem import Problem
-from repro.sim import raise_first_error
+from repro.sim import Environment, raise_first_error
 from repro.sync.locks import DeviceLockManager, LockToken
 
 
@@ -31,16 +30,10 @@ class ExecutionResult:
 
 
 def execute_schedule(problem: Problem, schedule: Schedule,
-                     *, use_actual: bool = True,
-                     runtime: Optional[Runtime] = None,
-                     ) -> ExecutionResult:
-    """Run a schedule on a fresh runtime; returns measured timings.
-
-    ``runtime`` injects a backend (it must be idle and at t=0); the
-    default is a fresh virtual one.
-    """
+                     *, use_actual: bool = True) -> ExecutionResult:
+    """Run a schedule on a fresh runtime; returns measured timings."""
     schedule.validate(problem)
-    env = runtime if runtime is not None else create_runtime("virtual")
+    env = Environment()
     locks = DeviceLockManager(env)
     cost_model = problem.cost_model
     cost = (cost_model.actual if use_actual else cost_model.estimate)

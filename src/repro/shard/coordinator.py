@@ -64,17 +64,17 @@ from repro.obs.metrics import MetricsRegistry
 from repro.overload import CapacityLedger
 from repro.query.ast import ExplainStatement, SelectQuery
 from repro.query.parser import parse
-from repro.runtime import Runtime
-from repro.runtime.fleet import RoundResult, run_lockstep
+from repro.shard.fleet import RoundResult, run_lockstep
 from repro.shard.parallel import ShardHandle, ShardHost, ShardWorker
 from repro.shard.placement import HashPlacement, PlacementPolicy
+from repro.sim import Environment
 from repro.sim.rng import derive_seed
 
 #: A device constructor bound to a shard's runtime at admission time.
 #: The coordinator picks the owning shard first, then calls the
 #: factory with that shard's runtime — devices bind their runtime at
 #: construction, so they cannot be built before placement is known.
-DeviceFactory = Callable[[Runtime], Device]
+DeviceFactory = Callable[[Environment], Device]
 
 #: Lockstep bound of a ledger-coupled fleet (overload on, more than one
 #: shard): no shard's clock leads the slowest by more than this many
@@ -531,7 +531,7 @@ class ShardedEngine:
         return self.shards[0]
 
     @property
-    def env(self) -> Runtime:
+    def env(self) -> Environment:
         return self._single("env").env
 
     @property

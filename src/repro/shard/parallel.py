@@ -3,7 +3,7 @@
 A shard is one :class:`ShardHost` — an engine plus the operations a
 fleet asks of it — and the coordinator reaches it through a
 :class:`ShardHandle`: ``call(op, *args)``, the round methods of a
-:class:`~repro.runtime.fleet.RoundPeer`, ``close()``, ``dead`` and
+:class:`~repro.shard.fleet.RoundPeer`, ``close()``, ``dead`` and
 ``engine``. Where the host lives is the handle's business, not the
 coordinator's. Hosted in the coordinator's process, a
 :class:`ShardHost` is its own handle and its methods are called
@@ -24,7 +24,7 @@ in-process one (``tests/shard/test_parallel.py`` pins it):
   derived seed)`` and replays the coordinator's construction commands
   (:class:`DeviceSpec` factories, AQ registrations) in order. Same
   commands, same seeds, same engine.
-* **Deterministic barriers.** :func:`~repro.runtime.fleet.run_lockstep`
+* **Deterministic barriers.** :func:`~repro.shard.fleet.run_lockstep`
   collects round replies in shard-index order, never arrival order, so
   everything downstream of a barrier is independent of scheduling
   noise.
@@ -64,7 +64,7 @@ from repro.devices.base import Device
 from repro.obs.dump import dump_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.overload import CapacityLedger
-from repro.runtime.fleet import (
+from repro.shard.fleet import (
     RoundBudgetError,
     RoundPeer,
     RoundResult,
@@ -127,8 +127,8 @@ class ShardHandle(RoundPeer, Protocol):
 
     ``call`` runs one :class:`ShardHost` operation and returns its
     result — or, from a worker, what of it survives the pipe. The
-    :class:`~repro.runtime.fleet.RoundPeer` methods let
-    :func:`~repro.runtime.fleet.run_lockstep` drive the shard's clock.
+    :class:`~repro.shard.fleet.RoundPeer` methods let
+    :func:`~repro.shard.fleet.run_lockstep` drive the shard's clock.
     """
 
     #: Set once the shard can no longer be reached; a fleet with a dead

@@ -1,7 +1,7 @@
-"""Discrete-event simulation core and its runtime backends.
+"""Discrete-event simulation core: the one runtime class.
 
 The kernel is what the engine uses and no more:
-:class:`~repro.sim.base.BaseRuntime` holds a float clock and a ``heapq``
+:class:`~repro.sim.base.Environment` holds a float clock and a ``heapq``
 of ``(time, priority, seq, event)`` tuples, and fires one-shot events
 that generator-based processes, fan-outs, timer callbacks and a FIFO
 lock wait on. Events only succeed. A :class:`Process` is a loop the
@@ -11,18 +11,13 @@ and ``run()`` at once. A one-shot wait is not a process but a
 :class:`Timeout` with a callback. The one join is a :class:`FanOut`:
 several generators started at one instant, awaited as one event that
 triggers with all their results (a member's exception is its result;
-:func:`raise_first_error` raises the first). Two interchangeable
-backends decide how time passes:
+:func:`raise_first_error` raises the first).
 
-* :class:`Environment` — virtual time (the default): the clock jumps
-  from event to event, so experiments measuring seconds of device time
-  execute in milliseconds of wall time.
-* :class:`RealtimeRuntime` — wall-clock time: the same processes are
-  paced against ``time.monotonic`` under a configurable ``time_scale``
-  (``0`` ⇒ fire immediately, byte-identical to virtual).
-
-Components should program against the :class:`~repro.runtime.Runtime`
-protocol rather than either concrete backend.
+Time is virtual: the clock jumps from event to event, so experiments
+measuring seconds of device time execute in milliseconds of wall time.
+``Environment(time_scale=S)`` with ``S > 0`` paces the same timeline
+against ``time.monotonic`` at ``S`` wall seconds per runtime second;
+pacing never reorders events.
 
 Public surface::
 
@@ -39,20 +34,16 @@ Public surface::
     env.timeout(2.0).callbacks.append(lambda _event: print(env.now))
 """
 
-from repro.sim.base import BaseRuntime
+from repro.sim.base import Environment
 from repro.sim.events import Event, Timeout
-from repro.sim.kernel import Environment
 from repro.sim.process import FanOut, Process, raise_first_error
-from repro.sim.realtime import RealtimeRuntime
 from repro.sim.resources import SimLock
 
 __all__ = [
-    "BaseRuntime",
     "Environment",
     "Event",
     "FanOut",
     "Process",
-    "RealtimeRuntime",
     "SimLock",
     "Timeout",
     "raise_first_error",

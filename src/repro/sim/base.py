@@ -1,53 +1,68 @@
-"""The shared engine core behind every runtime backend.
+"""The runtime: a clock, an event queue and the step loop.
 
-:class:`BaseRuntime` owns everything the two backends have in common —
-the event queue, event/timeout/process construction, scheduling, the
-step loop and quiescence detection. What *differs* between backends is
-only how the passage of time is realised, expressed through one hook:
-:meth:`BaseRuntime._pace`, called with the timestamp the clock is about
-to advance to. The virtual backend (:class:`~repro.sim.kernel.
-Environment`) jumps instantly; the wall-clock backend (:class:`~repro.
-sim.realtime.RealtimeRuntime`) sleeps until the scaled wall deadline
-first.
+:class:`Environment` is the one runtime class. Its clock is virtual: it
+jumps from event to event, so experiments measuring seconds of device
+time execute in milliseconds of wall time. ``time_scale`` paces the
+same timeline against the wall clock instead — wall seconds per runtime
+second: ``0`` (the default) never paces, ``1.0`` runs in real seconds.
+Pacing only sleeps before a clock advance; it never reorders events, so
+a paced run's trace is the unpaced run's trace.
 
-Because *all* process/event semantics live here, the two backends are
-behaviourally identical by construction: at ``time_scale=0`` the
-realtime backend produces byte-identical traces to the virtual one
-(asserted forever by ``tests/runtime/test_equivalence.py``).
+The wall anchor is taken lazily at the first pace, so engine and device
+construction never count against the schedule. When callbacks run
+longer than the wall budget the runtime is behind; it does not skip
+events to catch up, it simply stops sleeping until the schedule is
+ahead again. The wall clock and sleep functions are injectable, so
+tests exercise pacing against a fake clock without real sleeping.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, List, Optional, Tuple
+import math
+import time
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_NORMAL, Event, Timeout
 from repro.sim.process import FanOut, Process, ProcessGenerator
 
 
-class BaseRuntime:
-    """Clock + event queue + process scheduler, backend-agnostic.
+class Environment:
+    """Clock + event queue + process scheduler.
 
     One runtime underlies one experiment: all devices, network links
     and engine loops share it, so their relative timing is globally
-    consistent. Subclasses choose how time passes by overriding
-    :meth:`_pace`.
+    consistent.
     """
 
-    #: Name the factory and diagnostics know this backend by.
-    backend_name = "base"
-
-    def __init__(self, start: float = 0.0) -> None:
+    def __init__(
+        self,
+        start: float = 0.0,
+        *,
+        time_scale: float = 0.0,
+        wall_clock: Callable[[], float] = time.monotonic,
+        wall_sleep: Callable[[float], None] = time.sleep,
+    ) -> None:
         if not start >= 0:  # also refuses NaN, which compares false
             raise SimulationError(
                 f"clock cannot start at negative or NaN time {start}")
-        #: Current runtime time in seconds (virtual for both backends:
-        #: the realtime backend paces the same timeline against the wall
-        #: clock rather than keeping a separate one). Monotonically
-        #: non-decreasing and read-only by convention: only :meth:`step`
-        #: and the closing advance of :meth:`run` assign it.
+        if not 0 <= time_scale < math.inf:  # NaN as well
+            raise SimulationError(
+                f"time_scale must be non-negative and finite, got "
+                f"{time_scale}")
+        #: Current runtime time in seconds (virtual; pacing holds this
+        #: timeline to the wall clock rather than keeping a second one).
+        #: Monotonically non-decreasing and read-only by convention:
+        #: only :meth:`step` and the closing advance of :meth:`run`
+        #: assign it.
         self.now = float(start)
+        #: Wall seconds per runtime second; 0 never paces.
+        self.time_scale = time_scale
+        self._wall_clock = wall_clock
+        self._wall_sleep = wall_sleep
+        #: (wall, runtime) correspondence fixed at the first pace.
+        self._anchor: Optional[Tuple[float, float]] = None
         #: Pending ``(time, priority, seq, event)`` tuples as a ``heapq``:
         #: firing order is field order, every sift is a C-level tuple
         #: comparison, and the unique insertion ``seq`` decides any tie
@@ -94,7 +109,8 @@ class BaseRuntime:
         if not self._queue:
             raise SimulationError("step on an empty event queue")
         timestamp, _priority, _seq, event = heapq.heappop(self._queue)
-        self._pace(timestamp)
+        if self.time_scale:
+            self._pace(timestamp)
         if timestamp < self.now:
             # Would indicate a corrupted event queue.
             raise SimulationError(
@@ -140,10 +156,8 @@ class BaseRuntime:
             self.step()
             processed += 1
         if until is not None:
-            self._pace(until)
-            if until < self.now:
-                raise SimulationError(
-                    f"cannot move clock backwards from {self.now} to {until}")
+            if self.time_scale:
+                self._pace(until)
             self.now = until
         return self.now
 
@@ -169,22 +183,31 @@ class BaseRuntime:
         if not head:
             return "queue empty"
         rendered = ", ".join(
-            f"t={time:.6f} p={priority} {type(event).__name__}"
-            for time, priority, _seq, event in head
+            f"t={at:.6f} p={priority} {type(event).__name__}"
+            for at, priority, _seq, event in head
         )
         remainder = len(self._queue) - len(head)
         if remainder > 0:
             rendered += f", ... {remainder} more"
         return f"next: {rendered}"
 
-    # ------------------------------------------------------------------
-    # Backend hook
-    # ------------------------------------------------------------------
     def _pace(self, timestamp: float) -> None:
-        """Realise the passage of time up to ``timestamp``.
+        """Sleep until ``timestamp``'s wall deadline under the scale.
 
-        Called once before every clock advance (each processed event,
-        and the final advance of a bounded ``run``). The virtual
-        backend does nothing — time jumps; the realtime backend sleeps
-        until the scaled wall-clock deadline.
+        Called before a clock advance, and only when ``time_scale`` is
+        positive.
         """
+        wall_now = self._wall_clock()
+        if self._anchor is None:
+            self._anchor = (wall_now, self.now)
+        wall_start, runtime_start = self._anchor
+        remaining = (wall_start - wall_now
+                     + (timestamp - runtime_start) * self.time_scale)
+        if remaining > 0:
+            self._wall_sleep(remaining)
+
+
+#: A second name for :class:`Environment`, bound to the same class
+#: object: ``benchmarks/e2e/layertrace.py`` patches ``step`` and
+#: ``process`` through ``BaseRuntime.__dict__``.
+BaseRuntime = Environment

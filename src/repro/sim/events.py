@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.base import BaseRuntime
+    from repro.sim.base import Environment
 
 #: Default priority for ordinary events. Lower sorts earlier at equal time.
 PRIORITY_NORMAL = 1
@@ -31,7 +31,7 @@ class Event:
 
     __slots__ = ("env", "callbacks", "_value", "_processed")
 
-    def __init__(self, env: "BaseRuntime") -> None:
+    def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks: list[Callable[["Event"], None]] = []
         self._value: Any = _PENDING
@@ -66,14 +66,15 @@ class Timeout(Event):
     """An event that fires automatically ``delay`` seconds in the future.
 
     The hottest constructor in the kernel: it sets its own fields and
-    pushes its own queue entry, exactly what :meth:`BaseRuntime.schedule
-    <repro.sim.base.BaseRuntime.schedule>` would push at normal
+    pushes its own queue entry, exactly what :meth:`Environment.schedule
+    <repro.sim.base.Environment.schedule>` would push at normal
     priority, without the two calls.
     """
 
     __slots__ = ()
 
-    def __init__(self, env: "BaseRuntime", delay: float, value: Any = None) -> None:
+    def __init__(self, env: "Environment", delay: float,
+                 value: Any = None) -> None:
         if not delay >= 0:  # also refuses NaN, which compares false
             raise SimulationError(f"negative or NaN timeout delay {delay}")
         self.env = env

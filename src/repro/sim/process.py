@@ -9,12 +9,12 @@ from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.base import BaseRuntime
+    from repro.sim.base import Environment
 
 ProcessGenerator = Generator[Event, Any, Any]
 
 
-def _schedule_start(env: "BaseRuntime",
+def _schedule_start(env: "Environment",
                     resume: Callable[[Event], None]) -> None:
     """Schedule ``resume`` at the current time, ahead of normal events."""
     start = Event(env)
@@ -38,7 +38,7 @@ class _Driver:
     What the generator's end means is the subclass's :meth:`_end`.
     """
 
-    env: "BaseRuntime"
+    env: "Environment"
     #: Exceptions that end the generator like a return, handed to
     #: :meth:`_end`; any other propagates out of the kernel's ``step``.
     _handed_back: Tuple[Type[BaseException], ...] = ()
@@ -85,7 +85,8 @@ class Process(_Driver):
     of ``step()`` and ``run()`` at the instant it is raised.
     """
 
-    def __init__(self, env: "BaseRuntime", generator: ProcessGenerator) -> None:
+    def __init__(self, env: "Environment",
+                 generator: ProcessGenerator) -> None:
         super().__init__(generator)
         self.env = env
         _schedule_start(env, self._resume)
@@ -125,7 +126,7 @@ class FanOut(Event):
     schedules nothing.
     """
 
-    def __init__(self, env: "BaseRuntime",
+    def __init__(self, env: "Environment",
                  generators: Iterable[ProcessGenerator]) -> None:
         super().__init__(env)
         self._members = [_Member(self, index, generator)

@@ -1,8 +1,8 @@
 """The synchronization primitive for simulation processes.
 
 :class:`SimLock` is a *runtime-time* primitive: waiting for a contended
-lock costs runtime seconds (virtual, or paced wall time under the
-realtime backend), never a blocked thread. The Aorta device lock
+lock costs runtime seconds (virtual, or paced wall time under a
+positive ``time_scale``), never a blocked thread. The Aorta device lock
 manager (:mod:`repro.sync.locks`) builds on it.
 """
 
@@ -15,7 +15,7 @@ from repro.errors import SimulationError
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.protocol import Runtime
+    from repro.sim.base import Environment
 
 
 class SimLock:
@@ -27,7 +27,7 @@ class SimLock:
     a lock you do not hold) is detected.
     """
 
-    def __init__(self, env: "Runtime", name: str = "lock") -> None:
+    def __init__(self, env: "Environment", name: str = "lock") -> None:
         self.env = env
         self.name = name
         self._holder: Optional[object] = None

@@ -18,8 +18,7 @@ from typing import Any, Dict, Generator, Optional, Set
 
 from repro.obs.metrics import Counter, Histogram
 from repro.obs.spans import Observability
-from repro.runtime import Runtime
-from repro.sim import Event, SimLock
+from repro.sim import Environment, Event, SimLock
 
 _token_counter = itertools.count(1)
 
@@ -35,7 +34,7 @@ class LockToken:
 class DeviceLockManager:
     """Per-device mutual exclusion for action execution."""
 
-    def __init__(self, env: Runtime,
+    def __init__(self, env: Environment,
                  obs: Optional[Observability] = None) -> None:
         self.env = env
         self.obs = obs if obs is not None else Observability()

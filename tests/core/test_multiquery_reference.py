@@ -27,6 +27,7 @@ from tests.shard.scenarios import (
     region_fleet_scenario,
     sharded_snapshot_scenario,
 )
+from tests.sim.fake_wall import FakeWall, paced_environment
 
 
 @pytest.fixture
@@ -113,16 +114,18 @@ def test_continuous_outage_identity(scans, observability):
 
 
 def test_snapshot_identity_realtime_backend(scans):
-    assert_matches_reference(
-        snapshot_scenario(True, runtime="realtime", time_scale=0.0),
-        scans, events=1)
+    # Paced at scale 1.0 against a fake wall clock.
+    wall = FakeWall()
+    engine = snapshot_scenario(True, env=paced_environment(wall))
+    assert_matches_reference(engine, scans, events=1)
+    assert sum(wall.sleeps) == pytest.approx(engine.env.now)
 
 
 def test_continuous_outage_identity_realtime_backend(scans):
-    assert_matches_reference(
-        continuous_outage_scenario(True, runtime="realtime",
-                                   time_scale=0.0),
-        scans, events=0)
+    wall = FakeWall()
+    engine = continuous_outage_scenario(True, env=paced_environment(wall))
+    assert_matches_reference(engine, scans, events=0)
+    assert sum(wall.sleeps) == pytest.approx(engine.env.now)
 
 
 def test_single_shard_identity(scans):

@@ -50,30 +50,35 @@ class TestCounterAndGauge:
 
 class TestHistogram:
     def test_observations_land_in_bucket_order(self):
-        hist = Histogram(buckets=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
+        hist = Histogram()
+        for value in (0.5, 5.0, 500.0):
             hist.observe(value)
-        assert hist.counts == [1, 1, 1]  # <=1, <=10, +inf
+        bucket = DEFAULT_BUCKETS.index
+        # <=0.5, <=5, +inf
+        assert [index for index, count in enumerate(hist.counts)
+                for _ in range(count)] == [
+            bucket(0.5), bucket(5.0), len(DEFAULT_BUCKETS)]
         assert hist.count == 3
-        assert hist.total == 55.5
-        assert (hist.min, hist.max) == (0.5, 50.0)
+        assert hist.total == 505.5
+        assert (hist.min, hist.max) == (0.5, 500.0)
 
     def test_boundary_value_goes_to_lower_bucket(self):
-        hist = Histogram(buckets=(1.0, 10.0))
+        hist = Histogram()
         hist.observe(1.0)
-        assert hist.counts == [1, 0, 0]
+        assert hist.counts[DEFAULT_BUCKETS.index(1.0)] == 1
+        assert sum(hist.counts) == 1
 
     def test_buckets_must_strictly_increase(self):
-        for bad in ((), (2.0, 1.0), (1.0, 1.0)):
-            with pytest.raises(AortaError, match="strictly"):
-                Histogram(buckets=bad)
-
-    def test_merge_requires_equal_buckets(self):
-        with pytest.raises(AortaError, match="different buckets"):
-            Histogram(buckets=(1.0,)).merge(Histogram(buckets=(2.0,)))
+        # Bucketing bisects the bounds.
+        assert DEFAULT_BUCKETS
+        assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
 
     def test_default_buckets(self):
-        assert Histogram().buckets == DEFAULT_BUCKETS
+        registry = MetricsRegistry()
+        registry.family(Histogram, "a.b")[()].observe(1.0)
+        snapshot = registry.snapshot()["histograms"]["a.b"]
+        assert snapshot["buckets"] == list(DEFAULT_BUCKETS)
+        assert len(snapshot["counts"]) == len(DEFAULT_BUCKETS) + 1
 
 
 class TestRegistry:

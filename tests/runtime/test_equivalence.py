@@ -1,22 +1,22 @@
-"""Backend equivalence: virtual and realtime(time_scale=0) are twins.
+"""Pacing equivalence: a paced run is the unpaced run.
 
-The realtime backend shares every line of process/event machinery with
-the virtual backend; only pacing differs, and at ``time_scale=0``
-pacing is a no-op. These tests pin that property end to end: the
-golden-harness scenarios — the Figure 1 snapshot and the
-continuous-outage fault-tolerance run — must produce *identical
-normalized dumps* (full trace, statistics, serviced sets, and metric
-snapshots with observability on) on both backends. Any drift between
-the backends, however subtle, fails here first.
+Pacing only sleeps before a clock advance, so it can never reorder
+events. These tests pin that property end to end: the golden-harness
+scenarios — the Figure 1 snapshot and the continuous-outage
+fault-tolerance run — must produce *identical normalized dumps* (full
+trace, statistics, serviced sets, and metric snapshots with
+observability on) unpaced and paced at ``time_scale=1.0`` against a
+fake wall clock, whose sleeps must add up to the scenario's span.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime import RealtimeRuntime, VirtualRuntime
+from repro.sim import Environment
 from tests.obs.golden import diff_dumps, dump_engine, render_diff
 from tests.obs.scenarios import continuous_outage_scenario, snapshot_scenario
+from tests.sim.fake_wall import FakeWall, paced_environment
 
 SCENARIOS = {
     "snapshot": snapshot_scenario,
@@ -25,9 +25,11 @@ SCENARIOS = {
 
 
 def _run(scenario, backend: str, observability):
-    env = (VirtualRuntime() if backend == "virtual"
-           else RealtimeRuntime(time_scale=0))
-    return scenario(observability, env=env)
+    """The scenario's engine and the fake wall its runtime slept on
+    (``None`` for the unpaced run)."""
+    wall = FakeWall() if backend == "realtime" else None
+    env = paced_environment(wall) if wall is not None else Environment()
+    return scenario(observability, env=env), wall
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -35,26 +37,28 @@ def _run(scenario, backend: str, observability):
                          ids=["obs-off", "obs-on"])
 def test_backends_produce_identical_normalized_dumps(name, observability):
     scenario = SCENARIOS[name]
-    virtual = dump_engine(_run(scenario, "virtual", observability))
-    realtime = dump_engine(_run(scenario, "realtime", observability))
-    differences = diff_dumps(virtual, realtime)
-    assert not differences, render_diff(f"{name} (virtual vs realtime)",
+    virtual, _ = _run(scenario, "virtual", observability)
+    realtime, wall = _run(scenario, "realtime", observability)
+    differences = diff_dumps(dump_engine(virtual), dump_engine(realtime))
+    assert not differences, render_diff(f"{name} (unpaced vs paced)",
                                         differences)
+    assert sum(wall.sleeps) == pytest.approx(realtime.env.now)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_realtime_scenarios_end_at_the_virtual_stop_time(name):
     scenario = SCENARIOS[name]
-    virtual_engine = _run(scenario, "virtual", None)
-    realtime_engine = _run(scenario, "realtime", None)
+    virtual_engine, _ = _run(scenario, "virtual", None)
+    realtime_engine, wall = _run(scenario, "realtime", None)
     assert realtime_engine.env.now == virtual_engine.env.now
-    assert realtime_engine.env.backend_name == "realtime"
-    assert virtual_engine.env.backend_name == "virtual"
+    assert realtime_engine.env.time_scale == 1.0
+    assert virtual_engine.env.time_scale == 0.0
+    assert sum(wall.sleeps) == pytest.approx(virtual_engine.env.now)
 
 
 def test_seeded_runs_are_identical_within_one_backend():
-    # Determinism baseline: without it, cross-backend identity would
-    # be vacuous.
-    first = dump_engine(_run(snapshot_scenario, "realtime", None))
-    second = dump_engine(_run(snapshot_scenario, "realtime", None))
-    assert not diff_dumps(first, second)
+    # Determinism baseline: without it, paced/unpaced identity would be
+    # vacuous.
+    first, _ = _run(snapshot_scenario, "realtime", None)
+    second, _ = _run(snapshot_scenario, "realtime", None)
+    assert not diff_dumps(dump_engine(first), dump_engine(second))

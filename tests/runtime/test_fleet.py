@@ -13,22 +13,22 @@ from typing import List, Optional
 import pytest
 
 from repro.errors import SimulationError
-from repro.runtime import (
+from repro.shard.fleet import (
     RoundBudgetError,
     RoundResult,
     RuntimePeer,
-    VirtualRuntime,
     run_lockstep,
 )
+from repro.sim import Environment
 
 
 # ----------------------------------------------------------------------
 # run_lockstep: the cumulative fleet-wide event budget
 # ----------------------------------------------------------------------
 def ticking_runtime(period: float = 1.0,
-                    ticks: Optional[int] = None) -> VirtualRuntime:
+                    ticks: Optional[int] = None) -> Environment:
     """A runtime with one recurring timer (1 event per period)."""
-    runtime = VirtualRuntime()
+    runtime = Environment()
 
     def clock(env):
         fired = 0
@@ -300,7 +300,7 @@ def test_runtime_peer_raises_round_budget_error_with_shard_state():
 
 
 def test_runtime_peer_lets_other_simulation_errors_through():
-    class Broken(VirtualRuntime):
+    class Broken(Environment):
         def run(self, until=None, max_events=None):
             raise SimulationError("kernel fault")
 

@@ -1,64 +1,46 @@
-"""The Runtime protocol, the factory, and engine config selection."""
+"""One runtime class, and what the engine builds from its config."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro
 from repro import AortaEngine, EngineConfig
-from repro.errors import AortaError, SimulationError
-from repro.runtime import (
-    RealtimeRuntime,
-    Runtime,
-    VirtualRuntime,
-    create_runtime,
-)
+from repro.errors import AortaError
 from repro.sim import Environment
-
-
-def test_both_backends_satisfy_the_protocol():
-    assert isinstance(Environment(), Runtime)
-    assert isinstance(RealtimeRuntime(time_scale=0), Runtime)
+from repro.sim.base import BaseRuntime
 
 
 def test_virtual_runtime_is_the_environment():
-    assert VirtualRuntime is Environment
-
-
-def test_factory_builds_by_name():
-    assert create_runtime("virtual").backend_name == "virtual"
-    runtime = create_runtime("realtime", time_scale=0.25, strict=True)
-    assert runtime.backend_name == "realtime"
-    assert runtime.time_scale == 0.25
-    assert runtime.strict
-
-
-def test_factory_rejects_unknown_backends():
-    with pytest.raises(SimulationError, match="unknown runtime"):
-        create_runtime("quantum")
+    # BaseRuntime is a second name for the class (benchmarks patch it
+    # through it), not a second class.
+    assert BaseRuntime is Environment is repro.Environment
+    assert Environment().time_scale == 0.0
 
 
 # ----------------------------------------------------------------------
 # Engine selection
 # ----------------------------------------------------------------------
 def test_engine_defaults_to_the_virtual_backend():
-    assert AortaEngine().env.backend_name == "virtual"
+    env = AortaEngine().env
+    assert type(env) is Environment
+    assert env.time_scale == 0.0
 
 
 def test_engine_config_selects_the_realtime_backend():
-    config = EngineConfig(runtime="realtime", time_scale=0.0)
-    engine = AortaEngine(config=config)
-    assert engine.env.backend_name == "realtime"
-    assert engine.env.time_scale == 0.0
+    engine = AortaEngine(config=EngineConfig(time_scale=0.25))
+    assert engine.env.time_scale == 0.25
 
 
 def test_explicit_runtime_wins_over_config():
     env = Environment()
-    config = EngineConfig(runtime="realtime")
+    config = EngineConfig(time_scale=0.5)
     assert AortaEngine(env, config=config).env is env
+    assert env.time_scale == 0.0
 
 
 def test_config_rejects_unknown_runtime_and_negative_scale():
-    with pytest.raises(AortaError, match="unknown runtime"):
-        EngineConfig(runtime="asyncio")
+    with pytest.raises(TypeError):
+        EngineConfig(runtime="asyncio")  # there is no backend to pick
     with pytest.raises(AortaError, match="time_scale"):
         EngineConfig(time_scale=-1.0)

@@ -1,4 +1,4 @@
-"""Unit tests of the RealtimeRuntime backend.
+"""Unit tests of pacing: ``Environment(time_scale=...)``.
 
 Pacing is exercised with injected fake wall-clock/sleep functions, so
 these tests are fast and fully deterministic: the "wall clock" only
@@ -7,35 +7,13 @@ moves when the recorded sleep function advances it.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.realtime import RealtimeRuntime
-
-
-class FakeWall:
-    """A controllable monotonic clock whose sleep() advances it."""
-
-    def __init__(self, start: float = 100.0, *, busy_per_event: float = 0.0):
-        self.now = start
-        self.sleeps: list[float] = []
-        #: Wall time silently consumed between sleeps (models slow
-        #: callbacks) — added on every clock read after the first.
-        self.busy_per_event = busy_per_event
-
-    def clock(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        assert seconds > 0, "runtime must not sleep non-positive spans"
-        self.sleeps.append(seconds)
-        self.now += seconds
-
-
-def make_runtime(time_scale: float, wall: FakeWall, **kwargs):
-    return RealtimeRuntime(time_scale=time_scale,
-                           wall_clock=wall.clock,
-                           wall_sleep=wall.sleep, **kwargs)
+from repro.sim import Environment
+from tests.sim.fake_wall import FakeWall, paced_environment
 
 
 # ----------------------------------------------------------------------
@@ -43,12 +21,15 @@ def make_runtime(time_scale: float, wall: FakeWall, **kwargs):
 # ----------------------------------------------------------------------
 def test_negative_time_scale_rejected():
     with pytest.raises(SimulationError):
-        RealtimeRuntime(time_scale=-0.5)
+        Environment(time_scale=-0.5)
 
 
-def test_negative_max_drift_rejected():
-    with pytest.raises(SimulationError):
-        RealtimeRuntime(max_drift=-1.0)
+@pytest.mark.parametrize("time_scale", [math.nan, math.inf])
+def test_nan_and_infinite_time_scales_are_refused(time_scale):
+    # NaN used to construct and never sleep (its deadline is NaN); inf
+    # asked for sleep(inf) at every gap, which time.sleep refuses.
+    with pytest.raises(SimulationError, match="time_scale"):
+        Environment(time_scale=time_scale)
 
 
 # ----------------------------------------------------------------------
@@ -56,8 +37,7 @@ def test_negative_max_drift_rejected():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("time_scale", [0, 1.0])
 def test_timers_fire_in_timestamp_order_not_creation_order(time_scale):
-    wall = FakeWall()
-    env = make_runtime(time_scale, wall)
+    env = paced_environment(FakeWall(), time_scale)
     fired = []
 
     def waiter(delay, tag):
@@ -73,8 +53,7 @@ def test_timers_fire_in_timestamp_order_not_creation_order(time_scale):
 
 
 def test_equal_timestamps_keep_fifo_order():
-    wall = FakeWall()
-    env = make_runtime(1.0, wall)
+    env = paced_environment(FakeWall())
     fired = []
 
     def waiter(tag):
@@ -92,7 +71,7 @@ def test_equal_timestamps_keep_fifo_order():
 # ----------------------------------------------------------------------
 def test_time_scale_zero_never_sleeps():
     wall = FakeWall()
-    env = make_runtime(0, wall)
+    env = paced_environment(wall, 0)
 
     def proc():
         yield env.timeout(5.0)
@@ -106,7 +85,7 @@ def test_time_scale_zero_never_sleeps():
 
 def test_sleeps_match_scaled_inter_event_gaps():
     wall = FakeWall()
-    env = make_runtime(2.0, wall)
+    env = paced_environment(wall, 2.0)
 
     def proc():
         yield env.timeout(1.0)
@@ -121,7 +100,7 @@ def test_sleeps_match_scaled_inter_event_gaps():
 
 def test_run_until_paces_to_the_deadline():
     wall = FakeWall()
-    env = make_runtime(1.0, wall)
+    env = paced_environment(wall)
 
     def proc():
         yield env.timeout(1.0)
@@ -133,48 +112,25 @@ def test_run_until_paces_to_the_deadline():
     assert sum(wall.sleeps) == pytest.approx(10.0)
 
 
-def test_behind_schedule_runs_flat_out_and_records_drift():
+def test_behind_schedule_runs_flat_out():
     # Each clock read consumes 2 wall seconds (slow host): the runtime
-    # must not sleep, must not raise (non-strict), and must record how
-    # far behind it fell.
+    # must not sleep and must not skip or reorder events.
     wall = FakeWall()
-    env = make_runtime(0.1, wall)
+
+    def busy_clock():
+        wall.now += 2.0
+        return wall.now
+
+    env = Environment(time_scale=0.1, wall_clock=busy_clock,
+                      wall_sleep=wall.sleep)
+    fired = []
 
     def proc():
         for _ in range(3):
             yield env.timeout(1.0)
+            fired.append(env.now)
 
     env.process(proc())
-
-    original_clock = wall.clock
-
-    def busy_clock():
-        wall.now += 2.0
-        return original_clock()
-
-    env._wall_clock = busy_clock
     env.run()
-    assert env.now == 3.0
+    assert fired == [1.0, 2.0, 3.0]
     assert wall.sleeps == []
-    assert env.max_observed_drift > 0
-
-
-def test_strict_mode_raises_when_drift_exceeds_budget():
-    wall = FakeWall()
-    env = make_runtime(0.1, wall, strict=True, max_drift=0.5)
-
-    def proc():
-        for _ in range(3):
-            yield env.timeout(1.0)
-
-    env.process(proc())
-
-    original_clock = wall.clock
-
-    def busy_clock():
-        wall.now += 2.0
-        return original_clock()
-
-    env._wall_clock = busy_clock
-    with pytest.raises(SimulationError, match="behind the wall clock"):
-        env.run()

@@ -29,7 +29,7 @@ from repro.profiles.defaults import (
     phone_cost_table,
     sensor_cost_table,
 )
-from repro.runtime import create_runtime
+from repro.sim import Environment
 from repro.scheduling import (
     HAVE_NUMPY,
     BlockModelKernel,
@@ -274,7 +274,7 @@ def test_srfae_shared_candidate_tuples_identical_with_vectorize(
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def photo_lab():
-    env = create_runtime("virtual")
+    env = Environment()
     cost_model = CostModel({table.device_type: table for table in (
         camera_cost_table(), sensor_cost_table(), phone_cost_table())})
     registry = ActionRegistry()
@@ -359,7 +359,7 @@ def test_block_model_matrix_rows_bit_equal_to_columns_and_scalar(
     both are the scalar estimates, to the bit."""
     import numpy
     cost_model, photo, _ = photo_lab
-    env = create_runtime("virtual")
+    env = Environment()
     cameras = []
     statuses = {}
     for k, (x, y, facing, height, pan_limit, tilt_limit,
@@ -394,7 +394,7 @@ def test_prepare_block_refuses_mixed_device_types(photo_lab):
     """One prepared block is one device type's: the profile and cost
     table of the first device would silently cost every other."""
     cost_model, photo, cameras = photo_lab
-    env = create_runtime("virtual")
+    env = Environment()
     mote = SensorMote(env, "mote1", Point(1.0, 1.0))
     with pytest.raises(ProfileError, match="one type"):
         cost_model.prepare_block(photo.name,
@@ -423,7 +423,7 @@ def test_block_without_quantities_is_sized_to_the_block():
                                             OperationRef("store"))),
         lambda device, status, args: ({}, dict(status)),
         block_resolver=_NoQuantities())
-    env = create_runtime("virtual")
+    env = Environment()
     cameras = [PanTiltZoomCamera(env, f"cam{k}", Point(k, 0.0))
                for k in range(3)]
     prepared = cost_model.prepare_block("snap", cameras, [{}] * 5)
@@ -448,7 +448,7 @@ def _photo_model():
 
 
 def _aim_lab(n_cameras=4):
-    env = create_runtime("virtual")
+    env = Environment()
     cameras = [PanTiltZoomCamera(env, f"cam{k + 1}", Point(9.0 * k, -3.0),
                                  facing=20.0 * k, view_range=1000.0)
                for k in range(n_cameras)]

@@ -44,8 +44,7 @@ def sharded_snapshot_scenario(observability: Optional[bool] = None,
 
     Mirrors :func:`tests.obs.scenarios.snapshot_scenario` call for
     call; extra keyword arguments pass through to
-    :class:`~repro.EngineConfig` (e.g. ``runtime="realtime"``,
-    ``time_scale=0``).
+    :class:`~repro.EngineConfig` (e.g. ``time_scale``).
     """
     config = _config(observability, **config_kwargs)
     fleet = ShardedEngine(config=config, seed=0)

@@ -34,8 +34,9 @@ from repro.errors import (
     SimulationError,
 )
 from repro.overload.admission import CAPACITY_HORIZON, UTILIZATION_CAP
-from repro.runtime import RuntimePeer, VirtualRuntime, run_lockstep
 from repro.shard.coordinator import SHARD_QUANTUM
+from repro.shard.fleet import RuntimePeer, run_lockstep
+from repro.sim import Environment
 from tests.shard.scenarios import (
     FIGURE_1_AQ,
     STORM_UNTIL,
@@ -292,17 +293,43 @@ def test_per_shard_state_is_refused_on_multi_shard_fleets():
 
 def test_run_lockstep_validates_its_inputs():
     with pytest.raises(SimulationError, match="quantum"):
-        run_lockstep([RuntimePeer(VirtualRuntime())], 10.0, quantum=0.0)
+        run_lockstep([RuntimePeer(Environment())], 10.0, quantum=0.0)
     with pytest.raises(SimulationError, match="at least one"):
         run_lockstep([], 10.0)
-    runtime = VirtualRuntime()
+    runtime = Environment()
     runtime.run(until=5.0)
     with pytest.raises(SimulationError, match="already at"):
         run_lockstep([RuntimePeer(runtime)], 1.0)
 
 
+def test_a_multi_shard_fleet_refuses_to_run_to_nan():
+    # It used to return NaN with every shard clock still at 0.0, where
+    # a plain engine and a one-shard fleet refuse the call.
+    fleet = two_shard_fleet()
+    fleet.start()
+    with pytest.raises(SimulationError, match="NaN"):
+        fleet.run(math.nan)
+    assert [fleet.shard(index).env.now for index in range(2)] == [0.0, 0.0]
+
+
+def test_run_lockstep_refuses_to_run_to_nan():
+    runtime = Environment()
+    with pytest.raises(SimulationError, match="NaN"):
+        run_lockstep([RuntimePeer(runtime)], math.nan, quantum=1.0)
+    assert runtime.now == 0.0
+
+
+@pytest.mark.parametrize("quantum", [math.nan, math.inf])
+def test_run_lockstep_refuses_a_quantum_not_positive_and_finite(quantum):
+    # A NaN quantum used to return ``until`` with the clock unmoved.
+    runtime = Environment()
+    with pytest.raises(SimulationError, match="quantum"):
+        run_lockstep([RuntimePeer(runtime)], 10.0, quantum=quantum)
+    assert runtime.now == 0.0
+
+
 def test_run_lockstep_tolerates_runtimes_ahead_of_the_floor():
-    ahead, behind = VirtualRuntime(), VirtualRuntime()
+    ahead, behind = Environment(), Environment()
     ahead.run(until=7.0)
     assert run_lockstep([RuntimePeer(ahead), RuntimePeer(behind)], 10.0,
                         quantum=2.0) == 10.0

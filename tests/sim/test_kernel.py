@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro.sim
 from repro.errors import SimulationError
-from repro.sim import Environment, RealtimeRuntime
+from repro.sim import Environment
+from tests.sim.fake_wall import FakeWall, paced_environment
 
 
 def test_clock_starts_at_zero():
@@ -381,18 +382,28 @@ def _kernel_calls_per_timer_wait(start, end_events):
 
 
 def test_a_timer_wait_costs_at_most_eight_kernel_calls():
-    """A host-independent cost per unit of work (7: timeout, Timeout,
-    Event, schedule, step, _pace, _resume; 16 when clock and queue were
-    wrapper classes). A process's end is no event."""
+    """A host-independent cost per unit of work (4: timeout, Timeout,
+    step, _resume; 7 when events went through Event and schedule, 16
+    when clock and queue were wrapper classes). A process's end is no
+    event."""
     assert _kernel_calls_per_timer_wait(Environment.process, 0) <= 8
 
 
 def test_a_fan_out_members_timer_wait_costs_what_a_processs_does():
     """A member is resumed straight from its timer's callback: the same
-    seven calls, within the same budget of eight. Its end is the
+    four calls, within the same budget of eight. Its end is the
     fan-out's completion."""
     assert _kernel_calls_per_timer_wait(
         lambda env, generator: env.fan_out([generator]), 1) <= 8
+
+
+def test_an_unpaced_timer_wait_costs_four_kernel_calls():
+    """An unpaced runtime never calls the pacing code: a wait is
+    timeout, Timeout, step and _resume (five with a no-op pacing hook
+    called on every step)."""
+    assert _kernel_calls_per_timer_wait(Environment.process, 0) < 4.5
+    assert _kernel_calls_per_timer_wait(
+        lambda env, generator: env.fan_out([generator]), 1) < 4.5
 
 
 # ----------------------------------------------------------------------
@@ -480,12 +491,15 @@ def test_fan_out_keeps_the_tie_order_of_processes_created_in_a_row():
 
 
 def test_fan_out_behaves_the_same_on_the_realtime_backend_at_scale_zero():
-    virtual = Environment()
-    realtime = RealtimeRuntime(time_scale=0)
-    assert (_tie_order_trace(realtime, fanned=True)
+    # Paced at scale 1.0 against a fake wall clock: pacing sleeps the
+    # run's span and changes nothing else.
+    virtual, wall = Environment(), FakeWall()
+    paced = paced_environment(wall)
+    assert (_tie_order_trace(paced, fanned=True)
             == _tie_order_trace(virtual, fanned=True))
-    assert realtime.events_processed == virtual.events_processed
-    assert realtime.now == virtual.now == 1.0
+    assert paced.events_processed == virtual.events_processed
+    assert paced.now == virtual.now == 1.0
+    assert sum(wall.sleeps) == pytest.approx(1.0)
 
 
 def test_a_members_exception_is_handed_back_not_raised_by_step():

@@ -47,9 +47,8 @@ def test_metrics_json_with_spans_is_one_json_document(capsys):
     ("metrics --shards 2 --spans", "report one engine"),
     ("metrics --shards 2 --fastpath", "report one engine"),
     ("metrics --shards 2 --overload", "report one engine"),
-    ("--demo --shards 2 --runtime realtime", "single-engine --demo only"),
-    ("--demo --shards 2 --time-scale 0.5",
-     "--time-scale needs --runtime realtime"),
+    ("--demo --shards 2 --time-scale 0.5", "single-engine --demo only"),
+    ("--time-scale 0.5 metrics", "single-engine --demo only"),
     ("--demo --parallel", "--parallel needs --shards >= 2"),
     ("metrics --parallel", "--parallel needs --shards >= 2"),
     ("--shards 2", "need --demo"),
@@ -70,6 +69,6 @@ def test_fleet_flags_count_on_either_side_of_the_subcommand(capsys):
 
 
 def test_every_flag_still_works_where_it_applies(capsys):
-    assert main(["--demo", "--runtime", "realtime", "--time-scale", "0"]) == 0
+    assert main(["--demo", "--time-scale", "0.001"]) == 0
     assert main(["metrics", "--spans", "--fastpath", "--queries"]) == 0
     assert "span tree:" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.sim.base import BaseRuntime
+from repro.sim import Environment
 
 from tests.test_e2e_outcomes import SECONDS, SEED, build, repetition
 
@@ -25,13 +25,13 @@ LOOPS = {"Dispatcher._run", "ContinuousQueryExecutor._run",
 
 def test_mixed_faulty_starts_only_the_four_loops(monkeypatch):
     started = Counter()
-    process = BaseRuntime.process
+    process = Environment.process
 
     def counted(runtime, generator):
         started[generator.__qualname__] += 1
         return process(runtime, generator)
 
-    monkeypatch.setattr(BaseRuntime, "process", counted)
+    monkeypatch.setattr(Environment, "process", counted)
     job = build("mixed_faulty", SEED, SECONDS, smoke=True)
     result = repetition(job, SEED)
     assert not result["problems"], result["problems"]

@@ -28,7 +28,7 @@ from repro.devices.base import Device
 from repro.devices.camera import PanTiltZoomCamera
 from repro.network.message import Message
 from repro.scheduling import HAVE_NUMPY
-from repro.sim.base import BaseRuntime
+from repro.sim import Environment
 
 from tests.test_e2e_outcomes import SECONDS, SEED, build, repetition
 
@@ -44,7 +44,7 @@ STATIC_ATTRIBUTES = 166
 AIM_MEMOIZED = 768
 
 
-#: Kernel events (``BaseRuntime.step`` calls) per smoke repetition,
+#: Kernel events (``Environment.step`` calls) per smoke repetition,
 #: the same with numpy and without.
 KERNEL_EVENTS = {"dispatch_heavy": 13084, "match_heavy": 11799,
                  "mixed_faulty": 17040}
@@ -85,7 +85,7 @@ def test_dispatch_heavy_reads_static_state_once_per_epoch(monkeypatch):
 @pytest.mark.parametrize("workload", sorted(KERNEL_EVENTS))
 def test_the_row_path_builds_each_message_once(monkeypatch, workload):
     calls, counted = counter(monkeypatch)
-    counted(BaseRuntime, "step")
+    counted(Environment, "step")
     counted(Message, "__post_init__")
     job = build(workload, SEED, SECONDS, smoke=True)
     result = repetition(job, SEED)

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import EngineConfig, HealthPolicy, RetryPolicy
+from repro.obs.metrics import Histogram
 from repro.overload import OverloadPolicy, TierRate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -233,12 +234,11 @@ def test_the_allow_list_is_short_reasoned_and_not_stale():
 
 
 @pytest.mark.parametrize("package_name", [
-    "repro.comm", "repro.network", "repro.sim", "repro.runtime",
-    "repro.scheduling"])
+    "repro.comm", "repro.network", "repro.sim", "repro.scheduling"])
 def test_every_exported_callable_has_a_caller(package_name):
-    """The rule as PR 22 left it covered these five packages' exports;
-    it now reads the whole-tree verdict for one package (the ids stay:
-    a test id present at the floor is not renamed)."""
+    """The rule once covered only these packages' exports; it now
+    reads the whole-tree verdict for one package (the ids stay, so a
+    package is dropped from the list only when it is deleted)."""
     uncalled, _ = _surface()
     assert _not_kept(name for name in uncalled
                      if name.startswith(package_name + ".")) == []
@@ -348,7 +348,7 @@ def test_the_option_allow_list_is_short_reasoned_and_not_stale():
     (EngineConfig, name) for name in (
         "poll_interval", "batch_window", "edge_triggered", "pool_capacity",
         "pool_idle_seconds", "status_ttl_seconds", "shard_quantum",
-        "status_ttls")] + [
+        "status_ttls", "runtime")] + [
     (RetryPolicy, name) for name in (
         "backoff_base", "backoff_factor", "jitter", "max_dispatches",
         "backoff_max")] + [
@@ -356,7 +356,8 @@ def test_the_option_allow_list_is_short_reasoned_and_not_stale():
     (OverloadPolicy, name) for name in (
         "registration_rates", "capacity_horizon", "utilization_cap",
         "capacity_protect_tier", "default_service_seconds",
-        "shed_interval", "shed_protect_tier")])
+        "shed_interval", "shed_protect_tier")] + [
+    (Histogram, "buckets")])
 def test_a_constant_is_no_keyword(cls, name):
     """The option rule's verdicts (DESIGN decision 24) left no alias:
     a value that became a constant cannot be passed."""
@@ -426,11 +427,11 @@ def test_no_two_functions_share_a_body():
 
 
 def test_only_the_kernel_assigns_a_runtimes_now():
-    """``BaseRuntime.now`` is a plain attribute for speed; what the
+    """``Environment.now`` is a plain attribute for speed; what the
     read-only property used to enforce is this convention: no source
     outside ``sim/base.py`` assigns an attribute called ``now``."""
     # `RoundBudgetError.now` is an exception's record of a shard's clock.
-    not_a_runtime = {("runtime/fleet.py", "self.now = now")}
+    not_a_runtime = {("shard/fleet.py", "self.now = now")}
     assignment = re.compile(r"\.now\s*(?:[-+*/]|//)?=(?!=)")
     offenders = {
         (str(path.relative_to(SRC)), line.strip())
