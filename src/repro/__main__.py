@@ -9,6 +9,7 @@ enabled and exports its metrics and span tree.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import repro
@@ -303,6 +304,31 @@ def run_metrics(*, as_json: bool = False, spans: bool = False,
     return 0
 
 
+def _shard_count(text: str) -> int:
+    """``--shards``: a whole number of engine shards, at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0  # refused below, with the same message
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of shards >= 1, got {text!r}")
+    return count
+
+
+def _time_scale(text: str) -> float:
+    """``--time-scale``: wall seconds per runtime second, finite and
+    not negative (``Environment`` refuses anything else)."""
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan  # refused below, with the same message
+    if not 0 <= scale < math.inf:  # NaN as well
+        raise argparse.ArgumentTypeError(
+            f"expected a finite scale >= 0, got {text!r}")
+    return scale
+
+
 def _refuse_ignored_flags(parser: argparse.ArgumentParser,
                           args: argparse.Namespace) -> None:
     """Exit with a usage error on a flag the chosen code path would
@@ -338,11 +364,11 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--demo", action="store_true",
                         help="run the Figure 1 demo scenario")
-    parser.add_argument("--time-scale", type=float, default=0.0,
+    parser.add_argument("--time-scale", type=_time_scale, default=0.0,
                         help="pace --demo against the wall clock: wall "
                              "seconds per runtime second (default 0 = "
                              "unpaced virtual time)")
-    parser.add_argument("--shards", type=int, default=1,
+    parser.add_argument("--shards", type=_shard_count, default=1,
                         help="partition the demo fleet across N engine "
                              "shards (region placement, one Figure 1 "
                              "region per shard; default 1 = the plain "
@@ -386,7 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     # The three fleet flags are accepted on either side of the
     # subcommand; SUPPRESS keeps a value given before it from being
     # overwritten by the subparser's default.
-    metrics.add_argument("--shards", type=int, default=argparse.SUPPRESS,
+    metrics.add_argument("--shards", type=_shard_count,
+                         default=argparse.SUPPRESS,
                          help="run the sharded demo fleet and print "
                               "shard-labeled fleet metrics (default 1 "
                               "= the plain engine snapshot)")

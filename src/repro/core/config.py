@@ -149,8 +149,8 @@ class EngineConfig:
     #: concurrently in its own worker instead of stepping shards
     #: sequentially on the coordinator thread. Only
     #: :class:`~repro.shard.ShardedEngine` honours it, and only with
-    #: ``shards > 1`` (a 1-shard fleet stays the in-process
-    #: pass-through). Off by default; a worker fleet's per-shard dumps
+    #: ``shards > 1`` (a 1-shard fleet keeps its one engine
+    #: in-process). Off by default; a worker fleet's per-shard dumps
     #: are byte-identical to the in-process fleet's (pinned by
     #: ``tests/shard/test_parallel.py``).
     parallel: bool = False

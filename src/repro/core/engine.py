@@ -371,17 +371,10 @@ class AortaEngine:
         if self.overload is not None:
             self.overload.start()
 
-    def run(self, until: float,
-            max_events: Optional[int] = None) -> float:
-        """Advance the runtime to time ``until``.
-
-        ``max_events`` caps how many events this call may process;
-        exceeding it raises :class:`~repro.errors.SimulationError` with
-        queue diagnostics instead of looping forever on a runaway
-        process (useful as a watchdog in tests and services).
-        """
+    def run(self, until: float) -> float:
+        """Advance the runtime to time ``until``."""
         with self.obs.span("engine.run"):
-            stopped = self.env.run(until=until, max_events=max_events)
+            stopped = self.env.run(until=until)
         self._runs.inc()
         return stopped
 

@@ -102,6 +102,7 @@ class EngineTracer:
         self._records.clear()
 
     def tail(self, count: int = 20) -> str:
-        """The newest records, rendered one per line."""
-        entries = list(self._records)
-        return "\n".join(str(r) for r in entries[-count:])
+        """The newest ``count`` records, rendered one per line."""
+        # Sliced only for a positive count: [-0:] is every record.
+        entries = list(self._records)[-count:] if count > 0 else []
+        return "\n".join(str(r) for r in entries)

@@ -30,10 +30,14 @@ and aggregation at the coordinator:
   synced at every barrier to the fleet's: admission is per-shard (rate
   limits, queues) but capacity accounting is fleet-wide.
 
-The 1-shard fleet is a pure pass-through: every operation delegates to
-the single inner engine, whose construction is byte-identical to a
-plain ``AortaEngine`` (same raw seed, same config) — the equivalence
-suite in ``tests/shard`` pins this with golden traces.
+* **Time**: :func:`run_lockstep` is the one round loop. It advances
+  every shard to a deadline and meets them at a barrier, which is where
+  the fleet ledger syncs.
+
+The 1-shard fleet is byte-identical to a plain ``AortaEngine``: its one
+engine is built like one (same raw seed, same config), and every
+operation either delegates to it or returns what it would — the
+equivalence suite in ``tests/shard`` pins this with golden traces.
 
 **One handle per shard.** Every method below reaches a shard through
 its :class:`~repro.shard.parallel.ShardHandle` and never asks where the
@@ -52,10 +56,12 @@ fleets, and byte-identical to the in-process fleet
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ShardingError
+from repro.errors import ShardingError, SimulationError
 from repro.actions.request import ActionRequest
 from repro.core.config import EngineConfig
 from repro.core.engine import AortaEngine, statistics_view
@@ -64,8 +70,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.overload import CapacityLedger
 from repro.query.ast import ExplainStatement, SelectQuery
 from repro.query.parser import parse
-from repro.shard.fleet import RoundResult, run_lockstep
-from repro.shard.parallel import ShardHandle, ShardHost, ShardWorker
+from repro.shard.parallel import (
+    RoundResult,
+    ShardHandle,
+    ShardHost,
+    ShardWorker,
+)
 from repro.shard.placement import HashPlacement, PlacementPolicy
 from repro.sim import Environment
 from repro.sim.rng import derive_seed
@@ -81,6 +91,71 @@ DeviceFactory = Callable[[Environment], Device]
 #: runtime seconds, which bounds how far apart the clocks are at which
 #: shards admit, and is the period at which their ledgers sync.
 SHARD_QUANTUM = 1.0
+
+
+def run_lockstep(
+    handles: Sequence[ShardHandle],
+    until: float,
+    *,
+    quantum: Optional[float],
+    on_round: Optional[Callable[[float, List[RoundResult]], None]] = None,
+) -> float:
+    """Advance every shard to ``until``, one barriered round at a time.
+
+    Shards own disjoint devices, so their event streams never interact;
+    what they can share while a run is in progress is the fleet's
+    capacity commitments, which each shard's admission reads from its
+    own ledger as of the last barrier. Round deadlines step by
+    ``quantum`` from the slowest shard's clock, so no shard is ever
+    more than one quantum ahead of another and the ledgers sync at
+    every barrier; ``quantum=None`` is one round straight to ``until``
+    for shards that share nothing. At least one round opens, so a run
+    to the instant the fleet is at drains the events due then, as
+    ``Environment.run`` does; a shard already past a deadline skips
+    that round itself.
+
+    Each round submits ``begin_round`` to every shard before collecting
+    ``finish_round`` from any — workers compute their rounds
+    concurrently — and collects in **shard order**, never arrival
+    order, so everything downstream of the barrier is independent of
+    scheduling noise. If a shard fails mid-round, the loop still
+    drains every other shard's reply (keeping worker pipes in lockstep
+    for teardown), then raises the lowest-indexed failure.
+    ``on_round(wall_seconds, results)`` runs after each successful
+    round. Returns ``until``.
+    """
+    # Written so that NaN fails the checks: it compares false.
+    if quantum is not None and not 0 < quantum < math.inf:
+        raise SimulationError(f"lockstep quantum must be positive and "
+                              f"finite, got {quantum}")
+    if not handles:
+        raise SimulationError("a lockstep fleet needs at least one shard")
+    deadline = min(handle.call("now") for handle in handles)
+    if not until >= deadline:
+        raise SimulationError(
+            f"cannot run lockstep to t={until}: it is NaN or a shard "
+            f"is already at t={deadline}")
+    while True:
+        deadline = until if quantum is None \
+            else min(deadline + quantum, until)
+        started = time.perf_counter()
+        for handle in handles:
+            handle.begin_round(deadline)
+        #: Per shard, its RoundResult or what finish_round raised.
+        outcomes: List[Any] = []
+        for handle in handles:
+            try:
+                outcomes.append(handle.finish_round())
+            except BaseException as error:  # noqa: BLE001 - re-raised below
+                outcomes.append(error)
+        wall_seconds = time.perf_counter() - started
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        if on_round is not None:
+            on_round(wall_seconds, outcomes)
+        if deadline >= until:
+            return until
 
 
 def _fold_levels(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -169,9 +244,9 @@ class ShardedEngine:
                 f"but config.shards is {n}")
         self.seed = seed
         #: Whether this fleet hosts its shards in workers. Forced off
-        #: on 1-shard fleets: the pass-through path must stay
-        #: byte-identical to a plain engine, and one shard has nothing
-        #: to parallelize.
+        #: on 1-shard fleets: a 1-shard fleet must stay byte-identical
+        #: to a plain engine, reachable as ``shard(0)``, and one shard
+        #: has nothing to parallelize.
         self.parallel: bool = self.config.parallel and n > 1
         #: Devices admitted through the facade — the fleet size capacity
         #: admission budgets against.
@@ -408,31 +483,21 @@ class ShardedEngine:
         self._call_all("start")
         self._sync_stale_ledger()
 
-    def run(self, until: float,
-            max_events: Optional[int] = None) -> float:
+    def run(self, until: float) -> float:
         """Advance the fleet to ``until``.
 
-        One shard delegates to the inner engine's ``run``: a plain
-        engine asked to run to the instant it is already at still
-        drains the events due at that instant, a round to a deadline
-        already reached is no round at all, and the single engine's
-        watchdog error names the next pending event.
-        Multiple shards that share nothing — no fleet ledger — run one
-        round: every shard straight to ``until``, concurrently across
-        workers, one after another in this process. Shards coupled by
-        the ledger advance in lockstep rounds of :data:`SHARD_QUANTUM`
-        runtime seconds instead, so capacity admission never sees
-        clocks further apart than that, and every barrier folds each
-        shard's commits into ``ledger`` and syncs the shards' ledgers
-        to it (DESIGN.md decision 30). Either
-        way per-shard ``engine.run`` spans wrap the whole coordinated
-        run and ``max_events`` is one fleet-wide cumulative event budget
-        across all rounds and shards. As on a plain engine, the spans
-        close on every path out and ``engine.runs`` counts completed
-        runs only.
+        Shards that share nothing — no fleet ledger, which includes
+        every 1-shard fleet — run one round: every shard straight to
+        ``until``, concurrently across workers, one after another in
+        this process. Shards coupled by the ledger advance in lockstep
+        rounds of :data:`SHARD_QUANTUM` runtime seconds instead, so
+        capacity admission never sees clocks further apart than that,
+        and every barrier folds each shard's commits into ``ledger``
+        and syncs the shards' ledgers to it (DESIGN.md decision 30).
+        Either way per-shard ``engine.run`` spans wrap the whole
+        coordinated run. As on a plain engine, the spans close on every
+        path out and ``engine.runs`` counts completed runs only.
         """
-        if self.n_shards == 1:
-            return self.shards[0].run(until, max_events)
         self._sync_stale_ledger()
         self._call_all("run_begin")
         completed = False
@@ -440,7 +505,7 @@ class ShardedEngine:
             stopped = run_lockstep(
                 self.handles, until,
                 quantum=None if self.ledger is None else SHARD_QUANTUM,
-                max_events=max_events, on_round=self._after_round)
+                on_round=self._after_round)
             completed = True
         except ShardingError:
             if any(handle.dead for handle in self.handles):
@@ -452,7 +517,7 @@ class ShardedEngine:
                     self._call(index, "run_end", completed)
         return stopped
 
-    def _after_round(self, deadline: float, wall_seconds: float,
+    def _after_round(self, wall_seconds: float,
                      results: List[RoundResult]) -> None:
         if self.parallel:
             self._record_round(wall_seconds, results)
@@ -520,7 +585,7 @@ class ShardedEngine:
         }
 
     # ------------------------------------------------------------------
-    # 1-shard pass-through surface (golden-dump compatibility)
+    # 1-shard surface (golden-dump compatibility)
     # ------------------------------------------------------------------
     def _single(self, attribute: str) -> AortaEngine:
         if self.n_shards != 1:

@@ -2,10 +2,9 @@
 
 A shard is one :class:`ShardHost` — an engine plus the operations a
 fleet asks of it — and the coordinator reaches it through a
-:class:`ShardHandle`: ``call(op, *args)``, the round methods of a
-:class:`~repro.shard.fleet.RoundPeer`, ``close()``, ``dead`` and
-``engine``. Where the host lives is the handle's business, not the
-coordinator's. Hosted in the coordinator's process, a
+:class:`ShardHandle`: ``call(op, *args)``, ``begin_round`` /
+``finish_round``, ``close()``, ``dead`` and ``engine``. Where the host
+lives is the handle's business, not the coordinator's. Hosted in the coordinator's process, a
 :class:`ShardHost` is its own handle and its methods are called
 directly. :class:`ShardWorker` moves it into a **worker** (a spawned
 interpreter; a thread is the test transport for the same protocol)
@@ -24,7 +23,7 @@ in-process one (``tests/shard/test_parallel.py`` pins it):
   derived seed)`` and replays the coordinator's construction commands
   (:class:`DeviceSpec` factories, AQ registrations) in order. Same
   commands, same seeds, same engine.
-* **Deterministic barriers.** :func:`~repro.shard.fleet.run_lockstep`
+* **Deterministic barriers.** :func:`~repro.shard.coordinator.run_lockstep`
   collects round replies in shard-index order, never arrival order, so
   everything downstream of a barrier is independent of scheduling
   noise.
@@ -52,6 +51,8 @@ import multiprocessing
 import multiprocessing.connection
 import pickle
 import threading
+import time
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, Optional, Protocol, Tuple, Union,
 )
@@ -64,12 +65,6 @@ from repro.devices.base import Device
 from repro.obs.dump import dump_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.overload import CapacityLedger
-from repro.shard.fleet import (
-    RoundBudgetError,
-    RoundPeer,
-    RoundResult,
-    RuntimePeer,
-)
 
 #: Seconds the coordinator waits for a worker's ready handshake
 #: (spawn + engine construction) before declaring it dead.
@@ -122,13 +117,27 @@ class DeviceSpec:
 # ----------------------------------------------------------------------
 # The shard, and how the coordinator reaches it
 # ----------------------------------------------------------------------
-class ShardHandle(RoundPeer, Protocol):
+@dataclass
+class RoundResult:
+    """What one shard reports back from one round."""
+
+    #: Wall-clock seconds the shard spent computing the round.
+    busy_seconds: float
+    #: Capacity the shard committed since its ledger's last sync, by
+    #: window (empty with overload control off).
+    commits: Dict[int, float]
+
+
+class ShardHandle(Protocol):
     """How the coordinator reaches one shard, wherever it is hosted.
 
     ``call`` runs one :class:`ShardHost` operation and returns its
     result — or, from a worker, what of it survives the pipe. The
-    :class:`~repro.shard.fleet.RoundPeer` methods let
-    :func:`~repro.shard.fleet.run_lockstep` drive the shard's clock.
+    round pair lets :func:`~repro.shard.coordinator.run_lockstep`
+    drive the shard's clock: ``begin_round`` only *submits* a round,
+    so the loop can start every shard before waiting on any, and
+    ``finish_round`` blocks until it completes, returning its
+    :class:`RoundResult` or raising what the round raised.
     """
 
     #: Set once the shard can no longer be reached; a fleet with a dead
@@ -144,19 +153,29 @@ class ShardHandle(RoundPeer, Protocol):
         """Run operation ``op`` on the shard and return its result."""
         ...
 
+    def begin_round(self, deadline: float) -> None:
+        """Submit one round to ``deadline`` without waiting for it."""
+        ...
+
+    def finish_round(self) -> RoundResult:
+        """Block until the submitted round completes."""
+        ...
+
     def close(self) -> None:
         """Release whatever hosts the shard; idempotent."""
         ...
 
 
-class ShardHost(RuntimePeer):
+class ShardHost:
     """One shard: an engine plus the operations a fleet asks of it.
 
     The one implementation behind every handle. Hosted in the
     coordinator's process it *is* the handle — ``call`` is a method
     lookup, results are the live objects (the built ``Device``, the
-    registration handles) and rounds run on the calling thread. Hosted
-    in a worker, :func:`_serve` feeds it the commands a
+    registration handles) and rounds run on the calling thread:
+    ``begin_round`` records the deadline, ``finish_round`` computes
+    the round, so in-process shards step one after another in shard
+    order. Hosted in a worker, :func:`_serve` feeds it the commands a
     :class:`ShardWorker` sends.
     """
 
@@ -164,12 +183,12 @@ class ShardHost(RuntimePeer):
 
     def __init__(self, config: EngineConfig, seed: int) -> None:
         self.engine = AortaEngine(config=config, seed=seed)
-        super().__init__(self.engine.env)
         #: The capacity ledger admission charges (``None`` with overload
         #: control off): each round ships its unsynced commits.
         self._ledger: Optional[CapacityLedger] = (
             None if self.engine.overload is None
             else self.engine.overload.admission.capacity)
+        self._deadline = self.engine.env.now
         self._run_span: Any = None
         self._runs = self.engine.obs.registry.counter("engine.runs")
 
@@ -179,11 +198,20 @@ class ShardHost(RuntimePeer):
     def close(self) -> None:
         """Nothing to release: the garbage collector owns the engine."""
 
+    def begin_round(self, deadline: float) -> None:
+        self._deadline = deadline
+
     def finish_round(self) -> RoundResult:
-        result = super().finish_round()
-        if self._ledger is not None:
-            result.commits = self._ledger.unsynced()
-        return result
+        """Run to the recorded deadline, unless already past it: an
+        earlier run may have taken this shard further, and ``run`` with
+        a non-decreasing deadline is the only call the loop issues."""
+        env = self.engine.env
+        started = time.perf_counter()
+        if env.now <= self._deadline:
+            env.run(until=self._deadline)
+        return RoundResult(
+            busy_seconds=time.perf_counter() - started,
+            commits={} if self._ledger is None else self._ledger.unsynced())
 
     # Each handler is one operation of call(), looked up by name, so
     # adding an operation is adding a method.
@@ -235,7 +263,7 @@ class ShardHost(RuntimePeer):
         self.engine.start()
 
     def op_now(self) -> float:
-        return self.now()
+        return self.engine.env.now
 
     def op_run_begin(self) -> None:
         # One engine.run span wraps the whole coordinated run, entered
@@ -243,9 +271,8 @@ class ShardHost(RuntimePeer):
         self._run_span = self.engine.obs.span("engine.run")
         self._run_span.__enter__()
 
-    def op_run_round(self, deadline: float,
-                     max_events: Optional[int]) -> RoundResult:
-        self.begin_round(deadline, max_events)
+    def op_run_round(self, deadline: float) -> RoundResult:
+        self.begin_round(deadline)
         return self.finish_round()
 
     def op_sync_ledger(self, devices: int,
@@ -297,8 +324,7 @@ def _serve(conn: multiprocessing.connection.Connection,
     """The worker main loop: build the shard, then serve commands.
 
     Runs as the target of a spawned process or a daemon thread. Every
-    command gets exactly one reply: ``("ok", value)``, ``("budget",
-    payload)`` for an exhausted round allowance, or ``("error",
+    command gets exactly one reply: ``("ok", value)``, or ``("error",
     (type_name, message))`` for a handler failure — handler failures
     do *not* kill the worker, so admission refusals and lookup errors
     propagate to the coordinator exactly like in-process exceptions.
@@ -324,10 +350,6 @@ def _serve(conn: multiprocessing.connection.Connection,
                         and not isinstance(value, str):
                     value = None
                 conn.send(("ok", value))
-            except RoundBudgetError as error:
-                conn.send(("budget", {
-                    "message": str(error), "now": error.now,
-                    "events": error.events, "pending": error.pending}))
             except Exception as error:  # noqa: BLE001 - shipped to caller
                 conn.send(("error", (type(error).__name__, str(error))))
     finally:
@@ -437,10 +459,6 @@ class ShardWorker:
             self._fail(op)
         if status == "ok":
             return payload
-        if status == "budget":
-            raise RoundBudgetError(
-                payload["message"], now=payload["now"],
-                events=payload["events"], pending=payload["pending"])
         name, message = payload
         raise _rehydrate(self.index, name, message)
 
@@ -449,13 +467,9 @@ class ShardWorker:
         self._send(op, args)
         return self._recv(op)
 
-    # -- RoundPeer ------------------------------------------------------
-    def now(self) -> float:
-        return float(self.call("now"))
-
-    def begin_round(self, deadline: float,
-                    max_events: Optional[int]) -> None:
-        self._send("run_round", (deadline, max_events))
+    # -- rounds ---------------------------------------------------------
+    def begin_round(self, deadline: float) -> None:
+        self._send("run_round", (deadline,))
 
     def finish_round(self) -> RoundResult:
         return self._recv("run_round")

@@ -122,39 +122,18 @@ class Environment:
         for callback in callbacks:
             callback(event)
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        *,
-        max_events: Optional[int] = None,
-    ) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock reaches ``until``.
-
-        ``max_events`` bounds how many events may be processed in this
-        call; exceeding it raises :class:`SimulationError` carrying the
-        current time and a summary of the pending queue — the diagnostic
-        for a runaway process that would otherwise loop forever.
 
         Returns the runtime time at which execution stopped.
         """
         if until is not None and not until >= self.now:  # NaN as well
             raise SimulationError(
                 f"run until {until} is in the past or NaN (now={self.now})")
-        if max_events is not None and max_events < 0:
-            raise SimulationError(f"max_events must be >= 0, got {max_events}")
         queue = self._queue
-        processed = 0
         while queue and (until is None or queue[0][0] <= until):
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted: processed {processed} events "
-                    f"by t={self.now:.6f} with {len(queue)} still "
-                    f"pending ({self._pending_summary()}); a process is "
-                    f"likely scheduling work faster than it completes"
-                )
             # Through step(), never inlined: it is the seam tracers patch.
             self.step()
-            processed += 1
         if until is not None:
             if self.time_scale:
                 self._pace(until)
@@ -162,34 +141,10 @@ class Environment:
         return self.now
 
     @property
-    def pending_events(self) -> int:
-        """Number of events still waiting in the queue."""
-        return len(self._queue)
-
-    @property
     def events_processed(self) -> int:
-        """Total events processed since construction.
-
-        A monotone lifetime counter: callers that need the cost of one
-        ``run`` call (e.g. the lockstep fleet budget) difference it
-        around the call instead of threading a count through ``run``'s
-        return value.
-        """
+        """Total events processed since construction (a monotone
+        lifetime counter)."""
         return self._events_processed
-
-    def _pending_summary(self, limit: int = 3) -> str:
-        """The next few pending events, rendered for error messages."""
-        head = heapq.nsmallest(limit, self._queue)
-        if not head:
-            return "queue empty"
-        rendered = ", ".join(
-            f"t={at:.6f} p={priority} {type(event).__name__}"
-            for at, priority, _seq, event in head
-        )
-        remainder = len(self._queue) - len(head)
-        if remainder > 0:
-            rendered += f", ... {remainder} more"
-        return f"next: {rendered}"
 
     def _pace(self, timestamp: float) -> None:
         """Sleep until ``timestamp``'s wall deadline under the scale.

@@ -33,6 +33,15 @@ class TestEviction:
         assert [r.fields["serial"] for r in records] == [2, 3, 4, 5]
         assert tracer.tail(2) == "\n".join(str(r) for r in records[-2:])
 
+    def test_tail_of_zero_records_is_empty(self):
+        # ``entries[-0:]`` is the whole list: tail(0) used to render
+        # every record.
+        tracer = EngineTracer(max_records=4)
+        for i in range(3):
+            tracer.record(float(i), "request_serviced", serial=i)
+        assert tracer.tail(0) == ""
+        assert tracer.tail(5) == tracer.tail(3) != ""
+
     def test_filters_survive_eviction(self):
         tracer = EngineTracer(max_records=4)
         for i in range(8):

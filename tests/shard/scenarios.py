@@ -142,9 +142,9 @@ class RoundTap:
         self.rounds = 0
         self.on_begin = on_begin
 
-    def begin_round(self, deadline, max_events) -> None:
+    def begin_round(self, deadline) -> None:
         self.rounds += 1
-        self.shard.begin_round(deadline, max_events)
+        self.shard.begin_round(deadline)
         if self.on_begin is not None:
             self.on_begin()
 

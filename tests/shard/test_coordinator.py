@@ -34,9 +34,8 @@ from repro.errors import (
     SimulationError,
 )
 from repro.overload.admission import CAPACITY_HORIZON, UTILIZATION_CAP
-from repro.shard.coordinator import SHARD_QUANTUM
-from repro.shard.fleet import RuntimePeer, run_lockstep
-from repro.sim import Environment
+from repro.shard.coordinator import SHARD_QUANTUM, run_lockstep
+from repro.shard.parallel import ShardHost
 from tests.shard.scenarios import (
     FIGURE_1_AQ,
     STORM_UNTIL,
@@ -291,15 +290,20 @@ def test_per_shard_state_is_refused_on_multi_shard_fleets():
             getattr(fleet, attribute)
 
 
+def shard_host() -> ShardHost:
+    """One bare shard, hosted in this process."""
+    return ShardHost(EngineConfig(), seed=0)
+
+
 def test_run_lockstep_validates_its_inputs():
     with pytest.raises(SimulationError, match="quantum"):
-        run_lockstep([RuntimePeer(Environment())], 10.0, quantum=0.0)
+        run_lockstep([shard_host()], 10.0, quantum=0.0)
     with pytest.raises(SimulationError, match="at least one"):
-        run_lockstep([], 10.0)
-    runtime = Environment()
-    runtime.run(until=5.0)
+        run_lockstep([], 10.0, quantum=None)
+    host = shard_host()
+    host.engine.env.run(until=5.0)
     with pytest.raises(SimulationError, match="already at"):
-        run_lockstep([RuntimePeer(runtime)], 1.0)
+        run_lockstep([host], 1.0, quantum=None)
 
 
 def test_a_multi_shard_fleet_refuses_to_run_to_nan():
@@ -313,28 +317,38 @@ def test_a_multi_shard_fleet_refuses_to_run_to_nan():
 
 
 def test_run_lockstep_refuses_to_run_to_nan():
-    runtime = Environment()
+    host = shard_host()
     with pytest.raises(SimulationError, match="NaN"):
-        run_lockstep([RuntimePeer(runtime)], math.nan, quantum=1.0)
-    assert runtime.now == 0.0
+        run_lockstep([host], math.nan, quantum=1.0)
+    assert host.engine.env.now == 0.0
 
 
 @pytest.mark.parametrize("quantum", [math.nan, math.inf])
 def test_run_lockstep_refuses_a_quantum_not_positive_and_finite(quantum):
     # A NaN quantum used to return ``until`` with the clock unmoved.
-    runtime = Environment()
+    host = shard_host()
     with pytest.raises(SimulationError, match="quantum"):
-        run_lockstep([RuntimePeer(runtime)], 10.0, quantum=quantum)
-    assert runtime.now == 0.0
+        run_lockstep([host], 10.0, quantum=quantum)
+    assert host.engine.env.now == 0.0
 
 
 def test_run_lockstep_tolerates_runtimes_ahead_of_the_floor():
-    ahead, behind = Environment(), Environment()
-    ahead.run(until=7.0)
-    assert run_lockstep([RuntimePeer(ahead), RuntimePeer(behind)], 10.0,
-                        quantum=2.0) == 10.0
-    assert ahead.now == 10.0
-    assert behind.now == 10.0
+    ahead, behind = shard_host(), shard_host()
+    ahead.engine.env.run(until=7.0)
+    assert run_lockstep([ahead, behind], 10.0, quantum=2.0) == 10.0
+    assert ahead.engine.env.now == 10.0
+    assert behind.engine.env.now == 10.0
+
+
+def test_a_run_to_the_instant_the_fleet_is_at_drains_what_is_due():
+    # As a plain engine and a 1-shard fleet do (two events each). The
+    # round loop used to open no round for a deadline already reached,
+    # so a 2-shard fleet processed no event at t=0.
+    fleet = two_shard_fleet()
+    fleet.start()
+    assert fleet.run(until=0.0) == 0.0
+    assert [fleet.shard(index).env.events_processed
+            for index in range(2)] == [2, 2]
 
 
 # ----------------------------------------------------------------------
@@ -505,15 +519,17 @@ def test_single_shard_fleet_keeps_per_engine_ledgers():
 
 
 def test_single_shard_fleet_keeps_the_engines_run_and_completion_log():
-    """Why two of the 1-shard pass-throughs stay (DESIGN decision 19):
-    the general paths do not return what a plain engine returns."""
+    """A 1-shard fleet runs and logs completions as its engine does:
+    ``run`` through the round loop, the completion log through the one
+    pass-through the general path would change (DESIGN decision 19)."""
     fleet = ShardedEngine(config=EngineConfig(shards=1), seed=0)
     for name in ("cam1", "cam2"):
         fleet.add_device(name, DeviceSpec(
             PanTiltZoomCamera, name, Point(0, 0))).go_offline()
     fleet.start()
     # A plain engine run to the instant it is at drains what is due at
-    # that instant; a lockstep round to a reached deadline is no round.
+    # that instant; so does the round loop, which opens at least one
+    # round.
     fleet.run(until=0.0)
     assert fleet.env.events_processed > 0
     # Twelve requests fail at one instant (no camera answers the

@@ -96,7 +96,7 @@ def test_run_until_stops_clock():
     env.process(proc(env))
     end = env.run(until=4.0)
     assert end == 4.0
-    assert env.pending_events == 1
+    assert len(env._queue) == 1
 
 
 def test_run_until_past_raises():
@@ -115,14 +115,14 @@ def test_a_nan_timeout_is_refused_at_the_call():
     env = Environment()
     with pytest.raises(SimulationError, match="nan"):
         env.timeout(NAN)
-    assert env.pending_events == 0
+    assert len(env._queue) == 0
 
 
 def test_a_nan_schedule_delay_is_refused_at_the_call():
     env = Environment()
     with pytest.raises(SimulationError, match="nan"):
         env.schedule(env.event(), delay=NAN)
-    assert env.pending_events == 0
+    assert len(env._queue) == 0
 
 
 def test_processes_waiting_nan_fail_at_their_yield_not_at_a_later_step():
@@ -270,61 +270,7 @@ def test_an_uncaught_process_exception_leaves_run_at_its_instant():
         env.run(until=10.0)
     assert env.now == 2.0
     assert ran == []
-    assert env.pending_events == 1  # the bystander's timer
-
-
-# ----------------------------------------------------------------------
-# Event budgets (runaway-process watchdog)
-# ----------------------------------------------------------------------
-def test_max_events_budget_stops_a_runaway_process():
-    env = Environment()
-
-    def runaway(env):
-        while True:  # never quiesces: each timeout schedules another
-            yield env.timeout(1.0)
-
-    env.process(runaway(env))
-    with pytest.raises(SimulationError) as excinfo:
-        env.run(max_events=50)
-    message = str(excinfo.value)
-    assert "event budget exhausted" in message
-    assert "processed 50 events" in message
-    assert "pending" in message and "next:" in message
-
-
-def test_max_events_budget_reports_the_current_time():
-    env = Environment()
-
-    def runaway(env):
-        while True:
-            yield env.timeout(2.0)
-
-    env.process(runaway(env))
-    with pytest.raises(SimulationError, match=r"t=\d+\.\d+"):
-        env.run(max_events=10)
-    assert env.now > 0  # the clock really advanced before the trip
-
-
-def test_max_events_budget_permits_terminating_runs():
-    env = Environment()
-    done = []
-
-    def proc(env):
-        for _ in range(5):
-            yield env.timeout(1.0)
-        done.append(env.now)
-
-    env.process(proc(env))
-    # Generous budget: the run quiesces long before the cap.
-    assert env.run(max_events=100) == 5.0
-    assert done == [5.0]
-    assert env.pending_events == 0
-
-
-def test_negative_max_events_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError, match="max_events"):
-        env.run(max_events=-1)
+    assert len(env._queue) == 1  # the bystander's timer
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +383,7 @@ def test_an_empty_fan_out_is_born_done_and_costs_nothing():
     env = Environment()
     fan_out = env.fan_out([])
     assert fan_out.triggered and fan_out.value == []
-    assert env.pending_events == 0
+    assert len(env._queue) == 0
     seen = []
 
     def caller(env):
@@ -511,7 +457,7 @@ def test_a_members_exception_is_handed_back_not_raised_by_step():
         raise boom
 
     fan_out = env.fan_out([failing(env), _sleeper(env, "ok", 2.0, [], 7)])
-    while env.pending_events:
+    while env._queue:
         env.step()
     assert fan_out.value == [boom, 7]
 
@@ -525,7 +471,7 @@ def test_a_fan_out_refuses_a_non_generator_like_a_process():
     for start in (env.process, lambda member: env.fan_out([body(env), member])):
         with pytest.raises(SimulationError, match="did you call the function"):
             start(body)
-    assert env.pending_events == 0
+    assert len(env._queue) == 0
 
 
 def test_a_member_yielding_a_processed_event_resumes_at_once():

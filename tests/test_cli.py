@@ -61,6 +61,24 @@ def test_a_flag_the_chosen_path_would_ignore_is_refused(
     assert complaint in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command_line, complaint", [
+    ("--demo --shards 0", "shards >= 1"),
+    ("metrics --shards -2", "shards >= 1"),
+    ("--demo --shards two", "shards >= 1"),
+    ("--demo --time-scale -1", "finite scale >= 0"),
+    ("--demo --time-scale nan", "finite scale >= 0"),
+    ("--demo --time-scale inf", "finite scale >= 0"),
+])
+def test_an_out_of_range_value_is_a_usage_error(
+        command_line, complaint, capsys):
+    # A shard count below 1 used to run the plain engine and exit 0; a
+    # negative or NaN scale died with a traceback from Environment.
+    with pytest.raises(SystemExit) as refusal:
+        main(command_line.split())
+    assert refusal.value.code == 2
+    assert complaint in capsys.readouterr().err
+
+
 def test_fleet_flags_count_on_either_side_of_the_subcommand(capsys):
     """``--shards 2 metrics`` used to run one engine: the subparser's
     default overwrote the value given before the subcommand."""

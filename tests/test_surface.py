@@ -430,16 +430,13 @@ def test_only_the_kernel_assigns_a_runtimes_now():
     """``Environment.now`` is a plain attribute for speed; what the
     read-only property used to enforce is this convention: no source
     outside ``sim/base.py`` assigns an attribute called ``now``."""
-    # `RoundBudgetError.now` is an exception's record of a shard's clock.
-    not_a_runtime = {("shard/fleet.py", "self.now = now")}
     assignment = re.compile(r"\.now\s*(?:[-+*/]|//)?=(?!=)")
     offenders = {
         (str(path.relative_to(SRC)), line.strip())
         for path in SRC.rglob("*.py") if path != SRC / "sim" / "base.py"
         for line in path.read_text().splitlines()
         if assignment.search(line)}
-    assert offenders - not_a_runtime == set()
-    assert not_a_runtime <= offenders, "exemption that no longer applies"
+    assert offenders == set()
 
 
 #: The channel calls: ``Connection.request`` and the pool's checkout
