@@ -515,10 +515,19 @@ class Dispatcher:
     def _partition(self, batch: _Batch) -> None:
         """Split the batch: schedulable, failed over, or failed."""
         reason, available = "no available candidate", batch.statuses
+        # Each distinct candidate tuple is filtered once per batch, and a
+        # request whose every candidate answered keeps its own tuple, so
+        # requests sharing one candidate set keep sharing one object.
+        answered: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         for request in batch.requests:
             request.dispatches += 1
-            candidates = tuple(device_id for device_id in request.candidates
-                               if device_id in available)
+            candidates = answered.get(request.candidates)
+            if candidates is None:
+                candidates = answered[request.candidates] = tuple(
+                    device_id for device_id in request.candidates
+                    if device_id in available)
+            if len(candidates) == len(request.candidates):
+                candidates = request.candidates
             if candidates:
                 if not self.config.retry.failover:
                     # With failover the request keeps its full set: a

@@ -43,7 +43,7 @@ TRACE_KINDS = (
 _KNOWN_KINDS = frozenset(TRACE_KINDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One engine occurrence at a point in virtual time."""
 

@@ -27,7 +27,7 @@ from repro.query.catalog import SchemaCatalog
 from repro.query.functions import FunctionRegistry
 
 
-@dataclass
+@dataclass(slots=True)
 class ContinuousPlan:
     """The executable form of an action-embedded continuous query.
 

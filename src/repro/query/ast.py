@@ -7,11 +7,19 @@ from typing import Any, Optional, Set, Tuple
 
 
 class Node:
-    """Base class of all AST nodes."""
+    """Base class of all AST nodes.
+
+    Every node class is slotted, and so is every base: one base without
+    ``__slots__ = ()`` gives each node a ``__dict__`` again.
+    """
+
+    __slots__ = ()
 
 
 class Expression(Node):
     """Base class of evaluable expressions."""
+
+    __slots__ = ()
 
     def column_refs(self) -> Set["ColumnRef"]:
         """All column references in this subtree."""
@@ -26,7 +34,7 @@ class Expression(Node):
         return set()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal(Expression):
     """A constant: number, string or boolean."""
 
@@ -34,11 +42,14 @@ class Literal(Expression):
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
-            return f'"{self.value}"'
+            # The lexer has no escapes: quote with ' when the value holds
+            # ", so the rendering parses back to this literal.
+            quote = "'" if '"' in self.value else '"'
+            return f"{quote}{self.value}{quote}"
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef(Expression):
     """A (possibly qualified) column reference, e.g. ``s.accel_x``."""
 
@@ -52,7 +63,7 @@ class ColumnRef(Expression):
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionCall(Expression):
     """A function or action invocation, e.g. ``coverage(c.id, s.loc)``."""
 
@@ -75,7 +86,7 @@ class FunctionCall(Expression):
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arithmetic(Expression):
     """A binary arithmetic expression: ``left op right``, op in + - * /."""
 
@@ -93,7 +104,7 @@ class Arithmetic(Expression):
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Negate(Expression):
     """Unary minus."""
 
@@ -109,7 +120,7 @@ class Negate(Expression):
         return f"(-{self.operand})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison(Expression):
     """A binary comparison: ``left op right`` with op in > < >= <= = <>."""
 
@@ -127,7 +138,7 @@ class Comparison(Expression):
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BooleanOp(Expression):
     """An AND/OR over two or more operands."""
 
@@ -151,7 +162,7 @@ class BooleanOp(Expression):
         return f"({joined})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Expression):
     """Logical negation."""
 
@@ -167,7 +178,7 @@ class Not(Expression):
         return f"(NOT {self.operand})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Expression):
     """``SELECT *``."""
 
@@ -182,8 +193,10 @@ class Star(Expression):
 class Statement(Node):
     """Base class of executable statements."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class TableRef(Node):
     """A FROM-clause entry: table name plus optional alias."""
 
@@ -195,7 +208,7 @@ class TableRef(Node):
             else self.table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectQuery(Statement):
     """``SELECT items FROM tables [WHERE condition]``."""
 
@@ -217,7 +230,7 @@ class SelectQuery(Statement):
         return f"SELECT {items} FROM {tables}{where}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionParameterDecl(Node):
     """One ``Type name`` pair in a CREATE ACTION signature."""
 
@@ -225,7 +238,7 @@ class ActionParameterDecl(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateActionStatement(Statement):
     """``CREATE ACTION name(...) AS "lib" PROFILE "profile"``."""
 
@@ -235,7 +248,7 @@ class CreateActionStatement(Statement):
     profile_path: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateAQStatement(Statement):
     """``CREATE AQ name AS SELECT ...`` — an action-embedded
     continuous query, as in the paper's Figure 1."""
@@ -244,14 +257,14 @@ class CreateAQStatement(Statement):
     query: SelectQuery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropAQStatement(Statement):
     """``DROP AQ name`` — deregister a continuous query."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExplainStatement(Statement):
     """``EXPLAIN <statement>`` — show the plan without executing."""
 

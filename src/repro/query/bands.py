@@ -59,7 +59,7 @@ _NUMERIC_TYPES = (int, float)
 MAX_DISJUNCTS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Band:
     """One attribute's conjunctive constraint: an interval or a point.
 
@@ -134,7 +134,7 @@ class Band:
         return f"{left}{self.attribute}{right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BandForm:
     """The normalized form of one event predicate.
 

@@ -104,8 +104,7 @@ def _collect_column_refs(node: Expression,
     if isinstance(node, ColumnRef):
         refs[node] = None
         return
-    # Not vars(node): that would give every AST node a __dict__ for the
-    # life of its query (+2 MB over 6000 AQs).
+    # Nodes are slotted (no vars()): walk their dataclass fields.
     for name in node.__dataclass_fields__:  # type: ignore[attr-defined]
         value = getattr(node, name)
         for child in value if isinstance(value, tuple) else (value,):

@@ -31,7 +31,7 @@ arithmetic levels to the left.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.query.ast import (
@@ -61,6 +61,21 @@ from repro.query.tokens import Token, TokenKind, tokenize
 #: string per operator instead of one per comparison.
 _COMPARISON_OPS = {">": ">", "<": "<", ">=": ">=", "<=": "<=", "=": "=",
                    "<>": "<>", "!=": "<>"}
+
+#: One ``ColumnRef`` per ``(qualifier, name)`` and one ``TableRef`` per
+#: ``(table, alias)`` for the whole process. The nodes are immutable, so
+#: every AQ naming ``s.temperature`` holds the same node, and a repeat
+#: costs one dict hit instead of a construction. Bounded by the distinct
+#: names ever parsed.
+_COLUMNS: Dict[Tuple[str, str], ColumnRef] = {}
+_TABLES: Dict[Tuple[str, str], TableRef] = {}
+
+
+def _column(qualifier: str, name: str) -> ColumnRef:
+    ref = _COLUMNS.get((qualifier, name))
+    if ref is None:
+        ref = _COLUMNS[qualifier, name] = ColumnRef(qualifier, name)
+    return ref
 
 
 class _Parser:
@@ -208,7 +223,10 @@ class _Parser:
         table = self._expect_identifier()
         if self.current.kind is TokenKind.IDENTIFIER:
             token = self._advance()
-        return TableRef(table=table, alias=token.text), token
+        ref = _TABLES.get((table, token.text))
+        if ref is None:
+            ref = _TABLES[table, token.text] = TableRef(table, token.text)
+        return ref, token
 
     # ------------------------------------------------------------------
     # Expressions
@@ -279,8 +297,7 @@ class _Parser:
         if kind is TokenKind.IDENTIFIER:
             self._advance()
             if self._accept_punct("."):
-                return ColumnRef(qualifier=token.text,
-                                 name=self._expect_identifier())
+                return _column(token.text, self._expect_identifier())
             if self._accept_punct("("):
                 args: List[Expression] = []
                 if not self._at_punct(")"):
@@ -289,7 +306,7 @@ class _Parser:
                         args.append(self.parse_expression())
                 self._expect_punct(")")
                 return FunctionCall(name=token.text, args=tuple(args))
-            return ColumnRef(qualifier="", name=token.text)
+            return _column("", token.text)
         if kind is TokenKind.NUMBER:
             self._advance()
             text = token.text

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.query.ast import ColumnRef
 
 
-@dataclass
+@dataclass(slots=True)
 class RegisteredQuery:
     """One live continuous query and its per-query statistics."""
 

@@ -94,3 +94,74 @@ def test_dropped_query_pending_requests_discarded(engine):
     assert operator.pending_count == 1
     engine.execute("DROP AQ snapshot")
     assert operator.pending_count == 0
+
+
+# ----------------------------------------------------------------------
+# What a registered AQ keeps resident
+# ----------------------------------------------------------------------
+def _resident(root):
+    """Every object a registered AQ holds on its own: its plan, AST,
+    bands and index entries, through slots, containers and
+    ``__dict__``s. The action definition is one per action, shared by
+    every AQ that embeds it, so the walk stops there."""
+    from repro.actions.action import ActionDefinition
+
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or obj is None or isinstance(
+                obj, (str, int, float, ActionDefinition)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+            continue
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+            continue
+        found.append(obj)
+        for cls in type(obj).__mro__:
+            stack.extend(getattr(obj, name, None)
+                         for name in cls.__dict__.get("__slots__", ()))
+        stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+def test_nothing_a_registered_aq_keeps_has_a_dict(engine):
+    """Slotted records: a per-instance ``__dict__`` on every AST node,
+    band and plan was most of what an AQ cost in memory."""
+    registered = engine.execute('''CREATE AQ warm AS
+        SELECT photo(c.ip, s.loc, "photos/warm")
+        FROM sensor s, camera c
+        WHERE s.temperature > 30 AND (s.light > 5 OR s.accel_x >= 500)
+          AND s.temperature + 1 <> s.light AND coverage(c.id, s.loc)''')
+    mote = engine.comm.registry.get("mote2")
+    mote.inject(SensorStimulus("temperature", start=2.0, duration=2.0,
+                               magnitude=40.0))
+    engine.start()
+    engine.run(until=20.0)
+    assert registered.candidate_analysed  # its cached refs are walked
+    entries = engine.continuous._indexes["sensor"]._entries["warm"]
+    assert len(entries) == 2  # one per disjunct
+
+    resident = _resident((registered, entries))
+    kinds = {type(obj).__name__ for obj in resident}
+    assert {"RegisteredQuery", "ContinuousPlan", "Band", "_IndexEntry",
+            "ColumnRef", "Comparison", "Arithmetic", "FunctionCall",
+            "Literal"} <= kinds
+    assert [type(obj).__name__ for obj in resident
+            if hasattr(obj, "__dict__")] == []
+
+
+def test_two_aqs_naming_a_column_hold_one_column_node(engine):
+    plans = [engine.execute(f'''CREATE AQ {name} AS
+        SELECT photo(c.ip, s.loc, "p")
+        FROM sensor s, camera c
+        WHERE s.temperature {op} 30 AND coverage(c.id, s.loc)''').plan
+             for name, op in (("hot", ">"), ("cold", "<"))]
+    hot, cold = (plan.event_predicate.left for plan in plans)
+    assert str(hot) == "s.temperature"
+    assert hot is cold
+    hot_call, cold_call = (plan.candidate_predicate for plan in plans)
+    assert [arg is other for arg, other
+            in zip(hot_call.args, cold_call.args)] == [True, True]

@@ -475,3 +475,52 @@ def test_an_unexpected_batch_error_surfaces_after_its_sibling(beep_first):
         == max(photo.completed_at for photo in photos)
     assert not any(engine.locks.is_locked(device)
                    for device in ("cam1", "cam2", "mote1"))
+
+
+# ----------------------------------------------------------------------
+# A batch keeps a request's candidate tuple when every candidate answers
+# ----------------------------------------------------------------------
+def dispatch_photos(engine, *candidate_sets):
+    """One photo request per candidate tuple, dispatched as one batch."""
+    requests = [ActionRequest(
+        action_name="photo",
+        arguments={"target": Point(4 + n, 3), "directory": "photos"},
+        candidates=candidates) for n, candidates in enumerate(candidate_sets)]
+    engine.env.process(engine.dispatcher.dispatch_batch(
+        engine.actions.get("photo"), requests))
+    engine.env.run()
+    return requests
+
+
+def test_a_fully_answered_batch_keeps_each_requests_own_candidates(engine):
+    shared = ("cam1", "cam2")
+    equal = tuple(list(shared))  # equal to shared, another object
+    requests = dispatch_photos(engine, shared, shared, equal)
+
+    assert [request.state for request in requests] \
+        == [RequestState.SERVICED] * 3
+    assert [request.candidates for request in requests] == [shared] * 3
+    assert requests[0].candidates is shared
+    assert requests[1].candidates is shared
+    assert requests[2].candidates is equal
+
+
+def test_a_failed_probe_narrows_every_request_to_one_shared_tuple(engine):
+    engine.comm.registry.get("cam2").go_offline()
+    requests = dispatch_photos(engine, *[("cam1", "cam2")] * 3)
+
+    first = requests[0].candidates
+    assert first == ("cam1",)
+    assert all(request.candidates is first for request in requests)
+    assert [(request.state, request.assigned_device, request.completed_at)
+            for request in requests] == SCHEDULE_WITH_CAM2_DOWN
+
+
+#: (state, device, completion) per request, as before the dispatcher
+#: shared candidate tuples: the probe's timeout on cam2, then cam1
+#: serves the batch last request first.
+SCHEDULE_WITH_CAM2_DOWN = [
+    (RequestState.SERVICED, "cam1", 3.2268057974842055),
+    (RequestState.SERVICED, "cam1", 2.728356592539406),
+    (RequestState.SERVICED, "cam1", 2.2524015760041003),
+]

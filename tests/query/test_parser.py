@@ -167,3 +167,12 @@ def test_duplicate_alias_error_points_at_the_repeat():
     with pytest.raises(ParseError, match=r"\['c', 's'\]") as raised:
         parse("SELECT *\nFROM sensor s, camera c,\n  phone c, sensor s")
     assert (raised.value.line, raised.value.column) == (3, 9)
+
+
+def test_a_string_holding_a_double_quote_round_trips_through_str():
+    """The lexer has no escapes, so such a string renders in '...'."""
+    tree = parse_expression("s.name = 'say \"hi\"'")
+    assert str(tree) == "(s.name = 'say \"hi\"')"
+    assert parse_expression(str(tree)) == tree
+    tree = parse_expression("s.name = \"it's\"")
+    assert parse_expression(str(tree)) == tree
