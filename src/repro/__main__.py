@@ -24,7 +24,6 @@ from repro import (
     SensorStimulus,
     ShardedEngine,
 )
-from repro.core.config import PARALLEL_BACKENDS
 from repro.obs import (
     metrics_to_json,
     metrics_to_text,
@@ -89,8 +88,7 @@ def _demo_engine(*, observability: bool = False,
 
 def _demo_fleet(shards: int, *,
                 observability: bool = False,
-                parallel: bool = False,
-                parallel_backend: str = "process") -> ShardedEngine:
+                parallel: bool = False) -> ShardedEngine:
     """The Figure 1 scenario replicated across ``shards`` regions.
 
     Each region (= shard, via explicit region placement) gets the
@@ -107,8 +105,7 @@ def _demo_fleet(shards: int, *,
     }
     fleet = ShardedEngine(
         config=EngineConfig(observability=observability, shards=shards,
-                            parallel=parallel,
-                            parallel_backend=parallel_backend),
+                            parallel=parallel),
         placement=RegionPlacement.from_regions(regions), seed=0)
     for index in range(shards):
         tag = f"{index:02d}"
@@ -130,13 +127,10 @@ def _demo_fleet(shards: int, *,
     return fleet
 
 
-def run_sharded_demo(shards: int, *, parallel: bool = False,
-                     parallel_backend: str = "process") -> int:
+def run_sharded_demo(shards: int, *, parallel: bool = False) -> int:
     """The Figure 1 scenario fanned out across ``shards`` regions."""
-    fleet = _demo_fleet(shards, parallel=parallel,
-                        parallel_backend=parallel_backend)
-    mode = (f"{parallel_backend} workers" if fleet.parallel
-            else "in-process")
+    fleet = _demo_fleet(shards, parallel=parallel)
+    mode = "process workers" if fleet.parallel else "in-process"
     print(f"Fleet of {fleet.n_shards} shards "
           f"(region placement, one region per shard, {mode})")
     for index, stats in enumerate(fleet.shard_statistics()):
@@ -219,8 +213,7 @@ def run_demo(*, time_scale: float = 0.0) -> int:
 
 def run_sharded_metrics(shards: int, *, as_json: bool = False,
                         queries: bool = False,
-                        parallel: bool = False,
-                        parallel_backend: str = "process") -> int:
+                        parallel: bool = False) -> int:
     """Run the sharded demo with observability; print labeled metrics.
 
     Every series carries a ``shard=<i>`` label, so per-shard activity
@@ -229,8 +222,7 @@ def run_sharded_metrics(shards: int, *, as_json: bool = False,
     series). ``queries`` appends the fleet-wide query-catalog listing
     (per-shard counters merged by query name).
     """
-    fleet = _demo_fleet(shards, observability=True, parallel=parallel,
-                        parallel_backend=parallel_backend)
+    fleet = _demo_fleet(shards, observability=True, parallel=parallel)
     snapshot = fleet.shard_labeled_metrics()
     if as_json:
         print(metrics_to_json(snapshot))
@@ -338,8 +330,6 @@ def _refuse_ignored_flags(parser: argparse.ArgumentParser,
     paced = args.time_scale != 0.0
     refusals = [
         (args.parallel and not sharded, "--parallel needs --shards >= 2"),
-        (args.parallel_backend != "process" and not args.parallel,
-         "--parallel-backend needs --parallel"),
         (paced and (metrics or sharded),
          "--time-scale paces the single-engine --demo only"),
         (not metrics and not args.demo and (sharded or paced),
@@ -377,12 +367,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run each demo shard in its own worker "
                              "(shards compute concurrently; needs "
                              "--shards >= 2)")
-    parser.add_argument("--parallel-backend", choices=PARALLEL_BACKENDS,
-                        default="process",
-                        help="worker backend for --parallel: process "
-                             "(spawned interpreters); thread is the "
-                             "in-process test transport, same "
-                             "protocol, no speedup")
     parser.add_argument("--version", action="store_true",
                         help="print the version and exit")
     subcommands = parser.add_subparsers(dest="command")
@@ -409,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="append the query-catalog listing: one "
                               "line per registered AQ with its state "
                               "and per-query event/request counters")
-    # The three fleet flags are accepted on either side of the
+    # The two fleet flags are accepted on either side of the
     # subcommand; SUPPRESS keeps a value given before it from being
     # overwritten by the subparser's default.
     metrics.add_argument("--shards", type=_shard_count,
@@ -421,12 +405,6 @@ def main(argv: list[str] | None = None) -> int:
                          default=argparse.SUPPRESS,
                          help="run the sharded metrics demo with "
                               "parallel workers (needs --shards >= 2)")
-    metrics.add_argument("--parallel-backend",
-                         choices=PARALLEL_BACKENDS,
-                         default=argparse.SUPPRESS,
-                         help="worker backend for --parallel "
-                              "(thread: in-process test transport, "
-                              "no speedup)")
     args = parser.parse_args(argv)
     if args.version:
         print(repro.__version__)
@@ -436,8 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.shards > 1:
             return run_sharded_metrics(
                 args.shards, as_json=args.json, queries=args.queries,
-                parallel=args.parallel,
-                parallel_backend=args.parallel_backend)
+                parallel=args.parallel)
         return run_metrics(as_json=args.json, spans=args.spans,
                            fastpath=args.fastpath,
                            overload=args.overload,
@@ -445,9 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     print(BANNER)
     if args.demo:
         if args.shards > 1:
-            return run_sharded_demo(
-                args.shards, parallel=args.parallel,
-                parallel_backend=args.parallel_backend)
+            return run_sharded_demo(args.shards, parallel=args.parallel)
         return run_demo(time_scale=args.time_scale)
     print("Run with --demo for the Figure 1 scenario, or see examples/.")
     return 0

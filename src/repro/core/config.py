@@ -16,14 +16,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 #: Scheduler names accepted by EngineConfig.scheduler.
 SCHEDULER_NAMES = ("LERFA+SRFE", "SRFAE", "LS", "SA", "RANDOM")
 
-#: Worker backends accepted by EngineConfig.parallel_backend.
-#: "process" spawns one interpreter per shard: it is the deployment
-#: backend, the only one that computes shards concurrently. "thread"
-#: is the in-process test transport: the identical worker protocol on
-#: coordinator threads, no speedup, used by tests and smoke runs to
-#: exercise that protocol without paying for spawns.
-PARALLEL_BACKENDS = ("process", "thread")
-
 #: First-retry backoff, in virtual seconds.
 BACKOFF_BASE = 0.5
 #: Multiplier applied to the backoff on each further retry.
@@ -57,8 +49,12 @@ class RetryPolicy:
     failover: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise AortaError("retry max_attempts must be >= 1")
+        # A count of attempts: NaN and 2.5 are refused, not rounded.
+        if not (isinstance(self.max_attempts, int)
+                and self.max_attempts >= 1):
+            raise AortaError(
+                f"retry max_attempts must be an integer >= 1, got "
+                f"{self.max_attempts!r}")
 
     def backoff_seconds(self, attempt: int, rng: random.Random) -> float:
         """Wait before retry number ``attempt`` (1-based): exponential,
@@ -154,11 +150,9 @@ class EngineConfig:
     #: are byte-identical to the in-process fleet's (pinned by
     #: ``tests/shard/test_parallel.py``).
     parallel: bool = False
-    #: Worker backend for ``parallel=True``. Deployments use "process"
-    #: (spawned interpreters — the only backend with a wall-clock
-    #: speedup); "thread" is the test transport, the same command
-    #: protocol inside the coordinator process. Both replay identical
-    #: construction commands, so dumps are byte-identical across them.
+    #: Worker backend for ``parallel=True``: "process" (one spawned
+    #: interpreter per shard) is the only value. The field stays because
+    #: the end-to-end benchmark passes it by name (ROADMAP item 15).
     parallel_backend: str = "process"
 
     def __post_init__(self) -> None:
@@ -177,7 +171,7 @@ class EngineConfig:
             raise AortaError("time_scale must be non-negative and finite")
         if self.shards < 1:
             raise AortaError(f"shards must be >= 1, got {self.shards}")
-        if self.parallel_backend not in PARALLEL_BACKENDS:
+        if self.parallel_backend != "process":
             raise AortaError(
                 f"unknown parallel_backend {self.parallel_backend!r}; "
-                f"expected one of {PARALLEL_BACKENDS}")
+                f"worker shards are spawned processes (\"process\")")

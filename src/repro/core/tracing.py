@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
-
-from repro.errors import AortaError
+from typing import Any, Deque, Dict, Iterator, List
 
 #: Known trace kinds, for documentation and filtering.
 TRACE_KINDS = (
@@ -40,7 +38,8 @@ TRACE_KINDS = (
     "shedding_stopped",
 )
 
-_KNOWN_KINDS = frozenset(TRACE_KINDS)
+#: Records a tracer keeps; past it, the oldest is evicted.
+MAX_RECORDS = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,31 +59,20 @@ class TraceRecord:
 
 
 class EngineTracer:
-    """Collects trace records; optionally bounded to the newest N.
+    """Collects trace records, bounded to the newest :data:`MAX_RECORDS`.
 
     Bounded retention rides on ``deque(maxlen=...)``, so recording past
     the cap evicts the oldest record in O(1) instead of shifting the
-    whole buffer. ``strict=True`` rejects kinds missing from
-    :data:`TRACE_KINDS` at record time — the exhaustiveness tests use
-    it to prove no emitter can mint an undocumented kind.
+    whole buffer.
     """
 
-    def __init__(self, max_records: Optional[int] = 10_000,
-                 strict: bool = False) -> None:
-        self.strict = strict
-        self._records: Deque[TraceRecord] = deque(maxlen=max_records)
-        #: Optional live listener (e.g. print) invoked on every record.
-        self.listener: Optional[Callable[[TraceRecord], None]] = None
+    def __init__(self) -> None:
+        self._records: Deque[TraceRecord] = deque(maxlen=MAX_RECORDS)
 
     def record(self, at: float, kind: str, **fields: Any) -> TraceRecord:
-        """Append one record (oldest evicted past ``max_records``)."""
-        if self.strict and kind not in _KNOWN_KINDS:
-            raise AortaError(
-                f"trace kind {kind!r} is not declared in TRACE_KINDS")
+        """Append one record (oldest evicted past :data:`MAX_RECORDS`)."""
         entry = TraceRecord(at=at, kind=kind, fields=fields)
         self._records.append(entry)
-        if self.listener is not None:
-            self.listener(entry)
         return entry
 
     def __len__(self) -> int:

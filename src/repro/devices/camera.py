@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -182,7 +183,10 @@ class PanTiltZoomCamera(Device):
         rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(env, device_id, location)
-        self.ip_address = ip_address or f"10.0.0.{abs(hash(device_id)) % 250 + 1}"
+        # crc32, not hash(): a str hash is salted per interpreter, so
+        # the default address would change from run to run.
+        self.ip_address = ip_address \
+            or f"10.0.0.{zlib.crc32(device_id.encode()) % 250 + 1}"
         self.calibration = calibration or CameraCalibration()
         self.mount_height = mount_height
         self.view = ViewSector(

@@ -16,7 +16,7 @@ Enable with ``EngineConfig(shards=N)``::
 The coordinator reaches every shard through one :class:`ShardHandle`
 (:mod:`repro.shard.parallel`): the shard itself when it is hosted
 in-process, a :class:`ShardWorker` — the shard in its own worker
-process or thread, for true parallel execution — with
+process, for true parallel execution — with
 ``EngineConfig(parallel=True)``; device factories must then be
 picklable, which :class:`DeviceSpec` makes easy.
 """

@@ -275,9 +275,8 @@ class ShardedEngine:
                 shard_seed = seed if n == 1 \
                     else derive_seed(seed, f"shard:{index}")
                 if self.parallel:
-                    self.handles.append(ShardWorker(
-                        index, shard_config, shard_seed,
-                        self.config.parallel_backend))
+                    self.handles.append(
+                        ShardWorker(index, shard_config, shard_seed))
                 else:
                     self.handles.append(ShardHost(shard_config, shard_seed))
             # Every worker is already spawning and importing; wait only

@@ -7,11 +7,10 @@ fleet asks of it — and the coordinator reaches it through a
 lives is the handle's business, not the coordinator's. Hosted in the coordinator's process, a
 :class:`ShardHost` is its own handle and its methods are called
 directly. :class:`ShardWorker` moves it into a **worker** (a spawned
-interpreter; a thread is the test transport for the same protocol)
-and sends the same operation names down a pipe — which is what buys
-wall-clock speedup from added shards: an in-process fleet steps every
-shard on one thread, a worker fleet computes each bounded-skew round
-concurrently between barriers.
+interpreter) and sends the same operation names down a pipe — which
+is what buys wall-clock speedup from added shards: an in-process fleet
+steps every shard on one thread, a worker fleet computes each
+bounded-skew round concurrently between barriers.
 
 Three design rules keep a worker fleet byte-identical to an
 in-process one (``tests/shard/test_parallel.py`` pins it):
@@ -50,11 +49,10 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import pickle
-import threading
 import time
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, List, Optional, Protocol, Tuple, Union,
+    Any, Callable, Dict, List, Optional, Protocol, Tuple,
 )
 
 import repro.errors as _errors
@@ -323,8 +321,8 @@ def _serve(conn: multiprocessing.connection.Connection,
            config: EngineConfig, seed: int) -> None:
     """The worker main loop: build the shard, then serve commands.
 
-    Runs as the target of a spawned process or a daemon thread. Every
-    command gets exactly one reply: ``("ok", value)``, or ``("error",
+    Runs as the target of a spawned process. Every command gets
+    exactly one reply: ``("ok", value)``, or ``("error",
     (type_name, message))`` for a handler failure — handler failures
     do *not* kill the worker, so admission refusals and lookup errors
     propagate to the coordinator exactly like in-process exceptions.
@@ -374,7 +372,7 @@ def _rehydrate(index: int, name: str, message: str) -> AortaError:
 
 
 class ShardWorker:
-    """The handle on a shard hosted in a worker process or thread.
+    """The handle on a shard hosted in a spawned worker process.
 
     Owns the worker and its command pipe: :meth:`call` is one
     synchronous round trip, the split-phase :meth:`begin_round` /
@@ -387,30 +385,18 @@ class ShardWorker:
     on its ready handshake, so a fleet's spawn + import costs overlap.
     """
 
-    def __init__(self, index: int, config: EngineConfig, seed: int,
-                 backend: str) -> None:
+    def __init__(self, index: int, config: EngineConfig,
+                 seed: int) -> None:
         self.index = index
-        self.backend = backend
         self.dead = False
         self._conn, child = multiprocessing.Pipe()
-        args = (child, config, seed)
-        #: What serves the shard; a process and a thread share the
-        #: start / is_alive / join surface used here.
-        self._worker: Union[multiprocessing.process.BaseProcess,
-                            threading.Thread]
-        if backend == "process":
-            self._worker = multiprocessing.get_context("spawn").Process(
-                target=_serve, args=args, name=f"repro-shard-{index}",
-                daemon=True)
-            self._worker.start()
-            # The parent's copy of the child-held end must close so a
-            # dead worker surfaces as EOF instead of a hang.
-            child.close()
-        else:
-            self._worker = threading.Thread(
-                target=_serve, args=args, name=f"repro-shard-{index}",
-                daemon=True)
-            self._worker.start()
+        self._worker = multiprocessing.get_context("spawn").Process(
+            target=_serve, args=(child, config, seed),
+            name=f"repro-shard-{index}", daemon=True)
+        self._worker.start()
+        # The parent's copy of the child-held end must close so a dead
+        # worker surfaces as EOF instead of a hang.
+        child.close()
 
     def await_ready(self) -> None:
         """Block until the worker has built its shard (or failed to)."""
@@ -421,7 +407,7 @@ class ShardWorker:
     @property
     def engine(self) -> AortaEngine:
         raise ShardingError(
-            f"shard {self.index} lives in a {self.backend} worker: its "
+            f"shard {self.index} lives in a worker process: its "
             f"engine and devices cannot be reached from the coordinator "
             f"process; interact through inject()/submit() and read "
             f"per-shard data from shard_statistics()/shard_dumps()/"
@@ -431,8 +417,8 @@ class ShardWorker:
     def _fail(self, op: str) -> "ShardingError":
         self.dead = True
         raise ShardingError(
-            f"shard {self.index} worker ({self.backend}) died during "
-            f"{op!r}; the fleet cannot continue without its partition")
+            f"shard {self.index} worker died during {op!r}; the fleet "
+            f"cannot continue without its partition")
 
     def _send(self, op: str, args: Tuple[Any, ...]) -> None:
         if self.dead:
@@ -489,8 +475,7 @@ class ShardWorker:
                 pass
         worker = self._worker
         worker.join(timeout=SHUTDOWN_TIMEOUT)
-        if isinstance(worker, multiprocessing.process.BaseProcess) \
-                and self.alive:  # pragma: no cover - stuck worker
+        if self.alive:  # pragma: no cover - stuck worker
             worker.terminate()
             worker.join(timeout=SHUTDOWN_TIMEOUT)
             if self.alive:

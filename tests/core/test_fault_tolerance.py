@@ -68,6 +68,15 @@ def test_retry_policy_validation():
         RetryPolicy(max_attempts=0)
 
 
+@pytest.mark.parametrize("attempts", [math.nan, 2.5, 1.0, -math.inf,
+                                      math.inf, "3"])
+def test_retry_policy_refuses_an_attempt_count_that_is_no_integer(
+        attempts):
+    # NaN slipped past ``< 1`` and ran one attempt; 2.5 ran three.
+    with pytest.raises(AortaError, match="max_attempts"):
+        RetryPolicy(max_attempts=attempts)
+
+
 @pytest.mark.parametrize("field, value", [
     ("lock_lease_seconds", math.nan), ("lock_lease_seconds", math.inf),
     ("lock_lease_seconds", -math.inf), ("time_scale", math.nan),

@@ -1,9 +1,7 @@
 """Tests for the engine trace log."""
 
-import pytest
-
 from repro import SensorStimulus
-from repro.core.tracing import EngineTracer, TraceRecord
+from repro.core.tracing import MAX_RECORDS, EngineTracer, TraceRecord
 from tests.core.conftest import FIGURE_1
 
 
@@ -22,19 +20,11 @@ def test_record_and_filter():
 
 
 def test_bounded_retention():
-    tracer = EngineTracer(max_records=3)
-    for i in range(10):
-        tracer.record(float(i), "event_detected", index=i)
-    assert len(tracer) == 3
-    assert [r["index"] for r in tracer] == [7, 8, 9]
-
-
-def test_listener_called():
     tracer = EngineTracer()
-    seen = []
-    tracer.listener = seen.append
-    record = tracer.record(1.0, "query_dropped", query="q")
-    assert seen == [record]
+    for i in range(MAX_RECORDS + 3):
+        tracer.record(float(i), "event_detected", index=i)
+    assert len(tracer) == MAX_RECORDS
+    assert [r["index"] for r in tracer] == list(range(3, MAX_RECORDS + 3))
 
 
 def test_render_and_clear():

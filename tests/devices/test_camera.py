@@ -1,5 +1,9 @@
 """Unit tests for the calibrated PTZ camera simulator."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +290,30 @@ def test_static_attributes_include_ip():
     row = camera.static_attributes()
     assert row["ip"] == "192.168.0.90"
     assert row["id"] == "cam1"
+
+
+def test_default_ip_is_the_same_whatever_the_hash_seed():
+    """The default address once came from ``hash(device_id)``, which
+    is salted per interpreter: ``SELECT c.ip`` changed from run to run,
+    and a camera built in a spawned worker got another address than the
+    same camera built in-process. Each seed runs in its own process."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    program = ("from repro import PanTiltZoomCamera, Point\n"
+               "from repro.sim import Environment\n"
+               "print([PanTiltZoomCamera(Environment(), name, Point(0, 0))"
+               ".ip_address for name in ('cam1', 'cam2', 'lobby')])\n")
+    printed = set()
+    for seed in ("1", "2"):
+        environment = dict(os.environ, PYTHONHASHSEED=seed,
+                           PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run([sys.executable, "-c", program], cwd=root,
+                              env=environment, capture_output=True,
+                              text=True, timeout=60, check=True)
+        printed.add(done.stdout.strip())
+    here = [make_camera(Environment(), name).ip_address
+            for name in ("cam1", "cam2", "lobby")]
+    assert printed == {repr(here)}
 
 
 def test_read_sensory_zoom():

@@ -2,9 +2,10 @@
 
 The tests that touch only the facade take the ``build_fleet`` fixture
 and run twice: here on an in-process fleet, and again from
-:class:`TestOnThreadWorkers` at the end of the module on a
-thread-worker fleet. Tests that look inside a shard's engine use
-:func:`two_shard_fleet` directly and are in-process by nature.
+:class:`TestOnThreadWorkers` at the end of the module on a worker
+fleet hosted by the thread double of :mod:`tests.shard.thread_worker`.
+Tests that look inside a shard's engine use :func:`two_shard_fleet`
+directly and are in-process by nature.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ from tests.shard.scenarios import (
     region_fleet_scenario,
     region_layout,
 )
+from tests.shard.thread_worker import thread_workers
 
 TWO_REGIONS = RegionPlacement.from_regions(region_layout(2))
 
 
 IN_PROCESS: dict = {}
-THREAD_WORKERS = {"parallel": True, "parallel_backend": "thread"}
+WORKERS = {"parallel": True}
 
 
 def two_shard_fleet(populate: bool = True,
@@ -57,7 +59,7 @@ def two_shard_fleet(populate: bool = True,
     """Two regions of (two cameras + one mote), one region per shard.
 
     Devices are :class:`DeviceSpec` values so the same builder serves
-    a worker fleet (``**THREAD_WORKERS``).
+    a worker fleet (``**WORKERS``).
     """
     config = EngineConfig(shards=2, **config_kwargs)
     fleet = ShardedEngine(config=config, placement=TWO_REGIONS, seed=0)
@@ -585,14 +587,15 @@ def test_device_report_is_the_disjoint_union(build_fleet):
 class TestOnThreadWorkers:
     """Every facade-only test above, again over worker pipes.
 
-    The thread backend exercises the whole worker path — pickled
+    The thread double exercises the whole worker path — pickled
     commands, replayed construction, rehydrated errors — without
     paying a process spawn per shard.
     """
 
     @pytest.fixture
-    def transport(self) -> dict:
-        return THREAD_WORKERS
+    def transport(self):
+        with thread_workers():
+            yield WORKERS
 
 
 for _contract in (

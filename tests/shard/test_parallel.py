@@ -1,10 +1,11 @@
 """Worker fleet execution: identity, failure handling, teardown.
 
 The load-bearing property is byte-identity: a worker fleet's
-normalized per-shard dumps must equal the in-process fleet's, across backends, shard counts, observability and
-overload control — pinned here with a hypothesis sweep on the thread
-backend (cheap) and a single process-backend spot check (spawn costs
-~1s per worker). The rest is the unhappy path: worker death must
+normalized per-shard dumps must equal the in-process fleet's, across
+shard counts, observability and overload control — pinned here with a
+hypothesis sweep on the thread double of :mod:`tests.shard.thread_worker`
+(cheap) and a single process spot check (spawn costs ~1s per worker).
+The rest is the unhappy path: worker death must
 surface as :class:`ShardingError` naming the shard instead of hanging
 the barrier, and teardown must never leak processes or threads.
 """
@@ -27,15 +28,16 @@ from tests.shard.scenarios import (
     coupled_storm_scenario,
     region_fleet_scenario,
 )
+from tests.shard.thread_worker import thread_workers, workers_on
 
 BACKENDS = ("thread", "process")
 
 
 def dumps_of(n_regions: int, *, shards=None, parallel=False,
              backend="thread", **kwargs):
-    fleet = region_fleet_scenario(
-        n_regions, shards=shards, parallel=parallel,
-        parallel_backend=backend, **kwargs)
+    with workers_on(backend):
+        fleet = region_fleet_scenario(
+            n_regions, shards=shards, parallel=parallel, **kwargs)
     try:
         return fleet.shard_dumps(), fleet.statistics(), fleet.query_report()
     finally:
@@ -85,8 +87,9 @@ def test_parallel_runs_are_deterministic_across_repeats():
     assert_identical(first, second)
 
 
-def storm_outcome(**transport):
-    fleet = coupled_storm_scenario(**transport)
+def storm_outcome(backend=None):
+    with workers_on(backend):
+        fleet = coupled_storm_scenario(parallel=backend is not None)
     try:
         return (json.dumps(fleet.shard_dumps(), sort_keys=True),
                 fleet.statistics(), fleet.query_report(),
@@ -102,8 +105,7 @@ def test_coupled_fleet_is_identical_on_every_transport_when_capacity_binds():
     for stats in reference[3]:
         assert stats["overload_rejected_by_reason"][REASON_CAPACITY] > 0
     for backend in ("thread", "thread", "process", "process"):
-        assert storm_outcome(parallel=True,
-                             parallel_backend=backend) == reference
+        assert storm_outcome(backend) == reference
 
 
 def test_fewer_shards_than_regions_stays_identical():
@@ -127,8 +129,8 @@ def test_parallel_on_one_shard_is_forced_serial():
 
 
 def test_parallel_fleet_refuses_per_shard_object_access():
-    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True,
-                                  parallel_backend="thread")
+    with thread_workers():
+        fleet = region_fleet_scenario(2, run_until=1.0, parallel=True)
     try:
         with pytest.raises(ShardingError, match="worker"):
             fleet.shard(0)
@@ -141,8 +143,8 @@ def test_parallel_fleet_refuses_per_shard_object_access():
 
 
 def test_parallel_fleet_rehydrates_framework_errors():
-    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True,
-                                  parallel_backend="thread")
+    with thread_workers():
+        fleet = region_fleet_scenario(2, run_until=1.0, parallel=True)
     try:
         with pytest.raises(ParseError):
             fleet.execute("CREATE AQ broken AS SELECT")
@@ -151,9 +153,9 @@ def test_parallel_fleet_rehydrates_framework_errors():
 
 
 def test_unpicklable_factory_names_device_spec():
-    config = EngineConfig(shards=2, parallel=True,
-                          parallel_backend="thread")
-    fleet = ShardedEngine(config=config, seed=0)
+    with thread_workers():
+        fleet = ShardedEngine(
+            config=EngineConfig(shards=2, parallel=True), seed=0)
     try:
         with pytest.raises(ShardingError, match="DeviceSpec"):
             fleet.add_device("cam1", lambda env: None)
@@ -161,16 +163,16 @@ def test_unpicklable_factory_names_device_spec():
         fleet.close()
 
 
-@pytest.mark.parametrize("transport", [
-    {}, {"parallel": True, "parallel_backend": "thread"},
-], ids=["in-process", "thread"])
-def test_engine_runs_counts_completed_runs_only(transport):
+@pytest.mark.parametrize("parallel", [False, True],
+                         ids=["in-process", "thread"])
+def test_engine_runs_counts_completed_runs_only(parallel):
     # One rule for every transport, the plain engine's: a run() that
     # raises still closes its engine.run span but is not counted. A
     # run into the past is the failure here: the fleet refuses it after
     # every shard opened its span.
-    fleet = region_fleet_scenario(2, run_until=0.5, observability=True,
-                                  **transport)
+    with thread_workers():
+        fleet = region_fleet_scenario(2, run_until=0.5,
+                                      observability=True, parallel=parallel)
     try:
         with pytest.raises(SimulationError, match="already at"):
             fleet.run(until=0.25)
@@ -194,8 +196,8 @@ def test_transport_knobs_live_on_the_config_only():
 
 
 def test_round_breakdown_accounts_every_shard():
-    fleet = region_fleet_scenario(3, parallel=True,
-                                  parallel_backend="thread")
+    with thread_workers():
+        fleet = region_fleet_scenario(3, parallel=True)
     try:
         breakdown = fleet.round_breakdown()
         assert breakdown["rounds"] > 0
@@ -217,8 +219,8 @@ def test_round_breakdown_accounts_every_shard():
 def test_ledger_free_worker_fleet_counts_one_round_per_run(backend):
     # Overload off: the shards share no ledger, so every run() is one
     # round however far it advances the clocks.
-    fleet = region_fleet_scenario(2, parallel=True,
-                                  parallel_backend=backend)
+    with workers_on(backend):
+        fleet = region_fleet_scenario(2, parallel=True)
     try:
         assert fleet.round_breakdown()["rounds"] == 1
         fleet.run(until=50.0)
@@ -233,8 +235,7 @@ def test_ledger_free_worker_fleet_counts_one_round_per_run(backend):
 # Worker death and teardown
 # ----------------------------------------------------------------------
 def test_worker_crash_raises_naming_the_shard():
-    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True,
-                                  parallel_backend="process")
+    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True)
     workers = fleet.handles
     try:
         workers[1]._worker.kill()
@@ -252,8 +253,7 @@ def test_worker_killed_inside_the_one_long_round_fails_closed():
     # One round per run() widens the window a worker can die in, and
     # the coordinator notices only once the lower-indexed peers have
     # finished their round. It must still raise and reap, not hang.
-    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True,
-                                  parallel_backend="process")
+    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True)
     workers = list(fleet.handles)
     submitted = threading.Event()
     # Worker 1 is the last peer to be started: once its round is down
@@ -283,8 +283,8 @@ def test_worker_killed_inside_the_one_long_round_fails_closed():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_context_manager_exit_leaves_no_workers(backend):
     threads_before = threading.active_count()
-    with region_fleet_scenario(2, run_until=2.0, parallel=True,
-                               parallel_backend=backend) as fleet:
+    with workers_on(backend), region_fleet_scenario(
+            2, run_until=2.0, parallel=True) as fleet:
         assert fleet.parallel
         workers = fleet.handles
         assert all(worker.alive for worker in workers)
@@ -297,8 +297,8 @@ def test_context_manager_exit_leaves_no_workers(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_coupled_fleet_exit_leaves_no_workers_or_threads(backend):
     threads_before = threading.active_count()
-    with coupled_storm_scenario(parallel=True,
-                                parallel_backend=backend) as fleet:
+    with workers_on(backend), coupled_storm_scenario(
+            parallel=True) as fleet:
         assert fleet.ledger is not None
         workers = fleet.handles
         assert all(worker.alive for worker in workers)
@@ -311,8 +311,8 @@ def test_coupled_fleet_exit_leaves_no_workers_or_threads(backend):
 
 
 def test_close_is_idempotent():
-    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True,
-                                  parallel_backend="thread")
+    with thread_workers():
+        fleet = region_fleet_scenario(2, run_until=1.0, parallel=True)
     fleet.close()
     fleet.close()
     with pytest.raises(ShardingError, match="died"):
@@ -343,5 +343,8 @@ def test_device_spec_builds_on_the_serial_path_too():
 
 
 def test_unknown_parallel_backend_is_refused():
-    with pytest.raises(AortaError, match="parallel_backend"):
-        EngineConfig(parallel_backend="greenlet")
+    # A worker is a spawned process; the thread transport is a test
+    # double (tests/shard/thread_worker.py), not a config value.
+    for backend in ("greenlet", "thread"):
+        with pytest.raises(AortaError, match="parallel_backend"):
+            EngineConfig(parallel_backend=backend)

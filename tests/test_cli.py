@@ -61,6 +61,19 @@ def test_a_flag_the_chosen_path_would_ignore_is_refused(
     assert complaint in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command_line", [
+    "--demo --shards 2 --parallel --parallel-backend=thread",
+    "metrics --shards 2 --parallel --parallel-backend=thread",
+])
+def test_a_worker_backend_is_no_flag(command_line, capsys):
+    """A worker is a spawned process: the thread transport is a test
+    double, so no flag can choose it."""
+    with pytest.raises(SystemExit) as refusal:
+        main(command_line.split())
+    assert refusal.value.code == 2
+    assert "--parallel-backend" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command_line, complaint", [
     ("--demo --shards 0", "shards >= 1"),
     ("metrics --shards -2", "shards >= 1"),

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import EngineConfig, HealthPolicy, RetryPolicy
+from repro.core.tracing import EngineTracer
 from repro.obs.metrics import Histogram
 from repro.overload import OverloadPolicy, TierRate
 
@@ -271,6 +272,10 @@ KEPT_OPTIONS = {
     "HealthPolicy.backoff_factor": (
         "passed by name by benchmarks/e2e",
         "`mixed_faulty` passes it at its default"),
+    "EngineConfig.parallel_backend": (
+        "passed by name by benchmarks/e2e",
+        "`fleet_sharded` passes \"process\", the one value; the field "
+        "goes with ROADMAP item 15"),
 }
 
 
@@ -353,6 +358,7 @@ def test_the_option_allow_list_is_short_reasoned_and_not_stale():
         "backoff_base", "backoff_factor", "jitter", "max_dispatches",
         "backoff_max")] + [
     (HealthPolicy, "probation_successes")] + [
+    (EngineTracer, name) for name in ("max_records", "strict")] + [
     (OverloadPolicy, name) for name in (
         "registration_rates", "capacity_horizon", "utilization_cap",
         "capacity_protect_tier", "default_service_seconds",
