@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import repro
@@ -321,6 +322,23 @@ def _time_scale(text: str) -> float:
     return scale
 
 
+def _refuse_unknown_options(parser: argparse.ArgumentParser,
+                            known: set[str], argv: list[str]) -> None:
+    """Exit with a usage error naming the first option no parser knows.
+
+    argparse would take the separate value of an unknown option (the
+    ``thread`` of ``--parallel-backend thread``) for the subcommand and
+    report that value instead. A long option may be abbreviated, as
+    argparse allows; a negative number is a value, not an option.
+    """
+    for token in argv[:argv.index("--")] if "--" in argv else argv:
+        option = token.split("=", 1)[0]
+        if re.match("--?[A-Za-z]", option) and not any(
+                name == option or option[1] == "-" and name.startswith(option)
+                for name in known):
+            parser.error(f"unrecognized arguments: {option}")
+
+
 def _refuse_ignored_flags(parser: argparse.ArgumentParser,
                           args: argparse.Namespace) -> None:
     """Exit with a usage error on a flag the chosen code path would
@@ -405,6 +423,11 @@ def main(argv: list[str] | None = None) -> int:
                          default=argparse.SUPPRESS,
                          help="run the sharded metrics demo with "
                               "parallel workers (needs --shards >= 2)")
+    argv = sys.argv[1:] if argv is None else argv
+    _refuse_unknown_options(parser, {
+        option for each in (parser, metrics)
+        for action in each._actions for option in action.option_strings},
+        argv)
     args = parser.parse_args(argv)
     if args.version:
         print(repro.__version__)

@@ -38,15 +38,13 @@ class CommunicationLayer:
         self,
         env: Environment,
         *,
-        registry: Optional[DeviceRegistry] = None,
         links: Optional[Dict[str, LinkModel]] = None,
-        rng: Optional[random.Random] = None,
-        obs: Optional[Observability] = None,
+        rng: random.Random,
+        obs: Observability,
     ) -> None:
         self.env = env
-        self.registry = registry or DeviceRegistry()
-        #: The transport, its pool and the prober count in ``obs``'s
-        #: registry (a disabled one of their own when built bare).
+        self.registry = DeviceRegistry()
+        #: The transport, its pool and the prober count in ``obs``'s registry.
         self.transport = Transport(env, links=links, rng=rng, obs=obs)
         #: A device type's profiles, one dict per kind, keyed by type:
         #: the only copy. The schema catalog, the cost model and the

@@ -66,11 +66,10 @@ class _CacheEntry:
 class DeviceStatusCache:
     """Last-probed physical status per device, with bounded freshness."""
 
-    def __init__(self, env: Environment, *,
-                 obs: Optional[Observability] = None) -> None:
+    def __init__(self, env: Environment, *, obs: Observability) -> None:
         self.env = env
         self._entries: Dict[str, _CacheEntry] = {}
-        self.obs = obs if obs is not None else Observability()
+        self.obs = obs
         registry = self.obs.registry
         self._hits, self._misses, self._expired, self._stores = (
             registry.family(Counter, f"probe.cache.{name}", "device_type")

@@ -160,7 +160,7 @@ class ContinuousQueryExecutor:
         for column in self._sensory_reads(plan):
             counts[column] = counts.get(column, 0) + 1
         self._project(plan.event_table)
-        self.dispatcher.tracer.record(
+        self.dispatcher.obs.tracer.record(
             self.env.now, "query_registered", query=plan.query_name,
             action=plan.action.name)
         return query
@@ -191,8 +191,8 @@ class ContinuousQueryExecutor:
         for request in self.dispatcher.operator_for(
                 query.plan.action).detach(name):
             self.dispatcher._fail(request, None, "query dropped")
-        self.dispatcher.tracer.record(self.env.now, "query_dropped",
-                                      query=name)
+        self.dispatcher.obs.tracer.record(self.env.now, "query_dropped",
+                                          query=name)
 
     def _check_candidate_predicate(self, plan: ContinuousPlan) -> None:
         """Candidate predicates may only read the device's static data.
@@ -410,7 +410,7 @@ class ContinuousQueryExecutor:
                 continue  # still the same event, no re-trigger
             query.events_detected += 1
             self._events_detected[query.name].inc()
-            self.dispatcher.tracer.record(
+            self.dispatcher.obs.tracer.record(
                 self.env.now, "event_detected", query=query.name,
                 sensor=row.device_id)
             context.tuples[plan.event_alias] = row
@@ -435,7 +435,7 @@ class ContinuousQueryExecutor:
             self._uncovered_events[plan.query_name].inc()
             return False
         operator = self.dispatcher.operator_for(plan.action)
-        self.dispatcher.tracer.record(
+        self.dispatcher.obs.tracer.record(
             self.env.now, "request_emitted", query=plan.query_name,
             action=plan.action.name, candidates=len(candidates))
         deadline = (None if query.deadline_seconds is None

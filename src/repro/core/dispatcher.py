@@ -233,33 +233,25 @@ class Dispatcher:
         cost_model: CostModel,
         locks: DeviceLockManager,
         config: EngineConfig,
-        scheduler: Optional[Scheduler] = None,
-        tracer: Optional["EngineTracer"] = None,
+        obs: Observability,
         health: Optional[DeviceHealthTracker] = None,
-        obs: Optional[Observability] = None,
         status_cache: Optional[DeviceStatusCache] = None,
         overload: Optional[OverloadControlPlane] = None,
     ) -> None:
-        from repro.core.tracing import EngineTracer
         self.env = env
         self.comm = comm
         self.cost_model = cost_model
         self.locks = locks
         self.config = config
-        #: Metrics + spans (a disabled instance of its own by default).
-        self.obs = obs if obs is not None else Observability()
+        #: The engine's sink: metrics, trace records and spans.
+        self.obs = obs
         #: Per-device circuit breakers (None = health tracking off).
         self.health = health
         #: TTL device-status cache (None = every batch probes every
         #: candidate, as Section 4 prescribes).
         self.status_cache = status_cache
-        # Note: an empty tracer is falsy (it has __len__), so test
-        # identity, not truthiness.
-        self.tracer = tracer if tracer is not None else EngineTracer()
-        if scheduler is None:
-            factory = SCHEDULER_FACTORIES[config.scheduler]
-            scheduler = factory(config.scheduler_seed, vectorize=HAVE_NUMPY)
-        self.scheduler = scheduler
+        self.scheduler: Scheduler = SCHEDULER_FACTORIES[config.scheduler](
+            config.scheduler_seed, vectorize=HAVE_NUMPY)
         self._operators: Dict[str, SharedActionOperator] = {}
         #: The overload-control plane (None = off, the pre-overload
         #: behaviour: unbounded queues, no admission, no shedding).
@@ -270,7 +262,9 @@ class Dispatcher:
         self._wakeup: Optional[Event] = None
         self._running = False
         #: Deterministic jitter stream for retry backoff, derived from
-        #: the engine seed so fault-tolerant runs replay exactly.
+        #: ``config.scheduler_seed`` (not the engine seed) so
+        #: fault-tolerant runs replay exactly; every shard of a fleet
+        #: shares the config, so all draw the same stream.
         self._retry_rng = random.Random(
             component_seed(config.scheduler_seed, "dispatcher:retry-jitter"))
         #: All requests that went through dispatch, in completion order.
@@ -366,7 +360,7 @@ class Dispatcher:
     def _complete(self, request: ActionRequest, kind: str,
                   **detail: Any) -> None:
         self.completed.append(request)
-        self.tracer.record(
+        self.obs.tracer.record(
             self.env.now, kind, request=request.request_id,
             action=request.action_name, query=request.query_id, **detail)
 
@@ -508,7 +502,7 @@ class Dispatcher:
                 if cache is not None:
                     cache.invalidate(device.device_id,
                                      reason="probe-failure")
-                self.tracer.record(
+                self.obs.tracer.record(
                     self.env.now, "probe_failed",
                     device=device.device_id, error=result.error)
 
@@ -604,7 +598,7 @@ class Dispatcher:
         self._makespan.observe(report.makespan_seconds)
         self._scheduling_wallclock[self.scheduler.name].observe(
             report.scheduling_seconds)
-        self.tracer.record(
+        self.obs.tracer.record(
             self.env.now, "batch_dispatched", action=name,
             size=report.batch_size, serviced=report.serviced,
             failed=report.failed + report.unschedulable)
@@ -728,7 +722,7 @@ class Dispatcher:
                 batch.report.retries += 1
                 self._retries[device.device_id].inc()
                 backoff = policy.backoff_seconds(attempt, self._retry_rng)
-                self.tracer.record(
+                self.obs.tracer.record(
                     self.env.now, "request_retry",
                     request=request.request_id, device=device.device_id,
                     attempt=attempt, backoff=backoff, reason=reason)
@@ -773,7 +767,7 @@ class Dispatcher:
             return True
         batch.report.failed_over += 1
         self._failovers.inc()
-        self.tracer.record(
+        self.obs.tracer.record(
             self.env.now, "request_failed_over",
             request=request.request_id, failed_device=failed_device,
             surviving=len(surviving), dispatches=request.dispatches,

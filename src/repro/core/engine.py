@@ -45,7 +45,6 @@ from repro.sync.locks import DeviceLockManager
 from repro.core.config import EngineConfig
 from repro.core.continuous import ContinuousQueryExecutor, RegisteredQuery
 from repro.core.dispatcher import Dispatcher
-from repro.core.tracing import EngineTracer
 
 
 class AortaEngine:
@@ -84,11 +83,11 @@ class AortaEngine:
         #: Master seed; every component RNG is a named substream of it
         #: (see repro.sim.rng.component_seed).
         self.seed = seed
-        self.tracer = EngineTracer()
-        #: The metric registry every component counts in, plus timings
-        #: and spans when config.observability is on.
-        self.obs = Observability(self.env, tracer=self.tracer,
-                                 enabled=self.config.observability)
+        #: The one sink every component records in: the metric
+        #: registry and the trace log, plus timings and spans when
+        #: config.observability is on.
+        self.obs = Observability(self.env, enabled=self.config.observability)
+        self.tracer = self.obs.tracer
         self.comm = CommunicationLayer(
             self.env, links=links,
             rng=random.Random(component_seed(seed, "comm:transport")),
@@ -119,7 +118,6 @@ class AortaEngine:
         self.health: Optional[DeviceHealthTracker] = None
         if self.config.health is not None:
             self.health = DeviceHealthTracker(self.env, self.config.health,
-                                              tracer=self.tracer,
                                               obs=self.obs)
             self.comm.prober.health = self.health
             self.health.transition_listeners.append(
@@ -135,10 +133,9 @@ class AortaEngine:
                 self.env, policy, self.cost_model,
                 device_lookup=self.comm.registry.get,
                 fleet_size=lambda: len(self.comm.registry),
-                tracer=self.tracer, obs=self.obs)
+                obs=self.obs)
         self.dispatcher = Dispatcher(self.env, self.comm, self.cost_model,
                                      self.locks, self.config,
-                                     tracer=self.tracer,
                                      health=self.health,
                                      obs=self.obs,
                                      status_cache=self.status_cache,

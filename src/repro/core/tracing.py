@@ -41,6 +41,9 @@ TRACE_KINDS = (
 #: Records a tracer keeps; past it, the oldest is evicted.
 MAX_RECORDS = 10_000
 
+#: Records :meth:`EngineTracer.tail` renders.
+TAIL_RECORDS = 20
+
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
@@ -89,8 +92,7 @@ class EngineTracer:
         """Drop all records."""
         self._records.clear()
 
-    def tail(self, count: int = 20) -> str:
-        """The newest ``count`` records, rendered one per line."""
-        # Sliced only for a positive count: [-0:] is every record.
-        entries = list(self._records)[-count:] if count > 0 else []
+    def tail(self) -> str:
+        """The newest :data:`TAIL_RECORDS` records, one per line."""
+        entries = list(self._records)[-TAIL_RECORDS:]
         return "\n".join(str(r) for r in entries)

@@ -84,20 +84,19 @@ class Calibrator:
     # Fitting
     # ------------------------------------------------------------------
     def fit_fixed(self, operation: str, runner: TrialRunner,
-                  trials: int = 5, description: str = "",
-                  ) -> AtomicOperationCost:
+                  trials: int = 5) -> AtomicOperationCost:
         """Calibrate a fixed-cost operation (mean of repeated trials)."""
         samples = [self.time_trial(operation, 0.0, runner).seconds
                    for _ in range(trials)]
         return AtomicOperationCost(
             name=operation,
             fixed_seconds=sum(samples) / len(samples),
-            description=description or "calibrated (fixed)",
+            description="calibrated (fixed)",
         )
 
     def fit_linear(self, operation: str, unit: str,
-                   quantities: Sequence[float], runner: TrialRunner,
-                   description: str = "") -> AtomicOperationCost:
+                   quantities: Sequence[float],
+                   runner: TrialRunner) -> AtomicOperationCost:
         """Calibrate a quantity-scaled operation by linear regression."""
         points = [(q, self.time_trial(operation, q, runner).seconds)
                   for q in quantities]
@@ -112,7 +111,7 @@ class Calibrator:
             fixed_seconds=max(intercept, 0.0),
             per_unit_seconds=slope,
             unit=unit,
-            description=description or "calibrated (linear fit)",
+            description="calibrated (linear fit)",
         )
 
 

@@ -233,15 +233,14 @@ class CostModel:
         action_name: str,
         device: Device,
         args_sequence: list[Mapping[str, Any]],
-        status: Optional[Status] = None,
     ) -> list[CostEstimate]:
-        """Estimate a sequence of executions, chaining post-status.
+        """Estimate a sequence of executions from the device's current
+        status, chaining post-status.
 
         This is the primitive the schedulers build on: the cost of the
         k-th action depends on where the (k-1)-th left the device.
         """
-        if status is None:
-            status = device.physical_status()
+        status = device.physical_status()
         estimates = []
         for args in args_sequence:
             estimate = self.estimate(action_name, device, args, status)

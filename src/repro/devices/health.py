@@ -22,15 +22,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import DeviceError
 from repro.obs.metrics import Counter, Histogram
 from repro.obs.spans import Observability
 from repro.sim import Environment
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.core.tracing import EngineTracer
 
 
 class BreakerState(enum.Enum):
@@ -86,14 +83,13 @@ class DeviceHealthTracker:
     def __init__(
         self,
         env: Environment,
-        policy: Optional[HealthPolicy] = None,
-        tracer: Optional["EngineTracer"] = None,
-        obs: Optional[Observability] = None,
+        policy: HealthPolicy,
+        *,
+        obs: Observability,
     ) -> None:
         self.env = env
-        self.policy = policy or HealthPolicy()
-        self.tracer = tracer
-        self.obs = obs if obs is not None else Observability()
+        self.policy = policy
+        self.obs = obs
         registry = self.obs.registry
         self._quarantines, self._readmissions, self._probations = (
             registry.family(Counter, f"health.{name}", "device")
@@ -115,8 +111,7 @@ class DeviceHealthTracker:
         return self._devices[device_id]
 
     def _trace(self, kind: str, **fields: object) -> None:
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, kind, **fields)
+        self.obs.tracer.record(self.env.now, kind, **fields)
 
     def _notify(self, device_id: str, state: BreakerState) -> None:
         for listener in self.transition_listeners:

@@ -119,16 +119,16 @@ class Transport:
         env: Environment,
         *,
         links: Optional[Dict[str, LinkModel]] = None,
-        rng: Optional[random.Random] = None,
-        obs: Optional[Observability] = None,
+        rng: random.Random,
+        obs: Observability,
     ) -> None:
         # Deferred: repro.comm imports this module.
         from repro.comm.pool import ConnectionPool
         self.env = env
         self.links = dict(DEFAULT_LINKS if links is None else links)
-        self.rng = rng or random.Random(0)
-        #: Metrics + spans, shared with the pool and the prober.
-        self.obs = obs if obs is not None else Observability()
+        self.rng = rng
+        #: The engine's sink, shared with the pool and the prober.
+        self.obs = obs
         registry = self.obs.registry
         self._requests = registry.family(Counter, "comm.requests", "kind")
         self._request_timeouts = registry.family(

@@ -38,8 +38,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from repro.errors import AortaError
 from repro.obs.metrics import Histogram, MetricsRegistry
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.tracing import EngineTracer
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.sim import Environment
 
 #: Trace-record field names a span emits; label keys must not collide.
@@ -102,29 +101,25 @@ class SpanContext:
 
 
 class Observability:
-    """One engine's metric registry, plus timings and spans behind one
-    enable switch.
+    """One engine's sink: its metric registry and trace log, plus
+    timings and spans behind one enable switch.
 
     The engine creates one instance and hands it to every component it
-    builds; a component built bare owns a disabled one with a registry
-    of its own, so no count leaks between engines. At construction a
+    builds; every component takes it as a required argument, so one
+    engine's counts and records have one home. At construction a
     component resolves what it writes: counters from :attr:`registry`
     (always recorded), timings and levels from :meth:`family` (inert
-    unless ``enabled``). Call sites then write unconditionally;
-    :meth:`span` returns a shared no-op when disabled.
+    unless ``enabled``), trace records through :attr:`tracer`. Call
+    sites then write unconditionally; :meth:`span` returns a shared
+    no-op when disabled.
     """
 
-    def __init__(
-        self,
-        env: Optional["Environment"] = None,
-        tracer: Optional["EngineTracer"] = None,
-        enabled: bool = False,
-    ) -> None:
-        if enabled and (env is None or tracer is None):
-            raise AortaError(
-                "enabled observability needs an environment and a tracer")
+    def __init__(self, env: "Environment", *, enabled: bool = False) -> None:
+        # Deferred: repro.core imports this module.
+        from repro.core.tracing import EngineTracer
         self.env = env
-        self.tracer = tracer
+        #: The engine's trace log (``AortaEngine.tracer``).
+        self.tracer = EngineTracer()
         self.registry = MetricsRegistry()
         self.enabled = enabled
         self._span_seconds = self.family(Histogram, "span.seconds", "name")

@@ -20,7 +20,7 @@ empty for a request no AQ emitted).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import AortaError, QueueFullError
 from repro.actions.request import REASON_QUEUE_FULL, ActionRequest
@@ -50,15 +50,13 @@ class OverloadControlPlane:
         device_lookup: Callable[[str], Device],
         fleet_size: Callable[[], int],
         *,
-        tracer: Any,
-        obs: Optional[Observability] = None,
+        obs: Observability,
     ) -> None:
         self.env = env
         self.policy = policy
         self.cost_model = cost_model
         self._device_lookup = device_lookup
-        self.tracer = tracer
-        obs = obs if obs is not None else Observability()
+        self.obs = obs
         self.admission = AdmissionController(policy, fleet_size)
         #: The periodic shedder; ``bind`` builds it.
         self.shedder: Optional[LoadShedder] = None
@@ -82,7 +80,7 @@ class OverloadControlPlane:
     ) -> None:
         """Attach the dispatcher's operator table and shed callback."""
         self.shedder = LoadShedder(self.env, self.policy, operators,
-                                   shed, self.tracer)
+                                   shed, self.obs)
 
     def configure_operator(
         self, operator: SharedActionOperator,
@@ -150,7 +148,7 @@ class OverloadControlPlane:
         """Account one refused request (admission or backpressure)."""
         request.mark_rejected(self.env.now, reason)
         self._rejected[request.priority, reason].inc()
-        self.tracer.record(
+        self.obs.tracer.record(
             self.env.now, "request_rejected", request=request.request_id,
             action=request.action_name, query=request.query_id,
             priority=request.priority, reason=reason)

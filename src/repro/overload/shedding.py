@@ -20,6 +20,7 @@ from repro.actions.request import (
     REASON_PRESSURE,
     ActionRequest,
 )
+from repro.obs.spans import Observability
 from repro.plan.action_op import SharedActionOperator
 from repro.sim import Environment
 
@@ -48,13 +49,13 @@ class LoadShedder:
         policy: Any,
         operators: Callable[[], Sequence[SharedActionOperator]],
         shed: Callable[[ActionRequest, str], None],
-        tracer: Any,
+        obs: Observability,
     ) -> None:
         self.env = env
         self.policy = policy
         self._operators = operators
         self._shed = shed
-        self.tracer = tracer
+        self.obs = obs
         #: Hysteresis state: True between the start and stop edges.
         self.active = False
         self.shed_passes = 0
@@ -91,14 +92,15 @@ class LoadShedder:
         pending = sum(op.pending_count for op in operators)
         if not self.active and pending > self.policy.shed_high_watermark:
             self.active = True
-            self.tracer.record(now, "shedding_started", pending=pending,
-                               watermark=self.policy.shed_high_watermark)
+            self.obs.tracer.record(
+                now, "shedding_started", pending=pending,
+                watermark=self.policy.shed_high_watermark)
         if self.active:
             shed += self._shed_to_low_watermark(operators, pending)
             remaining = sum(op.pending_count for op in operators)
             if remaining <= self.policy.shed_low_watermark:
                 self.active = False
-                self.tracer.record(
+                self.obs.tracer.record(
                     self.env.now, "shedding_stopped", pending=remaining,
                     watermark=self.policy.shed_low_watermark)
         return shed

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List
 
 from repro.errors import SchedulingError
+from repro.obs.spans import Observability
 from repro.scheduling.base import Schedule
 from repro.scheduling.problem import Problem
 from repro.sim import Environment, raise_first_error
@@ -29,14 +30,13 @@ class ExecutionResult:
     device_busy: Dict[str, float] = field(default_factory=dict)
 
 
-def execute_schedule(problem: Problem, schedule: Schedule,
-                     *, use_actual: bool = True) -> ExecutionResult:
-    """Run a schedule on a fresh runtime; returns measured timings."""
+def execute_schedule(problem: Problem, schedule: Schedule) -> ExecutionResult:
+    """Run a schedule on a fresh runtime at actual costs; returns
+    measured timings."""
     schedule.validate(problem)
     env = Environment()
-    locks = DeviceLockManager(env)
-    cost_model = problem.cost_model
-    cost = (cost_model.actual if use_actual else cost_model.estimate)
+    locks = DeviceLockManager(env, obs=Observability(env))
+    cost = problem.cost_model.actual
     result = ExecutionResult(makespan=0.0)
 
     def device_queue(device_id: str, queue: List[str]) -> Generator:

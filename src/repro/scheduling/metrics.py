@@ -34,21 +34,15 @@ def device_completion_times(
     return completions
 
 
-def service_makespan(
-    problem: Problem, schedule: Schedule, *, use_actual: bool = True
-) -> float:
-    """The service-time component of the makespan."""
-    completions = device_completion_times(problem, schedule,
-                                          use_actual=use_actual)
+def service_makespan(problem: Problem, schedule: Schedule) -> float:
+    """The service-time component of the makespan, at actual costs."""
+    completions = device_completion_times(problem, schedule)
     return max(completions.values(), default=0.0)
 
 
-def total_makespan(
-    problem: Problem, schedule: Schedule, *, use_actual: bool = True
-) -> float:
+def total_makespan(problem: Problem, schedule: Schedule) -> float:
     """Scheduling computation plus service time — the paper's makespan."""
-    return schedule.scheduling_seconds + service_makespan(
-        problem, schedule, use_actual=use_actual)
+    return schedule.scheduling_seconds + service_makespan(problem, schedule)
 
 
 @dataclass(frozen=True)

@@ -56,13 +56,13 @@ except ImportError:  # pragma: no cover - the no-numpy CI leg
     HAVE_NUMPY = False
 
 
-def require_numpy(feature: str = "vectorize=True") -> None:
-    """Raise a clear error when a vectorized feature lacks numpy."""
+def require_numpy() -> None:
+    """Raise a clear error when ``vectorize=True`` lacks numpy."""
     if not HAVE_NUMPY:
         raise SchedulingError(
-            f"{feature} requires numpy, which is not installed; "
-            f"install the optional extra (pip install 'repro[fast]') "
-            f"or leave the vectorized path off"
+            "vectorize=True requires numpy, which is not installed; "
+            "install the optional extra (pip install 'repro[fast]') "
+            "or leave the vectorized path off"
         )
 
 

@@ -29,6 +29,9 @@ from repro.scheduling.problem import (
     SchedulingCostModel,
 )
 
+#: The simulated camera every workload runs on (the AXIS 2130 model).
+CALIBRATION = CameraCalibration()
+
 
 class _CameraColumnKernel:
     """Vectorized camera-cost matrices and columns (see
@@ -42,14 +45,13 @@ class _CameraColumnKernel:
     as a column against the targets' row.
     """
 
-    def __init__(self, model: "CameraStatusCostModel",
-                 problem: Problem) -> None:
+    def __init__(self, problem: Problem) -> None:
         import numpy
         self._requests = problem.requests
-        self._fixed = model.calibration.fixed_photo_seconds()
-        self._pan_speed = model.calibration.pan_speed
-        self._tilt_speed = model.calibration.tilt_speed
-        self._zoom_speed = model.calibration.zoom_speed
+        self._fixed = CALIBRATION.fixed_photo_seconds()
+        self._pan_speed = CALIBRATION.pan_speed
+        self._tilt_speed = CALIBRATION.tilt_speed
+        self._zoom_speed = CALIBRATION.zoom_speed
         self._pan = numpy.array([r.payload.pan for r in problem.requests],
                                 dtype=numpy.float64)
         self._tilt = numpy.array([r.payload.tilt for r in problem.requests],
@@ -100,13 +102,11 @@ class CameraStatusCostModel(SchedulingCostModel):
     def __init__(
         self,
         initial_heads: Mapping[str, HeadPosition],
-        calibration: Optional[CameraCalibration] = None,
         *,
         estimate_noise: float = 0.0,
         noise_seed: int = 0,
     ) -> None:
         self._initial_heads = dict(initial_heads)
-        self.calibration = calibration or CameraCalibration()
         if estimate_noise < 0:
             raise SchedulingError("estimate_noise must be non-negative")
         #: Relative noise applied to *estimates* only; actual costs stay
@@ -131,8 +131,8 @@ class CameraStatusCostModel(SchedulingCostModel):
         self, request: SchedRequest, status: HeadPosition
     ) -> Tuple[float, HeadPosition]:
         target: HeadPosition = request.payload
-        movement = status.movement_seconds(target, self.calibration)
-        return self.calibration.fixed_photo_seconds() + movement, target
+        movement = status.movement_seconds(target, CALIBRATION)
+        return CALIBRATION.fixed_photo_seconds() + movement, target
 
     def estimate(
         self, request: SchedRequest, device_id: str, status: HeadPosition
@@ -160,15 +160,14 @@ class CameraStatusCostModel(SchedulingCostModel):
         from repro.scheduling.vector_cost import HAVE_NUMPY
         if not HAVE_NUMPY:
             return None
-        return _CameraColumnKernel(self, problem)
+        return _CameraColumnKernel(problem)
 
 
-def _random_head(rng: random.Random,
-                 calibration: CameraCalibration) -> HeadPosition:
+def _random_head(rng: random.Random) -> HeadPosition:
     return HeadPosition(
-        pan=rng.uniform(calibration.pan_min, calibration.pan_max),
-        tilt=rng.uniform(calibration.tilt_min, calibration.tilt_max),
-        zoom=rng.uniform(calibration.zoom_min, calibration.zoom_max),
+        pan=rng.uniform(CALIBRATION.pan_min, CALIBRATION.pan_max),
+        tilt=rng.uniform(CALIBRATION.tilt_min, CALIBRATION.tilt_max),
+        zoom=rng.uniform(CALIBRATION.zoom_min, CALIBRATION.zoom_max),
     )
 
 
@@ -181,22 +180,20 @@ def uniform_camera_workload(
     n_devices: int,
     seed: int = 0,
     *,
-    calibration: Optional[CameraCalibration] = None,
     estimate_noise: float = 0.0,
 ) -> Problem:
     """A Figure-4-style uniform workload: all cameras candidates."""
     if n_requests < 1 or n_devices < 1:
         raise SchedulingError("need at least one request and one device")
-    calibration = calibration or CameraCalibration()
     rng = random.Random(seed)
     device_ids = _camera_ids(n_devices)
-    initial_heads = {device_id: _random_head(rng, calibration)
+    initial_heads = {device_id: _random_head(rng)
                      for device_id in device_ids}
     requests = tuple(
         SchedRequest(
             request_id=f"req{i + 1}",
             candidates=device_ids,
-            payload=_random_head(rng, calibration),
+            payload=_random_head(rng),
         )
         for i in range(n_requests)
     )
@@ -204,8 +201,7 @@ def uniform_camera_workload(
         requests=requests,
         device_ids=device_ids,
         cost_model=CameraStatusCostModel(
-            initial_heads, calibration,
-            estimate_noise=estimate_noise, noise_seed=seed),
+            initial_heads, estimate_noise=estimate_noise, noise_seed=seed),
         label=f"uniform n={n_requests} m={n_devices} seed={seed}",
     )
 
@@ -215,8 +211,6 @@ def skewed_camera_workload(
     n_devices: int,
     skewness: float,
     seed: int = 0,
-    *,
-    calibration: Optional[CameraCalibration] = None,
 ) -> Problem:
     """A Figure-6-style skewed workload.
 
@@ -226,10 +220,9 @@ def skewed_camera_workload(
     """
     if not 0 < skewness <= 1:
         raise SchedulingError(f"skewness must be in (0, 1], got {skewness}")
-    calibration = calibration or CameraCalibration()
     rng = random.Random(seed)
     device_ids = _camera_ids(n_devices)
-    initial_heads = {device_id: _random_head(rng, calibration)
+    initial_heads = {device_id: _random_head(rng)
                      for device_id in device_ids}
     subset_size = max(1, round(skewness * n_devices))
     requests = []
@@ -241,12 +234,12 @@ def skewed_camera_workload(
         requests.append(SchedRequest(
             request_id=f"req{i + 1}",
             candidates=candidates,
-            payload=_random_head(rng, calibration),
+            payload=_random_head(rng),
         ))
     return Problem(
         requests=tuple(requests),
         device_ids=device_ids,
-        cost_model=CameraStatusCostModel(initial_heads, calibration),
+        cost_model=CameraStatusCostModel(initial_heads),
         label=(f"skewed n={n_requests} m={n_devices} "
                f"skew={skewness} seed={seed}"),
     )

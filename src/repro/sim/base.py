@@ -38,15 +38,11 @@ class Environment:
 
     def __init__(
         self,
-        start: float = 0.0,
         *,
         time_scale: float = 0.0,
         wall_clock: Callable[[], float] = time.monotonic,
         wall_sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if not start >= 0:  # also refuses NaN, which compares false
-            raise SimulationError(
-                f"clock cannot start at negative or NaN time {start}")
         if not 0 <= time_scale < math.inf:  # NaN as well
             raise SimulationError(
                 f"time_scale must be non-negative and finite, got "
@@ -56,7 +52,7 @@ class Environment:
         #: Monotonically non-decreasing and read-only by convention:
         #: only :meth:`step` and the closing advance of :meth:`run`
         #: assign it.
-        self.now = float(start)
+        self.now = 0.0
         #: Wall seconds per runtime second; 0 never paces.
         self.time_scale = time_scale
         self._wall_clock = wall_clock

@@ -34,10 +34,9 @@ class LockToken:
 class DeviceLockManager:
     """Per-device mutual exclusion for action execution."""
 
-    def __init__(self, env: Environment,
-                 obs: Optional[Observability] = None) -> None:
+    def __init__(self, env: Environment, obs: Observability) -> None:
         self.env = env
-        self.obs = obs if obs is not None else Observability()
+        self.obs = obs
         self._locks: Dict[str, SimLock] = {}
         # Per device: acquisitions, those that queued behind a holder,
         # and forced releases (lease expiry or explicit recovery).

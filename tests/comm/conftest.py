@@ -8,6 +8,7 @@ from repro.geometry import Point
 from repro.devices import MobilePhone, PanTiltZoomCamera, SensorMote
 from repro.comm import CommunicationLayer
 from repro.network import LinkModel
+from repro.obs import Observability
 from repro.profiles.defaults import register_builtin_types
 from repro.sim import Environment
 
@@ -41,7 +42,7 @@ def scripted_motes(mote_class, victim_index):
     the transport builds."""
     env = Environment()
     layer = CommunicationLayer(env, links=dict(LOSSLESS_LINKS),
-                               rng=random.Random(0))
+                               rng=random.Random(0), obs=Observability(env))
     register_builtin_types(layer)
     motes = [mote_class(env, f"mote{i}", Point(i, 0), noise_amplitude=0.0)
              for i in range(3)]
@@ -72,7 +73,7 @@ def env():
 @pytest.fixture
 def layer(env):
     layer = CommunicationLayer(env, links=dict(LOSSLESS_LINKS),
-                               rng=random.Random(0))
+                               rng=random.Random(0), obs=Observability(env))
     register_builtin_types(layer)
     return layer
 

@@ -1,6 +1,7 @@
 """ConnectionPool: keep-alive reuse, expiry, one channel per device,
 invalidation."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -9,7 +10,6 @@ from repro import PanTiltZoomCamera, Point, SensorMote
 from repro.comm import CommunicationLayer
 from repro.comm.pool import POOL_IDLE_SECONDS, ConnectionPool
 from repro.core.engine import statistics_view
-from repro.core.tracing import EngineTracer
 from repro.network.message import Message
 from repro.obs import Observability
 from repro.profiles.defaults import register_builtin_types
@@ -170,8 +170,9 @@ class TestStats:
     def test_size_gauge_follows_every_checkout(self, env):
         """``comm.pool.size`` is the number of parked channels after a
         hit and after an expiry, not only after a park."""
-        obs = Observability(env, tracer=EngineTracer(), enabled=True)
-        layer = CommunicationLayer(env, links=dict(LOSSLESS_LINKS), obs=obs)
+        obs = Observability(env, enabled=True)
+        layer = CommunicationLayer(env, links=dict(LOSSLESS_LINKS),
+                                   rng=random.Random(0), obs=obs)
         register_builtin_types(layer)
         camera = PanTiltZoomCamera(env, "cam1", Point(0, 0))
         layer.add_device(camera)

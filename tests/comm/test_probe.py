@@ -10,6 +10,7 @@ from repro.devices import SensorMote
 from repro.devices.health import BreakerState, DeviceHealthTracker, HealthPolicy
 from repro.errors import DeviceError
 from repro.network.message import Message, Response
+from repro.obs import Observability
 from tests.comm.conftest import run, scripted_motes
 
 
@@ -277,7 +278,8 @@ def test_phone_out_of_coverage_probes_unavailable(env, layer, lab):
 
 def test_coverage_dropout_quarantines_then_readmits_phone(env, layer, lab):
     health = DeviceHealthTracker(
-        env, HealthPolicy(failure_threshold=2, quarantine_seconds=5.0))
+        env, HealthPolicy(failure_threshold=2, quarantine_seconds=5.0),
+        obs=Observability(env))
     layer.prober.health = health
     phone = lab["phone1"]
     phone.leave_coverage()

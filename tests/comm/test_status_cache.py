@@ -10,11 +10,12 @@ from repro.comm.status_cache import (
     STATUS_TTL_SECONDS,
     DeviceStatusCache,
 )
+from repro.obs import Observability
 
 
 @pytest.fixture
 def cache(env):
-    return DeviceStatusCache(env)
+    return DeviceStatusCache(env, obs=Observability(env))
 
 
 def counted(cache, name):

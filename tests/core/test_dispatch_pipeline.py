@@ -27,6 +27,7 @@ from repro import (
 from repro.actions.request import ActionRequest, RequestState
 from repro.core.dispatcher import MAX_DISPATCHES, Dispatcher, _Batch
 from repro.errors import DeviceDownError
+from repro.obs import Observability
 from repro.overload import OverloadPolicy
 from repro.sync.locks import DeviceLockManager
 from tests.core.conftest import FIGURE_1, build_lab
@@ -234,14 +235,15 @@ class StubAction:
 
 def bare_dispatcher(**config):
     env = Environment()
+    obs = Observability(env)
     dispatcher = Dispatcher(env, comm=None, cost_model=None,
-                            locks=DeviceLockManager(env),
-                            config=EngineConfig(**config))
+                            locks=DeviceLockManager(env, obs),
+                            config=EngineConfig(**config), obs=obs)
     return env, dispatcher, StubAction(env)
 
 
 def counted(dispatcher, name):
-    """A count in a bare dispatcher's registry (its locks keep theirs)."""
+    """A count in a bare dispatcher's registry (shared with its locks)."""
     return dispatcher.obs.registry.totals().get(name, 0)
 
 
@@ -298,7 +300,7 @@ def test_partition_with_failover_requeues_and_keeps_the_full_set():
     assert dispatcher.completed == [spent]
     assert (batch.report.unschedulable, batch.report.failed_over) == (1, 1)
     assert [record["request"] for record
-            in dispatcher.tracer.of_kind("request_failed_over")] \
+            in dispatcher.obs.tracer.of_kind("request_failed_over")] \
         == [stranded.request_id]
 
 
@@ -325,7 +327,7 @@ def test_service_ends_each_request_when_it_completes():
     assert (batch.report.serviced, batch.report.failed,
             batch.report.attempts, batch.report.retries) == (3, 0, 3, 0)
     assert [record.at for record
-            in dispatcher.tracer.of_kind("request_serviced")] \
+            in dispatcher.obs.tracer.of_kind("request_serviced")] \
         == [1.0, 1.0, 2.0]
     assert counted(dispatcher.locks, "lock.acquisitions") == 3
     assert not dispatcher.locks.is_locked("d1")
@@ -367,7 +369,7 @@ def test_service_drains_a_dead_devices_queue():
         == [running, movable]
     assert movable.candidates == ("d2",)
     assert dispatcher.completed == [stuck]
-    [record] = dispatcher.tracer.of_kind("request_failed")
+    [record] = dispatcher.obs.tracer.of_kind("request_failed")
     assert record["device"] == "d1"
     assert "failed while request was queued" in record["reason"]
     assert (batch.report.serviced, batch.report.failed,

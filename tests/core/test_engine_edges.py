@@ -43,7 +43,8 @@ def test_disable_actually_pauses_detection(engine):
 
 
 def test_clock_rejects_backwards_motion():
-    env = Environment(5.0)
+    env = Environment()
+    env.run(until=5.0)
     env.event().succeed()
     env.step()  # same time is fine
     assert env.now == 5.0

@@ -56,7 +56,7 @@ def run_batches(config, batches, scalar=False, n_cameras=4):
             submit_photo(engine, candidates, request_id=f"r{n}", x=x)
         drive(engine, until=300.0 * (round_index + 1))
     trace = [(record.at, record.kind, dict(record.fields))
-             for record in engine.dispatcher.tracer]
+             for record in engine.dispatcher.obs.tracer]
     return engine, trace
 
 

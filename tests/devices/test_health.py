@@ -5,12 +5,12 @@ import math
 import pytest
 
 from repro.errors import DeviceError
-from repro.core.tracing import EngineTracer
 from repro.devices.health import (
     BreakerState,
     DeviceHealthTracker,
     HealthPolicy,
 )
+from repro.obs import Observability
 from repro.sim import Environment
 
 
@@ -18,9 +18,9 @@ POLICY = HealthPolicy(failure_threshold=3, quarantine_seconds=10.0,
                       backoff_factor=2.0, quarantine_max=35.0)
 
 
-def make_tracker(tracer=None):
+def make_tracker():
     env = Environment()
-    return env, DeviceHealthTracker(env, POLICY, tracer=tracer)
+    return env, DeviceHealthTracker(env, POLICY, obs=Observability(env))
 
 
 def counted(tracker, name):
@@ -131,8 +131,8 @@ def test_breakers_are_per_device():
 
 
 def test_tracer_records_quarantine_lifecycle():
-    tracer = EngineTracer()
-    env, tracker = make_tracker(tracer=tracer)
+    env, tracker = make_tracker()
+    tracer = tracker.obs.tracer
     for _ in range(POLICY.failure_threshold):
         tracker.record_failure("cam1", reason="probe connect")
     env.run(until=POLICY.quarantine_seconds + 0.1)

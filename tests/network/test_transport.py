@@ -8,6 +8,7 @@ from repro.errors import CommunicationError, ConnectionTimeoutError
 from repro.geometry import Point
 from repro.devices import PanTiltZoomCamera, SensorMote
 from repro.network import LinkModel, Message, Transport
+from repro.obs import Observability
 from repro.sim import Environment
 
 LOSSLESS = {
@@ -18,7 +19,8 @@ LOSSLESS = {
 
 def setup():
     env = Environment()
-    transport = Transport(env, links=dict(LOSSLESS), rng=random.Random(0))
+    transport = Transport(env, links=dict(LOSSLESS), rng=random.Random(0),
+                          obs=Observability(env))
     camera = PanTiltZoomCamera(env, "cam1", Point(0, 0))
     return env, transport, camera
 
@@ -68,7 +70,8 @@ def test_connect_invalid_timeout_rejected():
 
 def test_unregistered_device_type_rejected():
     env = Environment()
-    transport = Transport(env, links={})
+    transport = Transport(env, links={}, rng=random.Random(0),
+                          obs=Observability(env))
     camera = PanTiltZoomCamera(env, "cam1", Point(0, 0))
     with pytest.raises(CommunicationError, match="no link model"):
         transport.link_for(camera)
@@ -173,6 +176,7 @@ def test_lossy_link_times_out_sometimes():
         env,
         links={"sensor": LinkModel(latency_seconds=0.02, loss_rate=0.5)},
         rng=random.Random(3),
+        obs=Observability(env),
     )
     mote = SensorMote(env, "m1", Point(0, 0))
     outcomes = []

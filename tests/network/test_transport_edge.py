@@ -8,6 +8,7 @@ from repro.errors import ConnectionTimeoutError
 from repro.geometry import Point
 from repro.devices import PanTiltZoomCamera
 from repro.network import LinkModel, Message, Transport
+from repro.obs import Observability
 from repro.sim import Environment
 
 
@@ -15,7 +16,7 @@ def setup():
     env = Environment()
     transport = Transport(
         env, links={"camera": LinkModel(latency_seconds=0.01)},
-        rng=random.Random(0))
+        rng=random.Random(0), obs=Observability(env))
     camera = PanTiltZoomCamera(env, "cam1", Point(0, 0))
     return env, transport, camera
 
@@ -73,7 +74,7 @@ def test_handshake_slower_than_timeout_fails():
     # 0.3 s one-way latency but only 0.1 s of patience.
     transport = Transport(
         env, links={"camera": LinkModel(latency_seconds=0.3)},
-        rng=random.Random(0))
+        rng=random.Random(0), obs=Observability(env))
     camera = PanTiltZoomCamera(env, "cam1", Point(0, 0))
 
     def proc(env):

@@ -2,7 +2,6 @@
 
 import json
 
-from repro.core.tracing import EngineTracer
 from repro.obs import (
     Histogram,
     MetricsRegistry,
@@ -25,7 +24,7 @@ def small_registry():
 
 def traced_obs():
     env = Environment()
-    obs = Observability(env, tracer=EngineTracer(), enabled=True)
+    obs = Observability(env, enabled=True)
     with obs.span("run"):
         with obs.span("batch", action="photo"):
             env.run(until=1.5)
@@ -83,6 +82,6 @@ class TestSpanExport:
         assert parsed["spans"] == spans
 
     def test_empty_tracer_exports_empty(self):
-        tracer = EngineTracer()
+        tracer = Observability(Environment()).tracer
         assert span_records(tracer) == []
         assert span_tree_text(tracer) == ""

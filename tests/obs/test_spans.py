@@ -11,7 +11,7 @@ from repro.sync.locks import DeviceLockManager, LockToken
 
 def make_obs():
     env = Environment()
-    return Observability(env, tracer=EngineTracer(), enabled=True), env
+    return Observability(env, enabled=True), env
 
 
 def span_record(obs, name):
@@ -98,11 +98,16 @@ class TestGuards:
             obs.span("work", start=1.0)
 
     def test_enabled_needs_env_and_tracer(self):
-        with pytest.raises(AortaError, match="needs an environment"):
+        """The environment is required and the tracer is the sink's
+        own, so an enabled sink always has both."""
+        with pytest.raises(TypeError):
             Observability(enabled=True)
+        obs, _ = make_obs()
+        assert isinstance(obs.tracer, EngineTracer)
+        assert obs.tracer is not Observability(Environment()).tracer
 
     def test_disabled_span_is_shared_noop(self):
-        obs = Observability()
+        obs = Observability(Environment())
         assert obs.span("work", x=1) is obs.span("other")
         with obs.span("work"):
             pass
@@ -111,7 +116,7 @@ class TestGuards:
     def test_disabled_metrics_are_noops(self):
         """Timings and levels are inert when disabled; counters are the
         engine's state and always count."""
-        obs = Observability()
+        obs = Observability(Environment())
         obs.family(Histogram, "h")[()].observe(1.0)
         obs.family(Histogram, "hs", "kind")["a"].observe(1.0)
         obs.family(Gauge, "gs", "kind")["a"].set(1.0)
@@ -120,10 +125,11 @@ class TestGuards:
         assert obs.registry.snapshot()["counters"] == {"c": 1.0}
 
     def test_components_built_bare_count_apart(self):
-        """Each bare component owns a registry: nothing leaks from one
-        into another."""
+        """Components handed two sinks count apart: nothing leaks from
+        one into another."""
         env = Environment()
-        first, second = DeviceLockManager(env), DeviceLockManager(env)
+        first, second = (DeviceLockManager(env, Observability(env))
+                         for _ in range(2))
         env.process(first.acquire("cam1", LockToken("r1")))
         env.run()
         assert first.obs.registry.totals() == {"lock.acquisitions": 1.0}

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from repro.actions.builtins import builtin_definitions
 from repro.actions.request import ActionRequest, RequestState
 from repro.core.dispatcher import _service_order
-from repro.core.tracing import EngineTracer
 from repro.errors import QueueFullError
+from repro.obs import Observability
 from repro.overload import LoadShedder, OverloadPolicy
 from repro.overload.shedding import (
     REASON_DEADLINE,
@@ -37,10 +37,11 @@ class Harness:
         photo = next(d for d in builtin_definitions() if d.name == "photo")
         self.operator = SharedActionOperator(photo)
         self.shed_log = []
-        self.tracer = EngineTracer()
+        obs = Observability(self.env)
+        self.tracer = obs.tracer
         self.shedder = LoadShedder(
             self.env, policy, operators=lambda: [self.operator],
-            shed=self._shed, tracer=self.tracer)
+            shed=self._shed, obs=obs)
 
     def _shed(self, request, reason):
         request.mark_shed(self.env.now, reason)

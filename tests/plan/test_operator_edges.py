@@ -1,9 +1,12 @@
 """Edge cases of the relational plan operators."""
 
+import random
+
 import pytest
 
 from repro.errors import PlanError, ProfileError, QueryError
 from repro.comm.layer import CommunicationLayer
+from repro.obs import Observability
 from repro.plan.operators import JoinOp, TableScanOp
 from repro.profiles.defaults import (
     camera_catalog,
@@ -54,7 +57,9 @@ def test_filter_non_boolean_predicate_rejected():
 
 
 def test_device_type_registration_validation():
-    layer = CommunicationLayer(Environment())
+    env = Environment()
+    layer = CommunicationLayer(env, rng=random.Random(0),
+                               obs=Observability(env))
     with pytest.raises(ProfileError, match="cost\\s+table is for"):
         layer.register_device_type(camera_catalog(), sensor_cost_table(),
                                    probe_timeout=1.0)

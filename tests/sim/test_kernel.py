@@ -17,16 +17,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_custom_start():
-    env = Environment(start=5.0)
-    assert env.now == 5.0
-
-
-def test_negative_start_rejected():
-    with pytest.raises(SimulationError):
-        Environment(start=-1.0)
-
-
 def test_timeout_advances_clock():
     env = Environment()
 
@@ -100,7 +90,8 @@ def test_run_until_stops_clock():
 
 
 def test_run_until_past_raises():
-    env = Environment(start=5.0)
+    env = Environment()
+    env.run(until=5.0)
     with pytest.raises(SimulationError):
         env.run(until=1.0)
 
@@ -147,8 +138,6 @@ def test_run_until_nan_is_refused_and_leaves_the_clock():
     with pytest.raises(SimulationError, match="nan"):
         env.run(until=NAN)
     assert env.now == 0.0
-    with pytest.raises(SimulationError, match="nan"):
-        Environment(start=NAN)
 
 
 def test_process_returns_value_via_yield():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import Observability
 from repro.sim import Environment
 from repro.sync import DeviceLockManager, LockToken
 
@@ -19,7 +20,7 @@ def test_tokens_are_unique():
 
 def test_acquire_release_cycle():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
     token = LockToken("req1")
 
     def proc(env):
@@ -34,7 +35,7 @@ def test_acquire_release_cycle():
 
 def test_second_action_waits_for_unlock():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
     serviced = []
 
     def action(env, name, hold):
@@ -52,7 +53,7 @@ def test_second_action_waits_for_unlock():
 
 def test_locks_are_per_device():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
     serviced = []
 
     def action(env, device, name):
@@ -71,7 +72,7 @@ def test_locks_are_per_device():
 
 def test_contention_counters():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
 
     def action(env, name, hold):
         token = LockToken(name)
@@ -88,7 +89,7 @@ def test_contention_counters():
 
 def test_release_by_non_holder_rejected():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
     token = LockToken("a")
 
     def proc(env):
@@ -103,7 +104,7 @@ def test_release_by_non_holder_rejected():
 
 def test_cancel_queued_request():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
     waiter_token = LockToken("waiter")
     holder_token = LockToken("holder")
 
@@ -125,7 +126,7 @@ def test_cancel_queued_request():
 
 def test_recover_frees_a_dead_holders_lock():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
     dead_token = LockToken("dead")
     serviced = []
 
@@ -154,14 +155,14 @@ def test_recover_frees_a_dead_holders_lock():
 
 def test_recover_on_free_lock_is_a_noop():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
     assert manager.recover("cam1") is None
     assert counted(manager, "recoveries") == 0
 
 
 def test_lease_expiry_auto_recovers_the_lock():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
     serviced = []
 
     def dead_holder(env):
@@ -184,7 +185,7 @@ def test_lease_expiry_auto_recovers_the_lock():
 
 def test_release_after_recovery_is_silent():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
     slow_token = LockToken("slow")
     serviced = []
 
@@ -211,7 +212,7 @@ def test_release_after_recovery_is_silent():
 
 def test_lease_does_not_fire_after_normal_release():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
 
     def holder(env):
         token = LockToken("holder")
@@ -236,7 +237,7 @@ def test_lease_does_not_fire_after_normal_release():
 
 def test_queue_length_reporting():
     env = Environment()
-    manager = DeviceLockManager(env)
+    manager = DeviceLockManager(env, Observability(env))
 
     def holder(env):
         token = LockToken("holder")

@@ -74,6 +74,28 @@ def test_a_worker_backend_is_no_flag(command_line, capsys):
     assert "--parallel-backend" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command_line", [
+    "--demo --shards 2 --parallel --parallel-backend thread",
+    "metrics --shards 2 --parallel --parallel-backend thread",
+    "--parallel-backend thread --demo",
+])
+def test_an_unknown_option_with_a_separate_value_is_named(
+        command_line, capsys):
+    # argparse took the stray value for the subcommand and reported
+    # "invalid choice: 'thread'".
+    with pytest.raises(SystemExit) as refusal:
+        main(command_line.split())
+    assert refusal.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --parallel-backend" in err
+    assert "invalid choice" not in err
+
+
+def test_an_abbreviated_option_still_parses(capsys):
+    assert main(["--vers"]) == 0
+    assert capsys.readouterr().out.strip() == repro.__version__
+
+
 @pytest.mark.parametrize("command_line, complaint", [
     ("--demo --shards 0", "shards >= 1"),
     ("metrics --shards -2", "shards >= 1"),

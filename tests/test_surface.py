@@ -1,10 +1,11 @@
-"""Keeps eight descriptions of the tree honest: every definition under
+"""Keeps ten descriptions of the tree honest: every definition under
 ``src/repro`` has a caller that is not a test, every config field has a
-second value in use outside ``tests/``, no two functions share a body,
-a runtime's ``now`` is assigned only by the kernel, a device channel is
-checked out in one place, the comm layer starts no process, only
-loops start processes (``core/``'s two among them), and DESIGN.md's
-module map is the tree."""
+second value in use outside ``tests/``, every parameter with a default
+is passed by some call, no component defaults its sink, no two
+functions share a body, a runtime's ``now`` is assigned only by the
+kernel, a device channel is checked out in one place, the comm layer
+starts no process, only loops start processes (``core/``'s two among
+them), and DESIGN.md's module map is the tree."""
 
 import ast
 import copy
@@ -21,6 +22,7 @@ from repro import EngineConfig, HealthPolicy, RetryPolicy
 from repro.core.tracing import EngineTracer
 from repro.obs.metrics import Histogram
 from repro.overload import OverloadPolicy, TierRate
+from repro.sim import Environment
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -359,6 +361,7 @@ def test_the_option_allow_list_is_short_reasoned_and_not_stale():
         "backoff_max")] + [
     (HealthPolicy, "probation_successes")] + [
     (EngineTracer, name) for name in ("max_records", "strict")] + [
+    (Environment, "start")] + [
     (OverloadPolicy, name) for name in (
         "registration_rates", "capacity_horizon", "utilization_cap",
         "capacity_protect_tier", "default_service_seconds",
@@ -369,6 +372,212 @@ def test_a_constant_is_no_keyword(cls, name):
     a value that became a constant cannot be passed."""
     with pytest.raises(TypeError):
         cls(**{name: None})
+
+
+#: Where a caller of an optional parameter may live: any tree, tests
+#: included (a test may exercise the second value of a real option).
+ALL_TREES = CALLER_TREES + (ROOT / "tests",)
+
+
+@lru_cache(maxsize=None)
+def _all_modules():
+    """Path -> parsed module, for every file in ``ALL_TREES``."""
+    modules = dict(_modules())
+    modules.update((path, ast.parse(path.read_text()))
+                   for path in sorted((ROOT / "tests").rglob("*.py")))
+    return modules
+
+
+def _optional_parameters(function, is_method):
+    """``[(name, position or None)]`` of ``function``'s parameters that
+    have a default; ``position`` is the index a positional argument
+    lands on (``self`` / ``cls`` not counted), None for keyword-only."""
+    arguments = function.args
+    positional = [*arguments.posonlyargs, *arguments.args]
+    if is_method and not any(getattr(decorator, "id", None) == "staticmethod"
+                             for decorator in function.decorator_list):
+        positional = positional[1:]
+    first_default = len(positional) - len(arguments.defaults)
+    optional = [(parameter.arg, index)
+                for index, parameter in enumerate(positional)
+                if index >= first_default]
+    optional += [(parameter.arg, None) for parameter, default in zip(
+        arguments.kwonlyargs, arguments.kw_defaults) if default is not None]
+    return optional
+
+
+def _walk_scoped(node, function=None, cls=None):
+    """``(node, innermost enclosing def, innermost enclosing class)``
+    for every node under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield child, function, cls
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _walk_scoped(child, child, cls)
+        elif isinstance(child, ast.ClassDef):
+            yield from _walk_scoped(child, None, child)
+        else:
+            yield from _walk_scoped(child, function, cls)
+
+
+@lru_cache(maxsize=None)
+def _never_passed():
+    """``module:Qualified.name(parameter)`` for every parameter with a
+    default under ``src/repro`` that no call in ``ALL_TREES`` passes.
+
+    A call is matched by callee name, as the decision 23 scan matches
+    definitions: a function's own name; for ``__init__``, its class's
+    name, the name of a subclass that inherits that ``__init__``, a
+    ``super().__init__`` in a subclass, or ``cls(...)`` in the class.
+    It passes a parameter by keyword, by position, or through ``*`` /
+    ``**`` unpacking (which may reach any). A value that is the
+    enclosing ``src/`` function's own optional parameter of that name
+    is a pass-through: it counts only if that parameter is passed.
+    Skipped: ``op_*`` device handlers, which ``Device.execute``
+    dispatches on an f-string with the action's arguments as keywords.
+    """
+    modules = _all_modules()
+    classes, defs = {}, []
+    for path, module in modules.items():
+        if SRC not in path.parents:
+            continue
+        for node, _, cls in _walk_scoped(module):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("op_")):
+                optional = _optional_parameters(node, cls is not None)
+                if optional:
+                    defs.append((path, cls, node, optional))
+
+    def base_names(cls):
+        return [getattr(base, "id", getattr(base, "attr", None))
+                for base in cls.bases]
+
+    def defines_init(cls):
+        return any(isinstance(member, ast.FunctionDef)
+                   and member.name == "__init__" for member in cls.body)
+
+    def init_owner(name):
+        """The class whose ``__init__`` a call of class ``name`` runs."""
+        while name in classes and not defines_init(classes[name]):
+            bases = [base for base in base_names(classes[name])
+                     if base in classes]
+            if not bases:
+                return None
+            name = bases[0]
+        return name if name in classes else None
+
+    calls = {}
+    for path, module in modules.items():
+        for node, function, cls in _walk_scoped(module):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if (name == "__init__" and isinstance(func.value, ast.Call)
+                    and getattr(func.value.func, "id", None) == "super"
+                    and cls is not None):
+                owners = {init_owner(base) for base in base_names(cls)}
+                keys = [("__init__", owner) for owner in owners if owner]
+            elif name == "cls" and cls is not None:
+                keys = [("__init__", init_owner(cls.name))]
+            elif name in classes:
+                keys = [("__init__", init_owner(name))]
+            else:
+                keys = [(name, None)]
+            for key in keys:
+                calls.setdefault(key, []).append((node, function))
+
+    key_of = {}
+    for path, cls, function, optional in defs:
+        if cls is not None and function.name == "__init__":
+            key_of[id(function)] = ("__init__", cls.name)
+        else:
+            key_of[id(function)] = (function.name, None)
+    optional_of = {id(function): {name for name, _ in optional}
+                   for _, _, function, optional in defs}
+
+    def value_passed(call, name, position):
+        for keyword in call.keywords:
+            if keyword.arg == name:
+                return keyword.value
+            if keyword.arg is None:
+                return keyword.value
+        if position is not None:
+            for index, argument in enumerate(call.args):
+                if isinstance(argument, ast.Starred):
+                    return argument
+                if index == position:
+                    return argument
+        return None
+
+    # (def id, parameter) -> the pass-throughs that would pass it
+    direct, through = set(), {}
+    for path, cls, function, optional in defs:
+        for name, position in optional:
+            for call, caller in calls.get(key_of[id(function)], ()):
+                value = value_passed(call, name, position)
+                if value is None:
+                    continue
+                if (isinstance(value, ast.Name) and caller is not None
+                        and value.id in optional_of.get(id(caller), ())):
+                    through.setdefault((id(function), name), []).append(
+                        (id(caller), value.id))
+                else:
+                    direct.add((id(function), name))
+    passed, grew = set(direct), True
+    while grew:
+        grew = False
+        for target, sources in through.items():
+            if target not in passed and any(source in passed
+                                            for source in sources):
+                passed.add(target)
+                grew = True
+
+    def qualified(path, cls, function):
+        owner = f"{cls.name}." if cls is not None else ""
+        return f"{path.relative_to(SRC)}:{owner}{function.name}"
+
+    return sorted(f"{qualified(path, cls, function)}({name})"
+                  for path, cls, function, optional in defs
+                  for name, _ in optional
+                  if (id(function), name) not in passed)
+
+
+def test_every_optional_parameter_is_passed_by_some_caller():
+    """The option rule for every signature (DESIGN decision 24): a
+    default that every caller takes is a constant, and the branch the
+    other value selects has no caller."""
+    assert _never_passed() == []
+
+
+#: The parameters that carry the engine's one sink.
+SINK_PARAMETERS = ("obs", "tracer")
+
+
+def test_no_component_defaults_its_sink():
+    """The engine's one ``Observability`` is handed to every component
+    (DESIGN decision 23): no ``obs`` or ``tracer`` parameter has a
+    default to fall back on a private sink, and only ``Observability``
+    builds an ``EngineTracer``."""
+    defaulted, tracers = [], []
+    for path, module in _modules().items():
+        if SRC not in path.parents:
+            continue
+        for node, function, cls in _walk_scoped(module):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaulted += [
+                    f"{path.relative_to(SRC)}:{node.name}({name})"
+                    for name, _ in _optional_parameters(node, cls is not None)
+                    if name in SINK_PARAMETERS]
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(
+                      node.func, "attr", None)) == "EngineTracer"):
+                tracers.append(f"{path.relative_to(SRC)}:"
+                               f"{getattr(cls, 'name', '')}."
+                               f"{getattr(function, 'name', '')}")
+    assert defaulted == []
+    assert tracers == ["obs/spans.py:Observability.__init__"]
 
 
 def _normalized_body(function):
