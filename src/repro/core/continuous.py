@@ -83,6 +83,19 @@ class _CandidateSets:
     devices: List[Device]
     static: List[Dict[str, Any]]
     sets: Dict[_CandidateKey, Tuple[str, ...]] = field(default_factory=dict)
+    interned: Dict[Tuple[str, ...], Tuple[str, ...]] = field(
+        default_factory=dict)
+
+    def intern(self, candidates: Tuple[str, ...]) -> Tuple[str, ...]:
+        """The table's one tuple equal to ``candidates``.
+
+        A request keeps its candidate set for life, so equal sets built
+        for different events (every camera covering every mote)
+        would otherwise be that many copies.
+        """
+        if len(self.interned) >= _CANDIDATE_SETS_LIMIT:
+            self.interned.clear()
+        return self.interned.setdefault(candidates, candidates)
 
 
 class ContinuousQueryExecutor:
@@ -488,7 +501,8 @@ class ContinuousQueryExecutor:
                 [device.static_attributes() for device in devices])
         predicate = plan.candidate_predicate
         if predicate is None:
-            return tuple(device.device_id for device in table.devices)
+            return table.intern(tuple(
+                device.device_id for device in table.devices))
         if not query.candidate_analysed:
             query.candidate_event_refs = self._event_refs(plan, predicate)
             query.candidate_analysed = True
@@ -501,14 +515,14 @@ class ContinuousQueryExecutor:
             if cached is not None:
                 return cached
         now = self.env.now
-        candidates = tuple(
+        candidates = table.intern(tuple(
             device.device_id
             for device, row in zip(table.devices, table.static)
             if evaluate(predicate, event_context.bind(
                 plan.device_alias,
                 DeviceTuple(device_type=device.device_type,
                             device_id=device.device_id,
-                            values=row, acquired_at=now))))
+                            values=row, acquired_at=now)))))
         if key is not None:
             if len(table.sets) >= _CANDIDATE_SETS_LIMIT:
                 table.sets.clear()  # e.g. event devices that keep moving

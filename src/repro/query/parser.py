@@ -27,6 +27,15 @@ Each pair of levels with one associativity is parsed by one loop:
 ``expr`` builds one n-ary ``BooleanOp`` per AND / OR chain (a
 parenthesised group stays a nested node), ``arith`` folds both
 arithmetic levels to the left.
+
+The parser walks the statement's token texts (``token_texts``, one
+``re.findall``) and reads a token's kind from its text only where the
+grammar asks: a word is upper-cased and looked up in ``KEYWORDS``, a
+number is known by its first character, a string by its quote. No
+check accepts the catch-all text of a character no token can start,
+so such a statement always reaches an error. Errors take their line,
+column and normalized text from ``tokenize``, which re-lexes the
+statement and raises first if it holds a bad character anywhere.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from repro.query.ast import (
     Statement,
     TableRef,
 )
-from repro.query.tokens import Token, TokenKind, tokenize
+from repro.query.tokens import KEYWORDS, Token, token_texts, tokenize
 
 #: Comparison operator text -> the op the AST stores (``!=`` is
 #: ``<>``). Storing these constants, not the token's text, keeps one
@@ -78,55 +87,72 @@ def _column(qualifier: str, name: str) -> ColumnRef:
     return ref
 
 
+def _is_identifier(text: str) -> bool:
+    """A word (it starts with a letter or ``_``) that is no keyword."""
+    first = text[:1]
+    return ((first.isalpha() or first == "_")
+            and text.upper() not in KEYWORDS)
+
+
+def _is_string(text: str) -> bool:
+    """A quoted literal; a lone quote is the unterminated catch-all."""
+    first = text[:1]
+    return (first == "'" or first == '"') and len(text) > 1
+
+
 class _Parser:
-    def __init__(self, tokens: List[Token]) -> None:
-        self._tokens = tokens
+    def __init__(self, text: str) -> None:
+        self._text = text
+        self._texts = token_texts(text)
         self._position = 0
-        self.current = tokens[0]
+        self.current = self._texts[0]
 
     # ------------------------------------------------------------------
     # Token plumbing
     # ------------------------------------------------------------------
-    def _advance(self) -> Token:
-        token = self.current
-        if token.kind is not TokenKind.END:
-            self._position += 1
-            self.current = self._tokens[self._position]
-        return token
+    def _advance(self) -> str:
+        """Step past the current text (never END: no check accepts "")."""
+        text = self.current
+        self._position += 1
+        self.current = self._texts[self._position]
+        return text
+
+    def _token(self, position: int) -> Token:
+        """The positioned token at ``position``, for an error.
+
+        ``tokenize`` raises instead if the text holds a bad character
+        anywhere, which wins over the grammar error being reported.
+        """
+        return tokenize(self._text)[position]
 
     def _error(self, message: str) -> ParseError:
-        token = self.current
+        token = self._token(self._position)
         found = token.text or "end of input"
         return ParseError(f"{message}, found {found!r}",
                           line=token.line, column=token.column)
 
-    def _expect_keyword(self, word: str) -> Token:
-        if not self.current.is_keyword(word):
+    def _expect_keyword(self, word: str) -> None:
+        if self.current.upper() != word:
             raise self._error(f"expected {word}")
-        return self._advance()
+        self._advance()
 
     def _expect_identifier(self) -> str:
-        if self.current.kind is not TokenKind.IDENTIFIER:
+        if not _is_identifier(self.current):
             raise self._error("expected an identifier")
-        return self._advance().text
+        return self._advance()
 
     def _expect_punct(self, char: str) -> None:
-        if not (self.current.kind is TokenKind.PUNCTUATION
-                and self.current.text == char):
+        if self.current != char:
             raise self._error(f"expected {char!r}")
         self._advance()
 
     def _expect_string(self) -> str:
-        if self.current.kind is not TokenKind.STRING:
+        if not _is_string(self.current):
             raise self._error("expected a string literal")
-        return self._advance().text
-
-    def _at_punct(self, char: str) -> bool:
-        return (self.current.kind is TokenKind.PUNCTUATION
-                and self.current.text == char)
+        return self._advance()[1:-1]
 
     def _accept_punct(self, char: str) -> bool:
-        if self._at_punct(char):
+        if self.current == char:
             self._advance()
             return True
         return False
@@ -135,27 +161,29 @@ class _Parser:
     # Statements
     # ------------------------------------------------------------------
     def parse_statement(self) -> Statement:
-        if self.current.is_keyword("EXPLAIN"):
+        word = self.current.upper()
+        if word == "EXPLAIN":
             self._advance()
             return ExplainStatement(target=self.parse_statement())
-        if self.current.is_keyword("CREATE"):
+        if word == "CREATE":
             self._advance()
-            if self.current.is_keyword("ACTION"):
+            word = self.current.upper()
+            if word == "ACTION":
                 return self._create_action()
-            if self.current.is_keyword("AQ"):
+            if word == "AQ":
                 return self._create_aq()
             raise self._error("expected ACTION or AQ after CREATE")
-        if self.current.is_keyword("DROP"):
+        if word == "DROP":
             self._advance()
             self._expect_keyword("AQ")
             return DropAQStatement(name=self._expect_identifier())
-        if self.current.is_keyword("SELECT"):
+        if word == "SELECT":
             return self._select()
         raise self._error("expected CREATE, DROP or SELECT")
 
     def finish(self, statement: Statement) -> Statement:
         self._accept_punct(";")
-        if self.current.kind is not TokenKind.END:
+        if self.current:
             raise self._error("unexpected trailing input")
         return statement
 
@@ -164,7 +192,7 @@ class _Parser:
         name = self._expect_identifier()
         self._expect_punct("(")
         parameters: List[ActionParameterDecl] = []
-        if not self._at_punct(")"):
+        if self.current != ")":
             while True:
                 type_name = self._expect_identifier()
                 param_name = self._expect_identifier()
@@ -196,37 +224,38 @@ class _Parser:
         while self._accept_punct(","):
             tables.append(self._table_ref())
         where: Optional[Expression] = None
-        if self.current.is_keyword("WHERE"):
+        if self.current.upper() == "WHERE":
             self._advance()
             where = self.parse_expression()
-        aliases = [table.alias for table, _token in tables]
+        aliases = [table.alias for table, _position in tables]
         duplicates = {a for a in aliases if aliases.count(a) > 1}
         if duplicates:
-            repeat = next(token for k, (table, token) in enumerate(tables)
-                          if table.alias in aliases[:k])
+            repeat = self._token(next(
+                position for k, (table, position) in enumerate(tables)
+                if table.alias in aliases[:k]))
             raise ParseError(
                 f"duplicate table alias(es): {sorted(duplicates)}",
                 line=repeat.line, column=repeat.column)
         return SelectQuery(select_items=tuple(items),
-                           tables=tuple(table for table, _token in tables),
+                           tables=tuple(table for table, _position in tables),
                            where=where)
 
     def _select_item(self) -> Expression:
-        if self._at_punct("*"):
-            self._advance()
+        if self._accept_punct("*"):
             return Star()
         return self.parse_expression()
 
-    def _table_ref(self) -> Tuple[TableRef, Token]:
-        """A FROM entry, and the token that names its alias."""
-        token = self.current
-        table = self._expect_identifier()
-        if self.current.kind is TokenKind.IDENTIFIER:
-            token = self._advance()
-        ref = _TABLES.get((table, token.text))
+    def _table_ref(self) -> Tuple[TableRef, int]:
+        """A FROM entry, and the position of the text naming its alias."""
+        position = self._position
+        table = alias = self._expect_identifier()
+        if _is_identifier(self.current):
+            position = self._position
+            alias = self._advance()
+        ref = _TABLES.get((table, alias))
         if ref is None:
-            ref = _TABLES[table, token.text] = TableRef(table, token.text)
-        return ref, token
+            ref = _TABLES[table, alias] = TableRef(table, alias)
+        return ref, position
 
     # ------------------------------------------------------------------
     # Expressions
@@ -235,11 +264,12 @@ class _Parser:
         """OR of ANDs in one loop; each chain is one flat BooleanOp."""
         arms: List[Expression] = []
         conjuncts = [self._not_expr()]
-        while self.current.kind is TokenKind.KEYWORD:
-            if self.current.text == "AND":
+        while True:
+            word = self.current.upper()
+            if word == "AND":
                 self._advance()
                 conjuncts.append(self._not_expr())
-            elif self.current.text == "OR":
+            elif word == "OR":
                 self._advance()
                 arms.append(_n_ary("AND", conjuncts))
                 conjuncts = [self._not_expr()]
@@ -249,16 +279,14 @@ class _Parser:
         return _n_ary("OR", arms)
 
     def _not_expr(self) -> Expression:
-        token = self.current
-        if token.kind is TokenKind.KEYWORD and token.text == "NOT":
+        if self.current.upper() == "NOT":
             self._advance()
             return Not(self._not_expr())
         left = self._arith()
-        token = self.current
-        if token.kind is TokenKind.OPERATOR and token.text in _COMPARISON_OPS:
+        op = _COMPARISON_OPS.get(self.current)
+        if op is not None:
             self._advance()
-            return Comparison(op=_COMPARISON_OPS[token.text], left=left,
-                              right=self._arith())
+            return Comparison(op=op, left=left, right=self._arith())
         return left
 
     def _arith(self) -> Expression:
@@ -271,19 +299,15 @@ class _Parser:
         add_op = ""
         term = self._primary()
         while True:
-            token = self.current
-            if ((token.kind is TokenKind.PUNCTUATION and token.text == "*")
-                    or (token.kind is TokenKind.OPERATOR
-                        and token.text == "/")):
+            text = self.current
+            if text == "*" or text == "/":
                 self._advance()
-                term = Arithmetic(op=token.text, left=term,
-                                  right=self._primary())
-            elif (token.kind is TokenKind.OPERATOR
-                  and token.text in ("+", "-")):
+                term = Arithmetic(op=text, left=term, right=self._primary())
+            elif text == "+" or text == "-":
                 self._advance()
                 total = term if total is None else Arithmetic(
                     op=add_op, left=total, right=term)
-                add_op = token.text
+                add_op = text
                 term = self._primary()
             else:
                 break
@@ -292,39 +316,43 @@ class _Parser:
         return Arithmetic(op=add_op, left=total, right=term)
 
     def _primary(self) -> Expression:
-        token = self.current
-        kind = token.kind
-        if kind is TokenKind.IDENTIFIER:
-            self._advance()
-            if self._accept_punct("."):
-                return _column(token.text, self._expect_identifier())
-            if self._accept_punct("("):
-                args: List[Expression] = []
-                if not self._at_punct(")"):
-                    args.append(self.parse_expression())
-                    while self._accept_punct(","):
+        text = self.current
+        first = text[:1]
+        if first.isalpha() or first == "_":
+            word = text.upper()
+            if word not in KEYWORDS:
+                self._advance()
+                follow = self.current
+                if follow == ".":
+                    self._advance()
+                    return _column(text, self._expect_identifier())
+                if follow == "(":
+                    self._advance()
+                    args: List[Expression] = []
+                    if self.current != ")":
                         args.append(self.parse_expression())
-                self._expect_punct(")")
-                return FunctionCall(name=token.text, args=tuple(args))
-            return _column("", token.text)
-        if kind is TokenKind.NUMBER:
+                        while self._accept_punct(","):
+                            args.append(self.parse_expression())
+                    self._expect_punct(")")
+                    return FunctionCall(name=text, args=tuple(args))
+                return _column("", text)
+            if word == "TRUE" or word == "FALSE":
+                self._advance()
+                return Literal(word == "TRUE")
+        elif "0" <= first <= "9" or (first == "." and text != "."):
             self._advance()
-            text = token.text
             if "." in text or "e" in text or "E" in text:
                 return Literal(float(text))
             return Literal(int(text))
-        if kind is TokenKind.STRING:
+        elif _is_string(text):
             self._advance()
-            return Literal(token.text)
-        if kind is TokenKind.KEYWORD and token.text in ("TRUE", "FALSE"):
-            self._advance()
-            return Literal(token.text == "TRUE")
-        if kind is TokenKind.PUNCTUATION and token.text == "(":
+            return Literal(text[1:-1])
+        elif text == "(":
             self._advance()
             inner = self.parse_expression()
             self._expect_punct(")")
             return inner
-        if kind is TokenKind.OPERATOR and token.text == "-":
+        elif text == "-":
             self._advance()
             return Negate(self._primary())
         raise self._error("expected an expression")
@@ -339,14 +367,14 @@ def _n_ary(op: str, operands: List[Expression]) -> Expression:
 
 def parse(text: str) -> Statement:
     """Parse one statement (optionally ``;``-terminated)."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     return parser.finish(parser.parse_statement())
 
 
 def parse_expression(text: str) -> Expression:
     """Parse a standalone expression (for tests and tooling)."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     expression = parser.parse_expression()
-    if parser.current.kind is not TokenKind.END:
+    if parser.current:
         raise parser._error("unexpected trailing input")
     return expression

@@ -36,9 +36,6 @@ class Token(NamedTuple):
     line: int
     column: int
 
-    def is_keyword(self, word: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text == word.upper()
-
 
 #: Whitespace and ``--`` line comments before a token. When no token
 #: follows them, ``re`` backtracks into this prefix: a comment is only
@@ -46,24 +43,40 @@ class Token(NamedTuple):
 #: ``-``, so no shorter prefix lexes part of a comment as a token.
 _SKIP = r"(?:\s|--[^\n]*(?=\n|\Z))*"
 
-#: One match = the skipped prefix plus exactly one token; the group
-#: that matched names its kind. Numbers are ASCII digits only
+#: The tokens, one alternative per ``_KINDS`` entry: one match is the
+#: skipped prefix plus exactly one token. Numbers are ASCII digits only
 #: (``str.isdigit`` would also take ``²`` or ``٣``).
-_TOKEN = re.compile(_SKIP + r"""(?:
-    ([A-Za-z_]\w*)                                       # 1 word
-  | ([^\W\d\x00-\x7f]\w*)                                # 2 word (a letter?)
-  | ((?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)  # 3 number
-  | ('[^'\n]*'|"[^"\n]*")                                # 4 string
-  | ([<>!]=|<>|[<>=+/]|-(?!-))                           # 5 operator
-  | ([(),.;*])                                           # 6 punctuation
-  | (\Z)                                                 # 7 end
-)""", re.VERBOSE)
+_ALTERNATIVES = (
+    r"[A-Za-z_]\w*",                                         # word
+    r"[^\W\d\x00-\x7f]\w*",                                  # word (a letter?)
+    r"(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?",  # number
+    r"'[^'\n]*'|" r'"[^"\n]*"',                              # string
+    r"[<>!]=|<>|[<>=+/]|-(?!-)",                             # operator
+    r"[(),.;*]",                                             # punctuation
+    r"\Z",                                                   # end
+)
+
+#: Each alternative its own group: the group that matched
+#: (``lastindex``) names the kind.
+_TOKEN = re.compile(
+    _SKIP + "(?:" + "|".join(f"({token})" for token in _ALTERNATIVES) + ")")
+
+#: The same alternatives in one group, for ``findall``, plus a
+#: catch-all for one character no token can start (``tokenize`` raises
+#: there). Each text comes back as written: keywords in any case,
+#: strings with their quotes, END as "" (twice after trailing space).
+_TEXTS = re.compile(_SKIP + "(" + "|".join(_ALTERNATIVES) + "|(?s:.))")
 
 _SKIPPED = re.compile(_SKIP)
 
 _KINDS = (None, TokenKind.IDENTIFIER, TokenKind.IDENTIFIER, TokenKind.NUMBER,
           TokenKind.STRING, TokenKind.OPERATOR, TokenKind.PUNCTUATION,
           TokenKind.END)
+
+
+def token_texts(text: str) -> List[str]:
+    """The token texts of ``text`` in one ``re`` call, ending with ""."""
+    return _TEXTS.findall(text)
 
 
 def tokenize(text: str) -> List[Token]:

@@ -184,6 +184,28 @@ def test_unstable_function_is_evaluated_for_every_event():
     assert lab.served("flaky", 0) == ()
 
 
+def test_equal_candidate_sets_are_one_tuple():
+    """Requests keep their sets for life: equal sets share one object.
+
+    Every camera covers every mote here, so the cached sets of three
+    motes, the walked sets of the unstable predicate and the whole
+    table a query without a candidate predicate gets are all equal.
+    """
+    lab = Lab(n_cameras=0)
+    for k in range(3):
+        lab.engine.add_device(PanTiltZoomCamera(
+            lab.env, f"wide{k}", Point(-50.0 + k, 0.0), facing=0.0,
+            view_half_angle=170.0, view_range=1e9))
+    lab.engine.execute(
+        'CREATE AQ anyone AS SELECT photo(c.ip, s.loc, "photos") '
+        'FROM sensor s, camera c WHERE s.accel_x > 500')
+    served = [lab.served(name, mote)
+              for name in ("cov", "flaky", "anyone")
+              for mote in range(len(MOTES)) for _ in range(2)]
+    assert set(served) == {("wide0", "wide1", "wide2")}
+    assert len({id(candidates) for candidates in served}) == 1
+
+
 def test_remounting_a_camera_in_place_drops_its_tables_sets():
     lab = Lab(n_cameras=3)
     assert "cam1" in lab.served("near", 0)

@@ -1,5 +1,8 @@
 """Unit tests for the SQL parser, anchored on the paper's examples."""
 
+import os
+import sys
+
 import pytest
 
 from repro.errors import ParseError
@@ -18,6 +21,10 @@ from repro.query import (
     parse,
     parse_expression,
 )
+from tests.query.reference_parser import reference_parse
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 #: The paper's Figure 1 example, verbatim structure.
 FIGURE_1 = '''CREATE AQ snapshot AS
@@ -176,3 +183,84 @@ def test_a_string_holding_a_double_quote_round_trips_through_str():
     assert parse_expression(str(tree)) == tree
     tree = parse_expression("s.name = \"it's\"")
     assert parse_expression(str(tree)) == tree
+
+
+# ----------------------------------------------------------------------
+# Error behaviour: message, line and column
+# ----------------------------------------------------------------------
+def parse_error(text):
+    with pytest.raises(ParseError) as raised:
+        parse(text)
+    return str(raised.value), raised.value.line, raised.value.column
+
+
+def test_a_bad_character_wins_over_an_earlier_grammar_error():
+    # "SELECT FROM" is wrong first; the "@" on line 2 is reported.
+    assert parse_error("SELECT FROM sensor s\nWHERE s.x > @") == (
+        "unexpected character '@' (line 2, column 13)", 2, 13)
+
+
+def test_an_error_on_line_3_reports_line_3():
+    text = ("CREATE AQ q AS\n"
+            "SELECT photo(c.ip) FROM sensor s, camera c\n"
+            "WHERE s.x > AND coverage(c.id, s.loc)")
+    assert parse_error(text) == (
+        "expected an expression, found 'AND' (line 3, column 13)", 3, 13)
+
+
+def test_an_unterminated_string_at_the_end_is_reported_at_its_quote():
+    text = 'CREATE ACTION f() AS "lib/f.dll" PROFILE "prof'
+    assert parse_error(text) == (
+        "unterminated string literal (line 1, column 42)", 1, 42)
+
+
+def test_a_trailing_comment_without_a_newline_is_accepted():
+    assert parse("DROP AQ q -- gone") == DropAQStatement(name="q")
+    assert parse("DROP AQ q; -- gone") == DropAQStatement(name="q")
+
+
+def test_drop_aq_of_a_keyword_names_the_keyword():
+    assert parse_error("DROP AQ select") == (
+        "expected an identifier, found 'SELECT' (line 1, column 9)", 1, 9)
+
+
+# ----------------------------------------------------------------------
+# Every statement the end-to-end workloads register
+# ----------------------------------------------------------------------
+class _StatementRecorder:
+    """Stands in for the fleet ``install_sendphoto`` sets up."""
+
+    def __init__(self):
+        self.statements = []
+
+    def install_action_code(self, *args, **kwargs):
+        pass
+
+    def install_action_profile(self, *args, **kwargs):
+        pass
+
+    def execute(self, text):
+        self.statements.append(text)
+
+
+def e2e_statements():
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks", "e2e"))
+    try:
+        from workloads import WORKLOADS, build, install_sendphoto
+    finally:
+        sys.path.pop(0)
+    recorder = _StatementRecorder()
+    install_sendphoto(recorder)
+    texts = list(recorder.statements)
+    for workload in WORKLOADS:
+        job = build(workload, 20050610, 1, smoke=True)
+        texts += [aq.sql() for aq in job.aqs]
+        texts += [aq.sql() for _at, _drop, aqs in job.churn for aq in aqs]
+    return texts
+
+
+def test_every_e2e_statement_parses_like_the_reference():
+    texts = e2e_statements()
+    assert len(texts) > 400 and texts[0].lstrip().startswith("CREATE ACTION")
+    for text in texts:
+        assert repr(parse(text)) == repr(reference_parse(text)), text

@@ -24,7 +24,8 @@ def texts(text):
 
 def test_keywords_case_insensitive():
     tokens = tokenize("select Select SELECT")
-    assert all(t.is_keyword("SELECT") for t in tokens[:-1])
+    assert all((t.kind, t.text) == (TokenKind.KEYWORD, "SELECT")
+               for t in tokens[:-1])
 
 
 def test_identifiers_preserve_case():
@@ -82,7 +83,7 @@ def test_figure_1_query_tokenizes():
         FROM sensor s, camera c
         WHERE s.accel_x > 500 AND coverage(c.id, s.loc)'''
     tokens = tokenize(text)
-    assert tokens[0].is_keyword("CREATE")
+    assert (tokens[0].kind, tokens[0].text) == (TokenKind.KEYWORD, "CREATE")
     assert tokens[-1].kind is TokenKind.END
     words = [t.text for t in tokens]
     assert "photo" in words and "coverage" in words and "500" in words
