@@ -37,6 +37,10 @@ DEMO_AQ = '''CREATE AQ snapshot AS
     FROM sensor s, camera c
     WHERE s.accel_x > 500 AND coverage(c.id, s.loc)'''
 
+#: Most regions the demo fleet addresses: region ``index`` puts its
+#: cameras at ``10.0.<index>.1`` and ``.2``, one address octet.
+MAX_SHARDS = 256
+
 BANNER = f"""Aorta {repro.__version__} — pervasive query processing
 Reproduction of Xue, Luo, Ni: "Systems Support for Pervasive Query
 Processing" (ICDCS 2005). See README.md, DESIGN.md, EXPERIMENTS.md.
@@ -298,14 +302,15 @@ def run_metrics(*, as_json: bool = False, spans: bool = False,
 
 
 def _shard_count(text: str) -> int:
-    """``--shards``: a whole number of engine shards, at least 1."""
+    """``--shards``: a whole number of engine shards, 1 to MAX_SHARDS."""
     try:
         count = int(text)
     except ValueError:
         count = 0  # refused below, with the same message
-    if count < 1:
+    if not 1 <= count <= MAX_SHARDS:
         raise argparse.ArgumentTypeError(
-            f"expected a whole number of shards >= 1, got {text!r}")
+            f"expected a whole number of shards >= 1 and <= {MAX_SHARDS}, "
+            f"got {text!r}")
     return count
 
 

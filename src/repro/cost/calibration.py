@@ -83,11 +83,11 @@ class Calibrator:
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
-    def fit_fixed(self, operation: str, runner: TrialRunner,
-                  trials: int = 5) -> AtomicOperationCost:
-        """Calibrate a fixed-cost operation (mean of repeated trials)."""
+    def fit_fixed(self, operation: str,
+                  runner: TrialRunner) -> AtomicOperationCost:
+        """Calibrate a fixed-cost operation (mean of five trials)."""
         samples = [self.time_trial(operation, 0.0, runner).seconds
-                   for _ in range(trials)]
+                   for _ in range(5)]
         return AtomicOperationCost(
             name=operation,
             fixed_seconds=sum(samples) / len(samples),

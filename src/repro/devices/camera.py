@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ActionFailedError, DeviceDownError, DeviceError
@@ -71,9 +71,16 @@ class CameraCalibration:
     #: Concurrent control connections before new connects are refused.
     max_concurrent_requests: int = 4
 
-    def fixed_photo_seconds(self, size: str = "medium") -> float:
-        """Cost of a photo with no head movement (paper: 0.36 s)."""
-        return self.connect_seconds + self.capture_seconds[size] + self.store_seconds
+    def fixed_photo_seconds(self) -> float:
+        """Cost of a medium photo with no head movement (paper: 0.36 s)."""
+        return self.connect_seconds + self.capture_seconds["medium"] + self.store_seconds
+
+
+#: The timing and physics of every simulated camera (the AXIS 2130).
+CALIBRATION = CameraCalibration()
+
+#: Metres from the floor to a ceiling-mounted camera's lens.
+MOUNT_HEIGHT = 3.0
 
 
 @dataclass(frozen=True)
@@ -177,8 +184,6 @@ class PanTiltZoomCamera(Device):
         facing: float = 0.0,
         view_half_angle: float = 170.0,
         view_range: float = 50.0,
-        mount_height: float = 3.0,
-        calibration: Optional[CameraCalibration] = None,
         blur_probability: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -187,8 +192,8 @@ class PanTiltZoomCamera(Device):
         # the default address would change from run to run.
         self.ip_address = ip_address \
             or f"10.0.0.{zlib.crc32(device_id.encode()) % 250 + 1}"
-        self.calibration = calibration or CameraCalibration()
-        self.mount_height = mount_height
+        self.calibration = CALIBRATION
+        self.mount_height = MOUNT_HEIGHT
         self.view = ViewSector(
             origin=location, center=normalize_angle(facing),
             half_angle=view_half_angle, max_range=view_range,

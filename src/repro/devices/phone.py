@@ -55,13 +55,13 @@ class MobilePhone(Device):
         location: Point,
         *,
         number: str,
-        mms_support: bool = True,
     ) -> None:
         super().__init__(env, device_id, location)
         if not number:
             raise DeviceError("phone number must be non-empty")
         self.number = number
-        self.mms_support = mms_support
+        #: Every phone takes MMS; the catalog column says so.
+        self.mms_support = True
         self.in_coverage = True
         self.battery_percent = 100.0
         self.inbox: List[TextMessage] = []
@@ -135,8 +135,6 @@ class MobilePhone(Device):
         self, sender: str, body: str, attachment: str, size_kb: float = 100.0
     ) -> Generator[Any, Any, TextMessage]:
         """Deliver a multimedia message carrying ``attachment``."""
-        if not self.mms_support:
-            raise DeviceError(f"phone {self.number} has no MMS support")
         if size_kb <= 0:
             raise DeviceError(f"MMS size must be positive, got {size_kb}")
         self._require_coverage()

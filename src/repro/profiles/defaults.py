@@ -9,7 +9,7 @@ cost model the same way, against measurements of the real devices).
 
 from __future__ import annotations
 
-from repro.devices.camera import CameraCalibration
+from repro.devices.camera import CALIBRATION
 from repro.devices.phone import MMS_FIXED_SECONDS, MMS_PER_KB_SECONDS, SMS_SECONDS
 from repro.profiles.cost_table import AtomicOperationCost, CostTable
 from repro.profiles.schema import AttributeSpec, DeviceCatalog
@@ -38,16 +38,14 @@ def camera_catalog() -> DeviceCatalog:
     )
 
 
-def camera_cost_table(
-    calibration: CameraCalibration | None = None,
-) -> CostTable:
-    """Atomic-operation costs of the PTZ camera.
+def camera_cost_table() -> CostTable:
+    """Atomic-operation costs of the PTZ camera (``CALIBRATION``'s).
 
     Head-axis operations carry per-degree (per-zoom-unit) costs; the
     photo action profile composes them in parallel, which reproduces
     the slowest-axis-dominates movement time of the real camera.
     """
-    cal = calibration or CameraCalibration()
+    cal = CALIBRATION
     return CostTable.from_operations("camera", [
         AtomicOperationCost("connect", fixed_seconds=cal.connect_seconds,
                             description="open HTTP control channel"),

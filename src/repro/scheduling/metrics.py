@@ -17,11 +17,11 @@ from repro.scheduling.problem import Problem
 
 
 def device_completion_times(
-    problem: Problem, schedule: Schedule, *, use_actual: bool = True
+    problem: Problem, schedule: Schedule
 ) -> Dict[str, float]:
-    """Seconds each device spends servicing its queue, status-chained."""
-    cost = (problem.cost_model.actual if use_actual
-            else problem.cost_model.estimate)
+    """Seconds each device spends servicing its queue, status-chained,
+    at actual costs."""
+    cost = problem.cost_model.actual
     completions: Dict[str, float] = {}
     for device_id in problem.device_ids:
         status = problem.cost_model.initial_status(device_id)

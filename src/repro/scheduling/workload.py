@@ -22,16 +22,12 @@ import random
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
-from repro.devices.camera import CameraCalibration, HeadPosition
+from repro.devices.camera import CALIBRATION, HeadPosition
 from repro.scheduling.problem import (
     Problem,
     SchedRequest,
     SchedulingCostModel,
 )
-
-#: The simulated camera every workload runs on (the AXIS 2130 model).
-CALIBRATION = CameraCalibration()
-
 
 class _CameraColumnKernel:
     """Vectorized camera-cost matrices and columns (see

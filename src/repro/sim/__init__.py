@@ -17,7 +17,9 @@ Time is virtual: the clock jumps from event to event, so experiments
 measuring seconds of device time execute in milliseconds of wall time.
 ``Environment(time_scale=S)`` with ``S > 0`` paces the same timeline
 against ``time.monotonic`` at ``S`` wall seconds per runtime second;
-pacing never reorders events.
+pacing never reorders events. The wall is the class attribute
+``Environment._wall`` (the ``time`` module): the one seam, which the
+subclass in ``tests/sim/fake_wall.py`` replaces with a fake clock.
 
 Public surface::
 

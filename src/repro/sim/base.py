@@ -12,8 +12,9 @@ The wall anchor is taken lazily at the first pace, so engine and device
 construction never count against the schedule. When callbacks run
 longer than the wall budget the runtime is behind; it does not skip
 events to catch up, it simply stops sleeping until the schedule is
-ahead again. The wall clock and sleep functions are injectable, so
-tests exercise pacing against a fake clock without real sleeping.
+ahead again. Pacing reads the wall through one class attribute,
+``_wall``, so a subclass paces against a fake clock without real
+sleeping.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_NORMAL, Event, Timeout
@@ -36,13 +37,11 @@ class Environment:
     consistent.
     """
 
-    def __init__(
-        self,
-        *,
-        time_scale: float = 0.0,
-        wall_clock: Callable[[], float] = time.monotonic,
-        wall_sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
+    #: The wall pacing reads: anything with ``monotonic()`` and
+    #: ``sleep(seconds)``.
+    _wall = time
+
+    def __init__(self, *, time_scale: float = 0.0) -> None:
         if not 0 <= time_scale < math.inf:  # NaN as well
             raise SimulationError(
                 f"time_scale must be non-negative and finite, got "
@@ -55,8 +54,6 @@ class Environment:
         self.now = 0.0
         #: Wall seconds per runtime second; 0 never paces.
         self.time_scale = time_scale
-        self._wall_clock = wall_clock
-        self._wall_sleep = wall_sleep
         #: (wall, runtime) correspondence fixed at the first pace.
         self._anchor: Optional[Tuple[float, float]] = None
         #: Pending ``(time, priority, seq, event)`` tuples as a ``heapq``:
@@ -74,9 +71,9 @@ class Environment:
         """A fresh, untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """An event that fires ``delay`` runtime seconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: ProcessGenerator) -> Process:
         """Start ``generator`` as a concurrent process; its uncaught
@@ -90,14 +87,10 @@ class Environment:
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
-    def schedule(
-        self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
-    ) -> None:
-        """Enqueue ``event`` to have its callbacks run after ``delay``."""
-        if not delay >= 0:  # also refuses NaN, which compares false
-            raise SimulationError(
-                f"cannot schedule into the past or at NaN (delay={delay})")
-        heapq.heappush(self._queue, (self.now + delay, priority, self._seq, event))
+    def schedule(self, event: Event, priority: int = PRIORITY_NORMAL) -> None:
+        """Enqueue ``event`` to have its callbacks run at the current
+        time, by ``priority``; a :class:`Timeout` is the delayed kind."""
+        heapq.heappush(self._queue, (self.now, priority, self._seq, event))
         self._seq += 1
 
     def step(self) -> None:
@@ -148,14 +141,14 @@ class Environment:
         Called before a clock advance, and only when ``time_scale`` is
         positive.
         """
-        wall_now = self._wall_clock()
+        wall_now = self._wall.monotonic()
         if self._anchor is None:
             self._anchor = (wall_now, self.now)
         wall_start, runtime_start = self._anchor
         remaining = (wall_start - wall_now
                      + (timestamp - runtime_start) * self.time_scale)
         if remaining > 0:
-            self._wall_sleep(remaining)
+            self._wall.sleep(remaining)
 
 
 #: A second name for :class:`Environment`, bound to the same class

@@ -66,20 +66,19 @@ class Timeout(Event):
     """An event that fires automatically ``delay`` seconds in the future.
 
     The hottest constructor in the kernel: it sets its own fields and
-    pushes its own queue entry, exactly what :meth:`Environment.schedule
-    <repro.sim.base.Environment.schedule>` would push at normal
-    priority, without the two calls.
+    pushes its own queue entry at ``now + delay`` and normal priority,
+    without a call to :meth:`Environment.schedule
+    <repro.sim.base.Environment.schedule>`. Its value is ``None``.
     """
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", delay: float,
-                 value: Any = None) -> None:
+    def __init__(self, env: "Environment", delay: float) -> None:
         if not delay >= 0:  # also refuses NaN, which compares false
             raise SimulationError(f"negative or NaN timeout delay {delay}")
         self.env = env
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._processed = False
         seq = env._seq
         heappush(env._queue, (env.now + delay, PRIORITY_NORMAL, seq, self))

@@ -27,7 +27,7 @@ from tests.shard.scenarios import (
     region_fleet_scenario,
     sharded_snapshot_scenario,
 )
-from tests.sim.fake_wall import FakeWall, paced_environment
+from tests.sim.fake_wall import FakeWall, PacedEnvironment
 
 
 @pytest.fixture
@@ -116,14 +116,14 @@ def test_continuous_outage_identity(scans, observability):
 def test_snapshot_identity_realtime_backend(scans):
     # Paced at scale 1.0 against a fake wall clock.
     wall = FakeWall()
-    engine = snapshot_scenario(True, env=paced_environment(wall))
+    engine = snapshot_scenario(True, env=PacedEnvironment(wall))
     assert_matches_reference(engine, scans, events=1)
     assert sum(wall.sleeps) == pytest.approx(engine.env.now)
 
 
 def test_continuous_outage_identity_realtime_backend(scans):
     wall = FakeWall()
-    engine = continuous_outage_scenario(True, env=paced_environment(wall))
+    engine = continuous_outage_scenario(True, env=PacedEnvironment(wall))
     assert_matches_reference(engine, scans, events=0)
     assert sum(wall.sleeps) == pytest.approx(engine.env.now)
 

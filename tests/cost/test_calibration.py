@@ -45,7 +45,8 @@ def test_fit_fixed_averages_trials():
     def trial(_quantity):
         yield env.timeout(0.5)
 
-    cost = calibrator.fit_fixed("op", trial, trials=3)
+    cost = calibrator.fit_fixed("op", trial)
+    assert len(calibrator.measurements) == 5
     assert cost.fixed_seconds == pytest.approx(0.5)
     assert cost.per_unit_seconds == 0.0
 
@@ -79,7 +80,8 @@ def test_calibration_tracks_nonstandard_hardware():
     """A camera with a slower head yields a different, correct table."""
     env = Environment()
     slow = CameraCalibration(pan_speed=34.0)  # half the pan speed
-    camera = PanTiltZoomCamera(env, "cam1", Point(0, 0), calibration=slow)
+    camera = PanTiltZoomCamera(env, "cam1", Point(0, 0))
+    camera.calibration = slow  # a re-mount on other hardware
     measured = calibrate_camera(env, camera)
     assert measured.operation("pan").per_unit_seconds == pytest.approx(
         1.0 / 34.0)

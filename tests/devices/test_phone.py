@@ -52,19 +52,6 @@ def test_receive_mms_carries_attachment():
     assert env.now == pytest.approx(MMS_FIXED_SECONDS + 200 * MMS_PER_KB_SECONDS)
 
 
-def test_mms_on_non_mms_phone_rejected():
-    env = Environment()
-    phone = make_phone(env, mms_support=False)
-
-    def proc(env):
-        yield from phone.execute("receive_mms", sender="a", body="b",
-                                 attachment="x.jpg")
-
-    env.process(proc(env))
-    with pytest.raises(DeviceError, match="no MMS support"):
-        env.run()
-
-
 def test_out_of_coverage_blocks_delivery():
     env = Environment()
     phone = make_phone(env)

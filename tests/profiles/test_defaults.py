@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.devices.camera import CameraCalibration
+from repro.devices.camera import CALIBRATION
 from repro.actions.builtins import builtin_definitions, sendphoto_definition
 from repro.profiles import (
     action_profile_from_xml,
@@ -23,8 +23,8 @@ from repro.profiles.defaults import (
 
 
 def test_camera_cost_table_matches_calibration():
-    cal = CameraCalibration()
-    table = camera_cost_table(cal)
+    cal = CALIBRATION
+    table = camera_cost_table()
     assert table.estimate("connect") == cal.connect_seconds
     assert table.estimate("pan", cal.pan_max - cal.pan_min) == (
         pytest.approx((cal.pan_max - cal.pan_min) / cal.pan_speed))

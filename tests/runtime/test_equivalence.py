@@ -16,7 +16,7 @@ import pytest
 from repro.sim import Environment
 from tests.obs.golden import diff_dumps, dump_engine, render_diff
 from tests.obs.scenarios import continuous_outage_scenario, snapshot_scenario
-from tests.sim.fake_wall import FakeWall, paced_environment
+from tests.sim.fake_wall import FakeWall, PacedEnvironment
 
 SCENARIOS = {
     "snapshot": snapshot_scenario,
@@ -28,7 +28,7 @@ def _run(scenario, backend: str, observability):
     """The scenario's engine and the fake wall its runtime slept on
     (``None`` for the unpaced run)."""
     wall = FakeWall() if backend == "realtime" else None
-    env = paced_environment(wall) if wall is not None else Environment()
+    env = PacedEnvironment(wall) if wall is not None else Environment()
     return scenario(observability, env=env), wall
 
 

@@ -1,8 +1,8 @@
 """Unit tests of pacing: ``Environment(time_scale=...)``.
 
-Pacing is exercised with injected fake wall-clock/sleep functions, so
-these tests are fast and fully deterministic: the "wall clock" only
-moves when the recorded sleep function advances it.
+Pacing is exercised on ``PacedEnvironment``, a subclass whose wall is
+a fake clock, so these tests are fast and fully deterministic: the
+"wall clock" only moves when the recorded sleep advances it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment
-from tests.sim.fake_wall import FakeWall, paced_environment
+from tests.sim.fake_wall import FakeWall, PacedEnvironment
 
 
 # ----------------------------------------------------------------------
@@ -37,7 +37,7 @@ def test_nan_and_infinite_time_scales_are_refused(time_scale):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("time_scale", [0, 1.0])
 def test_timers_fire_in_timestamp_order_not_creation_order(time_scale):
-    env = paced_environment(FakeWall(), time_scale)
+    env = PacedEnvironment(FakeWall(), time_scale)
     fired = []
 
     def waiter(delay, tag):
@@ -53,7 +53,7 @@ def test_timers_fire_in_timestamp_order_not_creation_order(time_scale):
 
 
 def test_equal_timestamps_keep_fifo_order():
-    env = paced_environment(FakeWall())
+    env = PacedEnvironment(FakeWall())
     fired = []
 
     def waiter(tag):
@@ -71,7 +71,7 @@ def test_equal_timestamps_keep_fifo_order():
 # ----------------------------------------------------------------------
 def test_time_scale_zero_never_sleeps():
     wall = FakeWall()
-    env = paced_environment(wall, 0)
+    env = PacedEnvironment(wall, 0)
 
     def proc():
         yield env.timeout(5.0)
@@ -85,7 +85,7 @@ def test_time_scale_zero_never_sleeps():
 
 def test_sleeps_match_scaled_inter_event_gaps():
     wall = FakeWall()
-    env = paced_environment(wall, 2.0)
+    env = PacedEnvironment(wall, 2.0)
 
     def proc():
         yield env.timeout(1.0)
@@ -100,7 +100,7 @@ def test_sleeps_match_scaled_inter_event_gaps():
 
 def test_run_until_paces_to_the_deadline():
     wall = FakeWall()
-    env = paced_environment(wall)
+    env = PacedEnvironment(wall)
 
     def proc():
         yield env.timeout(1.0)
@@ -115,14 +115,13 @@ def test_run_until_paces_to_the_deadline():
 def test_behind_schedule_runs_flat_out():
     # Each clock read consumes 2 wall seconds (slow host): the runtime
     # must not sleep and must not skip or reorder events.
-    wall = FakeWall()
+    class BusyWall(FakeWall):
+        def monotonic(self):
+            self.now += 2.0
+            return self.now
 
-    def busy_clock():
-        wall.now += 2.0
-        return wall.now
-
-    env = Environment(time_scale=0.1, wall_clock=busy_clock,
-                      wall_sleep=wall.sleep)
+    wall = BusyWall()
+    env = PacedEnvironment(wall, 0.1)
     fired = []
 
     def proc():

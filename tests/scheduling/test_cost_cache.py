@@ -26,14 +26,12 @@ from repro.scheduling import (
     RandomScheduler,
     SAParameters,
     SchedRequest,
-    Schedule,
     SimulatedAnnealingScheduler,
     SrfaeScheduler,
     StaticCostModel,
     uniform_camera_workload,
 )
 from repro.scheduling.cost_cache import freeze_status
-from repro.scheduling.metrics import device_completion_times
 from repro.scheduling.simulated_annealing import IncrementalMakespan
 
 TINY_SA = SAParameters(moves_per_temperature_per_request=4,
@@ -222,11 +220,18 @@ def test_all_schedulers_identical_with_cache_on_and_off(n, m, seed):
 # SA incremental evaluator == full re-walk
 # ----------------------------------------------------------------------
 def _full_completions(problem, solution):
-    return device_completion_times(
-        problem, Schedule("full walk", {
-            device_id: [request.request_id for request in queue]
-            for device_id, queue in solution.items()}),
-        use_actual=False)
+    """Seconds each device's queue takes at estimated costs,
+    status-chained: the full re-walk the evaluator must match."""
+    cost_model = problem.cost_model
+    completions = {}
+    for device_id, queue in solution.items():
+        status = cost_model.initial_status(device_id)
+        elapsed = 0.0
+        for request in queue:
+            seconds, status = cost_model.estimate(request, device_id, status)
+            elapsed += seconds
+        completions[device_id] = elapsed
+    return completions
 
 
 @settings(max_examples=15, deadline=None)

@@ -366,10 +366,11 @@ def test_block_model_matrix_rows_bit_equal_to_columns_and_scalar(
             pan, tilt, zoom) in enumerate(mounts):
         camera = PanTiltZoomCamera(
             env, f"cam{k + 1}", Point(x, y), facing=facing,
-            view_range=1000.0, mount_height=height,
-            calibration=CameraCalibration(
-                pan_min=-pan_limit, pan_max=pan_limit,
-                tilt_min=-tilt_limit, tilt_max=tilt_limit))
+            view_range=1000.0)
+        camera.mount_height = height  # a re-mount
+        camera.calibration = CameraCalibration(
+            pan_min=-pan_limit, pan_max=pan_limit,
+            tilt_min=-tilt_limit, tilt_max=tilt_limit)
         cameras.append(camera)
         statuses[camera.device_id] = {"pan": pan, "tilt": tilt,
                                       "zoom": zoom}

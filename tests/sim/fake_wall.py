@@ -13,13 +13,14 @@ from repro.sim import Environment
 
 
 class FakeWall:
-    """A controllable monotonic clock whose sleep() advances it."""
+    """A controllable monotonic clock whose sleep() advances it: the
+    two calls ``Environment`` makes of the ``time`` module."""
 
     def __init__(self, start: float = 100.0) -> None:
         self.now = start
         self.sleeps: List[float] = []
 
-    def clock(self) -> float:
+    def monotonic(self) -> float:
         return self.now
 
     def sleep(self, seconds: float) -> None:
@@ -28,8 +29,10 @@ class FakeWall:
         self.now += seconds
 
 
-def paced_environment(wall: FakeWall,
-                      time_scale: float = 1.0) -> Environment:
-    """A runtime paced at ``time_scale`` against ``wall``."""
-    return Environment(time_scale=time_scale, wall_clock=wall.clock,
-                       wall_sleep=wall.sleep)
+class PacedEnvironment(Environment):
+    """A runtime paced at ``time_scale`` against ``wall`` instead of the
+    real clock."""
+
+    def __init__(self, wall: FakeWall, time_scale: float = 1.0) -> None:
+        super().__init__(time_scale=time_scale)
+        self._wall = wall

@@ -71,18 +71,20 @@ def test_event_queue_pop_empty():
 def test_event_queue_orders_by_time_then_priority_then_seq():
     env = Environment()
     fired = []
-    first, second, third = env.event(), env.event(), env.event()
+    first = env.timeout(2.0)
+    env.run(until=1.0)
+    second, third = env.timeout(0.0), env.event()
     for event in (first, second, third):
-        # Scheduled by hand: succeed() fixes the priority.
         event.callbacks.append(fired.append)
-    env.schedule(first, delay=2.0, priority=1)
-    env.schedule(second, delay=1.0, priority=1)
-    env.schedule(third, delay=1.0, priority=0)  # urgent at the same time wins
+    # Scheduled by hand: succeed() fixes the priority.
+    env.schedule(third, priority=0)  # urgent at the same time wins
     env.run()
     assert fired == [third, second, first]
 
 
 def test_schedule_into_past_rejected():
+    """``schedule`` enqueues at ``now``; a timeout is the one event
+    with a delay, and it refuses a negative one."""
     env = Environment()
-    with pytest.raises(SimulationError, match="past"):
-        env.schedule(env.event(), delay=-0.1)
+    with pytest.raises(SimulationError, match="negative"):
+        env.timeout(-0.1)

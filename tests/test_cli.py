@@ -1,11 +1,12 @@
 """Smoke tests for the ``python -m repro`` entry point."""
 
+import argparse
 import json
 
 import pytest
 
 import repro
-from repro.__main__ import main, run_demo
+from repro.__main__ import MAX_SHARDS, _shard_count, main, run_demo
 
 
 def test_version_flag(capsys):
@@ -112,6 +113,31 @@ def test_an_out_of_range_value_is_a_usage_error(
         main(command_line.split())
     assert refusal.value.code == 2
     assert complaint in capsys.readouterr().err
+
+
+def test_a_shard_count_is_bounded_by_one_address_octet():
+    """Region ``index`` puts its cameras at ``10.0.<index>.1``, so 256
+    regions is the most the demo fleet can address; each shard is one
+    worker process under ``--parallel``."""
+    assert MAX_SHARDS == 256
+    assert _shard_count("256") == 256
+    with pytest.raises(argparse.ArgumentTypeError, match="<= 256"):
+        _shard_count("257")
+
+
+@pytest.mark.parametrize("command_line", [
+    "--demo --shards 257",
+    "metrics --shards 257",
+    "--shards 257 metrics",
+])
+def test_too_many_shards_is_a_usage_error(command_line, capsys):
+    # Refused at parse time, so no fleet is built. No case passes
+    # --parallel: should the bound ever go, a test must not spawn 257
+    # workers.
+    with pytest.raises(SystemExit) as refusal:
+        main(command_line.split())
+    assert refusal.value.code == 2
+    assert "shards >= 1 and <= 256" in capsys.readouterr().err
 
 
 def test_fleet_flags_count_on_either_side_of_the_subcommand(capsys):
