@@ -17,11 +17,17 @@ The schedulers have no option for this: an algorithm memoizes when it
 declares ``memoizes`` (only SA does) and the model keeps its hint. The
 table is the evidence for that rule (DESIGN.md decision 6) — SA's
 suffix re-walks hit, the greedy algorithms' advancing statuses do not.
+Both modes run with the kernel gate closed (see below), so SRFAE and
+LERFA+SRFE walk the scalar estimates the memo can serve.
 
-**Vector** times the numpy column kernel (``vectorize=True``) against
-the scalar walk on the calibrated camera workload at 400x100 and
-4000x1000, asserting byte-identical assignments. Skipped when numpy is
-not installed (the scalar walk is then the only path).
+**Vector** times the numpy column kernel, which a scheduler takes
+whenever ``build_kernel`` offers one, against the scalar walk on the
+calibrated camera workload at 400x100 and 4000x1000, asserting
+byte-identical assignments. The scalar side is reached the way a host
+without numpy reaches it: ``scalar_walk`` closes the one gate,
+``vector_cost.HAVE_NUMPY``, and reopens it when the timing ends.
+Skipped when numpy is not installed (the scalar walk is then the only
+path).
 
 The acceptance gate is a real boolean in every mode. Counts that repeat
 exactly always apply: the memo changes no schedule, the greedy
@@ -41,6 +47,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import os
 import random
@@ -71,6 +78,7 @@ from repro.scheduling import (  # noqa: E402
     build_kernel,
     uniform_camera_workload,
 )
+from repro.scheduling import vector_cost  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..",
@@ -161,6 +169,18 @@ def matrix_identity(n: int, m: int) -> bool:
         for k, device_id in enumerate(problem.device_ids))
 
 
+@contextlib.contextmanager
+def scalar_walk():
+    """Close the kernel's one gate while the block runs, as a host
+    without numpy has it: every schedule inside takes the scalar walk."""
+    was = vector_cost.HAVE_NUMPY
+    vector_cost.HAVE_NUMPY = False
+    try:
+        yield
+    finally:
+        vector_cost.HAVE_NUMPY = was
+
+
 def scheduler_factory(name: str, n: int):
     """Zero-argument factory, so every timed run builds fresh state.
 
@@ -242,13 +262,14 @@ def bench_vector(name: str, n: int, m: int, repeats: int) -> dict:
     # The scalar walk at 4000x1000 runs minutes; one timing is plenty.
     scalar_repeats = repeats if n <= 400 else 1
     scalar_s = float("inf")
-    for _ in range(scalar_repeats):
-        schedule = factory(0).schedule(problem)
-        scalar_s = min(scalar_s, schedule.scheduling_seconds)
+    with scalar_walk():
+        for _ in range(scalar_repeats):
+            schedule = factory(0).schedule(problem)
+            scalar_s = min(scalar_s, schedule.scheduling_seconds)
     reference = schedule.assignments
     vector_s = float("inf")
     for _ in range(repeats):
-        schedule = factory(0, vectorize=True).schedule(problem)
+        schedule = factory(0).schedule(problem)
         vector_s = min(vector_s, schedule.scheduling_seconds)
     return {
         "n": n,
@@ -277,7 +298,8 @@ def main(argv=None) -> int:
     rows = []
     for n, m in sizes:
         for name in ALGORITHM_ORDER:
-            cell = bench_one(name, n, m, repeats)
+            with scalar_walk():
+                cell = bench_one(name, n, m, repeats)
             results.setdefault(name, {})[f"{n}x{m}"] = cell
             rows.append((name, f"{n}x{m}",
                          cell["bare_s"] * 1e3, cell["memo_s"] * 1e3,
@@ -361,8 +383,8 @@ def main(argv=None) -> int:
                      "CachingCostModel"),
             "engine": ("the adapter as the dispatcher builds it: "
                        "memoized by an algorithm that sets memoizes"),
-            "vector": ("vectorize=True numpy column kernel vs the scalar "
-                       "walk, calibrated camera workload"),
+            "vector": ("numpy column kernel vs the scalar walk (kernel "
+                       "gate closed), calibrated camera workload"),
         },
         "smoke": args.smoke,
         "numpy": HAVE_NUMPY,

@@ -169,8 +169,11 @@ class EngineConfig:
                              "finite")
         if not 0 <= self.time_scale < math.inf:
             raise AortaError("time_scale must be non-negative and finite")
-        if self.shards < 1:
-            raise AortaError(f"shards must be >= 1, got {self.shards}")
+        # A count of shards: NaN and 2.5 are refused, as RetryPolicy
+        # refuses them.
+        if not (isinstance(self.shards, int) and self.shards >= 1):
+            raise AortaError(
+                f"shards must be an integer >= 1, got {self.shards!r}")
         if self.parallel_backend != "process":
             raise AortaError(
                 f"unknown parallel_backend {self.parallel_backend!r}; "

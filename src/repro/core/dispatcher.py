@@ -40,7 +40,6 @@ from repro.devices.base import Device
 from repro.devices.health import DeviceHealthTracker
 from repro.plan.action_op import SharedActionOperator
 from repro.scheduling import (
-    HAVE_NUMPY,
     BlockModelKernel,
     LerfaSrfeScheduler,
     ListScheduler,
@@ -124,13 +123,11 @@ class _ActionCostAdapter(SchedulingCostModel):
             BlockModelKernel]:
         """A vectorized kernel over the engine cost model's block path.
 
-        Declines (scalar fallback) without numpy, or unless the
-        problem's devices are of one type with a registered block
-        resolver for this action (an action has one device type, so a
-        mix never reaches here from a query).
+        Declines (scalar fallback) unless the problem's devices are of
+        one type with a registered block resolver for this action (an
+        action has one device type, so a mix never reaches here from a
+        query).
         """
-        if not HAVE_NUMPY:
-            return None
         devices = [self._devices[device_id]
                    for device_id in problem.device_ids]
         device_types = {device.device_type for device in devices}
@@ -251,7 +248,7 @@ class Dispatcher:
         #: candidate, as Section 4 prescribes).
         self.status_cache = status_cache
         self.scheduler: Scheduler = SCHEDULER_FACTORIES[config.scheduler](
-            config.scheduler_seed, vectorize=HAVE_NUMPY)
+            config.scheduler_seed)
         self._operators: Dict[str, SharedActionOperator] = {}
         #: The overload-control plane (None = off, the pre-overload
         #: behaviour: unbounded queues, no admission, no shedding).

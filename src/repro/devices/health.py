@@ -52,8 +52,12 @@ class HealthPolicy:
     quarantine_max: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise DeviceError("failure_threshold must be >= 1")
+        # A count of failures: at NaN the breaker could never open.
+        if not (isinstance(self.failure_threshold, int)
+                and self.failure_threshold >= 1):
+            raise DeviceError(
+                f"failure_threshold must be an integer >= 1, got "
+                f"{self.failure_threshold!r}")
         # Written so that NaN fails too: every comparison with NaN is
         # False.
         if not (self.quarantine_seconds > 0 and self.quarantine_max > 0):

@@ -66,10 +66,19 @@ class OverloadPolicy:
     shed_low_watermark: int = 128
 
     def __post_init__(self) -> None:
-        if self.queue_limit is not None and self.queue_limit < 1:
-            raise AortaError("queue_limit must be >= 1")
-        if self.shed_low_watermark < 0 or self.shed_high_watermark < 1:
-            raise AortaError("shed watermarks must be non-negative")
+        # Counts of requests: a NaN bound or watermark compares False
+        # against every depth, so it would never bound or shed.
+        if self.queue_limit is not None and not (
+                isinstance(self.queue_limit, int) and self.queue_limit >= 1):
+            raise AortaError(
+                f"queue_limit must be an integer >= 1, got "
+                f"{self.queue_limit!r}")
+        if not (isinstance(self.shed_low_watermark, int)
+                and isinstance(self.shed_high_watermark, int)
+                and self.shed_low_watermark >= 0
+                and self.shed_high_watermark >= 1):
+            raise AortaError(
+                "shed watermarks must be non-negative integers")
         if self.shed_low_watermark >= self.shed_high_watermark:
             raise AortaError(
                 "shed_low_watermark must be strictly below "

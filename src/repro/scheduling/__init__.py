@@ -49,7 +49,6 @@ from repro.scheduling.vector_cost import (
     BlockModelKernel,
     ColumnKernel,
     build_kernel,
-    require_numpy,
 )
 from repro.scheduling.workload import (
     skewed_camera_workload,
@@ -79,7 +78,6 @@ __all__ = [
     "build_kernel",
     "device_utilization",
     "execute_schedule",
-    "require_numpy",
     "optimal_schedule",
     "service_makespan",
     "skewed_camera_workload",

@@ -85,11 +85,9 @@ class Scheduler:
     ``last_cache_stats`` holds that memo's hit/miss counters after a
     run, and is ``None`` when the run had no memo.
 
-    ``vectorize`` opts into the numpy column-kernel fast path (see
-    :mod:`repro.scheduling.vector_cost`) for algorithms that support it;
-    it requires numpy (the ``repro[fast]`` extra) and is byte-identical
-    to the scalar path. Cost models without a column kernel fall back
-    to the scalar walk even when it is on.
+    An algorithm with a numpy column-kernel path takes it whenever
+    :func:`~repro.scheduling.vector_cost.build_kernel` offers a kernel
+    for the problem, and is byte-identical to its scalar walk.
     """
 
     #: Short display name, as used in the paper's figures.
@@ -102,13 +100,9 @@ class Scheduler:
     #: run up to 1.5x slower behind one.
     memoizes: bool = False
 
-    def __init__(self, seed: int = 0, *, vectorize: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
-        self.vectorize = vectorize
-        if vectorize:
-            from repro.scheduling.vector_cost import require_numpy
-            require_numpy()
         self.last_cache_stats: Optional[Dict[str, float]] = None
 
     def _solve(self, problem: Problem) -> Dict[str, List[str]]:

@@ -29,15 +29,14 @@ class LerfaSrfeScheduler(Scheduler):
     category = CATEGORY_SAP
 
     def _solve(self, problem: Problem) -> Dict[str, List[str]]:
-        if self.vectorize:
-            kernel = build_kernel(problem)
-            if kernel is not None:
-                assigned = self._lerfa_assign_vectorized(problem, kernel)
-                return {
-                    device_id: self._srfe_order_vectorized(
-                        problem, kernel, device_id, requests)
-                    for device_id, requests in assigned.items()
-                }
+        kernel = build_kernel(problem)
+        if kernel is not None:
+            assigned = self._lerfa_assign_vectorized(problem, kernel)
+            return {
+                device_id: self._srfe_order_vectorized(
+                    problem, kernel, device_id, requests)
+                for device_id, requests in assigned.items()
+            }
         assigned = self._lerfa_assign(problem)
         return {
             device_id: self._srfe_order(problem, device_id, requests)

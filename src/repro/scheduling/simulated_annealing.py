@@ -159,9 +159,8 @@ class SimulatedAnnealingScheduler(Scheduler):
     memoizes = True
 
     def __init__(self, seed: int = 0,
-                 parameters: SAParameters | None = None,
-                 *, vectorize: bool = False) -> None:
-        super().__init__(seed, vectorize=vectorize)
+                 parameters: SAParameters | None = None) -> None:
+        super().__init__(seed)
         self.parameters = parameters or SAParameters()
         #: Move-evaluation count of the last run, for reporting.
         self.evaluations = 0

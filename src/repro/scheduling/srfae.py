@@ -123,10 +123,9 @@ class SrfaeScheduler(Scheduler):
     category = CATEGORY_CAP
 
     def _solve(self, problem: Problem) -> Dict[str, List[str]]:
-        if self.vectorize:
-            kernel = build_kernel(problem)
-            if kernel is not None:
-                return self._solve_vectorized(problem, kernel)
+        kernel = build_kernel(problem)
+        if kernel is not None:
+            return self._solve_vectorized(problem, kernel)
         serial = itertools.count().__next__
         estimate = problem.cost_model.estimate
         tree = _LazyHeap()

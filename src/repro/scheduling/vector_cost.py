@@ -32,16 +32,16 @@ possible:
   since broadcasting a status column changes which operands meet, not
   the operation applied to them.
 
-``numpy`` is an optional dependency (the ``repro[fast]`` extra): every
-import is guarded and every vectorized code path falls back to the
-scalar walk when it is absent or when a cost model provides no kernel.
+``numpy`` is an optional dependency (the ``repro[fast]`` extra).
+:func:`build_kernel` is the one place that chooses between a kernel and
+the scalar walk, and ``HAVE_NUMPY`` is its one gate: a host without
+numpy, or a cost model that provides no kernel, keeps the scalar walk.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
-from repro.errors import SchedulingError
 from repro.scheduling.problem import Problem, SchedulingCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -54,16 +54,6 @@ try:  # pragma: no cover - exercised via both CI matrix legs
 except ImportError:  # pragma: no cover - the no-numpy CI leg
     numpy = None  # type: ignore[assignment]
     HAVE_NUMPY = False
-
-
-def require_numpy() -> None:
-    """Raise a clear error when ``vectorize=True`` lacks numpy."""
-    if not HAVE_NUMPY:
-        raise SchedulingError(
-            "vectorize=True requires numpy, which is not installed; "
-            "install the optional extra (pip install 'repro[fast]') "
-            "or leave the vectorized path off"
-        )
 
 
 class ColumnKernel:
@@ -144,12 +134,15 @@ class BlockModelKernel(ColumnKernel):
 def build_kernel(problem: Problem) -> Optional[ColumnKernel]:
     """The problem's column kernel, or ``None`` for the scalar path.
 
-    Unwraps a memoizing :class:`CachingCostModel` (kernels bypass the
-    scalar memo — a column is cheaper than n cache probes) and asks the
-    underlying model for a kernel via its optional
+    The schedulers that have a kernel path call this on every problem,
+    and this alone decides. Without numpy it answers ``None``; a
+    ``make_column_kernel`` hook therefore never runs without numpy.
+    Otherwise it unwraps a memoizing :class:`CachingCostModel` (kernels
+    bypass the scalar memo — a column is cheaper than n cache probes)
+    and asks the underlying model for a kernel via its optional
     ``make_column_kernel(problem)`` hook. Any model without the hook —
-    or that declines (no numpy, noisy estimates, unsupported action) —
-    keeps the byte-identical scalar walk.
+    or that declines (noisy estimates, unsupported action) — keeps the
+    byte-identical scalar walk.
     """
     if not HAVE_NUMPY:
         return None
@@ -186,5 +179,4 @@ __all__ = [
     "ColumnKernel",
     "build_kernel",
     "masked_argmin",
-    "require_numpy",
 ]

@@ -153,9 +153,6 @@ class CameraStatusCostModel(SchedulingCostModel):
         """
         if self.estimate_noise:
             return None
-        from repro.scheduling.vector_cost import HAVE_NUMPY
-        if not HAVE_NUMPY:
-            return None
         return _CameraColumnKernel(problem)
 
 

@@ -5,8 +5,6 @@ way unpredictable to the system" (Section 4) — the engine must keep
 working through all of it.
 """
 
-import pytest
-
 from repro import PanTiltZoomCamera, Point, SensorMote, SensorStimulus
 from repro.actions.request import RequestState
 from repro.devices.failures import FailureInjector, OutageSpec
@@ -82,7 +80,6 @@ def test_outage_during_continuous_run(engine):
     assert all(r.state is RequestState.SERVICED for r in requests)
 
 
-@pytest.mark.slow
 def test_long_run_with_random_failures_stays_consistent():
     """A soak test: 20 virtual minutes, random outages, many events."""
     import random

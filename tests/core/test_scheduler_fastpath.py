@@ -1,23 +1,24 @@
 """The cost kernel is picked per batch, and the pick is invisible.
 
-The dispatcher's scheduler vectorizes whenever numpy is installed; per
-batch, ``_ActionCostAdapter.make_column_kernel`` hands it the numpy
-cost kernel whatever the batch's size, and declines only for a device
-without a block resolver, which leaves the scalar walk. Which of the two
-ran, and how often the kernel fills its matrix, is pinned by call counts
-on the engine cost model; that it cannot be told from the outcome, by
-byte-equal dumps against an engine whose scheduler was built with
-``vectorize=False``.
+Per batch, ``build_kernel`` asks ``_ActionCostAdapter.make_column_kernel``
+for the numpy cost kernel, which it hands over whatever the batch's
+size and declines only for a device without a block resolver, which
+leaves the scalar walk. Which of the two ran, and how often the kernel
+fills its matrix, is pinned by call counts on the engine cost model;
+that it cannot be told from the outcome, by byte-equal dumps against an
+engine run with the one gate closed, as on a host without numpy.
 """
 
 import pytest
 
+import contextlib
+
 from repro import EngineConfig
-from repro.core.dispatcher import SCHEDULER_FACTORIES
 from repro.scheduling.vector_cost import HAVE_NUMPY
 
 from tests.core.test_fastpath import build_fast_lab, drive, submit_photo
 from tests.obs.golden import diff_dumps, dump_engine
+from tests.scheduling.scalar_walk import scalar_walk
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -28,13 +29,10 @@ def run_batches(config, batches, scalar=False, n_cameras=4):
 
     Returns (engine, trace); ``engine.cost_calls`` counts the cost
     model's scalar ``estimate`` and kernel ``prepare_block`` /
-    ``estimate_block`` calls. ``scalar`` swaps in the configured
-    algorithm built without the kernel.
+    ``estimate_block`` calls. ``scalar`` runs the batches with the
+    kernel gate closed.
     """
     engine = build_fast_lab(config, n_cameras=n_cameras)
-    if scalar:
-        engine.dispatcher.scheduler = SCHEDULER_FACTORIES[config.scheduler](
-            config.scheduler_seed, vectorize=False)
     engine.cost_calls = {"estimate": 0, "prepare_block": 0,
                          "estimate_block": 0}
 
@@ -50,11 +48,12 @@ def run_batches(config, batches, scalar=False, n_cameras=4):
         setattr(engine.cost_model, name, counted(name))
     candidates = tuple(f"cam{i + 1}" for i in range(n_cameras))
     n = 0
-    for round_index, xs in enumerate(batches):
-        for x in xs:
-            n += 1
-            submit_photo(engine, candidates, request_id=f"r{n}", x=x)
-        drive(engine, until=300.0 * (round_index + 1))
+    with scalar_walk() if scalar else contextlib.nullcontext():
+        for round_index, xs in enumerate(batches):
+            for x in xs:
+                n += 1
+                submit_photo(engine, candidates, request_id=f"r{n}", x=x)
+            drive(engine, until=300.0 * (round_index + 1))
     trace = [(record.at, record.kind, dict(record.fields))
              for record in engine.dispatcher.obs.tracer]
     return engine, trace
@@ -106,7 +105,7 @@ class TestMatrixFill:
 
 
 class TestVectorizeKnob:
-    """``Scheduler(vectorize=)``, as the dispatcher sets it."""
+    """The kernel against the scalar walk, on every algorithm."""
 
     @pytest.mark.parametrize("scheduler",
                              ["SRFAE", "LERFA+SRFE", "LS", "RANDOM"])
@@ -115,7 +114,3 @@ class TestVectorizeKnob:
         _, scalar = run_rounds(config, scalar=True)
         _, vector = run_rounds(config)
         assert vector == scalar
-
-    def test_dispatcher_scheduler_carries_the_flag(self):
-        engine = build_fast_lab(EngineConfig())
-        assert engine.dispatcher.scheduler.vectorize is True

@@ -6,8 +6,6 @@ wrong positions, refused connections); with the locking mechanism the
 interference disappears.
 """
 
-import pytest
-
 from repro import EngineConfig, Point, SensorStimulus
 from repro.actions.request import RequestState
 from repro.devices.camera import Photo
@@ -58,7 +56,6 @@ def failure_fraction(engine):
     return failures / len(requests)
 
 
-@pytest.mark.slow
 def test_locking_eliminates_interference():
     without = failure_fraction(run_study(locking=False))
     with_locking = failure_fraction(run_study(locking=True))

@@ -46,6 +46,13 @@ def test_policy_refuses_nan(field, refused):
         HealthPolicy(**{field: math.nan})
 
 
+@pytest.mark.parametrize("threshold", [math.nan, 2.5, 3.0, math.inf])
+def test_policy_refuses_a_failure_threshold_that_is_no_integer(threshold):
+    # At NaN ``failures >= threshold`` is False: the breaker never opened.
+    with pytest.raises(DeviceError, match="failure_threshold"):
+        HealthPolicy(failure_threshold=threshold)
+
+
 def test_unknown_device_is_closed_and_allowed():
     _, tracker = make_tracker()
     assert tracker.state_of("cam1") is BreakerState.CLOSED

@@ -66,6 +66,23 @@ class TestPolicyValidation:
         with pytest.raises(AortaError, match="strictly below"):
             OverloadPolicy(shed_high_watermark=10, shed_low_watermark=10)
 
+    @pytest.mark.parametrize("limit", [math.nan, 2.5, 256.0, math.inf])
+    def test_queue_limit_refuses_a_count_that_is_no_integer(self, limit):
+        # At NaN every queue stayed unbounded.
+        with pytest.raises(AortaError, match="queue_limit"):
+            OverloadPolicy(queue_limit=limit)
+
+    @pytest.mark.parametrize("high", [math.nan, 192.5, 192.0, math.inf])
+    def test_high_watermark_refuses_a_count_that_is_no_integer(self, high):
+        # At NaN ``pending > watermark`` is False: load was never shed.
+        with pytest.raises(AortaError, match="shed watermarks"):
+            OverloadPolicy(shed_high_watermark=high)
+
+    @pytest.mark.parametrize("low", [math.nan, 2.5, 128.0])
+    def test_low_watermark_refuses_a_count_that_is_no_integer(self, low):
+        with pytest.raises(AortaError, match="shed watermarks"):
+            OverloadPolicy(shed_low_watermark=low)
+
     def test_utilization_cap_bounds(self):
         """A window commits at most the capped share of the fleet's
         device-seconds: the rest absorbs estimate error and retries."""

@@ -34,6 +34,8 @@ from repro.scheduling import (
 from repro.scheduling.cost_cache import freeze_status
 from repro.scheduling.simulated_annealing import IncrementalMakespan
 
+from tests.scheduling.scalar_walk import scalar_walk
+
 TINY_SA = SAParameters(moves_per_temperature_per_request=4,
                        max_evaluations=400)
 
@@ -169,10 +171,12 @@ def test_schedulers_skip_caching_noisy_models():
 
 
 def test_prewrapped_problem_keeps_its_memo():
-    """How a test or bench gives a greedy algorithm a memo: wrap first."""
+    """How a test or bench gives a greedy algorithm a memo: wrap first,
+    and close the kernel gate, since a kernel bypasses the memo."""
     problem = prewrapped(uniform_camera_workload(6, 2, seed=0))
     scheduler = SrfaeScheduler(0)
-    scheduler.schedule(problem)
+    with scalar_walk():
+        scheduler.schedule(problem)
     assert scheduler.last_cache_stats == problem.cost_model.stats()
     assert scheduler.last_cache_stats["misses"] > 0
 
@@ -208,12 +212,14 @@ def test_cost_cache_option_is_gone():
 def test_all_schedulers_identical_with_cache_on_and_off(n, m, seed):
     """The model's hint is the only input that differs; the pre-wrapped
     leg puts the four algorithms the hint does not reach behind a memo
-    too."""
+    too. The kernel gate is closed, so every algorithm walks the
+    estimates the memo answers."""
     problem = uniform_camera_workload(n, m, seed=seed)
-    for factory in SCHEDULER_FACTORIES:
-        plain = factory().schedule(problem).assignments
-        assert factory().schedule(opted_in(problem)).assignments == plain
-        assert factory().schedule(prewrapped(problem)).assignments == plain
+    with scalar_walk():
+        for factory in SCHEDULER_FACTORIES:
+            plain = factory().schedule(problem).assignments
+            assert factory().schedule(opted_in(problem)).assignments == plain
+            assert factory().schedule(prewrapped(problem)).assignments == plain
 
 
 # ----------------------------------------------------------------------

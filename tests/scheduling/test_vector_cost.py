@@ -1,14 +1,16 @@
 """Vectorized cost kernels: bit-equality with the scalar oracle.
 
-The load-bearing property is **byte-identity**: with ``vectorize=True``
-every scheduler must produce exactly the schedule the scalar walk
-produces — same assignments, same queue orders, same tie-breaks — on
-every problem. Anything weaker would silently change the paper's
-reproduced figures when the fast path is switched on. The kernels' own
-contract (a column is element-wise bit-equal to scalar ``estimate``) is
-what makes that identity provable, so it is property-tested directly
-against both cost oracles: the synthetic camera model and the engine
-cost model's block entry points.
+The load-bearing property is **byte-identity**: where
+``build_kernel`` offers a kernel, every scheduler must produce exactly
+the schedule the scalar walk produces — same assignments, same queue
+orders, same tie-breaks — on every problem. Anything weaker would make
+the paper's reproduced figures depend on whether numpy is installed.
+The scalar reference is reached the way a host without numpy reaches
+it: by closing the one gate, ``vector_cost.HAVE_NUMPY``
+(``scalar_walk``). The kernels' own contract (a column is element-wise
+bit-equal to scalar ``estimate``) is what makes that identity provable,
+so it is property-tested directly against both cost oracles: the
+synthetic camera model and the engine cost model's block entry points.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ from repro.actions.registry import ActionRegistry
 from repro.actions.builtins import install_builtin_actions
 from repro.cost.model import CostModel
 from repro.devices.camera import CameraCalibration, HeadPosition
-from repro.errors import ProfileError, SchedulingError
+from repro.errors import ProfileError
 from repro.profiles.action_profile import ActionProfile, OperationRef, seq
 from repro.profiles.defaults import (
     camera_cost_table,
@@ -46,9 +48,10 @@ from repro.scheduling import (
     skewed_camera_workload,
     uniform_camera_workload,
 )
-from repro.scheduling import vector_cost
 from repro.scheduling.vector_cost import build_kernel, masked_argmin
 from repro.scheduling.workload import CameraStatusCostModel
+
+from tests.scheduling.scalar_walk import scalar_walk
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
                                  reason="numpy not installed")
@@ -57,32 +60,46 @@ TINY_SA = SAParameters(moves_per_temperature_per_request=4,
                        max_evaluations=400)
 
 SCHEDULER_FACTORIES = (
-    lambda vec: SrfaeScheduler(0, vectorize=vec),
-    lambda vec: LerfaSrfeScheduler(0, vectorize=vec),
-    lambda vec: ListScheduler(0, vectorize=vec),
-    lambda vec: SimulatedAnnealingScheduler(0, parameters=TINY_SA,
-                                            vectorize=vec),
-    lambda vec: RandomScheduler(0, vectorize=vec),
+    lambda: SrfaeScheduler(0),
+    lambda: LerfaSrfeScheduler(0),
+    lambda: ListScheduler(0),
+    lambda: SimulatedAnnealingScheduler(0, parameters=TINY_SA),
+    lambda: RandomScheduler(0),
 )
+
+
+def kernel_and_scalar(factory, problem):
+    """``factory()``'s schedule of ``problem`` as built, then with the
+    gate closed."""
+    kernel = factory().schedule(problem)
+    with scalar_walk():
+        scalar = factory().schedule(problem)
+    return kernel, scalar
 
 
 # ----------------------------------------------------------------------
 # The optional-dependency gate
 # ----------------------------------------------------------------------
-def test_vectorize_without_numpy_is_a_clear_error(monkeypatch):
-    monkeypatch.setattr(vector_cost, "HAVE_NUMPY", False)
-    with pytest.raises(SchedulingError, match="repro\\[fast\\]"):
-        SrfaeScheduler(0, vectorize=True)
-
-
-def test_camera_model_declines_kernel_without_numpy(monkeypatch):
-    monkeypatch.setattr(vector_cost, "HAVE_NUMPY", False)
+def test_camera_model_declines_kernel_without_numpy():
     problem = uniform_camera_workload(4, 2, seed=0)
-    assert build_kernel(problem) is None
+    with scalar_walk():
+        assert build_kernel(problem) is None
 
 
-def test_vectorize_defaults_off():
-    assert SrfaeScheduler(0).vectorize is False
+@needs_numpy
+def test_a_default_scheduler_takes_the_kernel(monkeypatch):
+    """``build_kernel`` alone decides: a scheduler built with no
+    argument solves a camera problem through the kernel."""
+    kernels = []
+    solve = SrfaeScheduler._solve_vectorized
+
+    def counted(self, problem, kernel):
+        kernels.append(kernel)
+        return solve(self, problem, kernel)
+
+    monkeypatch.setattr(SrfaeScheduler, "_solve_vectorized", counted)
+    SrfaeScheduler(0).schedule(uniform_camera_workload(6, 2, seed=0))
+    assert len(kernels) == 1
 
 
 # ----------------------------------------------------------------------
@@ -180,15 +197,13 @@ def test_static_model_has_no_kernel():
         requests=(SchedRequest("r1", ("d1",)), SchedRequest("r2", ("d1",))),
         device_ids=("d1",), cost_model=StaticCostModel(costs))
     assert build_kernel(problem) is None
-    if HAVE_NUMPY:
-        # vectorize=True silently keeps the scalar path for such models.
-        vec = SrfaeScheduler(0, vectorize=True).schedule(problem)
-        ref = SrfaeScheduler(0).schedule(problem)
-        assert vec.assignments == ref.assignments
+    # Such a model keeps the scalar walk, gate open or closed.
+    kernel, scalar = kernel_and_scalar(lambda: SrfaeScheduler(0), problem)
+    assert kernel.assignments == scalar.assignments
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: vectorize on == off, all five schedulers
+# Byte-identity: kernel == scalar walk, all five schedulers
 # ----------------------------------------------------------------------
 @needs_numpy
 @settings(max_examples=20, deadline=None)
@@ -197,9 +212,8 @@ def test_static_model_has_no_kernel():
 def test_all_schedulers_identical_with_vectorize_on_and_off(n, m, seed):
     problem = uniform_camera_workload(n, m, seed=seed)
     for factory in SCHEDULER_FACTORIES:
-        vectorized = factory(True).schedule(problem)
-        scalar = factory(False).schedule(problem)
-        assert vectorized.assignments == scalar.assignments
+        kernel, scalar = kernel_and_scalar(factory, problem)
+        assert kernel.assignments == scalar.assignments
 
 
 @needs_numpy
@@ -210,9 +224,8 @@ def test_all_schedulers_identical_with_vectorize_on_and_off(n, m, seed):
 def test_skewed_eligibility_identical_with_vectorize(n, m, skewness, seed):
     problem = skewed_camera_workload(n, m, skewness, seed=seed)
     for factory in SCHEDULER_FACTORIES:
-        vectorized = factory(True).schedule(problem)
-        scalar = factory(False).schedule(problem)
-        assert vectorized.assignments == scalar.assignments
+        kernel, scalar = kernel_and_scalar(factory, problem)
+        assert kernel.assignments == scalar.assignments
 
 
 @needs_numpy
@@ -226,9 +239,8 @@ def test_duplicate_targets_force_ties_identically():
                      payload=shared)
         for r in base.requests))
     for factory in SCHEDULER_FACTORIES:
-        vectorized = factory(True).schedule(problem)
-        scalar = factory(False).schedule(problem)
-        assert vectorized.assignments == scalar.assignments
+        kernel, scalar = kernel_and_scalar(factory, problem)
+        assert kernel.assignments == scalar.assignments
 
 
 @needs_numpy
@@ -264,9 +276,9 @@ def test_srfae_shared_candidate_tuples_identical_with_vectorize(
                 candidates=candidates_of(i, tuples[i % groups]),
                 payload=base.requests[0].payload if tied else r.payload)
             for i, r in enumerate(base.requests)))
-        vectorized = SrfaeScheduler(0, vectorize=True).schedule(problem)
-        scalar = SrfaeScheduler(0).schedule(problem)
-        assert vectorized.assignments == scalar.assignments
+        kernel, scalar = kernel_and_scalar(lambda: SrfaeScheduler(0),
+                                           problem)
+        assert kernel.assignments == scalar.assignments
 
 
 # ----------------------------------------------------------------------

@@ -119,6 +119,14 @@ def test_config_validates_shard_knobs():
         EngineConfig(shards=0)
 
 
+@pytest.mark.parametrize("shards", [2.5, math.nan, 2.0, math.inf, "2"])
+def test_config_refuses_a_shard_count_that_is_no_integer(shards):
+    # 2.5 died later in ShardedEngine with a bare TypeError; NaN as
+    # "placement covers nan shard(s)".
+    with pytest.raises(AortaError, match="shards must be an integer"):
+        EngineConfig(shards=shards)
+
+
 def test_placement_width_must_match_config():
     with pytest.raises(ShardingError, match="config.shards"):
         ShardedEngine(config=EngineConfig(shards=4),

@@ -50,7 +50,6 @@ def test_sensor_field(capsys):
     assert "blinked" in out
 
 
-@pytest.mark.slow
 def test_surveillance_lab(capsys):
     import surveillance_lab
     surveillance_lab.main()

@@ -1,11 +1,12 @@
-"""Keeps ten descriptions of the tree honest: every definition under
+"""Keeps eleven descriptions of the tree honest: every definition under
 ``src/repro`` has a caller that is not a test, every config field has a
 second value in use outside ``tests/``, every parameter with a default
 is passed by some call outside ``tests/``, no component defaults its
-sink, no two functions share a body, a runtime's ``now`` is assigned
-only by the kernel, a device channel is checked out in one place, the
-comm layer starts no process, only loops start processes (``core/``'s
-two among them), and DESIGN.md's module map is the tree."""
+sink, one module reads the numpy gate, no two functions share a body, a
+runtime's ``now`` is assigned only by the kernel, a device channel is
+checked out in one place, the comm layer starts no process, only loops
+start processes (``core/``'s two among them), and DESIGN.md's module
+map is the tree."""
 
 import ast
 import copy
@@ -25,6 +26,7 @@ from repro.devices import CameraCalibration, MobilePhone, PanTiltZoomCamera
 from repro.obs.metrics import Histogram
 from repro.overload import OverloadPolicy, TierRate
 from repro.profiles.defaults import camera_cost_table
+from repro.scheduling import Scheduler, SimulatedAnnealingScheduler
 from repro.scheduling.metrics import device_completion_times
 from repro.sim import Environment, Timeout
 
@@ -385,7 +387,8 @@ def test_a_constant_is_no_keyword(cls, name):
     (CameraCalibration.fixed_photo_seconds, "size"),
     (PanTiltZoomCamera, "mount_height"), (PanTiltZoomCamera, "calibration"),
     (camera_cost_table, "calibration"), (MobilePhone, "mms_support"),
-    (device_completion_times, "use_actual")])
+    (device_completion_times, "use_actual"), (Scheduler, "vectorize"),
+    (SimulatedAnnealingScheduler, "vectorize")])
 def test_a_constant_is_no_parameter(function, name):
     """The parameter rule's verdicts (DESIGN decision 24) left no alias.
     ``test_a_constant_is_no_keyword`` cannot pin a method or a class
@@ -554,8 +557,6 @@ def _never_passed():
 #: ``CALLER_TREES`` passes it. "A test passes it" is not one of them.
 PARAMETER_KINDS = (
     "CLI seam",                   # the console entry point's argv
-    "platform selection",         # passed through a factory the scan
-                                  # cannot match by name
     "paper-named device model",   # PAPER.md names the knob
 )
 
@@ -566,16 +567,6 @@ KEPT_PARAMETERS = {
         "CLI seam",
         "`python -m repro` reads `sys.argv`; a caller that embeds the "
         "CLI passes its own words"),
-    "scheduling/base.py:Scheduler.__init__(vectorize)": (
-        "platform selection",
-        "the dispatcher passes `vectorize=HAVE_NUMPY` through "
-        "`SCHEDULER_FACTORIES[...]`, and bench_perf_regression passes "
-        "True through `factory(...)`"),
-    "scheduling/simulated_annealing.py:"
-    "SimulatedAnnealingScheduler.__init__(vectorize)": (
-        "platform selection",
-        "reaches `Scheduler.__init__` through the same two factory "
-        "calls"),
     "devices/sensor.py:SensorMote.__init__(packet_loss_rate)": (
         "paper-named device model",
         "PAPER.md's mote has a \"lossy radio (configurable "
@@ -594,7 +585,7 @@ def test_every_optional_parameter_is_passed_by_some_caller():
 
 
 def test_the_parameter_allow_list_is_short_reasoned_and_not_stale():
-    assert len(KEPT_PARAMETERS) <= 4
+    assert len(KEPT_PARAMETERS) <= 2
     for name, (kind, reason) in KEPT_PARAMETERS.items():
         assert kind in PARAMETER_KINDS and reason, name
     stale = sorted(set(KEPT_PARAMETERS) - set(_never_passed()))
@@ -628,6 +619,21 @@ def test_no_component_defaults_its_sink():
                                f"{getattr(function, 'name', '')}")
     assert defaulted == []
     assert tracers == ["obs/spans.py:Observability.__init__"]
+
+
+def test_one_module_reads_the_numpy_gate():
+    """``build_kernel`` alone chooses between the cost kernel and the
+    scalar walk (DESIGN decision 11): no other module under
+    ``src/repro`` loads ``HAVE_NUMPY``. Imports and ``__all__`` name it
+    without loading it."""
+    readers = sorted({
+        str(path.relative_to(SRC))
+        for path, module in _modules().items() if SRC in path.parents
+        for node in ast.walk(module)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+        and "HAVE_NUMPY" in (getattr(node, "id", None),
+                             getattr(node, "attr", None))})
+    assert readers == ["scheduling/vector_cost.py"]
 
 
 def _normalized_body(function):
