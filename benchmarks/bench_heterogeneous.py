@@ -12,7 +12,6 @@ import pytest
 
 from repro import (
     AortaEngine,
-    EngineConfig,
     Environment,
     MobilePhone,
     PanTiltZoomCamera,
@@ -33,8 +32,7 @@ MINUTES = 5
 
 def build_engine(seed=0):
     env = Environment()
-    engine = AortaEngine(env, config=EngineConfig(scheduler="SRFAE"),
-                         seed=seed)
+    engine = AortaEngine(env, seed=seed)
     for i in range(N_CAMERAS):
         engine.add_device(PanTiltZoomCamera(
             env, f"cam{i + 1}", Point(12.0 * i, 0),

@@ -48,8 +48,7 @@ PAPER = {"without": ">50%", "with": "~10%"}
 
 
 def run_study(locking: bool, seed: int = 0) -> float:
-    config = EngineConfig(locking=locking, probing=locking,
-                          scheduler="SRFAE", scheduler_seed=seed)
+    config = EngineConfig(locking=locking, probing=locking)
     env = Environment()
     engine = AortaEngine(env, config=config, links=dict(LINKS), seed=seed)
     # Real cameras "produce blurred photos occasionally" (Section 4):

@@ -20,7 +20,6 @@ import random
 
 from repro import (
     AortaEngine,
-    EngineConfig,
     Environment,
     MobilePhone,
     PanTiltZoomCamera,
@@ -148,7 +147,7 @@ def inject_failures(engine: AortaEngine) -> None:
 
 def main() -> None:
     env = Environment()
-    engine = AortaEngine(env, config=EngineConfig(scheduler="SRFAE"))
+    engine = AortaEngine(env)
     build_lab(engine)
     register_sendphoto(engine)
     register_queries(engine)

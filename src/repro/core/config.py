@@ -13,9 +13,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.devices.health import HealthPolicy
     from repro.overload.policy import OverloadPolicy
 
-#: Scheduler names accepted by EngineConfig.scheduler.
-SCHEDULER_NAMES = ("LERFA+SRFE", "SRFAE", "LS", "SA", "RANDOM")
-
 #: First-retry backoff, in virtual seconds.
 BACKOFF_BASE = 0.5
 #: Multiplier applied to the backoff on each further retry.
@@ -79,7 +76,10 @@ class EngineConfig:
     A field is here because a caller outside the tests sets a second
     value, or an allow-listed reason keeps it (DESIGN.md decision 24).
     What no caller varies is a constant of the module that reads it:
-    the poll interval (:data:`repro.core.continuous.POLL_INTERVAL`),
+    the scheduling algorithm (SRFAE, which
+    :class:`~repro.core.dispatcher.Dispatcher` builds; the other four
+    stay in :mod:`repro.scheduling` for the paper-figure benches), the
+    poll interval (:data:`repro.core.continuous.POLL_INTERVAL`),
     the batch window (:data:`repro.core.dispatcher.BATCH_WINDOW`), the
     connection pool's size and idle expiry (:mod:`repro.comm.pool`),
     the status cache's TTLs (:mod:`repro.comm.status_cache`), the
@@ -94,10 +94,6 @@ class EngineConfig:
     locking: bool = True
     #: Probe candidates (availability + status) before optimization.
     probing: bool = True
-    #: Which scheduling algorithm the dispatcher uses.
-    scheduler: str = "SRFAE"
-    #: Seed for the scheduler's randomness.
-    scheduler_seed: int = 0
     #: Reaction to transient execution failures (default: none, the
     #: pre-fault-tolerance behaviour).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -156,11 +152,6 @@ class EngineConfig:
     parallel_backend: str = "process"
 
     def __post_init__(self) -> None:
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise AortaError(
-                f"unknown scheduler {self.scheduler!r}; expected one of "
-                f"{SCHEDULER_NAMES}"
-            )
         # Written so that NaN fails too: every comparison with NaN is
         # False.
         if self.lock_lease_seconds is not None \

@@ -3,9 +3,11 @@
 This is the "optimizer" of Sections 4–5 at run time: action requests
 appearing in a shared action operator "at the same time or within a
 short time interval" are drained as one batch, candidates are probed
-(unavailable devices excluded), costs estimated from probed status, the
-configured scheduling algorithm assigns requests to devices, and
-per-device executors service their queues under device locks.
+(unavailable devices excluded), costs estimated from probed status,
+SRFAE (§5) assigns requests to devices, and per-device executors
+service their queues under device locks. The other four algorithms of
+§5's comparison live in :mod:`repro.scheduling` only, for the
+paper-figure benches.
 
 One batch is one :class:`_Batch` record handed down a fixed line of
 step methods (:meth:`Dispatcher.dispatch_batch`); a request ends in
@@ -41,14 +43,9 @@ from repro.devices.health import DeviceHealthTracker
 from repro.plan.action_op import SharedActionOperator
 from repro.scheduling import (
     BlockModelKernel,
-    LerfaSrfeScheduler,
-    ListScheduler,
     Problem,
-    RandomScheduler,
     SchedRequest,
-    Scheduler,
     SchedulingCostModel,
-    SimulatedAnnealingScheduler,
     SrfaeScheduler,
 )
 from repro.obs.metrics import Counter, Histogram
@@ -58,16 +55,6 @@ from repro.sim import Environment, Event, raise_first_error
 from repro.sim.rng import component_seed
 from repro.sync.locks import DeviceLockManager, LockToken
 from repro.core.config import EngineConfig
-
-#: Factories of the five evaluated algorithms, keyed by config name.
-SCHEDULER_FACTORIES = {
-    "LERFA+SRFE": LerfaSrfeScheduler,
-    "SRFAE": SrfaeScheduler,
-    "LS": ListScheduler,
-    "SA": SimulatedAnnealingScheduler,
-    "RANDOM": RandomScheduler,
-}
-
 
 #: Virtual seconds the dispatcher waits after a first request so that
 #: near-simultaneous requests from concurrent queries batch into one
@@ -164,9 +151,8 @@ class DispatchReport:
     scheduling_seconds: float
     batch_started_at: float
     batch_finished_at: float
-    #: Hit/miss counters of the scheduler's cost memo for this batch
-    #: alone (None unless the algorithm memoizes — SA — and something
-    #: was scheduled).
+    #: Always None: SRFAE keeps no cost memo. The field stays because
+    #: the end-to-end benchmark reads it by name (ROADMAP item 1).
     cache_stats: Optional[Dict[str, float]] = None
     #: Execution attempts made for this batch's requests (one per
     #: executed request with the default policy).
@@ -247,8 +233,8 @@ class Dispatcher:
         #: TTL device-status cache (None = every batch probes every
         #: candidate, as Section 4 prescribes).
         self.status_cache = status_cache
-        self.scheduler: Scheduler = SCHEDULER_FACTORIES[config.scheduler](
-            config.scheduler_seed)
+        #: §5's SRFAE, the one algorithm the engine schedules with.
+        self.scheduler = SrfaeScheduler()
         self._operators: Dict[str, SharedActionOperator] = {}
         #: The overload-control plane (None = off, the pre-overload
         #: behaviour: unbounded queues, no admission, no shedding).
@@ -258,12 +244,12 @@ class Dispatcher:
                           operators=lambda: list(self._operators.values()))
         self._wakeup: Optional[Event] = None
         self._running = False
-        #: Deterministic jitter stream for retry backoff, derived from
-        #: ``config.scheduler_seed`` (not the engine seed) so
-        #: fault-tolerant runs replay exactly; every shard of a fleet
-        #: shares the config, so all draw the same stream.
+        #: Deterministic jitter stream for retry backoff, so
+        #: fault-tolerant runs replay exactly. Seeded from 0, not the
+        #: engine seed (CHANGES.md 48's FOUND): every engine and every
+        #: shard of a fleet draws the same stream (ROADMAP item 21).
         self._retry_rng = random.Random(
-            component_seed(config.scheduler_seed, "dispatcher:retry-jitter"))
+            component_seed(0, "dispatcher:retry-jitter"))
         #: All requests that went through dispatch, in completion order.
         self.completed: List[ActionRequest] = []
         self.reports: List[DispatchReport] = []
@@ -532,7 +518,7 @@ class Dispatcher:
                 self._fail(request, None, reason)
 
     def _schedule(self, batch: _Batch) -> None:
-        """Run the configured algorithm; fill ``batch.queues``."""
+        """Run SRFAE; fill ``batch.queues``."""
         if not batch.schedulable:
             return
         problem = Problem(
@@ -548,9 +534,6 @@ class Dispatcher:
                            size=len(batch.schedulable)):
             schedule = self.scheduler.schedule(problem)
         batch.report.scheduling_seconds = schedule.scheduling_seconds
-        # Read now: another action's batch may schedule while this one
-        # waits on its executions.
-        batch.report.cache_stats = self.scheduler.last_cache_stats
         by_id = {entry.request_id: entry.payload
                  for entry in batch.schedulable}
         for device_id, queue in schedule.assignments.items():

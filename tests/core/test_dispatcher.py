@@ -1,12 +1,10 @@
-"""Unit tests for the dispatcher: batching, probing, scheduler config."""
+"""Unit tests for the dispatcher: batching, probing, locking."""
 
 import pytest
 
 from repro.errors import AortaError
 from repro import EngineConfig, Point, SensorStimulus
 from repro.actions.request import ActionRequest, RequestState
-from repro.core.config import SCHEDULER_NAMES
-from repro.core.dispatcher import SCHEDULER_FACTORIES
 from repro.geometry import Point
 from tests.core.conftest import build_lab
 
@@ -33,10 +31,6 @@ def dispatch(engine, requests):
     engine.env.process(proc(engine.env))
     engine.env.run()
     return reports[0]
-
-
-def test_every_scheduler_name_has_factory():
-    assert set(SCHEDULER_FACTORIES) == set(SCHEDULER_NAMES)
 
 
 def test_dispatch_batch_services_requests(engine):
@@ -85,16 +79,6 @@ def test_no_probing_assigns_blind():
     assert report.scheduled == 1
     assert request.state is RequestState.FAILED
     assert "offline" in request.failure_reason
-
-
-def test_scheduler_configured_by_name():
-    engine = build_lab(config=EngineConfig(scheduler="LERFA+SRFE"))
-    assert engine.dispatcher.scheduler.name == "LERFA+SRFE"
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(AortaError, match="unknown scheduler"):
-        EngineConfig(scheduler="QUANTUM")
 
 
 def test_batch_window_groups_requests(engine):

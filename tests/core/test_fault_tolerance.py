@@ -196,17 +196,6 @@ def test_overlapping_batches_report_their_own_attempts():
     assert photo.retries + beep.retries == stats["retries"]
 
 
-def test_overlapping_batches_report_their_own_cache_stats():
-    """Under SA both batches have a memo; each report holds its own."""
-    _, photo, beep = overlapping_photo_and_beep(EngineConfig(
-        probing=False, scheduler="SA", retry=RETRY_THROUGH_OUTAGE))
-    # One beep on one mote is one distinct estimate; two photos on one
-    # camera are four (either first, the other from where it leaves
-    # the head).
-    assert beep.cache_stats["misses"] == 1
-    assert photo.cache_stats["misses"] == 4
-
-
 def test_permanent_failures_are_not_retried():
     engine = build_lab(config=EngineConfig(
         probing=False,

@@ -262,18 +262,12 @@ OPTION_CLASSES = (EngineConfig, RetryPolicy, HealthPolicy, OverloadPolicy,
 #: sets it" is not one of them.
 OPTION_KINDS = (
     "passed by name by benchmarks/e2e",  # only a benchmark change edits it
-    "open ROADMAP item",                 # the named item decides the field
     "paper-literal",                     # the section needing a 2nd value
 )
 
 #: ``Class.field`` -> (kind, reason): what stays settable although
 #: nothing in ``CALLER_TREES`` sets a second value.
 KEPT_OPTIONS = {
-    "EngineConfig.scheduler": (
-        "open ROADMAP item",
-        "item 9: section 5's end-to-end verdict decides whether its "
-        "algorithms stay selectable in the engine or only in the "
-        "scheduling library the paper-figure benches call"),
     "HealthPolicy.failure_threshold": (
         "passed by name by benchmarks/e2e",
         "`mixed_faulty` passes it at its default"),
@@ -350,7 +344,7 @@ def test_every_option_has_a_second_value_outside_tests():
 
 
 def test_the_option_allow_list_is_short_reasoned_and_not_stale():
-    assert len(KEPT_OPTIONS) <= 4
+    assert len(KEPT_OPTIONS) <= 3
     for name, (kind, reason) in KEPT_OPTIONS.items():
         assert kind in OPTION_KINDS and reason, name
     stale = sorted(set(KEPT_OPTIONS) - set(_single_valued_options()))
@@ -361,7 +355,7 @@ def test_the_option_allow_list_is_short_reasoned_and_not_stale():
     (EngineConfig, name) for name in (
         "poll_interval", "batch_window", "edge_triggered", "pool_capacity",
         "pool_idle_seconds", "status_ttl_seconds", "shard_quantum",
-        "status_ttls", "runtime")] + [
+        "status_ttls", "runtime", "scheduler", "scheduler_seed")] + [
     (RetryPolicy, name) for name in (
         "backoff_base", "backoff_factor", "jitter", "max_dispatches",
         "backoff_max")] + [
