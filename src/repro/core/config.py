@@ -111,7 +111,8 @@ class EngineConfig:
     observability: bool = False
     #: Wall seconds per runtime second the engine's own runtime is
     #: paced at (``Environment(time_scale=...)``); 0, the default, never
-    #: paces. Ignored when the engine is handed an explicit runtime.
+    #: paces. An engine handed an explicit runtime refuses a non-zero
+    #: value: that runtime carries its own pacing.
     time_scale: float = 0.0
     #: TTL device-status cache — a policy, not a speed switch: the
     #: dispatcher skips the probe exchange for devices probed within
@@ -128,8 +129,8 @@ class EngineConfig:
     #: pre-overload engine (golden-gated).
     overload: bool = False
     #: Overload-plane tunables; ``None`` uses the defaults of
-    #: :class:`~repro.overload.policy.OverloadPolicy`. Only read when
-    #: ``overload`` is True.
+    #: :class:`~repro.overload.policy.OverloadPolicy`. A policy without
+    #: ``overload`` is refused: nothing would read it.
     overload_policy: Optional["OverloadPolicy"] = None
     #: Number of engine shards the fleet is partitioned across. Only
     #: :class:`~repro.shard.ShardedEngine` honours values above 1 — a
@@ -142,7 +143,8 @@ class EngineConfig:
     #: sequentially on the coordinator thread. Only
     #: :class:`~repro.shard.ShardedEngine` honours it, and only with
     #: ``shards > 1`` (a 1-shard fleet keeps its one engine
-    #: in-process). Off by default; a worker fleet's per-shard dumps
+    #: in-process); a plain engine refuses it, as it refuses
+    #: ``shards > 1``. Off by default; a worker fleet's per-shard dumps
     #: are byte-identical to the in-process fleet's (pinned by
     #: ``tests/shard/test_parallel.py``).
     parallel: bool = False
@@ -160,6 +162,8 @@ class EngineConfig:
                              "finite")
         if not 0 <= self.time_scale < math.inf:
             raise AortaError("time_scale must be non-negative and finite")
+        if self.overload_policy is not None and not self.overload:
+            raise AortaError("overload_policy is set but overload is off")
         # A count of shards: NaN and 2.5 are refused, as RetryPolicy
         # refuses them.
         if not (isinstance(self.shards, int) and self.shards >= 1):

@@ -70,14 +70,18 @@ class AortaEngine:
         seed: int = 0,
     ) -> None:
         self.config = config or EngineConfig()
-        if self.config.shards != 1:
+        if self.config.shards != 1 or self.config.parallel:
             raise AortaError(
-                f"AortaEngine owns exactly one shard; a config with "
-                f"shards={self.config.shards} needs "
+                f"AortaEngine owns exactly one in-process shard; a config "
+                f"with shards={self.config.shards}, "
+                f"parallel={self.config.parallel} needs "
                 f"repro.shard.ShardedEngine")
-        #: The runtime everything runs on. An explicit ``env`` wins;
-        #: otherwise one is built at the config's ``time_scale``
-        #: (default: unpaced virtual time).
+        if env is not None and self.config.time_scale:
+            raise AortaError(
+                "time_scale paces the runtime the engine builds; an "
+                "explicit env brings its own pacing")
+        #: The runtime everything runs on: ``env``, or one built at the
+        #: config's ``time_scale`` (default: unpaced virtual time).
         self.env = env if env is not None else Environment(
             time_scale=self.config.time_scale)
         #: Master seed; every component RNG is a named substream of it

@@ -94,7 +94,8 @@ def test_a_query_dropped_mid_run_loses_no_request(drop_at, overload):
     whenever the DROP lands: before the event, inside the batch window,
     during service or after it."""
     engine = build_lab(config=EngineConfig(
-        overload=overload, overload_policy=OverloadPolicy(queue_limit=2)))
+        overload=overload,
+        overload_policy=OverloadPolicy(queue_limit=2) if overload else None))
     engine.execute(FIGURE_1)
     engine.execute(FIGURE_1.replace("snapshot", "kept"))
     for index in (1, 2, 3):
@@ -141,7 +142,8 @@ def test_every_request_ends_exactly_once(
         probing=probing, locking=locking,
         retry=RetryPolicy(max_attempts=max_attempts, failover=failover),
         overload=overload,
-        overload_policy=OverloadPolicy(queue_limit=queue_limit),
+        overload_policy=(OverloadPolicy(queue_limit=queue_limit)
+                         if overload else None),
         health=HealthPolicy(failure_threshold=1) if health else None))
     for camera in dead:
         engine.comm.registry.get(camera).go_offline()

@@ -49,9 +49,10 @@ def snapshot_scenario(observability: Optional[bool] = None,
     pass through to :class:`EngineConfig` (e.g. ``status_cache``,
     for identity tests against the cache-off golden).
     """
-    env = env if env is not None else Environment()
+    # Without an env the engine builds one at the config's time_scale.
     engine = AortaEngine(env, config=_config(observability,
                                              **config_kwargs), seed=0)
+    env = engine.env
     engine.add_device(PanTiltZoomCamera(env, "cam1", Point(0, 0),
                                         ip_address="10.0.0.1"))
     engine.add_device(PanTiltZoomCamera(env, "cam2", Point(20, 0),
@@ -84,7 +85,6 @@ def continuous_outage_scenario(
     readmitted on probation); cam2 crashes 14s..20s. Runs 70 virtual
     seconds; requests carry explicit ids r01.. so dumps are readable.
     """
-    env = env if env is not None else Environment()
     config = _config(
         observability,
         probing=False,
@@ -95,6 +95,7 @@ def continuous_outage_scenario(
         lock_lease_seconds=30.0,
     )
     engine = AortaEngine(env, config=config, seed=0)
+    env = engine.env
     cameras = []
     for index in range(3):
         camera = PanTiltZoomCamera(
@@ -162,13 +163,13 @@ def overload_storm_scenario(observability: Optional[bool] = None,
     and tier-2 deadlines expire in queue (request_shed). Fully
     deterministic; runs 40 virtual seconds.
     """
-    env = env if env is not None else Environment()
     engine = AortaEngine(
         env,
         config=_config(observability, overload=True,
                        overload_policy=OVERLOAD_STORM_POLICY,
                        **config_kwargs),
         seed=0)
+    env = engine.env
     cameras = []
     for index in range(4):
         camera = PanTiltZoomCamera(

@@ -21,6 +21,7 @@ from repro import (
     SensorMote,
 )
 from repro.actions.request import ActionRequest
+from repro.errors import AortaError
 from repro.devices.failures import FailureInjector
 from repro.overload import OverloadPolicy, TierRate
 
@@ -79,6 +80,11 @@ class TestOverloadOffIdentity:
         assert "overload_admitted_requests" in stats
         assert "overload_peak_queue_depth" in stats
         assert "requests_shed" in stats
+
+    def test_a_policy_without_the_plane_is_refused(self):
+        # The engine built no plane and dropped the policy silently.
+        with pytest.raises(AortaError, match="overload_policy"):
+            EngineConfig(overload_policy=OverloadPolicy(queue_limit=3))
 
 
 class TestStormScenario:

@@ -34,9 +34,14 @@ def test_engine_config_selects_the_realtime_backend():
 
 def test_explicit_runtime_wins_over_config():
     env = Environment()
-    config = EngineConfig(time_scale=0.5)
-    assert AortaEngine(env, config=config).env is env
+    assert AortaEngine(env, config=EngineConfig()).env is env
     assert env.time_scale == 0.0
+
+
+def test_explicit_runtime_refuses_a_config_time_scale():
+    # The engine ran on the unpaced env and dropped the 0.5 silently.
+    with pytest.raises(AortaError, match="time_scale"):
+        AortaEngine(Environment(), config=EngineConfig(time_scale=0.5))
 
 
 def test_config_rejects_unknown_runtime_and_negative_scale():

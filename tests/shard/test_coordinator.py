@@ -114,6 +114,12 @@ def test_plain_engine_refuses_multi_shard_config():
         AortaEngine(config=EngineConfig(shards=2))
 
 
+def test_plain_engine_refuses_a_parallel_config():
+    # It ran in-process: only a fleet has workers to run in parallel.
+    with pytest.raises(AortaError, match="ShardedEngine"):
+        AortaEngine(config=EngineConfig(parallel=True))
+
+
 def test_config_validates_shard_knobs():
     with pytest.raises(AortaError):
         EngineConfig(shards=0)
