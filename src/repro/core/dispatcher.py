@@ -246,8 +246,8 @@ class Dispatcher:
         self._running = False
         #: Deterministic jitter stream for retry backoff, so
         #: fault-tolerant runs replay exactly. Seeded from 0, not the
-        #: engine seed (CHANGES.md 48's FOUND): every engine and every
-        #: shard of a fleet draws the same stream (ROADMAP item 21).
+        #: engine seed, a known fault: every engine and every shard of
+        #: a fleet draws the same stream (ROADMAP item 21 moves it).
         self._retry_rng = random.Random(
             component_seed(0, "dispatcher:retry-jitter"))
         #: All requests that went through dispatch, in completion order.
