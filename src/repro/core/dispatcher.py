@@ -78,9 +78,9 @@ class _ActionCostAdapter(SchedulingCostModel):
     deterministic = True
     #: An estimate runs quantity resolution + profile interpolation —
     #: several times the cost of a memo probe — so an algorithm that
-    #: revisits its estimates (SA) memoizes this model. The greedy
-    #: algorithms, the default among them, never ask twice and run it
-    #: bare.
+    #: revisits its estimates memoizes this model (gated by
+    #: ``benchmarks/bench_perf_regression.py``). SRFAE never asks twice
+    #: and runs it bare.
     cache_by_default = True
 
     def __init__(
