@@ -409,11 +409,11 @@ def main(argv=None) -> int:
     verdict = (f"gate [{scope}]: {'PASS' if exit_code == 0 else 'FAIL'} "
                f"memoizes={who_memoizes} sa_engine_cache={sa_stats} "
                f"vector={vector_acceptance} equivalence={equivalence}")
+    # A smoke run writes no JSON (write_result), so it names none.
+    written = "" if args.smoke else f"\nJSON: {os.path.relpath(JSON_PATH)}"
     record("perf_regression",
            "Scheduling-time regression: memo and vector",
-           table + "\n\n" + verdict +
-           f"\nJSON: {os.path.relpath(JSON_PATH)}",
-           smoke=args.smoke)
+           table + "\n\n" + verdict + written, smoke=args.smoke)
     return exit_code
 
 

@@ -148,9 +148,10 @@ class EngineConfig:
     #: are byte-identical to the in-process fleet's (pinned by
     #: ``tests/shard/test_parallel.py``).
     parallel: bool = False
-    #: Worker backend for ``parallel=True``: "process" (one spawned
-    #: interpreter per shard) is the only value. The field stays because
-    #: the end-to-end benchmark passes it by name (ROADMAP item 15).
+    #: Worker backend for ``parallel=True``: "process" (one worker
+    #: process per shard, forked on Linux) is the only value. The field
+    #: stays because the end-to-end benchmark passes it by name (ROADMAP
+    #: item 15).
     parallel_backend: str = "process"
 
     def __post_init__(self) -> None:
@@ -172,4 +173,4 @@ class EngineConfig:
         if self.parallel_backend != "process":
             raise AortaError(
                 f"unknown parallel_backend {self.parallel_backend!r}; "
-                f"worker shards are spawned processes (\"process\")")
+                f"worker shards are processes (\"process\")")

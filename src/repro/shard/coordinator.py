@@ -279,8 +279,9 @@ class ShardedEngine:
                         ShardWorker(index, shard_config, shard_seed))
                 else:
                     self.handles.append(ShardHost(shard_config, shard_seed))
-            # Every worker is already spawning and importing; wait only
-            # now, so start-up costs one worker's, not their sum.
+            # Every worker is already starting and building its shard;
+            # wait only now, so start-up costs one worker's, not their
+            # sum.
             for handle in self.handles:
                 if isinstance(handle, ShardWorker):
                     handle.await_ready()

@@ -6,11 +6,11 @@ fleet asks of it — and the coordinator reaches it through a
 ``finish_round``, ``close()``, ``dead`` and ``engine``. Where the host
 lives is the handle's business, not the coordinator's. Hosted in the coordinator's process, a
 :class:`ShardHost` is its own handle and its methods are called
-directly. :class:`ShardWorker` moves it into a **worker** (a spawned
-interpreter) and sends the same operation names down a pipe — which
-is what buys wall-clock speedup from added shards: an in-process fleet
-steps every shard on one thread, a worker fleet computes each
-bounded-skew round concurrently between barriers.
+directly. :class:`ShardWorker` moves it into a **worker** (a child
+process, forked on Linux) and sends the same operation names down a
+pipe — which is what buys wall-clock speedup from added shards: an
+in-process fleet steps every shard on one thread, a worker fleet
+computes each bounded-skew round concurrently between barriers.
 
 Three design rules keep a worker fleet byte-identical to an
 in-process one (``tests/shard/test_parallel.py`` pins it):
@@ -35,6 +35,16 @@ in-process one (``tests/shard/test_parallel.py`` pins it):
   (DESIGN.md decision 30) — nothing crosses a pipe mid-round, so
   within-round interleaving cannot show.
 
+A worker starts by ``fork`` where the platform has it
+(:data:`START_METHOD`): it shares the coordinator's imported modules
+copy-on-write and goes straight to building its shard, so a fleet's
+set-up pays no interpreter start, import or compile per worker.
+Elsewhere it is ``spawn``. A forked child inherits every pipe end the
+coordinator holds, so each :class:`ShardWorker` has its coordinator end
+closed in every later-forked child: a worker must see EOF once the
+coordinator's end closes or the coordinator dies (DESIGN.md decision
+15).
+
 The worker protocol is a plain ``(op, args)`` tuple stream over a
 duplex pipe, one synchronous reply per command: the ``op_*`` methods
 of :class:`ShardHost` by name, plus ``shutdown``. Everything crossing
@@ -48,7 +58,9 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import multiprocessing.util
 import pickle
+import sys
 import time
 from dataclasses import dataclass
 from typing import (
@@ -64,8 +76,13 @@ from repro.obs.dump import dump_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.overload import CapacityLedger
 
+#: How a worker process starts: ``fork`` on Linux (no interpreter
+#: start, import or compile per worker), ``spawn`` where fork is
+#: absent or unsafe with system frameworks (Windows, macOS).
+START_METHOD = "fork" if sys.platform.startswith("linux") else "spawn"
+
 #: Seconds the coordinator waits for a worker's ready handshake
-#: (spawn + engine construction) before declaring it dead.
+#: (process start + engine construction) before declaring it dead.
 READY_TIMEOUT = 60.0
 
 #: Seconds a closing coordinator waits for a worker to exit cleanly
@@ -321,7 +338,7 @@ def _serve(conn: multiprocessing.connection.Connection,
            config: EngineConfig, seed: int) -> None:
     """The worker main loop: build the shard, then serve commands.
 
-    Runs as the target of a spawned process. Every command gets
+    Runs as the target of the worker process. Every command gets
     exactly one reply: ``("ok", value)``, or ``("error",
     (type_name, message))`` for a handler failure — handler failures
     do *not* kill the worker, so admission refusals and lookup errors
@@ -372,7 +389,7 @@ def _rehydrate(index: int, name: str, message: str) -> AortaError:
 
 
 class ShardWorker:
-    """The handle on a shard hosted in a spawned worker process.
+    """The handle on a shard hosted in a worker process.
 
     Owns the worker and its command pipe: :meth:`call` is one
     synchronous round trip, the split-phase :meth:`begin_round` /
@@ -382,7 +399,7 @@ class ShardWorker:
     instead of hanging the barrier. Construction is split-phase for
     the same reason: the constructor only starts the worker, and
     :meth:`await_ready` — required before the first command — blocks
-    on its ready handshake, so a fleet's spawn + import costs overlap.
+    on its ready handshake, so the workers' start-up costs overlap.
     """
 
     def __init__(self, index: int, config: EngineConfig,
@@ -390,13 +407,23 @@ class ShardWorker:
         self.index = index
         self.dead = False
         self._conn, child = multiprocessing.Pipe()
-        self._worker = multiprocessing.get_context("spawn").Process(
+        self._worker = multiprocessing.get_context(START_METHOD).Process(
             target=_serve, args=(child, config, seed),
             name=f"repro-shard-{index}", daemon=True)
+        # A child forked from here on, this worker included, holds a
+        # copy of the coordinator's end and must close it: otherwise
+        # the worker never sees EOF when the coordinator closes its end
+        # or dies, and lives on.
+        multiprocessing.util.register_after_fork(
+            self, ShardWorker._close_inherited_end)
         self._worker.start()
         # The parent's copy of the child-held end must close so a dead
         # worker surfaces as EOF instead of a hang.
         child.close()
+
+    def _close_inherited_end(self) -> None:
+        """In a forked child: drop the copy of the coordinator's end."""
+        self._conn.close()
 
     def await_ready(self) -> None:
         """Block until the worker has built its shard (or failed to)."""

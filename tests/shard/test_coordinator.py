@@ -603,7 +603,7 @@ class TestOnThreadWorkers:
 
     The thread double exercises the whole worker path — pickled
     commands, replayed construction, rehydrated errors — without
-    paying a process spawn per shard.
+    paying a process start per shard.
     """
 
     @pytest.fixture

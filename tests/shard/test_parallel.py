@@ -4,14 +4,20 @@ The load-bearing property is byte-identity: a worker fleet's
 normalized per-shard dumps must equal the in-process fleet's, across
 shard counts, observability and overload control — pinned here with a
 hypothesis sweep on the thread double of :mod:`tests.shard.thread_worker`
-(cheap) and a single process spot check (spawn costs ~1s per worker).
+(cheap) and a single process spot check, on forked workers and on
+spawned ones.
 The rest is the unhappy path: worker death must
 surface as :class:`ShardingError` naming the shard instead of hanging
 the barrier, and teardown must never leak processes or threads.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +28,7 @@ from repro.core.config import EngineConfig
 from repro.errors import AortaError, ParseError, ShardingError, \
     SimulationError
 from repro.shard import DeviceSpec, ShardedEngine
+from repro.shard.parallel import SHUTDOWN_TIMEOUT
 from tests.obs.golden import diff_dumps
 from tests.shard.scenarios import (
     RoundTap,
@@ -74,6 +81,18 @@ def test_thread_parallel_is_byte_identical_to_serial(
 
 
 def test_process_parallel_is_byte_identical_to_serial():
+    serial_dumps, serial_stats, _ = dumps_of(2, observability=True)
+    parallel_dumps, parallel_stats, _ = dumps_of(
+        2, parallel=True, backend="process", observability=True)
+    assert_identical(serial_dumps, parallel_dumps)
+    assert parallel_stats == serial_stats
+
+
+def test_spawned_workers_are_byte_identical_to_serial(monkeypatch):
+    # Where fork is missing, workers start by spawn: a fresh
+    # interpreter that imports everything itself must build the same
+    # shards as a forked copy of the coordinator.
+    monkeypatch.setattr("repro.shard.parallel.START_METHOD", "spawn")
     serial_dumps, serial_stats, _ = dumps_of(2, observability=True)
     parallel_dumps, parallel_stats, _ = dumps_of(
         2, parallel=True, backend="process", observability=True)
@@ -280,6 +299,78 @@ def test_worker_killed_inside_the_one_long_round_fails_closed():
         fleet.close()
 
 
+def test_a_worker_exits_once_the_coordinator_closes_its_end():
+    # Worker 1 is forked after worker 0's pipe exists, so it starts
+    # with a copy of the coordinator's end of that pipe; it must have
+    # closed it, or worker 0 never sees EOF.
+    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True)
+    workers = fleet.handles
+    try:
+        workers[0]._conn.close()
+        workers[0]._worker.join(timeout=SHUTDOWN_TIMEOUT)
+        assert not workers[0].alive
+        assert workers[1].alive
+        assert workers[1].call("now") == 1.0
+    finally:
+        fleet.close()
+
+
+KILLED_COORDINATOR = """\
+import os, signal, sys
+sys.path[:0] = [{src!r}, {root!r}]
+from tests.shard.scenarios import region_fleet_scenario
+
+if __name__ == "__main__":
+    fleet = region_fleet_scenario(2, run_until=1.0, parallel=True)
+    with open(sys.argv[1], "w") as handle:
+        handle.write(" ".join(str(worker._worker.pid)
+                              for worker in fleet.handles))
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process: an exited orphan may stay a
+    zombie until its new parent reaps it."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads process states from /proc")
+def test_workers_exit_when_the_coordinator_is_killed(tmp_path):
+    # Nothing closes the pipes on SIGKILL: the workers must see EOF
+    # because no process but the coordinator holds its ends.
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    script = tmp_path / "coordinator.py"
+    script.write_text(KILLED_COORDINATOR.format(
+        src=os.path.join(root, "src"), root=root))
+    pid_file = tmp_path / "pids"
+    # Output goes to a file, not a pipe: a surviving worker would hold
+    # the pipe open and hang the wait.
+    with open(tmp_path / "stderr", "w") as stderr:
+        done = subprocess.run(
+            [sys.executable, str(script), str(pid_file)],
+            stdout=subprocess.DEVNULL, stderr=stderr, timeout=120)
+    assert done.returncode == -signal.SIGKILL, \
+        (tmp_path / "stderr").read_text()
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_context_manager_exit_leaves_no_workers(backend):
     threads_before = threading.active_count()
@@ -343,7 +434,7 @@ def test_device_spec_builds_on_the_serial_path_too():
 
 
 def test_unknown_parallel_backend_is_refused():
-    # A worker is a spawned process; the thread transport is a test
+    # A worker is a process; the thread transport is a test
     # double (tests/shard/thread_worker.py), not a config value.
     for backend in ("greenlet", "thread"):
         with pytest.raises(AortaError, match="parallel_backend"):

@@ -1,10 +1,10 @@
 """A thread-hosted shard worker: the test double of ``ShardWorker``.
 
 It serves the same ``_serve`` loop over the same ``multiprocessing``
-pipe, on a daemon thread of the test process instead of a spawned
-interpreter. The whole worker protocol runs (pickled commands, replayed
-construction, rehydrated errors) without paying a spawn per shard, so
-the identity sweeps can afford many fleets.
+pipe, on a daemon thread of the test process instead of a worker
+process. The whole worker protocol runs (pickled commands, replayed
+construction, rehydrated errors) without paying a process start per
+shard, so the identity sweeps can afford many fleets.
 
 Tests get it with :func:`thread_workers`, which makes every fleet built
 inside the block host its workers on threads. Only construction reads
@@ -44,15 +44,15 @@ class ThreadWorker(ShardWorker):
 @contextmanager
 def thread_workers() -> Iterator[None]:
     """Host the workers of every fleet built in the block on threads."""
-    spawned = coordinator.ShardWorker
+    process_worker = coordinator.ShardWorker
     coordinator.ShardWorker = ThreadWorker
     try:
         yield
     finally:
-        coordinator.ShardWorker = spawned
+        coordinator.ShardWorker = process_worker
 
 
 def workers_on(backend: str) -> ContextManager[None]:
     """Where a test's worker fleets run: ``"thread"`` (the double) or
-    ``"process"`` (spawned interpreters, the only ``src/`` transport)."""
+    ``"process"`` (worker processes, the only ``src/`` transport)."""
     return thread_workers() if backend == "thread" else nullcontext()

@@ -67,7 +67,7 @@ def test_a_flag_the_chosen_path_would_ignore_is_refused(
     "metrics --shards 2 --parallel --parallel-backend=thread",
 ])
 def test_a_worker_backend_is_no_flag(command_line, capsys):
-    """A worker is a spawned process: the thread transport is a test
+    """A worker is a process: the thread transport is a test
     double, so no flag can choose it."""
     with pytest.raises(SystemExit) as refusal:
         main(command_line.split())
