@@ -14,6 +14,8 @@ import platform
 import subprocess
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+import numpy
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "bench_results")
 
 #: The five algorithms in the paper's presentation order.
@@ -63,11 +65,6 @@ def host_fingerprint() -> Dict[str, Optional[object]]:
     changes, i.e. the numbers belong to the commit after the named one.
     """
     try:
-        import numpy
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    try:
         commit: Optional[str] = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             cwd=os.path.dirname(__file__), capture_output=True,
@@ -77,7 +74,7 @@ def host_fingerprint() -> Dict[str, Optional[object]]:
     return {
         "cores": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "platform": platform.platform(),
         "git_commit": commit,
     }

@@ -17,17 +17,16 @@ The schedulers have no option for this: an algorithm memoizes when it
 declares ``memoizes`` (only SA does) and the model keeps its hint. The
 table is the evidence for that rule (DESIGN.md decision 6) — SA's
 suffix re-walks hit, the greedy algorithms' advancing statuses do not.
-Both modes run with the kernel gate closed (see below), so SRFAE and
+Both modes run through ``scalar_walk`` (see below), so SRFAE and
 LERFA+SRFE walk the scalar estimates the memo can serve.
 
 **Vector** times the numpy column kernel, which a scheduler takes
 whenever ``build_kernel`` offers one, against the scalar walk on the
 calibrated camera workload at 400x100 and 4000x1000, asserting
-byte-identical assignments. The scalar side is reached the way a host
-without numpy reaches it: ``scalar_walk`` closes the one gate,
-``vector_cost.HAVE_NUMPY``, and reopens it when the timing ends.
-Skipped when numpy is not installed (the scalar walk is then the only
-path).
+byte-identical assignments. The scalar side is reached through
+``scalar_walk``, the seam the tests use: it makes ``build_kernel``
+decline every problem where SRFAE and LERFA+SRFE look it up, and
+restores it when the timing ends.
 
 The acceptance gate is a real boolean in every mode. Counts that repeat
 exactly always apply: the memo changes no schedule, the greedy
@@ -35,9 +34,9 @@ algorithms run the engine's model bare (``last_cache_stats is None``),
 SA memoizes it with a hit rate >= 0.5 at 20x5, and the kernel's
 schedules equal the scalar walk's. The wall-clock floors (vectorized
 SRFAE >= 5x / LERFA+SRFE >= 3x at 4000x1000) are evaluated on full runs
-only. With numpy, ``matrix_identity`` checks that every row of the
-engine kernel's one-fill cost matrix equals that device's column to the
-bit. A gate miss fails the process.
+only. ``matrix_identity`` checks that every row of the engine kernel's
+one-fill cost matrix equals that device's column to the bit. A gate
+miss fails the process.
 
 Usage::
 
@@ -53,6 +52,7 @@ import os
 import random
 import sys
 from dataclasses import replace
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
@@ -65,7 +65,6 @@ from repro.core.engine import AortaEngine  # noqa: E402
 from repro.devices.camera import PanTiltZoomCamera  # noqa: E402
 from repro.geometry import Point  # noqa: E402
 from repro.scheduling import (  # noqa: E402
-    HAVE_NUMPY,
     CachingCostModel,
     LerfaSrfeScheduler,
     ListScheduler,
@@ -78,7 +77,7 @@ from repro.scheduling import (  # noqa: E402
     build_kernel,
     uniform_camera_workload,
 )
-from repro.scheduling import vector_cost  # noqa: E402
+from repro.scheduling import lerfa_srfe, srfae  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..",
@@ -171,14 +170,14 @@ def matrix_identity(n: int, m: int) -> bool:
 
 @contextlib.contextmanager
 def scalar_walk():
-    """Close the kernel's one gate while the block runs, as a host
-    without numpy has it: every schedule inside takes the scalar walk."""
-    was = vector_cost.HAVE_NUMPY
-    vector_cost.HAVE_NUMPY = False
-    try:
+    """Every schedule run inside the block takes the scalar walk:
+    ``build_kernel`` declines every problem where the schedulers with a
+    kernel path look it up (``tests/scheduling/scalar_walk.py``)."""
+    with contextlib.ExitStack() as stack:
+        for module in (srfae, lerfa_srfe):
+            stack.enter_context(mock.patch.object(
+                module, "build_kernel", lambda problem: None))
         yield
-    finally:
-        vector_cost.HAVE_NUMPY = was
 
 
 def scheduler_factory(name: str, n: int):
@@ -313,29 +312,24 @@ def main(argv=None) -> int:
                   f"{cell['memo_cache']['hit_rate']:.2f})", flush=True)
 
     # ------------------------------------------------------------------
-    # Vector section (skipped without numpy)
+    # Vector section
     # ------------------------------------------------------------------
     vector_results: dict = {}
-    vector_identical = None
-    if HAVE_NUMPY:
-        vector_identical = True
-        vector_sizes = VECTOR_SMOKE_SIZES if args.smoke else VECTOR_SIZES
-        for n, m in vector_sizes:
-            for name in VECTOR_TARGETS:
-                cell = bench_vector(name, n, m, repeats)
-                vector_results.setdefault(name, {})[f"{n}x{m}"] = cell
-                vector_identical = vector_identical and cell["identical"]
-                print(f"  {name:>10} {n}x{m} vector: "
-                      f"scalar {cell['scalar_s']:.3f}s"
-                      f"  vector {cell['vector_s']:.3f}s"
-                      f"  ({cell['speedup']:.1f}x, identical="
-                      f"{cell['identical']})", flush=True)
-        matrix_identical = matrix_identity(*MATRIX_GATE_SIZE)
-        print(f"  engine kernel {MATRIX_GATE_SIZE[0]}x{MATRIX_GATE_SIZE[1]}"
-              f" matrix rows == columns: {matrix_identical}", flush=True)
-    else:
-        matrix_identical = None
-        print("  vector section skipped: numpy not installed", flush=True)
+    vector_identical = True
+    vector_sizes = VECTOR_SMOKE_SIZES if args.smoke else VECTOR_SIZES
+    for n, m in vector_sizes:
+        for name in VECTOR_TARGETS:
+            cell = bench_vector(name, n, m, repeats)
+            vector_results.setdefault(name, {})[f"{n}x{m}"] = cell
+            vector_identical = vector_identical and cell["identical"]
+            print(f"  {name:>10} {n}x{m} vector: "
+                  f"scalar {cell['scalar_s']:.3f}s"
+                  f"  vector {cell['vector_s']:.3f}s"
+                  f"  ({cell['speedup']:.1f}x, identical="
+                  f"{cell['identical']})", flush=True)
+    matrix_identical = matrix_identity(*MATRIX_GATE_SIZE)
+    print(f"  engine kernel {MATRIX_GATE_SIZE[0]}x{MATRIX_GATE_SIZE[1]}"
+          f" matrix rows == columns: {matrix_identical}", flush=True)
 
     # ------------------------------------------------------------------
     # The gate: exact counts always; wall-clock floors on full runs
@@ -353,16 +347,13 @@ def main(argv=None) -> int:
         "vector_identical": vector_identical,
         "matrix_identity": matrix_identical,
     }
-    # None-valued equivalence checks (e.g. vector identity without
-    # numpy) are skipped, not silently passed or failed.
-    gates = {name: value for name, value in equivalence.items()
-             if value is not None}
+    gates = dict(equivalence)
     gates["only_sa_memoizes"] = who_memoizes == {
         name: name == "SA" for name in ALGORITHM_ORDER}
     gates["sa_memo_hits"] = (sa_stats is not None and
                              sa_stats["hit_rate"] >= SA_HIT_RATE_FLOOR)
     vector_acceptance = None
-    if not args.smoke and HAVE_NUMPY:
+    if not args.smoke:
         vector_size = "x".join(map(str, VECTOR_SIZES[-1]))
         vector_acceptance = {
             f"{name}@{vector_size}": round(
@@ -383,11 +374,10 @@ def main(argv=None) -> int:
                      "CachingCostModel"),
             "engine": ("the adapter as the dispatcher builds it: "
                        "memoized by an algorithm that sets memoizes"),
-            "vector": ("numpy column kernel vs the scalar walk (kernel "
-                       "gate closed), calibrated camera workload"),
+            "vector": ("numpy column kernel vs the scalar walk, "
+                       "calibrated camera workload"),
         },
         "smoke": args.smoke,
-        "numpy": HAVE_NUMPY,
         "timing": f"best of {repeats} repeat(s), scheduling_seconds",
         "sa_hit_rate_floor": SA_HIT_RATE_FLOOR,
         "vector_targets": VECTOR_TARGETS,

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Mapping, Sequence, Tuple
 
+import numpy
+
 from repro.errors import QueryError
 from repro.devices.base import Device, static_epoch
 from repro.devices.camera import (
@@ -116,7 +118,6 @@ class PhotoBlockResolver:
 
     def prepare(self, devices: Sequence[Device],
                 args_list: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
-        import numpy
         epoch = static_epoch()
         if epoch != self._epoch:
             self._epoch = epoch
@@ -156,7 +157,6 @@ class PhotoBlockResolver:
     def _aim_column(self, key: Tuple[float, float], target: Any) -> Any:
         """The target's aim column over every indexed camera, extended
         by one scalar ``aim_memoized`` per camera indexed since."""
-        import numpy
         column = self._aims.get(key)
         done = 0 if column is None else column.shape[1]
         if done < len(self._cameras):
@@ -175,7 +175,6 @@ class PhotoBlockResolver:
 
     def resolve(self, prepared: Mapping[str, Any],
                 status: Mapping[str, Any]) -> Dict[str, Any]:
-        import numpy
         return {
             "pan_degrees": numpy.abs(prepared["pan"] - status["pan"]),
             "tilt_degrees": numpy.abs(prepared["tilt"] - status["tilt"]),

@@ -68,10 +68,10 @@ class EngineConfig:
     Every boolean here changes what the engine does (a policy), not how
     fast it does the same thing. Event matching, the scheduler's cost
     kernel and device communication have one path each and no flag:
-    every AQ is filed in the predicate index, the numpy cost kernel is
-    used whenever numpy is installed (DESIGN.md decision 29), every
-    exchange rides a pooled keep-alive channel and every action's batch
-    is dispatched as its own process (decision 10).
+    every AQ is filed in the predicate index, the numpy cost kernel
+    fills the cost matrix of every batch it accepts (DESIGN.md decision
+    29), every exchange rides a pooled keep-alive channel and every
+    action's batch is dispatched as its own process (decision 10).
 
     A field is here because a caller outside the tests sets a second
     value, or an allow-listed reason keeps it (DESIGN.md decision 24).

@@ -7,6 +7,8 @@ from typing import (
     Any, Dict, FrozenSet, Mapping, Optional, Protocol, Sequence, Tuple,
 )
 
+import numpy
+
 from repro.errors import ProfileError, RegistrationError
 from repro.devices.base import Device
 from repro.profiles.action_profile import (
@@ -18,17 +20,6 @@ from repro.profiles.action_profile import (
 )
 from repro.profiles.cost_table import CostTable
 
-
-def _numpy() -> Any:
-    """Lazy numpy import: block estimation is an optional fast path."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - no-numpy CI leg
-        raise ProfileError(
-            "block cost estimation requires numpy; install the optional "
-            "extra (pip install 'repro[fast]')"
-        ) from None
-    return numpy
 
 #: A device physical-status snapshot, e.g. ``{"pan": 30.0, "tilt": -5.0}``.
 Status = Mapping[str, float]
@@ -311,7 +302,6 @@ class CostModel:
         bit-equal to the scalar estimate of the i-th picked request on
         the k-th picked device from ``statuses[k]``.
         """
-        numpy = _numpy()
         key = (prepared.action_name, prepared.device_type)
         profile = self.profile(*key)
         table = self._require_table(prepared.device_type)
@@ -387,7 +377,7 @@ def _block_seconds(node: CompositionNode, table: CostTable,
             total = total + _block_seconds(child, table, quantities)
         return total
     if isinstance(node, Parallel):
-        maximum = _numpy().maximum
+        maximum = numpy.maximum
         slowest: Any = None
         for child in node.children:
             value = _block_seconds(child, table, quantities)

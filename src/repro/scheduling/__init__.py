@@ -45,7 +45,6 @@ from repro.scheduling.simulated_annealing import (
 )
 from repro.scheduling.srfae import SrfaeScheduler
 from repro.scheduling.vector_cost import (
-    HAVE_NUMPY,
     BlockModelKernel,
     ColumnKernel,
     build_kernel,
@@ -60,7 +59,6 @@ __all__ = [
     "CachingCostModel",
     "ColumnKernel",
     "ExecutionResult",
-    "HAVE_NUMPY",
     "LerfaSrfeScheduler",
     "ListScheduler",
     "MakespanBreakdown",

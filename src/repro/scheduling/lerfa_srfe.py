@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+import numpy
+
 from repro.errors import SchedulingError
 from repro.scheduling.base import CATEGORY_SAP, Scheduler
 from repro.scheduling.problem import Problem, SchedRequest
@@ -97,8 +99,6 @@ class LerfaSrfeScheduler(Scheduler):
         selection (numpy's first-occurrence argmin) and float64 workload
         accumulation all match the scalar walk bit for bit.
         """
-        import numpy
-
         device_ids = problem.device_ids
         device_index = {device_id: k
                         for k, device_id in enumerate(device_ids)}
@@ -181,8 +181,6 @@ class LerfaSrfeScheduler(Scheduler):
         post-status comes from the kernel, which equals the scalar
         estimate's.
         """
-        import numpy
-
         request_index = {request.request_id: i
                          for i, request in enumerate(problem.requests)}
         status = problem.cost_model.initial_status(device_id)

@@ -23,6 +23,8 @@ import heapq
 import itertools
 from typing import Any, Dict, List, Tuple
 
+import numpy
+
 from repro.errors import SchedulingError
 from repro.scheduling.base import CATEGORY_CAP, Scheduler
 from repro.scheduling.problem import Problem
@@ -212,8 +214,6 @@ class SrfaeScheduler(Scheduler):
         re-pushed — its true key can only have grown, so the heap
         invariant holds.
         """
-        import numpy
-
         requests = problem.requests
         device_ids = problem.device_ids
         n = len(requests)

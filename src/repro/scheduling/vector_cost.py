@@ -32,28 +32,23 @@ possible:
   since broadcasting a status column changes which operands meet, not
   the operation applied to them.
 
-``numpy`` is an optional dependency (the ``repro[fast]`` extra).
-:func:`build_kernel` is the one place that chooses between a kernel and
-the scalar walk, and ``HAVE_NUMPY`` is its one gate: a host without
-numpy, or a cost model that provides no kernel, keeps the scalar walk.
+``numpy`` is a dependency of the package. :func:`build_kernel` is the
+one place that chooses between a kernel and the scalar walk: a cost
+model that provides no kernel, or declines the problem, keeps the
+scalar walk.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
+import numpy
+
 from repro.scheduling.problem import Problem, SchedulingCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.devices.base import Device
     from repro.cost.model import CostModel
-
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the no-numpy CI leg
-    numpy = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 
 class ColumnKernel:
@@ -135,17 +130,13 @@ def build_kernel(problem: Problem) -> Optional[ColumnKernel]:
     """The problem's column kernel, or ``None`` for the scalar path.
 
     The schedulers that have a kernel path call this on every problem,
-    and this alone decides. Without numpy it answers ``None``; a
-    ``make_column_kernel`` hook therefore never runs without numpy.
-    Otherwise it unwraps a memoizing :class:`CachingCostModel` (kernels
-    bypass the scalar memo — a column is cheaper than n cache probes)
-    and asks the underlying model for a kernel via its optional
-    ``make_column_kernel(problem)`` hook. Any model without the hook —
+    and this alone decides. It unwraps a memoizing
+    :class:`CachingCostModel` (kernels bypass the scalar memo — a column
+    is cheaper than n cache probes) and asks the underlying model for a
+    kernel via its optional ``make_column_kernel(problem)`` hook. Any model without the hook —
     or that declines (noisy estimates, unsupported action) — keeps the
     byte-identical scalar walk.
     """
-    if not HAVE_NUMPY:
-        return None
     from repro.scheduling.cost_cache import CachingCostModel
     model: SchedulingCostModel = problem.cost_model
     while isinstance(model, CachingCostModel):
@@ -174,7 +165,6 @@ def masked_argmin(costs: Any, mask: Any) -> Optional[int]:
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "BlockModelKernel",
     "ColumnKernel",
     "build_kernel",

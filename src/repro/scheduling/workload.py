@@ -21,6 +21,8 @@ from __future__ import annotations
 import random
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
+import numpy
+
 from repro.errors import SchedulingError
 from repro.devices.camera import CALIBRATION, HeadPosition
 from repro.scheduling.problem import (
@@ -42,7 +44,6 @@ class _CameraColumnKernel:
     """
 
     def __init__(self, problem: Problem) -> None:
-        import numpy
         self._requests = problem.requests
         self._fixed = CALIBRATION.fixed_photo_seconds()
         self._pan_speed = CALIBRATION.pan_speed
@@ -57,7 +58,6 @@ class _CameraColumnKernel:
 
     def _seconds(self, pan: Any, tilt: Any, zoom: Any,
                  head_pan: Any, head_tilt: Any, head_zoom: Any) -> Any:
-        import numpy
         movement = numpy.maximum(
             numpy.maximum(numpy.abs(pan - head_pan) / self._pan_speed,
                           numpy.abs(tilt - head_tilt) / self._tilt_speed),
@@ -66,7 +66,6 @@ class _CameraColumnKernel:
 
     def matrix(self, device_ids: Sequence[str],
                statuses: Mapping[str, HeadPosition]) -> Any:
-        import numpy
         heads = [statuses[device_id] for device_id in device_ids]
         return self._seconds(
             self._pan, self._tilt, self._zoom,

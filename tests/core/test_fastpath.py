@@ -14,6 +14,8 @@ its own statistics, never which requests are serviced.
 from unittest.mock import patch
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AortaEngine,
@@ -459,15 +461,6 @@ class TestFastpathOffIdentity:
 # ----------------------------------------------------------------------
 # Property test: the serviced set is invariant under the status cache.
 # ----------------------------------------------------------------------
-try:
-    from hypothesis import HealthCheck, given, settings
-    from hypothesis import strategies as st
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is a test dep
-    HAVE_HYPOTHESIS = False
-
-
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
 class TestServicedSetInvariance:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -6,21 +6,18 @@ size and declines only for a device without a block resolver, which
 leaves the scalar walk. Which of the two ran, and how often the kernel
 fills its matrix, is pinned by call counts on the engine cost model;
 that it cannot be told from the outcome, by byte-equal dumps against an
-engine run with the one gate closed, as on a host without numpy.
+engine run through the scalar walk (``scalar_walk``).
 """
-
-import pytest
 
 import contextlib
 
+import pytest
+
 from repro import EngineConfig
-from repro.scheduling.vector_cost import HAVE_NUMPY
 
 from tests.core.test_fastpath import build_fast_lab, drive, submit_photo
 from tests.obs.golden import diff_dumps, dump_engine
 from tests.scheduling.scalar_walk import scalar_walk
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 def run_batches(config, batches, scalar=False, n_cameras=4):
@@ -29,8 +26,8 @@ def run_batches(config, batches, scalar=False, n_cameras=4):
 
     Returns (engine, trace); ``engine.cost_calls`` counts the cost
     model's scalar ``estimate`` and kernel ``prepare_block`` /
-    ``estimate_block`` calls. ``scalar`` runs the batches with the
-    kernel gate closed.
+    ``estimate_block`` calls. ``scalar`` runs the batches through the
+    scalar walk.
     """
     engine = build_fast_lab(config, n_cameras=n_cameras)
     engine.cost_calls = {"estimate": 0, "prepare_block": 0,

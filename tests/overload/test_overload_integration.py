@@ -11,6 +11,8 @@ requests the plain engine services.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AortaEngine,
@@ -187,15 +189,6 @@ def test_a_storm_keeps_the_protected_tier_the_plain_engine_drops():
 # Property tests: bounded occupancy under any storm; serviced-set
 # equality when capacity is sufficient.
 # ----------------------------------------------------------------------
-try:
-    from hypothesis import HealthCheck, given, settings
-    from hypothesis import strategies as st
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is a test dep
-    HAVE_HYPOTHESIS = False
-
-
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
 class TestQueueBoundInvariant:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -232,7 +225,6 @@ class TestQueueBoundInvariant:
         assert accounted == submitted
 
 
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
 class TestServicedSetEquivalence:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -172,7 +172,7 @@ def test_schedulers_skip_caching_noisy_models():
 
 def test_prewrapped_problem_keeps_its_memo():
     """How a test or bench gives a greedy algorithm a memo: wrap first,
-    and close the kernel gate, since a kernel bypasses the memo."""
+    and take the scalar walk, since a kernel bypasses the memo."""
     problem = prewrapped(uniform_camera_workload(6, 2, seed=0))
     scheduler = SrfaeScheduler(0)
     with scalar_walk():
@@ -212,7 +212,7 @@ def test_cost_cache_option_is_gone():
 def test_all_schedulers_identical_with_cache_on_and_off(n, m, seed):
     """The model's hint is the only input that differs; the pre-wrapped
     leg puts the four algorithms the hint does not reach behind a memo
-    too. The kernel gate is closed, so every algorithm walks the
+    too. Every algorithm takes the scalar walk, so it walks the
     estimates the memo answers."""
     problem = uniform_camera_workload(n, m, seed=seed)
     with scalar_walk():

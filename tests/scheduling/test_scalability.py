@@ -5,7 +5,7 @@ if the given input size is large" (Section 5.1). These tests pin the
 proposed algorithms' scheduling work — counted in cost-oracle calls,
 the unit scheduling time is made of — at instance sizes well beyond
 the paper's 30-request maximum. The counts are the scalar walk's, so
-they run with the kernel gate closed (the numpy kernel answers a whole
+they run through ``scalar_walk`` (the numpy kernel answers a whole
 column per call).
 """
 

@@ -4,17 +4,20 @@ The load-bearing property is **byte-identity**: where
 ``build_kernel`` offers a kernel, every scheduler must produce exactly
 the schedule the scalar walk produces — same assignments, same queue
 orders, same tie-breaks — on every problem. Anything weaker would make
-the paper's reproduced figures depend on whether numpy is installed.
-The scalar reference is reached the way a host without numpy reaches
-it: by closing the one gate, ``vector_cost.HAVE_NUMPY``
-(``scalar_walk``). The kernels' own contract (a column is element-wise
-bit-equal to scalar ``estimate``) is what makes that identity provable,
-so it is property-tested directly against both cost oracles: the
-synthetic camera model and the engine cost model's block entry points.
+the paper's reproduced figures depend on which path a batch took.
+The scalar reference is reached through the test-only seam
+``scalar_walk``, which makes ``build_kernel`` decline every problem
+where the schedulers look it up. The kernels' own contract (a column
+is element-wise bit-equal to scalar ``estimate``) is what makes that
+identity provable, so it is property-tested directly against both cost
+oracles: the synthetic camera model and the engine cost model's block
+entry points.
 """
 
 import dataclasses
+import pathlib
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +36,6 @@ from repro.profiles.defaults import (
 )
 from repro.sim import Environment
 from repro.scheduling import (
-    HAVE_NUMPY,
     BlockModelKernel,
     CachingCostModel,
     LerfaSrfeScheduler,
@@ -48,13 +50,11 @@ from repro.scheduling import (
     skewed_camera_workload,
     uniform_camera_workload,
 )
+from repro.scheduling import vector_cost
 from repro.scheduling.vector_cost import build_kernel, masked_argmin
 from repro.scheduling.workload import CameraStatusCostModel
 
-from tests.scheduling.scalar_walk import scalar_walk
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not installed")
+from tests.scheduling.scalar_walk import KERNEL_USERS, scalar_walk
 
 TINY_SA = SAParameters(moves_per_temperature_per_request=4,
                        max_evaluations=400)
@@ -69,8 +69,8 @@ SCHEDULER_FACTORIES = (
 
 
 def kernel_and_scalar(factory, problem):
-    """``factory()``'s schedule of ``problem`` as built, then with the
-    gate closed."""
+    """``factory()``'s schedule of ``problem`` as built, then through
+    the scalar walk."""
     kernel = factory().schedule(problem)
     with scalar_walk():
         scalar = factory().schedule(problem)
@@ -78,15 +78,8 @@ def kernel_and_scalar(factory, problem):
 
 
 # ----------------------------------------------------------------------
-# The optional-dependency gate
+# The one selector, and the seam that bypasses it
 # ----------------------------------------------------------------------
-def test_camera_model_declines_kernel_without_numpy():
-    problem = uniform_camera_workload(4, 2, seed=0)
-    with scalar_walk():
-        assert build_kernel(problem) is None
-
-
-@needs_numpy
 def test_a_default_scheduler_takes_the_kernel(monkeypatch):
     """``build_kernel`` alone decides: a scheduler built with no
     argument solves a camera problem through the kernel."""
@@ -102,12 +95,31 @@ def test_a_default_scheduler_takes_the_kernel(monkeypatch):
     assert len(kernels) == 1
 
 
+def test_the_scalar_seam_covers_every_kernel_user():
+    """``scalar_walk`` patches ``build_kernel`` in exactly the modules
+    of ``src/repro`` that call it, and a camera problem that takes the
+    kernel as built takes the scalar walk inside it."""
+    package = pathlib.Path(vector_cost.__file__).parents[1]
+    callers = set()
+    for path in package.rglob("*.py"):
+        if path.name == "__init__.py" or path.stem == "vector_cost":
+            continue
+        if "build_kernel(" in path.read_text():
+            callers.add("repro." + ".".join(
+                path.relative_to(package).with_suffix("").parts))
+    assert callers == {module.__name__ for module in KERNEL_USERS}
+
+    problem = uniform_camera_workload(6, 2, seed=0)
+    assert build_kernel(problem) is not None
+    with scalar_walk():
+        assert all(module.build_kernel(problem) is None
+                   for module in KERNEL_USERS)
+
+
 # ----------------------------------------------------------------------
 # masked_argmin: first occurrence wins, like a scalar strict-min scan
 # ----------------------------------------------------------------------
-@needs_numpy
 def test_masked_argmin_first_occurrence_and_masking():
-    import numpy
     costs = numpy.array([3.0, 1.0, 1.0, 2.0])
     mask = numpy.array([False, False, False, False])
     assert masked_argmin(costs, mask) == 1
@@ -118,7 +130,6 @@ def test_masked_argmin_first_occurrence_and_masking():
 # ----------------------------------------------------------------------
 # Camera kernel: columns bit-equal to the scalar estimate walk
 # ----------------------------------------------------------------------
-@needs_numpy
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 20), m=st.integers(1, 5),
        seed=st.integers(0, 500), status_pick=st.integers(0, 10 ** 6))
@@ -140,12 +151,10 @@ def test_camera_kernel_columns_bit_equal(n, m, seed, status_pick):
                 assert kernel.post_status(i, device_id) == post
 
 
-@needs_numpy
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 24), m=st.integers(1, 12),
        seed=st.integers(0, 500), status_pick=st.integers(0, 10 ** 6))
 def test_camera_kernel_matrix_rows_bit_equal(n, m, seed, status_pick):
-    import numpy
     problem = uniform_camera_workload(n, m, seed=seed)
     model = problem.cost_model
     kernel = build_kernel(problem)
@@ -164,9 +173,7 @@ def test_camera_kernel_matrix_rows_bit_equal(n, m, seed, status_pick):
         assert matrix[k].tobytes() == scalar.tobytes()
 
 
-@needs_numpy
 def test_camera_kernel_index_subsets():
-    import numpy
     problem = uniform_camera_workload(12, 3, seed=7)
     kernel = build_kernel(problem)
     device_id = problem.device_ids[0]
@@ -177,13 +184,11 @@ def test_camera_kernel_index_subsets():
     assert list(subset) == [full[0], full[5], full[11], full[5]]
 
 
-@needs_numpy
 def test_noisy_estimator_declines_the_kernel():
     noisy = uniform_camera_workload(6, 2, seed=0, estimate_noise=0.1)
     assert build_kernel(noisy) is None
 
 
-@needs_numpy
 def test_build_kernel_unwraps_the_memo_cache():
     problem = uniform_camera_workload(6, 2, seed=0)
     wrapped = dataclasses.replace(
@@ -197,7 +202,7 @@ def test_static_model_has_no_kernel():
         requests=(SchedRequest("r1", ("d1",)), SchedRequest("r2", ("d1",))),
         device_ids=("d1",), cost_model=StaticCostModel(costs))
     assert build_kernel(problem) is None
-    # Such a model keeps the scalar walk, gate open or closed.
+    # Such a model keeps the scalar walk.
     kernel, scalar = kernel_and_scalar(lambda: SrfaeScheduler(0), problem)
     assert kernel.assignments == scalar.assignments
 
@@ -205,7 +210,6 @@ def test_static_model_has_no_kernel():
 # ----------------------------------------------------------------------
 # Byte-identity: kernel == scalar walk, all five schedulers
 # ----------------------------------------------------------------------
-@needs_numpy
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 16), m=st.integers(1, 5),
        seed=st.integers(0, 1000))
@@ -216,7 +220,6 @@ def test_all_schedulers_identical_with_vectorize_on_and_off(n, m, seed):
         assert kernel.assignments == scalar.assignments
 
 
-@needs_numpy
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(4, 16), m=st.integers(2, 5),
        skewness=st.sampled_from((0.2, 0.5, 0.8)),
@@ -228,7 +231,6 @@ def test_skewed_eligibility_identical_with_vectorize(n, m, skewness, seed):
         assert kernel.assignments == scalar.assignments
 
 
-@needs_numpy
 def test_duplicate_targets_force_ties_identically():
     """All-equal costs make every argmin a tie: the serial/epoch order
     of the vectorized heap must reproduce the scalar tie-breaks."""
@@ -243,7 +245,6 @@ def test_duplicate_targets_force_ties_identically():
         assert kernel.assignments == scalar.assignments
 
 
-@needs_numpy
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 24), m=st.integers(2, 6), groups=st.integers(1, 4),
        tied=st.booleans(), seed=st.integers(0, 1000))
@@ -299,7 +300,6 @@ def photo_lab():
     return cost_model, registry.get("photo"), cameras
 
 
-@needs_numpy
 @settings(max_examples=25, deadline=None)
 @given(coords=st.lists(
     st.tuples(st.floats(5.0, 60.0), st.floats(-25.0, 25.0)),
@@ -326,9 +326,7 @@ def test_block_estimates_bit_equal_to_scalar(photo_lab, coords, pan,
             assert post == scalar.post_status
 
 
-@needs_numpy
 def test_block_model_kernel_subsets_and_posts(photo_lab):
-    import numpy
     cost_model, photo, cameras = photo_lab
     args_list = [{"target": Point(10.0 + 7 * i, 4.0), "directory": "p"}
                  for i in range(6)]
@@ -345,7 +343,6 @@ def test_block_model_kernel_subsets_and_posts(photo_lab):
     assert kernel.post_status(2, device_id) == scalar.post_status
 
 
-@needs_numpy
 def test_unregistered_block_resolver_is_a_profile_error(photo_lab):
     cost_model, photo, cameras = photo_lab
     device = next(iter(cameras.values()))
@@ -353,7 +350,6 @@ def test_unregistered_block_resolver_is_a_profile_error(photo_lab):
         cost_model.prepare_block("no-such-action", [device], [])
 
 
-@needs_numpy
 @settings(max_examples=25, deadline=None)
 @given(mounts=st.lists(st.tuples(
     st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),  # location
@@ -369,7 +365,6 @@ def test_block_model_matrix_rows_bit_equal_to_columns_and_scalar(
         photo_lab, mounts, targets):
     """Every row of the one-fill matrix is the device's column, and
     both are the scalar estimates, to the bit."""
-    import numpy
     cost_model, photo, _ = photo_lab
     env = Environment()
     cameras = []
@@ -415,7 +410,6 @@ def test_prepare_block_refuses_mixed_device_types(photo_lab):
                                  [{"target": Point(5.0, 5.0)}])
 
 
-@needs_numpy
 def test_block_without_quantities_is_sized_to_the_block():
     """A profile with no quantities costs a constant: the block still
     comes back (devices x requests), and so does any slice of it."""
@@ -474,7 +468,6 @@ def _aim_lab(n_cameras=4):
 def assert_aims_are_scalar(prepared, devices, args_list):
     """A prepared block's poses equal ``photo_resolver``'s, to the bit,
     element by element."""
-    import numpy
     from repro.actions.builtins import photo_resolver
     status = {"pan": 0.0, "tilt": 0.0, "zoom": 1.0}
     for k, device in enumerate(devices):
@@ -485,7 +478,6 @@ def assert_aims_are_scalar(prepared, devices, args_list):
                     prepared.arrays[axis][k, i].tobytes()
 
 
-@needs_numpy
 @pytest.mark.parametrize("remount", [
     lambda camera: setattr(camera, "location", Point(40.0, 25.0)),
     lambda camera: setattr(camera, "view", dataclasses.replace(
@@ -509,7 +501,6 @@ def test_aim_columns_follow_an_in_place_remount(remount):
     assert changed == [False, True, False, False]
 
 
-@needs_numpy
 def test_aim_columns_serve_subsets_permutations_and_joins(monkeypatch):
     """A batch over any subset or order of the indexed cameras is a
     gather; only a newly indexed camera or a moved epoch asks for

@@ -27,7 +27,6 @@ import pytest
 from repro.devices.base import Device
 from repro.devices.camera import PanTiltZoomCamera
 from repro.network.message import Message
-from repro.scheduling import HAVE_NUMPY
 from repro.sim import Environment
 
 from tests.test_e2e_outcomes import SECONDS, SEED, build, repetition
@@ -37,15 +36,12 @@ from tests.test_e2e_outcomes import SECONDS, SEED, build, repetition
 #: whose fleet is built before its first poll, plus one per photo
 #: executed (102), where ``fill_device_arguments`` binds ``camera_ip``.
 STATIC_ATTRIBUTES = 166
-#: ``PanTiltZoomCamera.aim_memoized`` calls with numpy: the block
-#: resolver's aim columns, one per camera and distinct target, 48 x 16.
-#: Without numpy the scalar estimate asks per (request, camera), so
-#: that leg pins nothing here.
+#: ``PanTiltZoomCamera.aim_memoized`` calls: the block resolver's aim
+#: columns, one per camera and distinct target, 48 x 16.
 AIM_MEMOIZED = 768
 
 
-#: Kernel events (``Environment.step`` calls) per smoke repetition,
-#: the same with numpy and without.
+#: Kernel events (``Environment.step`` calls) per smoke repetition.
 KERNEL_EVENTS = {"dispatch_heavy": 13084, "match_heavy": 11799,
                  "mixed_faulty": 17040}
 #: ``Message`` constructions per smoke repetition: the scanned motes'
@@ -78,8 +74,7 @@ def test_dispatch_heavy_reads_static_state_once_per_epoch(monkeypatch):
     result = repetition(job, SEED)
     assert not result["problems"], result["problems"]
     assert calls["static_attributes"] == STATIC_ATTRIBUTES
-    if HAVE_NUMPY:
-        assert calls["aim_memoized"] == AIM_MEMOIZED
+    assert calls["aim_memoized"] == AIM_MEMOIZED
 
 
 @pytest.mark.parametrize("workload", sorted(KERNEL_EVENTS))

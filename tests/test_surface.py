@@ -2,11 +2,11 @@
 ``src/repro`` has a caller that is not a test, every config field has a
 second value in use outside ``tests/``, every parameter with a default
 is passed by some call outside ``tests/``, no component defaults its
-sink, one module reads the numpy gate, no two functions share a body, a
-runtime's ``now`` is assigned only by the kernel, a device channel is
-checked out in one place, the comm layer starts no process, only loops
-start processes (``core/``'s two among them), and DESIGN.md's module
-map is the tree."""
+sink, numpy is imported at module level only, no two functions share a
+body, a runtime's ``now`` is assigned only by the kernel, a device
+channel is checked out in one place, the comm layer starts no process,
+only loops start processes (``core/``'s two among them), and DESIGN.md's
+module map is the tree."""
 
 import ast
 import copy
@@ -615,19 +615,20 @@ def test_no_component_defaults_its_sink():
     assert tracers == ["obs/spans.py:Observability.__init__"]
 
 
-def test_one_module_reads_the_numpy_gate():
-    """``build_kernel`` alone chooses between the cost kernel and the
-    scalar walk (DESIGN decision 11): no other module under
-    ``src/repro`` loads ``HAVE_NUMPY``. Imports and ``__all__`` name it
-    without loading it."""
-    readers = sorted({
-        str(path.relative_to(SRC))
+def test_numpy_is_imported_at_module_level():
+    """numpy is a dependency of the package, so no module under
+    ``src/repro`` imports it lazily inside a function, behind a ``try``
+    or under a condition: an optional numpy leg does not come back."""
+    nested = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}"
         for path, module in _modules().items() if SRC in path.parents
         for node in ast.walk(module)
-        if isinstance(getattr(node, "ctx", None), ast.Load)
-        and "HAVE_NUMPY" in (getattr(node, "id", None),
-                             getattr(node, "attr", None))})
-    assert readers == ["scheduling/vector_cost.py"]
+        if node not in module.body
+        and (any(alias.name.split(".")[0] == "numpy"
+                 for alias in node.names) if isinstance(node, ast.Import)
+             else isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "numpy"))
+    assert nested == []
 
 
 def _normalized_body(function):
