@@ -1,24 +1,8 @@
-"""Scheduling-time regression benchmark: memo and vector.
+"""Scheduling-time regression benchmark: the vector cost kernel.
 
-Two sections, one machine-readable ``BENCH_scheduling.json``.
-
-**Memo** times all five algorithms on *engine-oracle* problems — the
-scheduling cost model is the dispatcher's :class:`_ActionCostAdapter`
-over the real :class:`~repro.cost.model.CostModel` photo() pipeline
-(quantity resolution + profile interpolation), exactly what a
-dispatched batch pays per estimate — in two modes:
-
-* ``bare`` — every ``(request, device, status)`` estimate runs the cost
-  pipeline (the model's ``cache_by_default`` hint is switched off).
-* ``memo`` — the problem is handed over already wrapped in a fresh
-  :class:`CachingCostModel`, which any algorithm then uses.
-
-The schedulers have no option for this: an algorithm memoizes when it
-declares ``memoizes`` (only SA does) and the model keeps its hint. The
-table is the evidence for that rule (DESIGN.md decision 6) — SA's
-suffix re-walks hit, the greedy algorithms' advancing statuses do not.
-Both modes run through ``scalar_walk`` (see below), so SRFAE and
-LERFA+SRFE walk the scalar estimates the memo can serve.
+One section, one machine-readable ``BENCH_scheduling.json``. No
+scheduler memoizes its estimates (DESIGN.md decision 6), so the only
+second cost path left to time is the scalar walk.
 
 **Vector** times the numpy column kernel, which a scheduler takes
 whenever ``build_kernel`` offers one, against the scalar walk on the
@@ -29,14 +13,13 @@ decline every problem where SRFAE and LERFA+SRFE look it up, and
 restores it when the timing ends.
 
 The acceptance gate is a real boolean in every mode. Counts that repeat
-exactly always apply: the memo changes no schedule, the greedy
-algorithms run the engine's model bare (``last_cache_stats is None``),
-SA memoizes it with a hit rate >= 0.5 at 20x5, and the kernel's
-schedules equal the scalar walk's. The wall-clock floors (vectorized
-SRFAE >= 5x / LERFA+SRFE >= 3x at 4000x1000) are evaluated on full runs
-only. ``matrix_identity`` checks that every row of the engine kernel's
-one-fill cost matrix equals that device's column to the bit. A gate
-miss fails the process.
+exactly always apply: the kernel's schedules equal the scalar walk's
+(``vector_identical``), and ``matrix_identity`` checks that every row
+of the engine kernel's one-fill cost matrix, costed by the dispatcher's
+:class:`_ActionCostAdapter` over the real photo() pipeline, equals that
+device's column to the bit. The wall-clock floors (vectorized SRFAE >=
+5x / LERFA+SRFE >= 3x at 4000x1000, ``vector_speedup``) are evaluated
+on full runs only. A gate miss fails the process.
 
 Usage::
 
@@ -47,17 +30,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import os
 import random
 import sys
-from dataclasses import replace
 from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import ALGORITHM_ORDER, format_table, record, write_result  # noqa: E402
+from _common import format_table, record, write_result  # noqa: E402
 
 from repro.actions.request import ActionRequest  # noqa: E402
 from repro.core.dispatcher import _ActionCostAdapter  # noqa: E402
@@ -65,14 +46,9 @@ from repro.core.engine import AortaEngine  # noqa: E402
 from repro.devices.camera import PanTiltZoomCamera  # noqa: E402
 from repro.geometry import Point  # noqa: E402
 from repro.scheduling import (  # noqa: E402
-    CachingCostModel,
     LerfaSrfeScheduler,
-    ListScheduler,
     Problem,
-    RandomScheduler,
-    SAParameters,
     SchedRequest,
-    SimulatedAnnealingScheduler,
     SrfaeScheduler,
     build_kernel,
     uniform_camera_workload,
@@ -83,17 +59,8 @@ from repro.sim import Environment  # noqa: E402
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..",
                          "BENCH_scheduling.json")
 
-#: (n requests, m devices); the last entry is the paper's E10 scale.
-SIZES = ((20, 5), (100, 25), (400, 100))
-SMOKE_SIZES = ((20, 5),)
-
-#: Where SA's memo is gated, and the hit rate it must reach there
-#: (0.81 measured; the count repeats exactly for a fixed seed).
-SA_GATE_SIZE = (20, 5)
-SA_HIT_RATE_FLOOR = 0.5
-
-#: Vector section: calibrated-camera workload sizes; the second is the
-#: 10x-the-paper scale the vectorized kernel exists for.
+#: Calibrated-camera workload sizes; the second is the 10x-the-paper
+#: scale the vectorized kernel exists for.
 VECTOR_SIZES = ((400, 100), (4000, 1000))
 VECTOR_SMOKE_SIZES = ((20, 5),)
 #: Per-algorithm vectorized-vs-scalar floors at the largest size. SRFAE
@@ -180,80 +147,6 @@ def scalar_walk():
         yield
 
 
-def scheduler_factory(name: str, n: int):
-    """Zero-argument factory, so every timed run builds fresh state.
-
-    SA gets a reduced annealing schedule at the larger sizes so the
-    benchmark completes in minutes; the relative bare/memo shape is
-    unaffected (the same moves are evaluated in both modes).
-    """
-    if name == "SA":
-        if n > 100:
-            parameters = SAParameters(moves_per_temperature_per_request=4,
-                                      max_evaluations=5_000)
-        elif n > 20:
-            parameters = SAParameters(moves_per_temperature_per_request=10,
-                                      max_evaluations=20_000)
-        else:
-            parameters = SAParameters(moves_per_temperature_per_request=4,
-                                      max_evaluations=2_000)
-        return lambda: SimulatedAnnealingScheduler(0, parameters=parameters)
-    factory = {
-        "LERFA+SRFE": LerfaSrfeScheduler,
-        "SRFAE": SrfaeScheduler,
-        "LS": ListScheduler,
-        "RANDOM": RandomScheduler,
-    }[name]
-    return lambda: factory(0)
-
-
-def _time_schedule(make_scheduler, make_problem, repeats: int):
-    """Best-of-``repeats`` scheduling seconds, the last run's memo
-    stats and its assignments."""
-    best = float("inf")
-    for _ in range(repeats):
-        scheduler = make_scheduler()
-        schedule = scheduler.schedule(make_problem())
-        best = min(best, schedule.scheduling_seconds)
-    return best, scheduler.last_cache_stats, schedule.assignments
-
-
-def bench_one(name: str, n: int, m: int, repeats: int) -> dict:
-    problem = engine_oracle_problem(n, m, seed=0)
-    make = scheduler_factory(name, n)
-
-    # What the engine gets: the adapter with its hint, no wrapping.
-    as_dispatched = make()
-    as_dispatched.schedule(problem)
-    engine_stats = as_dispatched.last_cache_stats
-
-    unhinted = copy.copy(problem.cost_model)
-    unhinted.cache_by_default = False
-    bare = replace(problem, cost_model=unhinted)
-    bare_s, bare_stats, reference = _time_schedule(
-        make, lambda: bare, repeats)
-    memo_s, memo_stats, memo_asg = _time_schedule(
-        make,
-        lambda: replace(problem,
-                        cost_model=CachingCostModel(problem.cost_model)),
-        repeats)
-    if bare_stats is not None or memo_stats is None:
-        raise AssertionError(f"{name} n={n}: modes are not bare / memo")
-    if memo_asg != reference:
-        raise AssertionError(
-            f"{name} n={n}: memoized schedule differs from the bare one")
-
-    return {
-        "n": n,
-        "m": m,
-        "bare_s": bare_s,
-        "memo_s": memo_s,
-        "speedup_memo": bare_s / memo_s if memo_s > 0 else float("inf"),
-        "memo_cache": memo_stats,
-        "engine_cache": engine_stats,
-    }
-
-
 def bench_vector(name: str, n: int, m: int, repeats: int) -> dict:
     """Scalar vs vectorized scheduling time on the camera workload."""
     problem = uniform_camera_workload(n, m, seed=0)
@@ -290,38 +183,20 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    sizes = SMOKE_SIZES if args.smoke else SIZES
     repeats = 1 if args.smoke else args.repeats
 
-    results: dict = {}
-    rows = []
-    for n, m in sizes:
-        for name in ALGORITHM_ORDER:
-            with scalar_walk():
-                cell = bench_one(name, n, m, repeats)
-            results.setdefault(name, {})[f"{n}x{m}"] = cell
-            rows.append((name, f"{n}x{m}",
-                         cell["bare_s"] * 1e3, cell["memo_s"] * 1e3,
-                         cell["speedup_memo"],
-                         cell["memo_cache"]["hit_rate"],
-                         "bare" if cell["engine_cache"] is None
-                         else "memo"))
-            print(f"  {name:>10} {n}x{m}: bare {cell['bare_s']:.3f}s"
-                  f"  memo {cell['memo_s']:.3f}s"
-                  f"  ({cell['speedup_memo']:.2f}x, hit rate "
-                  f"{cell['memo_cache']['hit_rate']:.2f})", flush=True)
-
-    # ------------------------------------------------------------------
-    # Vector section
-    # ------------------------------------------------------------------
     vector_results: dict = {}
     vector_identical = True
+    rows = []
     vector_sizes = VECTOR_SMOKE_SIZES if args.smoke else VECTOR_SIZES
     for n, m in vector_sizes:
         for name in VECTOR_TARGETS:
             cell = bench_vector(name, n, m, repeats)
             vector_results.setdefault(name, {})[f"{n}x{m}"] = cell
             vector_identical = vector_identical and cell["identical"]
+            rows.append((name, f"{n}x{m}", cell["scalar_s"] * 1e3,
+                         cell["vector_s"] * 1e3, cell["speedup"],
+                         cell["identical"]))
             print(f"  {name:>10} {n}x{m} vector: "
                   f"scalar {cell['scalar_s']:.3f}s"
                   f"  vector {cell['vector_s']:.3f}s"
@@ -334,24 +209,11 @@ def main(argv=None) -> int:
     # ------------------------------------------------------------------
     # The gate: exact counts always; wall-clock floors on full runs
     # ------------------------------------------------------------------
-    sa_size = "x".join(map(str, SA_GATE_SIZE))
-    sa_stats = results["SA"][sa_size]["engine_cache"]
-    who_memoizes = {
-        name: any(cell["engine_cache"] is not None
-                  for cell in cells.values())
-        for name, cells in results.items()}
     equivalence = {
-        # bench_one raises on any memo-vs-bare mismatch, so reaching
-        # this point proves transparency for every cell.
-        "memo_transparent": True,
         "vector_identical": vector_identical,
         "matrix_identity": matrix_identical,
     }
     gates = dict(equivalence)
-    gates["only_sa_memoizes"] = who_memoizes == {
-        name: name == "SA" for name in ALGORITHM_ORDER}
-    gates["sa_memo_hits"] = (sa_stats is not None and
-                             sa_stats["hit_rate"] >= SA_HIT_RATE_FLOOR)
     vector_acceptance = None
     if not args.smoke:
         vector_size = "x".join(map(str, VECTOR_SIZES[-1]))
@@ -365,44 +227,33 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "bench_perf_regression",
-        "workload": ("photo() batches costed by the engine CostModel via "
-                     "_ActionCostAdapter (resolver + profile estimation "
-                     "per call)"),
+        "workload": ("calibrated camera workload (vector); photo() "
+                     "batches costed by the engine CostModel via "
+                     "_ActionCostAdapter (matrix identity)"),
         "modes": {
-            "bare": "the adapter without its cache_by_default hint",
-            "memo": ("the problem handed over already wrapped in a fresh "
-                     "CachingCostModel"),
-            "engine": ("the adapter as the dispatcher builds it: "
-                       "memoized by an algorithm that sets memoizes"),
             "vector": ("numpy column kernel vs the scalar walk, "
                        "calibrated camera workload"),
         },
         "smoke": args.smoke,
         "timing": f"best of {repeats} repeat(s), scheduling_seconds",
-        "sa_hit_rate_floor": SA_HIT_RATE_FLOOR,
         "vector_targets": VECTOR_TARGETS,
-        "gate": {"sa_size": sa_size,
-                 "sa_engine_cache": sa_stats,
-                 "memoizes": who_memoizes,
-                 "vector": vector_acceptance,
+        "gate": {"vector": vector_acceptance,
                  "equivalence": equivalence},
-        "results": results,
         "vector_results": vector_results,
     }
     exit_code = write_result(JSON_PATH, payload, gates)
 
     table = format_table(
-        ("algorithm", "size", "bare ms", "memo ms", "bare / memo",
-         "memo hit rate", "engine runs it"), rows)
+        ("algorithm", "size", "scalar ms", "vector ms", "scalar / vector",
+         "identical"), rows)
     scope = ("exact counts (smoke)" if args.smoke
              else "exact counts + vector speedup floors")
     verdict = (f"gate [{scope}]: {'PASS' if exit_code == 0 else 'FAIL'} "
-               f"memoizes={who_memoizes} sa_engine_cache={sa_stats} "
                f"vector={vector_acceptance} equivalence={equivalence}")
     # A smoke run writes no JSON (write_result), so it names none.
     written = "" if args.smoke else f"\nJSON: {os.path.relpath(JSON_PATH)}"
     record("perf_regression",
-           "Scheduling-time regression: memo and vector",
+           "Scheduling-time regression: vector kernel",
            table + "\n\n" + verdict + written, smoke=args.smoke)
     return exit_code
 

@@ -74,15 +74,6 @@ class _ActionCostAdapter(SchedulingCostModel):
     batch.
     """
 
-    #: Profile interpolation has no noise.
-    deterministic = True
-    #: An estimate runs quantity resolution + profile interpolation —
-    #: several times the cost of a memo probe — so an algorithm that
-    #: revisits its estimates memoizes this model (gated by
-    #: ``benchmarks/bench_perf_regression.py``). SRFAE never asks twice
-    #: and runs it bare.
-    cache_by_default = True
-
     def __init__(
         self,
         cost_model: CostModel,

@@ -19,7 +19,6 @@ stand-in for the paper's optimal MIP discussion).
 """
 
 from repro.scheduling.base import Schedule, Scheduler
-from repro.scheduling.cost_cache import CachingCostModel
 from repro.scheduling.lerfa_srfe import LerfaSrfeScheduler
 from repro.scheduling.list_scheduling import ListScheduler
 from repro.scheduling.executor import ExecutionResult, execute_schedule
@@ -56,7 +55,6 @@ from repro.scheduling.workload import (
 
 __all__ = [
     "BlockModelKernel",
-    "CachingCostModel",
     "ColumnKernel",
     "ExecutionResult",
     "LerfaSrfeScheduler",

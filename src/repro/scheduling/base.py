@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.errors import SchedulingError
-from repro.scheduling.cost_cache import CachingCostModel
 from repro.scheduling.problem import Problem
 
 #: The paper's SAP/CAP taxonomy (Section 5.2): Sequential vs Concurrent
@@ -78,13 +77,6 @@ class Scheduler:
     wall-clock timing and feasibility validation. Schedulers that use
     randomness draw from ``self.rng`` so runs are reproducible.
 
-    An algorithm that revisits ``(request, device, status)`` triples by
-    construction sets ``memoizes``; its estimates then go through a
-    per-``schedule`` :class:`CachingCostModel` whenever the problem's
-    cost model is deterministic and declares ``cache_by_default``.
-    ``last_cache_stats`` holds that memo's hit/miss counters after a
-    run, and is ``None`` when the run had no memo.
-
     An algorithm with a numpy column-kernel path takes it whenever
     :func:`~repro.scheduling.vector_cost.build_kernel` offers a kernel
     for the problem, and is byte-identical to its scalar walk.
@@ -94,45 +86,20 @@ class Scheduler:
     name: str = "scheduler"
     #: SAP or CAP (Section 5.2 taxonomy).
     category: str = CATEGORY_SAP
-    #: Whether the algorithm asks for the same estimate again often
-    #: enough for a memo to pay. Measured (DESIGN.md decision 6): only
-    #: SA's suffix re-walks do; the greedy algorithms hit 0-2.4 % and
-    #: run up to 1.5x slower behind one.
-    memoizes: bool = False
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
-        self.last_cache_stats: Optional[Dict[str, float]] = None
 
     def _solve(self, problem: Problem) -> Dict[str, List[str]]:
         """Produce per-device ordered request queues."""
         raise NotImplementedError
 
-    def _cached_problem(self, problem: Problem) -> Problem:
-        """``problem`` with its cost model behind a fresh memo, when this
-        algorithm memoizes and the model opts in; else unchanged.
-
-        A model the caller already wrapped does not opt in (the wrapper
-        leaves ``cache_by_default`` off), so it is never wrapped twice.
-        """
-        cost_model = problem.cost_model
-        if (self.memoizes and cost_model.cache_by_default
-                and cost_model.deterministic):
-            return replace(problem,
-                           cost_model=CachingCostModel(cost_model))
-        return problem
-
     def schedule(self, problem: Problem) -> Schedule:
         """Solve ``problem``, returning a validated, timed schedule."""
-        problem = self._cached_problem(problem)
         started = time.perf_counter()
         assignments = self._solve(problem)
         elapsed = time.perf_counter() - started
-        cost_model = problem.cost_model
-        self.last_cache_stats = (cost_model.stats()
-                                 if isinstance(cost_model, CachingCostModel)
-                                 else None)
         # Normalize: every device has a (possibly empty) queue.
         for device_id in problem.device_ids:
             assignments.setdefault(device_id, [])

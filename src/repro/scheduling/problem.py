@@ -40,25 +40,7 @@ class SchedulingCostModel:
     really costs; by default it equals the estimate (the paper found its
     cost model "reasonably accurate"), and subclasses may add estimation
     error for robustness studies.
-
-    ``deterministic`` declares that repeated ``estimate``/``actual``
-    calls with identical inputs return identical results; only
-    deterministic models are eligible for memoization through
-    :class:`~repro.scheduling.cost_cache.CachingCostModel`. Models that
-    draw noise must override it to ``False``.
-
-    ``cache_by_default`` asks an algorithm that memoizes (simulated
-    annealing, which re-walks queue suffixes) to put this model behind
-    a per-schedule memo. Leave it ``False`` for cheap analytic models —
-    a memo probe costs about as much as their estimate, and SA runs
-    0.7x as fast with one on the Figure 4-6 camera model — and set it
-    ``True`` when an estimate dwarfs a dict probe (the engine's
-    resolver + profile pipeline). Algorithms that do not revisit their
-    estimates ignore it.
     """
-
-    deterministic: bool = True
-    cache_by_default: bool = False
 
     def initial_status(self, device_id: str) -> Any:
         """The device's physical status before any request is serviced."""

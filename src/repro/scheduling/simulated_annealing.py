@@ -154,9 +154,6 @@ class SimulatedAnnealingScheduler(Scheduler):
 
     name = "SA"
     category = CATEGORY_SAP
-    #: Every previewed move re-walks a queue suffix most of whose
-    #: (request, device, status) triples an earlier move already costed.
-    memoizes = True
 
     def __init__(self, seed: int = 0,
                  parameters: SAParameters | None = None) -> None:

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 import numpy
 
-from repro.scheduling.problem import Problem, SchedulingCostModel
+from repro.scheduling.problem import Problem
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.devices.base import Device
@@ -130,18 +130,12 @@ def build_kernel(problem: Problem) -> Optional[ColumnKernel]:
     """The problem's column kernel, or ``None`` for the scalar path.
 
     The schedulers that have a kernel path call this on every problem,
-    and this alone decides. It unwraps a memoizing
-    :class:`CachingCostModel` (kernels bypass the scalar memo — a column
-    is cheaper than n cache probes) and asks the underlying model for a
-    kernel via its optional ``make_column_kernel(problem)`` hook. Any model without the hook —
-    or that declines (noisy estimates, unsupported action) — keeps the
-    byte-identical scalar walk.
+    and this alone decides. It asks the problem's cost model for a
+    kernel via its optional ``make_column_kernel(problem)`` hook. Any
+    model without the hook — or that declines (noisy estimates,
+    unsupported action) — keeps the byte-identical scalar walk.
     """
-    from repro.scheduling.cost_cache import CachingCostModel
-    model: SchedulingCostModel = problem.cost_model
-    while isinstance(model, CachingCostModel):
-        model = model.inner
-    maker = getattr(model, "make_column_kernel", None)
+    maker = getattr(problem.cost_model, "make_column_kernel", None)
     if maker is None:
         return None
     return maker(problem)

@@ -109,11 +109,6 @@ class CameraStatusCostModel(SchedulingCostModel):
         self.estimate_noise = estimate_noise
         self._noise_rng = random.Random(noise_seed)
 
-    @property
-    def deterministic(self) -> bool:
-        """Noisy estimators must not be memoized (each call re-draws)."""
-        return self.estimate_noise == 0
-
     def initial_status(self, device_id: str) -> HeadPosition:
         try:
             return self._initial_heads[device_id]

@@ -37,7 +37,6 @@ from repro.profiles.defaults import (
 from repro.sim import Environment
 from repro.scheduling import (
     BlockModelKernel,
-    CachingCostModel,
     LerfaSrfeScheduler,
     ListScheduler,
     Problem,
@@ -187,13 +186,6 @@ def test_camera_kernel_index_subsets():
 def test_noisy_estimator_declines_the_kernel():
     noisy = uniform_camera_workload(6, 2, seed=0, estimate_noise=0.1)
     assert build_kernel(noisy) is None
-
-
-def test_build_kernel_unwraps_the_memo_cache():
-    problem = uniform_camera_workload(6, 2, seed=0)
-    wrapped = dataclasses.replace(
-        problem, cost_model=CachingCostModel(problem.cost_model))
-    assert build_kernel(wrapped) is not None
 
 
 def test_static_model_has_no_kernel():
