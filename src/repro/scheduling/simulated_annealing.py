@@ -51,10 +51,25 @@ class SAParameters:
     max_evaluations: int = 2_000_000
 
     def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it: a NaN temperature
+        # or floor ends the annealing before its first move, and SA
+        # would hand back its random initial solution as its answer.
         if not 0 < self.cooling < 1:
             raise SchedulingError(f"cooling must be in (0,1), got {self.cooling}")
-        if self.initial_temp_factor <= 0:
-            raise SchedulingError("initial_temp_factor must be positive")
+        if not 0 < self.initial_temp_factor < math.inf:
+            raise SchedulingError(
+                f"initial_temp_factor must be positive and finite, got "
+                f"{self.initial_temp_factor!r}")
+        if not 0 < self.min_temp_fraction < 1:
+            raise SchedulingError(
+                f"min_temp_fraction must be in (0,1), got "
+                f"{self.min_temp_fraction!r}")
+        # Counts: NaN and 2.5 are refused, not rounded.
+        for name in ("moves_per_temperature_per_request", "max_evaluations"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise SchedulingError(
+                    f"{name} must be an integer >= 1, got {value!r}")
 
 
 class IncrementalMakespan:

@@ -1,5 +1,7 @@
 """SA-specific behaviour: parameters, penalty handling, convergence."""
 
+import math
+
 import pytest
 
 from repro.errors import SchedulingError
@@ -23,6 +25,28 @@ def test_parameter_validation():
         SAParameters(cooling=0.0)
     with pytest.raises(SchedulingError, match="initial_temp_factor"):
         SAParameters(initial_temp_factor=0)
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf])
+def test_non_finite_initial_temp_factor_is_refused(factor):
+    with pytest.raises(SchedulingError, match="initial_temp_factor"):
+        SAParameters(initial_temp_factor=factor)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_min_temp_fraction_outside_the_unit_interval_is_refused(fraction):
+    # 1.0 or NaN ends the annealing before its first move: SA would
+    # return its random initial solution without a word.
+    with pytest.raises(SchedulingError, match="min_temp_fraction"):
+        SAParameters(min_temp_fraction=fraction)
+
+
+@pytest.mark.parametrize("name", ["max_evaluations",
+                                  "moves_per_temperature_per_request"])
+@pytest.mark.parametrize("count", [0, -1, 2.5, math.nan])
+def test_sa_counts_must_be_integers_of_at_least_one(name, count):
+    with pytest.raises(SchedulingError, match=name):
+        SAParameters(**{name: count})
 
 
 def test_evaluation_counter_populated():
